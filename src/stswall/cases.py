@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import CaseConfig, parse_time_function
+from .config import PHYSICAL_LAYOUTS, CaseConfig, parse_time_function
 from .dimensionless import DimensionlessGroups
 from .errors import ConfigError, DivergenceError
 from .integrators import build_schedule, euler_run, dufort_frankel_run, sts_run
@@ -168,12 +168,6 @@ def physical_preset(
     return cfg
 
 
-PHYSICAL_LAYOUTS = {
-    "ins_re": [("ins", 0.125), ("re", 0.5)],
-    "re_ins": [("re", 0.5), ("ins", 0.125)],
-    "re": [("re", 0.5)],
-}
-
 PHYSICAL_INITIAL_V = {"re": 0.53, "ins": 0.053}
 PHYSICAL_INITIAL_T = 291.3
 
@@ -186,10 +180,9 @@ def _physical_groups(cfg: CaseConfig) -> DimensionlessGroups:
 # domain construction
 # ---------------------------------------------------------------------------
 
-def _build_domain(cfg: CaseConfig, layer_names=None):
-    """(wall, grid, state0) for a layer list of (material name, thickness)."""
-    layer_list = layer_names if layer_names is not None else cfg.layers
-    wall = build_wall([(cfg.materials[name], th) for name, th in layer_list])
+def _build_domain(cfg: CaseConfig):
+    """(wall, grid, state0) for the config's layers."""
+    wall = build_wall([(cfg.materials[name], th) for name, th in cfg.layers])
     length = wall.total_length
     n_float = length / cfg.dx
     n_steps = round(n_float)
@@ -197,8 +190,8 @@ def _build_domain(cfg: CaseConfig, layer_names=None):
         raise ConfigError(f"dx={cfg.dx} does not divide the wall length {length}")
     grid = Grid1D.uniform(length, n_steps + 1)
     node_layers = wall.node_layer_indices(grid)
-    u0 = _initial_field(cfg.initial_u, node_layers, len(layer_list))
-    v0 = _initial_field(cfg.initial_v, node_layers, len(layer_list))
+    u0 = _initial_field(cfg.initial_u, node_layers, len(cfg.layers))
+    v0 = _initial_field(cfg.initial_v, node_layers, len(cfg.layers))
     return wall, grid, StateField(u0, v0, 0.0)
 
 
@@ -213,17 +206,6 @@ def _initial_field(value, node_layers, n_layers) -> np.ndarray:
 
 def _fresh_operator(cfg, wall, grid, forcing, groups) -> SemiDiscreteOperator:
     return assemble_operator(wall, grid, groups, forcing, admissible_box=cfg.admissible_box)
-
-
-def _schedule_base(cfg: CaseConfig, op: SemiDiscreteOperator, state0: StateField) -> float:
-    """Explicit-limit base step for schedules: pinned by the preset or
-    derived from the operator estimate with a 10% safety margin."""
-    if cfg.dt_exp_base is not None:
-        return cfg.dt_exp_base
-    est = estimate_lambda_max(op, state0)
-    if not math.isfinite(est.dt_exp):
-        raise ConfigError("operator has zero stiffness; set dt_exp explicitly")
-    return est.dt_exp / 1.1
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +286,8 @@ def _run_one_scheme(scheme, cfg, wall, grid, forcing, groups, state0, tau,
     """Run one scheme on a fresh operator; returns (report, operator)."""
     op = _fresh_operator(cfg, wall, grid, forcing, groups)
     if scheme == "euler":
-        if cfg.dt_euler is None:
-            dt = 0.9 * estimate_lambda_max(op, state0).dt_exp
-        else:
-            dt = cfg.dt_euler
-        report = euler_run(op, state0, dt, tau, observe=observe, observe_every=observe_every)
+        report = euler_run(op, state0, cfg.dt_euler, tau, observe=observe,
+                           observe_every=observe_every)
     elif scheme == "df":
         if cfg.dt_df is None:
             raise ConfigError("scheme 'df' needs dt_df in the configuration")
@@ -622,9 +601,17 @@ class PhysicalResult:
 
 
 def physical_step_counts(cfg: CaseConfig, horizon_days: Optional[float] = None) -> dict:
-    """Step-policy node counts at the reporting horizon, by formula."""
+    """Step-policy node counts at the reporting horizon, by formula.
+
+    ``cfg`` needs its Euler step and schedule base set; a config that
+    leaves them to the operator estimate gets them from
+    :func:`_layout_config`, as :func:`run_physical_case` does.
+    """
     horizon = (horizon_days if horizon_days is not None else cfg.step_count_horizon_days) * DAY_S
     base = cfg.dt_exp_base if cfg.dt_exp_base is not None else cfg.dt_euler
+    if base is None or ("euler" in cfg.schemes and cfg.dt_euler is None):
+        raise ConfigError("step counts need dt_euler or dt_exp; 'auto' steps come from "
+                          "a layout's operator estimate")
     out = {}
     for scheme in cfg.schemes:
         if scheme == "euler":
@@ -700,15 +687,14 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     failures = {}
     drying_reports = {}
 
-    base = cfg.dt_exp_base if cfg.dt_exp_base is not None else cfg.dt_euler
     for name, layer_list in layouts.items():
-        sub_cfg = _layout_config(cfg, layer_list)
-        wall, grid, state0 = _build_domain(sub_cfg, layer_list)
+        sub_cfg, wall, grid, state0 = _layout_config(cfg, layer_list, forcing, groups)
+        base = sub_cfg.dt_exp_base
         domain = _re_node_range(wall, grid, layer_list)
         scheme = cfg.drying_scheme
         damping = cfg.damping_rkc if scheme == "rkc" else None
         expected_steps = cfg.tau / (build_schedule(scheme, cfg.ns[scheme], base, damping).dt_super
-                                    if scheme in ("rkc", "rkl") else cfg.dt_euler)
+                                    if scheme in ("rkc", "rkl") else sub_cfg.dt_euler)
         observer = _MoistureObserver(grid, domain)
         stride = max(1, int(expected_steps / 1500))
         try:
@@ -729,8 +715,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     # covers its own scheme there.
     first_name = cfg.physical_configurations[0]
     first_layout = layouts[first_name]
-    sub_cfg = _layout_config(cfg, first_layout)
-    wall, grid, state0 = _build_domain(sub_cfg, first_layout)
+    sub_cfg, wall, grid, state0 = _layout_config(cfg, first_layout, forcing, groups)
     reports = {}
     schedules = {}
     for scheme in cfg.schemes:
@@ -740,7 +725,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
         try:
             report, _ = _run_one_scheme(
                 scheme, sub_cfg, wall, grid, forcing, groups, state0, cfg.tau,
-                base, schedules=schedules,
+                sub_cfg.dt_exp_base, schedules=schedules,
             )
             reports[scheme] = report
         except DivergenceError as exc:
@@ -754,7 +739,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
         elif baseline is not None:
             records.append(ratios(reports[scheme], baseline, cfg.tau_days))
 
-    policy_counts = physical_step_counts(cfg)
+    policy_counts = physical_step_counts(sub_cfg)
     series_files = {}
     for name in totals:
         t_days, theta = totals[name]
@@ -776,13 +761,29 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
                           policy_counts=policy_counts, manifest=manifest, failures=failures)
 
 
-def _layout_config(cfg: CaseConfig, layer_list) -> CaseConfig:
-    """Copy of the physical config with per-layer initial moisture."""
+def _layout_config(cfg: CaseConfig, layer_list, forcing, groups):
+    """(config, wall, grid, state0) of one physical layout.
+
+    The config is a copy with the layout's layers and per-layer initial
+    moisture.  Steps the config leaves open come from this layout's
+    operator estimate at the initial state: the Euler step is 0.9 of the
+    explicit limit, and the schedule base is the Euler step when one is
+    set, else the limit with a 10% margin.
+    """
     sub = copy.copy(cfg)
     sub.layers = [(name, th) for name, th in layer_list]
     sub.initial_u = PHYSICAL_INITIAL_T
     sub.initial_v = [PHYSICAL_INITIAL_V[name] for name, _ in layer_list]
-    return sub
+    wall, grid, state0 = _build_domain(sub)
+    if sub.dt_euler is None or sub.dt_exp_base is None:
+        est = estimate_lambda_max(_fresh_operator(sub, wall, grid, forcing, groups), state0)
+        if not math.isfinite(est.dt_exp):
+            raise ConfigError("operator has zero stiffness; set dt_euler or dt_exp explicitly")
+        if sub.dt_exp_base is None:
+            sub.dt_exp_base = sub.dt_euler if sub.dt_euler is not None else est.dt_exp / 1.1
+        if sub.dt_euler is None:
+            sub.dt_euler = 0.9 * est.dt_exp
+    return sub, wall, grid, state0
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,13 @@ _EXPR_NAMES = {
 
 _DURATION_UNITS = {"s": 1.0, "min": 60.0, "h": 3600.0, "d": 86400.0}
 
+# Layer layouts of the drying study, by name: (material name, thickness in m).
+PHYSICAL_LAYOUTS = {
+    "ins_re": [("ins", 0.125), ("re", 0.5)],
+    "re_ins": [("re", 0.5), ("ins", 0.125)],
+    "re": [("re", 0.5)],
+}
+
 
 def parse_time_function(expr: str):
     """Compile a closed-form forcing expression of ``t`` into a callable."""
@@ -80,7 +87,7 @@ class CaseConfig:
     damping_rkc: float = 0.0
     dt_euler: Optional[float] = None      # None: derive from the operator estimate
     dt_df: Optional[float] = None
-    dt_exp_base: Optional[float] = None   # schedule base; None: operator estimate
+    dt_exp_base: Optional[float] = None   # schedule base; None: dt_euler, else operator estimate
     groups: Optional[DimensionlessGroups] = None
     materials: dict = dc_field(default_factory=dict)
     layers: list = dc_field(default_factory=list)          # (material name, thickness)
@@ -121,6 +128,12 @@ class CaseConfig:
         for name, _ in self.layers:
             if name not in self.materials:
                 raise ConfigError(f"layer references unknown material {name!r}")
+        if not self.physical_configurations:
+            raise ConfigError("physical configurations must name at least one layout")
+        for name in self.physical_configurations:
+            if name not in PHYSICAL_LAYOUTS:
+                raise ConfigError(f"unknown physical configuration {name!r}; "
+                                  f"choose from {sorted(PHYSICAL_LAYOUTS)}")
 
 
 def _parse_material(section_values: dict, name: str, rho2: float, c2: float) -> CoefficientModel:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -48,17 +48,19 @@ def saturation_pressure(temperature):
 CoefficientFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _const_fn(value: float) -> CoefficientFn:
-    value = float(value)
-
-    def fn(u, v):
-        return np.full_like(np.asarray(v, dtype=float), value)
-
-    return fn
+COEFFICIENT_NAMES = ("d_theta", "d_t", "c_t", "k_t", "k_tm")
 
 
-def _poly_fn(coeffs: Sequence[float]) -> CoefficientFn:
-    c = np.asarray(list(coeffs), dtype=float)
+def _poly_fn(coeffs: tuple) -> CoefficientFn:
+    """Callable evaluating low-to-high polynomial ``coeffs`` in v (Horner's rule)."""
+    if len(coeffs) == 1:
+        value = coeffs[0]
+
+        def const(u, v):
+            return np.full_like(np.asarray(v, dtype=float), value)
+
+        return const
+    c = np.asarray(coeffs, dtype=float)
 
     def fn(u, v):
         v = np.asarray(v, dtype=float)
@@ -72,13 +74,15 @@ def _poly_fn(coeffs: Sequence[float]) -> CoefficientFn:
 
 @dataclass(frozen=True)
 class CoefficientModel:
-    """Five transport/storage coefficients of one material as functions of (u, v).
+    """Five transport/storage coefficients of one material, polynomials in v.
 
     ``u`` is the temperature-like variable and ``v`` the moisture-like
-    variable (dimensionless or physical depending on the case).  All five
-    callables must be deterministic, side-effect free, and broadcast over
-    numpy arrays.  ``constant`` marks state-independent models, which lets
-    the operator cache face coefficients and detect linear problems.
+    variable (dimensionless or physical depending on the case).  ``poly``
+    holds the low-to-high coefficients of each polynomial in the order of
+    :data:`COEFFICIENT_NAMES`; the operator evaluates these tables directly.
+    The five callables evaluate the same polynomials at (u, v) and
+    broadcast over numpy arrays.  Build models with :meth:`constants` or
+    :meth:`polynomials`, which fill both from one spec.
     """
 
     name: str
@@ -87,7 +91,18 @@ class CoefficientModel:
     c_t: CoefficientFn
     k_t: CoefficientFn
     k_tm: CoefficientFn
-    constant: bool = False
+    poly: tuple
+
+    @property
+    def constant(self) -> bool:
+        """True for state-independent models (every polynomial of degree 0)."""
+        return all(len(p) == 1 for p in self.poly)
+
+    @classmethod
+    def _from_specs(cls, name, specs: dict) -> "CoefficientModel":
+        poly = tuple(tuple(float(x) for x in np.atleast_1d(specs[key])) for key in COEFFICIENT_NAMES)
+        fns = {key: _poly_fn(p) for key, p in zip(COEFFICIENT_NAMES, poly)}
+        return cls(name=name, poly=poly, **fns)
 
     @classmethod
     def constants(cls, name, d_theta, d_t, c_t, k_t, k_tm) -> "CoefficientModel":
@@ -98,7 +113,7 @@ class CoefficientModel:
                     raise ConfigError(f"material {name!r}: c_t must be positive, got {val}")
             elif val < 0:
                 raise ConfigError(f"material {name!r}: {key} must be non-negative, got {val}")
-        return cls(name=name, constant=True, **{k: _const_fn(x) for k, x in vals.items()})
+        return cls._from_specs(name, vals)
 
     @classmethod
     def polynomials(cls, name, d_theta, d_t, c_t, k_t, k_tm) -> "CoefficientModel":
@@ -106,22 +121,7 @@ class CoefficientModel:
 
         Each argument is either a scalar or a low-to-high coefficient list.
         """
-
-        def build(spec):
-            if np.ndim(spec) == 0:
-                return _const_fn(float(spec))
-            return _poly_fn(spec)
-
-        all_const = all(np.ndim(s) == 0 for s in (d_theta, d_t, c_t, k_t, k_tm))
-        return cls(
-            name=name,
-            d_theta=build(d_theta),
-            d_t=build(d_t),
-            c_t=build(c_t),
-            k_t=build(k_t),
-            k_tm=build(k_tm),
-            constant=all_const,
-        )
+        return cls._from_specs(name, dict(d_theta=d_theta, d_t=d_t, c_t=c_t, k_t=k_t, k_tm=k_tm))
 
     def evaluate(self, u, v):
         """Return (d_theta, d_t, c_t, k_t, k_tm) at the given state."""

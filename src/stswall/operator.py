@@ -26,9 +26,15 @@ import numpy as np
 
 from .dimensionless import DimensionlessGroups
 from .errors import AssemblyError, ConfigError
-from .model import BoundaryForcing, Grid1D, SideForcing, StateField, WallAssembly
+from .model import (
+    COEFFICIENT_NAMES, BoundaryForcing, Grid1D, SideForcing, StateField, WallAssembly,
+)
 
 SourceFn = Callable[[np.ndarray, float], np.ndarray]
+
+# Coefficient order of the operator's tables: the four transport
+# coefficients in matrix-block order (uu, uv, vu, vv), then the storage.
+_TABLE_ORDER = ("k_t", "k_tm", "d_t", "d_theta", "c_t")
 
 
 def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,35 +93,28 @@ class SemiDiscreteOperator:
                 f"grid length {grid.length} does not cover the wall length {wall.total_length}"
             )
         tol = 1e-9 * self.dx
-        self._interface_nodes = []
         for x_int in wall.interface_positions:
             j = int(round(x_int / self.dx))
             if j <= 0 or j >= self.n - 1 or abs(x[j] - x_int) > tol:
                 raise AssemblyError(
                     f"interface at x={x_int} does not coincide with an interior grid node"
                 )
-            self._interface_nodes.append(j)
 
-        self._node_layer = wall.node_layer_indices(grid)
-        self._face_layer = wall.face_layer_indices(grid)
-        # Contiguous face runs per layer: list of (face_start, face_stop, model).
-        self._face_runs = []
-        start = 0
-        for f in range(1, self.n - 1):
-            if self._face_layer[f] != self._face_layer[start]:
-                self._face_runs.append((start, f, wall.layers[self._face_layer[start]][0]))
-                start = f
-        self._face_runs.append((start, self.n - 1, wall.layers[self._face_layer[start]][0]))
+        # Horner table: table[d, k, s, j] is the v**d coefficient of
+        # coefficient k (in _TABLE_ORDER) of the layer on side s of node j
+        # (0: its left face, 1: its right face; the end nodes reuse their
+        # one face).  The two sides differ only at interface nodes.
+        face_layer = wall.face_layer_indices(grid)
+        sides = np.stack([np.r_[face_layer[0], face_layer], np.r_[face_layer, face_layer[-1]]])
+        terms = max(len(p) for model, _ in wall.layers for p in model.poly)
+        layer_tables = np.zeros((len(wall.layers), terms, len(_TABLE_ORDER)))
+        for i, (model, _) in enumerate(wall.layers):
+            for k, name in enumerate(_TABLE_ORDER):
+                p = model.poly[COEFFICIENT_NAMES.index(name)]
+                layer_tables[i, :len(p), k] = p
+        self._table = np.ascontiguousarray(layer_tables[sides].transpose(2, 3, 0, 1))
 
-        self._node_runs = []
-        start = 0
-        for j in range(1, self.n):
-            if self._node_layer[j] != self._node_layer[start]:
-                self._node_runs.append((start, j, wall.layers[self._node_layer[start]][0]))
-                start = j
-        self._node_runs.append((start, self.n, wall.layers[self._node_layer[start]][0]))
-
-        self._all_constant = all(model.constant for model, _ in wall.layers)
+        self._all_constant = terms == 1
         self._coeff_cache = None
         self._matrix_cache = None
         self._rowsum_cache = None
@@ -151,42 +150,29 @@ class SemiDiscreteOperator:
 
     # -- coefficients ---------------------------------------------------------------
 
-    def _coefficients(self, u: np.ndarray, v: np.ndarray):
-        """Face transport coefficients and nodal storage at the given state."""
-        if self._all_constant and self._coeff_cache is not None:
+    def _coefficients(self, v: np.ndarray):
+        """Face transport coefficients and nodal storage at moisture ``v``.
+
+        Returns ``(faces, rows, c)``: ``faces`` is a (4, n-1) array of the
+        harmonic-mean face values of k_t, k_tm, d_t and d_theta, ``rows``
+        the tuple of its four rows (cheaper to unpack than the array), and
+        ``c`` the nodal storage, averaged over the two half-cells (exact
+        away from interfaces, where both sides share one model).
+        """
+        if self._coeff_cache is not None:
             return self._coeff_cache
-        nf = self.n - 1
-        d_th = np.empty(nf)
-        d_t = np.empty(nf)
-        k_t = np.empty(nf)
-        k_tm = np.empty(nf)
-        for f0, f1, model in self._face_runs:
-            uu = u[f0:f1 + 1]
-            vv = v[f0:f1 + 1]
-            a_dth = model.d_theta(uu, vv)
-            a_dt = model.d_t(uu, vv)
-            a_kt = model.k_t(uu, vv)
-            a_ktm = model.k_tm(uu, vv)
-            d_th[f0:f1] = _harmonic(a_dth[:-1], a_dth[1:])
-            d_t[f0:f1] = _harmonic(a_dt[:-1], a_dt[1:])
-            k_t[f0:f1] = _harmonic(a_kt[:-1], a_kt[1:])
-            k_tm[f0:f1] = _harmonic(a_ktm[:-1], a_ktm[1:])
-        c = np.empty(self.n)
-        for n0, n1, model in self._node_runs:
-            c[n0:n1] = model.c_t(u[n0:n1], v[n0:n1])
-        for j in self._interface_nodes:
-            left_model = self.wall.layers[self._node_layer[j]][0]
-            right_model = self.wall.layers[self._node_layer[j] + 1][0]
-            c[j] = 0.5 * (float(left_model.c_t(u[j], v[j])) + float(right_model.c_t(u[j], v[j])))
-        coeffs = (d_th, d_t, k_t, k_tm, c)
+        table = self._table
+        vals = table[-1]
+        for row in table[-2::-1]:
+            vals = vals * v
+            vals += row
+        faces = _harmonic(vals[:4, 1, :-1], vals[:4, 0, 1:])
+        coeffs = faces, tuple(faces), 0.5 * (vals[4, 0] + vals[4, 1])
         if self._all_constant:
             self._coeff_cache = coeffs
         return coeffs
 
     # -- boundary closure -----------------------------------------------------------
-
-    def _exchange(self, side: str, u_b: float, v_b: float, t: float):
-        return _exchange_terms(self._biot(side), self.forcing.side(side), u_b, v_b, t)
 
     def _inflow(self, side: str, u_b: float, v_b: float, t: float):
         """Boundary exchange oriented as inflow (drives state toward ambient)."""
@@ -203,7 +189,7 @@ class SemiDiscreteOperator:
         self.rhs_evals += 1
         g = self.groups
         dx = self.dx
-        d_th, d_t, k_t, k_tm, c = self._coefficients(u, v)
+        _, (k_t, k_tm, d_t, d_th), c = self._coefficients(v)
         grad_u = (u[1:] - u[:-1]) / dx
         grad_v = (v[1:] - v[:-1]) / dx
         q_m = d_th * grad_v + g.gamma * d_t * grad_u
@@ -269,68 +255,70 @@ class SemiDiscreteOperator:
             de_t_du += biot.t_sat * dsat
         return de_m_du, biot.m_theta, de_t_du, biot.t_theta
 
-    def frozen_matrix(self, t: float = 0.0, state: Optional[StateField] = None) -> np.ndarray:
-        """Dense matrix A with rhs ~= -A y + b(t), coefficients frozen at ``state``.
+    def _stencil(self, t: float, state: Optional[StateField]):
+        """Entries of the frozen matrix A (see :meth:`frozen_matrix`) per node.
 
-        Row/column order is [u_0..u_{N-1}, v_0..v_{N-1}].  For linear
-        operators the matrix is exact and cached.
+        Returns one (3, 4, n) array, unpacking as ``lower, diag, upper``.
+        Row k of each holds one 2x2 block of A in the order uu, uv, vu, vv:
+        equation row j of that block has ``lower[k, j]`` in column j-1,
+        ``diag[k, j]`` in column j and ``upper[k, j]`` in column j+1.
+        Dirichlet rows are zero.  Coefficients are frozen at ``state`` (all
+        ones when None).
         """
-        if self.is_linear and self._matrix_cache is not None:
-            return self._matrix_cache
         n = self.n
         if state is None:
-            u = np.ones(n)
-            v = np.ones(n)
+            u = v = np.ones(n)
         else:
             u, v = state.u, state.v
         g = self.groups
         dx = self.dx
-        d_th, d_t, k_t, k_tm, c = self._coefficients(u, v)
+        faces, _, c = self._coefficients(v)
+        weights = np.empty((3, 4, n))
+        weights[:, :, [0, -1]] = 0.0
+        lower, diag, upper = weights
 
-        a = np.zeros((2 * n, 2 * n))
-        iu = np.arange(n)
-        iv = iu + n
-        # Interior rows: flux divergence of the two-coefficient fluxes.
-        j = np.arange(1, n - 1)
-        fm = j - 1   # face j-1/2
-        fp = j       # face j+1/2
+        # Interior rows: flux divergence, (scale * face) * row per block.
         cm = 1.0 / (dx * dx)
-        # v-equation rows
-        a[iv[j], iv[j - 1]] = -g.fo_m * d_th[fm] * cm
-        a[iv[j], iv[j + 1]] = -g.fo_m * d_th[fp] * cm
-        a[iv[j], iv[j]] = g.fo_m * (d_th[fm] + d_th[fp]) * cm
-        a[iv[j], iu[j - 1]] = -g.fo_m * g.gamma * d_t[fm] * cm
-        a[iv[j], iu[j + 1]] = -g.fo_m * g.gamma * d_t[fp] * cm
-        a[iv[j], iu[j]] = g.fo_m * g.gamma * (d_t[fm] + d_t[fp]) * cm
-        # u-equation rows
-        cu = g.fo_t * cm / c[j]
-        a[iu[j], iu[j - 1]] = -k_t[fm] * cu
-        a[iu[j], iu[j + 1]] = -k_t[fp] * cu
-        a[iu[j], iu[j]] = (k_t[fm] + k_t[fp]) * cu
-        a[iu[j], iv[j - 1]] = -g.delta * k_tm[fm] * cu
-        a[iu[j], iv[j + 1]] = -g.delta * k_tm[fp] * cu
-        a[iu[j], iv[j]] = g.delta * (k_tm[fm] + k_tm[fp]) * cu
+        scale = np.array([[1.0], [g.delta], [g.fo_m * g.gamma], [g.fo_m]])
+        row = np.empty((4, n - 2))
+        row[:2] = g.fo_t * cm / c[1:-1]
+        row[2:] = cm
+        neg_scaled = -scale * faces
+        np.multiply(neg_scaled[:, :-1], row, out=lower[:, 1:-1])
+        np.multiply(neg_scaled[:, 1:], row, out=upper[:, 1:-1])
+        np.multiply(scale * (faces[:, :-1] + faces[:, 1:]), row, out=diag[:, 1:-1])
 
-        for side, b in (("left", 0), ("right", n - 1)):
-            sf = self.forcing.side(side)
-            if sf.kind == "dirichlet":
-                a[iu[b], :] = 0.0
-                a[iv[b], :] = 0.0
+        # Robin rows: half-cell flux plus the exchange Jacobian.
+        for side, b, f in (("left", 0, 0), ("right", n - 1, n - 2)):
+            if self.forcing.side(side).kind != "robin":
                 continue
-            f = 0 if side == "left" else n - 2
-            nb = 1 if side == "left" else n - 2
             de_m_du, de_m_dv, de_t_du, de_t_dv = self._exchange_jacobian(side, u[b], v[b], t)
             w_m = g.fo_m * 2.0 / dx
             w_t = g.fo_t * 2.0 / (dx * c[b])
-            a[iv[b], iv[b]] = w_m * (d_th[f] / dx + de_m_dv)
-            a[iv[b], iv[nb]] = -w_m * d_th[f] / dx
-            a[iv[b], iu[b]] = w_m * (g.gamma * d_t[f] / dx + de_m_du)
-            a[iv[b], iu[nb]] = -w_m * g.gamma * d_t[f] / dx
-            a[iu[b], iu[b]] = w_t * (k_t[f] / dx + de_t_du)
-            a[iu[b], iu[nb]] = -w_t * k_t[f] / dx
-            a[iu[b], iv[b]] = w_t * (g.delta * k_tm[f] / dx + de_t_dv)
-            a[iu[b], iv[nb]] = -w_t * g.delta * k_tm[f] / dx
+            w = np.array([w_t, w_t, w_m, w_m])
+            factor = np.array([1.0, g.delta, g.gamma, 1.0])
+            diag[:, b] = w * (factor * faces[:, f] / dx + [de_t_du, de_t_dv, de_m_du, de_m_dv])
+            (upper if side == "left" else lower)[:, b] = -w * factor * faces[:, f] / dx
+        return weights
 
+    def frozen_matrix(self, t: float = 0.0, state: Optional[StateField] = None) -> np.ndarray:
+        """Dense matrix A with rhs ~= -A y + b(t), coefficients frozen at ``state``.
+
+        Row/column order is [u_0..u_{N-1}, v_0..v_{N-1}].  For linear
+        operators the matrix is exact and cached.  It costs O(n^2) memory,
+        so the marching code never builds it; it serves inspection
+        (:meth:`dump_matrix`), the dense eigensolve and the tests.
+        """
+        if self.is_linear and self._matrix_cache is not None:
+            return self._matrix_cache
+        n = self.n
+        lower, diag, upper = self._stencil(t, state)
+        a = np.zeros((2 * n, 2 * n))
+        j = np.arange(n)
+        for k, (r, col) in enumerate(((0, 0), (0, n), (n, 0), (n, n))):
+            a[r + j, col + j] = diag[k]
+            a[r + j[1:], col + j[:-1]] = lower[k, 1:]
+            a[r + j[:-1], col + j[1:]] = upper[k, :-1]
         if self.is_linear:
             self._matrix_cache = a
         return a
@@ -345,65 +333,29 @@ class SemiDiscreteOperator:
         self.rhs_evals = evals  # bookkeeping probe, not a marching evaluation
         return np.concatenate([du, dv])
 
-    def jacobian_diagonal(self, t: float = 0.0, state: Optional[StateField] = None):
-        """Positive per-node decay rates (diag of A) split as (diag_u, diag_v)."""
-        a = self.frozen_matrix(t, state)
-        d = np.diag(a)
-        return d[:self.n].copy(), d[self.n:].copy()
-
     def jacobian_node_blocks(self, t: float = 0.0, state: Optional[StateField] = None):
         """Per-node 2x2 blocks of A coupling (u_j, v_j) to itself.
 
         Returns (b_uu, b_uv, b_vu, b_vv) arrays of length node_count.  These
         are the terms a three-level scheme must treat implicitly to stay
-        stable under two-way cross coupling.
+        stable under two-way cross coupling.  O(n): no matrix is built.
         """
-        a = self.frozen_matrix(t, state)
-        idx = np.arange(self.n)
-        return (
-            a[idx, idx].copy(),
-            a[idx, idx + self.n].copy(),
-            a[idx + self.n, idx].copy(),
-            a[idx + self.n, idx + self.n].copy(),
-        )
+        b_uu, b_uv, b_vu, b_vv = self._stencil(t, state)[1]
+        return b_uu, b_uv, b_vu, b_vv
 
     def gershgorin_lambda_max(self, t: float = 0.0, state: Optional[StateField] = None) -> float:
         """Infinity-norm row-sum bound; never below the true spectral radius.
 
-        Computed directly from the face coefficients (equals the row sums
-        of :meth:`frozen_matrix`, which the test suite asserts) so the
+        The largest absolute row sum of :meth:`frozen_matrix`, taken from
+        the same per-node entries without building the matrix, so the
         per-cycle refresh on nonlinear runs costs about one RHS evaluation.
         """
         if self.is_linear and self._rowsum_cache is not None:
             return self._rowsum_cache
-        n = self.n
-        if state is None:
-            u = np.ones(n)
-            v = np.ones(n)
-        else:
-            u, v = state.u, state.v
-        g = self.groups
-        dx = self.dx
-        d_th, d_t, k_t, k_tm, c = self._coefficients(u, v)
-        cm = 2.0 / (dx * dx)
-        row_v = (d_th[:-1] + d_th[1:] + abs(g.gamma) * (d_t[:-1] + d_t[1:])) * (g.fo_m * cm)
-        row_u = ((k_t[:-1] + k_t[1:] + abs(g.delta) * (k_tm[:-1] + k_tm[1:]))
-                 * (g.fo_t * cm) / c[1:-1])
-        best = max(float(row_v.max()), float(row_u.max())) if n > 2 else 0.0
-        for side, b, f in (("left", 0, 0), ("right", n - 1, n - 2)):
-            if self.forcing.side(side).kind != "robin":
-                continue
-            de_m_du, de_m_dv, de_t_du, de_t_dv = self._exchange_jacobian(side, u[b], v[b], t)
-            w_m = g.fo_m * 2.0 / dx
-            w_t = g.fo_t * 2.0 / (dx * c[b])
-            best = max(
-                best,
-                w_m * (2.0 * (d_th[f] + abs(g.gamma) * d_t[f]) / dx
-                       + abs(de_m_dv) + abs(de_m_du)),
-                w_t * (2.0 * (k_t[f] + abs(g.delta) * k_tm[f]) / dx
-                       + abs(de_t_du) + abs(de_t_dv)),
-            )
-        best = float(best)
+        # |lower| + |diag| + |upper|, then the u rows (uu + uv) and v rows (vu + vv)
+        weights = self._stencil(t, state)
+        np.abs(weights, out=weights)
+        best = float(weights.reshape(3, 2, 2, self.n).sum(axis=(0, 2)).max())
         if self.is_linear:
             self._rowsum_cache = best
         return best

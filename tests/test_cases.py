@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import textwrap
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ from stswall.cases import (
     run_ns_sweep, run_physical_case, run_verification_case, verification_preset,
 )
 from stswall.cli import main
+from stswall.dimensionless import DimensionlessGroups
 from stswall.errors import ConfigError
+from stswall.model import (
+    BoundaryForcing, Grid1D, SideForcing, StateField, build_wall, builtin_material,
+)
+from stswall.operator import assemble_operator, estimate_lambda_max
 
 DAY_S = 86400.0
 
@@ -221,6 +227,52 @@ class TestCli:
         bad = tmp_path / "bad.ini"
         bad.write_text("[case]\nkind = custom\n")
         assert main(["custom", "--config", str(bad)]) == 1
+
+    PHYSICAL_INI = """
+        [case]
+        kind = physical
+        [grid]
+        dx = 5e-3
+        [time]
+        tau = 1h
+        dt_exp = auto
+        [schemes]
+        run = rkc, rkl
+        [materials]
+        re = table3_re
+        ins = table3_ins
+        [wall]
+        layers = re:0.5
+        [physical]
+        configurations = {configurations}
+        """
+
+    def write_physical_ini(self, tmp_path, configurations):
+        path = tmp_path / "case.ini"
+        path.write_text(textwrap.dedent(self.PHYSICAL_INI.format(configurations=configurations)))
+        return str(path)
+
+    def test_auto_base_without_euler_step(self, tmp_path, capsys):
+        ini = self.write_physical_ini(tmp_path, "re, ins_re")
+        out = tmp_path / "out"
+        assert main(["physical", "--config", ini, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        # the base is the first layout's explicit limit with a 10% margin
+        wall = build_wall([(builtin_material("table3_re"), 0.5)])
+        side = SideForcing.dirichlet(lambda t: 291.3, lambda t: 0.53)
+        op = assemble_operator(wall, Grid1D.uniform(0.5, 101),
+                               DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6),
+                               BoundaryForcing(side, side))
+        est = estimate_lambda_max(op, StateField(np.full(101, 291.3), np.full(101, 0.53)))
+        for scheme in ("rkc", "rkl"):
+            assert manifest["runs"][scheme]["dt_exp"] == pytest.approx(est.dt_exp / 1.1, rel=1e-12)
+            assert manifest["runs"][scheme]["flags"]["box_violations"] == 0
+        assert "policy @365d rkl" in capsys.readouterr().out
+
+    def test_unknown_physical_configuration_exits_one(self, tmp_path, capsys):
+        ini = self.write_physical_ini(tmp_path, "re, brick")
+        assert main(["physical", "--config", ini, "--out", str(tmp_path / "out")]) == 1
+        assert "brick" in capsys.readouterr().err
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -10,9 +10,9 @@ from stswall.integrators import (
 )
 from stswall.model import (
     BiotSet, BoundaryForcing, CoefficientModel, Grid1D, SideForcing, StateField,
-    build_wall,
+    build_wall, builtin_material,
 )
-from stswall.operator import assemble_operator
+from stswall.operator import SemiDiscreteOperator, assemble_operator
 
 
 def decay_operator(rate=1.0, n=2):
@@ -243,6 +243,28 @@ class TestDufortFrankel:
         report = dufort_frankel_run(op, ones_state(2), dt=0.4, tau=1.0)
         assert report.n_steps == 3
         assert report.flags.get("remainder_substeps", 0) >= 1
+
+    def test_nonlinear_march_builds_no_dense_matrix(self, monkeypatch):
+        calls = []
+        dense = SemiDiscreteOperator.frozen_matrix
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.n)
+            return dense(self, *args, **kwargs)
+
+        monkeypatch.setattr(SemiDiscreteOperator, "frozen_matrix", counted)
+        wall = build_wall([(builtin_material("table3_ins"), 0.125),
+                           (builtin_material("table3_re"), 0.5)])
+        side = SideForcing.dirichlet(lambda t: 285.0, lambda t: 0.3)
+        op = assemble_operator(wall, Grid1D.uniform(0.625, 126),
+                               DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6),
+                               BoundaryForcing(side, side), admissible_box=(240.0, 320.0, 0.0, 0.6))
+        assert not op.is_linear
+        state = StateField(np.full(126, 291.3), np.r_[np.full(25, 0.053), np.full(101, 0.53)])
+        report = dufort_frankel_run(op, state, dt=70.0, tau=1000.0)
+        assert report.n_steps == 15 and report.flags["remainder_substeps"] >= 1
+        assert report.flags["box_violations"] == 0
+        assert calls == []
 
 
 class TestStsRun:

@@ -6,11 +6,11 @@ import pytest
 from stswall.dimensionless import DimensionlessGroups
 from stswall.errors import AssemblyError, ConfigError
 from stswall.model import (
-    BiotSet, BoundaryForcing, CoefficientModel, Grid1D, SideForcing, StateField,
-    build_wall, builtin_material,
+    COEFFICIENT_NAMES, BiotSet, BoundaryForcing, CoefficientModel, Grid1D, SideForcing,
+    StateField, build_wall, builtin_material, saturation_pressure,
 )
 from stswall.operator import (
-    apply_robin_closure, assemble_operator, estimate_lambda_max,
+    _harmonic, apply_robin_closure, assemble_operator, estimate_lambda_max,
 )
 
 TABLE1_GROUPS = dict(fo_m=9e-2, fo_t=7e-2, gamma=7e-2, delta=5e-2)
@@ -22,6 +22,37 @@ def constant_forcing(u=1.0, v=1.0):
 
 def dirichlet_forcing(u=1.0, v=1.0):
     return SideForcing.dirichlet(lambda t: u, lambda t: v)
+
+
+def physical_op(layout, sides="dirichlet"):
+    """Nonlinear dimensional operator on a named layer layout at dx = 5 mm.
+
+    ``sides="robin"`` gives both sides exchange terms with saturation
+    parts (``m_sat``, ``t_sat`` > 0) on the physical saturation law.
+    """
+    names = {"re": "table3_re", "ins": "table3_ins"}
+    wall = build_wall([(builtin_material(names[m]), th) for m, th in layout])
+    grid = Grid1D.uniform(wall.total_length, int(round(wall.total_length / 5e-3)) + 1)
+    if sides == "dirichlet":
+        forcing = BoundaryForcing(dirichlet_forcing(285.0, 0.3), dirichlet_forcing(293.0, 0.4))
+        biot = BiotSet()
+    else:
+        side = SideForcing.robin(lambda t: 285.0 + t, lambda t: 0.3,
+                                 psat_inf=lambda t: 1200.0, psat_star=saturation_pressure)
+        forcing = BoundaryForcing(side, side)
+        biot = BiotSet(m_sat=1e-9, m_theta=1e-6, t_t=5.0, t_sat=2e-3, t_theta=2.0)
+    groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6,
+                                 biot_left=biot, biot_right=biot)
+    return assemble_operator(wall, grid, groups, forcing)
+
+
+def in_box_state(n, seed):
+    rng = np.random.default_rng(seed)
+    return StateField(285 + 10 * rng.random(n), 0.05 + 0.4 * rng.random(n))
+
+
+INS_RE = [("ins", 0.125), ("re", 0.5)]
+RE_INS = [("re", 0.5), ("ins", 0.125)]
 
 
 def table1_wall():
@@ -254,18 +285,13 @@ class TestStabilityEstimate:
         op = single_layer_op(n=9, kind="robin", biot=BiotSet(m_theta=3.0, t_t=4.0))
         dense = float(np.max(np.sum(np.abs(op.frozen_matrix()), axis=1)))
         assert op.gershgorin_lambda_max() == pytest.approx(dense, rel=1e-14)
-        # nonlinear case at an off-reference state
-        wall = build_wall([(builtin_material("table3_ins"), 0.125),
-                           (builtin_material("table3_re"), 0.5)])
-        grid = Grid1D.uniform(0.625, 126)
-        groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6)
-        forcing = BoundaryForcing(dirichlet_forcing(285.0, 0.3),
-                                  dirichlet_forcing(293.0, 0.4))
-        op = assemble_operator(wall, grid, groups, forcing)
-        rng = np.random.default_rng(3)
-        state = StateField(285 + 10 * rng.random(126), 0.05 + 0.4 * rng.random(126))
-        dense = float(np.max(np.sum(np.abs(op.frozen_matrix(0.0, state)), axis=1)))
-        assert op.gershgorin_lambda_max(0.0, state) == pytest.approx(dense, rel=1e-14)
+        # nonlinear cases at an off-reference state: the two-layer wall with
+        # Dirichlet sides, and a three-layer wall with saturation exchange
+        multi = [("ins", 0.125), ("re", 0.5), ("ins", 0.125)]
+        for op in (physical_op(INS_RE), physical_op(multi, "robin")):
+            state = in_box_state(op.n, 3)
+            dense = float(np.max(np.sum(np.abs(op.frozen_matrix(0.0, state)), axis=1)))
+            assert op.gershgorin_lambda_max(0.0, state) == pytest.approx(dense, rel=1e-14)
 
     def test_lambda_min_reported(self):
         op = single_layer_op(n=9, kind="robin", biot=BiotSet(m_theta=3.0, t_t=4.0))
@@ -413,3 +439,37 @@ class TestSources:
         du1, dv1 = op_src.rhs(3.0, u, v)
         assert du1 == pytest.approx(du0 + 2.0)
         assert dv1 == pytest.approx(dv0 + grid.node_positions * 3.0)
+
+
+class TestFaceTables:
+    @pytest.mark.parametrize("layout", [INS_RE, RE_INS], ids=["ins_re", "re_ins"])
+    @pytest.mark.parametrize("sides", ["dirichlet", "robin"])
+    def test_node_blocks_equal_dense_diagonal_blocks(self, layout, sides):
+        op = physical_op(layout, sides)
+        state = in_box_state(op.n, 17)
+        a = op.frozen_matrix(0.4, state)
+        j = np.arange(op.n)
+        want = (a[j, j], a[j, j + op.n], a[j + op.n, j], a[j + op.n, j + op.n])
+        for got, dense in zip(op.jacobian_node_blocks(0.4, state), want):
+            assert np.array_equal(got, dense)
+
+    @pytest.mark.parametrize("layout", [INS_RE, RE_INS], ids=["ins_re", "re_ins"])
+    def test_table_coefficients_equal_layer_callables(self, layout):
+        op = physical_op(layout)
+        state = in_box_state(op.n, 23)
+        u, v = state.u, state.v
+        faces, _, c = op._coefficients(v)
+        face_layer = op.wall.face_layer_indices(op.grid)
+        node_layer = op.wall.node_layer_indices(op.grid)
+        for f in range(op.n - 1):
+            model = op.wall.layers[face_layer[f]][0]
+            pair = [model.evaluate(u[i], v[i]) for i in (f, f + 1)]
+            for row, name in enumerate(("k_t", "k_tm", "d_t", "d_theta")):
+                k = COEFFICIENT_NAMES.index(name)
+                assert faces[row, f] == _harmonic(pair[0][k], pair[1][k])
+        for j in range(op.n):
+            left = op.wall.layers[face_layer[max(j - 1, 0)]][0].c_t(u[j], v[j])
+            right = op.wall.layers[face_layer[min(j, op.n - 2)]][0].c_t(u[j], v[j])
+            if left == right:
+                assert c[j] == op.wall.layers[node_layer[j]][0].c_t(u[j], v[j])
+            assert c[j] == 0.5 * (left + right)
