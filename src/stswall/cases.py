@@ -281,29 +281,51 @@ def _manifest_stub(cfg: CaseConfig, extra: Optional[dict] = None) -> dict:
 # scheme dispatch
 # ---------------------------------------------------------------------------
 
-def _run_one_scheme(scheme, cfg, wall, grid, forcing, groups, state0, tau,
-                    dt_exp_base, observe=None, observe_every=1, schedules=None):
-    """Run one scheme on a fresh operator; returns (report, operator)."""
-    op = _fresh_operator(cfg, wall, grid, forcing, groups)
+def _base_step(cfg: CaseConfig) -> Optional[float]:
+    """Schedule base step: ``dt_exp_base``, else the Euler step."""
+    return cfg.dt_exp_base if cfg.dt_exp_base is not None else cfg.dt_euler
+
+
+def _schedule(scheme, cfg, n_s=None):
+    """Super-step schedule of ``scheme`` on the config's base step."""
+    if scheme not in ("rkc", "rkl"):
+        raise ConfigError(f"unknown scheme {scheme!r}")
+    damping = cfg.damping_rkc if scheme == "rkc" else None
+    return build_schedule(scheme, cfg.ns[scheme] if n_s is None else n_s, _base_step(cfg), damping)
+
+
+def _scheme_step(scheme, cfg, n_s=None) -> float:
+    """Regular outer step of ``scheme``: ``dt_euler``, ``dt_df``, or the
+    super step of its schedule (``n_s`` overrides the config's count)."""
     if scheme == "euler":
-        report = euler_run(op, state0, cfg.dt_euler, tau, observe=observe,
-                           observe_every=observe_every)
-    elif scheme == "df":
+        return cfg.dt_euler
+    if scheme == "df":
         if cfg.dt_df is None:
             raise ConfigError("scheme 'df' needs dt_df in the configuration")
-        report = dufort_frankel_run(op, state0, cfg.dt_df, tau,
-                                    observe=observe, observe_every=observe_every,
-                                    forcing_time=cfg.df_forcing_time)
-    elif scheme in ("rkc", "rkl"):
-        damping = cfg.damping_rkc if scheme == "rkc" else None
-        schedule = build_schedule(scheme, cfg.ns[scheme], dt_exp_base, damping)
-        if schedules is not None:
-            schedules[scheme] = schedule.describe()
-        report = sts_run(op, state0, schedule, tau, observe=observe, observe_every=observe_every,
-                         stage_forcing=cfg.stage_forcing)
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    return report, op
+        return cfg.dt_df
+    return _schedule(scheme, cfg, n_s).dt_super
+
+
+def _failure_row(scheme, cfg, baseline):
+    """Comparison row of a scheme whose march diverged."""
+    dt = _scheme_step(scheme, cfg)
+    return failure_record(scheme, dt, int(math.floor(cfg.tau / dt + 1e-12)) + 1, baseline)
+
+
+def _run_one_scheme(scheme, cfg, wall, grid, forcing, groups, state0, tau,
+                    observe=None, observe_every=1, schedules=None, n_s=None):
+    """Run one scheme on a fresh operator and return its report."""
+    op = _fresh_operator(cfg, wall, grid, forcing, groups)
+    if scheme == "euler":
+        return euler_run(op, state0, cfg.dt_euler, tau, observe=observe,
+                         observe_every=observe_every)
+    if scheme == "df":
+        return dufort_frankel_run(op, state0, _scheme_step(scheme, cfg), tau,
+                                  observe=observe, observe_every=observe_every)
+    schedule = _schedule(scheme, cfg, n_s)
+    if schedules is not None:
+        schedules[scheme] = schedule.describe()
+    return sts_run(op, state0, schedule, tau, observe=observe, observe_every=observe_every)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +404,16 @@ def _sample_stride(dt: float, tau: float) -> int:
     return max(1, round(tau / _REFERENCE_SAMPLES / dt))
 
 
+def _euler_reference(cfg, wall, grid, forcing, groups, state0):
+    """Euler run at a tenth of the Euler step, sampled in time for
+    trajectory-wide errors."""
+    if cfg.dt_euler is None:
+        raise ConfigError("the Euler reference needs an explicit dt_euler")
+    dt_ref = cfg.dt_euler / 10.0
+    return euler_run(_fresh_operator(cfg, wall, grid, forcing, groups), state0, dt_ref,
+                     cfg.tau, sample_every=_sample_stride(dt_ref, cfg.tau))
+
+
 # ---------------------------------------------------------------------------
 # verification case
 # ---------------------------------------------------------------------------
@@ -408,16 +440,11 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
     wall, grid, state0 = _build_domain(cfg)
     forcing = BoundaryForcing(cfg.forcing_left, cfg.forcing_right)
     groups = cfg.groups
-    if cfg.dt_euler is None:
-        raise ConfigError("verification case needs an explicit dt_euler")
 
-    # Reference: Euler at a tenth of the Euler step, sampled in time for
-    # trajectory-wide errors, cross-checked by a half-step Richardson run
-    # when enabled.
-    dt_ref = cfg.dt_euler / 10.0
-    ref_op = _fresh_operator(cfg, wall, grid, forcing, groups)
-    ref_report = euler_run(ref_op, state0, dt_ref, cfg.tau,
-                           sample_every=_sample_stride(dt_ref, cfg.tau))
+    # The Euler reference, cross-checked by a half-step Richardson run when
+    # enabled.
+    ref_report = _euler_reference(cfg, wall, grid, forcing, groups, state0)
+    dt_ref = ref_report.dt
     reference = ref_report.final_state
     ref_traj = _ReferenceTrajectory(ref_report.trajectory) if cfg.tau > 0 else None
     richardson_gap = None
@@ -431,22 +458,19 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
         if richardson_gap > 1e-5:
             logger.warning("reference self-check: Richardson gap %.3e exceeds 1e-5", richardson_gap)
 
-    dt_exp_base = cfg.dt_exp_base if cfg.dt_exp_base is not None else cfg.dt_euler
     schedules = {}
     reports = {}
     trackers = {}
     failures = {}
     for scheme in cfg.schemes:
-        dt_scheme = {"euler": cfg.dt_euler, "df": cfg.dt_df}.get(scheme) or dt_exp_base
+        dt_scheme = {"euler": cfg.dt_euler, "df": cfg.dt_df}.get(scheme) or _base_step(cfg)
         tracker = _ErrorTracker(ref_traj, grid.spacing) if ref_traj is not None else None
         run_every = _sample_stride(dt_scheme, cfg.tau)
         try:
-            report, _ = _run_one_scheme(
+            reports[scheme] = _run_one_scheme(
                 scheme, cfg, wall, grid, forcing, groups, state0, cfg.tau,
-                dt_exp_base, schedules=schedules,
-                observe=tracker, observe_every=run_every,
+                schedules=schedules, observe=tracker, observe_every=run_every,
             )
-            reports[scheme] = report
             trackers[scheme] = tracker
         except DivergenceError as exc:
             failures[scheme] = str(exc)
@@ -456,11 +480,7 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
     records = []
     for scheme in cfg.schemes:
         if scheme in failures:
-            dt = {"euler": cfg.dt_euler, "df": cfg.dt_df}.get(scheme, 0.0) or 0.0
-            if scheme in ("rkc", "rkl"):
-                dt = schedules.get(scheme, {}).get("dt_super", 0.0)
-            n_t = int(math.floor(cfg.tau / dt + 1e-12)) + 1 if dt else 0
-            records.append(failure_record(scheme, dt, n_t, euler_report))
+            records.append(_failure_row(scheme, cfg, euler_report))
             continue
         baseline = euler_report if euler_report is not None else reports[scheme]
         rec = ratios(reports[scheme], baseline, cfg.tau_days)
@@ -518,35 +538,30 @@ def run_ns_sweep(cfg: CaseConfig, ns_list=None, out_dir=None) -> SweepResult:
     ns_values = [int(n) for n in (ns_list if ns_list is not None else cfg.sweep_ns)]
     if not ns_values or min(ns_values) < 1:
         raise ConfigError("sweep needs positive super-step counts")
+    if not set(cfg.sweep_schemes) <= {"rkc", "rkl"}:
+        raise ConfigError(f"sweep schemes must be rkc or rkl, got {cfg.sweep_schemes}")
     wall, grid, state0 = _build_domain(cfg)
     forcing = BoundaryForcing(cfg.forcing_left, cfg.forcing_right)
     groups = cfg.groups
-    dt_exp_base = cfg.dt_exp_base if cfg.dt_exp_base is not None else cfg.dt_euler
 
-    dt_ref = cfg.dt_euler / 10.0
-    ref_op = _fresh_operator(cfg, wall, grid, forcing, groups)
-    ref_report = euler_run(ref_op, state0, dt_ref, cfg.tau,
-                           sample_every=_sample_stride(dt_ref, cfg.tau))
-    ref_traj = _ReferenceTrajectory(ref_report.trajectory)
-    euler_op = _fresh_operator(cfg, wall, grid, forcing, groups)
-    euler_report = euler_run(euler_op, state0, cfg.dt_euler, cfg.tau)
+    ref_traj = _ReferenceTrajectory(
+        _euler_reference(cfg, wall, grid, forcing, groups, state0).trajectory)
+    euler_report = _run_one_scheme("euler", cfg, wall, grid, forcing, groups, state0, cfg.tau)
 
     rows = []
     errors = {scheme: {"ns": [], "u": [], "v": []} for scheme in cfg.sweep_schemes}
     failures = {}
     for scheme in cfg.sweep_schemes:
         for n_s in ns_values:
-            damping = cfg.damping_rkc if scheme == "rkc" else None
-            schedule = build_schedule(scheme, n_s, dt_exp_base, damping)
-            op = _fresh_operator(cfg, wall, grid, forcing, groups)
+            dt = _scheme_step(scheme, cfg, n_s)
             tracker = _ErrorTracker(ref_traj, grid.spacing)
             try:
-                report = sts_run(op, state0, schedule, cfg.tau, observe=tracker,
-                                 observe_every=_sample_stride(schedule.dt_super, cfg.tau),
-                                 stage_forcing=cfg.stage_forcing)
+                report = _run_one_scheme(
+                    scheme, cfg, wall, grid, forcing, groups, state0, cfg.tau, n_s=n_s,
+                    observe=tracker, observe_every=_sample_stride(dt, cfg.tau))
             except DivergenceError as exc:
                 failures[f"{scheme}-{n_s}"] = str(exc)
-                rows.append([scheme, n_s, schedule.dt_super, "", "", "", "", "", "diverged"])
+                rows.append([scheme, n_s, dt, "", "", "", "", "", "diverged"])
                 continue
             rec = ratios(report, euler_report, cfg.tau_days)
             tracker.fill(rec)
@@ -608,21 +623,14 @@ def physical_step_counts(cfg: CaseConfig, horizon_days: Optional[float] = None) 
     :func:`_layout_config`, as :func:`run_physical_case` does.
     """
     horizon = (horizon_days if horizon_days is not None else cfg.step_count_horizon_days) * DAY_S
-    base = cfg.dt_exp_base if cfg.dt_exp_base is not None else cfg.dt_euler
-    if base is None or ("euler" in cfg.schemes and cfg.dt_euler is None):
+    if _base_step(cfg) is None or ("euler" in cfg.schemes and cfg.dt_euler is None):
         raise ConfigError("step counts need dt_euler or dt_exp; 'auto' steps come from "
                           "a layout's operator estimate")
     out = {}
     for scheme in cfg.schemes:
-        if scheme == "euler":
-            dt = cfg.dt_euler
-        elif scheme == "df":
-            if cfg.dt_df is None:
-                continue
-            dt = cfg.dt_df
-        else:
-            damping = cfg.damping_rkc if scheme == "rkc" else None
-            dt = build_schedule(scheme, cfg.ns[scheme], base, damping).dt_super
+        if scheme == "df" and cfg.dt_df is None:
+            continue
+        dt = _scheme_step(scheme, cfg)
         out[scheme] = {"dt_s": dt, "n_t": int(math.floor(horizon / dt * (1 + 1e-12))) + 1}
     return out
 
@@ -689,18 +697,12 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
 
     for name, layer_list in layouts.items():
         sub_cfg, wall, grid, state0 = _layout_config(cfg, layer_list, forcing, groups)
-        base = sub_cfg.dt_exp_base
-        domain = _re_node_range(wall, grid, layer_list)
-        scheme = cfg.drying_scheme
-        damping = cfg.damping_rkc if scheme == "rkc" else None
-        expected_steps = cfg.tau / (build_schedule(scheme, cfg.ns[scheme], base, damping).dt_super
-                                    if scheme in ("rkc", "rkl") else sub_cfg.dt_euler)
-        observer = _MoistureObserver(grid, domain)
-        stride = max(1, int(expected_steps / 1500))
+        observer = _MoistureObserver(grid, _re_node_range(wall, grid, layer_list))
+        stride = max(1, int(cfg.tau / _scheme_step(cfg.drying_scheme, sub_cfg) / 1500))
         try:
-            report, _ = _run_one_scheme(
-                scheme, sub_cfg, wall, grid, forcing, groups, state0, cfg.tau,
-                base, observe=observer, observe_every=stride,
+            report = _run_one_scheme(
+                cfg.drying_scheme, sub_cfg, wall, grid, forcing, groups, state0, cfg.tau,
+                observe=observer, observe_every=stride,
             )
         except DivergenceError as exc:
             failures[f"drying-{name}"] = str(exc)
@@ -723,11 +725,10 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
             reports[scheme] = drying_reports[first_name]
             continue
         try:
-            report, _ = _run_one_scheme(
+            reports[scheme] = _run_one_scheme(
                 scheme, sub_cfg, wall, grid, forcing, groups, state0, cfg.tau,
-                sub_cfg.dt_exp_base, schedules=schedules,
+                schedules=schedules,
             )
-            reports[scheme] = report
         except DivergenceError as exc:
             failures[scheme] = str(exc)
 
@@ -735,7 +736,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     records = []
     for scheme in cfg.schemes:
         if scheme in failures:
-            records.append(failure_record(scheme, 0.0, 0, baseline))
+            records.append(_failure_row(scheme, sub_cfg, baseline))
         elif baseline is not None:
             records.append(ratios(reports[scheme], baseline, cfg.tau_days))
 

@@ -96,11 +96,8 @@ class CaseConfig:
     forcing_left: Optional[SideForcing] = None
     forcing_right: Optional[SideForcing] = None
     admissible_box: Optional[tuple] = None
-    sample_every: int = 0
     dump_matrix: bool = False
     reference_check: bool = True
-    stage_forcing: str = "frozen"       # super-step cycles: "frozen" | "stage"
-    df_forcing_time: str = "base"       # Du Fort-Frankel: "base" | "midpoint"
     sweep_ns: list = dc_field(default_factory=lambda: [10, 20, 40, 80])
     sweep_schemes: list = dc_field(default_factory=lambda: ["rkc", "rkl"])
     physical_configurations: list = dc_field(default_factory=lambda: ["ins_re", "re_ins", "re"])
@@ -136,7 +133,7 @@ class CaseConfig:
                                   f"choose from {sorted(PHYSICAL_LAYOUTS)}")
 
 
-def _parse_material(section_values: dict, name: str, rho2: float, c2: float) -> CoefficientModel:
+def _parse_material(section_values: dict, name: str) -> CoefficientModel:
     keys = ("d_theta", "d_t", "c_t", "k_t", "k_tm")
     spec = {}
     for key in keys:
@@ -253,7 +250,7 @@ def load_config(path) -> CaseConfig:
             if name in sec and "." not in name:
                 cfg.materials[name] = builtin_material(sec[name].strip(), cfg.rho2, cfg.c2)
             else:
-                cfg.materials[name] = _parse_material(sec, name, cfg.rho2, cfg.c2)
+                cfg.materials[name] = _parse_material(sec, name)
     if cp.has_section("wall"):
         for token in _str_list(cp["wall"].get("layers", "")):
             name, _, thick = token.partition(":")
@@ -272,7 +269,6 @@ def load_config(path) -> CaseConfig:
         cfg.forcing_right = _parse_forcing(cp, "forcing.right", base_dir)
     if cp.has_section("output"):
         sec = cp["output"]
-        cfg.sample_every = sec.getint("sample_every", cfg.sample_every)
         cfg.dump_matrix = sec.getboolean("dump_matrix", cfg.dump_matrix)
     if cp.has_section("sweep"):
         sec = cp["sweep"]

@@ -18,17 +18,18 @@ class IngestionError(StswallError):
 
 
 class DivergenceError(StswallError):
-    """A time march produced non-finite values.
+    """A time march diverged: non-finite, overflowing or far out-of-box values.
 
-    Carries the outer step index and simulation time at detection.
+    Carries the outer step index and simulation time at detection, and the
+    cause in the message.
     """
 
-    def __init__(self, scheme: str, step: int, time: float):
+    def __init__(self, scheme: str, step: int, time: float, cause: str = "non-finite state"):
         self.scheme = scheme
         self.step = step
         self.time = time
         super().__init__(
-            f"{scheme} run diverged (non-finite state) at outer step {step}, t={time:.6g}"
+            f"{scheme} run diverged ({cause}) at outer step {step}, t={time:.6g}"
         )
 
 

@@ -219,7 +219,13 @@ class RunReport:
 
 
 class _Monitor:
-    """Per-outer-step health checks and optional state sampling."""
+    """Per-outer-step health checks and optional state sampling.
+
+    A march diverges when its state turns non-finite or leaves the
+    divergence limits: one box width beyond each side of the operator's
+    admissible box (a runaway march may stay finite for a long time), or
+    a fixed magnitude when there is no box.
+    """
 
     def __init__(self, op, scheme, observe, observe_every, sample_every):
         self.box = op.admissible_box
@@ -229,6 +235,14 @@ class _Monitor:
         self.sample_every = sample_every
         self.trajectory = [] if sample_every else None
         self.box_violations = 0
+        if self.box is None:
+            self.limits = (-_OVERFLOW_GUARD, _OVERFLOW_GUARD) * 2
+            self.limits_text = f"magnitude above {_OVERFLOW_GUARD:g}"
+        else:
+            u_lo, u_hi, v_lo, v_hi = self.box
+            wu, wv = u_hi - u_lo, v_hi - v_lo
+            self.limits = (u_lo - wu, u_hi + wu, v_lo - wv, v_hi + wv)
+            self.limits_text = f"more than one box width outside the admissible box {tuple(self.box)}"
 
     def start(self, t, u, v):
         if self.observe is not None:
@@ -239,12 +253,13 @@ class _Monitor:
     def check(self, step_index, t, u, v, final=False):
         umin, umax = u.min(), u.max()
         vmin, vmax = v.min(), v.max()
-        bad = not (
-            math.isfinite(umin) and math.isfinite(umax)
-            and math.isfinite(vmin) and math.isfinite(vmax)
-        )
-        if bad or max(abs(umin), abs(umax), abs(vmin), abs(vmax)) > _OVERFLOW_GUARD:
-            raise DivergenceError(self.scheme, step_index, t)
+        u_lo, u_hi, v_lo, v_hi = self.limits
+        # written so that NaN fails the test
+        if not (u_lo <= umin and umax <= u_hi and v_lo <= vmin and vmax <= v_hi):
+            extremes = (umin, umax, vmin, vmax)
+            cause = ("non-finite state" if not all(map(math.isfinite, extremes)) else
+                     "u in [%.4g, %.4g], v in [%.4g, %.4g]: " % extremes + self.limits_text)
+            raise DivergenceError(self.scheme, step_index, t, cause)
         if self.box is not None:
             u_lo, u_hi, v_lo, v_hi = self.box
             if umin < u_lo or umax > u_hi or vmin < v_lo or vmax > v_hi:
@@ -255,17 +270,133 @@ class _Monitor:
             self.trajectory.append(StateField(u.copy(), v.copy(), t))
 
 
-def _plan_steps(dt: float, tau: float):
-    """Number of regular steps plus the leftover needed to land on tau."""
+def _plan_steps(dt: float, tau: float) -> int:
+    """Number of regular steps of size dt that fit in tau."""
     if tau < 0:
         raise ConfigError(f"final time must be >= 0, got {tau}")
     if dt <= 0:
         raise ConfigError(f"time step must be positive, got {dt}")
-    n_full = int(math.floor(tau / dt * (1.0 + 1e-12)))
-    remainder = tau - n_full * dt
-    if remainder <= 1e-9 * dt:
-        remainder = 0.0
-    return n_full, remainder
+    return int(math.floor(tau / dt * (1.0 + 1e-12)))
+
+
+class _EulerStep:
+    """Forward Euler: one RHS evaluation and an axpy per step."""
+
+    scheme = "euler"
+    n_s = None
+
+    def __init__(self, op, dt, dt_exp=None):
+        self.op, self.dt, self.dt_exp = op, dt, dt_exp
+        self.flags = {}
+
+    def refresh(self, t, u, v):
+        return False
+
+    def step(self, t, h, t_new, u, v):
+        du, dv = self.op.rhs(t, u, v)
+        u += h * du
+        v += h * dv
+        self.op.apply_constraints(t_new, u, v)
+        return u, v
+
+    land = step
+
+
+class _DufortFrankelStep(_EulerStep):
+    """Du Fort-Frankel; its first step and its landing are Euler steps."""
+
+    scheme = "df"
+
+    def __init__(self, op, dt, lag):
+        super().__init__(op, dt)
+        self.lag = lag
+        self.prev = None                    # (u, v) one level back
+        self.blocks = None
+        self.refresh_blocks = not op.is_linear
+
+    def step(self, t, dt, t_new, u, v):
+        if self.prev is None:
+            self.prev = (u.copy(), v.copy())
+            return super().step(t, dt, t_new, u, v)
+        op = self.op
+        if self.blocks is None or self.refresh_blocks:
+            b_uu, b_uv, b_vu, b_vv = op.jacobian_node_blocks(t, StateField(u, v, t))
+            det = (1.0 + dt * b_uu) * (1.0 + dt * b_vv) - dt * dt * b_uv * b_vu
+            self.blocks = (b_uu, b_uv, b_vu, b_vv, det)
+        b_uu, b_uv, b_vu, b_vv, det = self.blocks
+        u_prev, v_prev = self.prev
+        du, dv = op.rhs(max(0.0, t - self.lag), u, v)
+        r_u = ((1.0 - dt * b_uu) * u_prev - dt * b_uv * v_prev
+               + 2.0 * dt * (du + b_uu * u + b_uv * v))
+        r_v = (-dt * b_vu * u_prev + (1.0 - dt * b_vv) * v_prev
+               + 2.0 * dt * (dv + b_vu * u + b_vv * v))
+        u_new = ((1.0 + dt * b_vv) * r_u - dt * b_uv * r_v) / det
+        v_new = (-dt * b_vu * r_u + (1.0 + dt * b_uu) * r_v) / det
+        self.prev = (u, v)
+        op.apply_constraints(t_new, u_new, v_new)
+        return u_new, v_new
+
+    def land(self, t, remainder, t_end, u, v):
+        # Stable Euler sub-steps below the explicit limit.
+        lam = self.op.gershgorin_lambda_max(t, StateField(u, v, t))
+        dt_safe = remainder if lam == 0 else min(remainder, 1.8 / lam)
+        m = max(1, int(math.ceil(remainder / dt_safe)))
+        h = remainder / m
+        for _ in range(m):
+            _EulerStep.step(self, t, h, t + h, u, v)
+            t += h
+        self.flags["remainder_substeps"] = m
+        return u, v
+
+
+def _march(op, state0, stepper, tau, observe, observe_every, sample_every) -> RunReport:
+    """March ``stepper`` from ``state0`` to ``tau`` and report the run.
+
+    The stepper's ``step(t, h, t_new, u, v)`` advances from ``t`` by its
+    regular step ``h = dt`` and ``land(t, h, tau, u, v)`` by the shorter
+    step ``h`` left before tau; both may update ``u``/``v`` in place and
+    return the new pair.  Its ``refresh(t, u, v)`` runs before every step
+    but the first and returns True when it changed ``dt``.  Outer times
+    are ``base + k*dt``, rebased at such a change.  A full step is taken
+    while it fits in the time left (to a 1e-9 relative slack), else one
+    landing step ends exactly on tau.  Every outer step is checked by the
+    monitor, and the step that reaches tau is always observed and sampled.
+    """
+    dt0 = stepper.dt
+    n_full = _plan_steps(dt0, tau)
+    tol = 1e-9 * dt0
+    u = state0.u.copy()
+    v = state0.v.copy()
+    mon = _Monitor(op, stepper.scheme, observe, observe_every, sample_every)
+    mon.start(0.0, u, v)
+    evals0 = op.rhs_evals
+
+    t_start = time.perf_counter()
+    t = base = 0.0
+    dt = dt0
+    k = step = 0
+    while t < tau - tol:
+        if step and stepper.refresh(t, u, v):
+            dt, base, k = stepper.dt, t, 0
+        if dt <= (tau - t) * (1.0 + 1e-9):
+            k += 1
+            t_new = base + k * dt
+            u, v = stepper.step(t, dt, t_new, u, v)
+            t = t_new
+        else:
+            u, v = stepper.land(t, tau - t, tau, u, v)
+            t = tau
+        step += 1
+        mon.check(step, t, u, v, final=t >= tau - tol)
+    cpu = time.perf_counter() - t_start
+
+    return RunReport(
+        scheme=stepper.scheme, dt=dt0, tau=tau, n_steps=step, n_t=n_full + 1,
+        rhs_evals=op.rhs_evals - evals0, cpu_s=cpu,
+        final_state=StateField(u, v, tau), trajectory=mon.trajectory,
+        flags={**stepper.flags, "box_violations": mon.box_violations},
+        n_s=stepper.n_s, dt_exp=stepper.dt_exp,
+    )
 
 
 def euler_run(
@@ -284,50 +415,15 @@ def euler_run(
     at the initial state) unless ``allow_unstable`` is set.
     """
     lam = op.gershgorin_lambda_max(0.0, state0)
-    dt_exp = math.inf if lam == 0 else 2.0 / lam
-    flags = {}
-    if dt >= dt_exp:
+    stepper = _EulerStep(op, dt, math.inf if lam == 0 else 2.0 / lam)
+    if dt >= stepper.dt_exp:
         if not allow_unstable:
             raise ConfigError(
-                f"Euler step {dt:g} exceeds the explicit limit {dt_exp:g}; "
+                f"Euler step {dt:g} exceeds the explicit limit {stepper.dt_exp:g}; "
                 "pass allow_unstable=True to proceed anyway"
             )
-        flags["unstable_dt_ack"] = True
-
-    n_full, remainder = _plan_steps(dt, tau)
-    u = state0.u.copy()
-    v = state0.v.copy()
-    mon = _Monitor(op, "euler", observe, observe_every, sample_every)
-    mon.start(0.0, u, v)
-    evals0 = op.rhs_evals
-
-    t_start = time.perf_counter()
-    t = 0.0
-    step = 0
-    for step in range(1, n_full + 1):
-        du, dv = op.rhs(t, u, v)
-        u += dt * du
-        v += dt * dv
-        t = step * dt
-        op.apply_constraints(t, u, v)
-        mon.check(step, t, u, v)
-    if remainder:
-        du, dv = op.rhs(t, u, v)
-        u += remainder * du
-        v += remainder * dv
-        t = tau
-        step += 1
-        op.apply_constraints(t, u, v)
-        mon.check(step, t, u, v, final=True)
-    cpu = time.perf_counter() - t_start
-
-    flags["box_violations"] = mon.box_violations
-    return RunReport(
-        scheme="euler", dt=dt, tau=tau, n_steps=n_full + (1 if remainder else 0),
-        n_t=n_full + 1, rhs_evals=op.rhs_evals - evals0, cpu_s=cpu,
-        final_state=StateField(u, v, tau), trajectory=mon.trajectory,
-        flags=flags, dt_exp=dt_exp,
-    )
+        stepper.flags["unstable_dt_ack"] = True
+    return _march(op, state0, stepper, tau, observe, observe_every, sample_every)
 
 
 def dufort_frankel_run(
@@ -361,68 +457,8 @@ def dufort_frankel_run(
     if forcing_time not in ("base", "midpoint"):
         raise ConfigError(f"forcing_time must be 'base' or 'midpoint', got {forcing_time!r}")
     lag = dt if forcing_time == "base" else 0.0
-    n_full, remainder = _plan_steps(dt, tau)
-    u = state0.u.copy()
-    v = state0.v.copy()
-    mon = _Monitor(op, "df", observe, observe_every, sample_every)
-    mon.start(0.0, u, v)
-    evals0 = op.rhs_evals
-    flags = {}
-
-    t_start = time.perf_counter()
-    u_prev = u.copy()
-    v_prev = v.copy()
-    t = 0.0
-    step = 0
-    refresh_blocks = not op.is_linear
-    blocks = None
-    for step in range(1, n_full + 1):
-        if step == 1:
-            du, dv = op.rhs(t, u, v)
-            u = u + dt * du
-            v = v + dt * dv
-        else:
-            if blocks is None or refresh_blocks:
-                b_uu, b_uv, b_vu, b_vv = op.jacobian_node_blocks(t, StateField(u, v, t))
-                det = (1.0 + dt * b_uu) * (1.0 + dt * b_vv) - dt * dt * b_uv * b_vu
-                blocks = (b_uu, b_uv, b_vu, b_vv, det)
-            b_uu, b_uv, b_vu, b_vv, det = blocks
-            du, dv = op.rhs(max(0.0, t - lag), u, v)
-            r_u = ((1.0 - dt * b_uu) * u_prev - dt * b_uv * v_prev
-                   + 2.0 * dt * (du + b_uu * u + b_uv * v))
-            r_v = (-dt * b_vu * u_prev + (1.0 - dt * b_vv) * v_prev
-                   + 2.0 * dt * (dv + b_vu * u + b_vv * v))
-            u_new = ((1.0 + dt * b_vv) * r_u - dt * b_uv * r_v) / det
-            v_new = (-dt * b_vu * r_u + (1.0 + dt * b_uu) * r_v) / det
-            u_prev, u = u, u_new
-            v_prev, v = v, v_new
-        t = step * dt
-        op.apply_constraints(t, u, v)
-        mon.check(step, t, u, v)
-    if remainder:
-        # Land exactly on tau with stable Euler sub-steps.
-        lam = op.gershgorin_lambda_max(t, StateField(u, v, t))
-        dt_safe = remainder if lam == 0 else min(remainder, 1.8 / lam)
-        m = max(1, int(math.ceil(remainder / dt_safe)))
-        h = remainder / m
-        for _ in range(m):
-            du, dv = op.rhs(t, u, v)
-            u += h * du
-            v += h * dv
-            t += h
-            op.apply_constraints(t, u, v)
-        t = tau
-        step += 1
-        flags["remainder_substeps"] = m
-        mon.check(step, t, u, v, final=True)
-    cpu = time.perf_counter() - t_start
-
-    flags["box_violations"] = mon.box_violations
-    return RunReport(
-        scheme="df", dt=dt, tau=tau, n_steps=n_full + (1 if remainder else 0),
-        n_t=n_full + 1, rhs_evals=op.rhs_evals - evals0, cpu_s=cpu,
-        final_state=StateField(u, v, tau), trajectory=mon.trajectory, flags=flags,
-    )
+    return _march(op, state0, _DufortFrankelStep(op, dt, lag), tau,
+                  observe, observe_every, sample_every)
 
 
 def _stage_times(schedule, t0, frozen):
@@ -472,6 +508,42 @@ def _rkl_cycle(op, schedule, t0, u, v, frozen):
     return u_p, v_p
 
 
+class _SuperStep:
+    """A super-step cycle; on nonlinear operators the stiffness estimate is
+    refreshed before each cycle and the schedule rebuilt when outgrown."""
+
+    def __init__(self, op, schedule, frozen):
+        self.op, self.active, self.frozen = op, schedule, frozen
+        self.scheme, self.n_s, self.dt_exp = schedule.scheme, schedule.n_s, schedule.dt_exp
+        self.cycle = _rkc_cycle if schedule.scheme == "rkc" else _rkl_cycle
+        self.refresh_lambda = not op.is_linear
+        self.flags = {"schedule_rebuilds": 0}
+
+    @property
+    def dt(self):
+        return self.active.dt_super
+
+    def refresh(self, t, u, v):
+        if not self.refresh_lambda:
+            return False
+        lam = self.op.gershgorin_lambda_max(t, StateField(u, v, t))
+        if lam <= self.active.design_lambda:
+            return False
+        self.active = build_schedule(
+            self.scheme, self.n_s, 2.0 / (SAFETY_INFLATION * lam),
+            self.active.damping if self.scheme == "rkc" else None,
+        )
+        self.flags["schedule_rebuilds"] += 1
+        return True
+
+    def step(self, t, h, t_new, u, v):
+        return self.cycle(self.op, self.active, t, u, v, self.frozen)
+
+    def land(self, t, h, t_end, u, v):
+        landing = self.active.scaled(h / self.active.dt_super)
+        return self.cycle(self.op, landing, t, u, v, self.frozen)
+
+
 def sts_run(
     op: SemiDiscreteOperator,
     state0: StateField,
@@ -499,63 +571,11 @@ def sts_run(
     """
     if stage_forcing not in ("frozen", "stage"):
         raise ConfigError(f"stage_forcing must be 'frozen' or 'stage', got {stage_forcing!r}")
-    frozen = stage_forcing == "frozen"
     lam0 = op.gershgorin_lambda_max(0.0, state0)
     if lam0 > schedule.design_lambda * (1.0 + 1e-9):
         raise StaleScheduleError(
             f"schedule was built for lambda_max <= {schedule.design_lambda:g} "
             f"but the operator currently has a bound of {lam0:g}"
         )
-    cycle = _rkc_cycle if schedule.scheme == "rkc" else _rkl_cycle
-    dt_super = schedule.dt_super
-    n_full, _ = _plan_steps(dt_super, tau)
-    tol = 1e-9 * dt_super
-
-    u = state0.u.copy()
-    v = state0.v.copy()
-    mon = _Monitor(op, schedule.scheme, observe, observe_every, sample_every)
-    mon.start(0.0, u, v)
-    evals0 = op.rhs_evals
-    refresh = not op.is_linear
-    rebuilds = 0
-    active = schedule
-
-    t_start = time.perf_counter()
-    t = 0.0
-    step = 0
-    base_t = 0.0
-    steps_since_base = 0
-    while t < tau - tol:
-        if refresh and step > 0:
-            lam = op.gershgorin_lambda_max(t, StateField(u, v, t))
-            if lam > active.design_lambda:
-                active = build_schedule(
-                    active.scheme, active.n_s, 2.0 / (SAFETY_INFLATION * lam),
-                    active.damping if active.scheme == "rkc" else None,
-                )
-                rebuilds += 1
-                base_t = t
-                steps_since_base = 0
-        remaining = tau - t
-        if active.dt_super <= remaining * (1.0 + 1e-9):
-            current = active
-        else:
-            current = active.scaled(remaining / active.dt_super)
-        u, v = cycle(op, current, t, u, v, frozen)
-        step += 1
-        if current is active:
-            steps_since_base += 1
-            t = base_t + steps_since_base * active.dt_super
-        else:
-            t = tau
-        mon.check(step, t, u, v, final=t >= tau - tol)
-    cpu = time.perf_counter() - t_start
-
-    flags = {"box_violations": mon.box_violations, "schedule_rebuilds": rebuilds}
-    return RunReport(
-        scheme=schedule.scheme, dt=dt_super, tau=tau,
-        n_steps=step, n_t=n_full + 1,
-        rhs_evals=op.rhs_evals - evals0, cpu_s=cpu,
-        final_state=StateField(u, v, tau), trajectory=mon.trajectory,
-        flags=flags, n_s=schedule.n_s, dt_exp=schedule.dt_exp,
-    )
+    return _march(op, state0, _SuperStep(op, schedule, stage_forcing == "frozen"), tau,
+                  observe, observe_every, sample_every)

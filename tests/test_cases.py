@@ -6,6 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from stswall import cases
 from stswall.cases import (
     check_verification_preset, emit_outputs, physical_preset, physical_step_counts,
     run_ns_sweep, run_physical_case, run_verification_case, verification_preset,
@@ -146,6 +147,41 @@ class TestSweep:
             assert "u" in slope and "v" in slope
 
 
+def test_marches_go_through_integrator_hooks(monkeypatch, tmp_path):
+    """Every march the runners make calls the integrators by their names in
+    ``cases``, which is where the benchmark's tracer hooks in."""
+    calls = []
+    for name in ("euler_run", "dufort_frankel_run", "sts_run"):
+        def counting(*args, _fn=getattr(cases, name), _name=name, **kwargs):
+            report = _fn(*args, **kwargs)
+            calls.append((_name, kwargs.get("observe") is not None, report))
+            return report
+        monkeypatch.setattr(cases, name, counting)
+    rhs_calls = [0]
+    rhs = cases.SemiDiscreteOperator.rhs
+
+    def counting_rhs(self, *args):
+        rhs_calls[0] += 1
+        return rhs(self, *args)
+
+    monkeypatch.setattr(cases.SemiDiscreteOperator, "rhs", counting_rhs)
+
+    cfg = short_verification(tau=0.005)
+    cfg.reference_check = True
+    verify = run_verification_case(cfg, tmp_path / "verify")
+    table = {id(report) for report in verify.reports.values()}
+    assert sorted((name, observed) for name, observed, r in calls if id(r) in table) == [
+        ("dufort_frankel_run", True), ("euler_run", True), ("sts_run", True), ("sts_run", True)]
+    # the reference and its Richardson cross-check
+    assert [name for name, _, r in calls if id(r) not in table] == ["euler_run"] * 2
+    n_verify = len(calls)
+    run_ns_sweep(short_verification(tau=0.005), ns_list=[4, 8], out_dir=tmp_path / "sweep")
+    assert sorted((name, observed) for name, observed, _ in calls[n_verify:]) == (
+        [("euler_run", False)] * 2 + [("sts_run", True)] * 4)
+    # no march ran outside the hooks: their reports account for every RHS call
+    assert rhs_calls[0] == sum(report.rhs_evals for _, _, report in calls)
+
+
 @pytest.fixture(scope="module")
 def day_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("phys")
@@ -273,6 +309,47 @@ class TestCli:
         ini = self.write_physical_ini(tmp_path, "re, brick")
         assert main(["physical", "--config", ini, "--out", str(tmp_path / "out")]) == 1
         assert "brick" in capsys.readouterr().err
+
+    def test_diverging_df_exits_two(self, tmp_path, capsys):
+        # Du Fort-Frankel at 1800 s on the 5 mm ins_re grid runs away (v
+        # beyond +-2 within 6 h) without turning non-finite
+        ini = tmp_path / "case.ini"
+        ini.write_text(textwrap.dedent(self.PHYSICAL_INI.format(configurations="ins_re"))
+                       .replace("tau = 1h", "tau = 6h\ndt_df = 1800s")
+                       .replace("run = rkc, rkl", "run = df")
+                       + "[box]\nu_min = 240\nu_max = 320\nv_min = 0\nv_max = 0.6\n")
+        out = tmp_path / "out"
+        assert main(["physical", "--config", str(ini), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "FAILED df" in err and "admissible box" in err
+        assert (out / "theta_tot_ins_re.csv").exists()
+        rows = (out / "comparison.csv").read_text().splitlines()
+        assert rows[1].startswith("df,1800.0,13,")    # the failed row keeps dt and N_t
+
+    def test_sweep_without_euler_step_exits_one(self, tmp_path, capsys):
+        ini = tmp_path / "sweep.ini"
+        ini.write_text(textwrap.dedent("""
+            [case]
+            kind = custom
+            [grid]
+            dx = 0.1
+            [time]
+            tau = 0.01
+            dt_exp = 1e-3
+            [groups]
+            fo_m = 0.09
+            fo_t = 0.07
+            [materials]
+            m1 = table1_mat1
+            [wall]
+            layers = m1:1.0
+            [forcing.left]
+            u = 1
+            [forcing.right]
+            u = 1
+            """))
+        assert main(["sweep", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+        assert "dt_euler" in capsys.readouterr().err
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         out = tmp_path / "sweep"

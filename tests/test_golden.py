@@ -24,7 +24,8 @@ import tempfile
 import pytest
 
 from stswall.cases import (
-    physical_preset, run_physical_case, run_verification_case, verification_preset,
+    physical_preset, run_ns_sweep, run_physical_case, run_verification_case,
+    verification_preset,
 )
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -48,7 +49,23 @@ def _physical_case(out_dir):
     run_physical_case(cfg, out_dir)
 
 
-CASES = {"verify": _verify_case, "physical": _physical_case}
+def _sweep_case(out_dir):
+    """Super-step count sweep on the verification preset at tau = 0.005:
+    rkc and rkl at n_s = 4 and 8."""
+    cfg = verification_preset()
+    cfg.tau = cfg.tau_days = 0.005
+    run_ns_sweep(cfg, ns_list=[4, 8], out_dir=out_dir)
+
+
+def _euler_case(out_dir):
+    """Six hours of forward Euler on the ins_re wall, as its drying run."""
+    cfg = physical_preset(tau=6 * 3600.0, schemes=["euler"], configurations=["ins_re"],
+                          drying_scheme="euler")
+    run_physical_case(cfg, out_dir)
+
+
+CASES = {"verify": _verify_case, "physical": _physical_case,
+         "sweep": _sweep_case, "euler_ins_re": _euler_case}
 
 
 def _scrub(obj):

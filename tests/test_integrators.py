@@ -191,6 +191,15 @@ class TestEuler:
         assert err.value.step > 0
         assert err.value.scheme == "euler"
 
+    def test_runaway_diverges_one_box_width_out(self):
+        # y <- -1.5 y: -1.5 and 2.25 stay within one width of the box
+        # (limits [-2, 4]); -3.375 at step 3 does not, long before overflow
+        op = decay_operator(rate=1.0)
+        op.admissible_box = (0.0, 2.0, 0.0, 2.0)
+        with pytest.raises(DivergenceError, match="admissible box") as err:
+            euler_run(op, ones_state(2), dt=2.5, tau=5000.0, allow_unstable=True)
+        assert err.value.step == 3
+
     def test_node_counts_and_remainder(self):
         op = decay_operator(rate=1.0)
         report = euler_run(op, ones_state(2), dt=0.1, tau=1.0)
@@ -366,3 +375,15 @@ class TestStsRun:
         sch = build_schedule("rkl", 4, 2.0 / op.gershgorin_lambda_max())
         with pytest.raises(ConfigError):
             sts_run(op, ones_state(9), sch, 1.0, stage_forcing="adaptive")
+
+
+def test_step_reaching_tau_is_always_observed():
+    # four regular steps observed every third: the last one lands on tau
+    # without a shortened step, and is still observed and sampled
+    seen = []
+    report = euler_run(decay_operator(rate=1.0), ones_state(2), dt=0.25, tau=1.0,
+                       observe=lambda t, u, v: seen.append(t), observe_every=3,
+                       sample_every=3)
+    assert report.n_steps == 4
+    assert seen == [0.0, 0.75, 1.0]
+    assert [s.time for s in report.trajectory] == [0.0, 0.75, 1.0]
