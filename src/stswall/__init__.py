@@ -6,8 +6,8 @@ from .dimensionless import (
     nondimensionalize, redimensionalize,
 )
 from .errors import (
-    AssemblyError, ConfigError, DivergenceError, IngestionError,
-    StaleScheduleError, StswallError,
+    AssemblyError, ClosureSingularityError, ConfigError, DivergenceError, IngestionError,
+    SaturationDomainError, StaleScheduleError, StswallError,
 )
 from .integrators import (
     RunReport, SuperStepSchedule, amplification_eval, build_schedule,

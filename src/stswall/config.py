@@ -2,28 +2,30 @@
 
 The file format uses section headers and ``key = value`` pairs
 (`configparser` syntax).  Closed-form boundary forcing is written as an
-expression in ``t`` using the functions sin/cos/tan/exp/sqrt/log and the
-constant pi; series-backed forcing names a CSV path and columns.  The
+expression in ``t`` using the functions sin/cos/tan/exp/sqrt/log/abs and
+the constant pi; series-backed forcing names a CSV path and columns.  The
 full schema is documented in the README.
 """
 from __future__ import annotations
 
+import ast
 import configparser
 import math
+import operator
 import os
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .dimensionless import DimensionlessGroups
 from .errors import ConfigError
-from .model import BiotSet, CoefficientModel, SideForcing, builtin_material
+from .model import BiotSet, CoefficientModel, SideForcing, _zero, builtin_material
 from .series import ingest_boundary_series
 
-_EXPR_NAMES = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "exp": math.exp, "sqrt": math.sqrt, "log": math.log,
-    "abs": abs, "pi": math.pi,
-}
+_EXPR_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
+                   "sqrt": math.sqrt, "log": math.log, "abs": abs}
+_EXPR_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+             ast.Div: operator.truediv, ast.Mod: operator.mod, ast.Pow: operator.pow,
+             ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 _DURATION_UNITS = {"s": 1.0, "min": 60.0, "h": 3600.0, "d": 86400.0}
 
@@ -35,21 +37,51 @@ PHYSICAL_LAYOUTS = {
 }
 
 
-def parse_time_function(expr: str):
-    """Compile a closed-form forcing expression of ``t`` into a callable."""
+def _forcing_node(node, expr: str):
+    """``node`` checked against the forcing grammar, with float literals and
+    its constant parts folded, so that a constant overflow fails here."""
+    kind = type(node)
+    if kind is ast.Name and node.id in ("t", "pi"):
+        return node if node.id == "t" else ast.Constant(math.pi)
+    if (kind is ast.Call and type(node.func) is ast.Name and node.func.id in _EXPR_FUNCTIONS
+            and not node.keywords and ast.Starred not in map(type, node.args)):
+        node.args = [_forcing_node(arg, expr) for arg in node.args]
+        return node
+    if kind is ast.Constant and type(node.value) in (int, float):
+        fn, operands = float, [node]
+    elif kind is ast.UnaryOp and type(node.op) in _EXPR_OPS:
+        node.operand = _forcing_node(node.operand, expr)
+        fn, operands = _EXPR_OPS[type(node.op)], [node.operand]
+    elif kind is ast.BinOp and type(node.op) in _EXPR_OPS:
+        node.left, node.right = _forcing_node(node.left, expr), _forcing_node(node.right, expr)
+        fn, operands = _EXPR_OPS[type(node.op)], [node.left, node.right]
+    else:
+        raise ConfigError(f"forcing expression {expr!r} uses {ast.unparse(node)!r}: only numbers, "
+                          f"t, pi, arithmetic and calls of {', '.join(_EXPR_FUNCTIONS)} are allowed")
+    if any(type(x) is not ast.Constant for x in operands):
+        return node
     try:
-        code = compile(expr, "<forcing>", "eval")
-    except SyntaxError as exc:
+        value = fn(*(x.value for x in operands))
+    except (ArithmeticError, ValueError):
+        value = None
+    if type(value) is not float:
+        raise ConfigError(f"forcing expression {expr!r} has a constant part with no real value")
+    return ast.Constant(value)
+
+
+def parse_time_function(expr: str):
+    """Compile a closed-form forcing expression of ``t`` into a function.
+
+    Allowed: numbers (read as floats), ``t``, ``pi``, ``+ - * / % **`` and positional
+    calls of :data:`_EXPR_FUNCTIONS`; anything else, or a constant part that
+    overflows, is a :class:`ConfigError`."""
+    tree = ast.parse("lambda t: float(0)", mode="eval")
+    try:
+        tree.body.body.args = [_forcing_node(ast.parse(expr, mode="eval").body, expr)]
+        code = compile(ast.fix_missing_locations(tree), "<forcing>", "eval")
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise ConfigError(f"bad forcing expression {expr!r}: {exc}") from None
-    for name in code.co_names:
-        if name != "t" and name not in _EXPR_NAMES:
-            raise ConfigError(f"forcing expression {expr!r} uses unknown name {name!r}")
-    namespace = dict(_EXPR_NAMES)
-
-    def fn(t: float) -> float:
-        namespace["t"] = t
-        return float(eval(code, {"__builtins__": {}}, namespace))
-
+    fn = eval(code, {"__builtins__": {"float": float}, **_EXPR_FUNCTIONS})
     fn.expression = expr
     return fn
 
@@ -157,10 +189,10 @@ def _parse_forcing(cp: configparser.ConfigParser, section: str, base_dir) -> Sid
             path = os.path.join(base_dir, path)
         series = ingest_boundary_series(path)
 
-    def value_fn(key, default_expr="0"):
-        raw = sec.get(key)
+    def value_fn(key, default=None):
+        raw = sec.get(key, default)
         if raw is None:
-            return parse_time_function(default_expr)
+            return _zero
         raw = raw.strip()
         if series is not None and raw in series.columns:
             return series.interpolator(raw)

@@ -244,15 +244,15 @@ class _Monitor:
             self.limits = (u_lo - wu, u_hi + wu, v_lo - wv, v_hi + wv)
             self.limits_text = f"more than one box width outside the admissible box {tuple(self.box)}"
 
-    def start(self, t, u, v):
+    def start(self, t, y):
         if self.observe is not None:
-            self.observe(t, u, v)
+            self.observe(t, y[0], y[1])
         if self.trajectory is not None:
-            self.trajectory.append(StateField(u.copy(), v.copy(), t))
+            self.trajectory.append(StateField(y[0].copy(), y[1].copy(), t))
 
-    def check(self, step_index, t, u, v, final=False):
-        umin, umax = u.min(), u.max()
-        vmin, vmax = v.min(), v.max()
+    def check(self, step_index, t, y, final=False):
+        umin, vmin = np.minimum.reduce(y, axis=1).tolist()
+        umax, vmax = np.maximum.reduce(y, axis=1).tolist()
         u_lo, u_hi, v_lo, v_hi = self.limits
         # written so that NaN fails the test
         if not (u_lo <= umin and umax <= u_hi and v_lo <= vmin and vmax <= v_hi):
@@ -265,9 +265,9 @@ class _Monitor:
             if umin < u_lo or umax > u_hi or vmin < v_lo or vmax > v_hi:
                 self.box_violations += 1
         if self.observe is not None and (final or step_index % self.observe_every == 0):
-            self.observe(t, u, v)
+            self.observe(t, y[0], y[1])
         if self.trajectory is not None and (final or step_index % self.sample_every == 0):
-            self.trajectory.append(StateField(u.copy(), v.copy(), t))
+            self.trajectory.append(StateField(y[0].copy(), y[1].copy(), t))
 
 
 def _plan_steps(dt: float, tau: float) -> int:
@@ -289,15 +289,13 @@ class _EulerStep:
         self.op, self.dt, self.dt_exp = op, dt, dt_exp
         self.flags = {}
 
-    def refresh(self, t, u, v):
+    def refresh(self, t, y):
         return False
 
-    def step(self, t, h, t_new, u, v):
-        du, dv = self.op.rhs(t, u, v)
-        u += h * du
-        v += h * dv
-        self.op.apply_constraints(t_new, u, v)
-        return u, v
+    def step(self, t, h, t_new, y):
+        y += h * self.op.rhs(t, y)
+        self.op.apply_constraints(t_new, y)
+        return y
 
     land = step
 
@@ -310,52 +308,54 @@ class _DufortFrankelStep(_EulerStep):
     def __init__(self, op, dt, lag):
         super().__init__(op, dt)
         self.lag = lag
-        self.prev = None                    # (u, v) one level back
+        self.prev = None                    # the state one level back
         self.blocks = None
         self.refresh_blocks = not op.is_linear
 
-    def step(self, t, dt, t_new, u, v):
+    def step(self, t, dt, t_new, y):
         if self.prev is None:
-            self.prev = (u.copy(), v.copy())
-            return super().step(t, dt, t_new, u, v)
+            self.prev = y.copy()
+            return super().step(t, dt, t_new, y)
         op = self.op
         if self.blocks is None or self.refresh_blocks:
-            b_uu, b_uv, b_vu, b_vv = op.jacobian_node_blocks(t, StateField(u, v, t))
+            b_uu, b_uv, b_vu, b_vv = op.jacobian_node_blocks(t, StateField(y[0], y[1], t))
             det = (1.0 + dt * b_uu) * (1.0 + dt * b_vv) - dt * dt * b_uv * b_vu
             self.blocks = (b_uu, b_uv, b_vu, b_vv, det)
         b_uu, b_uv, b_vu, b_vv, det = self.blocks
-        u_prev, v_prev = self.prev
-        du, dv = op.rhs(max(0.0, t - self.lag), u, v)
+        (u_prev, v_prev), (u, v) = self.prev, y
+        du, dv = op.rhs(max(0.0, t - self.lag), y)
         r_u = ((1.0 - dt * b_uu) * u_prev - dt * b_uv * v_prev
                + 2.0 * dt * (du + b_uu * u + b_uv * v))
         r_v = (-dt * b_vu * u_prev + (1.0 - dt * b_vv) * v_prev
                + 2.0 * dt * (dv + b_vu * u + b_vv * v))
-        u_new = ((1.0 + dt * b_vv) * r_u - dt * b_uv * r_v) / det
-        v_new = (-dt * b_vu * r_u + (1.0 + dt * b_uu) * r_v) / det
-        self.prev = (u, v)
-        op.apply_constraints(t_new, u_new, v_new)
-        return u_new, v_new
+        y_new = np.empty_like(y)
+        np.divide((1.0 + dt * b_vv) * r_u - dt * b_uv * r_v, det, out=y_new[0])
+        np.divide(-dt * b_vu * r_u + (1.0 + dt * b_uu) * r_v, det, out=y_new[1])
+        self.prev = y
+        op.apply_constraints(t_new, y_new)
+        return y_new
 
-    def land(self, t, remainder, t_end, u, v):
+    def land(self, t, remainder, t_end, y):
         # Stable Euler sub-steps below the explicit limit.
-        lam = self.op.gershgorin_lambda_max(t, StateField(u, v, t))
+        lam = self.op.gershgorin_lambda_max(t, StateField(y[0], y[1], t))
         dt_safe = remainder if lam == 0 else min(remainder, 1.8 / lam)
         m = max(1, int(math.ceil(remainder / dt_safe)))
         h = remainder / m
         for _ in range(m):
-            _EulerStep.step(self, t, h, t + h, u, v)
+            _EulerStep.step(self, t, h, t + h, y)
             t += h
         self.flags["remainder_substeps"] = m
-        return u, v
+        return y
 
 
 def _march(op, state0, stepper, tau, observe, observe_every, sample_every) -> RunReport:
     """March ``stepper`` from ``state0`` to ``tau`` and report the run.
 
-    The stepper's ``step(t, h, t_new, u, v)`` advances from ``t`` by its
-    regular step ``h = dt`` and ``land(t, h, tau, u, v)`` by the shorter
-    step ``h`` left before tau; both may update ``u``/``v`` in place and
-    return the new pair.  Its ``refresh(t, u, v)`` runs before every step
+    The state is one (2, n) array ``y`` (row 0 u, row 1 v).  The
+    stepper's ``step(t, h, t_new, y)`` advances from ``t`` by its regular
+    step ``h = dt`` and ``land(t, h, tau, y)`` by the shorter step ``h``
+    left before tau; both may update ``y`` in place and return the new
+    state.  Its ``refresh(t, y)`` runs before every step
     but the first and returns True when it changed ``dt``.  Outer times
     are ``base + k*dt``, rebased at such a change.  A full step is taken
     while it fits in the time left (to a 1e-9 relative slack), else one
@@ -365,10 +365,9 @@ def _march(op, state0, stepper, tau, observe, observe_every, sample_every) -> Ru
     dt0 = stepper.dt
     n_full = _plan_steps(dt0, tau)
     tol = 1e-9 * dt0
-    u = state0.u.copy()
-    v = state0.v.copy()
+    y = np.stack([state0.u, state0.v])
     mon = _Monitor(op, stepper.scheme, observe, observe_every, sample_every)
-    mon.start(0.0, u, v)
+    mon.start(0.0, y)
     evals0 = op.rhs_evals
 
     t_start = time.perf_counter()
@@ -376,24 +375,24 @@ def _march(op, state0, stepper, tau, observe, observe_every, sample_every) -> Ru
     dt = dt0
     k = step = 0
     while t < tau - tol:
-        if step and stepper.refresh(t, u, v):
+        if step and stepper.refresh(t, y):
             dt, base, k = stepper.dt, t, 0
         if dt <= (tau - t) * (1.0 + 1e-9):
             k += 1
             t_new = base + k * dt
-            u, v = stepper.step(t, dt, t_new, u, v)
+            y = stepper.step(t, dt, t_new, y)
             t = t_new
         else:
-            u, v = stepper.land(t, tau - t, tau, u, v)
+            y = stepper.land(t, tau - t, tau, y)
             t = tau
         step += 1
-        mon.check(step, t, u, v, final=t >= tau - tol)
+        mon.check(step, t, y, final=t >= tau - tol)
     cpu = time.perf_counter() - t_start
 
     return RunReport(
         scheme=stepper.scheme, dt=dt0, tau=tau, n_steps=step, n_t=n_full + 1,
         rhs_evals=op.rhs_evals - evals0, cpu_s=cpu,
-        final_state=StateField(u, v, tau), trajectory=mon.trajectory,
+        final_state=StateField(y[0], y[1], tau), trajectory=mon.trajectory,
         flags={**stepper.flags, "box_violations": mon.box_violations},
         n_s=stepper.n_s, dt_exp=stepper.dt_exp,
     )
@@ -468,44 +467,32 @@ def _stage_times(schedule, t0, frozen):
     time only on the final stage; per-stage sampling follows the stage
     state offsets.
     """
-    t_end = t0 + schedule.dt_super
     if frozen:
-        evals = [t0] * schedule.n_s
-        constraints = [t0] * (schedule.n_s - 1) + [t_end]
-    else:
-        evals = [t0 + schedule.stage_state_offsets[k] for k in range(schedule.n_s)]
-        constraints = [t0 + schedule.stage_state_offsets[k + 1] for k in range(schedule.n_s)]
-    return evals, constraints
+        return [t0] * schedule.n_s, [t0] * (schedule.n_s - 1) + [t0 + schedule.dt_super]
+    times = list(t0 + schedule.stage_state_offsets)
+    return times[:-1], times[1:]
 
 
-def _rkc_cycle(op, schedule, t0, u, v, frozen):
+def _rkc_cycle(op, schedule, t0, y, frozen):
     evals, constraints = _stage_times(schedule, t0, frozen)
     for k in range(schedule.n_s):
-        du, dv = op.rhs(evals[k], u, v)
-        tau_k = schedule.stage_steps[k]
-        u += tau_k * du
-        v += tau_k * dv
-        op.apply_constraints(constraints[k], u, v)
-    return u, v
+        y += schedule.stage_steps[k] * op.rhs(evals[k], y)
+        op.apply_constraints(constraints[k], y)
+    return y
 
 
-def _rkl_cycle(op, schedule, t0, u, v, frozen):
+def _rkl_cycle(op, schedule, t0, y, frozen):
     evals, constraints = _stage_times(schedule, t0, frozen)
     mu, nu, mu_t = schedule.rkl_mu, schedule.rkl_nu, schedule.rkl_mu_tilde
     dt_s = schedule.dt_super
-    du, dv = op.rhs(evals[0], u, v)
-    u_pp, v_pp = u, v                             # Y_0
-    u_p = u + mu_t[0] * dt_s * du                 # Y_1
-    v_p = v + mu_t[0] * dt_s * dv
-    op.apply_constraints(constraints[0], u_p, v_p)
+    y_pp = y                                                # Y_0
+    y_p = y + mu_t[0] * dt_s * op.rhs(evals[0], y)          # Y_1
+    op.apply_constraints(constraints[0], y_p)
     for j in range(2, schedule.n_s + 1):
-        du, dv = op.rhs(evals[j - 1], u_p, v_p)
-        u_new = mu[j - 1] * u_p + nu[j - 1] * u_pp + mu_t[j - 1] * dt_s * du
-        v_new = mu[j - 1] * v_p + nu[j - 1] * v_pp + mu_t[j - 1] * dt_s * dv
-        u_pp, v_pp = u_p, v_p
-        u_p, v_p = u_new, v_new
-        op.apply_constraints(constraints[j - 1], u_p, v_p)
-    return u_p, v_p
+        dy = op.rhs(evals[j - 1], y_p)
+        y_pp, y_p = y_p, mu[j - 1] * y_p + nu[j - 1] * y_pp + mu_t[j - 1] * dt_s * dy
+        op.apply_constraints(constraints[j - 1], y_p)
+    return y_p
 
 
 class _SuperStep:
@@ -523,10 +510,10 @@ class _SuperStep:
     def dt(self):
         return self.active.dt_super
 
-    def refresh(self, t, u, v):
+    def refresh(self, t, y):
         if not self.refresh_lambda:
             return False
-        lam = self.op.gershgorin_lambda_max(t, StateField(u, v, t))
+        lam = self.op.gershgorin_lambda_max(t, StateField(y[0], y[1], t))
         if lam <= self.active.design_lambda:
             return False
         self.active = build_schedule(
@@ -536,12 +523,12 @@ class _SuperStep:
         self.flags["schedule_rebuilds"] += 1
         return True
 
-    def step(self, t, h, t_new, u, v):
-        return self.cycle(self.op, self.active, t, u, v, self.frozen)
+    def step(self, t, h, t_new, y):
+        return self.cycle(self.op, self.active, t, y, self.frozen)
 
-    def land(self, t, h, t_end, u, v):
+    def land(self, t, h, t_end, y):
         landing = self.active.scaled(h / self.active.dt_super)
-        return self.cycle(self.op, landing, t, u, v, self.frozen)
+        return self.cycle(self.op, landing, t, y, self.frozen)
 
 
 def sts_run(

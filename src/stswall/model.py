@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SaturationDomainError
 
 # Saturation-pressure law P_sat(T) = 997.3 ((T - 159.5)/120.6)^8.275 [Pa],
 # valid for T above the 159.5 K pole.
@@ -31,12 +31,12 @@ def saturation_pressure(temperature):
     """Saturation vapor pressure in Pa for a temperature in K.
 
     Accepts a scalar or an array; strictly increasing in temperature.
-    Raises ``ValueError`` for any temperature at or below 159.5 K, where
-    the power law leaves its domain.
+    Raises :class:`SaturationDomainError` (a ``ValueError``) for any
+    temperature at or below 159.5 K, where the power law leaves its domain.
     """
     t = np.asarray(temperature, dtype=float)
     if np.any(t <= SATURATION_T_MIN_K):
-        raise ValueError(
+        raise SaturationDomainError(
             f"saturation_pressure requires T > {SATURATION_T_MIN_K} K, got {temperature!r}"
         )
     p = _SATURATION_SCALE_PA * ((t - SATURATION_T_MIN_K) / _SATURATION_T_DIV_K) ** _SATURATION_EXPONENT

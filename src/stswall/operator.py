@@ -25,9 +25,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dimensionless import DimensionlessGroups
-from .errors import AssemblyError, ConfigError
+from .errors import AssemblyError, ClosureSingularityError, ConfigError
 from .model import (
-    COEFFICIENT_NAMES, BoundaryForcing, Grid1D, SideForcing, StateField, WallAssembly,
+    COEFFICIENT_NAMES, BoundaryForcing, Grid1D, SideForcing, StateField, WallAssembly, _zero,
 )
 
 SourceFn = Callable[[np.ndarray, float], np.ndarray]
@@ -62,7 +62,9 @@ class StabilityEstimate:
 class SemiDiscreteOperator:
     """Right-hand side of the semi-discrete system plus stability helpers.
 
-    The assembled object is immutable apart from ``rhs_evals``; create one
+    States are stacked (2, n) arrays: row 0 holds u, row 1 holds v.  The
+    assembled object is immutable apart from ``rhs_evals``, its RHS work
+    arrays and the boundary sides' last ambient values; create one
     operator per run when marching concurrently.
     """
 
@@ -116,16 +118,31 @@ class SemiDiscreteOperator:
 
         self._all_constant = terms == 1
         self._coeff_cache = None
+        self._factors_fixed = False
         self._matrix_cache = None
         self._rowsum_cache = None
 
-        for side in ("left", "right"):
-            sf = forcing.side(side)
-            biot = self._biot(side)
-            if sf.kind == "robin" and (biot.m_sat > 0 or biot.t_sat > 0) and sf.psat_star is None:
-                raise ConfigError(
-                    f"{side} side uses saturation exchange terms but has no psat_star function"
-                )
+        # RHS work arrays, (2, n) like the state: face j sits in column j
+        # and the last column is unused (zero in cu and cv).  Row-major,
+        # each row step of the state or the fluxes is then one flat
+        # difference; the two differences across the row seam land on
+        # boundary nodes, which the closure overwrites.
+        n = self.n
+        self._grad, self._flux, self._cross, self._cu, self._cv = np.zeros((5, 2, n))
+        self._den = np.full((2, n), self.dx)
+        self._cu_scale = np.array([[1.0], [groups.gamma]])
+        self._cv_scale = np.array([[groups.delta], [1.0]])
+        flux, den = self._flux.ravel(), self._den.ravel()
+        self._work = (self._grad.ravel()[:-1], self._grad, self._grad[0], self._grad[1],
+                      self._flux, self._cross, flux[1:-1], flux[:-2],
+                      np.repeat([groups.fo_t, groups.fo_m], n)[1:-1], den[1:-1])
+        self._ends = (self._flux[:, 0:n - 1:max(n - 2, 1)], self._den[0, ::n - 1])
+
+        # Boundary sides as (node, side, orientation of the face flux).
+        sides = ((0, _BoundarySide("left", forcing.left, groups.biot_left, groups.alpha), 1.0),
+                 (-1, _BoundarySide("right", forcing.right, groups.biot_right, groups.alpha), -1.0))
+        self._robin = [entry for entry in sides if entry[1].robin]
+        self._dirichlet = [(j, side) for j, side, _ in sides if not side.robin]
 
     # -- geometry / classification -------------------------------------------------
 
@@ -133,31 +150,20 @@ class SemiDiscreteOperator:
     def x_nodes(self) -> np.ndarray:
         return self.grid.node_positions
 
-    def _biot(self, side: str):
-        return self.groups.biot_left if side == "left" else self.groups.biot_right
-
     @property
     def is_linear(self) -> bool:
         """True when the state Jacobian is constant (coefficients and exchange)."""
-        if not self._all_constant:
-            return False
-        for side in ("left", "right"):
-            sf = self.forcing.side(side)
-            biot = self._biot(side)
-            if sf.kind == "robin" and (biot.m_sat > 0 or biot.t_sat > 0):
-                return False
-        return True
+        return self._all_constant and not any(side.sat for _, side, _ in self._robin)
 
     # -- coefficients ---------------------------------------------------------------
 
     def _coefficients(self, v: np.ndarray):
         """Face transport coefficients and nodal storage at moisture ``v``.
 
-        Returns ``(faces, rows, c)``: ``faces`` is a (4, n-1) array of the
-        harmonic-mean face values of k_t, k_tm, d_t and d_theta, ``rows``
-        the tuple of its four rows (cheaper to unpack than the array), and
-        ``c`` the nodal storage, averaged over the two half-cells (exact
-        away from interfaces, where both sides share one model).
+        Returns ``(faces, c)``: ``faces`` is a (4, n-1) array of the
+        harmonic-mean face values of k_t, k_tm, d_t and d_theta, and ``c``
+        the nodal storage, averaged over the two half-cells (exact away
+        from interfaces, where both sides share one model).
         """
         if self._coeff_cache is not None:
             return self._coeff_cache
@@ -166,91 +172,78 @@ class SemiDiscreteOperator:
         for row in table[-2::-1]:
             vals = vals * v
             vals += row
-        faces = _harmonic(vals[:4, 1, :-1], vals[:4, 0, 1:])
-        coeffs = faces, tuple(faces), 0.5 * (vals[4, 0] + vals[4, 1])
+        coeffs = _harmonic(vals[:4, 1, :-1], vals[:4, 0, 1:]), 0.5 * (vals[4, 0] + vals[4, 1])
         if self._all_constant:
             self._coeff_cache = coeffs
         return coeffs
 
-    # -- boundary closure -----------------------------------------------------------
-
-    def _inflow(self, side: str, u_b: float, v_b: float, t: float):
-        """Boundary exchange oriented as inflow (drives state toward ambient)."""
-        sf = self.forcing.side(side)
-        biot = self._biot(side)
-        e_m, e_t = _exchange_terms(biot, sf, u_b, v_b, t)
-        s_m, s_t = _source_terms(biot, sf, self.groups.alpha, t)
-        return s_m - e_m, s_t - e_t
-
     # -- right-hand side ------------------------------------------------------------
 
-    def rhs(self, t: float, u: np.ndarray, v: np.ndarray):
-        """Time derivatives (du/dt, dv/dt) at state (u, v) and time t."""
+    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        """Time derivatives of the stacked state ``y`` (row 0 u, row 1 v) at time t.
+
+        Returns a new (2, n) array, so ``du, dv = op.rhs(t, y)`` unpacks.
+        """
         self.rhs_evals += 1
-        g = self.groups
-        dx = self.dx
-        _, (k_t, k_tm, d_t, d_th), c = self._coefficients(v)
-        grad_u = (u[1:] - u[:-1]) / dx
-        grad_v = (v[1:] - v[:-1]) / dx
-        q_m = d_th * grad_v + g.gamma * d_t * grad_u
-        q_t = k_t * grad_u + g.delta * k_tm * grad_v
+        if not self._factors_fixed:
+            # cu = [k_t, gamma d_t] and cv = [delta k_tm, d_theta] turn the u and
+            # v gradients into the heat (row 0) and moisture (row 1) face fluxes;
+            # their divergence is divided by den = [dx c, dx].
+            faces, c = self._coefficients(y[1])
+            np.multiply(faces[0::2], self._cu_scale, out=self._cu[:, :-1])
+            np.multiply(faces[1::2], self._cv_scale, out=self._cv[:, :-1])
+            np.multiply(c, self.dx, out=self._den[0])
+            self._factors_fixed = self._all_constant
+        grad_flat, grad, grad_u, grad_v, flux, cross, flux_hi, flux_lo, fo, den = self._work
+        y_flat = y.ravel()
+        np.subtract(y_flat[1:], y_flat[:-1], out=grad_flat)
+        grad /= self.dx
+        np.multiply(self._cu, grad_u, out=flux)
+        np.multiply(self._cv, grad_v, out=cross)
+        flux += cross
+        out = np.zeros((2, self.n))
+        mid = out.ravel()[1:-1]
+        np.subtract(flux_hi, flux_lo, out=mid)
+        mid *= fo
+        mid /= den
 
-        du_dt = np.empty_like(u)
-        dv_dt = np.empty_like(v)
-        dv_dt[1:-1] = g.fo_m * (q_m[1:] - q_m[:-1]) / dx
-        du_dt[1:-1] = g.fo_t * (q_t[1:] - q_t[:-1]) / (dx * c[1:-1])
-
-        if self.forcing.left.kind == "robin":
-            phi_m, phi_t = self._inflow("left", u[0], v[0], t)
-            dv_dt[0] = g.fo_m * (q_m[0] + phi_m) * 2.0 / dx
-            du_dt[0] = g.fo_t * (q_t[0] + phi_t) * 2.0 / (dx * c[0])
-        else:
-            dv_dt[0] = 0.0
-            du_dt[0] = 0.0
-        if self.forcing.right.kind == "robin":
-            phi_m, phi_t = self._inflow("right", u[-1], v[-1], t)
-            dv_dt[-1] = g.fo_m * (phi_m - q_m[-1]) * 2.0 / dx
-            du_dt[-1] = g.fo_t * (phi_t - q_t[-1]) * 2.0 / (dx * c[-1])
-        else:
-            dv_dt[-1] = 0.0
-            du_dt[-1] = 0.0
-
+        # Robin half-cells: the face flux plus the inflow-oriented closure.
+        if self._robin:
+            g = self.groups
+            u_b, v_b = y[:, ::self.n - 1].tolist()
+            q_t, q_m = self._ends[0].tolist()
+            den_t = self._ends[1].tolist()
+            for j, side, sign in self._robin:
+                s_m, s_t, e_m, e_t = side.terms(t, u_b[j], v_b[j])
+                out[0, j] = g.fo_t * ((s_t - e_t) + sign * q_t[j]) * 2.0 / den_t[j]
+                out[1, j] = g.fo_m * ((s_m - e_m) + sign * q_m[j]) * 2.0 / self.dx
         if self.source_u is not None:
-            du_dt += self.source_u(self.x_nodes, t)
+            out[0] += self.source_u(self.x_nodes, t)
         if self.source_v is not None:
-            dv_dt += self.source_v(self.x_nodes, t)
-        if self.forcing.left.kind == "dirichlet":
-            du_dt[0] = dv_dt[0] = 0.0
-        if self.forcing.right.kind == "dirichlet":
-            du_dt[-1] = dv_dt[-1] = 0.0
-        return du_dt, dv_dt
+            out[1] += self.source_v(self.x_nodes, t)
+        for j, _ in self._dirichlet:
+            out[:, j] = 0.0
+        return out
 
     def rhs_vector(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Stacked-form RHS on y = [u; v], mainly for tests and oracles."""
-        n = self.n
-        du, dv = self.rhs(t, y[:n], y[n:])
-        return np.concatenate([du, dv])
+        """RHS on the flat y = [u; v], mainly for tests and oracles."""
+        return self.rhs(t, y.reshape(2, self.n)).reshape(-1)
 
-    def apply_constraints(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
-        """Overwrite Dirichlet nodes with the imposed values at time t."""
-        if self.forcing.left.kind == "dirichlet":
-            u[0] = self.forcing.left.u_inf(t)
-            v[0] = self.forcing.left.v_inf(t)
-        if self.forcing.right.kind == "dirichlet":
-            u[-1] = self.forcing.right.u_inf(t)
-            v[-1] = self.forcing.right.v_inf(t)
+    def apply_constraints(self, t: float, y: np.ndarray) -> None:
+        """Overwrite the Dirichlet nodes of the stacked state with the imposed values at t."""
+        for j, side in self._dirichlet:
+            y[0, j], y[1, j] = side.ambient(t)[:2]
 
     # -- frozen-coefficient matrix ----------------------------------------------------
 
-    def _exchange_jacobian(self, side: str, u_b: float, v_b: float, t: float):
+    def _exchange_jacobian(self, side, u_b: float, t: float):
         """(dE_M/du, dE_M/dv, dE_T/du, dE_T/dv) of the exchange terms."""
-        biot = self._biot(side)
+        biot = side.biot
         de_m_du = 0.0
         de_t_du = biot.t_t
-        if biot.m_sat > 0 or biot.t_sat > 0:
-            sf = self.forcing.side(side)
+        if side.sat:
             h = 1e-6 * max(abs(u_b), 1.0)
-            dsat = (_sat_excess(biot, sf, u_b + h, t) - _sat_excess(biot, sf, u_b - h, t)) / (2 * h)
+            dsat = (side.sat_excess(t, u_b + h) - side.sat_excess(t, u_b - h)) / (2 * h)
             de_m_du += biot.m_sat * dsat
             de_t_du += biot.t_sat * dsat
         return de_m_du, biot.m_theta, de_t_du, biot.t_theta
@@ -272,7 +265,7 @@ class SemiDiscreteOperator:
             u, v = state.u, state.v
         g = self.groups
         dx = self.dx
-        faces, _, c = self._coefficients(v)
+        faces, c = self._coefficients(v)
         weights = np.empty((3, 4, n))
         weights[:, :, [0, -1]] = 0.0
         lower, diag, upper = weights
@@ -289,16 +282,14 @@ class SemiDiscreteOperator:
         np.multiply(scale * (faces[:, :-1] + faces[:, 1:]), row, out=diag[:, 1:-1])
 
         # Robin rows: half-cell flux plus the exchange Jacobian.
-        for side, b, f in (("left", 0, 0), ("right", n - 1, n - 2)):
-            if self.forcing.side(side).kind != "robin":
-                continue
-            de_m_du, de_m_dv, de_t_du, de_t_dv = self._exchange_jacobian(side, u[b], v[b], t)
+        for b, side, _ in self._robin:
+            de_m_du, de_m_dv, de_t_du, de_t_dv = self._exchange_jacobian(side, u[b], t)
             w_m = g.fo_m * 2.0 / dx
             w_t = g.fo_t * 2.0 / (dx * c[b])
             w = np.array([w_t, w_t, w_m, w_m])
             factor = np.array([1.0, g.delta, g.gamma, 1.0])
-            diag[:, b] = w * (factor * faces[:, f] / dx + [de_t_du, de_t_dv, de_m_du, de_m_dv])
-            (upper if side == "left" else lower)[:, b] = -w * factor * faces[:, f] / dx
+            diag[:, b] = w * (factor * faces[:, b] / dx + [de_t_du, de_t_dv, de_m_du, de_m_dv])
+            (upper if b == 0 else lower)[:, b] = -w * factor * faces[:, b] / dx
         return weights
 
     def frozen_matrix(self, t: float = 0.0, state: Optional[StateField] = None) -> np.ndarray:
@@ -327,11 +318,10 @@ class SemiDiscreteOperator:
         """b(t) with rhs(t, y) = -A y + b(t); only valid for linear operators."""
         if not self.is_linear:
             raise AssemblyError("forcing vector is only defined for linear operators")
-        n = self.n
         evals = self.rhs_evals
-        du, dv = self.rhs(t, np.zeros(n), np.zeros(n))
+        b = self.rhs(t, np.zeros((2, self.n))).reshape(-1)
         self.rhs_evals = evals  # bookkeeping probe, not a marching evaluation
-        return np.concatenate([du, dv])
+        return b
 
     def jacobian_node_blocks(self, t: float = 0.0, state: Optional[StateField] = None):
         """Per-node 2x2 blocks of A coupling (u_j, v_j) to itself.
@@ -381,30 +371,60 @@ def assemble_operator(
     return SemiDiscreteOperator(wall, grid, groups, forcing, **kwargs)
 
 
-def _sat_excess(biot, sf: SideForcing, u_b: float, t: float) -> float:
-    """Saturation-ratio excess (surface minus ambient); 0 when inactive."""
-    if biot.m_sat == 0.0 and biot.t_sat == 0.0:
-        return 0.0
-    if u_b <= 0.0:
-        raise ZeroDivisionError("Robin closure saturation term is singular at boundary u <= 0")
-    u_inf = sf.u_inf(t)
-    if u_inf <= 0.0:
-        raise ZeroDivisionError("ambient u_inf <= 0 in saturation term")
-    return sf.psat_star(u_b) / u_b - sf.psat_inf(t) / u_inf
+class _BoundarySide:
+    """One side's boundary data, resolved at assembly into its live terms.
 
+    The one transcription of the Robin closure.  Never evaluated: the saturation
+    terms unless ``m_sat`` or ``t_sat`` > 0; ``flux_m``, ``flux_t``, ``g_inf`` when
+    they are the model's zero function; radiation when ``alpha * t_g`` is 0; on
+    Dirichlet sides, all but ``u_inf``/``v_inf``.  Ambient values are kept for
+    the last time asked for: a frozen super-step cycle evaluates them once."""
 
-def _exchange_terms(biot, sf: SideForcing, u_b: float, v_b: float, t: float):
-    """Surface-minus-ambient exchange pair (E_M, E_T)."""
-    sat = _sat_excess(biot, sf, u_b, t)
-    dv = v_b - sf.v_inf(t)
-    e_m = biot.m_sat * sat + biot.m_theta * dv
-    e_t = biot.t_t * (u_b - sf.u_inf(t)) + biot.t_sat * sat + biot.t_theta * dv
-    return e_m, e_t
+    def __init__(self, name: str, sf: SideForcing, biot, alpha: float):
+        self.sf, self.biot = sf, biot
+        self.robin = sf.kind == "robin"
+        self.sat = self.robin and (biot.m_sat > 0 or biot.t_sat > 0)
+        if self.sat and sf.psat_star is None:
+            raise ConfigError(f"{name} side uses saturation exchange terms but has no psat_star function")
+        self.rad = alpha * biot.t_g
+        live = [fn if self.robin and fn is not _zero else None for fn in (sf.flux_m, sf.flux_t)]
+        self.flux_m, self.flux_t = live
+        self.g_inf = sf.g_inf if self.robin and self.rad and sf.g_inf is not _zero else None
+        self._t = self._values = None
 
+    def ambient(self, t: float) -> tuple:
+        """(u_inf, v_inf, s_m, s_t, psat_inf / u_inf) at time t."""
+        if t == self._t:
+            return self._values
+        sf = self.sf
+        u_inf, v_inf = sf.u_inf(t), sf.v_inf(t)
+        sat_inf = 0.0
+        if self.sat:
+            if u_inf <= 0.0:
+                raise ClosureSingularityError("ambient u_inf <= 0 in saturation term")
+            sat_inf = sf.psat_inf(t) / u_inf
+        s_m = 0.0 if self.flux_m is None else self.flux_m(t)
+        s_t = ((0.0 if self.flux_t is None else self.flux_t(t))
+               + (0.0 if self.g_inf is None else self.rad * self.g_inf(t)))
+        self._t, self._values = t, (u_inf, v_inf, s_m, s_t, sat_inf)
+        return self._values
 
-def _source_terms(biot, sf: SideForcing, alpha: float, t: float):
-    """Additional flux terms plus absorbed radiation (inflow positive)."""
-    return sf.flux_m(t), sf.flux_t(t) + alpha * biot.t_g * sf.g_inf(t)
+    def sat_excess(self, t: float, u_b: float) -> float:
+        """Saturation-ratio excess (surface minus ambient); 0 when inactive."""
+        if not self.sat:
+            return 0.0
+        if u_b <= 0.0:
+            raise ClosureSingularityError("saturation term is singular at boundary u <= 0")
+        return self.sf.psat_star(u_b) / u_b - self.ambient(t)[4]
+
+    def terms(self, t: float, u_b: float, v_b: float) -> tuple:
+        """(s_m, s_t, e_m, e_t) at surface values (u_b, v_b) and time t."""
+        b = self.biot
+        sat = self.sat_excess(t, u_b)
+        u_inf, v_inf, s_m, s_t, _ = self.ambient(t)
+        dv = v_b - v_inf
+        return (s_m, s_t, b.m_sat * sat + b.m_theta * dv,
+                b.t_t * (u_b - u_inf) + b.t_sat * sat + b.t_theta * dv)
 
 
 def apply_robin_closure(
@@ -426,8 +446,8 @@ def apply_robin_closure(
         raise ConfigError(f"{side} side is not a Robin boundary")
     biot = groups.biot_left if side == "left" else groups.biot_right
     b = 0 if side == "left" else state.u.size - 1
-    e_m, e_t = _exchange_terms(biot, sf, float(state.u[b]), float(state.v[b]), t)
-    s_m, s_t = _source_terms(biot, sf, groups.alpha, t)
+    s_m, s_t, e_m, e_t = _BoundarySide(side, sf, biot, groups.alpha).terms(
+        t, float(state.u[b]), float(state.v[b]))
     return s_m + e_m, s_t + e_t
 
 

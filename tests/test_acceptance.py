@@ -291,7 +291,7 @@ def test_criterion_10_discretization_verification():
 
     total0 = trapezoid(v)
     for _ in range(1000):
-        du, dv = op.rhs(0.0, u, v)
+        du, dv = op.rhs(0.0, np.stack([u, v]))
         u += dt * du
         v += dt * dv
     drift = abs(trapezoid(v) - total0)

@@ -1,7 +1,10 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,3 +360,20 @@ class TestCli:
         assert code == 0
         assert (out / "sweep.csv").exists()
         assert "slope" in capsys.readouterr().out
+
+
+def test_traced_benchmark_counts(tmp_path):
+    """The benchmark's tracer wraps ``rhs``, ``apply_constraints``, the
+    integrators and the forcing fields by name; a signature change that
+    broke its per-layer split would change these counts."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "worker.py"), "--workload", "verify",
+         "--seed", "1", "--trace", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=600, check=True)
+    layers = json.loads(proc.stdout.strip().splitlines()[-1])["layers"]
+    assert layers["operator.rhs.calls"] == 43730
+    assert layers["operator.apply_constraints.calls"] == 43730
+    assert layers["integrators.steps"] == 43471
+    assert layers["integrators.observe.calls"] == 1475

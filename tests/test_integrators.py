@@ -387,3 +387,38 @@ def test_step_reaching_tau_is_always_observed():
     assert report.n_steps == 4
     assert seen == [0.0, 0.75, 1.0]
     assert [s.time for s in report.trajectory] == [0.0, 0.75, 1.0]
+
+
+def test_frozen_cycle_reads_dirichlet_data_once_per_time():
+    # A frozen rkl cycle imposes its start values on n_s - 1 stages and its
+    # end values on the last: each ambient function runs once per distinct
+    # time, not once per stage.
+    calls = {"u": [], "v": []}
+
+    def counting(name, value):
+        def fn(t):
+            calls[name].append(t)
+            return value
+        return fn
+
+    side = SideForcing.dirichlet(counting("u", 0.5), counting("v", 0.25))
+    other = SideForcing.dirichlet(lambda t: 1.0, lambda t: 1.0)
+    mat = CoefficientModel.constants("mat", 1.0, 0.0, 1.0, 1.0, 0.0)
+    op = assemble_operator(build_wall([(mat, 1.0)]), Grid1D.uniform(1.0, 9),
+                           DimensionlessGroups(fo_m=1.0, fo_t=1.0), BoundaryForcing(side, other))
+    imposed = []
+    apply_constraints = op.apply_constraints
+
+    def recording(t, y):
+        imposed.append(t)
+        apply_constraints(t, y)
+
+    op.apply_constraints = recording
+    sch = build_schedule("rkl", 8, 2.0 / op.gershgorin_lambda_max())
+    report = sts_run(op, ones_state(9), sch, tau=3 * sch.dt_super, stage_forcing="frozen")
+    assert report.n_steps == 3 and len(imposed) == 3 * 8
+    distinct = list(dict.fromkeys(imposed))
+    assert len(distinct) <= 2 * 3
+    assert calls["u"] == calls["v"] == distinct
+    assert report.final_state.u[0] == 0.5 and report.final_state.v[0] == 0.25
+

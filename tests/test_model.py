@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stswall.errors import ConfigError
+from stswall.errors import ConfigError, StswallError
 from stswall.model import (
     BiotSet, CoefficientModel, Grid1D, SideForcing, StateField,
     build_wall, builtin_material, evaluate_coefficients, saturation_pressure,
@@ -25,6 +25,12 @@ class TestSaturationPressure:
             saturation_pressure(159.5)
         with pytest.raises(ValueError):
             saturation_pressure(100.0)
+
+    def test_domain_error_is_a_package_error(self):
+        # a ValueError for callers that catch it, a StswallError for the CLI
+        with pytest.raises(StswallError) as err:
+            saturation_pressure(np.array([300.0, 150.0]))
+        assert isinstance(err.value, ValueError)
 
     def test_vectorized(self):
         out = saturation_pressure(np.array([280.1, 293.15]))

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from stswall.config import parse_time_function
 from stswall.dimensionless import DimensionlessGroups
-from stswall.errors import AssemblyError, ConfigError
+from stswall.errors import AssemblyError, ConfigError, StswallError
 from stswall.model import (
     COEFFICIENT_NAMES, BiotSet, BoundaryForcing, CoefficientModel, Grid1D, SideForcing,
     StateField, build_wall, builtin_material, saturation_pressure,
@@ -115,10 +117,10 @@ class TestInteriorStencil:
         op = single_layer_op(n=11, kind="robin", biot=BiotSet(m_theta=2.0, t_t=3.0))
         u = 1.0 + 0.1 * np.sin(np.linspace(0, 3, 11))
         v = 1.0 + 0.1 * np.cos(np.linspace(0, 3, 11))
-        du0, dv0 = op.rhs(0.0, u, v)
-        du1, dv1 = op.rhs(0.0, u, v + 0.05)        # perturb moisture only
+        du0, dv0 = op.rhs(0.0, np.stack([u, v]))
+        du1, dv1 = op.rhs(0.0, np.stack([u, v + 0.05]))        # perturb moisture only
         assert du1 == pytest.approx(du0, abs=1e-15)
-        du2, dv2 = op.rhs(0.0, u + 0.05, v)        # perturb temperature only
+        du2, dv2 = op.rhs(0.0, np.stack([u + 0.05, v]))        # perturb temperature only
         assert dv2 == pytest.approx(dv0, abs=1e-15)
 
     def test_five_node_two_layer_matrix_against_hand_assembly(self):
@@ -224,7 +226,7 @@ class TestRobinClosure:
         v = np.ones(6)
         u[0] = 1.2
         v[0] = 1.3
-        du, dv = op.rhs(0.0, u, v)
+        du, dv = op.rhs(0.0, np.stack([u, v]))
         assert du[0] < 0
         assert dv[0] < 0
 
@@ -235,7 +237,7 @@ class TestRobinClosure:
         mat = CoefficientModel.constants("m", 0.1, 0.0, 1.0, 0.1, 0.0)
         op = assemble_operator(build_wall([(mat, 1.0)]), Grid1D.uniform(1.0, 6),
                                groups, BoundaryForcing(sun, sun))
-        du, dv = op.rhs(0.0, np.ones(6), np.ones(6))
+        du, dv = op.rhs(0.0, np.ones((2, 6)))
         assert du[0] > 0 and du[-1] > 0
 
     def test_singular_below_zero_boundary_temperature(self):
@@ -247,6 +249,16 @@ class TestRobinClosure:
         state = StateField(np.full(4, -0.5), np.ones(4))
         with pytest.raises(ZeroDivisionError):
             apply_robin_closure("left", state, 0.0, groups, forcing)
+
+    def test_singular_closure_is_a_package_error(self):
+        groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0, biot_left=BiotSet(t_sat=1.0))
+        side = SideForcing.robin(lambda t: -1.0, lambda t: 1.0,
+                                 psat_inf=lambda t: 1.0, psat_star=lambda u: u ** 2)
+        forcing = BoundaryForcing(side, constant_forcing())
+        with pytest.raises(StswallError) as err:
+            apply_robin_closure("left", StateField(np.ones(4), np.ones(4)), 0.0, groups, forcing)
+        assert isinstance(err.value, ZeroDivisionError)
+        assert "ambient" in str(err.value)
 
     def test_closure_requires_robin_side(self):
         groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0)
@@ -388,7 +400,7 @@ class TestConservation:
 
         total0 = trapezoid(v)
         for _ in range(1000):
-            du, dv = op.rhs(0.0, u, v)
+            du, dv = op.rhs(0.0, np.stack([u, v]))
             u += dt * du
             v += dt * dv
         drift = abs(trapezoid(v) - total0)
@@ -406,7 +418,7 @@ class TestConservation:
         a = op.frozen_matrix()
         b = op.forcing_vector(0.0)
         y = np.zeros(2 * op.n)
-        op.apply_constraints(0.0, y[:op.n], y[op.n:])
+        op.apply_constraints(0.0, y.reshape(2, op.n))
         pinned = [0, op.n - 1, op.n, 2 * op.n - 1]
         free = [i for i in range(2 * op.n) if i not in pinned]
         sub = a[np.ix_(free, free)]
@@ -435,8 +447,8 @@ class TestSources:
         )
         u = 1.0 + 0.1 * np.sin(grid.node_positions)
         v = np.ones(6)
-        du0, dv0 = op_plain.rhs(3.0, u, v)
-        du1, dv1 = op_src.rhs(3.0, u, v)
+        du0, dv0 = op_plain.rhs(3.0, np.stack([u, v]))
+        du1, dv1 = op_src.rhs(3.0, np.stack([u, v]))
         assert du1 == pytest.approx(du0 + 2.0)
         assert dv1 == pytest.approx(dv0 + grid.node_positions * 3.0)
 
@@ -458,7 +470,7 @@ class TestFaceTables:
         op = physical_op(layout)
         state = in_box_state(op.n, 23)
         u, v = state.u, state.v
-        faces, _, c = op._coefficients(v)
+        faces, c = op._coefficients(v)
         face_layer = op.wall.face_layer_indices(op.grid)
         node_layer = op.wall.node_layer_indices(op.grid)
         for f in range(op.n - 1):
@@ -473,3 +485,130 @@ class TestFaceTables:
             if left == right:
                 assert c[j] == op.wall.layers[node_layer[j]][0].c_t(u[j], v[j])
             assert c[j] == 0.5 * (left + right)
+
+
+def per_row_rhs(op, t, u, v):
+    """Independent per-row transcription of the semi-discrete RHS: the
+    separate u/v fluxes and the Robin closure written out term by term."""
+    g = op.groups
+    dx = op.dx
+    faces, c = op._coefficients(v)
+    k_t, k_tm, d_t, d_th = faces
+    grad_u = (u[1:] - u[:-1]) / dx
+    grad_v = (v[1:] - v[:-1]) / dx
+    q_m = d_th * grad_v + g.gamma * d_t * grad_u
+    q_t = k_t * grad_u + g.delta * k_tm * grad_v
+    du = np.zeros_like(u)
+    dv = np.zeros_like(v)
+    dv[1:-1] = g.fo_m * (q_m[1:] - q_m[:-1]) / dx
+    du[1:-1] = g.fo_t * (q_t[1:] - q_t[:-1]) / (dx * c[1:-1])
+    for side, j in (("left", 0), ("right", -1)):
+        sf = op.forcing.side(side)
+        if sf.kind != "robin":
+            continue
+        biot = g.biot_left if side == "left" else g.biot_right
+        u_b, v_b = u[j], v[j]
+        sat = 0.0
+        if biot.m_sat > 0 or biot.t_sat > 0:
+            sat = sf.psat_star(u_b) / u_b - sf.psat_inf(t) / sf.u_inf(t)
+        d_v = v_b - sf.v_inf(t)
+        e_m = biot.m_sat * sat + biot.m_theta * d_v
+        e_t = biot.t_t * (u_b - sf.u_inf(t)) + biot.t_sat * sat + biot.t_theta * d_v
+        phi_m = sf.flux_m(t) - e_m
+        phi_t = sf.flux_t(t) + g.alpha * biot.t_g * sf.g_inf(t) - e_t
+        if side == "left":
+            dv[j] = g.fo_m * (q_m[j] + phi_m) * 2.0 / dx
+            du[j] = g.fo_t * (q_t[j] + phi_t) * 2.0 / (dx * c[j])
+        else:
+            dv[j] = g.fo_m * (phi_m - q_m[j]) * 2.0 / dx
+            du[j] = g.fo_t * (phi_t - q_t[j]) * 2.0 / (dx * c[j])
+    return du, dv
+
+
+def verification_forcing():
+    return BoundaryForcing(
+        SideForcing.robin(parse_time_function("1 + (3/5)*sin(2*pi*t/5)**2"),
+                          parse_time_function("1 + (1/5)*sin(2*pi*t/2)**2")),
+        SideForcing.robin(parse_time_function("1 + (1/2)*sin(2*pi*t/3)**2"),
+                          parse_time_function("1 + (9/10)*sin(2*pi*t/6)**2")),
+    )
+
+
+def verification_op(forcing):
+    groups = DimensionlessGroups(
+        **TABLE1_GROUPS,
+        biot_left=BiotSet(m_theta=25.5, t_t=50.5, t_theta=0.496),
+        biot_right=BiotSet(m_theta=51.8, t_t=19.8, t_theta=0.673),
+    )
+    wall = build_wall([(builtin_material("table1_mat1"), 0.6),
+                       (builtin_material("table1_mat2"), 0.4)])
+    return assemble_operator(wall, Grid1D.uniform(1.0, 101), groups, forcing)
+
+
+def physical_op_n(layout, sides, n):
+    """:func:`physical_op` on ``n`` nodes instead of dx = 5 mm."""
+    op = physical_op(layout, sides)
+    return assemble_operator(op.wall, Grid1D.uniform(op.wall.total_length, n),
+                             op.groups, op.forcing)
+
+
+class TestStackedState:
+    @pytest.mark.parametrize("n", [126, 1001])
+    @pytest.mark.parametrize("layout", [INS_RE, RE_INS, [("re", 0.5)]],
+                             ids=["ins_re", "re_ins", "re"])
+    @pytest.mark.parametrize("sides", ["dirichlet", "robin"])
+    def test_rhs_equals_per_row_transcription(self, layout, sides, n):
+        op = physical_op_n(layout, sides, n)
+        for seed, t in ((3, 0.0), (4, 2.5)):
+            state = in_box_state(n, seed)
+            got = op.rhs(t, np.stack([state.u, state.v]))
+            assert got.shape == (2, n)
+            for row, want in zip(got, per_row_rhs(op, t, state.u, state.v)):
+                assert np.array_equal(row, want)
+
+    def test_linear_rhs_equals_per_row_transcription(self):
+        op = verification_op(verification_forcing())
+        rng = np.random.default_rng(5)
+        for t in (0.0, 0.37, 1.25):
+            u, v = 1.0 + 0.3 * rng.random((2, op.n))
+            got = op.rhs(t, np.stack([u, v]))
+            for row, want in zip(got, per_row_rhs(op, t, u, v)):
+                assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("case", ["verification", "saturating_robin"])
+    def test_wrapped_forcing_gives_identical_rhs(self, case):
+        # Wrapped as the benchmark tracer wraps them: pass-through callables
+        # in place of every field, the model's zero function among them.
+        def passthrough(fn):
+            return lambda t: fn(t)
+
+        def wrapped(sf):
+            fields = ("u_inf", "v_inf", "psat_inf", "g_inf", "flux_m", "flux_t")
+            return dataclasses.replace(sf, **{f: passthrough(getattr(sf, f)) for f in fields})
+
+        if case == "verification":
+            forcing = verification_forcing()
+            plain = verification_op(forcing)
+            traced = verification_op(BoundaryForcing(wrapped(forcing.left),
+                                                     wrapped(forcing.right)))
+            ys = [np.stack(s) for s in 1.0 + 0.3 * np.random.default_rng(6).random((3, 2, plain.n))]
+        else:
+            plain = physical_op(INS_RE, "robin")
+            traced = assemble_operator(
+                plain.wall, plain.grid, plain.groups,
+                BoundaryForcing(wrapped(plain.forcing.left), wrapped(plain.forcing.right)))
+            ys = [np.stack([s.u, s.v]) for s in (in_box_state(plain.n, k) for k in range(3))]
+        assert any(f is not None for _, side, _ in traced._robin
+                   for f in (side.flux_m, side.flux_t))
+        for t, y in zip((0.0, 0.4, 1.25), ys):
+            assert np.array_equal(traced.rhs(t, y), plain.rhs(t, y))
+
+    def test_rhs_leaves_state_alone_and_returns_new_array(self):
+        op = physical_op(INS_RE, "robin")
+        state = in_box_state(op.n, 8)
+        y = np.stack([state.u, state.v])
+        before = y.copy()
+        first = op.rhs(0.0, y)
+        second = op.rhs(0.0, y)
+        assert first is not second and np.array_equal(first, second)
+        assert np.array_equal(y, before)

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 import textwrap
 
 import numpy as np
 import pytest
 
+from stswall import cases
 from stswall.config import CaseConfig, load_config, parse_duration, parse_time_function
 from stswall.errors import ConfigError, IngestionError
+from stswall.model import BoundaryForcing, _zero
+from stswall.operator import assemble_operator
 from stswall.series import (
     ingest_boundary_series, synthetic_climate_values, write_synthetic_climate,
 )
@@ -132,6 +136,41 @@ class TestExpressions:
         with pytest.raises(ConfigError):
             parse_time_function("1 +")
 
+    @pytest.mark.parametrize("expr", [
+        # names inside a nested lambda never reach a check of co_names
+        "(lambda: ().__class__.__base__.__subclasses__().__len__())()",
+        "t.real", "(1.5).hex()", "[t][0]", "t[0]", "{'a': t}['a']",
+        "[x for x in (t,)][0]", "sum(x for x in (t,))", "{x for x in (t,)}",
+        "t if t else 1", "t < 1", "1j", "'t'", "True", "sin(x=t)", "sin(*[t])",
+        "float(t)", "sin", "x", "(t := 1)",
+    ])
+    def test_outside_grammar_rejected_at_parse(self, expr):
+        with pytest.raises(ConfigError):
+            parse_time_function(expr)
+
+    def test_too_deep_nesting_rejected_at_parse(self):
+        for expr in ("t+" * 3000 + "t", "-" * 100000 + "t"):
+            with pytest.raises(ConfigError):
+                parse_time_function(expr)
+
+    def test_overflowing_constant_rejected_at_parse(self):
+        # literals are floats, so the tower overflows at once instead of
+        # building an integer with hundreds of millions of digits
+        for expr in ("9**9**9", "t + 9**9**9", "sin(t) * (-9)**9**9", "1/0"):
+            with pytest.raises(ConfigError):
+                parse_time_function(expr)
+
+    def test_float_literals_keep_the_values_of_python_arithmetic(self):
+        namespace = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt,
+                     "log": math.log, "abs": abs, "pi": math.pi}
+        exprs = ("1 + (3/5)*sin(2*pi*t/5)**2", "1 + (9/10)*sin(2*pi*t/6)**2",
+                 "2**-3 * t - 7 % 3 + abs(-t)", "-(t/3)**3 + sqrt(2) * exp(-t) / log(10)")
+        for expr in exprs:
+            fn = parse_time_function(expr)
+            for t in (0.0, 0.37, 1.25, np.float64(2.4), 1e5):
+                want = float(eval(expr, {"__builtins__": {}}, {**namespace, "t": t}))
+                assert fn(t) == want
+
 
 class TestDurations:
     @pytest.mark.parametrize("text,expected", [
@@ -217,6 +256,73 @@ class TestConfigFile:
         assert cfg.forcing_left.u_inf(0.75) == pytest.approx(1.5)
         assert cfg.forcing_right.kind == "dirichlet"
         assert cfg.forcing_right.u_inf(50.0) == pytest.approx(1.1)
+
+    def test_absent_robin_terms_resolve_away(self, tmp_path):
+        cfg_path = tmp_path / "case.ini"
+        cfg_path.write_text(textwrap.dedent("""\
+            [case]
+            kind = custom
+
+            [grid]
+            dx = 0.1
+
+            [time]
+            tau = 0.01
+            dt_euler = 1e-4
+
+            [groups]
+            fo_m = 0.09
+            fo_t = 0.07
+            gamma = 0.07
+            delta = 0.05
+            alpha = 0.3
+
+            [biot.left]
+            m_theta = 25.5
+            t_t = 50.5
+            t_g = 2.0
+
+            [biot.right]
+            m_theta = 51.8
+            t_t = 19.8
+
+            [materials]
+            m1 = table1_mat1
+
+            [wall]
+            layers = m1:1.0
+
+            [forcing.left]
+            kind = robin
+            u = 1 + 0.5*sin(2*pi*t/3)**2
+
+            [forcing.right]
+            kind = robin
+            v = 1.2
+            flux_t = 0.1*t
+        """))
+        cfg = load_config(cfg_path)
+        left, right = cfg.forcing_left, cfg.forcing_right
+        for key in ("psat_inf", "g_inf", "flux_m", "flux_t"):
+            assert getattr(left, key) is _zero
+        assert right.flux_t is not _zero and right.flux_m is _zero
+        wall, grid, state0 = cases._build_domain(cfg)
+        op = assemble_operator(wall, grid, cfg.groups, BoundaryForcing(left, right))
+        (_, left_side, _), (_, right_side, _) = op._robin
+        assert (left_side.flux_m, left_side.flux_t, left_side.g_inf) == (None, None, None)
+        assert right_side.flux_t is right.flux_t
+
+        # The parser used to fill every absent key with the expression "0".
+        def spelled_out(sf):
+            return dataclasses.replace(sf, **{key: parse_time_function("0") for key in
+                                              ("psat_inf", "g_inf", "flux_m", "flux_t")
+                                              if getattr(sf, key) is _zero})
+
+        before = assemble_operator(wall, grid, cfg.groups,
+                                   BoundaryForcing(spelled_out(left), spelled_out(right)))
+        y = np.stack([state0.u, state0.v]) + np.linspace(0.0, 0.2, grid.node_count)
+        for t in (0.0, 0.4, 1.3):
+            assert np.array_equal(op.rhs(t, y), before.rhs(t, y))
 
     def test_missing_case_section(self, tmp_path):
         path = tmp_path / "bad.ini"
