@@ -11,7 +11,7 @@ from .errors import (
 )
 from .integrators import (
     RunReport, SuperStepSchedule, amplification_eval, build_schedule,
-    dufort_frankel_run, euler_run, sts_run,
+    dufort_frankel_run, euler_run, rk4_run, sts_run,
 )
 from .metrics import (
     ComparisonRecord, drying_rate, error_norms, ratios, scd,

@@ -4,7 +4,7 @@ Three entry points mirror the two studies plus a parameter sweep:
 
 * :func:`run_verification_case` -- constant-coefficient two-layer wall in
   dimensionless form with periodic Robin forcing, all four schemes
-  compared against a refined-step Euler reference.
+  compared against a classical RK4 reference on the same grid.
 * :func:`run_physical_case` -- dimensional rammed-earth drying over a year
   for three layer configurations under Dirichlet climate data.
 * :func:`run_ns_sweep` -- super-step count sweep on the verification setup.
@@ -33,7 +33,7 @@ import numpy as np
 from .config import PHYSICAL_LAYOUTS, CaseConfig, parse_time_function
 from .dimensionless import DimensionlessGroups
 from .errors import ConfigError, DivergenceError
-from .integrators import build_schedule, euler_run, dufort_frankel_run, sts_run
+from .integrators import build_schedule, euler_run, dufort_frankel_run, rk4_run, sts_run
 from .metrics import (
     ComparisonRecord, drying_rate, error_norms, failure_record, ratios,
     scd_value, total_moisture, write_comparison_csv,
@@ -337,22 +337,17 @@ class _ReferenceTrajectory:
     interpolable in time."""
 
     def __init__(self, states):
-        if len(states) < 2:
-            raise ConfigError("reference trajectory needs at least two samples")
         self.times = np.array([s.time for s in states])
-        self.u = np.stack([s.u for s in states])
-        self.v = np.stack([s.v for s in states])
+        self.y = np.stack([(s.u, s.v) for s in states])
 
-    def at(self, t: float):
+    def at(self, t: float) -> np.ndarray:
+        """The (2, n) reference state at time t."""
         ts = self.times
         k = int(np.searchsorted(ts, t))
-        if k <= 0:
-            return self.u[0], self.v[0]
-        if k >= ts.size:
-            return self.u[-1], self.v[-1]
+        if not 0 < k < ts.size:
+            return self.y[0 if k <= 0 else -1]
         w = (t - ts[k - 1]) / (ts[k] - ts[k - 1])
-        return ((1.0 - w) * self.u[k - 1] + w * self.u[k],
-                (1.0 - w) * self.v[k - 1] + w * self.v[k])
+        return (1.0 - w) * self.y[k - 1] + w * self.y[k]
 
 
 class _ErrorTracker:
@@ -404,14 +399,26 @@ def _sample_stride(dt: float, tau: float) -> int:
     return max(1, round(tau / _REFERENCE_SAMPLES / dt))
 
 
-def _euler_reference(cfg, wall, grid, forcing, groups, state0):
-    """Euler run at a tenth of the Euler step, sampled in time for
-    trajectory-wide errors."""
+def _oracle(cfg, wall, grid, forcing, groups, state0, check=False):
+    """(report, gap) of the RK4 reference, sampled in time for trajectory-wide
+    errors.  Its step h is twice the Euler step while ``h * lambda_max`` stays
+    within 2.5 (RK4 is stable to 2.785), else the Euler step.  With ``check``, a
+    run at h/2 gives the step-doubling (Richardson) estimate of its final-state
+    error, ``gap = (16/15) max|y_h - y_{h/2}|``."""
     if cfg.dt_euler is None:
-        raise ConfigError("the Euler reference needs an explicit dt_euler")
-    dt_ref = cfg.dt_euler / 10.0
-    return euler_run(_fresh_operator(cfg, wall, grid, forcing, groups), state0, dt_ref,
-                     cfg.tau, sample_every=_sample_stride(dt_ref, cfg.tau))
+        raise ConfigError("the RK4 reference needs an explicit dt_euler")
+    op = _fresh_operator(cfg, wall, grid, forcing, groups)
+    lam = op.gershgorin_lambda_max(0.0, state0)
+    h = 2.0 * cfg.dt_euler if 2.0 * cfg.dt_euler * lam <= 2.5 else cfg.dt_euler
+    report = rk4_run(op, state0, h, cfg.tau, sample_every=_sample_stride(h, cfg.tau))
+    if not check:
+        return report, None
+    half = rk4_run(_fresh_operator(cfg, wall, grid, forcing, groups), state0, h / 2.0, cfg.tau)
+    ref, fine = report.final_state, half.final_state
+    gap = 16.0 / 15.0 * float(np.max(np.abs([fine.u - ref.u, fine.v - ref.v])))
+    if gap > 1e-5:
+        logger.warning("reference self-check: Richardson gap %.3e exceeds 1e-5", gap)
+    return report, gap
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +440,8 @@ class VerificationResult:
 
 
 def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
-    """Run the scheme comparison against a refined-step Euler reference."""
+    """Run the scheme comparison against the RK4 reference of :func:`_oracle`,
+    self-checked by step doubling when ``cfg.reference_check`` is set."""
     cfg.validate()
     if cfg.groups is None:
         raise ConfigError("verification case needs dimensionless groups")
@@ -441,35 +449,19 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
     forcing = BoundaryForcing(cfg.forcing_left, cfg.forcing_right)
     groups = cfg.groups
 
-    # The Euler reference, cross-checked by a half-step Richardson run when
-    # enabled.
-    ref_report = _euler_reference(cfg, wall, grid, forcing, groups, state0)
-    dt_ref = ref_report.dt
-    reference = ref_report.final_state
-    ref_traj = _ReferenceTrajectory(ref_report.trajectory) if cfg.tau > 0 else None
-    richardson_gap = None
-    if cfg.reference_check and cfg.tau > 0:
-        half_op = _fresh_operator(cfg, wall, grid, forcing, groups)
-        half = euler_run(half_op, state0, dt_ref / 2.0, cfg.tau).final_state
-        richardson_gap = 2.0 * max(
-            float(np.max(np.abs(half.u - reference.u))),
-            float(np.max(np.abs(half.v - reference.v))),
-        )
-        if richardson_gap > 1e-5:
-            logger.warning("reference self-check: Richardson gap %.3e exceeds 1e-5", richardson_gap)
+    ref_report, richardson_gap = _oracle(cfg, wall, grid, forcing, groups, state0, cfg.reference_check)
+    ref_traj = _ReferenceTrajectory(ref_report.trajectory)
 
     schedules = {}
     reports = {}
     trackers = {}
     failures = {}
     for scheme in cfg.schemes:
-        dt_scheme = {"euler": cfg.dt_euler, "df": cfg.dt_df}.get(scheme) or _base_step(cfg)
-        tracker = _ErrorTracker(ref_traj, grid.spacing) if ref_traj is not None else None
-        run_every = _sample_stride(dt_scheme, cfg.tau)
+        tracker = _ErrorTracker(ref_traj, grid.spacing)
         try:
             reports[scheme] = _run_one_scheme(
-                scheme, cfg, wall, grid, forcing, groups, state0, cfg.tau,
-                schedules=schedules, observe=tracker, observe_every=run_every,
+                scheme, cfg, wall, grid, forcing, groups, state0, cfg.tau, schedules=schedules,
+                observe=tracker, observe_every=_sample_stride(_scheme_step(scheme, cfg), cfg.tau),
             )
             trackers[scheme] = tracker
         except DivergenceError as exc:
@@ -484,11 +476,7 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
             continue
         baseline = euler_report if euler_report is not None else reports[scheme]
         rec = ratios(reports[scheme], baseline, cfg.tau_days)
-        if trackers[scheme] is not None:
-            trackers[scheme].fill(rec)
-        else:
-            rec.eps2_u = rec.eps2_v = rec.epsinf_u = rec.epsinf_v = 0.0
-            rec.scd_u = rec.scd_v = 16.0
+        trackers[scheme].fill(rec)
         records.append(rec)
 
     trajectories = {}
@@ -499,7 +487,7 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
 
     manifest = _manifest_stub(cfg, {
         "schedules": schedules,
-        "reference": {"dt": dt_ref, "richardson_gap": richardson_gap},
+        "reference": {"dt": ref_report.dt, "richardson_gap": richardson_gap},
         "runs": {name: rep.describe() for name, rep in reports.items()},
         "failures": failures,
     })
@@ -508,7 +496,7 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
         op = _fresh_operator(cfg, wall, grid, forcing, groups)
         if op.is_linear:
             op.dump_matrix(os.path.join(out_dir, "operator_matrix.txt"))
-    return VerificationResult(records=records, reports=reports, reference=reference,
+    return VerificationResult(records=records, reports=reports, reference=ref_report.final_state,
                               grid=grid, manifest=manifest, failures=failures)
 
 
@@ -544,8 +532,7 @@ def run_ns_sweep(cfg: CaseConfig, ns_list=None, out_dir=None) -> SweepResult:
     forcing = BoundaryForcing(cfg.forcing_left, cfg.forcing_right)
     groups = cfg.groups
 
-    ref_traj = _ReferenceTrajectory(
-        _euler_reference(cfg, wall, grid, forcing, groups, state0).trajectory)
+    ref_traj = _ReferenceTrajectory(_oracle(cfg, wall, grid, forcing, groups, state0)[0].trajectory)
     euler_report = _run_one_scheme("euler", cfg, wall, grid, forcing, groups, state0, cfg.tau)
 
     rows = []
@@ -795,6 +782,4 @@ def run_custom_case(cfg: CaseConfig, out_dir) -> VerificationResult:
     """Config-driven run reusing the verification machinery."""
     if cfg.forcing_left is None or cfg.forcing_right is None:
         raise ConfigError("custom cases need [forcing.left] and [forcing.right]")
-    if cfg.dt_euler is None:
-        raise ConfigError("custom cases need dt_euler")
     return run_verification_case(cfg, out_dir)

@@ -69,19 +69,33 @@ def _forcing_node(node, expr: str):
     return ast.Constant(value)
 
 
+# The compiled forcing function; its ``float(0)`` is replaced by the expression.
+_FORCING_SOURCE = """def forcing(t):
+    try:
+        return float(0)
+    except errors as exc:
+        raise ConfigError(f"forcing expression {expr!r} fails at t={t!r}: {exc}") from None
+"""
+
+
 def parse_time_function(expr: str):
     """Compile a closed-form forcing expression of ``t`` into a function.
 
     Allowed: numbers (read as floats), ``t``, ``pi``, ``+ - * / % **`` and positional
     calls of :data:`_EXPR_FUNCTIONS`; anything else, or a constant part that
-    overflows, is a :class:`ConfigError`."""
-    tree = ast.parse("lambda t: float(0)", mode="eval")
+    overflows, is a :class:`ConfigError`.  So is a value the function fails to
+    compute at some ``t`` (``log(0)``, ``1/0``, a complex power, an overflow)."""
+    tree = ast.parse(_FORCING_SOURCE)
     try:
-        tree.body.body.args = [_forcing_node(ast.parse(expr, mode="eval").body, expr)]
-        code = compile(ast.fix_missing_locations(tree), "<forcing>", "eval")
+        body = _forcing_node(ast.parse(expr, mode="eval").body, expr)
+        tree.body[0].body[0].body[0].value.args = [body]
+        code = compile(ast.fix_missing_locations(tree), "<forcing>", "exec")
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise ConfigError(f"bad forcing expression {expr!r}: {exc}") from None
-    fn = eval(code, {"__builtins__": {"float": float}, **_EXPR_FUNCTIONS})
+    namespace = {"__builtins__": {"float": float}, **_EXPR_FUNCTIONS, "expr": expr,
+                 "errors": (ArithmeticError, ValueError, TypeError), "ConfigError": ConfigError}
+    exec(code, namespace)
+    fn = namespace["forcing"]
     fn.expression = expr
     return fn
 

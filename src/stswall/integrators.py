@@ -1,5 +1,6 @@
-"""Time marching: explicit Euler, Du Fort-Frankel, and the two
-super-time-stepping schemes built on Chebyshev and Legendre recursions.
+"""Time marching: explicit Euler, Du Fort-Frankel, the two
+super-time-stepping schemes built on Chebyshev and Legendre recursions, and
+classical RK4 for the reference solutions.
 
 A super-step cycle runs ``n_s`` cheap inner stages whose envelope is
 stable only at the cycle end, which lets the outer step exceed the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,40 +72,21 @@ class SuperStepSchedule:
         """Same stage structure with all times shrunk by ``factor`` <= 1."""
         if not 0 < factor <= 1.0:
             raise ConfigError("schedule scaling factor must be in (0, 1]")
-        return SuperStepSchedule(
-            scheme=self.scheme,
-            n_s=self.n_s,
-            dt_exp=self.dt_exp * factor,
-            dt_super=self.dt_super * factor,
-            damping=self.damping,
+        return replace(
+            self, dt_exp=self.dt_exp * factor, dt_super=self.dt_super * factor,
             stage_state_offsets=self.stage_state_offsets * factor,
             stage_steps=None if self.stage_steps is None else self.stage_steps * factor,
-            rkl_mu=self.rkl_mu,
-            rkl_nu=self.rkl_nu,
-            rkl_mu_tilde=self.rkl_mu_tilde,
         )
 
     def describe(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "n_s": self.n_s,
-            "dt_exp": self.dt_exp,
-            "dt_super": self.dt_super,
-            "damping": self.damping,
-        }
+        return {key: getattr(self, key) for key in ("scheme", "n_s", "dt_exp", "dt_super", "damping")}
 
 
 def _interleave_order(n: int) -> np.ndarray:
     """Execution order alternating the largest and smallest remaining steps."""
     order = np.empty(n, dtype=int)
-    lo, hi = 0, n - 1
-    for i in range(n):
-        if i % 2 == 0:
-            order[i] = lo
-            lo += 1
-        else:
-            order[i] = hi
-            hi -= 1
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
     return order
 
 
@@ -300,6 +282,27 @@ class _EulerStep:
     land = step
 
 
+class _RK4Step(_EulerStep):
+    """Classical fourth-order Runge-Kutta: four RHS evaluations per step at
+    t, t+h/2, t+h/2 and t+h, each stage state constrained at its time."""
+
+    scheme = "rk4"
+
+    def step(self, t, h, t_new, y):
+        op, t_mid = self.op, t + 0.5 * h
+        k = total = op.rhs(t, y)
+        for c, weight, t_s in ((0.5, 2.0, t_mid), (0.5, 2.0, t_mid), (1.0, 1.0, t_new)):
+            y_s = y + c * h * k
+            op.apply_constraints(t_s, y_s)
+            k = op.rhs(t_s, y_s)
+            total = total + weight * k
+        y += (h / 6.0) * total
+        op.apply_constraints(t_new, y)
+        return y
+
+    land = step
+
+
 class _DufortFrankelStep(_EulerStep):
     """Du Fort-Frankel; its first step and its landing are Euler steps."""
 
@@ -423,6 +426,13 @@ def euler_run(
             )
         stepper.flags["unstable_dt_ack"] = True
     return _march(op, state0, stepper, tau, observe, observe_every, sample_every)
+
+
+def rk4_run(op: SemiDiscreteOperator, state0: StateField, dt: float, tau: float,
+            sample_every: Optional[int] = None) -> RunReport:
+    """March with classical RK4 steps; the caller keeps ``dt * lambda_max``
+    inside its real-axis stability limit of 2.785."""
+    return _march(op, state0, _RK4Step(op, dt), tau, None, 1, sample_every)
 
 
 def dufort_frankel_run(

@@ -1,5 +1,7 @@
 import copy
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -113,7 +115,7 @@ class TestVerificationRun:
         assert manifest["groups"]["biot_left"]["m_theta"] == 25.5
         assert manifest["schedules"]["rkc"]["n_s"] == 10
         assert set(manifest["runs"]) == {"euler", "df", "rkc", "rkl"}
-        assert manifest["reference"]["dt"] == pytest.approx(cfg.dt_euler / 10)
+        assert manifest["reference"]["dt"] == 2 * cfg.dt_euler
 
     def test_matrix_dump_requested(self, tmp_path):
         cfg = short_verification(tau=0.005)
@@ -150,11 +152,47 @@ class TestSweep:
             assert "u" in slope and "v" in slope
 
 
+def _perfbench_reference():
+    """The benchmark's independent scipy transcription of the verification case."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOracle:
+    def test_matches_independent_radau_solution(self, tmp_path):
+        cfg = short_verification(tau=0.005)
+        res = run_verification_case(cfg, tmp_path)
+        _, u, v = _perfbench_reference().verify_reference(cfg.initial_u, cfg.initial_v, cfg.tau)
+        assert np.max(np.abs(res.reference.u - u)) <= 1e-9
+        assert np.max(np.abs(res.reference.v - v)) <= 1e-9
+
+    def test_step_doubling_gap_on_preset(self, tmp_path):
+        cfg = verification_preset()
+        cfg.tau = cfg.tau_days = 0.005
+        gap = run_verification_case(cfg, tmp_path).manifest["reference"]["richardson_gap"]
+        assert math.isfinite(gap) and gap < 1e-9
+
+    def test_falls_back_to_euler_step_outside_rk4_margin(self, tmp_path):
+        cfg = short_verification(tau=0.005)
+        cfg.schemes = ["euler"]
+        wall, grid, state0 = cases._build_domain(cfg)
+        forcing = BoundaryForcing(cfg.forcing_left, cfg.forcing_right)
+        op = cases._fresh_operator(cfg, wall, grid, forcing, cfg.groups)
+        # 2 dt lambda = 3 is outside RK4's margin of 2.5; dt lambda = 1.5 is a stable Euler step
+        cfg.dt_euler = 1.5 / op.gershgorin_lambda_max(0.0, state0)
+        res = run_verification_case(cfg, tmp_path)
+        assert res.manifest["reference"]["dt"] == cfg.dt_euler
+        assert res.reports["euler"].dt == cfg.dt_euler
+
+
 def test_marches_go_through_integrator_hooks(monkeypatch, tmp_path):
     """Every march the runners make calls the integrators by their names in
     ``cases``, which is where the benchmark's tracer hooks in."""
     calls = []
-    for name in ("euler_run", "dufort_frankel_run", "sts_run"):
+    for name in ("euler_run", "dufort_frankel_run", "sts_run", "rk4_run"):
         def counting(*args, _fn=getattr(cases, name), _name=name, **kwargs):
             report = _fn(*args, **kwargs)
             calls.append((_name, kwargs.get("observe") is not None, report))
@@ -175,12 +213,12 @@ def test_marches_go_through_integrator_hooks(monkeypatch, tmp_path):
     table = {id(report) for report in verify.reports.values()}
     assert sorted((name, observed) for name, observed, r in calls if id(r) in table) == [
         ("dufort_frankel_run", True), ("euler_run", True), ("sts_run", True), ("sts_run", True)]
-    # the reference and its Richardson cross-check
-    assert [name for name, _, r in calls if id(r) not in table] == ["euler_run"] * 2
+    # the RK4 reference and its step-doubling check
+    assert [name for name, _, r in calls if id(r) not in table] == ["rk4_run"] * 2
     n_verify = len(calls)
     run_ns_sweep(short_verification(tau=0.005), ns_list=[4, 8], out_dir=tmp_path / "sweep")
     assert sorted((name, observed) for name, observed, _ in calls[n_verify:]) == (
-        [("euler_run", False)] * 2 + [("sts_run", True)] * 4)
+        [("euler_run", False), ("rk4_run", False)] + [("sts_run", True)] * 4)
     # no march ran outside the hooks: their reports account for every RHS call
     assert rhs_calls[0] == sum(report.rhs_evals for _, _, report in calls)
 
@@ -354,6 +392,35 @@ class TestCli:
         assert main(["sweep", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
         assert "dt_euler" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr", ["log(t)", "1/t", "(t-5)**0.5", "exp(t)"])
+    def test_forcing_that_fails_mid_march_exits_one(self, tmp_path, capsys, expr):
+        # log(0), 1/0 and a complex power fail at t = 0; exp overflows near t = 710
+        ini = tmp_path / "case.ini"
+        ini.write_text(textwrap.dedent("""
+            [case]
+            kind = custom
+            [grid]
+            dx = 0.5
+            [time]
+            tau = 1000
+            dt_euler = 0.1
+            [schemes]
+            run = euler
+            [groups]
+            fo_m = 0.09
+            fo_t = 0.07
+            [materials]
+            m1 = table1_mat1
+            [wall]
+            layers = m1:1.0
+            [forcing.left]
+            u = {expr}
+            [forcing.right]
+            u = 1
+            """).format(expr=expr))
+        assert main(["custom", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+        assert f"forcing expression {expr!r} fails at t=" in capsys.readouterr().err
+
     def test_sweep_subcommand(self, tmp_path, capsys):
         out = tmp_path / "sweep"
         code = main(["sweep", "--tau", "0.02", "--ns", "4,6,8", "--out", str(out)])
@@ -373,7 +440,10 @@ def test_traced_benchmark_counts(tmp_path):
          "--seed", "1", "--trace", "--out", str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=600, check=True)
     layers = json.loads(proc.stdout.strip().splitlines()[-1])["layers"]
-    assert layers["operator.rhs.calls"] == 43730
-    assert layers["operator.apply_constraints.calls"] == 43730
-    assert layers["integrators.steps"] == 43471
+    # RHS calls: 1730 by the table schemes, 2800 + 5600 by the RK4 reference
+    # and its step-doubling check.  Steps count only the marches the tracer
+    # wraps (euler_run, dufort_frankel_run, sts_run), not rk4_run.
+    assert layers["operator.rhs.calls"] == 10130
+    assert layers["operator.apply_constraints.calls"] == 10130
+    assert layers["integrators.steps"] == 1471
     assert layers["integrators.observe.calls"] == 1475

@@ -6,7 +6,7 @@ import pytest
 from stswall.dimensionless import DimensionlessGroups
 from stswall.errors import ConfigError, DivergenceError, StaleScheduleError
 from stswall.integrators import (
-    amplification_eval, build_schedule, dufort_frankel_run, euler_run, sts_run,
+    amplification_eval, build_schedule, dufort_frankel_run, euler_run, rk4_run, sts_run,
 )
 from stswall.model import (
     BiotSet, BoundaryForcing, CoefficientModel, Grid1D, SideForcing, StateField,
@@ -219,6 +219,43 @@ class TestEuler:
         op.admissible_box = (0.5, 2.0, 0.5, 2.0)
         report = euler_run(op, ones_state(2), dt=0.1, tau=10.0)
         assert report.flags["box_violations"] > 0
+
+
+class TestRK4:
+    def test_scalar_decay_single_step(self):
+        report = rk4_run(decay_operator(rate=1.0), ones_state(2), dt=0.5, tau=0.5)
+        z = 0.5
+        growth = 1 - z + z**2 / 2 - z**3 / 6 + z**4 / 24
+        assert report.final_state.u == pytest.approx(np.full(2, growth), rel=1e-14)
+        assert (report.scheme, report.n_steps, report.rhs_evals) == ("rk4", 1, 4)
+
+    def test_stage_times(self):
+        op = diffusion_operator(robin=False)
+        rhs_times, constraint_times = [], []
+        rhs, apply_constraints = op.rhs, op.apply_constraints
+        op.rhs = lambda t, y: rhs_times.append(t) or rhs(t, y)
+        op.apply_constraints = lambda t, y: constraint_times.append(t) or apply_constraints(t, y)
+        rk4_run(op, ones_state(9), dt=0.25, tau=0.5)
+        assert rhs_times == [0.0, 0.125, 0.125, 0.25, 0.25, 0.375, 0.375, 0.5]
+        assert constraint_times == [0.125, 0.125, 0.25, 0.25, 0.375, 0.375, 0.5, 0.5]
+
+    def test_fourth_order_under_time_dependent_forcing(self):
+        # halving the step cuts the error 16-fold only if every stage reads
+        # the forcing at its own time
+        mat = CoefficientModel.constants("mat", 1.0, 0.0, 1.0, 1.0, 0.0)
+        side = SideForcing.robin(lambda t: math.sin(3.0 * t), lambda t: math.cos(2.0 * t))
+        groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0,
+                                     biot_left=BiotSet(m_theta=2.0, t_t=3.0),
+                                     biot_right=BiotSet(m_theta=1.0, t_t=2.0))
+        op = assemble_operator(build_wall([(mat, 1.0)]), Grid1D.uniform(1.0, 5), groups,
+                               BoundaryForcing(side, side))
+        assert 0.005 * op.gershgorin_lambda_max() < 0.5
+        final = {h: rk4_run(op, ones_state(5), dt=h, tau=1.0).final_state
+                 for h in (0.005, 0.0025, 0.0003125)}
+        fine = final[0.0003125]
+        errors = [max(np.max(np.abs(final[h].u - fine.u)), np.max(np.abs(final[h].v - fine.v)))
+                  for h in (0.005, 0.0025)]
+        assert 14.0 < errors[0] / errors[1] < 19.0
 
 
 class TestDufortFrankel:
