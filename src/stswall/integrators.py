@@ -320,13 +320,14 @@ class _DufortFrankelStep(_EulerStep):
             self.prev = y.copy()
             return super().step(t, dt, t_new, y)
         op = self.op
+        coeffs = op._coefficients(y[1])     # one pass for the blocks and the RHS
         if self.blocks is None or self.refresh_blocks:
-            b_uu, b_uv, b_vu, b_vv = op.jacobian_node_blocks(t, StateField(y[0], y[1], t))
+            b_uu, b_uv, b_vu, b_vv = op.jacobian_node_blocks(t, y, coeffs)
             det = (1.0 + dt * b_uu) * (1.0 + dt * b_vv) - dt * dt * b_uv * b_vu
             self.blocks = (b_uu, b_uv, b_vu, b_vv, det)
         b_uu, b_uv, b_vu, b_vv, det = self.blocks
         (u_prev, v_prev), (u, v) = self.prev, y
-        du, dv = op.rhs(max(0.0, t - self.lag), y)
+        du, dv = op.rhs(max(0.0, t - self.lag), y, coeffs)
         r_u = ((1.0 - dt * b_uu) * u_prev - dt * b_uv * v_prev
                + 2.0 * dt * (du + b_uu * u + b_uv * v))
         r_v = (-dt * b_vu * u_prev + (1.0 - dt * b_vv) * v_prev
@@ -340,7 +341,7 @@ class _DufortFrankelStep(_EulerStep):
 
     def land(self, t, remainder, t_end, y):
         # Stable Euler sub-steps below the explicit limit.
-        lam = self.op.gershgorin_lambda_max(t, StateField(y[0], y[1], t))
+        lam = self.op.gershgorin_lambda_max(t, y)
         dt_safe = remainder if lam == 0 else min(remainder, 1.8 / lam)
         m = max(1, int(math.ceil(remainder / dt_safe)))
         h = remainder / m
@@ -483,24 +484,30 @@ def _stage_times(schedule, t0, frozen):
     return times[:-1], times[1:]
 
 
-def _rkc_cycle(op, schedule, t0, y, frozen):
+# Stages update in place; ``coeffs`` is a coefficient pass already made on ``y``.
+def _rkc_cycle(op, schedule, t0, y, frozen, coeffs=None):
     evals, constraints = _stage_times(schedule, t0, frozen)
-    for k in range(schedule.n_s):
-        y += schedule.stage_steps[k] * op.rhs(evals[k], y)
+    for k, tau in enumerate(schedule.stage_steps):
+        dy = op.rhs(evals[k], y, None if k else coeffs)
+        y += np.multiply(dy, tau, out=dy)
         op.apply_constraints(constraints[k], y)
     return y
 
 
-def _rkl_cycle(op, schedule, t0, y, frozen):
+def _rkl_cycle(op, schedule, t0, y, frozen, coeffs=None):
     evals, constraints = _stage_times(schedule, t0, frozen)
     mu, nu, mu_t = schedule.rkl_mu, schedule.rkl_nu, schedule.rkl_mu_tilde
     dt_s = schedule.dt_super
-    y_pp = y                                                # Y_0
-    y_p = y + mu_t[0] * dt_s * op.rhs(evals[0], y)          # Y_1
+    dy = op.rhs(evals[0], y, coeffs)
+    y_pp, y_p = y, np.add(y, np.multiply(dy, mu_t[0] * dt_s, out=dy), out=dy)    # Y_0, Y_1
     op.apply_constraints(constraints[0], y_p)
+    mu_y = np.empty_like(y)
     for j in range(2, schedule.n_s + 1):
         dy = op.rhs(evals[j - 1], y_p)
-        y_pp, y_p = y_p, mu[j - 1] * y_p + nu[j - 1] * y_pp + mu_t[j - 1] * dt_s * dy
+        y_pp *= nu[j - 1]               # Y_j = (mu Y_p + nu Y_pp) + mu_t dt_s dY, over Y_pp
+        y_pp += np.multiply(mu[j - 1], y_p, out=mu_y)
+        y_pp += np.multiply(dy, mu_t[j - 1] * dt_s, out=dy)
+        y_pp, y_p = y_p, y_pp
         op.apply_constraints(constraints[j - 1], y_p)
     return y_p
 
@@ -515,6 +522,7 @@ class _SuperStep:
         self.cycle = _rkc_cycle if schedule.scheme == "rkc" else _rkl_cycle
         self.refresh_lambda = not op.is_linear
         self.flags = {"schedule_rebuilds": 0}
+        self.coeffs = None      # the refresh's coefficient pass, for the next stage 1
 
     @property
     def dt(self):
@@ -523,7 +531,8 @@ class _SuperStep:
     def refresh(self, t, y):
         if not self.refresh_lambda:
             return False
-        lam = self.op.gershgorin_lambda_max(t, StateField(y[0], y[1], t))
+        self.coeffs = self.op._coefficients(y[1])
+        lam = self.op.gershgorin_lambda_max(t, y, coeffs=self.coeffs)
         if lam <= self.active.design_lambda:
             return False
         self.active = build_schedule(
@@ -533,12 +542,12 @@ class _SuperStep:
         self.flags["schedule_rebuilds"] += 1
         return True
 
-    def step(self, t, h, t_new, y):
-        return self.cycle(self.op, self.active, t, y, self.frozen)
+    def step(self, t, h, t_new, y, schedule=None):
+        coeffs, self.coeffs = self.coeffs, None
+        return self.cycle(self.op, schedule or self.active, t, y, self.frozen, coeffs)
 
     def land(self, t, h, t_end, y):
-        landing = self.active.scaled(h / self.active.dt_super)
-        return self.cycle(self.op, landing, t, y, self.frozen)
+        return self.step(t, h, t_end, y, self.active.scaled(h / self.active.dt_super))
 
 
 def sts_run(

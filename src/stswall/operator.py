@@ -63,7 +63,7 @@ class SemiDiscreteOperator:
     """Right-hand side of the semi-discrete system plus stability helpers.
 
     States are stacked (2, n) arrays: row 0 holds u, row 1 holds v.  The
-    assembled object is immutable apart from ``rhs_evals``, its RHS work
+    assembled object is immutable apart from ``rhs_evals``, its work
     arrays and the boundary sides' last ambient values; create one
     operator per run when marching concurrently.
     """
@@ -121,6 +121,11 @@ class SemiDiscreteOperator:
         self._factors_fixed = False
         self._matrix_cache = None
         self._rowsum_cache = None
+        # Frozen matrix A: face scale of each block (uu, uv, vu, vv) and interior
+        # row factors, fo_t cm / c in u rows (set per coefficient pass) and cm.
+        self._scale = np.array([[1.0], [groups.delta], [groups.fo_m * groups.gamma], [groups.fo_m]])
+        cm = 1.0 / (self.dx * self.dx)
+        self._row, self._fo_t_cm = np.full((4, self.n - 2), cm), groups.fo_t * cm
 
         # RHS work arrays, (2, n) like the state: face j sits in column j
         # and the last column is unused (zero in cu and cv).  Row-major,
@@ -179,17 +184,18 @@ class SemiDiscreteOperator:
 
     # -- right-hand side ------------------------------------------------------------
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(self, t: float, y: np.ndarray, coeffs=None) -> np.ndarray:
         """Time derivatives of the stacked state ``y`` (row 0 u, row 1 v) at time t.
 
         Returns a new (2, n) array, so ``du, dv = op.rhs(t, y)`` unpacks.
+        A caller that holds ``_coefficients(y[1])`` passes it as ``coeffs``.
         """
         self.rhs_evals += 1
         if not self._factors_fixed:
             # cu = [k_t, gamma d_t] and cv = [delta k_tm, d_theta] turn the u and
             # v gradients into the heat (row 0) and moisture (row 1) face fluxes;
             # their divergence is divided by den = [dx c, dx].
-            faces, c = self._coefficients(y[1])
+            faces, c = self._coefficients(y[1]) if coeffs is None else coeffs
             np.multiply(faces[0::2], self._cu_scale, out=self._cu[:, :-1])
             np.multiply(faces[1::2], self._cv_scale, out=self._cv[:, :-1])
             np.multiply(c, self.dx, out=self._den[0])
@@ -236,17 +242,39 @@ class SemiDiscreteOperator:
 
     # -- frozen-coefficient matrix ----------------------------------------------------
 
-    def _exchange_jacobian(self, side, u_b: float, t: float):
-        """(dE_M/du, dE_M/dv, dE_T/du, dE_T/dv) of the exchange terms."""
-        biot = side.biot
-        de_m_du = 0.0
-        de_t_du = biot.t_t
-        if side.sat:
-            h = 1e-6 * max(abs(u_b), 1.0)
-            dsat = (side.sat_excess(t, u_b + h) - side.sat_excess(t, u_b - h)) / (2 * h)
-            de_m_du += biot.m_sat * dsat
-            de_t_du += biot.t_sat * dsat
-        return de_m_du, biot.m_theta, de_t_du, biot.t_theta
+    def _frozen(self, t: float, state, coeffs):
+        """``(faces, row, robin)`` of A at ``state`` (stacked (2, n), StateField
+        or None for all ones) from one coefficient pass, none if ``coeffs`` is
+        given: interior row factors, and per Robin node b ``(b, diag, off)``,
+        its block entries in its own and its neighbour's column."""
+        if isinstance(state, StateField):
+            state = (state.u, state.v)
+        u, v = np.ones((2, self.n)) if state is None else state
+        faces, c = self._coefficients(v) if coeffs is None else coeffs
+        self._row[:2] = self._fo_t_cm / c[1:-1]
+        g, dx = self.groups, self.dx
+        robin = []
+        for b, side, _ in self._robin:
+            # half-cell flux plus the exchange Jacobian dE_T/du, dE_T/dv, dE_M/du, dE_M/dv
+            biot, dsat = side.biot, 0.0
+            if side.sat:
+                h = 1e-6 * max(abs(u[b]), 1.0)
+                dsat = (side.sat_excess(t, u[b] + h) - side.sat_excess(t, u[b] - h)) / (2 * h)
+            jac = [biot.t_t + biot.t_sat * dsat, biot.t_theta, biot.m_sat * dsat, biot.m_theta]
+            w = np.array([g.fo_t * 2.0 / (dx * c[b])] * 2 + [g.fo_m * 2.0 / dx] * 2)
+            factor = np.array([1.0, g.delta, g.gamma, 1.0])
+            robin.append((b, w * (factor * faces[:, b] / dx + jac), -w * factor * faces[:, b] / dx))
+        return faces, self._row, robin
+
+    def _node_diagonal(self, faces, row, robin, out: np.ndarray) -> np.ndarray:
+        """Write the diagonal entries (4, n) of A's blocks into ``out``."""
+        out[:, ::self.n - 1] = 0.0
+        mid = np.add(faces[:, :-1], faces[:, 1:], out=out[:, 1:-1])
+        mid *= self._scale
+        mid *= row
+        for b, diag, _ in robin:
+            out[:, b] = diag
+        return out
 
     def _stencil(self, t: float, state: Optional[StateField]):
         """Entries of the frozen matrix A (see :meth:`frozen_matrix`) per node.
@@ -258,38 +286,16 @@ class SemiDiscreteOperator:
         Dirichlet rows are zero.  Coefficients are frozen at ``state`` (all
         ones when None).
         """
-        n = self.n
-        if state is None:
-            u = v = np.ones(n)
-        else:
-            u, v = state.u, state.v
-        g = self.groups
-        dx = self.dx
-        faces, c = self._coefficients(v)
-        weights = np.empty((3, 4, n))
-        weights[:, :, [0, -1]] = 0.0
+        faces, row, robin = self._frozen(t, state, None)
+        weights = np.zeros((3, 4, self.n))
         lower, diag, upper = weights
-
         # Interior rows: flux divergence, (scale * face) * row per block.
-        cm = 1.0 / (dx * dx)
-        scale = np.array([[1.0], [g.delta], [g.fo_m * g.gamma], [g.fo_m]])
-        row = np.empty((4, n - 2))
-        row[:2] = g.fo_t * cm / c[1:-1]
-        row[2:] = cm
-        neg_scaled = -scale * faces
+        neg_scaled = -self._scale * faces
         np.multiply(neg_scaled[:, :-1], row, out=lower[:, 1:-1])
         np.multiply(neg_scaled[:, 1:], row, out=upper[:, 1:-1])
-        np.multiply(scale * (faces[:, :-1] + faces[:, 1:]), row, out=diag[:, 1:-1])
-
-        # Robin rows: half-cell flux plus the exchange Jacobian.
-        for b, side, _ in self._robin:
-            de_m_du, de_m_dv, de_t_du, de_t_dv = self._exchange_jacobian(side, u[b], t)
-            w_m = g.fo_m * 2.0 / dx
-            w_t = g.fo_t * 2.0 / (dx * c[b])
-            w = np.array([w_t, w_t, w_m, w_m])
-            factor = np.array([1.0, g.delta, g.gamma, 1.0])
-            diag[:, b] = w * (factor * faces[:, b] / dx + [de_t_du, de_t_dv, de_m_du, de_m_dv])
-            (upper if b == 0 else lower)[:, b] = -w * factor * faces[:, b] / dx
+        self._node_diagonal(faces, row, robin, diag)
+        for b, _, off in robin:
+            (upper if b == 0 else lower)[:, b] = off
         return weights
 
     def frozen_matrix(self, t: float = 0.0, state: Optional[StateField] = None) -> np.ndarray:
@@ -323,29 +329,39 @@ class SemiDiscreteOperator:
         self.rhs_evals = evals  # bookkeeping probe, not a marching evaluation
         return b
 
-    def jacobian_node_blocks(self, t: float = 0.0, state: Optional[StateField] = None):
+    def jacobian_node_blocks(self, t: float = 0.0, state=None, coeffs=None):
         """Per-node 2x2 blocks of A coupling (u_j, v_j) to itself.
 
         Returns (b_uu, b_uv, b_vu, b_vv) arrays of length node_count.  These
         are the terms a three-level scheme must treat implicitly to stay
-        stable under two-way cross coupling.  O(n): no matrix is built.
+        stable under two-way cross coupling.  O(n): the diagonal alone, from
+        one coefficient pass (none when ``coeffs`` is given; see :meth:`_frozen`).
         """
-        b_uu, b_uv, b_vu, b_vv = self._stencil(t, state)[1]
-        return b_uu, b_uv, b_vu, b_vv
+        return tuple(self._node_diagonal(*self._frozen(t, state, coeffs), np.empty((4, self.n))))
 
-    def gershgorin_lambda_max(self, t: float = 0.0, state: Optional[StateField] = None) -> float:
+    def gershgorin_lambda_max(self, t: float = 0.0, state=None, coeffs=None) -> float:
         """Infinity-norm row-sum bound; never below the true spectral radius.
 
-        The largest absolute row sum of :meth:`frozen_matrix`, taken from
-        the same per-node entries without building the matrix, so the
-        per-cycle refresh on nonlinear runs costs about one RHS evaluation.
+        The largest absolute row sum of :meth:`frozen_matrix`, straight from
+        one coefficient pass (see :meth:`_frozen`): per block ``|s f_l|``,
+        ``|s (f_l + f_r)|`` and ``|s f_r|`` times the row factor, added in the
+        matrix row's order, plus the Robin rows.  Costs less than one RHS.
         """
         if self.is_linear and self._rowsum_cache is not None:
             return self._rowsum_cache
-        # |lower| + |diag| + |upper|, then the u rows (uu + uv) and v rows (vu + vv)
-        weights = self._stencil(t, state)
-        np.abs(weights, out=weights)
-        best = float(weights.reshape(3, 2, 2, self.n).sum(axis=(0, 2)).max())
+        faces, row, robin = self._frozen(t, state, coeffs)
+        m = self.n - 2
+        terms = np.empty((3, 4, m))
+        scaled = self._scale * faces
+        terms[0], terms[2] = scaled[:, :-1], scaled[:, 1:]
+        np.add(faces[:, :-1], faces[:, 1:], out=terms[1])
+        terms[1] *= self._scale
+        terms *= row
+        # |lower| + |diag| + |upper| of uu then uv (u rows), vu then vv (v rows): the stencil's order
+        best = float(np.abs(terms, out=terms).reshape(3, 2, 2, m).sum(axis=(0, 2)).max(initial=0.0))
+        for b, diag, off in robin:
+            w, e = np.abs((diag, off) if b == 0 else (off, diag)).tolist()
+            best = max(best, w[0] + w[1] + e[0] + e[1], w[2] + w[3] + e[2] + e[3])
         if self.is_linear:
             self._rowsum_cache = best
         return best

@@ -87,11 +87,10 @@ def ingest_boundary_series(path) -> BoundarySeries:
         raise IngestionError(f"{path}: need at least two data rows, got {len(rows)}")
     data = np.array([vals for _, vals in rows])
     t = data[:, 0]
-    for i in range(1, t.size):
-        if t[i] <= t[i - 1]:
-            raise IngestionError(
-                f"{path}: line {rows[i][0]}: time {t[i]:g} not greater than previous {t[i-1]:g}"
-            )
+    for i in np.flatnonzero(t[1:] <= t[:-1])[:1] + 1:    # the first non-increasing time
+        raise IngestionError(
+            f"{path}: line {rows[i][0]}: time {t[i]:g} not greater than previous {t[i-1]:g}"
+        )
     columns = {name: data[:, k].copy() for k, name in enumerate(header[1:], start=1)}
     return BoundarySeries(time=t.copy(), columns=columns)
 
@@ -126,13 +125,9 @@ def write_synthetic_climate(path, days: float = 366.0, step_hours: float = 1.0) 
     """Write the synthetic climate CSV covering [0, days]."""
     n = int(math.floor(days * 24.0 / step_hours)) + 1
     t = np.arange(n) * step_hours * 3600.0
-    t_out, theta_out, t_in, theta_in = synthetic_climate_values(t)
+    # The bytes csv.writer would give: comma-separated, CRLF line ends.
+    rows = zip(*(col.tolist() for col in (t, *synthetic_climate_values(t))))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("# synthetic annual climate (not measured data); hourly samples\n")
-        writer = csv.writer(fh)
-        writer.writerow(SYNTHETIC_COLUMNS)
-        for k in range(n):
-            writer.writerow([
-                f"{t[k]:.1f}", f"{t_out[k]:.6f}", f"{theta_out[k]:.8f}",
-                f"{t_in[k]:.6f}", f"{theta_in[k]:.8f}",
-            ])
+        fh.write(",".join(SYNTHETIC_COLUMNS) + "\r\n")
+        fh.write("".join(map("%.1f,%.6f,%.8f,%.6f,%.8f\r\n".__mod__, rows)))

@@ -46,6 +46,21 @@ def ones_state(n):
     return StateField(np.ones(n), np.ones(n))
 
 
+def nonlinear_operator():
+    """The drying study's ins_re wall (n = 126) between Dirichlet sides: its
+    coefficients depend on v, so every stage needs a coefficient pass."""
+    wall = build_wall([(builtin_material("table3_ins"), 0.125),
+                       (builtin_material("table3_re"), 0.5)])
+    side = SideForcing.dirichlet(lambda t: 285.0, lambda t: 0.3)
+    return assemble_operator(wall, Grid1D.uniform(0.625, 126),
+                             DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6),
+                             BoundaryForcing(side, side), admissible_box=(240.0, 320.0, 0.0, 0.6))
+
+
+def nonlinear_state():
+    return StateField(np.full(126, 291.3), np.r_[np.full(25, 0.053), np.full(101, 0.53)])
+
+
 class TestSchedules:
     def test_rkc_undamped_gain_is_n_squared(self):
         sch = build_schedule("rkc", 10, dt_exp=1.0, damping=0.0)
@@ -299,15 +314,9 @@ class TestDufortFrankel:
             return dense(self, *args, **kwargs)
 
         monkeypatch.setattr(SemiDiscreteOperator, "frozen_matrix", counted)
-        wall = build_wall([(builtin_material("table3_ins"), 0.125),
-                           (builtin_material("table3_re"), 0.5)])
-        side = SideForcing.dirichlet(lambda t: 285.0, lambda t: 0.3)
-        op = assemble_operator(wall, Grid1D.uniform(0.625, 126),
-                               DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6),
-                               BoundaryForcing(side, side), admissible_box=(240.0, 320.0, 0.0, 0.6))
+        op = nonlinear_operator()
         assert not op.is_linear
-        state = StateField(np.full(126, 291.3), np.r_[np.full(25, 0.053), np.full(101, 0.53)])
-        report = dufort_frankel_run(op, state, dt=70.0, tau=1000.0)
+        report = dufort_frankel_run(op, nonlinear_state(), dt=70.0, tau=1000.0)
         assert report.n_steps == 15 and report.flags["remainder_substeps"] >= 1
         assert report.flags["box_violations"] == 0
         assert calls == []
@@ -459,3 +468,104 @@ def test_frozen_cycle_reads_dirichlet_data_once_per_time():
     assert calls["u"] == calls["v"] == distinct
     assert report.final_state.u[0] == 0.5 and report.final_state.v[0] == 0.25
 
+
+
+def count_passes(monkeypatch):
+    """List with one entry per coefficient pass; any frozen-stencil build
+    fails the test."""
+    passes = []
+    coefficients = SemiDiscreteOperator._coefficients
+
+    def counted(self, v):
+        passes.append(self)
+        return coefficients(self, v)
+
+    def no_stencil(self, *args, **kwargs):
+        raise AssertionError("the march built the frozen-matrix stencil")
+
+    monkeypatch.setattr(SemiDiscreteOperator, "_coefficients", counted)
+    monkeypatch.setattr(SemiDiscreteOperator, "_stencil", no_stencil)
+    return passes
+
+
+def out_of_place_cycle(op, sch, t0, y):
+    """One frozen super-step cycle with a new array for every operation.
+    Constraint times are left at t0: the sides' data are constant."""
+    if sch.scheme == "rkc":
+        for tau_k in sch.stage_steps:
+            y = y + tau_k * op.rhs(t0, y)
+            op.apply_constraints(t0, y)
+        return y
+    mu, nu, mu_t, dt_s = sch.rkl_mu, sch.rkl_nu, sch.rkl_mu_tilde, sch.dt_super
+    y_pp, y_p = y, y + mu_t[0] * dt_s * op.rhs(t0, y)
+    op.apply_constraints(t0, y_p)
+    for j in range(2, sch.n_s + 1):
+        dy = op.rhs(t0, y_p)
+        y_pp, y_p = y_p, mu[j - 1] * y_p + nu[j - 1] * y_pp + mu_t[j - 1] * dt_s * dy
+        op.apply_constraints(t0, y_p)
+    return y_p
+
+
+SCHEMES = [("rkc", 10), ("rkl", 20)]
+
+
+def nonlinear_schedule(scheme, n_s, margin):
+    lam = nonlinear_operator().gershgorin_lambda_max(0.0, nonlinear_state())
+    return build_schedule(scheme, n_s, 2.0 / (margin * lam), 0.0 if scheme == "rkc" else None)
+
+
+class TestCoefficientPasses:
+    """A nonlinear super-step cycle makes n_s coefficient passes: the
+    refresh's pass serves the first stage.  A Du Fort-Frankel step makes
+    one, shared by its node blocks and its RHS."""
+
+    @pytest.mark.parametrize("scheme,n_s", SCHEMES)
+    def test_cycles_and_landing_make_n_s_passes(self, monkeypatch, scheme, n_s):
+        sch = nonlinear_schedule(scheme, n_s, 1.5)
+        passes = count_passes(monkeypatch)
+        report = sts_run(nonlinear_operator(), nonlinear_state(), sch, tau=2.5 * sch.dt_super)
+        assert report.n_steps == 3 and report.flags["schedule_rebuilds"] == 0  # 2 cycles, 1 landing
+        assert report.rhs_evals == 3 * n_s
+        assert len(passes) == 1 + 3 * n_s  # sts_run's stale-schedule check, then n_s per cycle
+
+    @pytest.mark.parametrize("scheme,n_s", SCHEMES)
+    def test_passes_after_a_schedule_rebuild(self, monkeypatch, scheme, n_s):
+        sch = nonlinear_schedule(scheme, n_s, 1.0)
+        bound = SemiDiscreteOperator.gershgorin_lambda_max
+        calls = []
+
+        def inflated(self, *args, **kwargs):
+            # every refresh sees twice the stiffness of sts_run's own check
+            calls.append(self)
+            return bound(self, *args, **kwargs) * (2.0 if len(calls) > 1 else 1.0)
+
+        monkeypatch.setattr(SemiDiscreteOperator, "gershgorin_lambda_max", inflated)
+        passes = count_passes(monkeypatch)
+        report = sts_run(nonlinear_operator(), nonlinear_state(), sch, tau=2.5 * sch.dt_super)
+        assert report.flags["schedule_rebuilds"] >= 1 and report.n_steps > 3
+        assert report.rhs_evals == report.n_steps * n_s
+        assert len(passes) == 1 + report.n_steps * n_s
+
+    def test_du_fort_frankel_step_makes_one_pass(self, monkeypatch):
+        passes = count_passes(monkeypatch)
+        report = dufort_frankel_run(nonlinear_operator(), nonlinear_state(), dt=70.0, tau=700.0)
+        assert report.n_steps == 10 and "remainder_substeps" not in report.flags
+        assert len(passes) == report.rhs_evals == 10  # the Euler start, then one per step
+
+    @pytest.mark.parametrize("scheme,n_s", SCHEMES)
+    def test_in_place_stages_match_out_of_place_cycles(self, scheme, n_s):
+        sch = nonlinear_schedule(scheme, n_s, 1.5)
+        state = nonlinear_state()
+        u0, v0 = state.u.copy(), state.v.copy()
+        seen = []
+        report = sts_run(nonlinear_operator(), state, sch, tau=3 * sch.dt_super,
+                         observe=lambda t, u, v: seen.append(np.stack([u, v])))
+        assert np.array_equal(state.u, u0) and np.array_equal(state.v, v0)
+        assert report.n_steps == 3 and report.flags["schedule_rebuilds"] == 0
+        op, y = nonlinear_operator(), np.stack([u0, v0])
+        want = [y]
+        for k in range(3):
+            want.append(out_of_place_cycle(op, sch, k * sch.dt_super, want[-1]))
+        assert len(seen) == len(want)
+        for got, ref in zip(seen, want):
+            assert np.array_equal(got, ref)

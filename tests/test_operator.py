@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stswall.config import parse_time_function
 from stswall.dimensionless import DimensionlessGroups
@@ -612,3 +613,80 @@ class TestStackedState:
         second = op.rhs(0.0, y)
         assert first is not second and np.array_equal(first, second)
         assert np.array_equal(y, before)
+
+
+positive = st.floats(0.1, 2.0)
+
+
+@st.composite
+def polynomial_walls(draw):
+    """(operator, stacked state): a random 1-3-layer wall of polynomial
+    materials on a grid with its interfaces on nodes, Robin (with or without
+    saturation terms) or Dirichlet sides, and a random in-box state."""
+    dx = 0.05
+    layers = []
+    for i in range(draw(st.integers(1, 3))):
+        spec = {name: draw(st.lists(positive, min_size=1, max_size=3)) for name in COEFFICIENT_NAMES}
+        layers.append((CoefficientModel.polynomials(f"m{i}", **spec), draw(st.integers(2, 12)) * dx))
+    wall = build_wall(layers)
+    n = int(round(wall.total_length / dx)) + 1
+    biots, sides = [], []
+    for _ in range(2):
+        if draw(st.booleans()):
+            sat = draw(positive) if draw(st.booleans()) else 0.0
+            biots.append(BiotSet(m_sat=sat, m_theta=draw(positive), t_t=draw(positive),
+                                 t_sat=sat, t_theta=draw(positive)))
+            sides.append(SideForcing.robin(lambda t: 1.0 + 0.1 * t, lambda t: 0.5,
+                                           psat_inf=lambda t: 1.2, psat_star=lambda u: 1.0 + u * u))
+        else:
+            biots.append(BiotSet())
+            sides.append(dirichlet_forcing(1.0, 0.5))
+    groups = DimensionlessGroups(fo_m=draw(positive), fo_t=draw(positive), gamma=draw(positive),
+                                 delta=draw(positive), biot_left=biots[0], biot_right=biots[1])
+    op = assemble_operator(wall, Grid1D.uniform(wall.total_length, n), groups, BoundaryForcing(*sides))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return op, np.stack([0.5 + rng.random(n), 0.05 + 0.9 * rng.random(n)])
+
+
+wall_cases = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+class TestCoefficientPass:
+    """The row-sum bound and the node blocks come from one coefficient pass
+    without the frozen matrix; they must agree with that matrix."""
+
+    @wall_cases
+    @given(polynomial_walls())
+    def test_bound_equals_dense_row_sum(self, case):
+        op, y = case
+        state = StateField(y[0], y[1])
+        dense = float(np.max(np.sum(np.abs(op.frozen_matrix(0.3, state)), axis=1)))
+        assert op.gershgorin_lambda_max(0.3, y) == pytest.approx(dense, rel=1e-14)
+        assert op.gershgorin_lambda_max(0.3, y) == op.gershgorin_lambda_max(0.3, state)
+
+    @wall_cases
+    @given(polynomial_walls())
+    def test_bound_dominates_dense_spectral_radius(self, case):
+        op, y = case
+        rho = np.max(np.abs(np.linalg.eigvals(op.frozen_matrix(0.3, StateField(y[0], y[1])))))
+        assert op.gershgorin_lambda_max(0.3, y) >= rho * (1 - 1e-12)
+
+    @wall_cases
+    @given(polynomial_walls())
+    def test_node_blocks_equal_dense_diagonal_blocks(self, case):
+        op, y = case
+        a = op.frozen_matrix(0.3, StateField(y[0], y[1]))
+        j = np.arange(op.n)
+        want = (a[j, j], a[j, j + op.n], a[j + op.n, j], a[j + op.n, j + op.n])
+        for got, dense in zip(op.jacobian_node_blocks(0.3, y), want):
+            assert np.array_equal(got, dense)
+
+    @wall_cases
+    @given(polynomial_walls())
+    def test_handed_pass_gives_identical_results(self, case):
+        op, y = case
+        coeffs = op._coefficients(y[1])
+        assert np.array_equal(op.rhs(0.3, y, coeffs=coeffs), op.rhs(0.3, y))
+        assert op.gershgorin_lambda_max(0.3, y, coeffs=coeffs) == op.gershgorin_lambda_max(0.3, y)
+        for got, want in zip(op.jacobian_node_blocks(0.3, y, coeffs), op.jacobian_node_blocks(0.3, y)):
+            assert np.array_equal(got, want)

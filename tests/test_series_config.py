@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import textwrap
 
@@ -47,6 +48,21 @@ class TestIngestion:
         """)
         with pytest.raises(IngestionError, match="line 4"):
             ingest_boundary_series(path)
+
+    def test_first_non_increasing_time_names_its_file_line(self, tmp_path):
+        # comments count in the line numbers; a repeated time is rejected too
+        path = self.write(tmp_path, """\
+            # station 1
+            t,val
+            0,1
+            1,2
+            # gap
+            1,3
+            0.5,4
+        """)
+        with pytest.raises(IngestionError) as info:
+            ingest_boundary_series(path)
+        assert str(info.value) == f"{path}: line 6: time 1 not greater than previous 1"
 
     def test_non_numeric_cell_names_the_line(self, tmp_path):
         path = self.write(tmp_path, """\
@@ -112,6 +128,18 @@ class TestSyntheticClimate:
         assert set(series.columns) == {"T_out", "theta_out", "T_in", "theta_in"}
         series.require_span(0.0, 3 * 86400.0)
         assert "synthetic" in path.read_text().splitlines()[0]
+
+    @pytest.mark.parametrize("kwargs,digest", [
+        (dict(days=3.0, step_hours=2.0),
+         "8f52b0b02c0247b0a1930be3c9d895c56a725d63be82b02a63ddca8e07670bde"),
+        ({}, "2d1c216421498aac6e72760b9ae64d4f7a843c535831ec50d4e21b33e07482f0"),
+    ], ids=["3d-2h", "366d-1h"])
+    def test_bytes_are_pinned(self, tmp_path, kwargs, digest):
+        # The physical goldens skip the climate file, so its exact bytes
+        # (CRLF rows of fixed-precision values) are pinned here.
+        path = tmp_path / "climate.csv"
+        write_synthetic_climate(path, **kwargs)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
