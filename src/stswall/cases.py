@@ -38,7 +38,8 @@ from .metrics import (
     ComparisonRecord, drying_rate, error_norms, failure_record, ratios,
     scd_value, total_moisture, write_comparison_csv,
 )
-from .model import BiotSet, Grid1D, SideForcing, BoundaryForcing, StateField, build_wall, builtin_material
+from .model import (BiotSet, BoundaryForcing, Grid1D, SideForcing, StateField, WallAssembly,
+                    build_wall, builtin_material)
 from .operator import SemiDiscreteOperator, assemble_operator, estimate_lambda_max
 from .series import BoundarySeries, ingest_boundary_series, write_synthetic_climate
 
@@ -162,7 +163,6 @@ def physical_preset(
         admissible_box=(240.0, 320.0, 0.0, 0.6),
         physical_configurations=list(configurations) if configurations else ["ins_re", "re_ins", "re"],
         drying_scheme=drying_scheme,
-        step_count_horizon_days=365.0,
     )
     cfg.description = {"preset": "physical", "title": cfg.title}
     return cfg
@@ -180,8 +180,25 @@ def _physical_groups(cfg: CaseConfig) -> DimensionlessGroups:
 # domain construction
 # ---------------------------------------------------------------------------
 
-def _build_domain(cfg: CaseConfig):
-    """(wall, grid, state0) for the config's layers."""
+@dataclass
+class _Domain:
+    """What a case's marches share: config, wall, grid, forcing, groups, initial state."""
+
+    cfg: CaseConfig
+    wall: WallAssembly
+    grid: Grid1D
+    forcing: BoundaryForcing
+    groups: DimensionlessGroups
+    state0: StateField
+
+    def operator(self) -> SemiDiscreteOperator:
+        """A fresh operator (marches must not share one)."""
+        return assemble_operator(self.wall, self.grid, self.groups, self.forcing,
+                                 admissible_box=self.cfg.admissible_box)
+
+
+def _build_domain(cfg: CaseConfig, forcing, groups) -> _Domain:
+    """The domain of the config's layers under ``forcing``."""
     wall = build_wall([(cfg.materials[name], th) for name, th in cfg.layers])
     length = wall.total_length
     n_float = length / cfg.dx
@@ -192,7 +209,7 @@ def _build_domain(cfg: CaseConfig):
     node_layers = wall.node_layer_indices(grid)
     u0 = _initial_field(cfg.initial_u, node_layers, len(cfg.layers))
     v0 = _initial_field(cfg.initial_v, node_layers, len(cfg.layers))
-    return wall, grid, StateField(u0, v0, 0.0)
+    return _Domain(cfg, wall, grid, forcing, groups, StateField(u0, v0, 0.0))
 
 
 def _initial_field(value, node_layers, n_layers) -> np.ndarray:
@@ -202,10 +219,6 @@ def _initial_field(value, node_layers, n_layers) -> np.ndarray:
     if len(vals) != n_layers:
         raise ConfigError(f"per-layer initial values need {n_layers} entries, got {len(vals)}")
     return np.array([vals[k] for k in node_layers], dtype=float)
-
-
-def _fresh_operator(cfg, wall, grid, forcing, groups) -> SemiDiscreteOperator:
-    return assemble_operator(wall, grid, groups, forcing, admissible_box=cfg.admissible_box)
 
 
 # ---------------------------------------------------------------------------
@@ -306,26 +319,60 @@ def _scheme_step(scheme, cfg, n_s=None) -> float:
     return _schedule(scheme, cfg, n_s).dt_super
 
 
-def _failure_row(scheme, cfg, baseline):
-    """Comparison row of a scheme whose march diverged."""
-    dt = _scheme_step(scheme, cfg)
-    return failure_record(scheme, dt, int(math.floor(cfg.tau / dt + 1e-12)) + 1, baseline)
-
-
-def _run_one_scheme(scheme, cfg, wall, grid, forcing, groups, state0, tau,
-                    observe=None, observe_every=1, schedules=None, n_s=None):
-    """Run one scheme on a fresh operator and return its report."""
-    op = _fresh_operator(cfg, wall, grid, forcing, groups)
+def _run_one_scheme(scheme, dom, observe=None, observe_every=1, schedules=None, n_s=None):
+    """Run one scheme to ``dom.cfg.tau`` on a fresh operator and return its report."""
+    cfg, op, state0 = dom.cfg, dom.operator(), dom.state0
     if scheme == "euler":
-        return euler_run(op, state0, cfg.dt_euler, tau, observe=observe,
+        return euler_run(op, state0, cfg.dt_euler, cfg.tau, observe=observe,
                          observe_every=observe_every)
     if scheme == "df":
-        return dufort_frankel_run(op, state0, _scheme_step(scheme, cfg), tau,
+        return dufort_frankel_run(op, state0, _scheme_step(scheme, cfg), cfg.tau,
                                   observe=observe, observe_every=observe_every)
     schedule = _schedule(scheme, cfg, n_s)
     if schedules is not None:
         schedules[scheme] = schedule.describe()
-    return sts_run(op, state0, schedule, tau, observe=observe, observe_every=observe_every)
+    return sts_run(op, state0, schedule, cfg.tau, observe=observe, observe_every=observe_every)
+
+
+def _baseline(reports):
+    """The ratio baseline: the Euler run, else the first scheme that ran."""
+    return reports.get("euler") or next(iter(reports.values()), None)
+
+
+def _compare(dom, schemes, trackers=None, reports=None, schedules=None):
+    """(records, reports, failures) of the scheme-comparison table.
+
+    Runs each scheme that ``reports`` does not already hold, observed by
+    its tracker when ``trackers`` is given, and records a diverged one as
+    failed.  Ratios are taken against the Euler run, else the first scheme
+    that ran.
+    """
+    cfg, done = dom.cfg, reports or {}
+    reports, failures = {}, {}
+    for scheme in schemes:
+        if scheme in done:
+            reports[scheme] = done[scheme]
+            continue
+        tracker = trackers[scheme] if trackers else None
+        try:
+            reports[scheme] = _run_one_scheme(
+                scheme, dom, observe=tracker, schedules=schedules,
+                observe_every=_sample_stride(_scheme_step(scheme, cfg), cfg.tau))
+        except DivergenceError as exc:
+            failures[scheme] = str(exc)
+            logger.warning("scheme %s diverged: %s", scheme, exc)
+    baseline = _baseline(reports)
+    records = []
+    for scheme in schemes:
+        if scheme in failures:
+            dt = _scheme_step(scheme, cfg)
+            records.append(failure_record(scheme, dt, int(math.floor(cfg.tau / dt + 1e-12)) + 1,
+                                          baseline))
+            continue
+        records.append(ratios(reports[scheme], baseline, cfg.tau_days))
+        if trackers:
+            trackers[scheme].fill(records[-1])
+    return records, reports, failures
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +383,8 @@ class _ReferenceTrajectory:
     """Reference states sampled on a uniform time grid, linearly
     interpolable in time."""
 
-    def __init__(self, states):
-        self.times = np.array([s.time for s in states])
-        self.y = np.stack([(s.u, s.v) for s in states])
+    def __init__(self, times, states):
+        self.times, self.y = times, states
 
     def at(self, t: float) -> np.ndarray:
         """The (2, n) reference state at time t."""
@@ -399,21 +445,21 @@ def _sample_stride(dt: float, tau: float) -> int:
     return max(1, round(tau / _REFERENCE_SAMPLES / dt))
 
 
-def _oracle(cfg, wall, grid, forcing, groups, state0, check=False):
+def _oracle(dom, check=False):
     """(report, gap) of the RK4 reference, sampled in time for trajectory-wide
     errors.  Its step h is twice the Euler step while ``h * lambda_max`` stays
     within 2.5 (RK4 is stable to 2.785), else the Euler step.  With ``check``, a
     run at h/2 gives the step-doubling (Richardson) estimate of its final-state
     error, ``gap = (16/15) max|y_h - y_{h/2}|``."""
+    cfg, op, state0 = dom.cfg, dom.operator(), dom.state0
     if cfg.dt_euler is None:
         raise ConfigError("the RK4 reference needs an explicit dt_euler")
-    op = _fresh_operator(cfg, wall, grid, forcing, groups)
     lam = op.gershgorin_lambda_max(0.0, state0)
     h = 2.0 * cfg.dt_euler if 2.0 * cfg.dt_euler * lam <= 2.5 else cfg.dt_euler
     report = rk4_run(op, state0, h, cfg.tau, sample_every=_sample_stride(h, cfg.tau))
     if not check:
         return report, None
-    half = rk4_run(_fresh_operator(cfg, wall, grid, forcing, groups), state0, h / 2.0, cfg.tau)
+    half = rk4_run(dom.operator(), state0, h / 2.0, cfg.tau)
     ref, fine = report.final_state, half.final_state
     gap = 16.0 / 15.0 * float(np.max(np.abs([fine.u - ref.u, fine.v - ref.v])))
     if gap > 1e-5:
@@ -445,45 +491,17 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
     cfg.validate()
     if cfg.groups is None:
         raise ConfigError("verification case needs dimensionless groups")
-    wall, grid, state0 = _build_domain(cfg)
-    forcing = BoundaryForcing(cfg.forcing_left, cfg.forcing_right)
-    groups = cfg.groups
+    dom = _build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right), cfg.groups)
+    grid = dom.grid
 
-    ref_report, richardson_gap = _oracle(cfg, wall, grid, forcing, groups, state0, cfg.reference_check)
-    ref_traj = _ReferenceTrajectory(ref_report.trajectory)
-
+    ref_report, richardson_gap = _oracle(dom, cfg.reference_check)
+    ref_traj = _ReferenceTrajectory(*ref_report.trajectory)
+    trackers = {scheme: _ErrorTracker(ref_traj, grid.spacing) for scheme in cfg.schemes}
     schedules = {}
-    reports = {}
-    trackers = {}
-    failures = {}
-    for scheme in cfg.schemes:
-        tracker = _ErrorTracker(ref_traj, grid.spacing)
-        try:
-            reports[scheme] = _run_one_scheme(
-                scheme, cfg, wall, grid, forcing, groups, state0, cfg.tau, schedules=schedules,
-                observe=tracker, observe_every=_sample_stride(_scheme_step(scheme, cfg), cfg.tau),
-            )
-            trackers[scheme] = tracker
-        except DivergenceError as exc:
-            failures[scheme] = str(exc)
-            logger.warning("scheme %s diverged: %s", scheme, exc)
+    records, reports, failures = _compare(dom, cfg.schemes, trackers=trackers, schedules=schedules)
 
-    euler_report = reports.get("euler")
-    records = []
-    for scheme in cfg.schemes:
-        if scheme in failures:
-            records.append(_failure_row(scheme, cfg, euler_report))
-            continue
-        baseline = euler_report if euler_report is not None else reports[scheme]
-        rec = ratios(reports[scheme], baseline, cfg.tau_days)
-        trackers[scheme].fill(rec)
-        records.append(rec)
-
-    trajectories = {}
-    for scheme, report in reports.items():
-        x = grid.node_positions
-        trajectories[f"{scheme}_u"] = ("x,u", x, report.final_state.u)
-        trajectories[f"{scheme}_v"] = ("x,v", x, report.final_state.v)
+    trajectories = {f"{scheme}_{f}": (f"x,{f}", grid.node_positions, getattr(report.final_state, f))
+                    for scheme, report in reports.items() for f in "uv"}
 
     manifest = _manifest_stub(cfg, {
         "schedules": schedules,
@@ -493,7 +511,7 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
     })
     emit_outputs(out_dir, manifest, records=records, trajectories=trajectories)
     if cfg.dump_matrix:
-        op = _fresh_operator(cfg, wall, grid, forcing, groups)
+        op = dom.operator()
         if op.is_linear:
             op.dump_matrix(os.path.join(out_dir, "operator_matrix.txt"))
     return VerificationResult(records=records, reports=reports, reference=ref_report.final_state,
@@ -528,24 +546,20 @@ def run_ns_sweep(cfg: CaseConfig, ns_list=None, out_dir=None) -> SweepResult:
         raise ConfigError("sweep needs positive super-step counts")
     if not set(cfg.sweep_schemes) <= {"rkc", "rkl"}:
         raise ConfigError(f"sweep schemes must be rkc or rkl, got {cfg.sweep_schemes}")
-    wall, grid, state0 = _build_domain(cfg)
-    forcing = BoundaryForcing(cfg.forcing_left, cfg.forcing_right)
-    groups = cfg.groups
+    dom = _build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right), cfg.groups)
 
-    ref_traj = _ReferenceTrajectory(_oracle(cfg, wall, grid, forcing, groups, state0)[0].trajectory)
-    euler_report = _run_one_scheme("euler", cfg, wall, grid, forcing, groups, state0, cfg.tau)
+    ref_traj = _ReferenceTrajectory(*_oracle(dom)[0].trajectory)
+    euler_report = _run_one_scheme("euler", dom)
 
     rows = []
-    errors = {scheme: {"ns": [], "u": [], "v": []} for scheme in cfg.sweep_schemes}
     failures = {}
     for scheme in cfg.sweep_schemes:
         for n_s in ns_values:
             dt = _scheme_step(scheme, cfg, n_s)
-            tracker = _ErrorTracker(ref_traj, grid.spacing)
+            tracker = _ErrorTracker(ref_traj, dom.grid.spacing)
             try:
-                report = _run_one_scheme(
-                    scheme, cfg, wall, grid, forcing, groups, state0, cfg.tau, n_s=n_s,
-                    observe=tracker, observe_every=_sample_stride(dt, cfg.tau))
+                report = _run_one_scheme(scheme, dom, n_s=n_s, observe=tracker,
+                                         observe_every=_sample_stride(dt, cfg.tau))
             except DivergenceError as exc:
                 failures[f"{scheme}-{n_s}"] = str(exc)
                 rows.append([scheme, n_s, dt, "", "", "", "", "", "diverged"])
@@ -556,18 +570,16 @@ def run_ns_sweep(cfg: CaseConfig, ns_list=None, out_dir=None) -> SweepResult:
                 scheme, n_s, report.dt, report.n_steps,
                 rec.rho_ndt_pct, rec.epsinf_u, rec.epsinf_v, rec.rho_cpu_pct, "ok",
             ])
-            errors[scheme]["ns"].append(n_s)
-            errors[scheme]["u"].append(rec.epsinf_u)
-            errors[scheme]["v"].append(rec.epsinf_v)
 
     slopes = {}
-    for scheme, data in errors.items():
-        if len(data["ns"]) >= 2:
-            ln = np.log(np.asarray(data["ns"], dtype=float))
-            pair = np.maximum(np.asarray(data["u"]), np.asarray(data["v"]))
+    for scheme in cfg.sweep_schemes:
+        ok = [row for row in rows if row[0] == scheme and row[-1] == "ok"]
+        if len(ok) >= 2:
+            ns, eu, ev = (np.array([row[k] for row in ok], dtype=float) for k in (1, 5, 6))
+            ln, pair = np.log(ns), np.maximum(eu, ev)
             slopes[scheme] = {
-                "u": float(np.polyfit(ln, np.log(data["u"]), 1)[0]),
-                "v": float(np.polyfit(ln, np.log(data["v"]), 1)[0]),
+                "u": float(np.polyfit(ln, np.log(eu), 1)[0]),
+                "v": float(np.polyfit(ln, np.log(ev), 1)[0]),
                 # uniform error of the solution pair: the headline scaling
                 "solution": float(np.polyfit(ln, np.log(pair), 1)[0]),
             }
@@ -602,14 +614,14 @@ class PhysicalResult:
         return 2 if self.failures else 0
 
 
-def physical_step_counts(cfg: CaseConfig, horizon_days: Optional[float] = None) -> dict:
-    """Step-policy node counts at the reporting horizon, by formula.
+def physical_step_counts(cfg: CaseConfig) -> dict:
+    """Step-policy node counts at the 365-day reporting horizon, by formula.
 
     ``cfg`` needs its Euler step and schedule base set; a config that
     leaves them to the operator estimate gets them from
     :func:`_layout_config`, as :func:`run_physical_case` does.
     """
-    horizon = (horizon_days if horizon_days is not None else cfg.step_count_horizon_days) * DAY_S
+    horizon = 365.0 * DAY_S
     if _base_step(cfg) is None or ("euler" in cfg.schemes and cfg.dt_euler is None):
         raise ConfigError("step counts need dt_euler or dt_exp; 'auto' steps come from "
                           "a layout's operator estimate")
@@ -683,14 +695,11 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     drying_reports = {}
 
     for name, layer_list in layouts.items():
-        sub_cfg, wall, grid, state0 = _layout_config(cfg, layer_list, forcing, groups)
-        observer = _MoistureObserver(grid, _re_node_range(wall, grid, layer_list))
-        stride = max(1, int(cfg.tau / _scheme_step(cfg.drying_scheme, sub_cfg) / 1500))
+        dom = _layout_config(cfg, layer_list, forcing, groups)
+        observer = _MoistureObserver(dom.grid, _re_node_range(dom.wall, dom.grid, layer_list))
+        stride = max(1, int(cfg.tau / _scheme_step(cfg.drying_scheme, dom.cfg) / 1500))
         try:
-            report = _run_one_scheme(
-                cfg.drying_scheme, sub_cfg, wall, grid, forcing, groups, state0, cfg.tau,
-                observe=observer, observe_every=stride,
-            )
+            report = _run_one_scheme(cfg.drying_scheme, dom, observe=observer, observe_every=stride)
         except DivergenceError as exc:
             failures[f"drying-{name}"] = str(exc)
             continue
@@ -703,31 +712,13 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     # Scheme comparison on the first configuration; the drying run already
     # covers its own scheme there.
     first_name = cfg.physical_configurations[0]
-    first_layout = layouts[first_name]
-    sub_cfg, wall, grid, state0 = _layout_config(cfg, first_layout, forcing, groups)
-    reports = {}
+    dom = _layout_config(cfg, layouts[first_name], forcing, groups)
     schedules = {}
-    for scheme in cfg.schemes:
-        if scheme == cfg.drying_scheme and first_name in drying_reports:
-            reports[scheme] = drying_reports[first_name]
-            continue
-        try:
-            reports[scheme] = _run_one_scheme(
-                scheme, sub_cfg, wall, grid, forcing, groups, state0, cfg.tau,
-                schedules=schedules,
-            )
-        except DivergenceError as exc:
-            failures[scheme] = str(exc)
+    done = {cfg.drying_scheme: drying_reports[first_name]} if first_name in drying_reports else None
+    records, reports, table_failures = _compare(dom, cfg.schemes, reports=done, schedules=schedules)
+    failures.update(table_failures)
 
-    baseline = reports.get("euler") or (next(iter(reports.values())) if reports else None)
-    records = []
-    for scheme in cfg.schemes:
-        if scheme in failures:
-            records.append(_failure_row(scheme, sub_cfg, baseline))
-        elif baseline is not None:
-            records.append(ratios(reports[scheme], baseline, cfg.tau_days))
-
-    policy_counts = physical_step_counts(sub_cfg)
+    policy_counts = physical_step_counts(dom.cfg)
     series_files = {}
     for name in totals:
         t_days, theta = totals[name]
@@ -742,18 +733,18 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
         "schedules": schedules,
         "runs": {name: rep.describe() for name, rep in reports.items()},
         "failures": failures,
-        "ratio_baseline": baseline.scheme if baseline is not None else None,
+        "ratio_baseline": getattr(_baseline(reports), "scheme", None),
     })
     emit_outputs(out_dir, manifest, records=records, series=series_files)
     return PhysicalResult(records=records, reports=reports, totals=totals, rates=rates,
                           policy_counts=policy_counts, manifest=manifest, failures=failures)
 
 
-def _layout_config(cfg: CaseConfig, layer_list, forcing, groups):
-    """(config, wall, grid, state0) of one physical layout.
+def _layout_config(cfg: CaseConfig, layer_list, forcing, groups) -> _Domain:
+    """The domain of one physical layout.
 
-    The config is a copy with the layout's layers and per-layer initial
-    moisture.  Steps the config leaves open come from this layout's
+    Its config is a copy of ``cfg`` with the layout's layers and per-layer
+    initial moisture.  Steps the config leaves open come from this layout's
     operator estimate at the initial state: the Euler step is 0.9 of the
     explicit limit, and the schedule base is the Euler step when one is
     set, else the limit with a 10% margin.
@@ -762,16 +753,16 @@ def _layout_config(cfg: CaseConfig, layer_list, forcing, groups):
     sub.layers = [(name, th) for name, th in layer_list]
     sub.initial_u = PHYSICAL_INITIAL_T
     sub.initial_v = [PHYSICAL_INITIAL_V[name] for name, _ in layer_list]
-    wall, grid, state0 = _build_domain(sub)
+    dom = _build_domain(sub, forcing, groups)
     if sub.dt_euler is None or sub.dt_exp_base is None:
-        est = estimate_lambda_max(_fresh_operator(sub, wall, grid, forcing, groups), state0)
+        est = estimate_lambda_max(dom.operator(), dom.state0)
         if not math.isfinite(est.dt_exp):
             raise ConfigError("operator has zero stiffness; set dt_euler or dt_exp explicitly")
         if sub.dt_exp_base is None:
             sub.dt_exp_base = sub.dt_euler if sub.dt_euler is not None else est.dt_exp / 1.1
         if sub.dt_euler is None:
             sub.dt_euler = 0.9 * est.dt_exp
-    return sub, wall, grid, state0
+    return dom
 
 
 # ---------------------------------------------------------------------------

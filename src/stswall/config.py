@@ -149,7 +149,6 @@ class CaseConfig:
     physical_configurations: list = dc_field(default_factory=lambda: ["ins_re", "re_ins", "re"])
     drying_scheme: str = "rkl"
     climate_path: Optional[str] = None    # None: write the synthetic series
-    step_count_horizon_days: float = 365.0
     rho2: float = 1000.0
     c2: float = 4180.0
     latent_heat: float = 2.5e6

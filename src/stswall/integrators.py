@@ -44,20 +44,13 @@ _OVERFLOW_GUARD = 1e150
 
 @dataclass(frozen=True)
 class SuperStepSchedule:
-    """One super-step cycle: stage steps or recursion coefficients.
-
-    ``stage_state_offsets`` holds the time offsets of the stage states
-    Y_0..Y_{n_s} relative to the cycle start; stage j evaluates the RHS at
-    offset[j-1] and lands on offset[j].  The last offset equals
-    ``dt_super``.
-    """
+    """One super-step cycle: stage steps or recursion coefficients."""
 
     scheme: str
     n_s: int
     dt_exp: float
     dt_super: float
     damping: float
-    stage_state_offsets: np.ndarray
     stage_steps: Optional[np.ndarray] = None       # rkc: tau_k in execution order
     rkl_mu: Optional[np.ndarray] = None
     rkl_nu: Optional[np.ndarray] = None
@@ -74,7 +67,6 @@ class SuperStepSchedule:
             raise ConfigError("schedule scaling factor must be in (0, 1]")
         return replace(
             self, dt_exp=self.dt_exp * factor, dt_super=self.dt_super * factor,
-            stage_state_offsets=self.stage_state_offsets * factor,
             stage_steps=None if self.stage_steps is None else self.stage_steps * factor,
         )
 
@@ -118,10 +110,9 @@ def build_schedule(
         k = np.arange(1, n_s + 1)
         tau = w1 / (w0 - np.cos((2 * k - 1) * np.pi / (2 * n_s)))
         tau = tau[_interleave_order(n_s)]
-        offsets = np.concatenate([[0.0], np.cumsum(tau)])
         return SuperStepSchedule(
-            scheme="rkc", n_s=n_s, dt_exp=dt_exp, dt_super=float(offsets[-1]),
-            damping=float(damping), stage_state_offsets=offsets, stage_steps=tau,
+            scheme="rkc", n_s=n_s, dt_exp=dt_exp, dt_super=float(np.cumsum(tau)[-1]),
+            damping=float(damping), stage_steps=tau,
         )
 
     if damping not in (None, 0, 0.0):
@@ -132,10 +123,9 @@ def build_schedule(
     span = float(n_s * (n_s + 1))
     dt_super = 0.5 * span * dt_exp
     mu_tilde = mu * 2.0 / span
-    offsets = np.concatenate([[0.0], dt_super * (j * (j + 1.0)) / span])
     return SuperStepSchedule(
         scheme="rkl", n_s=n_s, dt_exp=dt_exp, dt_super=dt_super, damping=0.0,
-        stage_state_offsets=offsets, rkl_mu=mu, rkl_nu=nu, rkl_mu_tilde=mu_tilde,
+        rkl_mu=mu, rkl_nu=nu, rkl_mu_tilde=mu_tilde,
     )
 
 
@@ -181,7 +171,7 @@ class RunReport:
     rhs_evals: int
     cpu_s: float
     final_state: StateField
-    trajectory: Optional[list] = None
+    trajectory: Optional[tuple] = None     # (times (k,), states (k, 2, n)) when sampled
     flags: dict = field(default_factory=dict)
     n_s: Optional[int] = None
     dt_exp: Optional[float] = None
@@ -215,7 +205,7 @@ class _Monitor:
         self.observe = observe
         self.observe_every = max(1, int(observe_every))
         self.sample_every = sample_every
-        self.trajectory = [] if sample_every else None
+        self.times, self.samples = [], []
         self.box_violations = 0
         if self.box is None:
             self.limits = (-_OVERFLOW_GUARD, _OVERFLOW_GUARD) * 2
@@ -229,8 +219,9 @@ class _Monitor:
     def start(self, t, y):
         if self.observe is not None:
             self.observe(t, y[0], y[1])
-        if self.trajectory is not None:
-            self.trajectory.append(StateField(y[0].copy(), y[1].copy(), t))
+        if self.sample_every:
+            self.times.append(t)
+            self.samples.append(y.copy())
 
     def check(self, step_index, t, y, final=False):
         umin, vmin = np.minimum.reduce(y, axis=1).tolist()
@@ -248,8 +239,9 @@ class _Monitor:
                 self.box_violations += 1
         if self.observe is not None and (final or step_index % self.observe_every == 0):
             self.observe(t, y[0], y[1])
-        if self.trajectory is not None and (final or step_index % self.sample_every == 0):
-            self.trajectory.append(StateField(y[0].copy(), y[1].copy(), t))
+        if self.sample_every and (final or step_index % self.sample_every == 0):
+            self.times.append(t)
+            self.samples.append(y.copy())
 
 
 def _plan_steps(dt: float, tau: float) -> int:
@@ -308,9 +300,8 @@ class _DufortFrankelStep(_EulerStep):
 
     scheme = "df"
 
-    def __init__(self, op, dt, lag):
+    def __init__(self, op, dt):
         super().__init__(op, dt)
-        self.lag = lag
         self.prev = None                    # the state one level back
         self.blocks = None
         self.refresh_blocks = not op.is_linear
@@ -327,7 +318,7 @@ class _DufortFrankelStep(_EulerStep):
             self.blocks = (b_uu, b_uv, b_vu, b_vv, det)
         b_uu, b_uv, b_vu, b_vv, det = self.blocks
         (u_prev, v_prev), (u, v) = self.prev, y
-        du, dv = op.rhs(max(0.0, t - self.lag), y, coeffs)
+        du, dv = op.rhs(max(0.0, t - dt), y, coeffs)    # forcing at the base level
         r_u = ((1.0 - dt * b_uu) * u_prev - dt * b_uv * v_prev
                + 2.0 * dt * (du + b_uu * u + b_uv * v))
         r_v = (-dt * b_vu * u_prev + (1.0 - dt * b_vv) * v_prev
@@ -396,7 +387,8 @@ def _march(op, state0, stepper, tau, observe, observe_every, sample_every) -> Ru
     return RunReport(
         scheme=stepper.scheme, dt=dt0, tau=tau, n_steps=step, n_t=n_full + 1,
         rhs_evals=op.rhs_evals - evals0, cpu_s=cpu,
-        final_state=StateField(y[0], y[1], tau), trajectory=mon.trajectory,
+        final_state=StateField(y[0], y[1], tau),
+        trajectory=(np.array(mon.times), np.stack(mon.samples)) if sample_every else None,
         flags={**stepper.flags, "box_violations": mon.box_violations},
         n_s=stepper.n_s, dt_exp=stepper.dt_exp,
     )
@@ -444,7 +436,6 @@ def dufort_frankel_run(
     observe: Optional[ObserveFn] = None,
     observe_every: int = 1,
     sample_every: Optional[int] = None,
-    forcing_time: str = "base",
 ) -> RunReport:
     """Three-level leapfrog march with the self-coupling taken implicitly.
 
@@ -456,59 +447,44 @@ def dufort_frankel_run(
     unconditionally unstable.  Per-step cost stays at one RHS evaluation.
     The first step is bootstrapped with a single Euler step; a final
     shorter-than-dt landing is integrated with explicit Euler sub-steps
-    below the stability limit.
-
-    ``forcing_time`` selects the clock for time-dependent boundary data in
-    the double step from the base level t_{n-1} to t_{n+1}: ``"base"``
-    (default) reads it at the base level, the usual first-order treatment;
-    ``"midpoint"`` reads it at t_n, which centres the forcing and is
-    noticeably more accurate.
+    below the stability limit.  Time-dependent boundary data of the double
+    step from t_{n-1} to t_{n+1} are read at the base level t_{n-1}.
     """
-    if forcing_time not in ("base", "midpoint"):
-        raise ConfigError(f"forcing_time must be 'base' or 'midpoint', got {forcing_time!r}")
-    lag = dt if forcing_time == "base" else 0.0
-    return _march(op, state0, _DufortFrankelStep(op, dt, lag), tau,
+    return _march(op, state0, _DufortFrankelStep(op, dt), tau,
                   observe, observe_every, sample_every)
 
 
-def _stage_times(schedule, t0, frozen):
-    """(rhs evaluation times, constraint times) for the n_s stages.
-
-    Frozen cycles use the cycle-start data throughout and stamp the end
-    time only on the final stage; per-stage sampling follows the stage
-    state offsets.
-    """
-    if frozen:
-        return [t0] * schedule.n_s, [t0] * (schedule.n_s - 1) + [t0 + schedule.dt_super]
-    times = list(t0 + schedule.stage_state_offsets)
-    return times[:-1], times[1:]
+def _stamps(schedule, t0):
+    """Constraint times of the n_s stages: the cycle start, and its end on
+    the last stage."""
+    return [t0] * (schedule.n_s - 1) + [t0 + schedule.dt_super]
 
 
-# Stages update in place; ``coeffs`` is a coefficient pass already made on ``y``.
-def _rkc_cycle(op, schedule, t0, y, frozen, coeffs=None):
-    evals, constraints = _stage_times(schedule, t0, frozen)
-    for k, tau in enumerate(schedule.stage_steps):
-        dy = op.rhs(evals[k], y, None if k else coeffs)
+# Every stage reads boundary data at the cycle start t0.  Stages update in
+# place; ``coeffs`` is a coefficient pass already made on ``y``.
+def _rkc_cycle(op, schedule, t0, y, coeffs=None):
+    for k, (tau, t_k) in enumerate(zip(schedule.stage_steps, _stamps(schedule, t0))):
+        dy = op.rhs(t0, y, None if k else coeffs)
         y += np.multiply(dy, tau, out=dy)
-        op.apply_constraints(constraints[k], y)
+        op.apply_constraints(t_k, y)
     return y
 
 
-def _rkl_cycle(op, schedule, t0, y, frozen, coeffs=None):
-    evals, constraints = _stage_times(schedule, t0, frozen)
+def _rkl_cycle(op, schedule, t0, y, coeffs=None):
+    stamps = _stamps(schedule, t0)
     mu, nu, mu_t = schedule.rkl_mu, schedule.rkl_nu, schedule.rkl_mu_tilde
     dt_s = schedule.dt_super
-    dy = op.rhs(evals[0], y, coeffs)
+    dy = op.rhs(t0, y, coeffs)
     y_pp, y_p = y, np.add(y, np.multiply(dy, mu_t[0] * dt_s, out=dy), out=dy)    # Y_0, Y_1
-    op.apply_constraints(constraints[0], y_p)
+    op.apply_constraints(stamps[0], y_p)
     mu_y = np.empty_like(y)
     for j in range(2, schedule.n_s + 1):
-        dy = op.rhs(evals[j - 1], y_p)
+        dy = op.rhs(t0, y_p)
         y_pp *= nu[j - 1]               # Y_j = (mu Y_p + nu Y_pp) + mu_t dt_s dY, over Y_pp
         y_pp += np.multiply(mu[j - 1], y_p, out=mu_y)
         y_pp += np.multiply(dy, mu_t[j - 1] * dt_s, out=dy)
         y_pp, y_p = y_p, y_pp
-        op.apply_constraints(constraints[j - 1], y_p)
+        op.apply_constraints(stamps[j - 1], y_p)
     return y_p
 
 
@@ -516,8 +492,8 @@ class _SuperStep:
     """A super-step cycle; on nonlinear operators the stiffness estimate is
     refreshed before each cycle and the schedule rebuilt when outgrown."""
 
-    def __init__(self, op, schedule, frozen):
-        self.op, self.active, self.frozen = op, schedule, frozen
+    def __init__(self, op, schedule):
+        self.op, self.active = op, schedule
         self.scheme, self.n_s, self.dt_exp = schedule.scheme, schedule.n_s, schedule.dt_exp
         self.cycle = _rkc_cycle if schedule.scheme == "rkc" else _rkl_cycle
         self.refresh_lambda = not op.is_linear
@@ -544,7 +520,7 @@ class _SuperStep:
 
     def step(self, t, h, t_new, y, schedule=None):
         coeffs, self.coeffs = self.coeffs, None
-        return self.cycle(self.op, schedule or self.active, t, y, self.frozen, coeffs)
+        return self.cycle(self.op, schedule or self.active, t, y, coeffs)
 
     def land(self, t, h, t_end, y):
         return self.step(t, h, t_end, y, self.active.scaled(h / self.active.dt_super))
@@ -558,7 +534,6 @@ def sts_run(
     observe: Optional[ObserveFn] = None,
     observe_every: int = 1,
     sample_every: Optional[int] = None,
-    stage_forcing: str = "frozen",
 ) -> RunReport:
     """March with super-step cycles defined by ``schedule``.
 
@@ -567,21 +542,14 @@ def sts_run(
     stiffness estimate is refreshed once per cycle and the schedule is
     rebuilt with a safety margin when the estimate outgrows it.  If tau is
     not a whole number of super steps, a final scaled-down cycle lands
-    exactly on tau.
-
-    ``stage_forcing`` selects how time-dependent boundary data are sampled
-    within a cycle: ``"frozen"`` (default) uses the cycle-start values for
-    every inner stage, the usual first-order treatment; ``"stage"``
-    samples each inner stage at its own time offset, which is noticeably
-    more accurate on strongly time-forced problems.
+    exactly on tau.  Every stage of a cycle reads time-dependent boundary
+    data at the cycle start; the last stage imposes Dirichlet values at
+    the cycle end.
     """
-    if stage_forcing not in ("frozen", "stage"):
-        raise ConfigError(f"stage_forcing must be 'frozen' or 'stage', got {stage_forcing!r}")
     lam0 = op.gershgorin_lambda_max(0.0, state0)
     if lam0 > schedule.design_lambda * (1.0 + 1e-9):
         raise StaleScheduleError(
             f"schedule was built for lambda_max <= {schedule.design_lambda:g} "
             f"but the operator currently has a bound of {lam0:g}"
         )
-    return _march(op, state0, _SuperStep(op, schedule, stage_forcing == "frozen"), tau,
-                  observe, observe_every, sample_every)
+    return _march(op, state0, _SuperStep(op, schedule), tau, observe, observe_every, sample_every)

@@ -103,18 +103,11 @@ class ComparisonRecord:
         ]
 
 
-def ratios(
-    report: RunReport,
-    euler_report: RunReport,
-    tau_days: float,
-    reference: Optional[StateField] = None,
-    grid: Optional[Grid1D] = None,
-) -> ComparisonRecord:
+def ratios(report: RunReport, euler_report: RunReport, tau_days: float) -> ComparisonRecord:
     """Comparison record of a run against the Euler baseline.
 
     Step and CPU ratios come from executed step counts and marching-loop
-    timings; error columns are filled when a reference state and grid are
-    supplied.
+    timings; the error columns are left for the caller to fill.
     """
     if euler_report.n_steps <= 0 and report.n_steps > 0:
         raise ConfigError("Euler baseline has no steps")
@@ -122,7 +115,7 @@ def ratios(
         raise ConfigError("runs cover different final times")
     rho_ndt = (100.0 * report.n_steps / euler_report.n_steps
                if euler_report.n_steps > 0 else 100.0)
-    rec = ComparisonRecord(
+    return ComparisonRecord(
         scheme=report.scheme,
         dt=report.dt,
         n_t=report.n_t,
@@ -132,15 +125,6 @@ def ratios(
                      if euler_report.cpu_s > 0 else 0.0),
         rho_cpu_day_s=report.cpu_s / tau_days if tau_days > 0 else 0.0,
     )
-    if reference is not None:
-        if grid is None:
-            raise ConfigError("a grid is required to compute error norms")
-        (e2u, eiu), (e2v, eiv) = state_error_norms(report.final_state, reference, grid)
-        rec.eps2_u, rec.epsinf_u = e2u, eiu
-        rec.eps2_v, rec.epsinf_v = e2v, eiv
-        rec.scd_u = scd(report.final_state.u, reference.u)
-        rec.scd_v = scd(report.final_state.v, reference.v)
-    return rec
 
 
 def failure_record(scheme: str, dt: float, n_t: int, euler_report: Optional[RunReport]) -> ComparisonRecord:

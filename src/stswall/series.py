@@ -60,7 +60,7 @@ def ingest_boundary_series(path) -> BoundarySeries:
     The first column is time; remaining columns are named quantities.
     Lines starting with '#' are comments.  Raises
     :class:`~stswall.errors.IngestionError` with a 1-based line number for
-    non-numeric cells, ragged rows, or non-monotone time.
+    non-numeric or non-finite cells, ragged rows, or non-monotone time.
     """
     rows = []
     header = None
@@ -86,6 +86,8 @@ def ingest_boundary_series(path) -> BoundarySeries:
     if len(rows) < 2:
         raise IngestionError(f"{path}: need at least two data rows, got {len(rows)}")
     data = np.array([vals for _, vals in rows])
+    for i, k in np.argwhere(~np.isfinite(data))[:1]:         # the first NaN or inf cell
+        raise IngestionError(f"{path}: line {rows[i][0]}: non-finite {header[k]} {data[i, k]:g}")
     t = data[:, 0]
     for i in np.flatnonzero(t[1:] <= t[:-1])[:1] + 1:    # the first non-increasing time
         raise IngestionError(

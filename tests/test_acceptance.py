@@ -144,7 +144,7 @@ def test_criterion_7_physical_step_counts(physical_week_bundle):
     cfg, result = physical_week_bundle
     failures = []
     targets = {"euler": 15_629_624, "rkc": 156_196, "rkl": 74_379}
-    counts = physical_step_counts(cfg, horizon_days=365.0)
+    counts = physical_step_counts(cfg)
     for scheme, want in targets.items():
         got = counts[scheme]["n_t"]
         rel = abs(got - want) / want

@@ -124,6 +124,15 @@ class TestVerificationRun:
         run_verification_case(cfg, tmp_path)
         assert (tmp_path / "operator_matrix.txt").exists()
 
+    def test_ratios_without_euler_are_taken_against_the_first_scheme(self, tmp_path):
+        cfg = short_verification()
+        cfg.schemes = ["df", "rkl"]
+        res = run_verification_case(cfg, tmp_path)
+        df, rkl = res.records
+        assert df.rho_ndt_pct == 100.0
+        assert rkl.rho_ndt_pct == 100.0 * res.reports["rkl"].n_steps / res.reports["df"].n_steps
+        assert rkl.rho_ndt_pct < 100.0
+
 
 class TestSweep:
     def test_rows_and_monotone_counts(self, tmp_path):
@@ -178,11 +187,10 @@ class TestOracle:
     def test_falls_back_to_euler_step_outside_rk4_margin(self, tmp_path):
         cfg = short_verification(tau=0.005)
         cfg.schemes = ["euler"]
-        wall, grid, state0 = cases._build_domain(cfg)
-        forcing = BoundaryForcing(cfg.forcing_left, cfg.forcing_right)
-        op = cases._fresh_operator(cfg, wall, grid, forcing, cfg.groups)
+        dom = cases._build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right),
+                                  cfg.groups)
         # 2 dt lambda = 3 is outside RK4's margin of 2.5; dt lambda = 1.5 is a stable Euler step
-        cfg.dt_euler = 1.5 / op.gershgorin_lambda_max(0.0, state0)
+        cfg.dt_euler = 1.5 / dom.operator().gershgorin_lambda_max(0.0, dom.state0)
         res = run_verification_case(cfg, tmp_path)
         assert res.manifest["reference"]["dt"] == cfg.dt_euler
         assert res.reports["euler"].dt == cfg.dt_euler

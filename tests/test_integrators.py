@@ -127,13 +127,6 @@ class TestSchedules:
         assert tau[2] == sorted_tau[1]
         assert np.sort(tau) == pytest.approx(np.sort(sorted_tau))
 
-    def test_stage_offsets_monotone_and_end_at_dt_super(self):
-        for sch in (build_schedule("rkc", 9, 1.0, 0.05), build_schedule("rkl", 9, 1.0)):
-            off = sch.stage_state_offsets
-            assert off[0] == 0.0
-            assert np.all(np.diff(off) > 0)
-            assert off[-1] == pytest.approx(sch.dt_super, rel=1e-12)
-
     def test_scaled(self):
         sch = build_schedule("rkl", 5, 1.0).scaled(0.25)
         assert sch.dt_super == pytest.approx((25 + 5) / 2 * 0.25)
@@ -391,36 +384,6 @@ class TestStsRun:
         assert report.n_steps == 134   # 133 full cycles + the landing cycle
         assert report.n_t == 134
 
-    def test_frozen_vs_stage_forcing(self):
-        # a strongly time-forced Dirichlet problem: stage sampling must be
-        # closer to a fine reference than frozen sampling
-        mat = CoefficientModel.constants("m", 0.3, 0.0, 1.0, 0.3, 0.0)
-        wall = build_wall([(mat, 1.0)])
-        grid = Grid1D.uniform(1.0, 21)
-        groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0)
-        side = SideForcing.dirichlet(lambda t: 1 + math.sin(6 * t), lambda t: 1.0)
-        forcing = BoundaryForcing(side, SideForcing.dirichlet(lambda t: 1.0, lambda t: 1.0))
-
-        def fresh():
-            return assemble_operator(wall, grid, groups, forcing)
-
-        op = fresh()
-        lam = op.gershgorin_lambda_max()
-        sch = build_schedule("rkl", 12, 2.0 / lam)
-        state = ones_state(21)
-        tau = 40 * sch.dt_super
-        frozen = sts_run(fresh(), state, sch, tau, stage_forcing="frozen").final_state
-        staged = sts_run(fresh(), state, sch, tau, stage_forcing="stage").final_state
-        ref = euler_run(fresh(), state, 0.05 * 2.0 / lam, tau).final_state
-        err_frozen = np.max(np.abs(frozen.u - ref.u))
-        err_staged = np.max(np.abs(staged.u - ref.u))
-        assert err_staged < err_frozen
-
-    def test_invalid_stage_forcing(self):
-        op = diffusion_operator()
-        sch = build_schedule("rkl", 4, 2.0 / op.gershgorin_lambda_max())
-        with pytest.raises(ConfigError):
-            sts_run(op, ones_state(9), sch, 1.0, stage_forcing="adaptive")
 
 
 def test_step_reaching_tau_is_always_observed():
@@ -432,7 +395,9 @@ def test_step_reaching_tau_is_always_observed():
                        sample_every=3)
     assert report.n_steps == 4
     assert seen == [0.0, 0.75, 1.0]
-    assert [s.time for s in report.trajectory] == [0.0, 0.75, 1.0]
+    times, states = report.trajectory
+    assert times.tolist() == [0.0, 0.75, 1.0]
+    assert states.shape == (3, 2, 2) and np.array_equal(states[-1], [report.final_state.u, report.final_state.v])
 
 
 def test_frozen_cycle_reads_dirichlet_data_once_per_time():
@@ -461,7 +426,7 @@ def test_frozen_cycle_reads_dirichlet_data_once_per_time():
 
     op.apply_constraints = recording
     sch = build_schedule("rkl", 8, 2.0 / op.gershgorin_lambda_max())
-    report = sts_run(op, ones_state(9), sch, tau=3 * sch.dt_super, stage_forcing="frozen")
+    report = sts_run(op, ones_state(9), sch, tau=3 * sch.dt_super)
     assert report.n_steps == 3 and len(imposed) == 3 * 8
     distinct = list(dict.fromkeys(imposed))
     assert len(distinct) <= 2 * 3

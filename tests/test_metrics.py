@@ -90,16 +90,6 @@ class TestRatios:
         assert rec.rho_cpu_pct == 100.0
         assert rec.rho_cpu_day_s == pytest.approx(1.0)
 
-    def test_errors_filled_from_reference(self):
-        grid = Grid1D.uniform(1.0, 5)
-        a = make_report("df", 0.1, 10)
-        a.final_state = StateField(np.full(5, 1.01), np.full(5, 0.99))
-        euler = make_report("euler", 0.01, 100)
-        ref = StateField(np.ones(5), np.ones(5))
-        rec = ratios(a, euler, 1.0, reference=ref, grid=grid)
-        assert rec.epsinf_u == pytest.approx(0.01)
-        assert rec.scd_u == pytest.approx(2.0, abs=1e-9)
-
     def test_mismatched_horizons_rejected(self):
         with pytest.raises(ConfigError):
             ratios(make_report("df", 0.1, 10, tau=1.0),

@@ -73,6 +73,17 @@ class TestIngestion:
         with pytest.raises(IngestionError, match="line 3"):
             ingest_boundary_series(path)
 
+    @pytest.mark.parametrize("rows,message", [
+        ("0,1\nnan,2\n2,3\n", "line 3: non-finite t nan"),
+        ("0,1\n1,2\n2,inf\n", "line 4: non-finite val inf"),
+    ], ids=["nan-time", "inf-value"])
+    def test_non_finite_cell_names_its_line(self, tmp_path, rows, message):
+        # float() parses 'nan' and 'inf'; a NaN time would also slip past the order check
+        path = self.write(tmp_path, "t,val\n" + rows)
+        with pytest.raises(IngestionError) as info:
+            ingest_boundary_series(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_ragged_row_rejected(self, tmp_path):
         path = self.write(tmp_path, """\
             t,a,b
@@ -334,7 +345,8 @@ class TestConfigFile:
         for key in ("psat_inf", "g_inf", "flux_m", "flux_t"):
             assert getattr(left, key) is _zero
         assert right.flux_t is not _zero and right.flux_m is _zero
-        wall, grid, state0 = cases._build_domain(cfg)
+        dom = cases._build_domain(cfg, BoundaryForcing(left, right), cfg.groups)
+        wall, grid, state0 = dom.wall, dom.grid, dom.state0
         op = assemble_operator(wall, grid, cfg.groups, BoundaryForcing(left, right))
         (_, left_side, _), (_, right_side, _) = op._robin
         assert (left_side.flux_m, left_side.flux_t, left_side.g_inf) == (None, None, None)
