@@ -24,18 +24,23 @@ COMPARISON_COLUMNS = (
 
 
 def error_norms(num, ref, dx: float):
-    """(eps2, epsinf) between two nodal fields on spacing ``dx``.
+    """(eps2, epsinf) between nodal fields on spacing ``dx``, reduced over
+    the last axis.
 
     eps2 carries the quadrature weight sqrt(dx * sum d^2) so values are
     comparable across resolutions; epsinf is the raw maximum difference.
+    Two 1D fields give floats; stacked fields such as ``(u, v)`` against a
+    ``(2, n)`` state give one value per row.
     """
     a = np.asarray(num, dtype=float)
     b = np.asarray(ref, dtype=float)
     if a.shape != b.shape:
         raise ConfigError(f"field shapes differ: {a.shape} vs {b.shape}")
     d = a - b
-    eps2 = float(math.sqrt(dx * float(np.sum(d * d))))
-    epsinf = float(np.max(np.abs(d))) if d.size else 0.0
+    eps2 = np.sqrt(dx * np.add.reduce(d * d, axis=-1))
+    epsinf = np.abs(d).max(axis=-1, initial=0.0)
+    if d.ndim == 1:
+        return float(eps2), float(epsinf)
     return eps2, epsinf
 
 

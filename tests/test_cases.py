@@ -19,10 +19,12 @@ from stswall.cases import (
 from stswall.cli import main
 from stswall.dimensionless import DimensionlessGroups
 from stswall.errors import ConfigError
+from stswall.metrics import ComparisonRecord
 from stswall.model import (
     BoundaryForcing, Grid1D, SideForcing, StateField, build_wall, builtin_material,
 )
 from stswall.operator import assemble_operator, estimate_lambda_max
+from stswall.series import ingest_boundary_series, write_synthetic_climate
 
 DAY_S = 86400.0
 
@@ -238,6 +240,54 @@ def day_result(tmp_path_factory):
     return cfg, run_physical_case(cfg, out), out
 
 
+def _per_field_sample(times, states, sup, t, u, v, dx):
+    """Reference transcription of one error sample: a searchsorted bracket,
+    one norm pass per field and a separate reference norm, folded into the
+    running maxima ``sup`` (rows eps2, epsinf, reference norm)."""
+    k = int(np.searchsorted(times, t))
+    if not 0 < k < times.size:
+        ref = states[0 if k <= 0 else -1]
+    else:
+        w = (t - times[k - 1]) / (times[k] - times[k - 1])
+        ref = (1.0 - w) * states[k - 1] + w * states[k]
+    for col, (num, r) in enumerate(((u, ref[0]), (v, ref[1]))):
+        d = num - r
+        sup[0][col] = max(sup[0][col], float(math.sqrt(dx * float(np.sum(d * d)))))
+        sup[1][col] = max(sup[1][col], float(np.max(np.abs(d))))
+        sup[2][col] = max(sup[2][col], float(np.max(np.abs(r))))
+    return sup
+
+
+class TestErrorSampling:
+    @pytest.mark.parametrize("n", [5, 101, 1001])
+    def test_stacked_tracker_matches_per_field_transcription(self, n):
+        rng = np.random.default_rng(n)
+        h = 2.0 / 28000.0
+        times = h * np.arange(40)
+        states = rng.standard_normal((times.size, 2, n))
+        dx = 1.0 / (n - 1)
+        tracker = cases._ErrorTracker(cases._ReferenceTrajectory(times, states), dx)
+        expected = [[0.0, 0.0] for _ in range(3)]
+        probes = [float(times[7]), float(times[0]), float(times[-1]),   # at a sample
+                  float(0.3 * times[11] + 0.7 * times[12]), 1.5 * h,    # between samples
+                  -h, -0.25 * h,                                        # before the first
+                  float(times[-1]) + 0.5 * h, 1e3]                      # after the last
+        for t in probes:
+            u, v = 3.0 * rng.standard_normal((2, n))
+            # one sample alone, then the running maxima over all of them
+            single = cases._ErrorTracker(tracker.reference, dx)
+            single(t, u, v)
+            tracker(t, u, v)
+            _per_field_sample(times, states, expected, t, u, v, dx)
+            alone = _per_field_sample(times, states, [[0.0, 0.0] for _ in range(3)], t, u, v, dx)
+            assert single.sup.tolist() == alone
+            assert tracker.sup.tolist() == expected
+        rec = ComparisonRecord(scheme="euler", dt=h, n_t=2, rho_ndt_pct=100.0)
+        tracker.fill(rec)
+        assert [rec.eps2_u, rec.eps2_v, rec.epsinf_u, rec.epsinf_v] == expected[0] + expected[1]
+        assert type(rec.eps2_u) is float and type(rec.scd_v) is float
+
+
 class TestPhysicalCase:
 
     def test_policy_counts_at_horizon(self, day_result):
@@ -279,6 +329,18 @@ class TestPhysicalCase:
     def test_wrong_kind_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             run_physical_case(verification_preset(), tmp_path)
+
+    def test_climate_covers_the_run_plus_one_day(self, day_result, tmp_path):
+        cfg, _, out = day_result
+        short = ingest_boundary_series(out / "synthetic_climate.csv")
+        assert short.time.size == 49
+        year = tmp_path / "year.csv"
+        write_synthetic_climate(year, days=366.0)
+        full = ingest_boundary_series(year)
+        t = np.random.default_rng(0).uniform(0.0, cfg.tau, 500).tolist() + [0.0, cfg.tau]
+        for name in short.columns:
+            a, b = short.interpolator(name), full.interpolator(name)
+            assert [a(x) for x in t] == [b(x) for x in t]
 
     def test_manifest_labels_synthetic_climate(self, day_result):
         _, res, _ = day_result
@@ -455,3 +517,5 @@ def test_traced_benchmark_counts(tmp_path):
     assert layers["operator.apply_constraints.calls"] == 10130
     assert layers["integrators.steps"] == 1471
     assert layers["integrators.observe.calls"] == 1475
+    # one stacked norm call per error sample
+    assert layers["metrics.error_norms.calls"] == 1475

@@ -42,6 +42,22 @@ class TestErrorNorms:
         assert epsinf >= eps2 / math.sqrt(n)
         assert (epsinf == 0.0) == (eps2 == 0.0)
 
+    @pytest.mark.parametrize("n", [5, 101, 1001])
+    def test_stacked_fields_give_per_row_norms(self, n):
+        rng = np.random.default_rng(n)
+        dx = 1.0 / (n - 1)
+        num, ref = rng.standard_normal((2, 2, n))
+        eps2, epsinf = error_norms(num, ref, dx)
+        assert eps2.shape == epsinf.shape == (2,)
+        rows = [error_norms(num[i], ref[i], dx) for i in range(2)]
+        assert eps2.tolist() == [r[0] for r in rows]
+        assert epsinf.tolist() == [r[1] for r in rows]
+        # a tuple of the two fields is stacked the same way
+        assert [x.tolist() for x in error_norms(tuple(num), ref, dx)] == [eps2.tolist(), epsinf.tolist()]
+
+    def test_empty_fields(self):
+        assert error_norms(np.empty(0), np.empty(0), 0.1) == (0.0, 0.0)
+
     def test_state_error_norms_validate_grid_and_time(self):
         grid = Grid1D.uniform(1.0, 5)
         s1 = StateField(np.ones(5), np.ones(5), time=1.0)
