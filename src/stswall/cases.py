@@ -543,7 +543,10 @@ def run_ns_sweep(cfg: CaseConfig, ns_list=None, out_dir=None) -> SweepResult:
     dom = _build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right), cfg.groups)
 
     ref_traj = _ReferenceTrajectory(*_oracle(dom)[0].trajectory)
-    euler_report = _run_one_scheme("euler", dom)
+    # sampled like the rows, so rho_cpu_pct compares like with like
+    euler_report = _run_one_scheme(
+        "euler", dom, observe=_ErrorTracker(ref_traj, dom.grid.spacing),
+        observe_every=_sample_stride(_scheme_step("euler", cfg), cfg.tau))
 
     rows = []
     failures = {}
@@ -671,6 +674,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     """
     if cfg.kind != "physical":
         raise ConfigError("run_physical_case needs a physical case config")
+    cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     if cfg.climate_path is None:
         climate_path = os.path.join(out_dir, "synthetic_climate.csv")

@@ -14,7 +14,7 @@ from .cases import (
     physical_preset, run_custom_case, run_ns_sweep, run_physical_case,
     run_verification_case, verification_preset,
 )
-from .config import load_config, parse_duration
+from .config import load_config, parse_duration, parse_float, parse_int_list
 from .errors import StswallError
 
 
@@ -23,7 +23,7 @@ def _add_common(parser: argparse.ArgumentParser, default_out: str) -> None:
     parser.add_argument("--out", default=default_out, help="output directory")
     parser.add_argument("--scheme", help="comma list of schemes (euler,df,rkc,rkl)")
     parser.add_argument("--ns", help="super-step counts as rkc,rkl (e.g. 10,20)")
-    parser.add_argument("--dx", type=float, help="grid spacing override")
+    parser.add_argument("--dx", help="grid spacing override")
     parser.add_argument("--dt", help="Euler time step override (accepts s/min/h/d suffixes)")
     parser.add_argument("--tau", help="final time override (accepts s/min/h/d suffixes)")
 
@@ -47,7 +47,7 @@ def _apply_overrides(cfg, args, dimensionless: bool) -> None:
     if args.scheme:
         cfg.schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
     if args.ns:
-        vals = [int(x) for x in args.ns.split(",") if x.strip()]
+        vals = parse_int_list(args.ns)
         if len(vals) == 1:
             cfg.ns = {"rkc": vals[0], "rkl": vals[0]}
         elif len(vals) == 2:
@@ -55,12 +55,11 @@ def _apply_overrides(cfg, args, dimensionless: bool) -> None:
         else:
             cfg.sweep_ns = vals
     if args.dx is not None:
-        cfg.dx = args.dx
-    unit = "s"
+        cfg.dx = parse_float(args.dx, "--dx")
     if args.dt:
-        cfg.dt_euler = float(args.dt) if dimensionless else parse_duration(args.dt, unit)
+        cfg.dt_euler = parse_float(args.dt, "--dt") if dimensionless else parse_duration(args.dt)
     if args.tau:
-        cfg.tau = float(args.tau) if dimensionless else parse_duration(args.tau, unit)
+        cfg.tau = parse_float(args.tau, "--tau") if dimensionless else parse_duration(args.tau)
         cfg.tau_days = cfg.tau if dimensionless else cfg.tau / 86400.0
 
 
@@ -84,7 +83,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config) if args.config else verification_preset()
             _apply_overrides(cfg, args, dimensionless=True)
             if args.ns:
-                cfg.sweep_ns = [int(x) for x in args.ns.split(",") if x.strip()]
+                cfg.sweep_ns = parse_int_list(args.ns)
             result = run_ns_sweep(cfg, out_dir=args.out)
             for scheme, slope in result.slopes.items():
                 print(f"{scheme}: error slope vs N_S  solution={slope['solution']:.3f}  "

@@ -100,6 +100,14 @@ def parse_time_function(expr: str):
     return fn
 
 
+def _number(text, kind=float, shown=None):
+    """``kind(text)``, or a ConfigError naming ``shown`` (by default the text)."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"not a number: {str(text if shown is None else shown).strip()!r}") from None
+
+
 def parse_duration(text, default_unit: str = "s") -> float:
     """Seconds from a duration literal like '365d', '2h', '30min', '7200'."""
     if isinstance(text, (int, float)):
@@ -107,12 +115,28 @@ def parse_duration(text, default_unit: str = "s") -> float:
     s = str(text).strip().lower()
     for unit in ("min", "d", "h", "s"):
         if s.endswith(unit):
-            return float(s[: -len(unit)]) * _DURATION_UNITS[unit]
-    return float(s) * _DURATION_UNITS[default_unit]
+            return _number(s[: -len(unit)], shown=text) * _DURATION_UNITS[unit]
+    return _number(s, shown=text) * _DURATION_UNITS[default_unit]
 
 
 def _float_list(text) -> list:
-    return [float(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip()]
+    return [_number(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip()]
+
+
+def parse_float(text, what: str) -> float:
+    """The one number in ``text``; ``what`` names it in the error."""
+    vals = _float_list(text)
+    if len(vals) != 1:
+        raise ConfigError(f"{what} needs one number, got {str(text).strip()!r}")
+    return vals[0]
+
+
+def parse_int_list(text) -> list:
+    """Whole numbers from a comma list like '10,20'."""
+    vals = _float_list(text)
+    if not all(v.is_integer() for v in vals):
+        raise ConfigError(f"expected whole numbers, got {str(text).strip()!r}")
+    return [int(v) for v in vals]
 
 
 def _str_list(text) -> list:
@@ -157,8 +181,14 @@ class CaseConfig:
     def validate(self) -> None:
         if self.kind not in ("verification", "physical", "custom"):
             raise ConfigError(f"unknown case kind {self.kind!r}")
+        for name in ("tau", "dx", "dt_euler", "dt_df", "dt_exp_base"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.tau < 0:
             raise ConfigError("tau must be >= 0")
+        if self.kind == "physical" and self.tau == 0:
+            raise ConfigError("physical cases need tau > 0")
         if self.dx <= 0:
             raise ConfigError("dx must be positive")
         known = {"euler", "df", "rkc", "rkl"}
@@ -234,7 +264,8 @@ def _parse_biot(cp: configparser.ConfigParser, section: str) -> BiotSet:
 
 def load_config(path) -> CaseConfig:
     """Parse an INI case file into a :class:`CaseConfig`."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   converters={"float": _number, "int": lambda text: _number(text, int)})
     read = cp.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
@@ -318,7 +349,7 @@ def load_config(path) -> CaseConfig:
     if cp.has_section("sweep"):
         sec = cp["sweep"]
         if "ns" in sec:
-            cfg.sweep_ns = [int(x) for x in _float_list(sec["ns"])]
+            cfg.sweep_ns = parse_int_list(sec["ns"])
         if "schemes" in sec:
             cfg.sweep_schemes = _str_list(sec["schemes"])
     if cp.has_section("physical"):

@@ -43,6 +43,16 @@ def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * a * b / (a + b + 1e-300)
 
 
+def _horner(table: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the polynomials ``table[d]`` (the v**d terms, at least two) at ``v`` into ``out``."""
+    np.multiply(table[-1], v, out=out)
+    out += table[-2]
+    for row in table[-3::-1]:
+        out *= v
+        out += row
+    return out
+
+
 @dataclass(frozen=True)
 class StabilityEstimate:
     """Gershgorin bound on the stiffest decay rate and the resulting step limit."""
@@ -102,7 +112,7 @@ class SemiDiscreteOperator:
                     f"interface at x={x_int} does not coincide with an interior grid node"
                 )
 
-        # Horner table: table[d, k, s, j] is the v**d coefficient of
+        # Horner table of the wall: full[d, k, s, j] is the v**d coefficient of
         # coefficient k (in _TABLE_ORDER) of the layer on side s of node j
         # (0: its left face, 1: its right face; the end nodes reuse their
         # one face).  The two sides differ only at interface nodes.
@@ -114,11 +124,22 @@ class SemiDiscreteOperator:
             for k, name in enumerate(_TABLE_ORDER):
                 p = model.poly[COEFFICIENT_NAMES.index(name)]
                 layer_tables[i, :len(p), k] = p
-        self._table = np.ascontiguousarray(layer_tables[sides].transpose(2, 3, 0, 1))
+        full = layer_tables[sides].transpose(2, 3, 0, 1)
+        # A row varies with the state when some layer gives it a nonzero term
+        # of degree >= 1.  The pass evaluates the face rows of the one slice
+        # (in block order) that holds every varying face row, and the storage
+        # if it varies; a row inside the slice that does not vary comes out of
+        # Horner's rule as its constant term, bit for bit.
+        varies = np.any(layer_tables[:, 1:] != 0, axis=(0, 1)).tolist()
+        face_rows = [k for k in range(4) if varies[k]]
+        span = slice(0, 0)
+        if face_rows:
+            step = math.gcd(*np.diff(face_rows).tolist()) or 1
+            span = slice(face_rows[0], face_rows[-1] + 1, step)
+        rows = list(range(4))[span] + [4] * varies[4]
+        self._varies = bool(rows)
+        self._scaled = bool(set(rows) & {1, 2})     # k_tm or d_t: flux factors scaled
 
-        self._all_constant = terms == 1
-        self._coeff_cache = None
-        self._factors_fixed = False
         self._matrix_cache = None
         self._rowsum_cache = None
         # Frozen matrix A: face scale of each block (uu, uv, vu, vv) and interior
@@ -127,16 +148,40 @@ class SemiDiscreteOperator:
         cm = 1.0 / (self.dx * self.dx)
         self._row, self._fo_t_cm = np.full((4, self.n - 2), cm), groups.fo_t * cm
 
-        # RHS work arrays, (2, n) like the state: face j sits in column j
-        # and the last column is unused (zero in cu and cv).  Row-major,
-        # each row step of the state or the fluxes is then one flat
-        # difference; the two differences across the row seam land on
-        # boundary nodes, which the closure overwrites.
+        # Face arrays, (6, n): face j sits in column j and the last column is
+        # unused (zero).  Rows [delta k_tm, k_t, k_tm, d_t, d_theta, gamma d_t]:
+        # rows 1-4 are the faces in block order, rows 1 and 5 (cu) turn the u
+        # gradient and rows 0 and 4 (cv) the v gradient into the heat (row 0)
+        # and moisture (row 1) face fluxes, whose divergence is divided by
+        # den = [dx c, dx].  Every row starts at its constant value; a pass
+        # overwrites the varying ones.
         n = self.n
-        self._grad, self._flux, self._cross, self._cu, self._cv = np.zeros((5, 2, n))
+        fac = np.zeros((6, n))
+        self._faces, self._cu, self._cv = fac[1:5, :-1], fac[1::4], fac[0::4]
+        self._scaled_faces, self._face_scale = fac[0::5, :-1], np.array([[groups.delta], [groups.gamma]])
+        const = full[0]
+        self._faces[:] = _harmonic(const[:4, 1, :-1], const[:4, 0, 1:])
+        self._c = 0.5 * (const[4, 0] + const[4, 1])
         self._den = np.full((2, n), self.dx)
-        self._cu_scale = np.array([[1.0], [groups.gamma]])
-        self._cv_scale = np.array([[groups.delta], [1.0]])
+        np.multiply(self._faces[1:3], self._face_scale, out=self._scaled_faces)
+        np.multiply(self._c, self.dx, out=self._den[0])
+        self._pass = None if self._varies else (self._faces, self._c)
+
+        # Pass work arrays: the Horner values of the evaluated rows, the sum
+        # in the harmonic mean's denominator, and the faces of the slice.
+        self._table = np.ascontiguousarray(full[:, rows])
+        vals = np.empty(self._table.shape[1:])
+        m = len(rows) - varies[4]
+        self._vals, self._harm = vals, None
+        if m:
+            self._harm = (vals[:m, 1, :-1], vals[:m, 0, 1:], np.empty((m, n - 1)), self._faces[span])
+        self._storage = (vals[-1, 0], vals[-1, 1], self._c, self._den[0]) if varies[4] else None
+
+        # RHS work arrays, (2, n) like the state; the last column of cu and
+        # cv is zero.  Row-major, each row step of the state or the fluxes is
+        # then one flat difference; the two differences across the row seam
+        # land on boundary nodes, which the closure overwrites.
+        self._grad, self._flux, self._cross = np.zeros((3, 2, n))
         flux, den = self._flux.ravel(), self._den.ravel()
         self._work = (self._grad.ravel()[:-1], self._grad, self._grad[0], self._grad[1],
                       self._flux, self._cross, flux[1:-1], flux[:-2],
@@ -158,7 +203,7 @@ class SemiDiscreteOperator:
     @property
     def is_linear(self) -> bool:
         """True when the state Jacobian is constant (coefficients and exchange)."""
-        return self._all_constant and not any(side.sat for _, side, _ in self._robin)
+        return not self._varies and not any(side.sat for _, side, _ in self._robin)
 
     # -- coefficients ---------------------------------------------------------------
 
@@ -168,19 +213,29 @@ class SemiDiscreteOperator:
         Returns ``(faces, c)``: ``faces`` is a (4, n-1) array of the
         harmonic-mean face values of k_t, k_tm, d_t and d_theta, and ``c``
         the nodal storage, averaged over the two half-cells (exact away
-        from interfaces, where both sides share one model).
+        from interfaces, where both sides share one model).  Both are the
+        operator's own arrays, valid until its next pass; the pass also
+        sets the RHS's flux factors.  Only the rows that vary with the state
+        are evaluated, so a constant wall makes no work here.
         """
-        if self._coeff_cache is not None:
-            return self._coeff_cache
-        table = self._table
-        vals = table[-1]
-        for row in table[-2::-1]:
-            vals = vals * v
-            vals += row
-        coeffs = _harmonic(vals[:4, 1, :-1], vals[:4, 0, 1:]), 0.5 * (vals[4, 0] + vals[4, 1])
-        if self._all_constant:
-            self._coeff_cache = coeffs
-        return coeffs
+        if self._varies:
+            vals = _horner(self._table, v, self._vals)
+            if self._harm is not None:
+                left, right, total, out = self._harm    # 2 a b / (a + b + 1e-300)
+                np.add(left, right, out=total)
+                total += 1e-300
+                np.multiply(left, 2.0, out=out)
+                out *= right
+                out /= total
+                if self._scaled:
+                    np.multiply(self._faces[1:3], self._face_scale, out=self._scaled_faces)
+            if self._storage is not None:
+                left, right, c, den = self._storage
+                np.add(left, right, out=c)
+                c *= 0.5
+                np.multiply(c, self.dx, out=den)
+            self._pass = (self._faces, self._c)
+        return self._pass
 
     # -- right-hand side ------------------------------------------------------------
 
@@ -188,18 +243,12 @@ class SemiDiscreteOperator:
         """Time derivatives of the stacked state ``y`` (row 0 u, row 1 v) at time t.
 
         Returns a new (2, n) array, so ``du, dv = op.rhs(t, y)`` unpacks.
-        A caller that holds ``_coefficients(y[1])`` passes it as ``coeffs``.
+        A caller that holds ``_coefficients(y[1])`` passes it as ``coeffs``;
+        a pass that is no longer the operator's latest is made again.
         """
         self.rhs_evals += 1
-        if not self._factors_fixed:
-            # cu = [k_t, gamma d_t] and cv = [delta k_tm, d_theta] turn the u and
-            # v gradients into the heat (row 0) and moisture (row 1) face fluxes;
-            # their divergence is divided by den = [dx c, dx].
-            faces, c = self._coefficients(y[1]) if coeffs is None else coeffs
-            np.multiply(faces[0::2], self._cu_scale, out=self._cu[:, :-1])
-            np.multiply(faces[1::2], self._cv_scale, out=self._cv[:, :-1])
-            np.multiply(c, self.dx, out=self._den[0])
-            self._factors_fixed = self._all_constant
+        if coeffs is None or coeffs is not self._pass:
+            self._coefficients(y[1])
         grad_flat, grad, grad_u, grad_v, flux, cross, flux_hi, flux_lo, fo, den = self._work
         y_flat = y.ravel()
         np.subtract(y_flat[1:], y_flat[:-1], out=grad_flat)
@@ -250,7 +299,9 @@ class SemiDiscreteOperator:
         if isinstance(state, StateField):
             state = (state.u, state.v)
         u, v = np.ones((2, self.n)) if state is None else state
-        faces, c = self._coefficients(v) if coeffs is None else coeffs
+        if coeffs is None or coeffs is not self._pass:
+            coeffs = self._coefficients(v)
+        faces, c = coeffs
         self._row[:2] = self._fo_t_cm / c[1:-1]
         g, dx = self.groups, self.dx
         robin = []

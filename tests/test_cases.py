@@ -228,7 +228,7 @@ def test_marches_go_through_integrator_hooks(monkeypatch, tmp_path):
     n_verify = len(calls)
     run_ns_sweep(short_verification(tau=0.005), ns_list=[4, 8], out_dir=tmp_path / "sweep")
     assert sorted((name, observed) for name, observed, _ in calls[n_verify:]) == (
-        [("euler_run", False), ("rk4_run", False)] + [("sts_run", True)] * 4)
+        [("euler_run", True), ("rk4_run", False)] + [("sts_run", True)] * 4)
     # no march ran outside the hooks: their reports account for every RHS call
     assert rhs_calls[0] == sum(report.rhs_evals for _, _, report in calls)
 
@@ -398,6 +398,30 @@ class TestCli:
         path = tmp_path / "case.ini"
         path.write_text(textwrap.dedent(self.PHYSICAL_INI.format(configurations=configurations)))
         return str(path)
+
+    @pytest.mark.parametrize("argv,ini_edit,named", [
+        (["verify", "--tau", "abc"], None, "'abc'"),
+        (["physical", "--dt", "abc"], None, "'abc'"),
+        (["sweep", "--ns", "3,x"], None, "'x'"),
+        (["physical", "--config", "{ini}"], ("tau = 1h", "tau = abc"), "'abc'"),
+        (["physical", "--config", "{ini}"], ("dx = 5e-3", "dx = abc"), "'abc'"),
+        (["verify", "--tau", "nan"], None, "tau"),
+        (["verify", "--dx", "nan"], None, "dx"),
+        (["verify", "--tau", "1e400"], None, "tau"),
+        (["physical", "--tau", "inf"], None, "tau"),
+        (["verify", "--dx", "abc"], None, "'abc'"),
+        (["physical", "--tau", "0d"], None, "tau > 0"),
+    ], ids=["verify-tau-abc", "physical-dt-abc", "sweep-ns-x", "ini-tau-abc", "ini-dx-abc",
+            "verify-tau-nan", "verify-dx-nan", "verify-tau-1e400", "physical-tau-inf",
+            "verify-dx-abc", "physical-tau-0d"])
+    def test_malformed_or_non_finite_number_exits_one(self, tmp_path, capsys, argv, ini_edit, named):
+        if ini_edit:
+            ini = self.write_physical_ini(tmp_path, "re")
+            Path(ini).write_text(Path(ini).read_text().replace(*ini_edit))
+            argv = [arg.format(ini=ini) for arg in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
     def test_auto_base_without_euler_step(self, tmp_path, capsys):
         ini = self.write_physical_ini(tmp_path, "re, ins_re")

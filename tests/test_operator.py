@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stswall import operator as operator_module
 from stswall.config import parse_time_function
 from stswall.dimensionless import DimensionlessGroups
 from stswall.errors import AssemblyError, ConfigError, StswallError
@@ -622,11 +624,25 @@ positive = st.floats(0.1, 2.0)
 def polynomial_walls(draw):
     """(operator, stacked state): a random 1-3-layer wall of polynomial
     materials on a grid with its interfaces on nodes, Robin (with or without
-    saturation terms) or Dirichlet sides, and a random in-box state."""
+    saturation terms) or Dirichlet sides, and a random in-box state.
+
+    The wall is all constant, all varying or mixed.  A varying coefficient
+    has degree 1 or 2 in the first layer and in some others; a constant
+    one has degree 0 in every layer, sometimes written with an explicit
+    zero v term, and may be zero (as glass wool's d_t is), except c_t."""
+    kind = draw(st.sampled_from(["constant", "varying", "mixed"]))
+    varies = {name: kind == "varying" or (kind == "mixed" and draw(st.booleans()))
+              for name in COEFFICIENT_NAMES}
     dx = 0.05
     layers = []
     for i in range(draw(st.integers(1, 3))):
-        spec = {name: draw(st.lists(positive, min_size=1, max_size=3)) for name in COEFFICIENT_NAMES}
+        spec = {}
+        for name in COEFFICIENT_NAMES:
+            if varies[name] and (i == 0 or draw(st.booleans())):
+                spec[name] = draw(st.lists(positive, min_size=2, max_size=3))
+            else:
+                zero = name != "c_t" and draw(st.integers(0, 3)) == 0
+                spec[name] = [0.0 if zero else draw(positive)] + [0.0] * draw(st.integers(0, 1))
         layers.append((CoefficientModel.polynomials(f"m{i}", **spec), draw(st.integers(2, 12)) * dx))
     wall = build_wall(layers)
     n = int(round(wall.total_length / dx)) + 1
@@ -690,3 +706,115 @@ class TestCoefficientPass:
         assert op.gershgorin_lambda_max(0.3, y, coeffs=coeffs) == op.gershgorin_lambda_max(0.3, y)
         for got, want in zip(op.jacobian_node_blocks(0.3, y, coeffs), op.jacobian_node_blocks(0.3, y)):
             assert np.array_equal(got, want)
+
+
+def full_table_pass(op, v):
+    """Transcription of the full-table coefficient pass: all five
+    coefficients on both sides of every node by Horner's rule, then the
+    harmonic means of the faces and the half-cell average of the storage."""
+    order = ("k_t", "k_tm", "d_t", "d_theta", "c_t")
+    face_layer = op.wall.face_layer_indices(op.grid)
+    sides = np.stack([np.r_[face_layer[0], face_layer], np.r_[face_layer, face_layer[-1]]])
+    terms = max(len(p) for model, _ in op.wall.layers for p in model.poly)
+    layer_tables = np.zeros((len(op.wall.layers), terms, 5))
+    for i, (model, _) in enumerate(op.wall.layers):
+        for k, name in enumerate(order):
+            p = model.poly[COEFFICIENT_NAMES.index(name)]
+            layer_tables[i, :len(p), k] = p
+    table = layer_tables[sides].transpose(2, 3, 0, 1)
+    vals = table[-1]
+    for row in table[-2::-1]:
+        vals = vals * v
+        vals += row
+    a, b = vals[:4, 1, :-1], vals[:4, 0, 1:]
+    return 2.0 * a * b / (a + b + 1e-300), 0.5 * (vals[4, 0] + vals[4, 1])
+
+
+def full_table_rhs(op, t, y):
+    """The RHS from :func:`full_table_pass`: flux factors scaled from the
+    faces, the stacked flux divergence and the operator's own boundary
+    closure, in the order of operations of the operator's RHS."""
+    g, n, dx = op.groups, op.n, op.dx
+    faces, c = full_table_pass(op, y[1])
+    cu, cv, grad = np.zeros((3, 2, n))
+    cu[:, :-1] = faces[0::2] * np.array([[1.0], [g.gamma]])
+    cv[:, :-1] = faces[1::2] * np.array([[g.delta], [1.0]])
+    den = np.full((2, n), dx)
+    den[0] = c * dx
+    grad.ravel()[:-1] = y.ravel()[1:] - y.ravel()[:-1]
+    grad /= dx
+    flux = cu * grad[0]
+    flux += cv * grad[1]
+    out = np.zeros((2, n))
+    fo = np.repeat([g.fo_t, g.fo_m], n)
+    out.ravel()[1:-1] = (flux.ravel()[1:-1] - flux.ravel()[:-2]) * fo[1:-1] / den.ravel()[1:-1]
+    for j, side, sign in op._robin:
+        s_m, s_t, e_m, e_t = side.terms(t, float(y[0, j]), float(y[1, j]))
+        face = 0 if j == 0 else n - 2
+        out[0, j] = g.fo_t * ((s_t - e_t) + sign * float(flux[0, face])) * 2.0 / float(den[0, j])
+        out[1, j] = g.fo_m * ((s_m - e_m) + sign * float(flux[1, face])) * 2.0 / dx
+    for j, _ in op._dirichlet:
+        out[:, j] = 0.0
+    return out
+
+
+class TestStateDependentRows:
+    """The pass evaluates only the rows that vary with the state and fixes
+    the rest at assembly; every result must equal the full-table pass's."""
+
+    @wall_cases
+    @given(polynomial_walls())
+    def test_results_equal_full_table_pass(self, case):
+        op, y = case
+        full = copy.copy(op)        # the same operator fed by the full-table pass
+        full._coefficients = lambda v: full_table_pass(op, v)
+        for want, got in zip(full_table_pass(op, y[1]), op._coefficients(y[1])):
+            assert np.array_equal(got, want)
+        assert np.array_equal(op.rhs(0.3, y), full_table_rhs(op, 0.3, y))
+        assert op.gershgorin_lambda_max(0.3, y) == full.gershgorin_lambda_max(0.3, y)
+        for got, want in zip(op.jacobian_node_blocks(0.3, y), full.jacobian_node_blocks(0.3, y)):
+            assert np.array_equal(got, want)
+
+    @wall_cases
+    @given(polynomial_walls())
+    def test_stale_pass_is_made_again(self, case):
+        op, a = case
+        b = a[:, ::-1].copy()
+        pass_a = op._coefficients(a[1])
+        op.rhs(0.3, b)
+        assert np.array_equal(op.rhs(0.3, a, coeffs=pass_a), op.rhs(0.3, a))
+        assert np.array_equal(op.rhs(0.3, a, coeffs=pass_a), full_table_rhs(op, 0.3, a))
+        pass_a = op._coefficients(a[1])
+        op.jacobian_node_blocks(0.3, b)
+        assert op.gershgorin_lambda_max(0.3, a, coeffs=pass_a) == op.gershgorin_lambda_max(0.3, a)
+
+    @pytest.mark.parametrize("layout", [INS_RE, RE_INS], ids=["ins_re", "re_ins"])
+    def test_table3_walls_fix_k_tm_and_d_t(self, layout):
+        op = physical_op(layout)
+        faces, _ = op._coefficients(in_box_state(op.n, 5).v)
+        fixed = faces[1:3].copy()
+        op._coefficients(in_box_state(op.n, 6).v)
+        assert np.array_equal(faces[1:3], fixed)
+        assert op._table.shape[1] == 3         # k_t, d_theta and c_t
+
+    def test_constant_wall_does_no_horner_work(self, monkeypatch):
+        calls = []
+        horner = operator_module._horner
+        monkeypatch.setattr(operator_module, "_horner",
+                            lambda *args: calls.append(1) or horner(*args))
+        const = assemble_operator(table1_wall(), Grid1D.uniform(1.0, 101),
+                                  DimensionlessGroups(**TABLE1_GROUPS),
+                                  BoundaryForcing(constant_forcing(), constant_forcing(0.5, 2.0)))
+        y = np.stack([np.linspace(1.0, 2.0, 101), np.linspace(0.5, 1.5, 101)])
+        first = const.rhs(0.0, y)
+        for _ in range(5):
+            assert np.array_equal(const.rhs(0.0, y), first)
+        const.gershgorin_lambda_max(0.0, y)
+        const.jacobian_node_blocks(0.0, y)
+        assert calls == []
+        physical = physical_op(INS_RE)
+        state = in_box_state(physical.n, 2)
+        for _ in range(3):
+            physical.rhs(0.0, np.stack([state.u, state.v]))
+        assert len(calls) == 3
+
