@@ -267,7 +267,8 @@ class _EulerStep:
         return False
 
     def step(self, t, h, t_new, y):
-        y += h * self.op.rhs(t, y)
+        dy = self.op.rhs(t, y)
+        y += np.multiply(dy, h, out=dy)
         self.op.apply_constraints(t_new, y)
         return y
 
@@ -279,16 +280,24 @@ class _RK4Step(_EulerStep):
     t, t+h/2, t+h/2 and t+h, each stage state constrained at its time."""
 
     scheme = "rk4"
+    y_s = None          # the stage state, allocated on the first step
 
     def step(self, t, h, t_new, y):
         op, t_mid = self.op, t + 0.5 * h
+        if self.y_s is None:
+            self.y_s = np.empty_like(y)
+        y_s = self.y_s
+        # k1 + 2 k2 + 2 k3 + k4, summed in that order in k1's array; a
+        # stage's k is doubled in its own array once its stage state is made
         k = total = op.rhs(t, y)
-        for c, weight, t_s in ((0.5, 2.0, t_mid), (0.5, 2.0, t_mid), (1.0, 1.0, t_new)):
-            y_s = y + c * h * k
+        for c, t_s in ((0.5, t_mid), (0.5, t_mid), (1.0, t_new)):
+            np.add(y, np.multiply(k, c * h, out=y_s), out=y_s)
+            if k is not total:
+                total += np.multiply(k, 2.0, out=k)
             op.apply_constraints(t_s, y_s)
             k = op.rhs(t_s, y_s)
-            total = total + weight * k
-        y += (h / 6.0) * total
+        total += k
+        y += np.multiply(total, h / 6.0, out=total)
         op.apply_constraints(t_new, y)
         return y
 

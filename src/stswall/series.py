@@ -9,6 +9,7 @@ relative-humidity-like seasonal swing.  The generator is deterministic.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -42,14 +43,31 @@ class BoundarySeries:
             )
 
     def interpolator(self, name: str):
-        """Linear interpolant of one column as a callable of time."""
+        """Linear interpolant of one column as a callable of time.
+
+        It gives ``np.interp(at, time, column)`` bit for bit (the end values
+        outside the span) in Python floats: the bracket of the last call is
+        tried first, then a bisection.
+        """
         if name not in self.columns:
             raise IngestionError(f"series has no column {name!r}; has {sorted(self.columns)}")
-        t = self.time
-        y = self.columns[name]
+        t = self.time.tolist()
+        y = self.columns[name].tolist()
+        slope = (np.diff(self.columns[name]) / np.diff(self.time)).tolist()
+        first, last = t[0], t[-1]
+        j = 0               # the last bracket: t[j] <= at < t[j + 1]
 
         def fn(at: float) -> float:
-            return float(np.interp(at, t, y))
+            nonlocal j
+            if not t[j] <= at < t[j + 1]:
+                if at < first:
+                    return y[0]
+                if at >= last:
+                    return y[-1]
+                j = bisect.bisect_right(t, at) - 1
+            if at == t[j]:
+                return y[j]
+            return slope[j] * (at - t[j]) + y[j]
 
         return fn
 

@@ -277,7 +277,9 @@ class TestErrorSampling:
             # one sample alone, then the running maxima over all of them
             single = cases._ErrorTracker(tracker.reference, dx)
             single(t, u, v)
+            single.flush()
             tracker(t, u, v)
+            tracker.flush()
             _per_field_sample(times, states, expected, t, u, v, dx)
             alone = _per_field_sample(times, states, [[0.0, 0.0] for _ in range(3)], t, u, v, dx)
             assert single.sup.tolist() == alone
@@ -286,6 +288,51 @@ class TestErrorSampling:
         tracker.fill(rec)
         assert [rec.eps2_u, rec.eps2_v, rec.epsinf_u, rec.epsinf_v] == expected[0] + expected[1]
         assert type(rec.eps2_u) is float and type(rec.scd_v) is float
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
+    def test_block_tracker_matches_per_sample_transcription(self, count):
+        rng = np.random.default_rng(count)
+        n, h = 101, 2.0 / 28000.0
+        times = h * np.arange(50)
+        states = rng.standard_normal((times.size, 2, n))
+        dx = 1.0 / (n - 1)
+        tracker = cases._ErrorTracker(cases._ReferenceTrajectory(times, states), dx)
+        # knot hits, times between knots and times before the first sample;
+        # the last sample is past the reference's end, which flushes
+        kinds = [lambda: float(times[rng.integers(times.size - 1)]),
+                 lambda: float(rng.uniform(times[0], times[-1])),
+                 lambda: -float(rng.uniform(0.0, 3.0 * h))]
+        probes = [kinds[i % 3]() for i in range(count - 1)] + [float(times[-1]) + h]
+        expected = [[0.0, 0.0] for _ in range(3)]
+        for i, t in enumerate(probes):
+            u, v = 3.0 * rng.standard_normal((2, n))
+            tracker(t, u, v)
+            _per_field_sample(times, states, expected, t, u, v, dx)
+            assert len(tracker.times) == (0 if t > times[-1] else (i + 1) % tracker.BLOCK)
+        assert tracker.sup.tolist() == expected
+        tracker.flush()                   # nothing pending: flushing again changes nothing
+        assert tracker.sup.tolist() == expected
+
+    @pytest.mark.parametrize("scheme", ["euler", "rkl"])
+    def test_march_leaves_no_sample_pending(self, scheme):
+        """The sample at tau flushes the block, so every reduction of a
+        march happens inside its timed loop."""
+        cfg = short_verification(tau=0.01)
+        dom = cases._build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right),
+                                  cfg.groups)
+        ref = cases._ReferenceTrajectory(*cases._oracle(dom)[0].trajectory)
+        tracker = cases._ErrorTracker(ref, dom.grid.spacing)
+        expected = [[0.0, 0.0] for _ in range(3)]
+
+        def observe(t, u, v):
+            tracker(t, u, v)
+            _per_field_sample(np.array(ref.times), ref.y, expected, t, u, v, dom.grid.spacing)
+
+        report = cases._run_one_scheme(scheme, dom, observe=observe)
+        assert tracker.times == []
+        if scheme == "euler":
+            assert report.n_steps > 4 * tracker.BLOCK
+        assert tracker.sup.tolist() == expected
 
 
 class TestPhysicalCase:
@@ -541,5 +588,6 @@ def test_traced_benchmark_counts(tmp_path):
     assert layers["operator.apply_constraints.calls"] == 10130
     assert layers["integrators.steps"] == 1471
     assert layers["integrators.observe.calls"] == 1475
-    # one stacked norm call per error sample
-    assert layers["metrics.error_norms.calls"] == 1475
+    # one stacked norm call per block of up to 64 samples: 22 for Euler's
+    # 1401 samples, one each for df, rkc and rkl
+    assert layers["metrics.error_norms.calls"] == 25

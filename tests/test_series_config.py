@@ -5,6 +5,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stswall import cases
 from stswall.config import CaseConfig, load_config, parse_duration, parse_time_function
@@ -12,7 +13,7 @@ from stswall.errors import ConfigError, IngestionError
 from stswall.model import BoundaryForcing, _zero
 from stswall.operator import assemble_operator
 from stswall.series import (
-    ingest_boundary_series, synthetic_climate_values, write_synthetic_climate,
+    BoundarySeries, ingest_boundary_series, synthetic_climate_values, write_synthetic_climate,
 )
 
 
@@ -121,6 +122,41 @@ class TestIngestion:
             1,2
         """)
         assert ingest_boundary_series(path).interpolator("val")(1.0) == 2.0
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+class TestInterpolator:
+    """The series interpolant equals ``np.interp`` bit for bit."""
+
+    @staticmethod
+    def check(series, times):
+        for name, column in series.columns.items():
+            fn = series.interpolator(name)
+            got = [fn(t) for t in times]
+            assert got == np.interp(times, series.time, column).tolist()
+            assert all(type(x) is float for x in got)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-6, 1e4), finite), min_size=2, max_size=40),
+           finite, st.lists(st.floats(-0.1, 1.1), max_size=60))
+    def test_random_series_and_times(self, rows, t0, fractions):
+        gaps, values = zip(*rows)
+        time = t0 + np.cumsum(gaps)
+        series = BoundarySeries(time=time, columns={"val": np.array(values)})
+        span = time[-1] - time[0]
+        # random times in any order, through, around and outside the span,
+        # then every knot forwards and backwards
+        times = [float(time[0] + f * span) for f in fractions]
+        self.check(series, times + time.tolist() + time[::-1].tolist())
+
+    def test_climate_at_euler_steps_and_knots(self, tmp_path):
+        path = tmp_path / "climate.csv"
+        write_synthetic_climate(path, days=3.0)
+        series = ingest_boundary_series(path)
+        euler = (2.04 * np.arange(int(3 * 86400.0 / 2.04) + 2)).tolist()
+        self.check(series, euler + series.time.tolist() + [-1.0, 4 * 86400.0])
 
 
 class TestSyntheticClimate:
