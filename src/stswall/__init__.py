@@ -1,10 +1,7 @@
 """Coupled heat-and-moisture transfer in multilayer walls, marched with
 super-time-stepping (Chebyshev/Legendre), Euler, and Du Fort-Frankel."""
 
-from .dimensionless import (
-    DimensionlessGroups, ScalingSet, compute_biot_numbers, compute_fourier_numbers,
-    nondimensionalize, redimensionalize,
-)
+from .dimensionless import DimensionlessGroups
 from .errors import (
     AssemblyError, ClosureSingularityError, ConfigError, DivergenceError, IngestionError,
     SaturationDomainError, StaleScheduleError, StswallError,
@@ -14,18 +11,14 @@ from .integrators import (
     dufort_frankel_run, euler_run, rk4_run, sts_run,
 )
 from .metrics import (
-    ComparisonRecord, drying_rate, error_norms, ratios, scd,
-    state_error_norms, total_moisture, write_comparison_csv,
+    ComparisonRecord, drying_rate, error_norms, ratios, total_moisture, write_comparison_csv,
 )
 from .model import (
     BiotSet, BoundaryForcing, CoefficientModel, Grid1D, SideForcing,
     StateField, WallAssembly, build_wall, builtin_material,
     evaluate_coefficients, saturation_pressure,
 )
-from .operator import (
-    SemiDiscreteOperator, StabilityEstimate, apply_robin_closure,
-    assemble_operator, estimate_lambda_max,
-)
+from .operator import SemiDiscreteOperator, apply_robin_closure, assemble_operator
 from .series import BoundarySeries, ingest_boundary_series, write_synthetic_climate
 
 __version__ = "0.1.0"

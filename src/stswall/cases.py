@@ -11,9 +11,8 @@ Three entry points mirror the two studies plus a parameter sweep:
 
 Both presets pin the Euler step (and the schedule base step) to the
 published values rather than deriving them from the operator's stability
-estimate: the estimate is still computed and must confirm the pinned step
-is stable, but the published step is what reproduces the reported step
-counts.  Dimensional runs reuse the dimensionless machinery with unit
+estimate: the published step is what reproduces the reported step counts.
+Dimensional runs reuse the dimensionless machinery with unit
 diffusion-rate groups, a unit moisture/temperature cross factor, and the
 latent heat as the heat-equation cross factor.
 """
@@ -41,7 +40,7 @@ from .metrics import (
 )
 from .model import (BiotSet, BoundaryForcing, Grid1D, SideForcing, StateField, WallAssembly,
                     build_wall, builtin_material)
-from .operator import SemiDiscreteOperator, assemble_operator, estimate_lambda_max
+from .operator import SemiDiscreteOperator, assemble_operator
 from .series import BoundarySeries, ingest_boundary_series, write_synthetic_climate
 
 logger = logging.getLogger(__name__)
@@ -514,14 +513,14 @@ class VerificationResult:
 
 def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
     """Run the scheme comparison against the RK4 reference of :func:`_oracle`,
-    self-checked by step doubling when ``cfg.reference_check`` is set."""
+    self-checked by step doubling."""
     cfg.validate()
     if cfg.groups is None:
         raise ConfigError("verification case needs dimensionless groups")
     dom = _build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right), cfg.groups)
     grid = dom.grid
 
-    ref_report, richardson_gap = _oracle(dom, cfg.reference_check)
+    ref_report, richardson_gap = _oracle(dom, check=True)
     ref_traj = _ReferenceTrajectory(*ref_report.trajectory)
     trackers = {scheme: _ErrorTracker(ref_traj, grid.spacing) for scheme in cfg.schemes}
     schedules = {}
@@ -664,7 +663,7 @@ def physical_step_counts(cfg: CaseConfig) -> dict:
     return out
 
 
-def _re_node_range(wall, grid, layer_list):
+def _re_node_range(grid, layer_list):
     """Inclusive node range of the rammed-earth layer."""
     names = [name for name, _ in layer_list]
     idx = names.index("re")
@@ -727,7 +726,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
 
     for name, layer_list in layouts.items():
         dom = _layout_config(cfg, layer_list, forcing, groups)
-        observer = _MoistureObserver(dom.grid, _re_node_range(dom.wall, dom.grid, layer_list))
+        observer = _MoistureObserver(dom.grid, _re_node_range(dom.grid, layer_list))
         stride = max(1, int(cfg.tau / _scheme_step(cfg.drying_scheme, dom.cfg) / 1500))
         try:
             report = _run_one_scheme(cfg.drying_scheme, dom, observe=observer, observe_every=stride)
@@ -775,10 +774,10 @@ def _layout_config(cfg: CaseConfig, layer_list, forcing, groups) -> _Domain:
     """The domain of one physical layout.
 
     Its config is a copy of ``cfg`` with the layout's layers and per-layer
-    initial moisture.  Steps the config leaves open come from this layout's
-    operator estimate at the initial state: the Euler step is 0.9 of the
-    explicit limit, and the schedule base is the Euler step when one is
-    set, else the limit with a 10% margin.
+    initial moisture.  Steps the config leaves open come from the explicit
+    limit ``2 / lambda_max`` of this layout's Gershgorin bound at the
+    initial state: the Euler step is 0.9 of the limit, and the schedule
+    base is the Euler step when one is set, else the limit with a 10% margin.
     """
     sub = copy.copy(cfg)
     sub.layers = [(name, th) for name, th in layer_list]
@@ -786,13 +785,14 @@ def _layout_config(cfg: CaseConfig, layer_list, forcing, groups) -> _Domain:
     sub.initial_v = [PHYSICAL_INITIAL_V[name] for name, _ in layer_list]
     dom = _build_domain(sub, forcing, groups)
     if sub.dt_euler is None or sub.dt_exp_base is None:
-        est = estimate_lambda_max(dom.operator(), dom.state0)
-        if not math.isfinite(est.dt_exp):
+        lam = dom.operator().gershgorin_lambda_max(0.0, dom.state0)
+        if not lam > 0:
             raise ConfigError("operator has zero stiffness; set dt_euler or dt_exp explicitly")
+        dt_exp = 2.0 / lam
         if sub.dt_exp_base is None:
-            sub.dt_exp_base = sub.dt_euler if sub.dt_euler is not None else est.dt_exp / 1.1
+            sub.dt_exp_base = sub.dt_euler if sub.dt_euler is not None else dt_exp / 1.1
         if sub.dt_euler is None:
-            sub.dt_euler = 0.9 * est.dt_exp
+            sub.dt_euler = 0.9 * dt_exp
     return dom
 
 

@@ -15,14 +15,15 @@ from .cases import (
     run_verification_case, verification_preset,
 )
 from .config import load_config, parse_duration, parse_float, parse_int_list
-from .errors import StswallError
+from .errors import ConfigError, StswallError
 
 
 def _add_common(parser: argparse.ArgumentParser, default_out: str) -> None:
     parser.add_argument("--config", help="INI case file overriding the preset")
     parser.add_argument("--out", default=default_out, help="output directory")
     parser.add_argument("--scheme", help="comma list of schemes (euler,df,rkc,rkl)")
-    parser.add_argument("--ns", help="super-step counts as rkc,rkl (e.g. 10,20)")
+    parser.add_argument("--ns", help="super-step counts as rkc,rkl (e.g. 10,20); "
+                        "for sweep, the counts to sweep")
     parser.add_argument("--dx", help="grid spacing override")
     parser.add_argument("--dt", help="Euler time step override (accepts s/min/h/d suffixes)")
     parser.add_argument("--tau", help="final time override (accepts s/min/h/d suffixes)")
@@ -48,12 +49,13 @@ def _apply_overrides(cfg, args, dimensionless: bool) -> None:
         cfg.schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
     if args.ns:
         vals = parse_int_list(args.ns)
-        if len(vals) == 1:
-            cfg.ns = {"rkc": vals[0], "rkl": vals[0]}
-        elif len(vals) == 2:
-            cfg.ns = {"rkc": vals[0], "rkl": vals[1]}
-        else:
+        if args.command == "sweep":
             cfg.sweep_ns = vals
+        elif len(vals) > 2:
+            raise ConfigError(f"--ns takes one or two counts (rkc,rkl), got {args.ns.strip()!r}; "
+                              "lists of counts are for sweep")
+        else:
+            cfg.ns = {"rkc": vals[0], "rkl": vals[-1]}
     if args.dx is not None:
         cfg.dx = parse_float(args.dx, "--dx")
     if args.dt:
@@ -82,8 +84,6 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             cfg = load_config(args.config) if args.config else verification_preset()
             _apply_overrides(cfg, args, dimensionless=True)
-            if args.ns:
-                cfg.sweep_ns = parse_int_list(args.ns)
             result = run_ns_sweep(cfg, out_dir=args.out)
             for scheme, slope in result.slopes.items():
                 print(f"{scheme}: error slope vs N_S  solution={slope['solution']:.3f}  "

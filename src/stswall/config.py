@@ -167,7 +167,6 @@ class CaseConfig:
     forcing_right: Optional[SideForcing] = None
     admissible_box: Optional[tuple] = None
     dump_matrix: bool = False
-    reference_check: bool = True
     sweep_ns: list = dc_field(default_factory=lambda: [10, 20, 40, 80])
     sweep_schemes: list = dc_field(default_factory=lambda: ["rkc", "rkl"])
     physical_configurations: list = dc_field(default_factory=lambda: ["ins_re", "re_ins", "re"])
@@ -275,21 +274,19 @@ def load_config(path) -> CaseConfig:
     kind = cp["case"].get("kind", "custom").strip().lower()
     cfg = CaseConfig(kind=kind, title=cp["case"].get("title", "").strip())
 
-    is_physical_time = kind == "physical"
     if cp.has_section("grid"):
         cfg.dx = cp["grid"].getfloat("dx", cfg.dx)
     if cp.has_section("time"):
         sec = cp["time"]
-        unit = "s"
         if "tau" in sec:
-            cfg.tau = parse_duration(sec["tau"], unit)
+            cfg.tau = parse_duration(sec["tau"])
         if "dt_euler" in sec:
-            cfg.dt_euler = parse_duration(sec["dt_euler"], unit)
+            cfg.dt_euler = parse_duration(sec["dt_euler"])
         if "dt_df" in sec:
-            cfg.dt_df = parse_duration(sec["dt_df"], unit)
+            cfg.dt_df = parse_duration(sec["dt_df"])
         if "dt_exp" in sec and sec["dt_exp"].strip().lower() != "auto":
-            cfg.dt_exp_base = parse_duration(sec["dt_exp"], unit)
-        cfg.tau_days = cfg.tau / 86400.0 if is_physical_time else cfg.tau
+            cfg.dt_exp_base = parse_duration(sec["dt_exp"])
+        cfg.tau_days = cfg.tau / 86400.0 if kind == "physical" else cfg.tau
     if cp.has_section("schemes"):
         sec = cp["schemes"]
         if "run" in sec:
@@ -305,6 +302,11 @@ def load_config(path) -> CaseConfig:
         cfg.c2 = sec.getfloat("c2", cfg.c2)
         cfg.latent_heat = sec.getfloat("latent_heat", cfg.latent_heat)
 
+    if kind == "physical":
+        for section in cp.sections():
+            if section == "groups" or section.startswith("biot."):
+                raise ConfigError(f"[{section}] does not apply to physical cases: they use unit "
+                                  "groups with delta = [constants] latent_heat")
     if cp.has_section("groups"):
         sec = cp["groups"]
         cfg.groups = DimensionlessGroups(
@@ -367,10 +369,7 @@ def load_config(path) -> CaseConfig:
         )
 
     cfg.description = {"source": str(path), "kind": kind, "title": cfg.title}
-    if kind in ("verification", "physical"):
-        cfg.validate()
-    else:
-        if cfg.groups is None:
-            raise ConfigError("custom cases need a [groups] section")
-        cfg.validate()
+    if kind not in ("verification", "physical") and cfg.groups is None:
+        raise ConfigError("custom cases need a [groups] section")
+    cfg.validate()
     return cfg

@@ -1,9 +1,8 @@
-"""Reference scales, dimensionless groups, and state scaling.
+"""Dimensionless groups of the coupled system.
 
-The Fourier/Biot formulas are transcribed literally from their
-definitions; the verification case consumes the groups directly as
-configured constants, while physical runs can derive them from a
-``ScalingSet``.
+The verification and custom cases take the groups as configured
+constants; physical runs use unit Fourier and cross-coupling groups with
+the latent heat as the heat-equation cross factor.
 """
 from __future__ import annotations
 
@@ -11,49 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .model import BiotSet, StateField
-
-
-@dataclass(frozen=True)
-class ScalingSet:
-    """Reference scales and surface coefficients for nondimensionalization.
-
-    All reference scales must be strictly positive; the surface transfer
-    coefficients ``h_m``/``h_t`` may be zero (no surface exchange).
-    """
-
-    time_scale: float                 # t0 [s]
-    length_scale: float               # wall thickness [m]
-    temperature_scale: float          # T0 [K]
-    moisture_scale: float             # theta0 [-]
-    psat_scale: float                 # P_sat0 [Pa]
-    humidity_scale: float = 1.0       # phi_inf0 [-]
-    irradiance_scale: float = 1.0     # g_inf0 [W/m^2]
-    d_theta_scale: float = 1.0        # D_theta0
-    k_t_scale: float = 1.0            # k_T0 [W/(m K)]
-    c_t_scale: float = 1.0            # c_T0 [W s/(m^3 K)]
-    rho_water: float = 1000.0         # rho2 [kg/m^3]
-    gas_constant_vapor: float = 461.89  # R1 [J/(kg K)]
-    molar_mass: float = 0.018         # M [kg/mol]
-    latent_heat: float = 2.5e6        # L12 [J/kg]
-    h_m: float = 0.0                  # surface vapor transfer [m/s]
-    h_t: float = 0.0                  # surface heat transfer [W/(m^2 K)]
-
-    def __post_init__(self):
-        strict = (
-            "time_scale", "length_scale", "temperature_scale", "moisture_scale",
-            "psat_scale", "humidity_scale", "irradiance_scale", "d_theta_scale",
-            "k_t_scale", "c_t_scale", "rho_water", "gas_constant_vapor",
-            "molar_mass", "latent_heat",
-        )
-        for name in strict:
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0):
-                raise ConfigError(f"reference scale {name} must be strictly positive, got {val}")
-        for name in ("h_m", "h_t"):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val >= 0):
-                raise ConfigError(f"surface coefficient {name} must be >= 0, got {val}")
+from .model import BiotSet
 
 
 @dataclass(frozen=True)
@@ -82,58 +39,3 @@ class DimensionlessGroups:
             "biot_right": self.biot_right.as_dict(),
         }
 
-
-def compute_fourier_numbers(s: ScalingSet) -> tuple:
-    """(Fo_M, Fo_T) = (t0 D0/(l^2 rho2), t0 k0/(l^2 c0))."""
-    l2 = s.length_scale ** 2
-    fo_m = s.time_scale * s.d_theta_scale / (l2 * s.rho_water)
-    fo_t = s.time_scale * s.k_t_scale / (l2 * s.c_t_scale)
-    return fo_m, fo_t
-
-
-def compute_biot_numbers(
-    s: ScalingSet,
-    phi_inf_star: float = 1.0,
-    sorption_slope: float = 1.0,
-    psat_star: float = 1.0,
-    u: float = 1.0,
-) -> BiotSet:
-    """Six surface-exchange numbers for one side.
-
-    ``phi_inf_star`` is the dimensionless ambient humidity folded into the
-    sat-numbers, ``sorption_slope`` the moisture-retention derivative, and
-    ``(psat_star, u)`` the evaluation point of the saturation ratio carried
-    by the theta-numbers.
-    """
-    if u <= 0:
-        raise ConfigError("Biot evaluation point requires u > 0")
-    psat_ratio = s.psat_scale / s.temperature_scale
-    vap = s.h_m * s.molar_mass / s.gas_constant_vapor
-    common_m = s.length_scale * vap * psat_ratio / s.d_theta_scale
-    common_t = s.latent_heat * s.length_scale * vap * psat_ratio / (s.k_t_scale * s.temperature_scale)
-    return BiotSet(
-        m_sat=common_m * s.humidity_scale / s.moisture_scale * phi_inf_star,
-        m_theta=common_m * sorption_slope * psat_star / u,
-        t_t=s.length_scale * s.h_t / s.k_t_scale,
-        t_sat=common_t * s.humidity_scale * phi_inf_star,
-        t_theta=common_t * s.moisture_scale * sorption_slope * psat_star / u,
-        t_g=s.length_scale * s.irradiance_scale / (s.k_t_scale * s.temperature_scale),
-    )
-
-
-def nondimensionalize(state: StateField, s: ScalingSet) -> StateField:
-    """Map a physical (T, theta, t) state to (u, v, t*) by ratio scaling."""
-    return StateField(
-        u=state.u / s.temperature_scale,
-        v=state.v / s.moisture_scale,
-        time=state.time / s.time_scale,
-    )
-
-
-def redimensionalize(state: StateField, s: ScalingSet) -> StateField:
-    """Inverse of :func:`nondimensionalize`."""
-    return StateField(
-        u=state.u * s.temperature_scale,
-        v=state.v * s.moisture_scale,
-        time=state.time * s.time_scale,
-    )

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .integrators import RunReport
-from .model import Grid1D, StateField
+from .model import Grid1D
 
 SCD_CAP = 16.0
 
@@ -44,38 +44,18 @@ def error_norms(num, ref, dx: float):
     return eps2, epsinf
 
 
-def state_error_norms(num: StateField, ref: StateField, grid: Grid1D):
-    """Per-field norms of two states on the same grid and time.
-
-    Returns ((eps2_u, epsinf_u), (eps2_v, epsinf_v)).
-    """
-    if num.u.size != grid.node_count or ref.u.size != grid.node_count:
-        raise ConfigError("states do not match the grid")
-    if abs(num.time - ref.time) > 1e-9 * max(1.0, abs(ref.time)):
-        raise ConfigError(f"states are at different times: {num.time} vs {ref.time}")
-    dx = grid.spacing
-    return error_norms(num.u, ref.u, dx), error_norms(num.v, ref.v, dx)
-
-
 def scd_value(epsinf: float, ref_norm: float) -> float:
-    """Significant correct digits from a uniform error and reference norm."""
+    """Significant correct digits: -log10 of the relative uniform error
+    ``epsinf / ref_norm``.
+
+    Capped at 16 for exact agreement; raises on a zero reference norm.
+    """
     if ref_norm == 0.0:
         raise ConfigError("scd needs a reference with non-zero uniform norm")
     err = epsinf / ref_norm
     if err == 0.0:
         return SCD_CAP
     return min(SCD_CAP, -math.log10(err))
-
-
-def scd(num, ref) -> float:
-    """Significant correct digits: -log10 of the relative uniform error.
-
-    Capped at 16 for exact agreement; raises on an identically-zero
-    reference.
-    """
-    a = np.asarray(num, dtype=float)
-    b = np.asarray(ref, dtype=float)
-    return scd_value(float(np.max(np.abs(a - b))), float(np.max(np.abs(b))))
 
 
 @dataclass
@@ -152,12 +132,12 @@ def write_comparison_csv(records, path) -> None:
             writer.writerow(row)
 
 
-def total_moisture(state_or_v, grid: Grid1D, material_domain) -> float:
-    """Trapezoidal integral of the moisture field over a node range.
+def total_moisture(v, grid: Grid1D, material_domain) -> float:
+    """Trapezoidal integral of the moisture field ``v`` over a node range.
 
     ``material_domain`` is an inclusive (first_node, last_node) pair.
     """
-    v = state_or_v.v if isinstance(state_or_v, StateField) else np.asarray(state_or_v, dtype=float)
+    v = np.asarray(v, dtype=float)
     a, b = material_domain
     if not (0 <= a < b < grid.node_count):
         raise ConfigError(f"empty or out-of-range material domain {material_domain}")

@@ -280,9 +280,6 @@ class StateField:
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
             raise ConfigError("state fields must be finite")
 
-    def copy(self) -> "StateField":
-        return StateField(self.u.copy(), self.v.copy(), self.time)
-
 
 @dataclass(frozen=True)
 class BiotSet:

@@ -19,7 +19,6 @@ positive).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,22 +50,6 @@ def _horner(table: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         out *= v
         out += row
     return out
-
-
-@dataclass(frozen=True)
-class StabilityEstimate:
-    """Gershgorin bound on the stiffest decay rate and the resulting step limit."""
-
-    lambda_max: float
-    lambda_min: float = 0.0
-    dt_exp: float = 0.0
-
-    def __post_init__(self):
-        if self.lambda_min < 0 or self.lambda_max < self.lambda_min:
-            raise ConfigError("need 0 <= lambda_min <= lambda_max")
-        expected = math.inf if self.lambda_max == 0 else 2.0 / self.lambda_max
-        if self.dt_exp != expected:
-            object.__setattr__(self, "dt_exp", expected)
 
 
 class SemiDiscreteOperator:
@@ -280,10 +263,6 @@ class SemiDiscreteOperator:
             out[:, j] = 0.0
         return out
 
-    def rhs_vector(self, t: float, y: np.ndarray) -> np.ndarray:
-        """RHS on the flat y = [u; v], mainly for tests and oracles."""
-        return self.rhs(t, y.reshape(2, self.n)).reshape(-1)
-
     def apply_constraints(self, t: float, y: np.ndarray) -> None:
         """Overwrite the Dirichlet nodes of the stacked state with the imposed values at t."""
         for j, side in self._dirichlet:
@@ -355,7 +334,7 @@ class SemiDiscreteOperator:
         Row/column order is [u_0..u_{N-1}, v_0..v_{N-1}].  For linear
         operators the matrix is exact and cached.  It costs O(n^2) memory,
         so the marching code never builds it; it serves inspection
-        (:meth:`dump_matrix`), the dense eigensolve and the tests.
+        (:meth:`dump_matrix`) and the dense checks of the tests.
         """
         if self.is_linear and self._matrix_cache is not None:
             return self._matrix_cache
@@ -370,15 +349,6 @@ class SemiDiscreteOperator:
         if self.is_linear:
             self._matrix_cache = a
         return a
-
-    def forcing_vector(self, t: float) -> np.ndarray:
-        """b(t) with rhs(t, y) = -A y + b(t); only valid for linear operators."""
-        if not self.is_linear:
-            raise AssemblyError("forcing vector is only defined for linear operators")
-        evals = self.rhs_evals
-        b = self.rhs(t, np.zeros((2, self.n))).reshape(-1)
-        self.rhs_evals = evals  # bookkeeping probe, not a marching evaluation
-        return b
 
     def jacobian_node_blocks(self, t: float = 0.0, state=None, coeffs=None):
         """Per-node 2x2 blocks of A coupling (u_j, v_j) to itself.
@@ -517,24 +487,3 @@ def apply_robin_closure(
         t, float(state.u[b]), float(state.v[b]))
     return s_m + e_m, s_t + e_t
 
-
-def estimate_lambda_max(
-    op: SemiDiscreteOperator,
-    state: Optional[StateField] = None,
-    t: float = 0.0,
-    compute_min: bool = False,
-) -> StabilityEstimate:
-    """Stability estimate from the frozen-coefficient matrix at ``state``.
-
-    ``lambda_max`` is the Gershgorin (infinity-norm) bound; ``lambda_min``
-    is reported for completeness from a dense eigensolve when requested.
-    """
-    lam_max = op.gershgorin_lambda_max(t, state)
-    lam_min = 0.0
-    if compute_min and lam_max > 0:
-        eig = np.linalg.eigvals(op.frozen_matrix(t, state))
-        re = eig.real
-        positive = re[re > 1e-12 * lam_max]
-        if positive.size:
-            lam_min = float(np.min(positive))
-    return StabilityEstimate(lambda_max=lam_max, lambda_min=lam_min)

@@ -23,7 +23,7 @@ from stswall.metrics import ComparisonRecord
 from stswall.model import (
     BoundaryForcing, Grid1D, SideForcing, StateField, build_wall, builtin_material,
 )
-from stswall.operator import assemble_operator, estimate_lambda_max
+from stswall.operator import assemble_operator
 from stswall.series import ingest_boundary_series, write_synthetic_climate
 
 DAY_S = 86400.0
@@ -34,7 +34,6 @@ def short_verification(tau=0.02):
     cfg = verification_preset()
     cfg.tau = tau
     cfg.tau_days = tau
-    cfg.reference_check = False
     return cfg
 
 
@@ -217,9 +216,7 @@ def test_marches_go_through_integrator_hooks(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cases.SemiDiscreteOperator, "rhs", counting_rhs)
 
-    cfg = short_verification(tau=0.005)
-    cfg.reference_check = True
-    verify = run_verification_case(cfg, tmp_path / "verify")
+    verify = run_verification_case(short_verification(tau=0.005), tmp_path / "verify")
     table = {id(report) for report in verify.reports.values()}
     assert sorted((name, observed) for name, observed, r in calls if id(r) in table) == [
         ("dufort_frankel_run", True), ("euler_run", True), ("sts_run", True), ("sts_run", True)]
@@ -458,9 +455,17 @@ class TestCli:
         (["physical", "--tau", "inf"], None, "tau"),
         (["verify", "--dx", "abc"], None, "'abc'"),
         (["physical", "--tau", "0d"], None, "tau > 0"),
+        # more than two counts name a sweep, not the table's rkc,rkl pair
+        (["verify", "--tau", "0.005", "--ns", "4,8,16"], None, "--ns"),
+        # physical runs build their own groups, so these sections would be ignored
+        (["physical", "--config", "{ini}"], ("[materials]", "[groups]\nfo_m = 5\nfo_t = 5\n[materials]"),
+         "[groups]"),
+        (["physical", "--config", "{ini}"], ("[materials]", "[biot.left]\nt_t = 5\n[materials]"),
+         "[biot.left]"),
     ], ids=["verify-tau-abc", "physical-dt-abc", "sweep-ns-x", "ini-tau-abc", "ini-dx-abc",
             "verify-tau-nan", "verify-dx-nan", "verify-tau-1e400", "physical-tau-inf",
-            "verify-dx-abc", "physical-tau-0d"])
+            "verify-dx-abc", "physical-tau-0d", "verify-ns-three", "ini-physical-groups",
+            "ini-physical-biot"])
     def test_malformed_or_non_finite_number_exits_one(self, tmp_path, capsys, argv, ini_edit, named):
         if ini_edit:
             ini = self.write_physical_ini(tmp_path, "re")
@@ -481,9 +486,9 @@ class TestCli:
         op = assemble_operator(wall, Grid1D.uniform(0.5, 101),
                                DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6),
                                BoundaryForcing(side, side))
-        est = estimate_lambda_max(op, StateField(np.full(101, 291.3), np.full(101, 0.53)))
+        lam = op.gershgorin_lambda_max(0.0, StateField(np.full(101, 291.3), np.full(101, 0.53)))
         for scheme in ("rkc", "rkl"):
-            assert manifest["runs"][scheme]["dt_exp"] == pytest.approx(est.dt_exp / 1.1, rel=1e-12)
+            assert manifest["runs"][scheme]["dt_exp"] == pytest.approx(2.0 / lam / 1.1, rel=1e-12)
             assert manifest["runs"][scheme]["flags"]["box_violations"] == 0
         assert "policy @365d rkl" in capsys.readouterr().out
 

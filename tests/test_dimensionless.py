@@ -1,108 +1,7 @@
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from stswall.dimensionless import (
-    DimensionlessGroups, ScalingSet, compute_biot_numbers, compute_fourier_numbers,
-    nondimensionalize, redimensionalize,
-)
+from stswall.dimensionless import DimensionlessGroups
 from stswall.errors import ConfigError
-from stswall.model import StateField
-
-
-def make_scales(**kw):
-    base = dict(time_scale=3600.0, length_scale=0.5, temperature_scale=293.0,
-                moisture_scale=0.5, psat_scale=2000.0)
-    base.update(kw)
-    return ScalingSet(**base)
-
-
-class TestFourier:
-    def test_normalizing_time_scale(self):
-        s = make_scales(length_scale=2.0, rho_water=800.0, d_theta_scale=3.0,
-                        time_scale=2.0**2 * 800.0 / 3.0)
-        fo_m, _ = compute_fourier_numbers(s)
-        assert fo_m == pytest.approx(1.0, rel=1e-14)
-
-    def test_direct_quotients(self):
-        s = make_scales(time_scale=10.0, length_scale=2.0, d_theta_scale=3.0,
-                        rho_water=5.0, k_t_scale=7.0, c_t_scale=11.0)
-        fo_m, fo_t = compute_fourier_numbers(s)
-        assert fo_m == pytest.approx(10.0 * 3.0 / (4.0 * 5.0))
-        assert fo_t == pytest.approx(10.0 * 7.0 / (4.0 * 11.0))
-
-    def test_doubling_length_quarters_both(self):
-        s1 = make_scales(length_scale=0.5)
-        s2 = make_scales(length_scale=1.0)
-        a = compute_fourier_numbers(s1)
-        b = compute_fourier_numbers(s2)
-        assert b[0] == pytest.approx(a[0] / 4.0, rel=1e-14)
-        assert b[1] == pytest.approx(a[1] / 4.0, rel=1e-14)
-
-    @given(st.floats(min_value=0.1, max_value=10.0))
-    def test_homogeneity_in_length_and_time(self, c):
-        s1 = make_scales()
-        s2 = make_scales(length_scale=s1.length_scale * c, time_scale=s1.time_scale * c)
-        a = compute_fourier_numbers(s1)
-        b = compute_fourier_numbers(s2)
-        # degree -2 in length and +1 in time combine to 1/c
-        assert b[0] == pytest.approx(a[0] / c, rel=1e-12)
-        assert b[1] == pytest.approx(a[1] / c, rel=1e-12)
-
-
-class TestBiot:
-    def test_no_surface_transfer_zeroes_vapor_numbers(self):
-        biot = compute_biot_numbers(make_scales(h_m=0.0, h_t=3.0))
-        assert biot.m_sat == biot.m_theta == biot.t_sat == biot.t_theta == 0.0
-        assert biot.t_t > 0
-
-    def test_heat_exchange_number(self):
-        s = make_scales(length_scale=1.0, h_t=2.0, k_t_scale=4.0)
-        assert compute_biot_numbers(s).t_t == pytest.approx(0.5)
-
-    def test_latent_factor_in_heat_numbers(self):
-        s = make_scales(h_m=1e-3, latent_heat=2.5e6)
-        s2 = make_scales(h_m=1e-3, latent_heat=5.0e6)
-        b1, b2 = compute_biot_numbers(s), compute_biot_numbers(s2)
-        assert b2.t_sat == pytest.approx(2 * b1.t_sat)
-        assert b2.t_theta == pytest.approx(2 * b1.t_theta)
-        assert b2.m_sat == pytest.approx(b1.m_sat)  # no latent factor on the moisture side
-
-    @given(st.floats(min_value=0.1, max_value=10.0))
-    def test_homogeneity_degree_one_in_length(self, c):
-        s1 = make_scales(h_m=1e-3, h_t=5.0)
-        s2 = make_scales(h_m=1e-3, h_t=5.0, length_scale=s1.length_scale * c)
-        b1 = compute_biot_numbers(s1).as_dict()
-        b2 = compute_biot_numbers(s2).as_dict()
-        for key in b1:
-            assert b2[key] == pytest.approx(c * b1[key], rel=1e-12)
-
-    def test_rejects_zero_reference_coefficient(self):
-        with pytest.raises(ConfigError):
-            make_scales(d_theta_scale=0.0)
-        with pytest.raises(ConfigError):
-            make_scales(k_t_scale=0.0)
-
-
-class TestScaling:
-    def test_identity_at_reference(self):
-        s = make_scales(temperature_scale=291.3, moisture_scale=0.53)
-        state = StateField(np.full(5, 291.3), np.full(5, 0.53), time=7200.0)
-        star = nondimensionalize(state, s)
-        assert star.u == pytest.approx(np.ones(5))
-        assert star.v == pytest.approx(np.ones(5))
-        assert star.time == pytest.approx(7200.0 / s.time_scale)
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_round_trip(self, seed):
-        rng = np.random.default_rng(seed)
-        s = make_scales()
-        state = StateField(280 + 30 * rng.random(8), 0.1 + 0.8 * rng.random(8),
-                           float(rng.random()))
-        back = redimensionalize(nondimensionalize(state, s), s)
-        assert np.max(np.abs(back.u / state.u - 1)) < 1e-14
-        assert np.max(np.abs(back.v / state.v - 1)) < 1e-14
-        assert back.time == pytest.approx(state.time, rel=1e-14, abs=1e-300)
 
 
 class TestGroups:

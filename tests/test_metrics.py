@@ -7,7 +7,7 @@ from stswall.errors import ConfigError
 from stswall.integrators import RunReport
 from stswall.metrics import (
     COMPARISON_COLUMNS, ComparisonRecord, drying_rate, error_norms, ratios,
-    scd, state_error_norms, total_moisture, write_comparison_csv,
+    scd_value, total_moisture, write_comparison_csv,
 )
 from stswall.model import Grid1D, StateField
 
@@ -58,32 +58,21 @@ class TestErrorNorms:
     def test_empty_fields(self):
         assert error_norms(np.empty(0), np.empty(0), 0.1) == (0.0, 0.0)
 
-    def test_state_error_norms_validate_grid_and_time(self):
-        grid = Grid1D.uniform(1.0, 5)
-        s1 = StateField(np.ones(5), np.ones(5), time=1.0)
-        s2 = StateField(np.ones(5), np.ones(5), time=2.0)
-        with pytest.raises(ConfigError):
-            state_error_norms(s1, s2, grid)
-        s3 = StateField(np.ones(4), np.ones(4), time=1.0)
-        with pytest.raises(ConfigError):
-            state_error_norms(s1, s3, grid)
-
 
 class TestScd:
     def test_two_digits(self):
-        assert scd(np.array([1.01]), np.array([1.0])) == pytest.approx(2.0, abs=1e-9)
+        assert scd_value(0.01, 1.0) == pytest.approx(2.0, abs=1e-9)
 
     def test_exact_match_capped(self):
-        assert scd(np.ones(4), np.ones(4)) == 16.0
+        assert scd_value(0.0, 1.0) == 16.0
+        assert scd_value(1e-20, 1.0) == 16.0
 
     def test_zero_reference_rejected(self):
         with pytest.raises(ConfigError):
-            scd(np.ones(3), np.zeros(3))
+            scd_value(1.0, 0.0)
 
     def test_scale_invariance(self):
-        a = np.array([1.0, 1.5, 0.7])
-        b = np.array([1.01, 1.52, 0.69])
-        assert scd(7.3 * b, 7.3 * a) == pytest.approx(scd(b, a), rel=1e-12)
+        assert scd_value(7.3 * 0.02, 7.3 * 1.5) == pytest.approx(scd_value(0.02, 1.5), rel=1e-12)
 
 
 class TestRatios:
@@ -166,11 +155,6 @@ class TestTotalMoisture:
             total_moisture(np.ones(11), grid, (4, 4))
         with pytest.raises(ConfigError):
             total_moisture(np.ones(11), grid, (0, 11))
-
-    def test_accepts_state(self):
-        grid = Grid1D.uniform(1.0, 11)
-        state = StateField(np.ones(11), np.full(11, 0.25))
-        assert total_moisture(state, grid, (0, 10)) == pytest.approx(0.25)
 
 
 class TestDryingRate:

@@ -15,7 +15,7 @@ from stswall.model import (
     StateField, build_wall, builtin_material, saturation_pressure,
 )
 from stswall.operator import (
-    _harmonic, apply_robin_closure, assemble_operator, estimate_lambda_max,
+    _harmonic, apply_robin_closure, assemble_operator,
 )
 
 TABLE1_GROUPS = dict(fo_m=9e-2, fo_t=7e-2, gamma=7e-2, delta=5e-2)
@@ -274,15 +274,13 @@ class TestRobinClosure:
 class TestStabilityEstimate:
     def test_pure_diffusion_bound(self):
         op = single_layer_op(n=11)   # unit diffusivity, dx = 0.1
-        est = estimate_lambda_max(op)
-        assert est.lambda_max == pytest.approx(400.0, rel=1e-13)
-        assert est.dt_exp == pytest.approx(5e-3, rel=1e-13)
+        lam = op.gershgorin_lambda_max()
+        assert lam == pytest.approx(400.0, rel=1e-13)
+        assert 2.0 / lam == pytest.approx(5e-3, rel=1e-13)    # the explicit limit
 
     def test_degenerate_zero_stiffness(self):
         op = single_layer_op(n=11, d_theta=0.0, k_t=0.0)
-        est = estimate_lambda_max(op)
-        assert est.lambda_max == 0.0
-        assert math.isinf(est.dt_exp)
+        assert op.gershgorin_lambda_max() == 0.0
 
     def test_bound_dominates_dense_spectral_radius(self):
         rng = np.random.default_rng(7)
@@ -308,11 +306,6 @@ class TestStabilityEstimate:
             dense = float(np.max(np.sum(np.abs(op.frozen_matrix(0.0, state)), axis=1)))
             assert op.gershgorin_lambda_max(0.0, state) == pytest.approx(dense, rel=1e-14)
 
-    def test_lambda_min_reported(self):
-        op = single_layer_op(n=9, kind="robin", biot=BiotSet(m_theta=3.0, t_t=4.0))
-        est = estimate_lambda_max(op, compute_min=True)
-        assert 0 < est.lambda_min <= est.lambda_max
-
     def test_verification_operator_admits_published_step(self):
         wall = build_wall([(builtin_material("table1_mat1"), 0.6),
                            (builtin_material("table1_mat2"), 0.4)])
@@ -324,11 +317,11 @@ class TestStabilityEstimate:
         )
         forcing = BoundaryForcing(constant_forcing(), constant_forcing())
         op = assemble_operator(wall, grid, groups, forcing)
-        est = estimate_lambda_max(op, compute_min=True)
-        assert 1.0 / 28000.0 < est.dt_exp
+        lam = op.gershgorin_lambda_max()
+        assert 1.0 / 28000.0 < 2.0 / lam
         # the row-sum bound must also dominate the dense spectral radius here
         rho = np.max(np.abs(np.linalg.eigvals(op.frozen_matrix())))
-        assert est.lambda_max >= rho * (1 - 1e-12)
+        assert lam >= rho * (1 - 1e-12)
 
 
 class TestLinearForm:
@@ -352,22 +345,12 @@ class TestLinearForm:
         a = op.frozen_matrix()
         rng = np.random.default_rng(11)
         for t in (0.0, 0.37, 2.0):
-            b = op.forcing_vector(t)
+            b = op.rhs(t, np.zeros((2, op.n))).reshape(-1)
             y = 1.0 + 0.2 * rng.standard_normal(2 * op.n)
-            got = op.rhs_vector(t, y)
+            got = op.rhs(t, y.reshape(2, op.n)).reshape(-1)
             want = -a @ y + b
             scale = np.max(np.abs(want)) + 1.0
             assert np.max(np.abs(got - want)) < 1e-12 * scale
-
-    def test_nonlinear_operator_has_no_forcing_vector(self):
-        wall = build_wall([(builtin_material("table3_re"), 0.5)])
-        grid = Grid1D.uniform(0.5, 11)
-        groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0)
-        op = assemble_operator(wall, grid, groups,
-                               BoundaryForcing(dirichlet_forcing(), dirichlet_forcing()))
-        assert not op.is_linear
-        with pytest.raises(AssemblyError):
-            op.forcing_vector(0.0)
 
     def test_matrix_dump_round_trips(self, tmp_path):
         op = single_layer_op(n=5)
@@ -419,7 +402,7 @@ class TestConservation:
                                   dirichlet_forcing(u=2.0, v=2.0))
         op = assemble_operator(wall, grid, groups, forcing)
         a = op.frozen_matrix()
-        b = op.forcing_vector(0.0)
+        b = op.rhs(0.0, np.zeros((2, op.n))).reshape(-1)    # rhs = -A y + b
         y = np.zeros(2 * op.n)
         op.apply_constraints(0.0, y.reshape(2, op.n))
         pinned = [0, op.n - 1, op.n, 2 * op.n - 1]
