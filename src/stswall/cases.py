@@ -212,6 +212,18 @@ def _build_domain(cfg: CaseConfig, forcing, groups) -> _Domain:
     return _Domain(cfg, wall, grid, forcing, groups, StateField(u0, v0, 0.0))
 
 
+def _dimensionless_domain(cfg: CaseConfig) -> _Domain:
+    """The validated domain of a verify, sweep or custom run: the config's
+    dimensionless groups and its forcing on both sides."""
+    cfg.validate()
+    if cfg.groups is None:
+        raise ConfigError(f"{cfg.kind} config has no [groups] section; "
+                          "dimensionless runs need dimensionless groups")
+    if cfg.forcing_left is None or cfg.forcing_right is None:
+        raise ConfigError("dimensionless runs need [forcing.left] and [forcing.right]")
+    return _build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right), cfg.groups)
+
+
 def _initial_field(value, node_layers, n_layers) -> np.ndarray:
     if np.ndim(value) == 0:
         return np.full(node_layers.size, float(value))
@@ -514,10 +526,7 @@ class VerificationResult:
 def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
     """Run the scheme comparison against the RK4 reference of :func:`_oracle`,
     self-checked by step doubling."""
-    cfg.validate()
-    if cfg.groups is None:
-        raise ConfigError("verification case needs dimensionless groups")
-    dom = _build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right), cfg.groups)
+    dom = _dimensionless_domain(cfg)
     grid = dom.grid
 
     ref_report, richardson_gap = _oracle(dom, check=True)
@@ -537,9 +546,7 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
     })
     emit_outputs(out_dir, manifest, records=records, trajectories=trajectories)
     if cfg.dump_matrix:
-        op = dom.operator()
-        if op.is_linear:
-            op.dump_matrix(os.path.join(out_dir, "operator_matrix.txt"))
+        dom.operator().dump_matrix(os.path.join(out_dir, "operator_matrix.txt"), 0.0, dom.state0)
     return VerificationResult(records=records, reports=reports, reference=ref_report.final_state,
                               grid=grid, manifest=manifest, failures=failures)
 
@@ -566,13 +573,12 @@ def run_ns_sweep(cfg: CaseConfig, ns_list=None, out_dir=None) -> SweepResult:
     One row per (scheme, n_s); the log-log slope of the uniform error
     versus n_s is reported per scheme and field.
     """
-    cfg.validate()
+    dom = _dimensionless_domain(cfg)
     ns_values = [int(n) for n in (ns_list if ns_list is not None else cfg.sweep_ns)]
     if not ns_values or min(ns_values) < 1:
         raise ConfigError("sweep needs positive super-step counts")
     if not set(cfg.sweep_schemes) <= {"rkc", "rkl"}:
         raise ConfigError(f"sweep schemes must be rkc or rkl, got {cfg.sweep_schemes}")
-    dom = _build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right), cfg.groups)
 
     ref_traj = _ReferenceTrajectory(*_oracle(dom)[0].trajectory)
     # sampled like the rows, so rho_cpu_pct compares like with like
@@ -795,13 +801,3 @@ def _layout_config(cfg: CaseConfig, layer_list, forcing, groups) -> _Domain:
             sub.dt_euler = 0.9 * dt_exp
     return dom
 
-
-# ---------------------------------------------------------------------------
-# custom case
-# ---------------------------------------------------------------------------
-
-def run_custom_case(cfg: CaseConfig, out_dir) -> VerificationResult:
-    """Config-driven run reusing the verification machinery."""
-    if cfg.forcing_left is None or cfg.forcing_right is None:
-        raise ConfigError("custom cases need [forcing.left] and [forcing.right]")
-    return run_verification_case(cfg, out_dir)

@@ -11,8 +11,7 @@ import logging
 import sys
 
 from .cases import (
-    physical_preset, run_custom_case, run_ns_sweep, run_physical_case,
-    run_verification_case, verification_preset,
+    physical_preset, run_ns_sweep, run_physical_case, run_verification_case, verification_preset,
 )
 from .config import load_config, parse_duration, parse_float, parse_int_list
 from .errors import ConfigError, StswallError
@@ -69,7 +68,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
+        if args.command in ("verify", "custom"):
+            if args.command == "custom" and not args.config:
+                print("error: custom requires --config PATH", file=sys.stderr)
+                return 1
             cfg = load_config(args.config) if args.config else verification_preset()
             _apply_overrides(cfg, args, dimensionless=True)
             result = run_verification_case(cfg, args.out)
@@ -81,21 +83,13 @@ def main(argv=None) -> int:
             _print_records(result.records)
             for scheme, info in result.policy_counts.items():
                 print(f"policy @365d {scheme}: dt={info['dt_s']:g} s, N_t={info['n_t']}")
-        elif args.command == "sweep":
+        else:
             cfg = load_config(args.config) if args.config else verification_preset()
             _apply_overrides(cfg, args, dimensionless=True)
             result = run_ns_sweep(cfg, out_dir=args.out)
             for scheme, slope in result.slopes.items():
                 print(f"{scheme}: error slope vs N_S  solution={slope['solution']:.3f}  "
                       f"u={slope['u']:.3f}  v={slope['v']:.3f}")
-        else:
-            if not args.config:
-                print("error: custom requires --config PATH", file=sys.stderr)
-                return 1
-            cfg = load_config(args.config)
-            _apply_overrides(cfg, args, dimensionless=cfg.kind != "physical")
-            result = run_custom_case(cfg, args.out)
-            _print_records(result.records)
     except StswallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

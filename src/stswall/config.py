@@ -307,6 +307,11 @@ def load_config(path) -> CaseConfig:
             if section == "groups" or section.startswith("biot."):
                 raise ConfigError(f"[{section}] does not apply to physical cases: they use unit "
                                   "groups with delta = [constants] latent_heat")
+            if section.startswith("forcing."):
+                raise ConfigError(f"[{section}] does not apply to physical cases: their "
+                                  "boundaries follow the climate series")
+        if cp.getboolean("output", "dump_matrix", fallback=False):
+            raise ConfigError("[output] dump_matrix does not apply to physical cases")
     if cp.has_section("groups"):
         sec = cp["groups"]
         cfg.groups = DimensionlessGroups(
@@ -369,7 +374,5 @@ def load_config(path) -> CaseConfig:
         )
 
     cfg.description = {"source": str(path), "kind": kind, "title": cfg.title}
-    if kind not in ("verification", "physical") and cfg.groups is None:
-        raise ConfigError("custom cases need a [groups] section")
     cfg.validate()
     return cfg

@@ -123,10 +123,7 @@ class SemiDiscreteOperator:
         self._varies = bool(rows)
         self._scaled = bool(set(rows) & {1, 2})     # k_tm or d_t: flux factors scaled
 
-        self._matrix_cache = None
-        self._rowsum_cache = None
-        # Frozen matrix A: face scale of each block (uu, uv, vu, vv) and interior
-        # row factors, fo_t cm / c in u rows (set per coefficient pass) and cm.
+        # Frozen matrix A: face scale of each block (uu, uv, vu, vv), interior row factors.
         self._scale = np.array([[1.0], [groups.delta], [groups.fo_m * groups.gamma], [groups.fo_m]])
         cm = 1.0 / (self.dx * self.dx)
         self._row, self._fo_t_cm = np.full((4, self.n - 2), cm), groups.fo_t * cm
@@ -270,22 +267,38 @@ class SemiDiscreteOperator:
 
     # -- frozen-coefficient matrix ----------------------------------------------------
 
-    def _frozen(self, t: float, state, coeffs):
-        """``(faces, row, robin)`` of A at ``state`` (stacked (2, n), StateField
-        or None for all ones) from one coefficient pass, none if ``coeffs`` is
-        given: interior row factors, and per Robin node b ``(b, diag, off)``,
-        its block entries in its own and its neighbour's column."""
+    def _stencil(self, t: float, state=None, coeffs=None) -> np.ndarray:
+        """Entries of the frozen matrix A (see :meth:`frozen_matrix`) per node.
+
+        Returns one (3, 4, n) array, unpacking as ``lower, diag, upper``.
+        Row k of each holds one 2x2 block of A in the order uu, uv, vu, vv:
+        equation row j of that block has ``lower[k, j]`` in column j-1,
+        ``diag[k, j]`` in column j and ``upper[k, j]`` in column j+1.
+        Dirichlet rows are zero.  Coefficients are frozen at ``state``
+        (stacked (2, n), StateField, or None for all ones) from one
+        coefficient pass, none when ``coeffs`` is the operator's latest.
+        The only code that writes A's entries.
+        """
         if isinstance(state, StateField):
             state = (state.u, state.v)
         u, v = np.ones((2, self.n)) if state is None else state
         if coeffs is None or coeffs is not self._pass:
             coeffs = self._coefficients(v)
         faces, c = coeffs
-        self._row[:2] = self._fo_t_cm / c[1:-1]
+        row = self._row     # per-node row factors: fo_t cm / c in u rows, cm in v rows
+        row[:2] = self._fo_t_cm / c[1:-1]
+        weights = np.zeros((3, 4, self.n))
+        lower, diag, upper = weights
+        # Interior rows: flux divergence, (scale * face) * row per block.
+        neg_scaled = -self._scale * faces
+        np.multiply(neg_scaled[:, :-1], row, out=lower[:, 1:-1])
+        np.multiply(neg_scaled[:, 1:], row, out=upper[:, 1:-1])
+        mid = np.add(faces[:, :-1], faces[:, 1:], out=diag[:, 1:-1])
+        mid *= self._scale
+        mid *= row
+        # Robin half-cells: half-cell flux plus exchange Jacobian dE_T/du, dE_T/dv, dE_M/du, dE_M/dv
         g, dx = self.groups, self.dx
-        robin = []
         for b, side, _ in self._robin:
-            # half-cell flux plus the exchange Jacobian dE_T/du, dE_T/dv, dE_M/du, dE_M/dv
             biot, dsat = side.biot, 0.0
             if side.sat:
                 h = 1e-6 * max(abs(u[b]), 1.0)
@@ -293,51 +306,17 @@ class SemiDiscreteOperator:
             jac = [biot.t_t + biot.t_sat * dsat, biot.t_theta, biot.m_sat * dsat, biot.m_theta]
             w = np.array([g.fo_t * 2.0 / (dx * c[b])] * 2 + [g.fo_m * 2.0 / dx] * 2)
             factor = np.array([1.0, g.delta, g.gamma, 1.0])
-            robin.append((b, w * (factor * faces[:, b] / dx + jac), -w * factor * faces[:, b] / dx))
-        return faces, self._row, robin
-
-    def _node_diagonal(self, faces, row, robin, out: np.ndarray) -> np.ndarray:
-        """Write the diagonal entries (4, n) of A's blocks into ``out``."""
-        out[:, ::self.n - 1] = 0.0
-        mid = np.add(faces[:, :-1], faces[:, 1:], out=out[:, 1:-1])
-        mid *= self._scale
-        mid *= row
-        for b, diag, _ in robin:
-            out[:, b] = diag
-        return out
-
-    def _stencil(self, t: float, state: Optional[StateField]):
-        """Entries of the frozen matrix A (see :meth:`frozen_matrix`) per node.
-
-        Returns one (3, 4, n) array, unpacking as ``lower, diag, upper``.
-        Row k of each holds one 2x2 block of A in the order uu, uv, vu, vv:
-        equation row j of that block has ``lower[k, j]`` in column j-1,
-        ``diag[k, j]`` in column j and ``upper[k, j]`` in column j+1.
-        Dirichlet rows are zero.  Coefficients are frozen at ``state`` (all
-        ones when None).
-        """
-        faces, row, robin = self._frozen(t, state, None)
-        weights = np.zeros((3, 4, self.n))
-        lower, diag, upper = weights
-        # Interior rows: flux divergence, (scale * face) * row per block.
-        neg_scaled = -self._scale * faces
-        np.multiply(neg_scaled[:, :-1], row, out=lower[:, 1:-1])
-        np.multiply(neg_scaled[:, 1:], row, out=upper[:, 1:-1])
-        self._node_diagonal(faces, row, robin, diag)
-        for b, _, off in robin:
-            (upper if b == 0 else lower)[:, b] = off
+            diag[:, b] = w * (factor * faces[:, b] / dx + jac)
+            (upper if b == 0 else lower)[:, b] = -w * factor * faces[:, b] / dx
         return weights
 
     def frozen_matrix(self, t: float = 0.0, state: Optional[StateField] = None) -> np.ndarray:
         """Dense matrix A with rhs ~= -A y + b(t), coefficients frozen at ``state``.
 
-        Row/column order is [u_0..u_{N-1}, v_0..v_{N-1}].  For linear
-        operators the matrix is exact and cached.  It costs O(n^2) memory,
-        so the marching code never builds it; it serves inspection
-        (:meth:`dump_matrix`) and the dense checks of the tests.
+        Row/column order is [u_0..u_{N-1}, v_0..v_{N-1}]; exact for linear
+        operators.  It costs O(n^2) memory, so the marching code never
+        builds it; it serves :meth:`dump_matrix` and the tests' dense checks.
         """
-        if self.is_linear and self._matrix_cache is not None:
-            return self._matrix_cache
         n = self.n
         lower, diag, upper = self._stencil(t, state)
         a = np.zeros((2 * n, 2 * n))
@@ -346,8 +325,6 @@ class SemiDiscreteOperator:
             a[r + j, col + j] = diag[k]
             a[r + j[1:], col + j[:-1]] = lower[k, 1:]
             a[r + j[:-1], col + j[1:]] = upper[k, :-1]
-        if self.is_linear:
-            self._matrix_cache = a
         return a
 
     def jacobian_node_blocks(self, t: float = 0.0, state=None, coeffs=None):
@@ -355,37 +332,21 @@ class SemiDiscreteOperator:
 
         Returns (b_uu, b_uv, b_vu, b_vv) arrays of length node_count.  These
         are the terms a three-level scheme must treat implicitly to stay
-        stable under two-way cross coupling.  O(n): the diagonal alone, from
-        one coefficient pass (none when ``coeffs`` is given; see :meth:`_frozen`).
+        stable under two-way cross coupling.  O(n): the stencil's diagonal,
+        from one coefficient pass (none when ``coeffs`` is given).
         """
-        return tuple(self._node_diagonal(*self._frozen(t, state, coeffs), np.empty((4, self.n))))
+        return tuple(self._stencil(t, state, coeffs)[1])
 
     def gershgorin_lambda_max(self, t: float = 0.0, state=None, coeffs=None) -> float:
         """Infinity-norm row-sum bound; never below the true spectral radius.
 
-        The largest absolute row sum of :meth:`frozen_matrix`, straight from
-        one coefficient pass (see :meth:`_frozen`): per block ``|s f_l|``,
-        ``|s (f_l + f_r)|`` and ``|s f_r|`` times the row factor, added in the
-        matrix row's order, plus the Robin rows.  Costs less than one RHS.
+        The largest absolute row sum of :meth:`frozen_matrix`, read off the
+        stencil in the matrix row's order: |lower| + |diag| + |upper| of uu
+        then uv in u rows, of vu then vv in v rows.  O(n), from one
+        coefficient pass (none when ``coeffs`` is given).
         """
-        if self.is_linear and self._rowsum_cache is not None:
-            return self._rowsum_cache
-        faces, row, robin = self._frozen(t, state, coeffs)
-        m = self.n - 2
-        terms = np.empty((3, 4, m))
-        scaled = self._scale * faces
-        terms[0], terms[2] = scaled[:, :-1], scaled[:, 1:]
-        np.add(faces[:, :-1], faces[:, 1:], out=terms[1])
-        terms[1] *= self._scale
-        terms *= row
-        # |lower| + |diag| + |upper| of uu then uv (u rows), vu then vv (v rows): the stencil's order
-        best = float(np.abs(terms, out=terms).reshape(3, 2, 2, m).sum(axis=(0, 2)).max(initial=0.0))
-        for b, diag, off in robin:
-            w, e = np.abs((diag, off) if b == 0 else (off, diag)).tolist()
-            best = max(best, w[0] + w[1] + e[0] + e[1], w[2] + w[3] + e[2] + e[3])
-        if self.is_linear:
-            self._rowsum_cache = best
-        return best
+        w = np.abs(self._stencil(t, state, coeffs))
+        return float(w.reshape(3, 2, 2, self.n).sum(axis=(0, 2)).max())
 
     def dump_matrix(self, path, t: float = 0.0, state: Optional[StateField] = None) -> None:
         """Write the frozen matrix in coordinate format: 'row col value' lines."""

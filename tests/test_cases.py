@@ -17,6 +17,7 @@ from stswall.cases import (
     run_ns_sweep, run_physical_case, run_verification_case, verification_preset,
 )
 from stswall.cli import main
+from stswall.config import load_config
 from stswall.dimensionless import DimensionlessGroups
 from stswall.errors import ConfigError
 from stswall.metrics import ComparisonRecord
@@ -438,6 +439,26 @@ class TestCli:
         configurations = {configurations}
         """
 
+    # a dimensionless case with forcing on the left side only
+    CUSTOM_INI = """
+        [case]
+        kind = custom
+        [grid]
+        dx = 0.1
+        [time]
+        tau = 0.01
+        dt_euler = 1e-4
+        [groups]
+        fo_m = 0.09
+        fo_t = 0.07
+        [materials]
+        m1 = table1_mat1
+        [wall]
+        layers = m1:1.0
+        [forcing.left]
+        u = 1
+        """
+
     def write_physical_ini(self, tmp_path, configurations):
         path = tmp_path / "case.ini"
         path.write_text(textwrap.dedent(self.PHYSICAL_INI.format(configurations=configurations)))
@@ -462,15 +483,31 @@ class TestCli:
          "[groups]"),
         (["physical", "--config", "{ini}"], ("[materials]", "[biot.left]\nt_t = 5\n[materials]"),
          "[biot.left]"),
+        (["physical", "--config", "{ini}"], ("[physical]", "[output]\ndump_matrix = true\n[physical]"),
+         "dump_matrix"),
+        (["physical", "--config", "{ini}"],
+         ("[physical]", "[forcing.left]\nkind = dirichlet\nu = 250\nv = 0.1\n[physical]"),
+         "[forcing.left]"),
+        # dimensionless runs need groups and forcing on both sides
+        (["sweep", "--config", "{ini}"], None, "[groups]"),
+        (["verify", "--config", "{custom}"], None, "[forcing.right]"),
+        (["sweep", "--config", "{custom}"], None, "[forcing.right]"),
+        # the kind is checked before the sections a kind needs
+        (["custom", "--config", "{ini}"], ("kind = physical", "kind = foo"), "'foo'"),
     ], ids=["verify-tau-abc", "physical-dt-abc", "sweep-ns-x", "ini-tau-abc", "ini-dx-abc",
             "verify-tau-nan", "verify-dx-nan", "verify-tau-1e400", "physical-tau-inf",
             "verify-dx-abc", "physical-tau-0d", "verify-ns-three", "ini-physical-groups",
-            "ini-physical-biot"])
+            "ini-physical-biot", "ini-physical-dump-matrix", "ini-physical-forcing",
+            "sweep-physical-ini", "verify-one-sided-forcing", "sweep-one-sided-forcing",
+            "ini-unknown-kind"])
     def test_malformed_or_non_finite_number_exits_one(self, tmp_path, capsys, argv, ini_edit, named):
-        if ini_edit:
-            ini = self.write_physical_ini(tmp_path, "re")
-            Path(ini).write_text(Path(ini).read_text().replace(*ini_edit))
-            argv = [arg.format(ini=ini) for arg in argv]
+        if "--config" in argv:
+            template = self.CUSTOM_INI if "{custom}" in argv else self.PHYSICAL_INI.format(
+                configurations="re")
+            text = textwrap.dedent(template)
+            ini = tmp_path / "case.ini"
+            ini.write_text(text.replace(*ini_edit) if ini_edit else text)
+            argv = [str(ini) if arg.startswith("{") else arg for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
@@ -566,6 +603,60 @@ class TestCli:
             """).format(expr=expr))
         assert main(["custom", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
         assert f"forcing expression {expr!r} fails at t=" in capsys.readouterr().err
+
+    def test_nonlinear_custom_case_dumps_its_initial_matrix(self, tmp_path):
+        ini = tmp_path / "case.ini"
+        ini.write_text(textwrap.dedent("""
+            [case]
+            kind = custom
+            [grid]
+            dx = 0.1
+            [time]
+            tau = 0.001
+            dt_euler = 1e-4
+            [schemes]
+            run = euler
+            [groups]
+            fo_m = 0.09
+            fo_t = 0.07
+            gamma = 0.07
+            delta = 0.05
+            [biot.left]
+            m_theta = 25.5
+            t_t = 50.5
+            [materials]
+            names = b
+            b.d_theta = 1.0
+            b.d_t = 0.1
+            b.c_t = 0.3, 0.01
+            b.k_t = 1.0
+            b.k_tm = 0.1
+            [wall]
+            layers = b:1.0
+            [initial]
+            u = 1.0
+            v = 0.5
+            [forcing.left]
+            u = 1
+            [forcing.right]
+            kind = dirichlet
+            u = 1
+            [output]
+            dump_matrix = true
+            """))
+        out = tmp_path / "out"
+        assert main(["custom", "--config", str(ini), "--out", str(out)]) == 0
+        dom = cases._dimensionless_domain(load_config(ini))
+        op = dom.operator()
+        assert not op.is_linear
+        want = op.frozen_matrix(0.0, dom.state0)
+        header, *lines = (out / "operator_matrix.txt").read_text().splitlines()
+        assert header == f"% {2 * op.n} {2 * op.n} {np.count_nonzero(want)}"
+        got = np.zeros_like(want)
+        for line in lines:
+            i, j, value = line.split()
+            got[int(i), int(j)] = float(value)
+        assert np.array_equal(got, want)
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -436,8 +436,8 @@ def test_frozen_cycle_reads_dirichlet_data_once_per_time():
 
 
 def count_passes(monkeypatch):
-    """List with one entry per coefficient pass; any frozen-stencil build
-    fails the test."""
+    """List with one entry per coefficient pass; any dense frozen-matrix
+    build fails the test."""
     passes = []
     coefficients = SemiDiscreteOperator._coefficients
 
@@ -445,11 +445,11 @@ def count_passes(monkeypatch):
         passes.append(self)
         return coefficients(self, v)
 
-    def no_stencil(self, *args, **kwargs):
-        raise AssertionError("the march built the frozen-matrix stencil")
+    def no_dense(self, *args, **kwargs):
+        raise AssertionError("the march built the dense frozen matrix")
 
     monkeypatch.setattr(SemiDiscreteOperator, "_coefficients", counted)
-    monkeypatch.setattr(SemiDiscreteOperator, "_stencil", no_stencil)
+    monkeypatch.setattr(SemiDiscreteOperator, "frozen_matrix", no_dense)
     return passes
 
 

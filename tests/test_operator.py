@@ -651,8 +651,19 @@ wall_cases = settings(derandomize=True, max_examples=40, deadline=None)
 
 
 class TestCoefficientPass:
-    """The row-sum bound and the node blocks come from one coefficient pass
-    without the frozen matrix; they must agree with that matrix."""
+    """The row-sum bound, the node blocks and the dense matrix read one
+    stencil from one coefficient pass; the readers must agree with each
+    other and the stencil with the flux-form RHS."""
+
+    @wall_cases
+    @given(polynomial_walls())
+    def test_interior_rhs_equals_frozen_matrix_product(self, case):
+        op, y = case
+        a = op.frozen_matrix(0.3, StateField(y[0], y[1]))
+        flat = y.ravel()
+        want = -(a @ flat).reshape(2, op.n)[:, 1:-1]
+        scale = (np.abs(a) @ np.abs(flat)).reshape(2, op.n)[:, 1:-1]
+        assert np.all(np.abs(op.rhs(0.3, y)[:, 1:-1] - want) <= 1e-14 * scale)
 
     @wall_cases
     @given(polynomial_walls())
