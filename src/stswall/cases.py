@@ -33,7 +33,7 @@ import numpy as np
 from .config import PHYSICAL_LAYOUTS, CaseConfig, parse_time_function
 from .dimensionless import DimensionlessGroups
 from .errors import ConfigError, DivergenceError
-from .integrators import build_schedule, euler_run, dufort_frankel_run, rk4_run, sts_run
+from .integrators import build_schedule, dufort_frankel_run, euler_run, node_count, rk4_run, sts_run
 from .metrics import (
     ComparisonRecord, drying_rate, error_norms, failure_record, ratios,
     scd_value, total_moisture, write_comparison_csv,
@@ -378,8 +378,7 @@ def _compare(dom, schemes, trackers=None, reports=None, schedules=None):
     for scheme in schemes:
         if scheme in failures:
             dt = _scheme_step(scheme, cfg)
-            records.append(failure_record(scheme, dt, int(math.floor(cfg.tau / dt + 1e-12)) + 1,
-                                          baseline))
+            records.append(failure_record(scheme, dt, node_count(dt, cfg.tau), baseline))
             continue
         records.append(ratios(reports[scheme], baseline, cfg.tau_days))
         if trackers:
@@ -484,9 +483,9 @@ def _sample_stride(dt: float, tau: float) -> int:
 
 
 def _oracle(dom, check=False):
-    """(report, gap) of the RK4 reference, sampled in time for trajectory-wide
-    errors.  Its step h is twice the Euler step while ``h * lambda_max`` stays
-    within 2.5 (RK4 is stable to 2.785), else the Euler step.  With ``check``, a
+    """(reference, report, gap) of the RK4 reference, whose observer copies its
+    states for trajectory-wide errors.  Its step h is twice the Euler step while
+    ``h * lambda_max`` stays within 2.5 (RK4 is stable to 2.785), else the Euler step.  With ``check``, a
     run at h/2 gives the step-doubling (Richardson) estimate of its final-state
     error, ``gap = (16/15) max|y_h - y_{h/2}|``."""
     cfg, op, state0 = dom.cfg, dom.operator(), dom.state0
@@ -494,15 +493,23 @@ def _oracle(dom, check=False):
         raise ConfigError("the RK4 reference needs an explicit dt_euler")
     lam = op.gershgorin_lambda_max(0.0, state0)
     h = 2.0 * cfg.dt_euler if 2.0 * cfg.dt_euler * lam <= 2.5 else cfg.dt_euler
-    report = rk4_run(op, state0, h, cfg.tau, sample_every=_sample_stride(h, cfg.tau))
+    times, states = [], []
+
+    def record(t, u, v):
+        times.append(t)
+        states.append(np.stack([u, v]))
+
+    report = rk4_run(op, state0, h, cfg.tau, observe=record,
+                     observe_every=_sample_stride(h, cfg.tau))
+    reference = _ReferenceTrajectory(times, np.stack(states))
     if not check:
-        return report, None
+        return reference, report, None
     half = rk4_run(dom.operator(), state0, h / 2.0, cfg.tau)
     ref, fine = report.final_state, half.final_state
     gap = 16.0 / 15.0 * float(np.max(np.abs([fine.u - ref.u, fine.v - ref.v])))
     if gap > 1e-5:
         logger.warning("reference self-check: Richardson gap %.3e exceeds 1e-5", gap)
-    return report, gap
+    return reference, report, gap
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +525,6 @@ class VerificationResult:
     manifest: dict
     failures: dict = field(default_factory=dict)
 
-    @property
-    def exit_code(self) -> int:
-        return 2 if self.failures else 0
-
 
 def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
     """Run the scheme comparison against the RK4 reference of :func:`_oracle`,
@@ -529,8 +532,7 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
     dom = _dimensionless_domain(cfg)
     grid = dom.grid
 
-    ref_report, richardson_gap = _oracle(dom, check=True)
-    ref_traj = _ReferenceTrajectory(*ref_report.trajectory)
+    ref_traj, ref_report, richardson_gap = _oracle(dom, check=True)
     trackers = {scheme: _ErrorTracker(ref_traj, grid.spacing) for scheme in cfg.schemes}
     schedules = {}
     records, reports, failures = _compare(dom, cfg.schemes, trackers=trackers, schedules=schedules)
@@ -562,10 +564,6 @@ class SweepResult:
     manifest: dict
     failures: dict = field(default_factory=dict)
 
-    @property
-    def exit_code(self) -> int:
-        return 2 if self.failures else 0
-
 
 def run_ns_sweep(cfg: CaseConfig, ns_list=None, out_dir=None) -> SweepResult:
     """Sweep the super-step count on the verification setup.
@@ -580,7 +578,7 @@ def run_ns_sweep(cfg: CaseConfig, ns_list=None, out_dir=None) -> SweepResult:
     if not set(cfg.sweep_schemes) <= {"rkc", "rkl"}:
         raise ConfigError(f"sweep schemes must be rkc or rkl, got {cfg.sweep_schemes}")
 
-    ref_traj = _ReferenceTrajectory(*_oracle(dom)[0].trajectory)
+    ref_traj = _oracle(dom)[0]
     # sampled like the rows, so rho_cpu_pct compares like with like
     euler_report = _run_one_scheme(
         "euler", dom, observe=_ErrorTracker(ref_traj, dom.grid.spacing),
@@ -644,10 +642,6 @@ class PhysicalResult:
     manifest: dict
     failures: dict = field(default_factory=dict)
 
-    @property
-    def exit_code(self) -> int:
-        return 2 if self.failures else 0
-
 
 def physical_step_counts(cfg: CaseConfig) -> dict:
     """Step-policy node counts at the 365-day reporting horizon, by formula.
@@ -665,7 +659,7 @@ def physical_step_counts(cfg: CaseConfig) -> dict:
         if scheme == "df" and cfg.dt_df is None:
             continue
         dt = _scheme_step(scheme, cfg)
-        out[scheme] = {"dt_s": dt, "n_t": int(math.floor(horizon / dt * (1 + 1e-12))) + 1}
+        out[scheme] = {"dt_s": dt, "n_t": node_count(dt, horizon)}
     return out
 
 
@@ -729,9 +723,10 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     rates = {}
     failures = {}
     drying_reports = {}
+    domains = {}
 
     for name, layer_list in layouts.items():
-        dom = _layout_config(cfg, layer_list, forcing, groups)
+        dom = domains[name] = _layout_config(cfg, layer_list, forcing, groups)
         observer = _MoistureObserver(dom.grid, _re_node_range(dom.grid, layer_list))
         stride = max(1, int(cfg.tau / _scheme_step(cfg.drying_scheme, dom.cfg) / 1500))
         try:
@@ -748,7 +743,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     # Scheme comparison on the first configuration; the drying run already
     # covers its own scheme there.
     first_name = cfg.physical_configurations[0]
-    dom = _layout_config(cfg, layouts[first_name], forcing, groups)
+    dom = domains[first_name]
     schedules = {}
     done = {cfg.drying_scheme: drying_reports[first_name]} if first_name in drying_reports else None
     records, reports, table_failures = _compare(dom, cfg.schemes, reports=done, schedules=schedules)

@@ -108,6 +108,14 @@ def _number(text, kind=float, shown=None):
         raise ConfigError(f"not a number: {str(text if shown is None else shown).strip()!r}") from None
 
 
+def _boolean(text) -> bool:
+    """A configparser boolean (yes/no, true/false, on/off, 1/0), else a ConfigError."""
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(text.strip().lower())
+    if value is None:
+        raise ConfigError(f"not a boolean: {text.strip()!r}")
+    return value
+
+
 def parse_duration(text, default_unit: str = "s") -> float:
     """Seconds from a duration literal like '365d', '2h', '30min', '7200'."""
     if isinstance(text, (int, float)):
@@ -264,7 +272,8 @@ def _parse_biot(cp: configparser.ConfigParser, section: str) -> BiotSet:
 def load_config(path) -> CaseConfig:
     """Parse an INI case file into a :class:`CaseConfig`."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
-                                   converters={"float": _number, "int": lambda text: _number(text, int)})
+                                   converters={"float": _number, "int": lambda text: _number(text, int),
+                                               "boolean": _boolean})
     read = cp.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
@@ -286,7 +295,7 @@ def load_config(path) -> CaseConfig:
             cfg.dt_df = parse_duration(sec["dt_df"])
         if "dt_exp" in sec and sec["dt_exp"].strip().lower() != "auto":
             cfg.dt_exp_base = parse_duration(sec["dt_exp"])
-        cfg.tau_days = cfg.tau / 86400.0 if kind == "physical" else cfg.tau
+    cfg.tau_days = cfg.tau / 86400.0 if kind == "physical" else cfg.tau
     if cp.has_section("schemes"):
         sec = cp["schemes"]
         if "run" in sec:
@@ -339,7 +348,7 @@ def load_config(path) -> CaseConfig:
             name, _, thick = token.partition(":")
             if not thick:
                 raise ConfigError(f"layer token {token!r} must look like name:thickness")
-            cfg.layers.append((name.strip(), float(thick)))
+            cfg.layers.append((name.strip(), _number(thick)))
     if cp.has_section("initial"):
         sec = cp["initial"]
         for key, attr in (("u", "initial_u"), ("v", "initial_v")):
@@ -367,11 +376,10 @@ def load_config(path) -> CaseConfig:
         climate = sec.get("climate", "").strip()
         cfg.climate_path = None if climate in ("", "synthetic") else climate
     if cp.has_section("box"):
-        sec = cp["box"]
-        cfg.admissible_box = (
-            sec.getfloat("u_min"), sec.getfloat("u_max"),
-            sec.getfloat("v_min"), sec.getfloat("v_max"),
-        )
+        keys = ("u_min", "u_max", "v_min", "v_max")
+        if not all(key in cp["box"] for key in keys):
+            raise ConfigError(f"[box] needs all of {', '.join(keys)}")
+        cfg.admissible_box = tuple(cp["box"].getfloat(key) for key in keys)
 
     cfg.description = {"source": str(path), "kind": kind, "title": cfg.title}
     cfg.validate()

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -132,31 +133,18 @@ def build_schedule(
 def amplification_eval(schedule: SuperStepSchedule, lam):
     """Growth factor of one cycle on the test equation dy/dt = -lam y.
 
-    Accepts a scalar or array of decay rates; returns the signed factor
-    (exactly 1 at lam = 0).
+    Marches the scheme's own cycle from y = 1 for each decay rate, so it
+    tests the code that marches.  Accepts a scalar or array of decay
+    rates; returns the signed factor (exactly 1 at lam = 0).
     """
-    lam_arr = np.asarray(lam, dtype=float)
+    lam_arr = np.array(lam, dtype=float, ndmin=1)
     if np.any(lam_arr < 0):
         raise ConfigError("amplification_eval requires lam >= 0")
-    if schedule.scheme == "rkc":
-        p = np.ones_like(lam_arr)
-        for tau in schedule.stage_steps:
-            p = p * (1.0 - tau * lam_arr)
-    else:
-        z = schedule.dt_super * lam_arr
-        y_pp = np.ones_like(lam_arr)                       # Y_0
-        p = y_pp - schedule.rkl_mu_tilde[0] * z            # Y_1
-        for j in range(2, schedule.n_s + 1):
-            y_new = (
-                schedule.rkl_mu[j - 1] * p
-                + schedule.rkl_nu[j - 1] * y_pp
-                - schedule.rkl_mu_tilde[j - 1] * z * p
-            )
-            y_pp = p
-            p = y_new
-    if np.ndim(lam) == 0:
-        return float(p)
-    return p
+    # a stand-in operator of the test equation, without constraints
+    decay = SimpleNamespace(rhs=lambda t, y, coeffs=None: -lam_arr * y,
+                            apply_constraints=lambda t, y: None)
+    p = _CYCLES[schedule.scheme](decay, schedule, 0.0, np.ones_like(lam_arr))
+    return float(p[0]) if np.ndim(lam) == 0 else p
 
 
 @dataclass
@@ -171,7 +159,6 @@ class RunReport:
     rhs_evals: int
     cpu_s: float
     final_state: StateField
-    trajectory: Optional[tuple] = None     # (times (k,), states (k, 2, n)) when sampled
     flags: dict = field(default_factory=dict)
     n_s: Optional[int] = None
     dt_exp: Optional[float] = None
@@ -191,7 +178,7 @@ class RunReport:
 
 
 class _Monitor:
-    """Per-outer-step health checks and optional state sampling.
+    """Per-outer-step health checks and the observer calls.
 
     A march diverges when its state turns non-finite or leaves the
     divergence limits: one box width beyond each side of the operator's
@@ -199,13 +186,11 @@ class _Monitor:
     a fixed magnitude when there is no box.
     """
 
-    def __init__(self, op, scheme, observe, observe_every, sample_every):
+    def __init__(self, op, scheme, observe, observe_every):
         self.box = op.admissible_box
         self.scheme = scheme
         self.observe = observe
         self.observe_every = max(1, int(observe_every))
-        self.sample_every = sample_every
-        self.times, self.samples = [], []
         self.box_violations = 0
         if self.box is None:
             self.limits = (-_OVERFLOW_GUARD, _OVERFLOW_GUARD) * 2
@@ -219,9 +204,6 @@ class _Monitor:
     def start(self, t, y):
         if self.observe is not None:
             self.observe(t, y[0], y[1])
-        if self.sample_every:
-            self.times.append(t)
-            self.samples.append(y.copy())
 
     def check(self, step_index, t, y, final=False):
         umin, vmin = np.minimum.reduce(y, axis=1).tolist()
@@ -239,18 +221,16 @@ class _Monitor:
                 self.box_violations += 1
         if self.observe is not None and (final or step_index % self.observe_every == 0):
             self.observe(t, y[0], y[1])
-        if self.sample_every and (final or step_index % self.sample_every == 0):
-            self.times.append(t)
-            self.samples.append(y.copy())
 
 
-def _plan_steps(dt: float, tau: float) -> int:
-    """Number of regular steps of size dt that fit in tau."""
+def node_count(dt: float, tau: float) -> int:
+    """Regular temporal nodes of step dt in tau: floor(tau/dt) + 1, with a
+    1e-12 relative slack so that rounding cannot lose a whole step."""
     if tau < 0:
         raise ConfigError(f"final time must be >= 0, got {tau}")
     if dt <= 0:
         raise ConfigError(f"time step must be positive, got {dt}")
-    return int(math.floor(tau / dt * (1.0 + 1e-12)))
+    return int(math.floor(tau / dt * (1.0 + 1e-12))) + 1
 
 
 class _EulerStep:
@@ -352,7 +332,7 @@ class _DufortFrankelStep(_EulerStep):
         return y
 
 
-def _march(op, state0, stepper, tau, observe, observe_every, sample_every) -> RunReport:
+def _march(op, state0, stepper, tau, observe, observe_every) -> RunReport:
     """March ``stepper`` from ``state0`` to ``tau`` and report the run.
 
     The state is one (2, n) array ``y`` (row 0 u, row 1 v).  The
@@ -364,13 +344,14 @@ def _march(op, state0, stepper, tau, observe, observe_every, sample_every) -> Ru
     are ``base + k*dt``, rebased at such a change.  A full step is taken
     while it fits in the time left (to a 1e-9 relative slack), else one
     landing step ends exactly on tau.  Every outer step is checked by the
-    monitor, and the step that reaches tau is always observed and sampled.
+    monitor, and the step that reaches tau is always observed.  Observers
+    are the only way states leave a march.
     """
     dt0 = stepper.dt
-    n_full = _plan_steps(dt0, tau)
+    n_t = node_count(dt0, tau)
     tol = 1e-9 * dt0
     y = np.stack([state0.u, state0.v])
-    mon = _Monitor(op, stepper.scheme, observe, observe_every, sample_every)
+    mon = _Monitor(op, stepper.scheme, observe, observe_every)
     mon.start(0.0, y)
     evals0 = op.rhs_evals
 
@@ -394,10 +375,9 @@ def _march(op, state0, stepper, tau, observe, observe_every, sample_every) -> Ru
     cpu = time.perf_counter() - t_start
 
     return RunReport(
-        scheme=stepper.scheme, dt=dt0, tau=tau, n_steps=step, n_t=n_full + 1,
+        scheme=stepper.scheme, dt=dt0, tau=tau, n_steps=step, n_t=n_t,
         rhs_evals=op.rhs_evals - evals0, cpu_s=cpu,
         final_state=StateField(y[0], y[1], tau),
-        trajectory=(np.array(mon.times), np.stack(mon.samples)) if sample_every else None,
         flags={**stepper.flags, "box_violations": mon.box_violations},
         n_s=stepper.n_s, dt_exp=stepper.dt_exp,
     )
@@ -408,33 +388,26 @@ def euler_run(
     state0: StateField,
     dt: float,
     tau: float,
-    allow_unstable: bool = False,
     observe: Optional[ObserveFn] = None,
     observe_every: int = 1,
-    sample_every: Optional[int] = None,
 ) -> RunReport:
     """March with forward Euler steps ``y <- y + dt f(t, y)``.
 
     Refuses dt at or above the explicit limit of the operator (estimated
-    at the initial state) unless ``allow_unstable`` is set.
+    at the initial state).
     """
     lam = op.gershgorin_lambda_max(0.0, state0)
     stepper = _EulerStep(op, dt, math.inf if lam == 0 else 2.0 / lam)
     if dt >= stepper.dt_exp:
-        if not allow_unstable:
-            raise ConfigError(
-                f"Euler step {dt:g} exceeds the explicit limit {stepper.dt_exp:g}; "
-                "pass allow_unstable=True to proceed anyway"
-            )
-        stepper.flags["unstable_dt_ack"] = True
-    return _march(op, state0, stepper, tau, observe, observe_every, sample_every)
+        raise ConfigError(f"Euler step {dt:g} exceeds the explicit limit {stepper.dt_exp:g}")
+    return _march(op, state0, stepper, tau, observe, observe_every)
 
 
 def rk4_run(op: SemiDiscreteOperator, state0: StateField, dt: float, tau: float,
-            sample_every: Optional[int] = None) -> RunReport:
+            observe: Optional[ObserveFn] = None, observe_every: int = 1) -> RunReport:
     """March with classical RK4 steps; the caller keeps ``dt * lambda_max``
     inside its real-axis stability limit of 2.785."""
-    return _march(op, state0, _RK4Step(op, dt), tau, None, 1, sample_every)
+    return _march(op, state0, _RK4Step(op, dt), tau, observe, observe_every)
 
 
 def dufort_frankel_run(
@@ -444,7 +417,6 @@ def dufort_frankel_run(
     tau: float,
     observe: Optional[ObserveFn] = None,
     observe_every: int = 1,
-    sample_every: Optional[int] = None,
 ) -> RunReport:
     """Three-level leapfrog march with the self-coupling taken implicitly.
 
@@ -459,8 +431,7 @@ def dufort_frankel_run(
     below the stability limit.  Time-dependent boundary data of the double
     step from t_{n-1} to t_{n+1} are read at the base level t_{n-1}.
     """
-    return _march(op, state0, _DufortFrankelStep(op, dt), tau,
-                  observe, observe_every, sample_every)
+    return _march(op, state0, _DufortFrankelStep(op, dt), tau, observe, observe_every)
 
 
 def _stamps(schedule, t0):
@@ -497,6 +468,9 @@ def _rkl_cycle(op, schedule, t0, y, coeffs=None):
     return y_p
 
 
+_CYCLES = {"rkc": _rkc_cycle, "rkl": _rkl_cycle}
+
+
 class _SuperStep:
     """A super-step cycle; on nonlinear operators the stiffness estimate is
     refreshed before each cycle and the schedule rebuilt when outgrown."""
@@ -504,7 +478,7 @@ class _SuperStep:
     def __init__(self, op, schedule):
         self.op, self.active = op, schedule
         self.scheme, self.n_s, self.dt_exp = schedule.scheme, schedule.n_s, schedule.dt_exp
-        self.cycle = _rkc_cycle if schedule.scheme == "rkc" else _rkl_cycle
+        self.cycle = _CYCLES[schedule.scheme]
         self.refresh_lambda = not op.is_linear
         self.flags = {"schedule_rebuilds": 0}
         self.coeffs = None      # the refresh's coefficient pass, for the next stage 1
@@ -542,7 +516,6 @@ def sts_run(
     tau: float,
     observe: Optional[ObserveFn] = None,
     observe_every: int = 1,
-    sample_every: Optional[int] = None,
 ) -> RunReport:
     """March with super-step cycles defined by ``schedule``.
 
@@ -561,4 +534,4 @@ def sts_run(
             f"schedule was built for lambda_max <= {schedule.design_lambda:g} "
             f"but the operator currently has a bound of {lam0:g}"
         )
-    return _march(op, state0, _SuperStep(op, schedule), tau, observe, observe_every, sample_every)
+    return _march(op, state0, _SuperStep(op, schedule), tau, observe, observe_every)

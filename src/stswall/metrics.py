@@ -113,9 +113,10 @@ def ratios(report: RunReport, euler_report: RunReport, tau_days: float) -> Compa
 
 
 def failure_record(scheme: str, dt: float, n_t: int, euler_report: Optional[RunReport]) -> ComparisonRecord:
+    """Row of a diverged scheme; its step ratio counts its ``n_t`` regular nodes."""
     rho = 0.0
-    if euler_report is not None and euler_report.n_steps > 0 and dt > 0:
-        rho = 100.0 * (math.floor(euler_report.tau / dt) + 1) / euler_report.n_steps
+    if euler_report is not None and euler_report.n_steps > 0:
+        rho = 100.0 * n_t / euler_report.n_steps
     return ComparisonRecord(scheme=scheme, dt=dt, n_t=n_t, rho_ndt_pct=rho, status="failed")
 
 

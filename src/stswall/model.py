@@ -228,8 +228,8 @@ class WallAssembly:
         for model, th in layers:
             if not isinstance(model, CoefficientModel):
                 raise ConfigError("each layer is a (CoefficientModel, thickness) pair")
-            if th <= 0:
-                raise ConfigError(f"layer {model.name!r} has non-positive thickness {th}")
+            if not 0 < th < math.inf:
+                raise ConfigError(f"layer {model.name!r} needs a positive finite thickness, got {th}")
         object.__setattr__(self, "layers", layers)
         cum = np.cumsum([th for _, th in layers])
         object.__setattr__(self, "interface_positions", cum[:-1])

@@ -6,7 +6,8 @@ import pytest
 from stswall.dimensionless import DimensionlessGroups
 from stswall.errors import ConfigError, DivergenceError, StaleScheduleError
 from stswall.integrators import (
-    amplification_eval, build_schedule, dufort_frankel_run, euler_run, rk4_run, sts_run,
+    _EulerStep, _march, amplification_eval, build_schedule, dufort_frankel_run, euler_run,
+    rk4_run, sts_run,
 )
 from stswall.model import (
     BiotSet, BoundaryForcing, CoefficientModel, Grid1D, SideForcing, StateField,
@@ -156,6 +157,28 @@ class TestAmplification:
         sch = build_schedule("rkc", 10, 1.0, damping=0.0)
         assert np.max(sch.stage_steps) > sch.dt_exp
 
+    @pytest.mark.parametrize("n_s", [5, 10, 20, 50])
+    @pytest.mark.parametrize("scheme,damping", [("rkc", 0.0), ("rkc", 0.05), ("rkl", None)])
+    def test_matches_closed_form_polynomial(self, scheme, damping, n_s):
+        # RKC: T_s(w0 - w1 lam) / T_s(w0) (Sommeijer, Shampine & Verwer 1998);
+        # RKL: P_s(1 - 2 lam dt_super / (s (s + 1))) (Meyer, Balsara & Aslam 2014)
+        sch = build_schedule(scheme, n_s, 2.0 / 400.0, damping)
+        lam = np.linspace(0.0, sch.design_lambda, 10_000)
+        e_s = np.eye(n_s + 1)[n_s]
+        if scheme == "rkc":
+            w0 = 1.0 + damping / n_s**2
+            w1 = (w0 + 1.0) / sch.design_lambda
+            want = np.polynomial.chebyshev.chebval(w0 - w1 * lam, e_s) \
+                / np.polynomial.chebyshev.chebval(w0, e_s)
+        else:
+            want = np.polynomial.legendre.legval(1.0 - 2.0 * lam * sch.dt_super / (n_s * (n_s + 1)), e_s)
+        assert np.max(np.abs(amplification_eval(sch, lam) - want)) <= 1e-12
+
+    def test_scalar_rate_gives_float(self):
+        sch = build_schedule("rkc", 4, 1.0, 0.05)
+        p = amplification_eval(sch, 0.5)
+        assert type(p) is float and p == amplification_eval(sch, np.array([0.5]))[0]
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigError):
             amplification_eval(build_schedule("rkl", 4, 1.0), -1.0)
@@ -192,10 +215,12 @@ class TestEuler:
         with pytest.raises(ConfigError):
             euler_run(op, ones_state(2), dt=2.5, tau=10.0)
 
+    # euler_run refuses these steps, so the two tests below march an
+    # Euler stepper through the driver directly
     def test_unstable_step_diverges_with_step_index(self):
         op = decay_operator(rate=1.0)
         with pytest.raises(DivergenceError) as err:
-            euler_run(op, ones_state(2), dt=2.5, tau=5000.0, allow_unstable=True)
+            _march(op, ones_state(2), _EulerStep(op, 2.5), 5000.0, None, 1)
         assert err.value.step > 0
         assert err.value.scheme == "euler"
 
@@ -205,7 +230,7 @@ class TestEuler:
         op = decay_operator(rate=1.0)
         op.admissible_box = (0.0, 2.0, 0.0, 2.0)
         with pytest.raises(DivergenceError, match="admissible box") as err:
-            euler_run(op, ones_state(2), dt=2.5, tau=5000.0, allow_unstable=True)
+            _march(op, ones_state(2), _EulerStep(op, 2.5), 5000.0, None, 1)
         assert err.value.step == 3
 
     def test_node_counts_and_remainder(self):
@@ -388,16 +413,19 @@ class TestStsRun:
 
 def test_step_reaching_tau_is_always_observed():
     # four regular steps observed every third: the last one lands on tau
-    # without a shortened step, and is still observed and sampled
-    seen = []
+    # without a shortened step, and is still observed
+    seen, states = [], []
+
+    def observe(t, u, v):
+        seen.append(t)
+        states.append(np.stack([u, v]))
+
     report = euler_run(decay_operator(rate=1.0), ones_state(2), dt=0.25, tau=1.0,
-                       observe=lambda t, u, v: seen.append(t), observe_every=3,
-                       sample_every=3)
+                       observe=observe, observe_every=3)
     assert report.n_steps == 4
     assert seen == [0.0, 0.75, 1.0]
-    times, states = report.trajectory
-    assert times.tolist() == [0.0, 0.75, 1.0]
-    assert states.shape == (3, 2, 2) and np.array_equal(states[-1], [report.final_state.u, report.final_state.v])
+    assert len(states) == 3 and np.array_equal(states[-1], [report.final_state.u, report.final_state.v])
+    assert np.array_equal(states[1], np.full((2, 2), 0.75**3))
 
 
 def test_frozen_cycle_reads_dirichlet_data_once_per_time():
