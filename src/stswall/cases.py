@@ -64,7 +64,6 @@ def verification_preset() -> CaseConfig:
         title="two-layer dimensionless verification",
         dx=1e-2,
         tau=1.0,
-        tau_days=1.0,
         schemes=["euler", "df", "rkc", "rkl"],
         ns={"rkc": 10, "rkl": 20},
         damping_rkc=0.0,
@@ -147,7 +146,6 @@ def physical_preset(
         title="rammed-earth wall drying, three insulation layouts",
         dx=5e-3,
         tau=float(tau),
-        tau_days=float(tau) / DAY_S,
         schemes=list(schemes) if schemes else ["euler", "rkc", "rkl"],
         ns={"rkc": 10, "rkl": 20},
         damping_rkc=0.0,
@@ -172,8 +170,9 @@ PHYSICAL_INITIAL_V = {"re": 0.53, "ins": 0.053}
 PHYSICAL_INITIAL_T = 291.3
 
 
-def _physical_groups(cfg: CaseConfig) -> DimensionlessGroups:
-    return DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=cfg.latent_heat)
+def _tau_days(cfg: CaseConfig) -> float:
+    """The final time in days of a physical case; a dimensionless case's own ``tau``."""
+    return cfg.tau / DAY_S if cfg.kind == "physical" else cfg.tau
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +236,10 @@ def _initial_field(value, node_layers, n_layers) -> np.ndarray:
 # output writing
 # ---------------------------------------------------------------------------
 
-def emit_outputs(out_dir, manifest: dict, records=None, trajectories=None,
-                 series=None, sweep_rows=None) -> list:
-    """Write the manifest plus CSV products; returns the file list.
-
-    ``trajectories`` maps name -> (header, x, values); ``series`` maps
-    name -> (header, t, values).  All CSVs use '.' decimals and
-    newline-terminated rows.
+def emit_outputs(out_dir, manifest: dict, records=None, tables=None) -> list:
+    """Write the manifest, the comparison table of ``records`` and one CSV per
+    entry of ``tables`` (name -> (header, rows)); returns the file list.
+    All CSVs use '.' decimals and newline-terminated rows.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -259,23 +255,12 @@ def emit_outputs(out_dir, manifest: dict, records=None, trajectories=None,
         write_comparison_csv(records, path)
         written.append(path)
 
-    for bundle in (trajectories, series):
-        if not bundle:
-            continue
-        for name, (header, xs, ys) in bundle.items():
-            path = os.path.join(out_dir, f"{name}.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(header + "\n")
-                for x, y in zip(xs, ys):
-                    fh.write(f"{float(x)!r},{float(y)!r}\n")
-            written.append(path)
-
-    if sweep_rows is not None:
-        path = os.path.join(out_dir, "sweep.csv")
+    for name, (header, rows) in (tables or {}).items():
+        path = os.path.join(out_dir, f"{name}.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("scheme,N_S,dt,n_steps,rho_Ndt_pct,epsinf_u,epsinf_v,rho_cpu_pct,status\n")
-            for row in sweep_rows:
-                fh.write(",".join(str(x) for x in row) + "\n")
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(map(str, row)) + "\n")
         written.append(path)
     return written
 
@@ -285,7 +270,7 @@ def _manifest_stub(cfg: CaseConfig, extra: Optional[dict] = None) -> dict:
         "created_at": datetime.now(timezone.utc).isoformat(),
         "case": dict(cfg.description),
         "parameters": {
-            "dx": cfg.dx, "tau": cfg.tau, "tau_days": cfg.tau_days,
+            "dx": cfg.dx, "tau": cfg.tau, "tau_days": _tau_days(cfg),
             "schemes": list(cfg.schemes), "ns": dict(cfg.ns),
             "damping_rkc": cfg.damping_rkc,
             "dt_euler": cfg.dt_euler, "dt_df": cfg.dt_df,
@@ -306,84 +291,71 @@ def _manifest_stub(cfg: CaseConfig, extra: Optional[dict] = None) -> dict:
 # scheme dispatch
 # ---------------------------------------------------------------------------
 
-def _base_step(cfg: CaseConfig) -> Optional[float]:
-    """Schedule base step: ``dt_exp_base``, else the Euler step."""
-    return cfg.dt_exp_base if cfg.dt_exp_base is not None else cfg.dt_euler
-
-
-def _schedule(scheme, cfg, n_s=None):
-    """Super-step schedule of ``scheme`` on the config's base step."""
-    if scheme not in ("rkc", "rkl"):
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    damping = cfg.damping_rkc if scheme == "rkc" else None
-    return build_schedule(scheme, cfg.ns[scheme] if n_s is None else n_s, _base_step(cfg), damping)
-
-
-def _scheme_step(scheme, cfg, n_s=None) -> float:
-    """Regular outer step of ``scheme``: ``dt_euler``, ``dt_df``, or the
-    super step of its schedule (``n_s`` overrides the config's count)."""
+def _scheme_step(scheme, cfg, n_s=None):
+    """(regular outer step, schedule) of ``scheme``: ``dt_euler`` or ``dt_df``
+    with no schedule, or the super step of its schedule on the base step
+    ``dt_exp_base``, else ``dt_euler`` (``n_s`` overrides the config's count)."""
     if scheme == "euler":
-        return cfg.dt_euler
+        return cfg.dt_euler, None
     if scheme == "df":
         if cfg.dt_df is None:
             raise ConfigError("scheme 'df' needs dt_df in the configuration")
-        return cfg.dt_df
-    return _schedule(scheme, cfg, n_s).dt_super
+        return cfg.dt_df, None
+    if scheme not in ("rkc", "rkl"):
+        raise ConfigError(f"unknown scheme {scheme!r}")
+    base = cfg.dt_exp_base if cfg.dt_exp_base is not None else cfg.dt_euler
+    schedule = build_schedule(scheme, cfg.ns[scheme] if n_s is None else n_s, base,
+                              cfg.damping_rkc if scheme == "rkc" else None)
+    return schedule.dt_super, schedule
 
 
-def _run_one_scheme(scheme, dom, observe=None, observe_every=1, schedules=None, n_s=None):
-    """Run one scheme to ``dom.cfg.tau`` on a fresh operator and return its report."""
+def _run_one_scheme(scheme, dom, observe=None, observe_every=None, schedules=None, n_s=None):
+    """Run one scheme to ``dom.cfg.tau`` on a fresh operator and return its
+    report; ``observe_every`` defaults to about _REFERENCE_SAMPLES samples."""
     cfg, op, state0 = dom.cfg, dom.operator(), dom.state0
+    dt, schedule = _scheme_step(scheme, cfg, n_s)
+    if observe_every is None:
+        observe_every = _sample_stride(dt, cfg.tau)
     if scheme == "euler":
-        return euler_run(op, state0, cfg.dt_euler, cfg.tau, observe=observe,
-                         observe_every=observe_every)
+        return euler_run(op, state0, dt, cfg.tau, observe=observe, observe_every=observe_every)
     if scheme == "df":
-        return dufort_frankel_run(op, state0, _scheme_step(scheme, cfg), cfg.tau,
-                                  observe=observe, observe_every=observe_every)
-    schedule = _schedule(scheme, cfg, n_s)
+        return dufort_frankel_run(op, state0, dt, cfg.tau, observe=observe, observe_every=observe_every)
     if schedules is not None:
         schedules[scheme] = schedule.describe()
     return sts_run(op, state0, schedule, cfg.tau, observe=observe, observe_every=observe_every)
 
 
-def _baseline(reports):
-    """The ratio baseline: the Euler run, else the first scheme that ran."""
-    return reports.get("euler") or next(iter(reports.values()), None)
+def _compare(dom, runs, trackers=None, reports=None, schedules=None):
+    """(records, reports, failures, baseline) of a scheme-comparison table.
 
-
-def _compare(dom, schemes, trackers=None, reports=None, schedules=None):
-    """(records, reports, failures) of the scheme-comparison table.
-
-    Runs each scheme that ``reports`` does not already hold, observed by
-    its tracker when ``trackers`` is given, and records a diverged one as
-    failed.  Ratios are taken against the Euler run, else the first scheme
-    that ran.
+    ``runs`` lists (name, scheme, n_s) entries.  Each that ``reports`` does
+    not already hold runs, observed by its tracker when ``trackers`` is
+    given; one that diverges is recorded as failed.  The records come in run
+    order, with ratios against the run named "euler", else the first that ran.
     """
     cfg, done = dom.cfg, reports or {}
     reports, failures = {}, {}
-    for scheme in schemes:
-        if scheme in done:
-            reports[scheme] = done[scheme]
+    for name, scheme, n_s in runs:
+        if name in done:
+            reports[name] = done[name]
             continue
-        tracker = trackers[scheme] if trackers else None
         try:
-            reports[scheme] = _run_one_scheme(
-                scheme, dom, observe=tracker, schedules=schedules,
-                observe_every=_sample_stride(_scheme_step(scheme, cfg), cfg.tau))
+            reports[name] = _run_one_scheme(scheme, dom, observe=trackers[name] if trackers else None,
+                                            schedules=schedules, n_s=n_s)
         except DivergenceError as exc:
-            failures[scheme] = str(exc)
-            logger.warning("scheme %s diverged: %s", scheme, exc)
-    baseline = _baseline(reports)
+            failures[name] = str(exc)
+            logger.warning("scheme %s diverged: %s", name, exc)
+    baseline = reports.get("euler") or next(iter(reports.values()), None)
     records = []
-    for scheme in schemes:
-        if scheme in failures:
-            dt = _scheme_step(scheme, cfg)
+    for name, scheme, n_s in runs:
+        if name in failures:
+            dt = _scheme_step(scheme, cfg, n_s)[0]
             records.append(failure_record(scheme, dt, node_count(dt, cfg.tau), baseline))
             continue
-        records.append(ratios(reports[scheme], baseline, cfg.tau_days))
+        records.append(ratios(reports[name], baseline, _tau_days(cfg)))
         if trackers:
-            trackers[scheme].fill(records[-1])
-    return records, reports, failures
+            trackers[name].fill(records[-1])
+    return records, reports, failures, baseline
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +507,12 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
     ref_traj, ref_report, richardson_gap = _oracle(dom, check=True)
     trackers = {scheme: _ErrorTracker(ref_traj, grid.spacing) for scheme in cfg.schemes}
     schedules = {}
-    records, reports, failures = _compare(dom, cfg.schemes, trackers=trackers, schedules=schedules)
+    records, reports, failures, _ = _compare(dom, [(s, s, None) for s in cfg.schemes],
+                                             trackers=trackers, schedules=schedules)
 
-    trajectories = {f"{scheme}_{f}": (f"x,{f}", grid.node_positions, getattr(report.final_state, f))
-                    for scheme, report in reports.items() for f in "uv"}
+    profiles = {f"{scheme}_{f}": (f"x,{f}", zip(grid.node_positions.tolist(),
+                                                getattr(report.final_state, f).tolist()))
+                for scheme, report in reports.items() for f in "uv"}
 
     manifest = _manifest_stub(cfg, {
         "schedules": schedules,
@@ -546,7 +520,7 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
         "runs": {name: rep.describe() for name, rep in reports.items()},
         "failures": failures,
     })
-    emit_outputs(out_dir, manifest, records=records, trajectories=trajectories)
+    emit_outputs(out_dir, manifest, records=records, tables=profiles)
     if cfg.dump_matrix:
         dom.operator().dump_matrix(os.path.join(out_dir, "operator_matrix.txt"), 0.0, dom.state0)
     return VerificationResult(records=records, reports=reports, reference=ref_report.final_state,
@@ -565,44 +539,32 @@ class SweepResult:
     failures: dict = field(default_factory=dict)
 
 
-def run_ns_sweep(cfg: CaseConfig, ns_list=None, out_dir=None) -> SweepResult:
-    """Sweep the super-step count on the verification setup.
+def run_ns_sweep(cfg: CaseConfig, out_dir=None) -> SweepResult:
+    """Sweep the super-step count ``cfg.sweep_ns`` on the verification setup.
 
-    One row per (scheme, n_s); the log-log slope of the uniform error
-    versus n_s is reported per scheme and field.
+    One row per (scheme, n_s), with ratios against the Euler baseline (or
+    the first run that ran); the log-log slope of the uniform error versus
+    n_s is reported per scheme and field.
     """
     dom = _dimensionless_domain(cfg)
-    ns_values = [int(n) for n in (ns_list if ns_list is not None else cfg.sweep_ns)]
+    ns_values = [int(n) for n in cfg.sweep_ns]
     if not ns_values or min(ns_values) < 1:
         raise ConfigError("sweep needs positive super-step counts")
     if not set(cfg.sweep_schemes) <= {"rkc", "rkl"}:
         raise ConfigError(f"sweep schemes must be rkc or rkl, got {cfg.sweep_schemes}")
 
     ref_traj = _oracle(dom)[0]
-    # sampled like the rows, so rho_cpu_pct compares like with like
-    euler_report = _run_one_scheme(
-        "euler", dom, observe=_ErrorTracker(ref_traj, dom.grid.spacing),
-        observe_every=_sample_stride(_scheme_step("euler", cfg), cfg.tau))
-
+    # the Euler baseline is sampled like the rows, so rho_cpu_pct compares like with like
+    runs = [("euler", "euler", None)] + [(f"{s}-{n}", s, n) for s in cfg.sweep_schemes for n in ns_values]
+    trackers = {name: _ErrorTracker(ref_traj, dom.grid.spacing) for name, _, _ in runs}
+    records, reports, failures, baseline = _compare(dom, runs, trackers=trackers)
     rows = []
-    failures = {}
-    for scheme in cfg.sweep_schemes:
-        for n_s in ns_values:
-            dt = _scheme_step(scheme, cfg, n_s)
-            tracker = _ErrorTracker(ref_traj, dom.grid.spacing)
-            try:
-                report = _run_one_scheme(scheme, dom, n_s=n_s, observe=tracker,
-                                         observe_every=_sample_stride(dt, cfg.tau))
-            except DivergenceError as exc:
-                failures[f"{scheme}-{n_s}"] = str(exc)
-                rows.append([scheme, n_s, dt, "", "", "", "", "", "diverged"])
-                continue
-            rec = ratios(report, euler_report, cfg.tau_days)
-            tracker.fill(rec)
-            rows.append([
-                scheme, n_s, report.dt, report.n_steps,
-                rec.rho_ndt_pct, rec.epsinf_u, rec.epsinf_v, rec.rho_cpu_pct, "ok",
-            ])
+    for (name, scheme, n_s), rec in zip(runs[1:], records[1:]):
+        if name in failures:
+            rows.append([scheme, n_s, rec.dt, "", "", "", "", "", "diverged"])
+        else:
+            rows.append([scheme, n_s, rec.dt, reports[name].n_steps, rec.rho_ndt_pct,
+                         rec.epsinf_u, rec.epsinf_v, rec.rho_cpu_pct, "ok"])
 
     slopes = {}
     for scheme in cfg.sweep_schemes:
@@ -621,10 +583,11 @@ def run_ns_sweep(cfg: CaseConfig, ns_list=None, out_dir=None) -> SweepResult:
         "sweep": {"ns": ns_values, "schemes": list(cfg.sweep_schemes)},
         "slopes": slopes,
         "failures": failures,
-        "baseline": euler_report.describe(),
+        "baseline": baseline.describe() if baseline else None,
     })
     if out_dir is not None:
-        emit_outputs(out_dir, manifest, sweep_rows=rows)
+        emit_outputs(out_dir, manifest, tables={"sweep": (
+            "scheme,N_S,dt,n_steps,rho_Ndt_pct,epsinf_u,epsinf_v,rho_cpu_pct,status", rows)})
     return SweepResult(rows=rows, slopes=slopes, manifest=manifest, failures=failures)
 
 
@@ -651,14 +614,14 @@ def physical_step_counts(cfg: CaseConfig) -> dict:
     :func:`_layout_config`, as :func:`run_physical_case` does.
     """
     horizon = 365.0 * DAY_S
-    if _base_step(cfg) is None or ("euler" in cfg.schemes and cfg.dt_euler is None):
+    if cfg.dt_euler is None and (cfg.dt_exp_base is None or "euler" in cfg.schemes):
         raise ConfigError("step counts need dt_euler or dt_exp; 'auto' steps come from "
                           "a layout's operator estimate")
     out = {}
     for scheme in cfg.schemes:
         if scheme == "df" and cfg.dt_df is None:
             continue
-        dt = _scheme_step(scheme, cfg)
+        dt = _scheme_step(scheme, cfg)[0]
         out[scheme] = {"dt_s": dt, "n_t": node_count(dt, horizon)}
     return out
 
@@ -716,7 +679,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     series = ingest_boundary_series(climate_path)
     series.require_span(0.0, cfg.tau)
     forcing = _physical_forcing(series)
-    groups = _physical_groups(cfg)
+    groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=cfg.latent_heat)
 
     layouts = {name: PHYSICAL_LAYOUTS[name] for name in cfg.physical_configurations}
     totals = {}
@@ -728,7 +691,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     for name, layer_list in layouts.items():
         dom = domains[name] = _layout_config(cfg, layer_list, forcing, groups)
         observer = _MoistureObserver(dom.grid, _re_node_range(dom.grid, layer_list))
-        stride = max(1, int(cfg.tau / _scheme_step(cfg.drying_scheme, dom.cfg) / 1500))
+        stride = max(1, int(cfg.tau / _scheme_step(cfg.drying_scheme, dom.cfg)[0] / 1500))
         try:
             report = _run_one_scheme(cfg.drying_scheme, dom, observe=observer, observe_every=stride)
         except DivergenceError as exc:
@@ -746,15 +709,16 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     dom = domains[first_name]
     schedules = {}
     done = {cfg.drying_scheme: drying_reports[first_name]} if first_name in drying_reports else None
-    records, reports, table_failures = _compare(dom, cfg.schemes, reports=done, schedules=schedules)
+    records, reports, table_failures, baseline = _compare(
+        dom, [(s, s, None) for s in cfg.schemes], reports=done, schedules=schedules)
     failures.update(table_failures)
 
     policy_counts = physical_step_counts(dom.cfg)
-    series_files = {}
-    for name in totals:
-        t_days, theta = totals[name]
-        series_files[f"theta_tot_{name}"] = ("t_days,theta_tot_m", t_days, theta)
-        series_files[f"drying_rate_{name}"] = ("t_days,v_dry_m_per_day", *rates[name])
+    curves = {}
+    for name, (t_days, theta) in totals.items():
+        curves[f"theta_tot_{name}"] = ("t_days,theta_tot_m", zip(t_days.tolist(), theta.tolist()))
+        curves[f"drying_rate_{name}"] = ("t_days,v_dry_m_per_day",
+                                         zip(t_days.tolist(), rates[name][1].tolist()))
 
     manifest = _manifest_stub(cfg, {
         "climate": {"path": os.path.basename(climate_path),
@@ -764,9 +728,9 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
         "schedules": schedules,
         "runs": {name: rep.describe() for name, rep in reports.items()},
         "failures": failures,
-        "ratio_baseline": getattr(_baseline(reports), "scheme", None),
+        "ratio_baseline": getattr(baseline, "scheme", None),
     })
-    emit_outputs(out_dir, manifest, records=records, series=series_files)
+    emit_outputs(out_dir, manifest, records=records, tables=curves)
     return PhysicalResult(records=records, reports=reports, totals=totals, rates=rates,
                           policy_counts=policy_counts, manifest=manifest, failures=failures)
 

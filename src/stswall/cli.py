@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ``verify``, ``physical``, ``sweep``, ``custom``.  Exit codes:
-0 on full success, 2 when one or more schemes failed (partial results
-written), 1 on configuration errors.
+0 on full success, 2 when a scheme (partial results written) or the
+reference (nothing written) diverged, 1 on configuration errors.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .cases import (
     physical_preset, run_ns_sweep, run_physical_case, run_verification_case, verification_preset,
 )
 from .config import load_config, parse_duration, parse_float, parse_int_list
-from .errors import ConfigError, StswallError
+from .errors import ConfigError, DivergenceError, StswallError
 
 
 def _add_common(parser: argparse.ArgumentParser, default_out: str) -> None:
@@ -61,7 +61,6 @@ def _apply_overrides(cfg, args, dimensionless: bool) -> None:
         cfg.dt_euler = parse_float(args.dt, "--dt") if dimensionless else parse_duration(args.dt)
     if args.tau:
         cfg.tau = parse_float(args.tau, "--tau") if dimensionless else parse_duration(args.tau)
-        cfg.tau_days = cfg.tau if dimensionless else cfg.tau / 86400.0
 
 
 def main(argv=None) -> int:
@@ -92,7 +91,7 @@ def main(argv=None) -> int:
                       f"u={slope['u']:.3f}  v={slope['v']:.3f}")
     except StswallError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, DivergenceError) else 1
     if result.failures:
         for name, msg in result.failures.items():
             print(f"FAILED {name}: {msg}", file=sys.stderr)

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .dimensionless import DimensionlessGroups
 from .errors import ConfigError
-from .model import BiotSet, CoefficientModel, SideForcing, _zero, builtin_material
+from .model import C_WATER, RHO_WATER, BiotSet, CoefficientModel, SideForcing, _zero, builtin_material
 from .series import ingest_boundary_series
 
 _EXPR_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
@@ -35,6 +35,11 @@ PHYSICAL_LAYOUTS = {
     "re_ins": [("re", 0.5), ("ins", 0.125)],
     "re": [("re", 0.5)],
 }
+
+# Sections a case kind never reads, by name before any ".": each is a
+# configuration error rather than silently ignored.
+_UNREAD_SECTIONS = {"physical": ("groups", "biot", "forcing", "initial", "sweep"),
+                    "verification": ("physical",), "custom": ("physical",)}
 
 
 def _forcing_node(node, expr: str):
@@ -159,7 +164,6 @@ class CaseConfig:
     title: str = ""
     dx: float = 0.01
     tau: float = 1.0
-    tau_days: float = 1.0
     schemes: list = dc_field(default_factory=lambda: ["euler", "df", "rkc", "rkl"])
     ns: dict = dc_field(default_factory=lambda: {"rkc": 10, "rkl": 20})
     damping_rkc: float = 0.0
@@ -180,8 +184,6 @@ class CaseConfig:
     physical_configurations: list = dc_field(default_factory=lambda: ["ins_re", "re_ins", "re"])
     drying_scheme: str = "rkl"
     climate_path: Optional[str] = None    # None: write the synthetic series
-    rho2: float = 1000.0
-    c2: float = 4180.0
     latent_heat: float = 2.5e6
     description: dict = dc_field(default_factory=dict)
 
@@ -295,7 +297,6 @@ def load_config(path) -> CaseConfig:
             cfg.dt_df = parse_duration(sec["dt_df"])
         if "dt_exp" in sec and sec["dt_exp"].strip().lower() != "auto":
             cfg.dt_exp_base = parse_duration(sec["dt_exp"])
-    cfg.tau_days = cfg.tau / 86400.0 if kind == "physical" else cfg.tau
     if cp.has_section("schemes"):
         sec = cp["schemes"]
         if "run" in sec:
@@ -305,22 +306,15 @@ def load_config(path) -> CaseConfig:
             "rkl": sec.getint("ns_rkl", cfg.ns["rkl"]),
         }
         cfg.damping_rkc = sec.getfloat("damping_rkc", cfg.damping_rkc)
-    if cp.has_section("constants"):
-        sec = cp["constants"]
-        cfg.rho2 = sec.getfloat("rho2", cfg.rho2)
-        cfg.c2 = sec.getfloat("c2", cfg.c2)
-        cfg.latent_heat = sec.getfloat("latent_heat", cfg.latent_heat)
+    rho2 = cp.getfloat("constants", "rho2", fallback=RHO_WATER)
+    c2 = cp.getfloat("constants", "c2", fallback=C_WATER)
+    cfg.latent_heat = cp.getfloat("constants", "latent_heat", fallback=cfg.latent_heat)
 
-    if kind == "physical":
-        for section in cp.sections():
-            if section == "groups" or section.startswith("biot."):
-                raise ConfigError(f"[{section}] does not apply to physical cases: they use unit "
-                                  "groups with delta = [constants] latent_heat")
-            if section.startswith("forcing."):
-                raise ConfigError(f"[{section}] does not apply to physical cases: their "
-                                  "boundaries follow the climate series")
-        if cp.getboolean("output", "dump_matrix", fallback=False):
-            raise ConfigError("[output] dump_matrix does not apply to physical cases")
+    for section in cp.sections():
+        if section.partition(".")[0] in _UNREAD_SECTIONS.get(kind, ()):
+            raise ConfigError(f"[{section}] does not apply to {kind} cases, which never read it")
+    if kind == "physical" and cp.getboolean("output", "dump_matrix", fallback=False):
+        raise ConfigError("[output] dump_matrix does not apply to physical cases")
     if cp.has_section("groups"):
         sec = cp["groups"]
         cfg.groups = DimensionlessGroups(
@@ -340,7 +334,7 @@ def load_config(path) -> CaseConfig:
             names = sorted({key.split(".")[0] for key in sec if key != "names"})
         for name in names:
             if name in sec and "." not in name:
-                cfg.materials[name] = builtin_material(sec[name].strip(), cfg.rho2, cfg.c2)
+                cfg.materials[name] = builtin_material(sec[name].strip(), rho2, c2)
             else:
                 cfg.materials[name] = _parse_material(sec, name)
     if cp.has_section("wall"):

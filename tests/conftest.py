@@ -18,7 +18,8 @@ def sweep_bundle(tmp_path_factory):
     from stswall.cases import run_ns_sweep, verification_preset
     out = tmp_path_factory.mktemp("acc_sweep")
     cfg = verification_preset()
-    result = run_ns_sweep(cfg, ns_list=[10, 20, 40, 80], out_dir=out)
+    cfg.sweep_ns = [10, 20, 40, 80]
+    result = run_ns_sweep(cfg, out_dir=out)
     return cfg, result
 
 

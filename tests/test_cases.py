@@ -19,7 +19,7 @@ from stswall.cases import (
 from stswall.cli import main
 from stswall.config import load_config
 from stswall.dimensionless import DimensionlessGroups
-from stswall.errors import ConfigError
+from stswall.errors import ConfigError, DivergenceError
 from stswall.metrics import ComparisonRecord
 from stswall.model import (
     BoundaryForcing, Grid1D, SideForcing, StateField, build_wall, builtin_material,
@@ -34,7 +34,6 @@ def short_verification(tau=0.02):
     """Preset shrunk to a fast horizon; step sizes keep their published values."""
     cfg = verification_preset()
     cfg.tau = tau
-    cfg.tau_days = tau
     return cfg
 
 
@@ -139,7 +138,8 @@ class TestVerificationRun:
 class TestSweep:
     def test_rows_and_monotone_counts(self, tmp_path):
         cfg = short_verification(tau=0.05)
-        res = run_ns_sweep(cfg, ns_list=[5, 10], out_dir=tmp_path)
+        cfg.sweep_ns = [5, 10]
+        res = run_ns_sweep(cfg, out_dir=tmp_path)
         assert not res.failures
         by_scheme = {}
         for row in res.rows:
@@ -157,7 +157,8 @@ class TestSweep:
 
     def test_slopes_reported(self, tmp_path):
         cfg = short_verification(tau=0.05)
-        res = run_ns_sweep(cfg, ns_list=[5, 10, 20], out_dir=tmp_path)
+        cfg.sweep_ns = [5, 10, 20]
+        res = run_ns_sweep(cfg, out_dir=tmp_path)
         assert set(res.slopes) == {"rkc", "rkl"}
         for slope in res.slopes.values():
             assert "u" in slope and "v" in slope
@@ -182,7 +183,7 @@ class TestOracle:
 
     def test_step_doubling_gap_on_preset(self, tmp_path):
         cfg = verification_preset()
-        cfg.tau = cfg.tau_days = 0.005
+        cfg.tau = 0.005
         gap = run_verification_case(cfg, tmp_path).manifest["reference"]["richardson_gap"]
         assert math.isfinite(gap) and gap < 1e-9
 
@@ -224,7 +225,9 @@ def test_marches_go_through_integrator_hooks(monkeypatch, tmp_path):
     # the RK4 reference and its step-doubling check
     assert [name for name, _, r in calls if id(r) not in table] == ["rk4_run"] * 2
     n_verify = len(calls)
-    run_ns_sweep(short_verification(tau=0.005), ns_list=[4, 8], out_dir=tmp_path / "sweep")
+    sweep = short_verification(tau=0.005)
+    sweep.sweep_ns = [4, 8]
+    run_ns_sweep(sweep, out_dir=tmp_path / "sweep")
     # the reference keeps its samples through an observer
     assert sorted((name, observed) for name, observed, _ in calls[n_verify:]) == (
         [("euler_run", True), ("rk4_run", True)] + [("sts_run", True)] * 4)
@@ -398,8 +401,8 @@ class TestEmitOutputs:
     def test_generic_writer(self, tmp_path):
         written = emit_outputs(
             tmp_path, {"created_at": "now", "case": {}},
-            trajectories={"probe_u": ("x,u", np.array([0.0, 1.0]), np.array([1.0, 2.0]))},
-            series={"curve": ("t,y", np.array([0.0]), np.array([3.0]))},
+            tables={"probe_u": ("x,u", [(0.0, 1.0), (1.0, 2.0)]),
+                    "curve": ("t,y", zip([0.0], [3.0]))},
         )
         assert len(written) == 3
         assert (tmp_path / "probe_u.csv").read_text() == "x,u\n0.0,1.0\n1.0,2.0\n"
@@ -503,12 +506,20 @@ class TestCli:
         (["custom", "--config", "{custom}"],
          ("[forcing.left]", "[forcing.right]\nu = 1\n[output]\ndump_matrix = abc\n[forcing.left]"),
          "'abc'"),
+        # sections the kind never reads
+        (["physical", "--config", "{ini}"], ("[physical]", "[initial]\nu = 250\nv = 0.1\n[physical]"),
+         "[initial]"),
+        (["physical", "--config", "{ini}"], ("[physical]", "[sweep]\nns = 4, 8\n[physical]"), "[sweep]"),
+        (["custom", "--config", "{custom}"],
+         ("[forcing.left]", "[forcing.right]\nu = 1\n[physical]\nconfigurations = re\n[forcing.left]"),
+         "[physical]"),
     ], ids=["verify-tau-abc", "physical-dt-abc", "sweep-ns-x", "ini-tau-abc", "ini-dx-abc",
             "verify-tau-nan", "verify-dx-nan", "verify-tau-1e400", "physical-tau-inf",
             "verify-dx-abc", "physical-tau-0d", "verify-ns-three", "ini-physical-groups",
             "ini-physical-biot", "ini-physical-dump-matrix", "ini-physical-forcing",
             "sweep-physical-ini", "verify-one-sided-forcing", "sweep-one-sided-forcing",
-            "ini-unknown-kind", "ini-layer-abc", "ini-layer-nan", "ini-partial-box", "ini-dump-matrix-abc"])
+            "ini-unknown-kind", "ini-layer-abc", "ini-layer-nan", "ini-partial-box", "ini-dump-matrix-abc",
+            "ini-physical-initial", "ini-physical-sweep", "ini-custom-physical"])
     def test_malformed_or_non_finite_number_exits_one(self, tmp_path, capsys, argv, ini_edit, named):
         if "--config" in argv:
             template = self.CUSTOM_INI if "{custom}" in argv else self.PHYSICAL_INI.format(
@@ -558,6 +569,62 @@ class TestCli:
         assert (out / "theta_tot_ins_re.csv").exists()
         rows = (out / "comparison.csv").read_text().splitlines()
         assert rows[1].startswith("df,1800.0,13,")    # the failed row keeps dt and N_t
+
+    # the left side drives u to 3, outside the [0.9, 1.1] box, so the RK4 reference runs away
+    DIVERGING_REFERENCE_INI = """
+        [case]
+        kind = custom
+        [grid]
+        dx = 0.1
+        [time]
+        tau = 0.5
+        dt_euler = 1e-3
+        [groups]
+        fo_m = 0.09
+        fo_t = 0.07
+        [biot.left]
+        m_theta = 25.5
+        t_t = 50.5
+        [materials]
+        m1 = table1_mat1
+        [wall]
+        layers = m1:1.0
+        [forcing.left]
+        u = 3
+        [forcing.right]
+        u = 1
+        [box]
+        u_min = 0.9
+        u_max = 1.1
+        v_min = 0
+        v_max = 2
+        [sweep]
+        ns = 4, 8
+        """
+
+    @pytest.mark.parametrize("command", ["sweep", "custom"])
+    def test_diverged_reference_exits_two(self, tmp_path, capsys, command):
+        ini = tmp_path / "case.ini"
+        ini.write_text(textwrap.dedent(self.DIVERGING_REFERENCE_INI))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(ini), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: rk4 run diverged")
+        assert not out.exists()
+
+    def test_sweep_with_diverged_euler_baseline_exits_two(self, tmp_path, capsys, monkeypatch):
+        def diverging(op, state0, dt, tau, **kwargs):
+            raise DivergenceError("euler", 3, 3 * dt)
+        monkeypatch.setattr(cases, "euler_run", diverging)
+        out = tmp_path / "out"
+        assert main(["sweep", "--tau", "0.005", "--ns", "4,8", "--out", str(out)]) == 2
+        assert "FAILED euler: euler run diverged" in capsys.readouterr().err
+        rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [(row[0], row[1], row[-1]) for row in rows] == [
+            ("rkc", "4", "ok"), ("rkc", "8", "ok"), ("rkl", "4", "ok"), ("rkl", "8", "ok")]
+        # ratios fall back to the first run that ran, which the manifest describes
+        assert float(rows[0][4]) == 100.0 and float(rows[1][4]) < 100.0
+        baseline = json.loads((out / "manifest.json").read_text())["baseline"]
+        assert (baseline["scheme"], baseline["n_s"], baseline["n_steps"]) == ("rkc", 4, int(rows[0][3]))
 
     def test_sweep_without_euler_step_exits_one(self, tmp_path, capsys):
         ini = tmp_path / "sweep.ini"

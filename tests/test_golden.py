@@ -36,7 +36,7 @@ SKIPPED_FILES = {"synthetic_climate.csv"}   # an input, regenerated by the run
 def _verify_case(out_dir):
     """Verification preset, all four schemes, shortened to tau = 0.005."""
     cfg = verification_preset()
-    cfg.tau = cfg.tau_days = 0.005
+    cfg.tau = 0.005
     run_verification_case(cfg, out_dir)
 
 
@@ -53,8 +53,9 @@ def _sweep_case(out_dir):
     """Super-step count sweep on the verification preset at tau = 0.005:
     rkc and rkl at n_s = 4 and 8."""
     cfg = verification_preset()
-    cfg.tau = cfg.tau_days = 0.005
-    run_ns_sweep(cfg, ns_list=[4, 8], out_dir=out_dir)
+    cfg.tau = 0.005
+    cfg.sweep_ns = [4, 8]
+    run_ns_sweep(cfg, out_dir=out_dir)
 
 
 def _euler_case(out_dir):

@@ -406,13 +406,19 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_constants_set_the_builtin_water_storage(self, tmp_path):
+        path = tmp_path / "case.ini"
+        path.write_text("[case]\nkind = physical\n[constants]\nrho2 = 500\nc2 = 4000\n"
+                        "[materials]\nre = table3_re\n[wall]\nlayers = re:0.5\n")
+        assert load_config(path).materials["re"].poly[2] == (1730.0 * 648.0, 2e6)
+
     def test_physical_tau_days_without_time_section(self, tmp_path):
         # tau keeps its 1 s default, so tau_days is one second in days
         path = tmp_path / "case.ini"
         path.write_text("[case]\nkind = physical\n[materials]\nre = table3_re\n"
                         "[wall]\nlayers = re:0.5\n")
         cfg = load_config(path)
-        assert (cfg.tau, cfg.tau_days) == (1.0, 1.0 / 86400.0)
+        assert (cfg.tau, cases._tau_days(cfg)) == (1.0, 1.0 / 86400.0)
 
     def test_unknown_scheme_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
