@@ -100,20 +100,25 @@ class CoefficientModel:
 
     @classmethod
     def _from_specs(cls, name, specs: dict) -> "CoefficientModel":
+        """Model of the low-to-high coefficient lists (or scalars) ``specs``.
+
+        The degree-0 terms keep the signs of a constant model: the storage
+        c_t positive, the four transport coefficients non-negative.
+        """
         poly = tuple(tuple(float(x) for x in np.atleast_1d(specs[key])) for key in COEFFICIENT_NAMES)
+        for key, p in zip(COEFFICIENT_NAMES, poly):
+            if not p:
+                raise ConfigError(f"material {name!r}: {key} has no coefficients")
+            if key == "c_t" and not p[0] > 0:
+                raise ConfigError(f"material {name!r}: c_t must be positive, got {p[0]}")
+            if not p[0] >= 0:
+                raise ConfigError(f"material {name!r}: {key} must be non-negative, got {p[0]}")
         fns = {key: _poly_fn(p) for key, p in zip(COEFFICIENT_NAMES, poly)}
         return cls(name=name, poly=poly, **fns)
 
     @classmethod
     def constants(cls, name, d_theta, d_t, c_t, k_t, k_tm) -> "CoefficientModel":
-        vals = dict(d_theta=d_theta, d_t=d_t, c_t=c_t, k_t=k_t, k_tm=k_tm)
-        for key, val in vals.items():
-            if key == "c_t":
-                if not val > 0:
-                    raise ConfigError(f"material {name!r}: c_t must be positive, got {val}")
-            elif val < 0:
-                raise ConfigError(f"material {name!r}: {key} must be non-negative, got {val}")
-        return cls._from_specs(name, vals)
+        return cls._from_specs(name, dict(d_theta=d_theta, d_t=d_t, c_t=c_t, k_t=k_t, k_tm=k_tm))
 
     @classmethod
     def polynomials(cls, name, d_theta, d_t, c_t, k_t, k_tm) -> "CoefficientModel":

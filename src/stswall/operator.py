@@ -95,7 +95,7 @@ class SemiDiscreteOperator:
                     f"interface at x={x_int} does not coincide with an interior grid node"
                 )
 
-        # Horner table of the wall: full[d, k, s, j] is the v**d coefficient of
+        # Horner table of the wall: full[d, s, k, j] is the v**d coefficient of
         # coefficient k (in _TABLE_ORDER) of the layer on side s of node j
         # (0: its left face, 1: its right face; the end nodes reuse their
         # one face).  The two sides differ only at interface nodes.
@@ -107,7 +107,7 @@ class SemiDiscreteOperator:
             for k, name in enumerate(_TABLE_ORDER):
                 p = model.poly[COEFFICIENT_NAMES.index(name)]
                 layer_tables[i, :len(p), k] = p
-        full = layer_tables[sides].transpose(2, 3, 0, 1)
+        full = layer_tables[sides].transpose(2, 0, 3, 1)
         # A row varies with the state when some layer gives it a nonzero term
         # of degree >= 1.  The pass evaluates the face rows of the one slice
         # (in block order) that holds every varying face row, and the storage
@@ -140,32 +140,46 @@ class SemiDiscreteOperator:
         self._faces, self._cu, self._cv = fac[1:5, :-1], fac[1::4], fac[0::4]
         self._scaled_faces, self._face_scale = fac[0::5, :-1], np.array([[groups.delta], [groups.gamma]])
         const = full[0]
-        self._faces[:] = _harmonic(const[:4, 1, :-1], const[:4, 0, 1:])
-        self._c = 0.5 * (const[4, 0] + const[4, 1])
+        self._faces[:] = _harmonic(const[1, :4, :-1], const[0, :4, 1:])
+        self._c = 0.5 * (const[0, 4] + const[1, 4])
         self._den = np.full((2, n), self.dx)
         np.multiply(self._faces[1:3], self._face_scale, out=self._scaled_faces)
         np.multiply(self._c, self.dx, out=self._den[0])
         self._pass = None if self._varies else (self._faces, self._c)
 
-        # Pass work arrays: the Horner values of the evaluated rows, the sum
-        # in the harmonic mean's denominator, and the faces of the slice.
-        self._table = np.ascontiguousarray(full[:, rows])
+        # Pass work arrays: the Horner values of the evaluated rows per side,
+        # (side, rows, n), and the harmonic mean's numerator and denominator.
+        # The mean runs on the sides' face rows as flat arrays: face j of row
+        # r is element r n + j, and the element across each row seam lands
+        # in the unused last column.  Its last step writes the slice's faces.
+        # Scalars of the per-call arithmetic are 0-d arrays, which numpy
+        # takes without the conversion a Python float costs on every call.
+        self._table = np.ascontiguousarray(full[:, :, rows])
         vals = np.empty(self._table.shape[1:])
         m = len(rows) - varies[4]
-        self._vals, self._harm = vals, None
+        self._vals, self._harm, dx = vals, None, np.array(self.dx)
         if m:
-            self._harm = (vals[:m, 1, :-1], vals[:m, 0, 1:], np.empty((m, n - 1)), self._faces[span])
-        self._storage = (vals[-1, 0], vals[-1, 1], self._c, self._den[0]) if varies[4] else None
+            work = np.empty((2, m, n))
+            flat = work.reshape(2, -1)[:, :-1]
+            self._harm = (vals[1, :m].ravel()[:-1], vals[0, :m].ravel()[1:], flat[0], flat[1],
+                          work[0, :, :-1], work[1, :, :-1], self._faces[span], np.array(1e-300))
+        if varies[4]:
+            self._storage = (vals[0, -1], vals[1, -1], self._c, self._den[0], np.array(0.5), dx)
+        else:
+            self._storage = None
 
         # RHS work arrays, (2, n) like the state; the last column of cu and
         # cv is zero.  Row-major, each row step of the state or the fluxes is
         # then one flat difference; the two differences across the row seam
-        # land on boundary nodes, which the closure overwrites.
+        # land on boundary nodes, which the closure overwrites.  Fourier
+        # numbers of exactly 1 (as in the physical groups) scale nothing.
         self._grad, self._flux, self._cross = np.zeros((3, 2, n))
         flux, den = self._flux.ravel(), self._den.ravel()
+        fo = None
+        if (groups.fo_t, groups.fo_m) != (1.0, 1.0):
+            fo = np.repeat([groups.fo_t, groups.fo_m], n)[1:-1]
         self._work = (self._grad.ravel()[:-1], self._grad, self._grad[0], self._grad[1],
-                      self._flux, self._cross, flux[1:-1], flux[:-2],
-                      np.repeat([groups.fo_t, groups.fo_m], n)[1:-1], den[1:-1])
+                      self._flux, self._cross, flux[1:-1], flux[:-2], fo, den[1:-1], dx)
         self._ends = (self._flux[:, 0:n - 1:max(n - 2, 1)], self._den[0, ::n - 1])
 
         # Boundary sides as (node, side, orientation of the face flux).
@@ -173,6 +187,8 @@ class SemiDiscreteOperator:
                  (-1, _BoundarySide("right", forcing.right, groups.biot_right, groups.alpha), -1.0))
         self._robin = [entry for entry in sides if entry[1].robin]
         self._dirichlet = [(j, side) for j, side, _ in sides if not side.robin]
+        fixed = [j % n for j, _ in self._dirichlet]     # their columns, as one slice
+        self._fixed = slice(fixed[0], fixed[-1] + 1, max(n - 1, 1)) if fixed else None
 
     # -- geometry / classification -------------------------------------------------
 
@@ -201,19 +217,19 @@ class SemiDiscreteOperator:
         if self._varies:
             vals = _horner(self._table, v, self._vals)
             if self._harm is not None:
-                left, right, total, out = self._harm    # 2 a b / (a + b + 1e-300)
-                np.add(left, right, out=total)
-                total += 1e-300
-                np.multiply(left, 2.0, out=out)
-                out *= right
-                out /= total
+                left, right, num, total, num_faces, total_faces, out, tiny = self._harm
+                np.add(left, right, out=total)          # 2 a b / (a + b + 1e-300)
+                total += tiny
+                np.add(left, left, out=num)             # 2 a, exactly
+                num *= right
+                np.divide(num_faces, total_faces, out=out)
                 if self._scaled:
                     np.multiply(self._faces[1:3], self._face_scale, out=self._scaled_faces)
             if self._storage is not None:
-                left, right, c, den = self._storage
+                left, right, c, den, half, dx = self._storage
                 np.add(left, right, out=c)
-                c *= 0.5
-                np.multiply(c, self.dx, out=den)
+                c *= half
+                np.multiply(c, dx, out=den)
             self._pass = (self._faces, self._c)
         return self._pass
 
@@ -225,21 +241,24 @@ class SemiDiscreteOperator:
         Returns a new (2, n) array, so ``du, dv = op.rhs(t, y)`` unpacks.
         A caller that holds ``_coefficients(y[1])`` passes it as ``coeffs``;
         a pass that is no longer the operator's latest is made again.
+        Every entry is written: the interior by the flux divergence, the
+        end nodes by the Robin closure or the Dirichlet zero.
         """
         self.rhs_evals += 1
         if coeffs is None or coeffs is not self._pass:
             self._coefficients(y[1])
-        grad_flat, grad, grad_u, grad_v, flux, cross, flux_hi, flux_lo, fo, den = self._work
+        grad_flat, grad, grad_u, grad_v, flux, cross, flux_hi, flux_lo, fo, den, dx = self._work
         y_flat = y.ravel()
         np.subtract(y_flat[1:], y_flat[:-1], out=grad_flat)
-        grad /= self.dx
+        grad /= dx
         np.multiply(self._cu, grad_u, out=flux)
         np.multiply(self._cv, grad_v, out=cross)
         flux += cross
-        out = np.zeros((2, self.n))
+        out = np.empty((2, self.n))
         mid = out.ravel()[1:-1]
         np.subtract(flux_hi, flux_lo, out=mid)
-        mid *= fo
+        if fo is not None:
+            mid *= fo
         mid /= den
 
         # Robin half-cells: the face flux plus the inflow-oriented closure.
@@ -256,8 +275,8 @@ class SemiDiscreteOperator:
             out[0] += self.source_u(self.x_nodes, t)
         if self.source_v is not None:
             out[1] += self.source_v(self.x_nodes, t)
-        for j, _ in self._dirichlet:
-            out[:, j] = 0.0
+        if self._fixed is not None:
+            out[:, self._fixed] = 0.0
         return out
 
     def apply_constraints(self, t: float, y: np.ndarray) -> None:
@@ -330,12 +349,13 @@ class SemiDiscreteOperator:
     def jacobian_node_blocks(self, t: float = 0.0, state=None, coeffs=None):
         """Per-node 2x2 blocks of A coupling (u_j, v_j) to itself.
 
-        Returns (b_uu, b_uv, b_vu, b_vv) arrays of length node_count.  These
-        are the terms a three-level scheme must treat implicitly to stay
-        stable under two-way cross coupling.  O(n): the stencil's diagonal,
-        from one coefficient pass (none when ``coeffs`` is given).
+        Returns a new (4, node_count) array whose rows b_uu, b_uv, b_vu and
+        b_vv unpack as four arrays.  These are the terms a three-level scheme
+        must treat implicitly to stay stable under two-way cross coupling.
+        O(n): the stencil's diagonal, from one coefficient pass (none when
+        ``coeffs`` is given).
         """
-        return tuple(self._stencil(t, state, coeffs)[1])
+        return self._stencil(t, state, coeffs)[1]
 
     def gershgorin_lambda_max(self, t: float = 0.0, state=None, coeffs=None) -> float:
         """Infinity-norm row-sum bound; never below the true spectral radius.

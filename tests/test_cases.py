@@ -532,6 +532,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("c_t", ["0", "-0.3"])
+    def test_non_positive_storage_exits_one(self, tmp_path, capsys, c_t):
+        # A polynomial material's storage must start positive, as a constant
+        # one's must: zero ended in a ZeroDivisionError in the Robin closure,
+        # and a negative value ran to exit 0.
+        material = f"m1.d_theta = 0.3\nm1.d_t = 2.1, 0.5\nm1.c_t = {c_t}\nm1.k_t = 0.5\nm1.k_tm = 0.4"
+        text = textwrap.dedent(self.CUSTOM_INI).replace("m1 = table1_mat1", material)
+        ini = tmp_path / "case.ini"
+        ini.write_text(text.replace("[forcing.left]", "[forcing.right]\nu = 1\n[forcing.left]"))
+        assert main(["custom", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "c_t must be positive" in err
+
     def test_auto_base_without_euler_step(self, tmp_path, capsys):
         ini = self.write_physical_ini(tmp_path, "re, ins_re")
         out = tmp_path / "out"

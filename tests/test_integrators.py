@@ -323,6 +323,51 @@ class TestDufortFrankel:
         assert report.n_steps == 3
         assert report.flags.get("remainder_substeps", 0) >= 1
 
+    @pytest.mark.parametrize("linear", [True, False], ids=["linear", "nonlinear"])
+    def test_steps_equal_row_expressions(self, linear):
+        # The update as its formulas read, one row at a time and out of place.
+        def case():
+            if not linear:
+                return nonlinear_operator(), nonlinear_state(), 70.0
+            mat = CoefficientModel.constants("mat", 1.0, 0.5, 1.0, 1.0, 0.3)
+            side = SideForcing.robin(lambda t: 0.5 + t, lambda t: 0.2)
+            groups = DimensionlessGroups(fo_m=0.9, fo_t=0.7, gamma=0.2, delta=0.3,
+                                         biot_left=BiotSet(m_theta=2.0, t_t=3.0),
+                                         biot_right=BiotSet(m_theta=1.0, t_t=2.0))
+            x = np.linspace(0.0, 1.0, 9)
+            op = assemble_operator(build_wall([(mat, 1.0)]), Grid1D.uniform(1.0, 9), groups,
+                                   BoundaryForcing(side, side))
+            return op, StateField(1.0 + 0.5 * np.sin(3 * x), np.cos(2 * x)), 0.05
+
+        op, state, dt = case()
+        seen = []
+        dufort_frankel_run(op, state, dt=dt, tau=8 * dt,
+                           observe=lambda t, u, v: seen.append(np.stack([u, v])))
+        op = case()[0]
+        y_prev = np.stack([state.u, state.v])
+        y = y_prev + op.rhs(0.0, y_prev) * dt
+        op.apply_constraints(dt, y)
+        want = [y_prev, y]
+        for k in range(2, 9):
+            t = (k - 1) * dt
+            if not linear or k == 2:
+                b_uu, b_uv, b_vu, b_vv = op.jacobian_node_blocks(t, y)
+                det = (1.0 + dt * b_uu) * (1.0 + dt * b_vv) - dt * dt * b_uv * b_vu
+            (u_prev, v_prev), (u, v) = y_prev, y
+            du, dv = op.rhs(max(0.0, t - dt), y)
+            r_u = ((1.0 - dt * b_uu) * u_prev - dt * b_uv * v_prev
+                   + 2.0 * dt * (du + b_uu * u + b_uv * v))
+            r_v = (-dt * b_vu * u_prev + (1.0 - dt * b_vv) * v_prev
+                   + 2.0 * dt * (dv + b_vu * u + b_vv * v))
+            y_new = np.stack([((1.0 + dt * b_vv) * r_u - dt * b_uv * r_v) / det,
+                              (-dt * b_vu * r_u + (1.0 + dt * b_uu) * r_v) / det])
+            op.apply_constraints(k * dt, y_new)
+            y_prev, y = y, y_new
+            want.append(y)
+        assert len(seen) == len(want)
+        for got, ref in zip(seen, want):
+            assert np.array_equal(got, ref)
+
     def test_nonlinear_march_builds_no_dense_matrix(self, monkeypatch):
         calls = []
         dense = SemiDiscreteOperator.frozen_matrix

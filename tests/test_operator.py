@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -702,10 +703,10 @@ class TestCoefficientPass:
             assert np.array_equal(got, want)
 
 
-def full_table_pass(op, v):
-    """Transcription of the full-table coefficient pass: all five
-    coefficients on both sides of every node by Horner's rule, then the
-    harmonic means of the faces and the half-cell average of the storage."""
+def full_table(op):
+    """Horner table of all five coefficients, (terms, side, coefficient, n):
+    the v**d term of k_t, k_tm, d_t, d_theta and c_t of the layer on each
+    side (0 left, 1 right) of every node."""
     order = ("k_t", "k_tm", "d_t", "d_theta", "c_t")
     face_layer = op.wall.face_layer_indices(op.grid)
     sides = np.stack([np.r_[face_layer[0], face_layer], np.r_[face_layer, face_layer[-1]]])
@@ -715,13 +716,20 @@ def full_table_pass(op, v):
         for k, name in enumerate(order):
             p = model.poly[COEFFICIENT_NAMES.index(name)]
             layer_tables[i, :len(p), k] = p
-    table = layer_tables[sides].transpose(2, 3, 0, 1)
+    return layer_tables[sides].transpose(2, 0, 3, 1)
+
+
+def full_table_pass(op, v):
+    """Transcription of the full-table coefficient pass: all five
+    coefficients on both sides of every node by Horner's rule, then the
+    harmonic means of the faces and the half-cell average of the storage."""
+    table = full_table(op)
     vals = table[-1]
     for row in table[-2::-1]:
         vals = vals * v
         vals += row
-    a, b = vals[:4, 1, :-1], vals[:4, 0, 1:]
-    return 2.0 * a * b / (a + b + 1e-300), 0.5 * (vals[4, 0] + vals[4, 1])
+    a, b = vals[1, :4, :-1], vals[0, :4, 1:]
+    return 2.0 * a * b / (a + b + 1e-300), 0.5 * (vals[0, 4] + vals[1, 4])
 
 
 def full_table_rhs(op, t, y):
@@ -747,9 +755,28 @@ def full_table_rhs(op, t, y):
         face = 0 if j == 0 else n - 2
         out[0, j] = g.fo_t * ((s_t - e_t) + sign * float(flux[0, face])) * 2.0 / float(den[0, j])
         out[1, j] = g.fo_m * ((s_m - e_m) + sign * float(flux[1, face])) * 2.0 / dx
+    if op.source_u is not None:
+        out[0] += op.source_u(op.x_nodes, t)
+    if op.source_v is not None:
+        out[1] += op.source_v(op.x_nodes, t)
     for j, _ in op._dirichlet:
         out[:, j] = 0.0
     return out
+
+
+def poisoned_rhs(op, t, y):
+    """``op.rhs(t, y)`` with every array numpy allocates uninitialised
+    during the call filled with NaN first."""
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "empty", nan_empty)
+        return op.rhs(t, y)
 
 
 class TestStateDependentRows:
@@ -782,6 +809,26 @@ class TestStateDependentRows:
         op.jacobian_node_blocks(0.3, b)
         assert op.gershgorin_lambda_max(0.3, a, coeffs=pass_a) == op.gershgorin_lambda_max(0.3, a)
 
+    @wall_cases
+    @given(polynomial_walls())
+    def test_rhs_writes_every_entry(self, case):
+        # Robin or Dirichlet on each side, drawn or unit Fourier numbers,
+        # with and without sources: no entry of the output keeps its NaN.
+        op, y = case
+        biot = BiotSet(m_sat=0.3, m_theta=0.5, t_t=0.7, t_sat=0.3, t_theta=0.2)
+        sides = {"robin": SideForcing.robin(lambda t: 1.0 + 0.1 * t, lambda t: 0.5,
+                                            psat_inf=lambda t: 1.2, psat_star=lambda u: 1.0 + u * u),
+                 "dirichlet": dirichlet_forcing(1.0, 0.5)}
+        sources = {"source_u": lambda x, t: np.sin(x) + t, "source_v": lambda x, t: x * x - t}
+        g = op.groups
+        for left, right in itertools.product(sides, repeat=2):
+            for fo_t, fo_m in ((g.fo_t, g.fo_m), (1.0, 1.0)):
+                groups = dataclasses.replace(g, fo_t=fo_t, fo_m=fo_m, biot_left=biot, biot_right=biot)
+                for kwargs in ({}, sources):
+                    other = assemble_operator(op.wall, op.grid, groups,
+                                              BoundaryForcing(sides[left], sides[right]), **kwargs)
+                    assert np.array_equal(poisoned_rhs(other, 0.3, y), full_table_rhs(other, 0.3, y))
+
     @pytest.mark.parametrize("layout", [INS_RE, RE_INS], ids=["ins_re", "re_ins"])
     def test_table3_walls_fix_k_tm_and_d_t(self, layout):
         op = physical_op(layout)
@@ -789,7 +836,7 @@ class TestStateDependentRows:
         fixed = faces[1:3].copy()
         op._coefficients(in_box_state(op.n, 6).v)
         assert np.array_equal(faces[1:3], fixed)
-        assert op._table.shape[1] == 3         # k_t, d_theta and c_t
+        assert np.array_equal(op._table, full_table(op)[:, :, [0, 3, 4]])    # k_t, d_theta, c_t
 
     def test_constant_wall_does_no_horner_work(self, monkeypatch):
         calls = []
