@@ -294,8 +294,7 @@ class _DufortFrankelStep(_EulerStep):
         self.prev = None                    # the state one level back
         self.blocks = None                  # (4, n): b_uu, b_uv, b_vu, b_vv
         self.refresh_blocks = not op.is_linear
-        # dt times the blocks, 1 + dt b and 1 - dt b of uu and vv, the
-        # blocks' determinants, the right-hand side r and a work array
+        # dt b, 1 +- dt b of uu and vv, det(1 + dt B), the update's r and work
         self.dt_b, self.det = np.empty((4, op.n)), np.empty(op.n)
         self.plus, self.minus, self.r, self.work = np.empty((4, 2, op.n))
 
@@ -305,30 +304,28 @@ class _DufortFrankelStep(_EulerStep):
             return super().step(t, dt, t_new, y)
         op = self.op
         coeffs = op._coefficients(y[1])     # one pass for the blocks and the RHS
-        dt_b, plus, minus, det, r, x = self.dt_b, self.plus, self.minus, self.det, self.r, self.work
+        dt_b, plus, minus, det, r, work = self.dt_b, self.plus, self.minus, self.det, self.r, self.work
         if self.blocks is None or self.refresh_blocks:
             b = self.blocks = op.jacobian_node_blocks(t, y, coeffs)
             np.multiply(b, dt, out=dt_b)
             np.add(1.0, dt_b[::3], out=plus)
             np.subtract(1.0, dt_b[::3], out=minus)
-            np.multiply(plus[0], plus[1], out=det)      # - dt dt b_uv b_vu
-            cross = np.multiply(b[1], dt * dt, out=x[0])
-            cross *= b[2]
-            det -= cross
+            np.multiply(plus[0], plus[1], out=det)
+            det -= np.multiply(np.multiply(b[1], dt * dt, out=work[0]), b[2], out=work[0])
         b, prev, (u, v) = self.blocks, self.prev, y
-        # Both rows at once, each element by the same operations in the same
-        # order as r_u = (1 - dt b_uu) u_prev - dt b_uv v_prev
-        # + 2 dt (du + b_uu u + b_uv v), and r_v likewise with the u terms first.
+        # Both rows at once, each element by the operations of
+        # r_u = (1 - dt b_uu) u_prev - dt b_uv v_prev + 2 dt (du + b_uu u + b_uv v) and
+        # r_v = -dt b_vu u_prev + (1 - dt b_vv) v_prev + 2 dt (dv + b_vu u + b_vv v) in their order.
         dy = op.rhs(max(0.0, t - dt), y, coeffs)    # forcing at the base level
-        dy += np.multiply(b[0::2], u, out=x)        # b_uu u, b_vu u
-        dy += np.multiply(b[1::2], v, out=x)        # b_uv v, b_vv v
+        dy += np.multiply(b[0::2], u, out=work)     # b_uu u, b_vu u
+        dy += np.multiply(b[1::2], v, out=work)     # b_uv v, b_vv v
         dy *= 2.0 * dt
         np.multiply(minus, prev, out=r)
-        r -= np.multiply(dt_b[1:3], prev[::-1], out=x)
+        r -= np.multiply(dt_b[1:3], prev[::-1], out=work)
         r += dy
-        # y_new = (1 + dt B)^-1 r, node by node: u = ((1 + dt b_vv) r_u - dt b_uv r_v) / det
+        # (1 + dt B)^-1 r per node: ((1 + dt b_vv) r_u - dt b_uv r_v) / det, and for v likewise
         y_new = np.multiply(plus[::-1], r, out=np.empty_like(y))
-        y_new -= np.multiply(dt_b[1:3], r[::-1], out=x)
+        y_new -= np.multiply(dt_b[1:3], r[::-1], out=work)
         y_new /= det
         self.prev = y
         op.apply_constraints(t_new, y_new)
@@ -456,8 +453,8 @@ def _stamps(schedule, t0):
 
 
 # Every stage reads boundary data at the cycle start t0.  Stages update in
-# place; ``coeffs`` is a coefficient pass already made on ``y``.  Stage
-# coefficients are read as Python floats.
+# place, with stage coefficients as Python floats; ``coeffs`` is a
+# coefficient pass already made on ``y``.
 def _rkc_cycle(op, schedule, t0, y, coeffs=None):
     for k, (tau, t_k) in enumerate(zip(schedule.stage_steps.tolist(), _stamps(schedule, t0))):
         dy = op.rhs(t0, y, None if k else coeffs)

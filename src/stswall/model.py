@@ -100,13 +100,8 @@ class CoefficientModel:
 
     @classmethod
     def _from_specs(cls, name, specs: dict) -> "CoefficientModel":
-        """Model of the low-to-high coefficient lists (or scalars) ``specs``.
-
-        The degree-0 terms keep the signs of a constant model: the storage
-        c_t positive, the four transport coefficients non-negative.
-        """
         poly = tuple(tuple(float(x) for x in np.atleast_1d(specs[key])) for key in COEFFICIENT_NAMES)
-        for key, p in zip(COEFFICIENT_NAMES, poly):
+        for key, p in zip(COEFFICIENT_NAMES, poly):     # degree-0 terms: c_t > 0, the rest >= 0
             if not p:
                 raise ConfigError(f"material {name!r}: {key} has no coefficients")
             if key == "c_t" and not p[0] > 0:

@@ -147,13 +147,12 @@ class SemiDiscreteOperator:
         np.multiply(self._c, self.dx, out=self._den[0])
         self._pass = None if self._varies else (self._faces, self._c)
 
-        # Pass work arrays: the Horner values of the evaluated rows per side,
-        # (side, rows, n), and the harmonic mean's numerator and denominator.
-        # The mean runs on the sides' face rows as flat arrays: face j of row
-        # r is element r n + j, and the element across each row seam lands
-        # in the unused last column.  Its last step writes the slice's faces.
-        # Scalars of the per-call arithmetic are 0-d arrays, which numpy
-        # takes without the conversion a Python float costs on every call.
+        # Pass work arrays: the Horner values of the evaluated rows, (side,
+        # rows, n), and the harmonic mean's numerator and denominator.  The
+        # mean runs on flat views: face j of row r is element r n + j, the
+        # element across a row seam lands in the unused last column, and the
+        # last step writes the slice's faces.  Scalars are 0-d arrays, which
+        # numpy takes faster than Python floats.
         self._table = np.ascontiguousarray(full[:, :, rows])
         vals = np.empty(self._table.shape[1:])
         m = len(rows) - varies[4]
@@ -163,10 +162,9 @@ class SemiDiscreteOperator:
             flat = work.reshape(2, -1)[:, :-1]
             self._harm = (vals[1, :m].ravel()[:-1], vals[0, :m].ravel()[1:], flat[0], flat[1],
                           work[0, :, :-1], work[1, :, :-1], self._faces[span], np.array(1e-300))
+        self._storage = None
         if varies[4]:
             self._storage = (vals[0, -1], vals[1, -1], self._c, self._den[0], np.array(0.5), dx)
-        else:
-            self._storage = None
 
         # RHS work arrays, (2, n) like the state; the last column of cu and
         # cv is zero.  Row-major, each row step of the state or the fluxes is
@@ -175,9 +173,7 @@ class SemiDiscreteOperator:
         # numbers of exactly 1 (as in the physical groups) scale nothing.
         self._grad, self._flux, self._cross = np.zeros((3, 2, n))
         flux, den = self._flux.ravel(), self._den.ravel()
-        fo = None
-        if (groups.fo_t, groups.fo_m) != (1.0, 1.0):
-            fo = np.repeat([groups.fo_t, groups.fo_m], n)[1:-1]
+        fo = None if groups.fo_t == groups.fo_m == 1.0 else np.repeat([groups.fo_t, groups.fo_m], n)[1:-1]
         self._work = (self._grad.ravel()[:-1], self._grad, self._grad[0], self._grad[1],
                       self._flux, self._cross, flux[1:-1], flux[:-2], fo, den[1:-1], dx)
         self._ends = (self._flux[:, 0:n - 1:max(n - 2, 1)], self._den[0, ::n - 1])
@@ -241,8 +237,6 @@ class SemiDiscreteOperator:
         Returns a new (2, n) array, so ``du, dv = op.rhs(t, y)`` unpacks.
         A caller that holds ``_coefficients(y[1])`` passes it as ``coeffs``;
         a pass that is no longer the operator's latest is made again.
-        Every entry is written: the interior by the flux divergence, the
-        end nodes by the Robin closure or the Dirichlet zero.
         """
         self.rhs_evals += 1
         if coeffs is None or coeffs is not self._pass:
@@ -254,7 +248,7 @@ class SemiDiscreteOperator:
         np.multiply(self._cu, grad_u, out=flux)
         np.multiply(self._cv, grad_v, out=cross)
         flux += cross
-        out = np.empty((2, self.n))
+        out = np.empty((2, self.n))     # the divergence, closure and Dirichlet zero write it all
         mid = out.ravel()[1:-1]
         np.subtract(flux_hi, flux_lo, out=mid)
         if fo is not None:
@@ -349,11 +343,10 @@ class SemiDiscreteOperator:
     def jacobian_node_blocks(self, t: float = 0.0, state=None, coeffs=None):
         """Per-node 2x2 blocks of A coupling (u_j, v_j) to itself.
 
-        Returns a new (4, node_count) array whose rows b_uu, b_uv, b_vu and
-        b_vv unpack as four arrays.  These are the terms a three-level scheme
-        must treat implicitly to stay stable under two-way cross coupling.
-        O(n): the stencil's diagonal, from one coefficient pass (none when
-        ``coeffs`` is given).
+        Returns a new (4, node_count) array with rows b_uu, b_uv, b_vu, b_vv.
+        These are the terms a three-level scheme must treat implicitly to stay
+        stable under two-way cross coupling.  O(n): the stencil's diagonal,
+        from one coefficient pass (none when ``coeffs`` is given).
         """
         return self._stencil(t, state, coeffs)[1]
 
