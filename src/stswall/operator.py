@@ -42,11 +42,11 @@ def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * a * b / (a + b + 1e-300)
 
 
-def _horner(table: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the polynomials ``table[d]`` (the v**d terms, at least two) at ``v`` into ``out``."""
-    np.multiply(table[-1], v, out=out)
-    out += table[-2]
-    for row in table[-3::-1]:
+def _horner(rows: list, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write at ``v`` into ``out`` the polynomials of v**d terms ``rows``, highest d first."""
+    np.multiply(rows[0], v, out=out)
+    out += rows[1]
+    for row in rows[2:]:
         out *= v
         out += row
     return out
@@ -147,14 +147,14 @@ class SemiDiscreteOperator:
         np.multiply(self._c, self.dx, out=self._den[0])
         self._pass = None if self._varies else (self._faces, self._c)
 
-        # Pass work arrays: the Horner values of the evaluated rows, (side,
-        # rows, n), and the harmonic mean's numerator and denominator.  The
-        # mean runs on flat views: face j of row r is element r n + j, the
-        # element across a row seam lands in the unused last column, and the
-        # last step writes the slice's faces.  Scalars are 0-d arrays, which
-        # numpy takes faster than Python floats.
-        self._table = np.ascontiguousarray(full[:, :, rows])
-        vals = np.empty(self._table.shape[1:])
+        # Pass work arrays: the evaluated rows' Horner terms, highest degree
+        # first, and values, (side, rows, n), and the harmonic mean's numerator
+        # and denominator.  The mean runs on flat views: face j of row r is
+        # element r n + j, the element across a row seam lands in the unused
+        # last column, and the last step writes the slice's faces.  Scalars
+        # are 0-d arrays, which numpy takes faster than Python floats.
+        self._table = list(np.ascontiguousarray(full[::-1, :, rows]))
+        vals = np.empty(self._table[0].shape)
         m = len(rows) - varies[4]
         self._vals, self._harm, dx = vals, None, np.array(self.dx)
         if m:

@@ -836,7 +836,7 @@ class TestStateDependentRows:
         fixed = faces[1:3].copy()
         op._coefficients(in_box_state(op.n, 6).v)
         assert np.array_equal(faces[1:3], fixed)
-        assert np.array_equal(op._table, full_table(op)[:, :, [0, 3, 4]])    # k_t, d_theta, c_t
+        assert np.array_equal(op._table[::-1], full_table(op)[:, :, [0, 3, 4]])    # k_t, d_theta, c_t
 
     def test_constant_wall_does_no_horner_work(self, monkeypatch):
         calls = []

@@ -37,6 +37,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import numpy as np  # noqa: E402
 import worker  # noqa: E402  (perfbench/worker.py: build_config)
 import workloads  # noqa: E402
 
@@ -75,7 +76,6 @@ def run_round(tree, workload: str, seed: int):
 
 
 def _as_bytes(value) -> bytes:
-    import numpy as np
     if isinstance(value, tuple):
         return b"|".join(np.asarray(part, dtype=float).tobytes() for part in value)
     return np.asarray(value, dtype=float).tobytes()
@@ -84,19 +84,21 @@ def _as_bytes(value) -> bytes:
 def compare(trees, workload: str, pairs: int, seed: int) -> bool:
     for tree in trees:
         run_round(tree, workload, seed)       # warm-up
-    ratios, equal = [], True
+    ratios, marches, equal = [], ([], []), True
     for k in range(pairs):
         order = (0, 1) if k % 2 == 0 else (1, 0)
         times, states = [0.0, 0.0], [None, None]
         for i in order:
             times[i], states[i] = run_round(trees[i], workload, seed)
+            marches[i].append(times[i])
         equal = equal and states[0] == states[1]
         ratios.append(times[1] / times[0])
     q1, median, q3 = statistics.quantiles(ratios, n=4) if pairs > 1 else ratios * 3
     won = sum(r < 1.0 for r in ratios)
-    print(f"{workload}: march new/base median {median:.3f} [quartiles {q1:.3f}, {q3:.3f}], "
-          f"new faster in {won}/{pairs} pairs, final states byte-equal: {'yes' if equal else 'NO'}",
-          flush=True)
+    base, new = (statistics.median(m) for m in marches)
+    print(f"{workload}: march median base {base:.4f} s, new {new:.4f} s; new/base median {median:.3f} "
+          f"[quartiles {q1:.3f}, {q3:.3f}], new faster in {won}/{pairs} pairs, "
+          f"final states byte-equal: {'yes' if equal else 'NO'}", flush=True)
     return equal
 
 
