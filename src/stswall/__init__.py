@@ -1,7 +1,6 @@
 """Coupled heat-and-moisture transfer in multilayer walls, marched with
 super-time-stepping (Chebyshev/Legendre), Euler, and Du Fort-Frankel."""
 
-from .dimensionless import DimensionlessGroups
 from .errors import (
     AssemblyError, ClosureSingularityError, ConfigError, DivergenceError, IngestionError,
     SaturationDomainError, StaleScheduleError, StswallError,
@@ -14,11 +13,10 @@ from .metrics import (
     ComparisonRecord, drying_rate, error_norms, ratios, total_moisture, write_comparison_csv,
 )
 from .model import (
-    BiotSet, BoundaryForcing, CoefficientModel, Grid1D, SideForcing,
-    StateField, WallAssembly, build_wall, builtin_material,
-    evaluate_coefficients, saturation_pressure,
+    BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups, Grid1D, SideForcing,
+    StateField, WallAssembly, builtin_material, evaluate_coefficients, saturation_pressure,
 )
-from .operator import SemiDiscreteOperator, apply_robin_closure, assemble_operator
+from .operator import SemiDiscreteOperator, apply_robin_closure
 from .series import BoundarySeries, ingest_boundary_series, write_synthetic_climate
 
 __version__ = "0.1.0"

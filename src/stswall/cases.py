@@ -1,10 +1,12 @@
 """Built-in case presets and the config-driven runners.
 
-Three entry points mirror the two studies plus a parameter sweep:
+Three entry points mirror the two studies plus a parameter sweep; each
+runs its preset or a case file of its kind (``verification`` for the
+first and the last, ``physical`` for the second):
 
-* :func:`run_verification_case` -- constant-coefficient two-layer wall in
-  dimensionless form with periodic Robin forcing, all four schemes
-  compared against a classical RK4 reference on the same grid.
+* :func:`run_verification_case` -- the schemes on a dimensionless case
+  (the preset: a constant-coefficient two-layer wall under periodic Robin
+  forcing) against a classical RK4 reference on the same grid.
 * :func:`run_physical_case` -- dimensional rammed-earth drying over a year
   for three layer configurations under Dirichlet climate data.
 * :func:`run_ns_sweep` -- super-step count sweep on the verification setup.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import dataclasses
 import json
 import logging
 import math
@@ -31,16 +34,15 @@ from typing import Optional
 import numpy as np
 
 from .config import PHYSICAL_LAYOUTS, CaseConfig, parse_time_function
-from .dimensionless import DimensionlessGroups
 from .errors import ConfigError, DivergenceError
 from .integrators import build_schedule, dufort_frankel_run, euler_run, node_count, rk4_run, sts_run
 from .metrics import (
     ComparisonRecord, drying_rate, error_norms, failure_record, ratios,
     scd_value, total_moisture, write_comparison_csv,
 )
-from .model import (BiotSet, BoundaryForcing, Grid1D, SideForcing, StateField, WallAssembly,
-                    build_wall, builtin_material)
-from .operator import SemiDiscreteOperator, assemble_operator
+from .model import (BiotSet, BoundaryForcing, DimensionlessGroups, Grid1D, SideForcing, StateField,
+                    WallAssembly, builtin_material)
+from .operator import SemiDiscreteOperator
 from .series import BoundarySeries, ingest_boundary_series, write_synthetic_climate
 
 logger = logging.getLogger(__name__)
@@ -134,19 +136,14 @@ def check_verification_preset(cfg: CaseConfig) -> None:
                 raise ConfigError(f"verification preset drift: forcing {side}/{var} at t={t}")
 
 
-def physical_preset(
-    tau: float = 365.0 * DAY_S,
-    schemes: Optional[list] = None,
-    configurations: Optional[list] = None,
-    drying_scheme: str = "rkl",
-) -> CaseConfig:
-    """Dimensional rammed-earth drying case with Dirichlet climate data."""
+def physical_preset() -> CaseConfig:
+    """Dimensional rammed-earth drying case with Dirichlet climate data, over a year."""
     cfg = CaseConfig(
         kind="physical",
         title="rammed-earth wall drying, three insulation layouts",
         dx=5e-3,
-        tau=float(tau),
-        schemes=list(schemes) if schemes else ["euler", "rkc", "rkl"],
+        tau=365.0 * DAY_S,
+        schemes=["euler", "rkc", "rkl"],
         ns={"rkc": 10, "rkl": 20},
         damping_rkc=0.0,
         dt_euler=PHYSICAL_DT_EULER_S,
@@ -156,11 +153,7 @@ def physical_preset(
         materials={"re": builtin_material("table3_re"),
                    "ins": builtin_material("table3_ins")},
         layers=[("re", 0.5)],
-        initial_u=291.3,
-        initial_v=0.53,
         admissible_box=(240.0, 320.0, 0.0, 0.6),
-        physical_configurations=list(configurations) if configurations else ["ins_re", "re_ins", "re"],
-        drying_scheme=drying_scheme,
     )
     cfg.description = {"preset": "physical", "title": cfg.title}
     return cfg
@@ -192,13 +185,13 @@ class _Domain:
 
     def operator(self) -> SemiDiscreteOperator:
         """A fresh operator (marches must not share one)."""
-        return assemble_operator(self.wall, self.grid, self.groups, self.forcing,
-                                 admissible_box=self.cfg.admissible_box)
+        return SemiDiscreteOperator(self.wall, self.grid, self.groups, self.forcing,
+                                    admissible_box=self.cfg.admissible_box)
 
 
 def _build_domain(cfg: CaseConfig, forcing, groups) -> _Domain:
     """The domain of the config's layers under ``forcing``."""
-    wall = build_wall([(cfg.materials[name], th) for name, th in cfg.layers])
+    wall = WallAssembly([(cfg.materials[name], th) for name, th in cfg.layers])
     length = wall.total_length
     n_float = length / cfg.dx
     n_steps = round(n_float)
@@ -212,7 +205,7 @@ def _build_domain(cfg: CaseConfig, forcing, groups) -> _Domain:
 
 
 def _dimensionless_domain(cfg: CaseConfig) -> _Domain:
-    """The validated domain of a verify, sweep or custom run: the config's
+    """The validated domain of a verify or sweep run: the config's
     dimensionless groups and its forcing on both sides."""
     cfg.validate()
     if cfg.groups is None:
@@ -670,6 +663,8 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     if cfg.kind != "physical":
         raise ConfigError("run_physical_case needs a physical case config")
     cfg.validate()
+    # read once, so that the manifest records the state every layout starts from
+    cfg = dataclasses.replace(cfg, initial_u=PHYSICAL_INITIAL_T, initial_v=dict(PHYSICAL_INITIAL_V))
     os.makedirs(out_dir, exist_ok=True)
     if cfg.climate_path is None:
         climate_path = os.path.join(out_dir, "synthetic_climate.csv")
@@ -682,18 +677,21 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=cfg.latent_heat)
 
     layouts = {name: PHYSICAL_LAYOUTS[name] for name in cfg.physical_configurations}
+    first_name = cfg.physical_configurations[0]
     totals = {}
     rates = {}
     failures = {}
     drying_reports = {}
     domains = {}
+    schedules = {}
 
     for name, layer_list in layouts.items():
         dom = domains[name] = _layout_config(cfg, layer_list, forcing, groups)
         observer = _MoistureObserver(dom.grid, _re_node_range(dom.grid, layer_list))
         stride = max(1, int(cfg.tau / _scheme_step(cfg.drying_scheme, dom.cfg)[0] / 1500))
         try:
-            report = _run_one_scheme(cfg.drying_scheme, dom, observe=observer, observe_every=stride)
+            report = _run_one_scheme(cfg.drying_scheme, dom, observe=observer, observe_every=stride,
+                                     schedules=schedules if name == first_name else None)
         except DivergenceError as exc:
             failures[f"drying-{name}"] = str(exc)
             continue
@@ -705,9 +703,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
 
     # Scheme comparison on the first configuration; the drying run already
     # covers its own scheme there.
-    first_name = cfg.physical_configurations[0]
     dom = domains[first_name]
-    schedules = {}
     done = {cfg.drying_scheme: drying_reports[first_name]} if first_name in drying_reports else None
     records, reports, table_failures, baseline = _compare(
         dom, [(s, s, None) for s in cfg.schemes], reports=done, schedules=schedules)
@@ -746,8 +742,7 @@ def _layout_config(cfg: CaseConfig, layer_list, forcing, groups) -> _Domain:
     """
     sub = copy.copy(cfg)
     sub.layers = [(name, th) for name, th in layer_list]
-    sub.initial_u = PHYSICAL_INITIAL_T
-    sub.initial_v = [PHYSICAL_INITIAL_V[name] for name, _ in layer_list]
+    sub.initial_v = [cfg.initial_v[name] for name, _ in layer_list]
     dom = _build_domain(sub, forcing, groups)
     if sub.dt_euler is None or sub.dt_exp_base is None:
         lam = dom.operator().gershgorin_lambda_max(0.0, dom.state0)

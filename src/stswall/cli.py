@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands: ``verify``, ``physical``, ``sweep``, ``custom``.  Exit codes:
-0 on full success, 2 when a scheme (partial results written) or the
-reference (nothing written) diverged, 1 on configuration errors.
+Subcommands: ``verify``, ``physical``, ``sweep``; each runs its built-in
+preset, or the case file given with ``--config``.  Exit codes: 0 on full
+success (and after ``--help``), 2 when a scheme (partial results written) or
+the reference (nothing written) diverged, 1 on usage and configuration errors.
 """
 from __future__ import annotations
 
@@ -36,14 +37,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     _add_common(sub.add_parser("verify", help="dimensionless verification comparison"), "out_verify")
     _add_common(sub.add_parser("physical", help="rammed-earth drying study"), "out_physical")
-    p_sweep = sub.add_parser("sweep", help="super-step count sweep")
-    _add_common(p_sweep, "out_sweep")
-    p_custom = sub.add_parser("custom", help="run a user-provided case file")
-    _add_common(p_custom, "out_custom")
+    _add_common(sub.add_parser("sweep", help="super-step count sweep"), "out_sweep")
     return parser
 
 
-def _apply_overrides(cfg, args, dimensionless: bool) -> None:
+def _apply_overrides(cfg, args) -> None:
+    dimensionless = cfg.kind != "physical"
     if args.scheme:
         cfg.schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
     if args.ns:
@@ -65,26 +64,23 @@ def _apply_overrides(cfg, args, dimensionless: bool) -> None:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
     try:
-        if args.command in ("verify", "custom"):
-            if args.command == "custom" and not args.config:
-                print("error: custom requires --config PATH", file=sys.stderr)
-                return 1
-            cfg = load_config(args.config) if args.config else verification_preset()
-            _apply_overrides(cfg, args, dimensionless=True)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
+    try:
+        preset = physical_preset if args.command == "physical" else verification_preset
+        cfg = load_config(args.config) if args.config else preset()
+        _apply_overrides(cfg, args)
+        if args.command == "verify":
             result = run_verification_case(cfg, args.out)
             _print_records(result.records)
         elif args.command == "physical":
-            cfg = load_config(args.config) if args.config else physical_preset()
-            _apply_overrides(cfg, args, dimensionless=False)
             result = run_physical_case(cfg, args.out)
             _print_records(result.records)
             for scheme, info in result.policy_counts.items():
                 print(f"policy @365d {scheme}: dt={info['dt_s']:g} s, N_t={info['n_t']}")
         else:
-            cfg = load_config(args.config) if args.config else verification_preset()
-            _apply_overrides(cfg, args, dimensionless=True)
             result = run_ns_sweep(cfg, out_dir=args.out)
             for scheme, slope in result.slopes.items():
                 print(f"{scheme}: error slope vs N_S  solution={slope['solution']:.3f}  "

@@ -16,9 +16,11 @@ import os
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .dimensionless import DimensionlessGroups
 from .errors import ConfigError
-from .model import C_WATER, RHO_WATER, BiotSet, CoefficientModel, SideForcing, _zero, builtin_material
+from .model import (
+    C_WATER, RHO_WATER, BiotSet, CoefficientModel, DimensionlessGroups, SideForcing, _zero,
+    builtin_material,
+)
 from .series import ingest_boundary_series
 
 _EXPR_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
@@ -39,7 +41,7 @@ PHYSICAL_LAYOUTS = {
 # Sections a case kind never reads, by name before any ".": each is a
 # configuration error rather than silently ignored.
 _UNREAD_SECTIONS = {"physical": ("groups", "biot", "forcing", "initial", "sweep"),
-                    "verification": ("physical",), "custom": ("physical",)}
+                    "verification": ("physical",)}
 
 
 def _forcing_node(node, expr: str):
@@ -188,7 +190,7 @@ class CaseConfig:
     description: dict = dc_field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.kind not in ("verification", "physical", "custom"):
+        if self.kind not in ("verification", "physical"):
             raise ConfigError(f"unknown case kind {self.kind!r}")
         for name in ("tau", "dx", "dt_euler", "dt_df", "dt_exp_base"):
             value = getattr(self, name)
@@ -215,6 +217,10 @@ class CaseConfig:
             if name not in PHYSICAL_LAYOUTS:
                 raise ConfigError(f"unknown physical configuration {name!r}; "
                                   f"choose from {sorted(PHYSICAL_LAYOUTS)}")
+            missing = [m for m, _ in PHYSICAL_LAYOUTS[name] if m not in self.materials]
+            if self.kind == "physical" and missing:
+                raise ConfigError(f"physical configuration {name!r} needs material {missing[0]!r}, "
+                                  "which [materials] does not define")
 
 
 def _parse_material(section_values: dict, name: str) -> CoefficientModel:
@@ -282,7 +288,7 @@ def load_config(path) -> CaseConfig:
     base_dir = os.path.dirname(os.path.abspath(path))
     if not cp.has_section("case"):
         raise ConfigError("config needs a [case] section")
-    kind = cp["case"].get("kind", "custom").strip().lower()
+    kind = cp["case"].get("kind", "verification").strip().lower()
     cfg = CaseConfig(kind=kind, title=cp["case"].get("title", "").strip())
 
     if cp.has_section("grid"):
@@ -313,6 +319,9 @@ def load_config(path) -> CaseConfig:
     for section in cp.sections():
         if section.partition(".")[0] in _UNREAD_SECTIONS.get(kind, ()):
             raise ConfigError(f"[{section}] does not apply to {kind} cases, which never read it")
+    if kind == "verification" and cp.has_option("constants", "latent_heat"):
+        raise ConfigError("[constants] latent_heat does not apply to verification cases, "
+                          "which never read it")
     if kind == "physical" and cp.getboolean("output", "dump_matrix", fallback=False):
         raise ConfigError("[output] dump_matrix does not apply to physical cases")
     if cp.has_section("groups"):

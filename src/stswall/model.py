@@ -81,8 +81,8 @@ class CoefficientModel:
     holds the low-to-high coefficients of each polynomial in the order of
     :data:`COEFFICIENT_NAMES`; the operator evaluates these tables directly.
     The five callables evaluate the same polynomials at (u, v) and
-    broadcast over numpy arrays.  Build models with :meth:`constants` or
-    :meth:`polynomials`, which fill both from one spec.
+    broadcast over numpy arrays.  Build models with :meth:`polynomials`
+    (also named :meth:`constants`), which fills both from one spec.
     """
 
     name: str
@@ -99,8 +99,12 @@ class CoefficientModel:
         return all(len(p) == 1 for p in self.poly)
 
     @classmethod
-    def _from_specs(cls, name, specs: dict) -> "CoefficientModel":
-        poly = tuple(tuple(float(x) for x in np.atleast_1d(specs[key])) for key in COEFFICIENT_NAMES)
+    def polynomials(cls, name, d_theta, d_t, c_t, k_t, k_tm) -> "CoefficientModel":
+        """Build a model whose coefficients are polynomials in v.
+
+        Each argument is either a scalar or a low-to-high coefficient list.
+        """
+        poly = tuple(tuple(float(x) for x in np.atleast_1d(spec)) for spec in (d_theta, d_t, c_t, k_t, k_tm))
         for key, p in zip(COEFFICIENT_NAMES, poly):     # degree-0 terms: c_t > 0, the rest >= 0
             if not p:
                 raise ConfigError(f"material {name!r}: {key} has no coefficients")
@@ -111,17 +115,8 @@ class CoefficientModel:
         fns = {key: _poly_fn(p) for key, p in zip(COEFFICIENT_NAMES, poly)}
         return cls(name=name, poly=poly, **fns)
 
-    @classmethod
-    def constants(cls, name, d_theta, d_t, c_t, k_t, k_tm) -> "CoefficientModel":
-        return cls._from_specs(name, dict(d_theta=d_theta, d_t=d_t, c_t=c_t, k_t=k_t, k_tm=k_tm))
-
-    @classmethod
-    def polynomials(cls, name, d_theta, d_t, c_t, k_t, k_tm) -> "CoefficientModel":
-        """Build a model whose coefficients are polynomials in v.
-
-        Each argument is either a scalar or a low-to-high coefficient list.
-        """
-        return cls._from_specs(name, dict(d_theta=d_theta, d_t=d_t, c_t=c_t, k_t=k_t, k_tm=k_tm))
+    # the name for all-scalar models; perfbench/tracing.py wraps each name
+    constants = polynomials
 
     def evaluate(self, u, v):
         """Return (d_theta, d_t, c_t, k_t, k_tm) at the given state."""
@@ -253,11 +248,6 @@ class WallAssembly:
         return np.array([self.layer_index(m, tol) for m in mids])
 
 
-def build_wall(layer_specs) -> WallAssembly:
-    """Assemble a wall from (CoefficientModel, thickness) pairs."""
-    return WallAssembly(tuple(layer_specs))
-
-
 def evaluate_coefficients(wall: WallAssembly, x: float, u, v):
     """Coefficients (d_theta, d_t, c_t, k_t, k_tm) of the layer owning x."""
     model, _ = wall.layers[wall.layer_index(float(x))]
@@ -301,6 +291,33 @@ class BiotSet:
         return {
             "m_sat": self.m_sat, "m_theta": self.m_theta, "t_t": self.t_t,
             "t_sat": self.t_sat, "t_theta": self.t_theta, "t_g": self.t_g,
+        }
+
+
+@dataclass(frozen=True)
+class DimensionlessGroups:
+    """Constants of the dimensionless coupled system plus per-side Biot sets."""
+
+    fo_m: float
+    fo_t: float
+    gamma: float = 0.0
+    delta: float = 0.0
+    biot_left: BiotSet = field(default_factory=BiotSet)
+    biot_right: BiotSet = field(default_factory=BiotSet)
+    alpha: float = 0.0
+
+    def __post_init__(self):
+        for name in ("fo_m", "fo_t", "gamma", "delta", "alpha"):
+            val = getattr(self, name)
+            if not math.isfinite(val) or val < 0:
+                raise ConfigError(f"group {name} must be finite and >= 0, got {val}")
+
+    def as_dict(self) -> dict:
+        return {
+            "fo_m": self.fo_m, "fo_t": self.fo_t,
+            "gamma": self.gamma, "delta": self.delta, "alpha": self.alpha,
+            "biot_left": self.biot_left.as_dict(),
+            "biot_right": self.biot_right.as_dict(),
         }
 
 

@@ -23,10 +23,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dimensionless import DimensionlessGroups
 from .errors import AssemblyError, ClosureSingularityError, ConfigError
 from .model import (
-    COEFFICIENT_NAMES, BoundaryForcing, Grid1D, SideForcing, StateField, WallAssembly, _zero,
+    COEFFICIENT_NAMES, BoundaryForcing, DimensionlessGroups, Grid1D, SideForcing, StateField,
+    WallAssembly, _zero,
 )
 
 SourceFn = Callable[[np.ndarray, float], np.ndarray]
@@ -186,11 +186,7 @@ class SemiDiscreteOperator:
         fixed = [j % n for j, _ in self._dirichlet]     # their columns, as one slice
         self._fixed = slice(fixed[0], fixed[-1] + 1, max(n - 1, 1)) if fixed else None
 
-    # -- geometry / classification -------------------------------------------------
-
-    @property
-    def x_nodes(self) -> np.ndarray:
-        return self.grid.node_positions
+    # -- classification ------------------------------------------------------------
 
     @property
     def is_linear(self) -> bool:
@@ -266,9 +262,9 @@ class SemiDiscreteOperator:
                 out[0, j] = g.fo_t * ((s_t - e_t) + sign * q_t[j]) * 2.0 / den_t[j]
                 out[1, j] = g.fo_m * ((s_m - e_m) + sign * q_m[j]) * 2.0 / self.dx
         if self.source_u is not None:
-            out[0] += self.source_u(self.x_nodes, t)
+            out[0] += self.source_u(self.grid.node_positions, t)
         if self.source_v is not None:
-            out[1] += self.source_v(self.x_nodes, t)
+            out[1] += self.source_v(self.grid.node_positions, t)
         if self._fixed is not None:
             out[:, self._fixed] = 0.0
         return out
@@ -369,17 +365,6 @@ class SemiDiscreteOperator:
             fh.write(f"% {a.shape[0]} {a.shape[1]} {rows.size}\n")
             for i, j in zip(rows, cols):
                 fh.write(f"{i} {j} {a[i, j]:.17g}\n")
-
-
-def assemble_operator(
-    wall: WallAssembly,
-    grid: Grid1D,
-    groups: DimensionlessGroups,
-    forcing: BoundaryForcing,
-    **kwargs,
-) -> SemiDiscreteOperator:
-    """Build the semi-discrete operator for a wall/grid/groups/forcing set."""
-    return SemiDiscreteOperator(wall, grid, groups, forcing, **kwargs)
 
 
 class _BoundarySide:

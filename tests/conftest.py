@@ -28,7 +28,8 @@ def physical_week_bundle(tmp_path_factory):
     """Reduced-horizon physical marching; step counts are checked by formula."""
     from stswall.cases import physical_preset, run_physical_case
     out = tmp_path_factory.mktemp("acc_physical")
-    cfg = physical_preset(tau=7.0 * DAY_S)
+    cfg = physical_preset()
+    cfg.tau = 7.0 * DAY_S
     result = run_physical_case(cfg, out)
     return cfg, result
 
@@ -37,6 +38,8 @@ def physical_week_bundle(tmp_path_factory):
 def physical_90d_bundle(tmp_path_factory):
     from stswall.cases import physical_preset, run_physical_case
     out = tmp_path_factory.mktemp("acc_drying")
-    cfg = physical_preset(tau=90.0 * DAY_S, schemes=["rkl"], drying_scheme="rkl")
+    cfg = physical_preset()
+    cfg.tau = 90.0 * DAY_S
+    cfg.schemes = ["rkl"]
     result = run_physical_case(cfg, out)
     return cfg, result

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from stswall.cases import physical_step_counts
-from stswall.dimensionless import DimensionlessGroups
 from stswall.integrators import amplification_eval, build_schedule, euler_run, sts_run
 from stswall.model import (
-    BiotSet, BoundaryForcing, CoefficientModel, Grid1D, SideForcing, StateField,
-    build_wall,
+    BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups, Grid1D, SideForcing,
+    StateField, WallAssembly,
 )
-from stswall.operator import assemble_operator
+from stswall.operator import SemiDiscreteOperator
 
 
 def report(number, title, failures):
@@ -71,7 +70,7 @@ def test_criterion_3_verification_accuracy(verification_bundle):
 
 
 def _zero_forcing_linear_operator(n):
-    wall = build_wall([
+    wall = WallAssembly([
         (CoefficientModel.constants("a", 0.3, 2.1, 0.1, 0.5, 0.4), 0.5),
         (CoefficientModel.constants("b", 0.1, 3.2, 0.3, 0.2, 0.1), 0.5),
     ])
@@ -80,7 +79,7 @@ def _zero_forcing_linear_operator(n):
                                  biot_left=BiotSet(m_theta=25.5, t_t=50.5, t_theta=0.496),
                                  biot_right=BiotSet(m_theta=51.8, t_t=19.8, t_theta=0.673))
     zero = SideForcing.robin(lambda t: 0.0, lambda t: 0.0)
-    return assemble_operator(wall, grid, groups, BoundaryForcing(zero, zero))
+    return SemiDiscreteOperator(wall, grid, groups, BoundaryForcing(zero, zero))
 
 
 def test_criterion_4_linear_sts_equivalence():
@@ -194,7 +193,7 @@ def _mms_setup(n):
     d_th, d_t, c_t, k_t, k_tm = 0.2, 1.0, 0.4, 0.3, 0.5
     fo_m, fo_t, gam, dlt = 9e-2, 7e-2, 7e-2, 5e-2
     mat = CoefficientModel.constants("mms", d_th, d_t, c_t, k_t, k_tm)
-    wall = build_wall([(mat, 1.0)])
+    wall = WallAssembly([(mat, 1.0)])
     grid = Grid1D.uniform(1.0, n)
     groups = DimensionlessGroups(fo_m=fo_m, fo_t=fo_t, gamma=gam, delta=dlt)
 
@@ -222,8 +221,8 @@ def _mms_setup(n):
         SideForcing.dirichlet(lambda t: u_exact(0.0, t), lambda t: v_exact(0.0, t)),
         SideForcing.dirichlet(lambda t: u_exact(1.0, t), lambda t: v_exact(1.0, t)),
     )
-    op = assemble_operator(wall, grid, groups, forcing,
-                           source_u=source_u, source_v=source_v)
+    op = SemiDiscreteOperator(wall, grid, groups, forcing,
+                              source_u=source_u, source_v=source_v)
     return op, grid, u_exact, v_exact
 
 
@@ -276,11 +275,11 @@ def test_criterion_10_discretization_verification():
 
     # zero-flux moisture conservation over 1000 explicit steps
     mat = CoefficientModel.constants("cons", 0.3, 0.0, 1.0, 0.2, 0.0)
-    wall = build_wall([(mat, 1.0)])
+    wall = WallAssembly([(mat, 1.0)])
     grid = Grid1D.uniform(1.0, 41)
     groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0)
     still = SideForcing.robin(lambda t: 1.0, lambda t: 1.0)
-    op = assemble_operator(wall, grid, groups, BoundaryForcing(still, still))
+    op = SemiDiscreteOperator(wall, grid, groups, BoundaryForcing(still, still))
     xs = grid.node_positions
     u = 1.0 + 0.3 * np.sin(np.pi * xs)
     v = 1.0 + 0.5 * np.exp(-20 * (xs - 0.4) ** 2)

@@ -18,13 +18,13 @@ from stswall.cases import (
 )
 from stswall.cli import main
 from stswall.config import load_config
-from stswall.dimensionless import DimensionlessGroups
 from stswall.errors import ConfigError, DivergenceError
 from stswall.metrics import ComparisonRecord
 from stswall.model import (
-    BoundaryForcing, Grid1D, SideForcing, StateField, build_wall, builtin_material,
+    BoundaryForcing, DimensionlessGroups, Grid1D, SideForcing, StateField, WallAssembly,
+    builtin_material,
 )
-from stswall.operator import assemble_operator
+from stswall.operator import SemiDiscreteOperator
 from stswall.series import ingest_boundary_series, write_synthetic_climate
 
 DAY_S = 86400.0
@@ -238,7 +238,9 @@ def test_marches_go_through_integrator_hooks(monkeypatch, tmp_path):
 @pytest.fixture(scope="module")
 def day_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("phys")
-    cfg = physical_preset(tau=1.0 * DAY_S, schemes=["rkl"], drying_scheme="rkl")
+    cfg = physical_preset()
+    cfg.tau = 1.0 * DAY_S
+    cfg.schemes = ["rkl"]
     return cfg, run_physical_case(cfg, out), out
 
 
@@ -391,6 +393,22 @@ class TestPhysicalCase:
             a, b = short.interpolator(name), full.interpolator(name)
             assert [a(x) for x in t] == [b(x) for x in t]
 
+    def test_manifest_records_the_initial_state_and_schedules_that_ran(self, tmp_path, monkeypatch):
+        # the benchmark seeds its physical runs by replacing these module constants
+        monkeypatch.setattr(cases, "PHYSICAL_INITIAL_T", 290.0)
+        monkeypatch.setattr(cases, "PHYSICAL_INITIAL_V", {"re": 0.5, "ins": 0.05})
+        cfg = physical_preset()
+        cfg.tau = 3600.0
+        cfg.physical_configurations = ["ins_re"]
+        res = run_physical_case(cfg, tmp_path)
+        params = res.manifest["parameters"]
+        assert (params["initial_u"], params["initial_v"]) == (290.0, {"re": 0.5, "ins": 0.05})
+        assert res.totals["ins_re"][1][0] == pytest.approx(0.5 * 0.5 - (0.5 - 0.05) * 0.005 / 2)
+        # the drying run's rkl schedule is recorded next to the table's rkc one
+        assert sorted(res.manifest["runs"]) == ["euler", "rkc", "rkl"]
+        assert sorted(res.manifest["schedules"]) == ["rkc", "rkl"]
+        assert res.manifest["schedules"]["rkl"]["n_s"] == 20
+
     def test_manifest_labels_synthetic_climate(self, day_result):
         _, res, _ = day_result
         assert res.manifest["climate"]["synthetic"] is True
@@ -416,13 +434,23 @@ class TestCli:
         assert (out / "comparison.csv").exists()
         assert "rkl" in capsys.readouterr().out
 
-    def test_custom_requires_config(self, capsys):
-        assert main(["custom"]) == 1
+    @pytest.mark.parametrize("argv", [["custom"], [], ["verify", "--bogus", "1"], ["verify", "--tau"]],
+                             ids=["custom", "no-subcommand", "unknown-option", "missing-value"])
+    def test_usage_error_exits_one(self, capsys, argv):
+        # 2 is the divergence code, so argparse's usage errors exit 1
+        assert main(argv) == 1
+        assert "usage: stswall" in capsys.readouterr().err
 
-    def test_bad_config_exits_one(self, tmp_path):
+    def test_help_exits_zero(self, capsys):
+        assert main(["verify", "--help"]) == 0
+        assert "--config" in capsys.readouterr().out
+
+    def test_bad_config_exits_one(self, tmp_path, capsys):
+        # the kinds are verification and physical; any other, custom too, is an error
         bad = tmp_path / "bad.ini"
         bad.write_text("[case]\nkind = custom\n")
-        assert main(["custom", "--config", str(bad)]) == 1
+        assert main(["verify", "--config", str(bad)]) == 1
+        assert "unknown case kind 'custom'" in capsys.readouterr().err
 
     PHYSICAL_INI = """
         [case]
@@ -444,9 +472,9 @@ class TestCli:
         """
 
     # a dimensionless case with forcing on the left side only
-    CUSTOM_INI = """
+    VERIFICATION_INI = """
         [case]
-        kind = custom
+        kind = verification
         [grid]
         dx = 0.1
         [time]
@@ -494,35 +522,40 @@ class TestCli:
          "[forcing.left]"),
         # dimensionless runs need groups and forcing on both sides
         (["sweep", "--config", "{ini}"], None, "[groups]"),
-        (["verify", "--config", "{custom}"], None, "[forcing.right]"),
-        (["sweep", "--config", "{custom}"], None, "[forcing.right]"),
+        (["verify", "--config", "{verification}"], None, "[forcing.right]"),
+        (["sweep", "--config", "{verification}"], None, "[forcing.right]"),
         # the kind is checked before the sections a kind needs
-        (["custom", "--config", "{ini}"], ("kind = physical", "kind = foo"), "'foo'"),
+        (["verify", "--config", "{ini}"], ("kind = physical", "kind = foo"), "'foo'"),
         # INI values that are not numbers, booleans or a whole box
-        (["custom", "--config", "{custom}"], ("m1:1.0", "m1:abc"), "'abc'"),
-        (["custom", "--config", "{custom}"], ("m1:1.0", "m1:nan\n[forcing.right]\nu = 1"), "thickness"),
-        (["custom", "--config", "{custom}"],
+        (["verify", "--config", "{verification}"], ("m1:1.0", "m1:abc"), "'abc'"),
+        (["verify", "--config", "{verification}"], ("m1:1.0", "m1:nan\n[forcing.right]\nu = 1"), "thickness"),
+        (["verify", "--config", "{verification}"],
          ("[forcing.left]", "[forcing.right]\nu = 1\n[box]\nu_min = 0\n[forcing.left]"), "[box]"),
-        (["custom", "--config", "{custom}"],
+        (["verify", "--config", "{verification}"],
          ("[forcing.left]", "[forcing.right]\nu = 1\n[output]\ndump_matrix = abc\n[forcing.left]"),
          "'abc'"),
         # sections the kind never reads
         (["physical", "--config", "{ini}"], ("[physical]", "[initial]\nu = 250\nv = 0.1\n[physical]"),
          "[initial]"),
         (["physical", "--config", "{ini}"], ("[physical]", "[sweep]\nns = 4, 8\n[physical]"), "[sweep]"),
-        (["custom", "--config", "{custom}"],
+        (["verify", "--config", "{verification}"],
          ("[forcing.left]", "[forcing.right]\nu = 1\n[physical]\nconfigurations = re\n[forcing.left]"),
          "[physical]"),
+        # the latent heat is only the physical groups' delta
+        (["verify", "--config", "{verification}"],
+         ("[forcing.left]", "[forcing.right]\nu = 1\n[constants]\nlatent_heat = 2e6\n[forcing.left]"),
+         "latent_heat"),
     ], ids=["verify-tau-abc", "physical-dt-abc", "sweep-ns-x", "ini-tau-abc", "ini-dx-abc",
             "verify-tau-nan", "verify-dx-nan", "verify-tau-1e400", "physical-tau-inf",
             "verify-dx-abc", "physical-tau-0d", "verify-ns-three", "ini-physical-groups",
             "ini-physical-biot", "ini-physical-dump-matrix", "ini-physical-forcing",
             "sweep-physical-ini", "verify-one-sided-forcing", "sweep-one-sided-forcing",
             "ini-unknown-kind", "ini-layer-abc", "ini-layer-nan", "ini-partial-box", "ini-dump-matrix-abc",
-            "ini-physical-initial", "ini-physical-sweep", "ini-custom-physical"])
+            "ini-physical-initial", "ini-physical-sweep", "ini-verification-physical",
+            "ini-verification-latent-heat"])
     def test_malformed_or_non_finite_number_exits_one(self, tmp_path, capsys, argv, ini_edit, named):
         if "--config" in argv:
-            template = self.CUSTOM_INI if "{custom}" in argv else self.PHYSICAL_INI.format(
+            template = self.VERIFICATION_INI if "{verification}" in argv else self.PHYSICAL_INI.format(
                 configurations="re")
             text = textwrap.dedent(template)
             ini = tmp_path / "case.ini"
@@ -538,10 +571,10 @@ class TestCli:
         # one's must: zero ended in a ZeroDivisionError in the Robin closure,
         # and a negative value ran to exit 0.
         material = f"m1.d_theta = 0.3\nm1.d_t = 2.1, 0.5\nm1.c_t = {c_t}\nm1.k_t = 0.5\nm1.k_tm = 0.4"
-        text = textwrap.dedent(self.CUSTOM_INI).replace("m1 = table1_mat1", material)
+        text = textwrap.dedent(self.VERIFICATION_INI).replace("m1 = table1_mat1", material)
         ini = tmp_path / "case.ini"
         ini.write_text(text.replace("[forcing.left]", "[forcing.right]\nu = 1\n[forcing.left]"))
-        assert main(["custom", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+        assert main(["verify", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "c_t must be positive" in err
 
@@ -551,11 +584,11 @@ class TestCli:
         assert main(["physical", "--config", ini, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         # the base is the first layout's explicit limit with a 10% margin
-        wall = build_wall([(builtin_material("table3_re"), 0.5)])
+        wall = WallAssembly([(builtin_material("table3_re"), 0.5)])
         side = SideForcing.dirichlet(lambda t: 291.3, lambda t: 0.53)
-        op = assemble_operator(wall, Grid1D.uniform(0.5, 101),
-                               DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6),
-                               BoundaryForcing(side, side))
+        op = SemiDiscreteOperator(wall, Grid1D.uniform(0.5, 101),
+                                  DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6),
+                                  BoundaryForcing(side, side))
         lam = op.gershgorin_lambda_max(0.0, StateField(np.full(101, 291.3), np.full(101, 0.53)))
         for scheme in ("rkc", "rkl"):
             assert manifest["runs"][scheme]["dt_exp"] == pytest.approx(2.0 / lam / 1.1, rel=1e-12)
@@ -566,6 +599,13 @@ class TestCli:
         ini = self.write_physical_ini(tmp_path, "re, brick")
         assert main(["physical", "--config", ini, "--out", str(tmp_path / "out")]) == 1
         assert "brick" in capsys.readouterr().err
+
+    def test_layout_without_its_material_exits_one(self, tmp_path, capsys):
+        ini = Path(self.write_physical_ini(tmp_path, "re, ins_re"))
+        ini.write_text(ini.read_text().replace("ins = table3_ins\n", ""))
+        assert main(["physical", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'ins_re'" in err and "'ins'" in err
 
     def test_diverging_df_exits_two(self, tmp_path, capsys):
         # Du Fort-Frankel at 1800 s on the 5 mm ins_re grid runs away (v
@@ -586,7 +626,7 @@ class TestCli:
     # the left side drives u to 3, outside the [0.9, 1.1] box, so the RK4 reference runs away
     DIVERGING_REFERENCE_INI = """
         [case]
-        kind = custom
+        kind = verification
         [grid]
         dx = 0.1
         [time]
@@ -615,7 +655,7 @@ class TestCli:
         ns = 4, 8
         """
 
-    @pytest.mark.parametrize("command", ["sweep", "custom"])
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
     def test_diverged_reference_exits_two(self, tmp_path, capsys, command):
         ini = tmp_path / "case.ini"
         ini.write_text(textwrap.dedent(self.DIVERGING_REFERENCE_INI))
@@ -643,7 +683,7 @@ class TestCli:
         ini = tmp_path / "sweep.ini"
         ini.write_text(textwrap.dedent("""
             [case]
-            kind = custom
+            kind = verification
             [grid]
             dx = 0.1
             [time]
@@ -670,7 +710,7 @@ class TestCli:
         ini = tmp_path / "case.ini"
         ini.write_text(textwrap.dedent("""
             [case]
-            kind = custom
+            kind = verification
             [grid]
             dx = 0.5
             [time]
@@ -690,14 +730,14 @@ class TestCli:
             [forcing.right]
             u = 1
             """).format(expr=expr))
-        assert main(["custom", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+        assert main(["verify", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
         assert f"forcing expression {expr!r} fails at t=" in capsys.readouterr().err
 
     def test_nonlinear_custom_case_dumps_its_initial_matrix(self, tmp_path):
         ini = tmp_path / "case.ini"
         ini.write_text(textwrap.dedent("""
             [case]
-            kind = custom
+            kind = verification
             [grid]
             dx = 0.1
             [time]
@@ -734,7 +774,7 @@ class TestCli:
             dump_matrix = true
             """))
         out = tmp_path / "out"
-        assert main(["custom", "--config", str(ini), "--out", str(out)]) == 0
+        assert main(["verify", "--config", str(ini), "--out", str(out)]) == 0
         dom = cases._dimensionless_domain(load_config(ini))
         op = dom.operator()
         assert not op.is_linear

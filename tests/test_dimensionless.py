@@ -1,6 +1,6 @@
 import pytest
 
-from stswall.dimensionless import DimensionlessGroups
+from stswall import DimensionlessGroups
 from stswall.errors import ConfigError
 
 

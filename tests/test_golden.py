@@ -44,7 +44,9 @@ def _physical_case(out_dir):
     """Six hours of the drying study: rkl drying on all three layouts, and
     df/rkc/rkl on the nonlinear two-layer ins_re wall.  dt_df = 70 s stays
     inside the admissible box and leaves a 40 s landing remainder."""
-    cfg = physical_preset(tau=6 * 3600.0, schemes=["df", "rkc", "rkl"])
+    cfg = physical_preset()
+    cfg.tau = 6 * 3600.0
+    cfg.schemes = ["df", "rkc", "rkl"]
     cfg.dt_df = 70.0
     run_physical_case(cfg, out_dir)
 
@@ -60,8 +62,11 @@ def _sweep_case(out_dir):
 
 def _euler_case(out_dir):
     """Six hours of forward Euler on the ins_re wall, as its drying run."""
-    cfg = physical_preset(tau=6 * 3600.0, schemes=["euler"], configurations=["ins_re"],
-                          drying_scheme="euler")
+    cfg = physical_preset()
+    cfg.tau = 6 * 3600.0
+    cfg.schemes = ["euler"]
+    cfg.physical_configurations = ["ins_re"]
+    cfg.drying_scheme = "euler"
     run_physical_case(cfg, out_dir)
 
 

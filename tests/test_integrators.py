@@ -3,35 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from stswall.dimensionless import DimensionlessGroups
 from stswall.errors import ConfigError, DivergenceError, StaleScheduleError
 from stswall.integrators import (
     _EulerStep, _march, amplification_eval, build_schedule, dufort_frankel_run, euler_run,
     rk4_run, sts_run,
 )
 from stswall.model import (
-    BiotSet, BoundaryForcing, CoefficientModel, Grid1D, SideForcing, StateField,
-    build_wall, builtin_material,
+    BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups, Grid1D, SideForcing,
+    StateField, WallAssembly, builtin_material,
 )
-from stswall.operator import SemiDiscreteOperator, assemble_operator
+from stswall.operator import SemiDiscreteOperator
 
 
 def decay_operator(rate=1.0, n=2):
     """Every node decays toward zero at the given rate (no diffusion)."""
     mat = CoefficientModel.constants("still", 0.0, 0.0, 1.0, 0.0, 0.0)
-    wall = build_wall([(mat, 1.0)])
+    wall = WallAssembly([(mat, 1.0)])
     grid = Grid1D.uniform(1.0, n)
     bi = rate * grid.spacing / 2.0
     groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0,
                                  biot_left=BiotSet(m_theta=bi, t_t=bi),
                                  biot_right=BiotSet(m_theta=bi, t_t=bi))
     zero = SideForcing.robin(lambda t: 0.0, lambda t: 0.0)
-    return assemble_operator(wall, grid, groups, BoundaryForcing(zero, zero))
+    return SemiDiscreteOperator(wall, grid, groups, BoundaryForcing(zero, zero))
 
 
 def diffusion_operator(n=9, robin=True, d=1.0, k=1.0):
     mat = CoefficientModel.constants("mat", d, 0.0, 1.0, k, 0.0)
-    wall = build_wall([(mat, 1.0)])
+    wall = WallAssembly([(mat, 1.0)])
     grid = Grid1D.uniform(1.0, n)
     groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0,
                                  biot_left=BiotSet(m_theta=2.0, t_t=3.0),
@@ -40,7 +39,7 @@ def diffusion_operator(n=9, robin=True, d=1.0, k=1.0):
         side = SideForcing.robin(lambda t: 0.0, lambda t: 0.0)
     else:
         side = SideForcing.dirichlet(lambda t: 0.0, lambda t: 0.0)
-    return assemble_operator(wall, grid, groups, BoundaryForcing(side, side))
+    return SemiDiscreteOperator(wall, grid, groups, BoundaryForcing(side, side))
 
 
 def ones_state(n):
@@ -50,12 +49,12 @@ def ones_state(n):
 def nonlinear_operator():
     """The drying study's ins_re wall (n = 126) between Dirichlet sides: its
     coefficients depend on v, so every stage needs a coefficient pass."""
-    wall = build_wall([(builtin_material("table3_ins"), 0.125),
-                       (builtin_material("table3_re"), 0.5)])
+    wall = WallAssembly([(builtin_material("table3_ins"), 0.125),
+                         (builtin_material("table3_re"), 0.5)])
     side = SideForcing.dirichlet(lambda t: 285.0, lambda t: 0.3)
-    return assemble_operator(wall, Grid1D.uniform(0.625, 126),
-                             DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6),
-                             BoundaryForcing(side, side), admissible_box=(240.0, 320.0, 0.0, 0.6))
+    return SemiDiscreteOperator(wall, Grid1D.uniform(0.625, 126),
+                                DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6),
+                                BoundaryForcing(side, side), admissible_box=(240.0, 320.0, 0.0, 0.6))
 
 
 def nonlinear_state():
@@ -280,8 +279,8 @@ class TestRK4:
         groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0,
                                      biot_left=BiotSet(m_theta=2.0, t_t=3.0),
                                      biot_right=BiotSet(m_theta=1.0, t_t=2.0))
-        op = assemble_operator(build_wall([(mat, 1.0)]), Grid1D.uniform(1.0, 5), groups,
-                               BoundaryForcing(side, side))
+        op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D.uniform(1.0, 5), groups,
+                                  BoundaryForcing(side, side))
         assert 0.005 * op.gershgorin_lambda_max() < 0.5
         final = {h: rk4_run(op, ones_state(5), dt=h, tau=1.0).final_state
                  for h in (0.005, 0.0025, 0.0003125)}
@@ -335,8 +334,8 @@ class TestDufortFrankel:
                                          biot_left=BiotSet(m_theta=2.0, t_t=3.0),
                                          biot_right=BiotSet(m_theta=1.0, t_t=2.0))
             x = np.linspace(0.0, 1.0, 9)
-            op = assemble_operator(build_wall([(mat, 1.0)]), Grid1D.uniform(1.0, 9), groups,
-                                   BoundaryForcing(side, side))
+            op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D.uniform(1.0, 9), groups,
+                                      BoundaryForcing(side, side))
             return op, StateField(1.0 + 0.5 * np.sin(3 * x), np.cos(2 * x)), 0.05
 
         op, state, dt = case()
@@ -488,8 +487,8 @@ def test_frozen_cycle_reads_dirichlet_data_once_per_time():
     side = SideForcing.dirichlet(counting("u", 0.5), counting("v", 0.25))
     other = SideForcing.dirichlet(lambda t: 1.0, lambda t: 1.0)
     mat = CoefficientModel.constants("mat", 1.0, 0.0, 1.0, 1.0, 0.0)
-    op = assemble_operator(build_wall([(mat, 1.0)]), Grid1D.uniform(1.0, 9),
-                           DimensionlessGroups(fo_m=1.0, fo_t=1.0), BoundaryForcing(side, other))
+    op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D.uniform(1.0, 9),
+                              DimensionlessGroups(fo_m=1.0, fo_t=1.0), BoundaryForcing(side, other))
     imposed = []
     apply_constraints = op.apply_constraints
 

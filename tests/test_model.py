@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from stswall.errors import ConfigError, StswallError
 from stswall.model import (
     BiotSet, CoefficientModel, Grid1D, SideForcing, StateField,
-    build_wall, builtin_material, evaluate_coefficients, saturation_pressure,
+    WallAssembly, builtin_material, evaluate_coefficients, saturation_pressure,
 )
 
 
@@ -98,31 +98,31 @@ class TestGrid:
 
 class TestWall:
     def test_two_layer_interfaces(self):
-        wall = build_wall([(builtin_material("table1_mat1"), 0.6),
-                           (builtin_material("table1_mat2"), 0.4)])
+        wall = WallAssembly([(builtin_material("table1_mat1"), 0.6),
+                             (builtin_material("table1_mat2"), 0.4)])
         assert wall.total_length == pytest.approx(1.0)
         assert wall.interface_positions == pytest.approx([0.6])
 
     def test_physical_wall(self):
-        wall = build_wall([(builtin_material("table3_re"), 0.5),
-                           (builtin_material("table3_ins"), 0.125)])
+        wall = WallAssembly([(builtin_material("table3_re"), 0.5),
+                             (builtin_material("table3_ins"), 0.125)])
         assert wall.total_length == pytest.approx(0.625)
         assert wall.interface_positions == pytest.approx([0.5])
 
     def test_single_layer(self):
-        wall = build_wall([(builtin_material("table3_re"), 0.3)])
+        wall = WallAssembly([(builtin_material("table3_re"), 0.3)])
         assert wall.total_length == pytest.approx(0.3)
         assert wall.interface_positions.size == 0
 
     def test_empty_and_bad_thickness(self):
         with pytest.raises(ConfigError):
-            build_wall([])
+            WallAssembly([])
         with pytest.raises(ConfigError):
-            build_wall([(builtin_material("table1_mat1"), 0.0)])
+            WallAssembly([(builtin_material("table1_mat1"), 0.0)])
 
     def test_interface_ownership_is_left_closed(self):
-        wall = build_wall([(builtin_material("table1_mat1"), 0.6),
-                           (builtin_material("table1_mat2"), 0.4)])
+        wall = WallAssembly([(builtin_material("table1_mat1"), 0.6),
+                             (builtin_material("table1_mat2"), 0.4)])
         assert wall.layer_index(0.6) == 0
         assert wall.layer_index(0.6 + 1e-12) == 1
 
@@ -130,8 +130,8 @@ class TestWall:
 class TestEvaluateCoefficients:
     @pytest.fixture
     def wall(self):
-        return build_wall([(builtin_material("table1_mat1"), 0.6),
-                           (builtin_material("table1_mat2"), 0.4)])
+        return WallAssembly([(builtin_material("table1_mat1"), 0.6),
+                             (builtin_material("table1_mat2"), 0.4)])
 
     def test_left_layer(self, wall):
         assert evaluate_coefficients(wall, 0.3, 1.0, 1.0) == pytest.approx(
@@ -149,8 +149,8 @@ class TestEvaluateCoefficients:
 
     @given(st.floats(min_value=0.0, max_value=0.6), st.floats(min_value=0.0, max_value=0.6))
     def test_piecewise_constant_in_x(self, x1, x2, ):
-        wall = build_wall([(builtin_material("table1_mat1"), 0.6),
-                           (builtin_material("table1_mat2"), 0.4)])
+        wall = WallAssembly([(builtin_material("table1_mat1"), 0.6),
+                             (builtin_material("table1_mat2"), 0.4)])
         a = evaluate_coefficients(wall, x1, 1.2, 0.8)
         b = evaluate_coefficients(wall, x2, 1.2, 0.8)
         assert a == b  # bit-identical within one layer

@@ -9,15 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from stswall import operator as operator_module
 from stswall.config import parse_time_function
-from stswall.dimensionless import DimensionlessGroups
 from stswall.errors import AssemblyError, ConfigError, StswallError
 from stswall.model import (
-    COEFFICIENT_NAMES, BiotSet, BoundaryForcing, CoefficientModel, Grid1D, SideForcing,
-    StateField, build_wall, builtin_material, saturation_pressure,
+    COEFFICIENT_NAMES, BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups,
+    Grid1D, SideForcing, StateField, WallAssembly, builtin_material, saturation_pressure,
 )
-from stswall.operator import (
-    _harmonic, apply_robin_closure, assemble_operator,
-)
+from stswall.operator import SemiDiscreteOperator, _harmonic, apply_robin_closure
 
 TABLE1_GROUPS = dict(fo_m=9e-2, fo_t=7e-2, gamma=7e-2, delta=5e-2)
 
@@ -37,7 +34,7 @@ def physical_op(layout, sides="dirichlet"):
     parts (``m_sat``, ``t_sat`` > 0) on the physical saturation law.
     """
     names = {"re": "table3_re", "ins": "table3_ins"}
-    wall = build_wall([(builtin_material(names[m]), th) for m, th in layout])
+    wall = WallAssembly([(builtin_material(names[m]), th) for m, th in layout])
     grid = Grid1D.uniform(wall.total_length, int(round(wall.total_length / 5e-3)) + 1)
     if sides == "dirichlet":
         forcing = BoundaryForcing(dirichlet_forcing(285.0, 0.3), dirichlet_forcing(293.0, 0.4))
@@ -49,7 +46,7 @@ def physical_op(layout, sides="dirichlet"):
         biot = BiotSet(m_sat=1e-9, m_theta=1e-6, t_t=5.0, t_sat=2e-3, t_theta=2.0)
     groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6,
                                  biot_left=biot, biot_right=biot)
-    return assemble_operator(wall, grid, groups, forcing)
+    return SemiDiscreteOperator(wall, grid, groups, forcing)
 
 
 def in_box_state(n, seed):
@@ -62,47 +59,47 @@ RE_INS = [("re", 0.5), ("ins", 0.125)]
 
 
 def table1_wall():
-    return build_wall([(builtin_material("table1_mat1"), 0.5),
-                       (builtin_material("table1_mat2"), 0.5)])
+    return WallAssembly([(builtin_material("table1_mat1"), 0.5),
+                         (builtin_material("table1_mat2"), 0.5)])
 
 
 def single_layer_op(n=11, d_theta=1.0, k_t=1.0, c_t=1.0, gamma=0.0, delta=0.0,
                     fo_m=1.0, fo_t=1.0, kind="dirichlet", biot=None, length=1.0):
     mat = CoefficientModel.constants("mat", d_theta, 1.0 if gamma else 0.0, c_t, k_t, 0.0)
-    wall = build_wall([(mat, length)])
+    wall = WallAssembly([(mat, length)])
     grid = Grid1D.uniform(length, n)
     groups = DimensionlessGroups(fo_m=fo_m, fo_t=fo_t, gamma=gamma, delta=delta,
                                  biot_left=biot or BiotSet(), biot_right=biot or BiotSet())
     side = dirichlet_forcing() if kind == "dirichlet" else constant_forcing()
     forcing = BoundaryForcing(side, side)
-    return assemble_operator(wall, grid, groups, forcing)
+    return SemiDiscreteOperator(wall, grid, groups, forcing)
 
 
 class TestAssembly:
     def test_interface_must_sit_on_a_node(self):
-        wall = build_wall([(builtin_material("table1_mat1"), 0.55),
-                           (builtin_material("table1_mat2"), 0.45)])
+        wall = WallAssembly([(builtin_material("table1_mat1"), 0.55),
+                             (builtin_material("table1_mat2"), 0.45)])
         grid = Grid1D.uniform(1.0, 11)  # nodes at multiples of 0.1; 0.55 is not one
         groups = DimensionlessGroups(**TABLE1_GROUPS)
         forcing = BoundaryForcing(dirichlet_forcing(), dirichlet_forcing())
         with pytest.raises(AssemblyError):
-            assemble_operator(wall, grid, groups, forcing)
+            SemiDiscreteOperator(wall, grid, groups, forcing)
 
     def test_grid_must_cover_wall(self):
         wall = table1_wall()
         grid = Grid1D.uniform(0.9, 10)
         with pytest.raises(AssemblyError):
-            assemble_operator(wall, grid, DimensionlessGroups(**TABLE1_GROUPS),
-                              BoundaryForcing(dirichlet_forcing(), dirichlet_forcing()))
+            SemiDiscreteOperator(wall, grid, DimensionlessGroups(**TABLE1_GROUPS),
+                                 BoundaryForcing(dirichlet_forcing(), dirichlet_forcing()))
 
     def test_sat_terms_need_psat_function(self):
-        wall = build_wall([(builtin_material("table1_mat1"), 1.0)])
+        wall = WallAssembly([(builtin_material("table1_mat1"), 1.0)])
         grid = Grid1D.uniform(1.0, 5)
         groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0,
                                      biot_left=BiotSet(m_sat=1.0), biot_right=BiotSet())
         forcing = BoundaryForcing(constant_forcing(), dirichlet_forcing())
         with pytest.raises(ConfigError):
-            assemble_operator(wall, grid, groups, forcing)
+            SemiDiscreteOperator(wall, grid, groups, forcing)
 
 
 class TestInteriorStencil:
@@ -134,7 +131,7 @@ class TestInteriorStencil:
         grid = Grid1D.uniform(1.0, 5)
         groups = DimensionlessGroups(**TABLE1_GROUPS)
         forcing = BoundaryForcing(dirichlet_forcing(), dirichlet_forcing())
-        op = assemble_operator(wall, grid, groups, forcing)
+        op = SemiDiscreteOperator(wall, grid, groups, forcing)
         a = op.frozen_matrix()
 
         fo_m, fo_t, gam, dlt = 0.09, 0.07, 0.07, 0.05
@@ -224,8 +221,8 @@ class TestRobinClosure:
                                      biot_left=BiotSet(m_theta=2.0, t_t=2.0))
         forcing = BoundaryForcing(constant_forcing(u=1.0, v=1.0), dirichlet_forcing())
         mat = CoefficientModel.constants("m", 0.1, 0.0, 1.0, 0.1, 0.0)
-        op = assemble_operator(build_wall([(mat, 1.0)]), Grid1D.uniform(1.0, 6),
-                               groups, forcing)
+        op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D.uniform(1.0, 6),
+                                  groups, forcing)
         u = np.ones(6)
         v = np.ones(6)
         u[0] = 1.2
@@ -239,8 +236,8 @@ class TestRobinClosure:
                                      biot_left=BiotSet(t_g=2.0), biot_right=BiotSet(t_g=2.0))
         sun = SideForcing.robin(lambda t: 1.0, lambda t: 1.0, g_inf=lambda t: 1.0)
         mat = CoefficientModel.constants("m", 0.1, 0.0, 1.0, 0.1, 0.0)
-        op = assemble_operator(build_wall([(mat, 1.0)]), Grid1D.uniform(1.0, 6),
-                               groups, BoundaryForcing(sun, sun))
+        op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D.uniform(1.0, 6),
+                                  groups, BoundaryForcing(sun, sun))
         du, dv = op.rhs(0.0, np.ones((2, 6)))
         assert du[0] > 0 and du[-1] > 0
 
@@ -308,8 +305,8 @@ class TestStabilityEstimate:
             assert op.gershgorin_lambda_max(0.0, state) == pytest.approx(dense, rel=1e-14)
 
     def test_verification_operator_admits_published_step(self):
-        wall = build_wall([(builtin_material("table1_mat1"), 0.6),
-                           (builtin_material("table1_mat2"), 0.4)])
+        wall = WallAssembly([(builtin_material("table1_mat1"), 0.6),
+                             (builtin_material("table1_mat2"), 0.4)])
         grid = Grid1D.uniform(1.0, 101)
         groups = DimensionlessGroups(
             **TABLE1_GROUPS,
@@ -317,7 +314,7 @@ class TestStabilityEstimate:
             biot_right=BiotSet(m_theta=51.8, t_t=19.8, t_theta=0.673),
         )
         forcing = BoundaryForcing(constant_forcing(), constant_forcing())
-        op = assemble_operator(wall, grid, groups, forcing)
+        op = SemiDiscreteOperator(wall, grid, groups, forcing)
         lam = op.gershgorin_lambda_max()
         assert 1.0 / 28000.0 < 2.0 / lam
         # the row-sum bound must also dominate the dense spectral radius here
@@ -338,7 +335,7 @@ class TestLinearForm:
         )
         wall = table1_wall()
         grid = Grid1D.uniform(1.0, 21)
-        return assemble_operator(wall, grid, groups, forcing)
+        return SemiDiscreteOperator(wall, grid, groups, forcing)
 
     def test_rhs_matches_matrix_form_on_random_states(self):
         op = self.make_linear_op()
@@ -372,11 +369,11 @@ class TestConservation:
         # all exchange terms off, no cross coupling: the moisture content
         # (trapezoid over the finite-volume cells) is invariant
         mat = CoefficientModel.constants("m", 0.3, 0.0, 1.0, 0.2, 0.0)
-        wall = build_wall([(mat, 1.0)])
+        wall = WallAssembly([(mat, 1.0)])
         grid = Grid1D.uniform(1.0, 41)
         groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0)
         forcing = BoundaryForcing(constant_forcing(), constant_forcing())
-        op = assemble_operator(wall, grid, groups, forcing)
+        op = SemiDiscreteOperator(wall, grid, groups, forcing)
         x = grid.node_positions
         u = 1.0 + 0.3 * np.sin(np.pi * x)
         v = 1.0 + 0.5 * np.exp(-20 * (x - 0.4) ** 2)
@@ -401,7 +398,7 @@ class TestConservation:
         groups = DimensionlessGroups(fo_m=0.09, fo_t=0.07)
         forcing = BoundaryForcing(dirichlet_forcing(u=1.0, v=1.0),
                                   dirichlet_forcing(u=2.0, v=2.0))
-        op = assemble_operator(wall, grid, groups, forcing)
+        op = SemiDiscreteOperator(wall, grid, groups, forcing)
         a = op.frozen_matrix()
         b = op.rhs(0.0, np.zeros((2, op.n))).reshape(-1)    # rhs = -A y + b
         y = np.zeros(2 * op.n)
@@ -423,11 +420,11 @@ class TestSources:
     def test_source_hooks_add_to_tendencies(self):
         op_plain = single_layer_op(n=6, kind="robin")
         mat = CoefficientModel.constants("mat", 1.0, 0.0, 1.0, 1.0, 0.0)
-        wall = build_wall([(mat, 1.0)])
+        wall = WallAssembly([(mat, 1.0)])
         grid = Grid1D.uniform(1.0, 6)
         groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0)
         forcing = BoundaryForcing(constant_forcing(), constant_forcing())
-        op_src = assemble_operator(
+        op_src = SemiDiscreteOperator(
             wall, grid, groups, forcing,
             source_u=lambda x, t: np.full_like(x, 2.0),
             source_v=lambda x, t: x * t,
@@ -527,16 +524,16 @@ def verification_op(forcing):
         biot_left=BiotSet(m_theta=25.5, t_t=50.5, t_theta=0.496),
         biot_right=BiotSet(m_theta=51.8, t_t=19.8, t_theta=0.673),
     )
-    wall = build_wall([(builtin_material("table1_mat1"), 0.6),
-                       (builtin_material("table1_mat2"), 0.4)])
-    return assemble_operator(wall, Grid1D.uniform(1.0, 101), groups, forcing)
+    wall = WallAssembly([(builtin_material("table1_mat1"), 0.6),
+                         (builtin_material("table1_mat2"), 0.4)])
+    return SemiDiscreteOperator(wall, Grid1D.uniform(1.0, 101), groups, forcing)
 
 
 def physical_op_n(layout, sides, n):
     """:func:`physical_op` on ``n`` nodes instead of dx = 5 mm."""
     op = physical_op(layout, sides)
-    return assemble_operator(op.wall, Grid1D.uniform(op.wall.total_length, n),
-                             op.groups, op.forcing)
+    return SemiDiscreteOperator(op.wall, Grid1D.uniform(op.wall.total_length, n),
+                                op.groups, op.forcing)
 
 
 class TestStackedState:
@@ -581,7 +578,7 @@ class TestStackedState:
             ys = [np.stack(s) for s in 1.0 + 0.3 * np.random.default_rng(6).random((3, 2, plain.n))]
         else:
             plain = physical_op(INS_RE, "robin")
-            traced = assemble_operator(
+            traced = SemiDiscreteOperator(
                 plain.wall, plain.grid, plain.groups,
                 BoundaryForcing(wrapped(plain.forcing.left), wrapped(plain.forcing.right)))
             ys = [np.stack([s.u, s.v]) for s in (in_box_state(plain.n, k) for k in range(3))]
@@ -628,7 +625,7 @@ def polynomial_walls(draw):
                 zero = name != "c_t" and draw(st.integers(0, 3)) == 0
                 spec[name] = [0.0 if zero else draw(positive)] + [0.0] * draw(st.integers(0, 1))
         layers.append((CoefficientModel.polynomials(f"m{i}", **spec), draw(st.integers(2, 12)) * dx))
-    wall = build_wall(layers)
+    wall = WallAssembly(layers)
     n = int(round(wall.total_length / dx)) + 1
     biots, sides = [], []
     for _ in range(2):
@@ -643,7 +640,7 @@ def polynomial_walls(draw):
             sides.append(dirichlet_forcing(1.0, 0.5))
     groups = DimensionlessGroups(fo_m=draw(positive), fo_t=draw(positive), gamma=draw(positive),
                                  delta=draw(positive), biot_left=biots[0], biot_right=biots[1])
-    op = assemble_operator(wall, Grid1D.uniform(wall.total_length, n), groups, BoundaryForcing(*sides))
+    op = SemiDiscreteOperator(wall, Grid1D.uniform(wall.total_length, n), groups, BoundaryForcing(*sides))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return op, np.stack([0.5 + rng.random(n), 0.05 + 0.9 * rng.random(n)])
 
@@ -756,9 +753,9 @@ def full_table_rhs(op, t, y):
         out[0, j] = g.fo_t * ((s_t - e_t) + sign * float(flux[0, face])) * 2.0 / float(den[0, j])
         out[1, j] = g.fo_m * ((s_m - e_m) + sign * float(flux[1, face])) * 2.0 / dx
     if op.source_u is not None:
-        out[0] += op.source_u(op.x_nodes, t)
+        out[0] += op.source_u(op.grid.node_positions, t)
     if op.source_v is not None:
-        out[1] += op.source_v(op.x_nodes, t)
+        out[1] += op.source_v(op.grid.node_positions, t)
     for j, _ in op._dirichlet:
         out[:, j] = 0.0
     return out
@@ -825,8 +822,8 @@ class TestStateDependentRows:
             for fo_t, fo_m in ((g.fo_t, g.fo_m), (1.0, 1.0)):
                 groups = dataclasses.replace(g, fo_t=fo_t, fo_m=fo_m, biot_left=biot, biot_right=biot)
                 for kwargs in ({}, sources):
-                    other = assemble_operator(op.wall, op.grid, groups,
-                                              BoundaryForcing(sides[left], sides[right]), **kwargs)
+                    other = SemiDiscreteOperator(op.wall, op.grid, groups,
+                                                 BoundaryForcing(sides[left], sides[right]), **kwargs)
                     assert np.array_equal(poisoned_rhs(other, 0.3, y), full_table_rhs(other, 0.3, y))
 
     @pytest.mark.parametrize("layout", [INS_RE, RE_INS], ids=["ins_re", "re_ins"])
@@ -843,9 +840,9 @@ class TestStateDependentRows:
         horner = operator_module._horner
         monkeypatch.setattr(operator_module, "_horner",
                             lambda *args: calls.append(1) or horner(*args))
-        const = assemble_operator(table1_wall(), Grid1D.uniform(1.0, 101),
-                                  DimensionlessGroups(**TABLE1_GROUPS),
-                                  BoundaryForcing(constant_forcing(), constant_forcing(0.5, 2.0)))
+        const = SemiDiscreteOperator(table1_wall(), Grid1D.uniform(1.0, 101),
+                                     DimensionlessGroups(**TABLE1_GROUPS),
+                                     BoundaryForcing(constant_forcing(), constant_forcing(0.5, 2.0)))
         y = np.stack([np.linspace(1.0, 2.0, 101), np.linspace(0.5, 1.5, 101)])
         first = const.rhs(0.0, y)
         for _ in range(5):

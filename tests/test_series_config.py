@@ -11,7 +11,7 @@ from stswall import cases
 from stswall.config import CaseConfig, load_config, parse_duration, parse_time_function
 from stswall.errors import ConfigError, IngestionError
 from stswall.model import BoundaryForcing, _zero
-from stswall.operator import assemble_operator
+from stswall.operator import SemiDiscreteOperator
 from stswall.series import (
     BoundarySeries, ingest_boundary_series, synthetic_climate_values, write_synthetic_climate,
 )
@@ -263,7 +263,6 @@ class TestConfigFile:
         cfg_path = tmp_path / "case.ini"
         cfg_path.write_text(textwrap.dedent("""\
             [case]
-            kind = custom
             title = a two-material slab
 
             [grid]
@@ -316,7 +315,7 @@ class TestConfigFile:
             v = theta_amb
         """))
         cfg = load_config(cfg_path)
-        assert cfg.kind == "custom"
+        assert cfg.kind == "verification"     # the kind a file without one has
         assert cfg.dx == 0.05
         assert cfg.schemes == ["euler", "rkl"]
         assert cfg.ns["rkl"] == 8
@@ -336,7 +335,7 @@ class TestConfigFile:
         cfg_path = tmp_path / "case.ini"
         cfg_path.write_text(textwrap.dedent("""\
             [case]
-            kind = custom
+            kind = verification
 
             [grid]
             dx = 0.1
@@ -383,7 +382,7 @@ class TestConfigFile:
         assert right.flux_t is not _zero and right.flux_m is _zero
         dom = cases._build_domain(cfg, BoundaryForcing(left, right), cfg.groups)
         wall, grid, state0 = dom.wall, dom.grid, dom.state0
-        op = assemble_operator(wall, grid, cfg.groups, BoundaryForcing(left, right))
+        op = SemiDiscreteOperator(wall, grid, cfg.groups, BoundaryForcing(left, right))
         (_, left_side, _), (_, right_side, _) = op._robin
         assert (left_side.flux_m, left_side.flux_t, left_side.g_inf) == (None, None, None)
         assert right_side.flux_t is right.flux_t
@@ -394,8 +393,8 @@ class TestConfigFile:
                                               ("psat_inf", "g_inf", "flux_m", "flux_t")
                                               if getattr(sf, key) is _zero})
 
-        before = assemble_operator(wall, grid, cfg.groups,
-                                   BoundaryForcing(spelled_out(left), spelled_out(right)))
+        before = SemiDiscreteOperator(wall, grid, cfg.groups,
+                                      BoundaryForcing(spelled_out(left), spelled_out(right)))
         y = np.stack([state0.u, state0.v]) + np.linspace(0.0, 0.2, grid.node_count)
         for t in (0.0, 0.4, 1.3):
             assert np.array_equal(op.rhs(t, y), before.rhs(t, y))
@@ -409,14 +408,15 @@ class TestConfigFile:
     def test_constants_set_the_builtin_water_storage(self, tmp_path):
         path = tmp_path / "case.ini"
         path.write_text("[case]\nkind = physical\n[constants]\nrho2 = 500\nc2 = 4000\n"
-                        "[materials]\nre = table3_re\n[wall]\nlayers = re:0.5\n")
+                        "[materials]\nre = table3_re\n[wall]\nlayers = re:0.5\n"
+                        "[physical]\nconfigurations = re\n")
         assert load_config(path).materials["re"].poly[2] == (1730.0 * 648.0, 2e6)
 
     def test_physical_tau_days_without_time_section(self, tmp_path):
         # tau keeps its 1 s default, so tau_days is one second in days
         path = tmp_path / "case.ini"
         path.write_text("[case]\nkind = physical\n[materials]\nre = table3_re\n"
-                        "[wall]\nlayers = re:0.5\n")
+                        "[wall]\nlayers = re:0.5\n[physical]\nconfigurations = re\n")
         cfg = load_config(path)
         assert (cfg.tau, cases._tau_days(cfg)) == (1.0, 1.0 / 86400.0)
 
@@ -424,7 +424,7 @@ class TestConfigFile:
         path = tmp_path / "bad.ini"
         path.write_text(textwrap.dedent("""\
             [case]
-            kind = custom
+            kind = verification
             [schemes]
             run = euler, leapfrog
             [groups]
@@ -442,7 +442,7 @@ class TestConfigFile:
         path = tmp_path / "bad.ini"
         path.write_text(textwrap.dedent("""\
             [case]
-            kind = custom
+            kind = verification
             [groups]
             fo_m = 1.0
             fo_t = 1.0
