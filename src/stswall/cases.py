@@ -201,6 +201,14 @@ def _build_domain(cfg: CaseConfig, forcing, groups) -> _Domain:
     node_layers = wall.node_layer_indices(grid)
     u0 = _initial_field(cfg.initial_u, node_layers, len(cfg.layers))
     v0 = _initial_field(cfg.initial_v, node_layers, len(cfg.layers))
+    # the RHS divides by the storage: each layer's c_t must be positive at every node it touches
+    x, tol, edges = grid.node_positions, 1e-9 * grid.spacing, np.r_[0.0, wall.interface_positions, length]
+    for k, (model, _) in enumerate(wall.layers):
+        on = (x >= edges[k] - tol) & (x <= edges[k + 1] + tol)
+        c = model.c_t(u0[on], v0[on])
+        if not np.all(c > 0):
+            raise ConfigError(f"material {model.name!r}: c_t must be positive at the initial state, "
+                              f"got {np.min(c)}")
     return _Domain(cfg, wall, grid, forcing, groups, StateField(u0, v0, 0.0))
 
 
@@ -268,11 +276,12 @@ def _manifest_stub(cfg: CaseConfig, extra: Optional[dict] = None) -> dict:
             "damping_rkc": cfg.damping_rkc,
             "dt_euler": cfg.dt_euler, "dt_df": cfg.dt_df,
             "dt_exp_base": cfg.dt_exp_base,
-            "layers": [[name, th] for name, th in cfg.layers],
             "initial_u": cfg.initial_u, "initial_v": cfg.initial_v,
             "admissible_box": cfg.admissible_box,
         },
     }
+    if cfg.kind != "physical":      # a physical run marches the layouts of "configurations"
+        manifest["parameters"]["layers"] = [[name, th] for name, th in cfg.layers]
     if cfg.groups is not None:
         manifest["groups"] = cfg.groups.as_dict()
     if extra:

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ``verify``, ``physical``, ``sweep``; each runs its built-in
-preset, or the case file given with ``--config``.  Exit codes: 0 on full
+preset, or the case file given with ``--config``.  ``--scheme``, ``--dx``,
+``--dt`` and ``--tau`` set their case-file keys, read as for the case's
+kind (durations with units only for physical cases).  Exit codes: 0 on full
 success (and after ``--help``), 2 when a scheme (partial results written) or
 the reference (nothing written) diverged, 1 on usage and configuration errors.
 """
@@ -14,7 +16,7 @@ import sys
 from .cases import (
     physical_preset, run_ns_sweep, run_physical_case, run_verification_case, verification_preset,
 )
-from .config import load_config, parse_duration, parse_float, parse_int_list
+from .config import load_config, parse_int_list, set_key
 from .errors import ConfigError, DivergenceError, StswallError
 
 
@@ -25,8 +27,8 @@ def _add_common(parser: argparse.ArgumentParser, default_out: str) -> None:
     parser.add_argument("--ns", help="super-step counts as rkc,rkl (e.g. 10,20); "
                         "for sweep, the counts to sweep")
     parser.add_argument("--dx", help="grid spacing override")
-    parser.add_argument("--dt", help="Euler time step override (accepts s/min/h/d suffixes)")
-    parser.add_argument("--tau", help="final time override (accepts s/min/h/d suffixes)")
+    parser.add_argument("--dt", help="Euler time step override (physical: s/min/h/d suffixes)")
+    parser.add_argument("--tau", help="final time override (physical: s/min/h/d suffixes)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,24 +44,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg, args) -> None:
-    dimensionless = cfg.kind != "physical"
-    if args.scheme:
-        cfg.schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
-    if args.ns:
+    """Set the options over ``cfg`` as the case-file keys they stand for."""
+    for value, section, key in ((args.scheme, "schemes", "run"), (args.dx, "grid", "dx"),
+                                (args.dt, "time", "dt_euler"), (args.tau, "time", "tau")):
+        if value is not None:
+            set_key(cfg, section, key, value)
+    if args.ns is not None:
         vals = parse_int_list(args.ns)
         if args.command == "sweep":
             cfg.sweep_ns = vals
-        elif len(vals) > 2:
+        elif not 1 <= len(vals) <= 2:
             raise ConfigError(f"--ns takes one or two counts (rkc,rkl), got {args.ns.strip()!r}; "
                               "lists of counts are for sweep")
         else:
             cfg.ns = {"rkc": vals[0], "rkl": vals[-1]}
-    if args.dx is not None:
-        cfg.dx = parse_float(args.dx, "--dx")
-    if args.dt:
-        cfg.dt_euler = parse_float(args.dt, "--dt") if dimensionless else parse_duration(args.dt)
-    if args.tau:
-        cfg.tau = parse_float(args.tau, "--tau") if dimensionless else parse_duration(args.tau)
 
 
 def main(argv=None) -> int:

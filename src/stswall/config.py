@@ -1,10 +1,10 @@
 """Case configuration: typed container plus the flat INI file format.
 
 The file format uses section headers and ``key = value`` pairs
-(`configparser` syntax).  Closed-form boundary forcing is written as an
-expression in ``t`` using the functions sin/cos/tan/exp/sqrt/log/abs and
-the constant pi; series-backed forcing names a CSV path and columns.  The
-full schema is documented in the README.
+(`configparser` syntax, no interpolation).  One table, :data:`_READS`, says
+which sections and keys each case kind reads; any other is an error.
+Closed-form forcing is an expression in ``t`` using sin/cos/tan/exp/sqrt/
+log/abs and pi; series-backed forcing names a CSV path and columns.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from typing import Optional
 
 from .errors import ConfigError
 from .model import (
-    C_WATER, RHO_WATER, BiotSet, CoefficientModel, DimensionlessGroups, SideForcing, _zero,
-    builtin_material,
+    C_WATER, COEFFICIENT_NAMES, RHO_WATER, BiotSet, CoefficientModel, DimensionlessGroups,
+    SideForcing, _zero, builtin_material,
 )
 from .series import ingest_boundary_series
 
@@ -37,12 +37,6 @@ PHYSICAL_LAYOUTS = {
     "re_ins": [("re", 0.5), ("ins", 0.125)],
     "re": [("re", 0.5)],
 }
-
-# Sections a case kind never reads, by name before any ".": each is a
-# configuration error rather than silently ignored.
-_UNREAD_SECTIONS = {"physical": ("groups", "biot", "forcing", "initial", "sweep"),
-                    "verification": ("physical",)}
-
 
 def _forcing_node(node, expr: str):
     """``node`` checked against the forcing grammar, with float literals and
@@ -123,27 +117,23 @@ def _boolean(text) -> bool:
     return value
 
 
-def parse_duration(text, default_unit: str = "s") -> float:
+def parse_duration(text) -> float:
     """Seconds from a duration literal like '365d', '2h', '30min', '7200'."""
-    if isinstance(text, (int, float)):
-        return float(text) * _DURATION_UNITS[default_unit]
     s = str(text).strip().lower()
-    for unit in ("min", "d", "h", "s"):
+    for unit, seconds in _DURATION_UNITS.items():
         if s.endswith(unit):
-            return _number(s[: -len(unit)], shown=text) * _DURATION_UNITS[unit]
-    return _number(s, shown=text) * _DURATION_UNITS[default_unit]
+            return _number(s[: -len(unit)], shown=text) * seconds
+    return _number(s, shown=text)
 
 
 def _float_list(text) -> list:
     return [_number(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip()]
 
 
-def parse_float(text, what: str) -> float:
-    """The one number in ``text``; ``what`` names it in the error."""
+def _values(text):
+    """One number, or the list of several (a per-layer value or a polynomial)."""
     vals = _float_list(text)
-    if len(vals) != 1:
-        raise ConfigError(f"{what} needs one number, got {str(text).strip()!r}")
-    return vals[0]
+    return vals[0] if len(vals) == 1 else vals
 
 
 def parse_int_list(text) -> list:
@@ -156,6 +146,68 @@ def parse_int_list(text) -> list:
 
 def _str_list(text) -> list:
     return [tok.strip() for tok in str(text).split(",") if tok.strip()]
+
+
+def _auto(parse):
+    """``parse``, with "auto" read as None."""
+    return lambda text: None if text.strip().lower() == "auto" else parse(text)
+
+
+_VERIFICATION, _PHYSICAL = ("verification",), ("physical",)
+_KINDS = _VERIFICATION + _PHYSICAL
+_TIME = {"verification": _number, "physical": parse_duration}
+_BOX = ("u_min", "u_max", "v_min", "v_max")
+_ROBIN_TERMS = ("psat_inf", "g_inf", "flux_m", "flux_t")
+_SIDES = ("left", "right")
+
+# What each case kind reads: (section, key) -> (CaseConfig field, {kind:
+# parser}).  A kind a key's parsers leave out never reads that key; times
+# (_TIME) are durations with unit suffixes in physical cases and plain
+# dimensionless numbers in verification cases.  A key without a field is
+# read by its section's own reader in load_config, and the key "*" stands
+# for every key of [materials].  Any other section or key, in a file or from
+# the command line, is a ConfigError.
+_READS = {
+    ("case", "title"): ("title", dict.fromkeys(_KINDS, str.strip)),
+    ("grid", "dx"): ("dx", dict.fromkeys(_KINDS, _number)),
+    ("time", "tau"): ("tau", _TIME),
+    ("time", "dt_euler"): ("dt_euler", _TIME),
+    ("time", "dt_df"): ("dt_df", _TIME),
+    ("time", "dt_exp"): ("dt_exp_base", {kind: _auto(parse) for kind, parse in _TIME.items()}),
+    ("schemes", "run"): ("schemes", dict.fromkeys(_KINDS, _str_list)),
+    ("schemes", "damping_rkc"): ("damping_rkc", dict.fromkeys(_KINDS, _number)),
+    ("constants", "latent_heat"): ("latent_heat", dict.fromkeys(_PHYSICAL, _number)),
+    ("initial", "u"): ("initial_u", dict.fromkeys(_VERIFICATION, _values)),
+    ("initial", "v"): ("initial_v", dict.fromkeys(_VERIFICATION, _values)),
+    ("output", "dump_matrix"): ("dump_matrix", dict.fromkeys(_VERIFICATION, _boolean)),
+    ("sweep", "ns"): ("sweep_ns", dict.fromkeys(_VERIFICATION, parse_int_list)),
+    ("sweep", "schemes"): ("sweep_schemes", dict.fromkeys(_VERIFICATION, _str_list)),
+    ("physical", "configurations"): ("physical_configurations", dict.fromkeys(_PHYSICAL, _str_list)),
+    ("physical", "drying_scheme"): ("drying_scheme", dict.fromkeys(_PHYSICAL, str.strip)),
+    ("physical", "climate"): ("climate_path", dict.fromkeys(
+        _PHYSICAL, lambda text: None if text.strip() in ("", "synthetic") else text.strip())),
+    **{(section, key): (None, dict.fromkeys(kinds)) for section, keys, kinds in (
+        ("case", "kind", _KINDS), ("schemes", "ns_rkc ns_rkl", _KINDS), ("constants", "rho2 c2", _KINDS),
+        ("materials", "*", _KINDS), ("wall", "layers", _KINDS), ("box", " ".join(_BOX), _KINDS),
+        ("groups", "fo_m fo_t gamma delta alpha", _VERIFICATION),
+        *((f"biot.{side}", "m_sat m_theta t_t t_sat t_theta t_g", _VERIFICATION) for side in _SIDES),
+        *((f"forcing.{side}", " ".join(("kind series u v",) + _ROBIN_TERMS), _VERIFICATION)
+          for side in _SIDES),
+    ) for key in keys.split()},
+}
+
+
+def set_key(cfg, section: str, key: str, text: str) -> None:
+    """Check that ``cfg.kind`` reads ``[section] key``; set its field from ``text`` if it has one."""
+    field, parsers = _READS.get((section, key)) or _READS.get((section, "*"), (None, {}))
+    if cfg.kind not in parsers:
+        raise ConfigError(f"[{section}] {key} " + (f"does not apply to {cfg.kind} cases, which never read it"
+                                                   if parsers else "is not a case-file key"))
+    if field is not None:
+        try:
+            setattr(cfg, field, parsers[cfg.kind](text))
+        except ConfigError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
 @dataclass
@@ -190,7 +242,7 @@ class CaseConfig:
     description: dict = dc_field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.kind not in ("verification", "physical"):
+        if self.kind not in _KINDS:
             raise ConfigError(f"unknown case kind {self.kind!r}")
         for name in ("tau", "dx", "dt_euler", "dt_df", "dt_exp_base"):
             value = getattr(self, name)
@@ -202,6 +254,8 @@ class CaseConfig:
             raise ConfigError("physical cases need tau > 0")
         if self.dx <= 0:
             raise ConfigError("dx must be positive")
+        if not self.schemes:
+            raise ConfigError("schemes must name at least one scheme")
         known = {"euler", "df", "rkc", "rkl"}
         for s in self.schemes:
             if s not in known:
@@ -223,167 +277,94 @@ class CaseConfig:
                                   "which [materials] does not define")
 
 
-def _parse_material(section_values: dict, name: str) -> CoefficientModel:
-    keys = ("d_theta", "d_t", "c_t", "k_t", "k_tm")
-    spec = {}
-    for key in keys:
-        raw = section_values.get(f"{name}.{key}")
-        if raw is None:
-            raise ConfigError(f"material {name!r} is missing coefficient {key}")
-        vals = _float_list(raw)
-        spec[key] = vals[0] if len(vals) == 1 else vals
-    return CoefficientModel.polynomials(name, **spec)
+def _materials(sec: dict, rho2: float, c2: float) -> dict:
+    """The models of [materials] by name: a built-in one by its table name, or
+    polynomials from the five ``name.coefficient`` keys."""
+    names = _str_list(sec.pop("names", "")) or sorted({key.partition(".")[0] for key in sec})
+    for key in sec:
+        name, dot, coefficient = key.partition(".")
+        if name not in names or dot and (coefficient not in COEFFICIENT_NAMES or name in sec):
+            raise ConfigError(f"[materials] {key} is neither a built-in material in names nor a "
+                              f"coefficient ({', '.join(COEFFICIENT_NAMES)}) of a polynomial one")
+    return {name: builtin_material(sec[name], rho2, c2) if name in sec
+            else CoefficientModel.polynomials(name, **{key: _values(sec.get(f"{name}.{key}", ""))
+                                                       for key in COEFFICIENT_NAMES})
+            for name in names}
 
 
-def _parse_forcing(cp: configparser.ConfigParser, section: str, base_dir) -> SideForcing:
-    if not cp.has_section(section):
-        raise ConfigError(f"missing [{section}] section")
-    sec = cp[section]
-    kind = sec.get("kind", "robin").strip().lower()
-    series = None
-    if "series" in sec:
-        path = sec["series"].strip()
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        series = ingest_boundary_series(path)
+def _parse_forcing(sec: dict, section: str, base_dir: str) -> SideForcing:
+    kind = sec.get("kind", "robin").lower()
+    if kind not in ("robin", "dirichlet"):
+        raise ConfigError(f"[{section}] kind must be robin or dirichlet, got {kind!r}")
+    unread = [key for key in _ROBIN_TERMS if key in sec]
+    if kind == "dirichlet" and unread:
+        raise ConfigError(f"[{section}] {unread[0]} does not apply to a Dirichlet side, which never reads it")
+    series = ingest_boundary_series(os.path.join(base_dir, sec["series"])) if "series" in sec else None
 
     def value_fn(key, default=None):
         raw = sec.get(key, default)
         if raw is None:
             return _zero
-        raw = raw.strip()
         if series is not None and raw in series.columns:
             return series.interpolator(raw)
         return parse_time_function(raw)
 
-    u_fn = value_fn("u", "1")
-    v_fn = value_fn("v", "1")
+    u_v = value_fn("u", "1"), value_fn("v", "1")
     if kind == "dirichlet":
-        return SideForcing.dirichlet(u_fn, v_fn)
-    return SideForcing.robin(
-        u_fn, v_fn,
-        psat_inf=value_fn("psat_inf"),
-        g_inf=value_fn("g_inf"),
-        flux_m=value_fn("flux_m"),
-        flux_t=value_fn("flux_t"),
-    )
-
-
-def _parse_biot(cp: configparser.ConfigParser, section: str) -> BiotSet:
-    if not cp.has_section(section):
-        return BiotSet()
-    sec = cp[section]
-    return BiotSet(**{key: sec.getfloat(key, 0.0) for key in
-                      ("m_sat", "m_theta", "t_t", "t_sat", "t_theta", "t_g")})
+        return SideForcing.dirichlet(*u_v)
+    return SideForcing.robin(*u_v, **{key: value_fn(key) for key in _ROBIN_TERMS})
 
 
 def load_config(path) -> CaseConfig:
-    """Parse an INI case file into a :class:`CaseConfig`."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
-                                   converters={"float": _number, "int": lambda text: _number(text, int),
-                                               "boolean": _boolean})
-    read = cp.read(path)
+    """Parse an INI case file into a :class:`CaseConfig`: the kind first, then
+    every key through :func:`set_key`, then the composite sections."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        read = cp.read(path)
+    except (configparser.Error, UnicodeError) as exc:
+        raise ConfigError(f"cannot parse config file {str(path)!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    base_dir = os.path.dirname(os.path.abspath(path))
     if not cp.has_section("case"):
         raise ConfigError("config needs a [case] section")
-    kind = cp["case"].get("kind", "verification").strip().lower()
-    cfg = CaseConfig(kind=kind, title=cp["case"].get("title", "").strip())
+    cfg = CaseConfig(kind=cp["case"].get("kind", "verification").strip().lower())
+    if cfg.kind not in _KINDS:
+        raise ConfigError(f"unknown case kind {cfg.kind!r}")
+    sections = {section: dict(cp[section]) for section in cp.sections()}
+    for section, values in sections.items():
+        for key, text in values.items():
+            set_key(cfg, section, key, text)
+        if not any(s == section and cfg.kind in parsers for (s, _), (_, parsers) in _READS.items()):
+            raise ConfigError(f"[{section}] does not apply to {cfg.kind} cases, which never read it")
 
-    if cp.has_section("grid"):
-        cfg.dx = cp["grid"].getfloat("dx", cfg.dx)
-    if cp.has_section("time"):
-        sec = cp["time"]
-        if "tau" in sec:
-            cfg.tau = parse_duration(sec["tau"])
-        if "dt_euler" in sec:
-            cfg.dt_euler = parse_duration(sec["dt_euler"])
-        if "dt_df" in sec:
-            cfg.dt_df = parse_duration(sec["dt_df"])
-        if "dt_exp" in sec and sec["dt_exp"].strip().lower() != "auto":
-            cfg.dt_exp_base = parse_duration(sec["dt_exp"])
-    if cp.has_section("schemes"):
-        sec = cp["schemes"]
-        if "run" in sec:
-            cfg.schemes = _str_list(sec["run"])
-        cfg.ns = {
-            "rkc": sec.getint("ns_rkc", cfg.ns["rkc"]),
-            "rkl": sec.getint("ns_rkl", cfg.ns["rkl"]),
-        }
-        cfg.damping_rkc = sec.getfloat("damping_rkc", cfg.damping_rkc)
-    rho2 = cp.getfloat("constants", "rho2", fallback=RHO_WATER)
-    c2 = cp.getfloat("constants", "c2", fallback=C_WATER)
-    cfg.latent_heat = cp.getfloat("constants", "latent_heat", fallback=cfg.latent_heat)
+    def numbers(section, **defaults) -> dict:
+        return {**defaults, **{key: _number(text) for key, text in sections.get(section, {}).items()}}
 
-    for section in cp.sections():
-        if section.partition(".")[0] in _UNREAD_SECTIONS.get(kind, ()):
-            raise ConfigError(f"[{section}] does not apply to {kind} cases, which never read it")
-    if kind == "verification" and cp.has_option("constants", "latent_heat"):
-        raise ConfigError("[constants] latent_heat does not apply to verification cases, "
-                          "which never read it")
-    if kind == "physical" and cp.getboolean("output", "dump_matrix", fallback=False):
-        raise ConfigError("[output] dump_matrix does not apply to physical cases")
-    if cp.has_section("groups"):
-        sec = cp["groups"]
-        cfg.groups = DimensionlessGroups(
-            fo_m=sec.getfloat("fo_m", 1.0),
-            fo_t=sec.getfloat("fo_t", 1.0),
-            gamma=sec.getfloat("gamma", 0.0),
-            delta=sec.getfloat("delta", 0.0),
-            alpha=sec.getfloat("alpha", 0.0),
-            biot_left=_parse_biot(cp, "biot.left"),
-            biot_right=_parse_biot(cp, "biot.right"),
-        )
+    cfg.ns = {scheme: _number(sections.get("schemes", {}).get(f"ns_{scheme}", n), int)
+              for scheme, n in cfg.ns.items()}
+    if "groups" in sections:
+        cfg.groups = DimensionlessGroups(**numbers("groups", fo_m=1.0, fo_t=1.0),
+                                         **{f"biot_{side}": BiotSet(**numbers(f"biot.{side}"))
+                                            for side in _SIDES})
+    constants = numbers("constants", rho2=RHO_WATER, c2=C_WATER)
+    if "materials" in sections:
+        cfg.materials = _materials(sections["materials"], constants["rho2"], constants["c2"])
+    for token in _str_list(sections.get("wall", {}).get("layers", "")):
+        name, _, thick = token.partition(":")
+        if not thick:
+            raise ConfigError(f"layer token {token!r} must look like name:thickness")
+        cfg.layers.append((name.strip(), _number(thick)))
+    base_dir = os.path.dirname(os.path.abspath(path))
+    for side in _SIDES:
+        if f"forcing.{side}" in sections:
+            setattr(cfg, f"forcing_{side}",
+                    _parse_forcing(sections[f"forcing.{side}"], f"forcing.{side}", base_dir))
+    if "box" in sections:
+        box = numbers("box")
+        if len(box) < len(_BOX):
+            raise ConfigError(f"[box] needs all of {', '.join(_BOX)}")
+        cfg.admissible_box = tuple(box[key] for key in _BOX)
 
-    if cp.has_section("materials"):
-        sec = dict(cp["materials"])
-        names = _str_list(sec.get("names", ""))
-        if not names:
-            names = sorted({key.split(".")[0] for key in sec if key != "names"})
-        for name in names:
-            if name in sec and "." not in name:
-                cfg.materials[name] = builtin_material(sec[name].strip(), rho2, c2)
-            else:
-                cfg.materials[name] = _parse_material(sec, name)
-    if cp.has_section("wall"):
-        for token in _str_list(cp["wall"].get("layers", "")):
-            name, _, thick = token.partition(":")
-            if not thick:
-                raise ConfigError(f"layer token {token!r} must look like name:thickness")
-            cfg.layers.append((name.strip(), _number(thick)))
-    if cp.has_section("initial"):
-        sec = cp["initial"]
-        for key, attr in (("u", "initial_u"), ("v", "initial_v")):
-            if key in sec:
-                vals = _float_list(sec[key])
-                setattr(cfg, attr, vals[0] if len(vals) == 1 else vals)
-    if cp.has_section("forcing.left"):
-        cfg.forcing_left = _parse_forcing(cp, "forcing.left", base_dir)
-    if cp.has_section("forcing.right"):
-        cfg.forcing_right = _parse_forcing(cp, "forcing.right", base_dir)
-    if cp.has_section("output"):
-        sec = cp["output"]
-        cfg.dump_matrix = sec.getboolean("dump_matrix", cfg.dump_matrix)
-    if cp.has_section("sweep"):
-        sec = cp["sweep"]
-        if "ns" in sec:
-            cfg.sweep_ns = parse_int_list(sec["ns"])
-        if "schemes" in sec:
-            cfg.sweep_schemes = _str_list(sec["schemes"])
-    if cp.has_section("physical"):
-        sec = cp["physical"]
-        if "configurations" in sec:
-            cfg.physical_configurations = _str_list(sec["configurations"])
-        cfg.drying_scheme = sec.get("drying_scheme", cfg.drying_scheme).strip()
-        climate = sec.get("climate", "").strip()
-        cfg.climate_path = None if climate in ("", "synthetic") else climate
-    if cp.has_section("box"):
-        keys = ("u_min", "u_max", "v_min", "v_max")
-        if not all(key in cp["box"] for key in keys):
-            raise ConfigError(f"[box] needs all of {', '.join(keys)}")
-        cfg.admissible_box = tuple(cp["box"].getfloat(key) for key in keys)
-
-    cfg.description = {"source": str(path), "kind": kind, "title": cfg.title}
+    cfg.description = {"source": str(path), "kind": cfg.kind, "title": cfg.title}
     cfg.validate()
     return cfg

@@ -403,6 +403,8 @@ class TestPhysicalCase:
         res = run_physical_case(cfg, tmp_path)
         params = res.manifest["parameters"]
         assert (params["initial_u"], params["initial_v"]) == (290.0, {"re": 0.5, "ins": 0.05})
+        # the walls that ran are the layouts of "configurations", not the config's layers
+        assert "layers" not in params and list(res.manifest["configurations"]) == ["ins_re"]
         assert res.totals["ins_re"][1][0] == pytest.approx(0.5 * 0.5 - (0.5 - 0.05) * 0.005 / 2)
         # the drying run's rkl schedule is recorded next to the table's rkc one
         assert sorted(res.manifest["runs"]) == ["euler", "rkc", "rkl"]
@@ -510,6 +512,9 @@ class TestCli:
         (["physical", "--tau", "0d"], None, "tau > 0"),
         # more than two counts name a sweep, not the table's rkc,rkl pair
         (["verify", "--tau", "0.005", "--ns", "4,8,16"], None, "--ns"),
+        # an empty list: no count was an IndexError, no scheme ran nothing and exited 0
+        (["verify", "--tau", "0.005", "--ns", ","], None, "--ns"),
+        (["verify", "--tau", "0.005", "--scheme", ","], None, "at least one scheme"),
         # physical runs build their own groups, so these sections would be ignored
         (["physical", "--config", "{ini}"], ("[materials]", "[groups]\nfo_m = 5\nfo_t = 5\n[materials]"),
          "[groups]"),
@@ -545,14 +550,36 @@ class TestCli:
         (["verify", "--config", "{verification}"],
          ("[forcing.left]", "[forcing.right]\nu = 1\n[constants]\nlatent_heat = 2e6\n[forcing.left]"),
          "latent_heat"),
+        # inputs that loaded and were then ignored or misread; each error names its section or key
+        (["verify", "--config", "{verification}"], ("[materials]", "[biot.left]\nm_thet = 25.5\n[materials]"), "[biot.left] m_thet"),
+        (["physical", "--config", "{ini}"], ("configurations", "climat = x.csv\nconfigurations"), "[physical] climat"),
+        (["verify", "--config", "{verification}"], ("dt_euler", "dt_eulr"), "[time] dt_eulr"),
+        (["verify", "--config", "{verification}"], ("[time]", "[tme]"), "[tme]"),
+        (["verify", "--config", "{verification}"], ("m1 = table1_mat1", "names = m1, m2\nm1 = table1_mat1\nm2.d_theta = 0.2\nm2.d_t = 1\n"
+                                   "m2.c_t = 0.3\nm2.k_t = 0.2\nm2.k_tm = 0.1\nm2.k_tt = 1"), "m2.k_tt"),
+        (["verify", "--config", "{verification}"], ("[forcing.left]", "[output]\ndump_matix = true\n[forcing.left]"), "[output] dump_matix"),
+        (["verify", "--config", "{verification}"], ("[forcing.left]\nu = 1", "[forcing.left]\nkind = dirichlet\nu = 1\nflux_m = 0.1"),
+         "[forcing.left] flux_m"),
+        # dimensionless times take no unit suffix (tau = 2h ran to t = 7200)
+        (["verify", "--config", "{verification}"], ("tau = 0.01", "tau = 0.01s"), "[time] tau"),
+        (["physical", "--config", "{ini}"], ("[physical]", "[output]\n[physical]"), "[output]"),
+        (["physical", "--config", "{ini}"], ("[physical]", "[output]\ndump_matrix = false\n[physical]"), "[output] dump_matrix"),
+        (["verify", "--config", "{verification}"], ("[forcing.left]\nu = 1", "[forcing.left]\nkind = dirichet\nu = 1"), "'dirichet'"),
+        (["verify", "--config", "{verification}"], ("m1 = table1_mat1", "m1 = table1_mat1\nm1.c_t = 0.3"), "m1.c_t"),
+        (["verify", "--config", "{verification}"], ("[case]", "[DEFAULT]\ndx = 0.2\n[case]"), "[case] dx"),
+        (["verify", "--config", "{verification}"], ("dx = 0.1", "dx = 0.1\ndx = 0.2"), "'dx'"),
     ], ids=["verify-tau-abc", "physical-dt-abc", "sweep-ns-x", "ini-tau-abc", "ini-dx-abc",
             "verify-tau-nan", "verify-dx-nan", "verify-tau-1e400", "physical-tau-inf",
-            "verify-dx-abc", "physical-tau-0d", "verify-ns-three", "ini-physical-groups",
+            "verify-dx-abc", "physical-tau-0d", "verify-ns-three", "verify-ns-empty",
+            "verify-scheme-empty", "ini-physical-groups",
             "ini-physical-biot", "ini-physical-dump-matrix", "ini-physical-forcing",
             "sweep-physical-ini", "verify-one-sided-forcing", "sweep-one-sided-forcing",
             "ini-unknown-kind", "ini-layer-abc", "ini-layer-nan", "ini-partial-box", "ini-dump-matrix-abc",
             "ini-physical-initial", "ini-physical-sweep", "ini-verification-physical",
-            "ini-verification-latent-heat"])
+            "ini-verification-latent-heat", "ini-biot-key", "ini-physical-key", "ini-time-key",
+            "ini-section", "ini-material-coefficient", "ini-output-key", "ini-dirichlet-flux",
+            "ini-verification-duration", "ini-physical-empty-output", "ini-physical-output-false",
+            "ini-forcing-kind", "ini-builtin-coefficient", "ini-default-key", "ini-duplicate-key"])
     def test_malformed_or_non_finite_number_exits_one(self, tmp_path, capsys, argv, ini_edit, named):
         if "--config" in argv:
             template = self.VERIFICATION_INI if "{verification}" in argv else self.PHYSICAL_INI.format(
@@ -564,6 +591,24 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    def test_percent_is_the_forcing_remainder(self, tmp_path):
+        # configparser's interpolation read % as a reference and raised its own error
+        ini = tmp_path / "case.ini"
+        ini.write_text(textwrap.dedent(self.VERIFICATION_INI).replace("u = 1", "u = 1 + t % 2"))
+        assert load_config(ini).forcing_left.u_inf(3.5) == 2.5
+
+    def test_storage_reaching_zero_at_the_initial_state_exits_one(self, tmp_path, capsys):
+        # c_t = 1 - v is zero at v = 1: the Robin closure divided by it
+        material = "names = m2\nm2.d_theta = 0.2\nm2.d_t = 0.1\nm2.c_t = 1.0, -1.0\nm2.k_t = 0.2\nm2.k_tm = 0.1"
+        text = (textwrap.dedent(self.VERIFICATION_INI).replace("m1 = table1_mat1", material)
+                .replace("m1:1.0", "m2:1.0").replace("[forcing.left]\nu = 1", "[forcing.left]\nkind = dirichlet")
+                + "[forcing.right]\nu = 1\n[biot.right]\nm_theta = 25.5\nt_t = 50.5\n[initial]\nv = 1\n")
+        ini = tmp_path / "case.ini"
+        ini.write_text(text)
+        assert main(["verify", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "material 'm2': c_t must be positive" in err
 
     @pytest.mark.parametrize("c_t", ["0", "-0.3"])
     def test_non_positive_storage_exits_one(self, tmp_path, capsys, c_t):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stswall import cases
+from stswall import cases, config
 from stswall.config import CaseConfig, load_config, parse_duration, parse_time_function
 from stswall.errors import ConfigError, IngestionError
 from stswall.model import BoundaryForcing, _zero
@@ -461,3 +461,93 @@ class TestConfigFile:
         cfg.dx = -1.0
         with pytest.raises(ConfigError):
             cfg.validate()
+
+
+# Every section and key that some case kind reads, with a valid value for
+# each kind that reads it; "*" stands for the keys of [materials].
+TABLE_FILES = {
+    "verification": {
+        "case": {"kind": "verification", "title": "every key"},
+        "grid": {"dx": "0.1"},
+        "time": {"tau": "0.01", "dt_euler": "1e-4", "dt_df": "1e-3", "dt_exp": "auto"},
+        "schemes": {"run": "euler, rkl", "ns_rkc": "4", "ns_rkl": "8", "damping_rkc": "0"},
+        "constants": {"rho2": "1000", "c2": "4180"},
+        "materials": {"names": "m1, m2", "m1": "table1_mat1", "m2.d_theta": "0.2", "m2.d_t": "1.0, 0.5",
+                      "m2.c_t": "0.3", "m2.k_t": "0.2", "m2.k_tm": "0.1"},
+        "wall": {"layers": "m1:0.6, m2:0.4"},
+        "box": {"u_min": "0.5", "u_max": "2.5", "v_min": "0", "v_max": "2"},
+        "groups": {"fo_m": "0.09", "fo_t": "0.07", "gamma": "0.07", "delta": "0.05", "alpha": "0.3"},
+        **{f"biot.{side}": {"m_sat": "0.1", "m_theta": "25.5", "t_t": "50.5", "t_sat": "0.1",
+                            "t_theta": "0.496", "t_g": "2"} for side in ("left", "right")},
+        **{f"forcing.{side}": {"kind": "robin", "series": "bc.csv", "u": "T_amb", "v": "1",
+                               "psat_inf": "1", "g_inf": "0.1", "flux_m": "0", "flux_t": "0.1*t"}
+           for side in ("left", "right")},
+        "initial": {"u": "1", "v": "1, 0.8"},
+        "output": {"dump_matrix": "false"},
+        "sweep": {"ns": "4, 8", "schemes": "rkc, rkl"},
+    },
+    "physical": {
+        "case": {"kind": "physical", "title": "every key"},
+        "grid": {"dx": "5e-3"},
+        "time": {"tau": "1h", "dt_euler": "2s", "dt_df": "2s", "dt_exp": "auto"},
+        "schemes": {"run": "rkc, rkl", "ns_rkc": "4", "ns_rkl": "8", "damping_rkc": "0"},
+        "constants": {"rho2": "1000", "c2": "4180", "latent_heat": "2e6"},
+        "materials": {"names": "re, ins", "re": "table3_re", "ins": "table3_ins"},
+        "wall": {"layers": "re:0.5"},
+        "box": {"u_min": "240", "u_max": "320", "v_min": "0", "v_max": "0.6"},
+        "physical": {"configurations": "ins_re, re", "drying_scheme": "rkl", "climate": "synthetic"},
+    },
+}
+
+
+class TestCaseFileTable:
+    """The one table of what each case kind reads, checked from both sides."""
+
+    @staticmethod
+    def load(tmp_path, sections, head=""):
+        (tmp_path / "bc.csv").write_text("t,T_amb\n0,1.0\n100,1.2\n")
+        lines = [head]
+        for section, keys in sections.items():
+            lines += [f"[{section}]"] + [f"{key} = {text}" for key, text in keys.items()]
+        path = tmp_path / "case.ini"
+        path.write_text("\n".join(lines) + "\n")
+        return load_config(path)
+
+    @pytest.mark.parametrize("kind", sorted(TABLE_FILES))
+    def test_a_file_with_every_key_of_its_kind_loads(self, tmp_path, kind):
+        sections = TABLE_FILES[kind]
+        table = {(section, key) for (section, key), (_, parsers) in config._READS.items() if kind in parsers}
+        given = {(section, "*" if section == "materials" else key)
+                 for section, keys in sections.items() for key in keys}
+        assert given == table
+        cfg = self.load(tmp_path, sections)
+        assert (cfg.kind, cfg.title, cfg.dt_exp_base) == (kind, "every key", None)
+        assert cfg.tau == (3600.0 if kind == "physical" else 0.01)
+
+    @pytest.mark.parametrize("kind", sorted(TABLE_FILES))
+    def test_each_key_of_the_other_kind_is_rejected(self, tmp_path, kind):
+        other = next(k for k in TABLE_FILES if k != kind)
+        for section, keys in TABLE_FILES[other].items():
+            for key, text in keys.items():
+                if kind in (config._READS.get((section, key)) or config._READS[section, "*"])[1]:
+                    continue
+                sections = {name: dict(values) for name, values in TABLE_FILES[kind].items()}
+                sections.setdefault(section, {})[key] = text
+                with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} does not apply to {kind}"):
+                    self.load(tmp_path, sections)
+            if section not in TABLE_FILES[kind]:    # even empty, the section is an error
+                with pytest.raises(ConfigError, match=rf"^\[{section}\] does not apply to {kind}"):
+                    self.load(tmp_path, {**TABLE_FILES[kind], section: {}})
+
+    @pytest.mark.parametrize("kind", sorted(TABLE_FILES))
+    def test_unknown_sections_and_keys_are_rejected(self, tmp_path, kind):
+        sections = TABLE_FILES[kind]
+        with pytest.raises(ConfigError, match=r"^\[time\] dt_eulr is not a case-file key"):
+            self.load(tmp_path, {**sections, "time": {**sections["time"], "dt_eulr": "1"}})
+        with pytest.raises(ConfigError, match=r"^\[tme\] tau is not a case-file key"):
+            self.load(tmp_path, {**sections, "tme": {"tau": "1"}})
+        with pytest.raises(ConfigError, match=r"^\[tme\] does not apply"):
+            self.load(tmp_path, {**sections, "tme": {}})
+        # a [DEFAULT] key is a key of every section
+        with pytest.raises(ConfigError, match=r"^\[grid\] title is not a case-file key"):
+            self.load(tmp_path, sections, head="[DEFAULT]\ntitle = x")
