@@ -355,6 +355,8 @@ def load_config(path) -> CaseConfig:
             raise ConfigError(f"layer token {token!r} must look like name:thickness")
         cfg.layers.append((name.strip(), _number(thick)))
     base_dir = os.path.dirname(os.path.abspath(path))
+    if cfg.climate_path is not None:    # relative to the case file, as a series is
+        cfg.climate_path = os.path.join(base_dir, cfg.climate_path)
     for side in _SIDES:
         if f"forcing.{side}" in sections:
             setattr(cfg, f"forcing_{side}",

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -73,6 +74,16 @@ class SuperStepSchedule:
 
     def describe(self) -> dict:
         return {key: getattr(self, key) for key in ("scheme", "n_s", "dt_exp", "dt_super", "damping")}
+
+    @cached_property
+    def stage_scalars(self) -> list:
+        """Each stage's coefficients as 0-d arrays, made once per schedule:
+        rkc's ``tau_k``; rkl's ``(nu, mu, mu_tilde * dt_super)``."""
+        if self.scheme == "rkc":
+            return [np.array(tau) for tau in self.stage_steps.tolist()]
+        dt_s = self.dt_super
+        return [(np.array(nu), np.array(mu), np.array(mu_t * dt_s)) for nu, mu, mu_t in
+                zip(self.rkl_nu.tolist(), self.rkl_mu.tolist(), self.rkl_mu_tilde.tolist())]
 
 
 def _interleave_order(n: int) -> np.ndarray:
@@ -141,9 +152,10 @@ def amplification_eval(schedule: SuperStepSchedule, lam):
     if np.any(lam_arr < 0):
         raise ConfigError("amplification_eval requires lam >= 0")
     # a stand-in operator of the test equation, without constraints
-    decay = SimpleNamespace(rhs=lambda t, y, coeffs=None: -lam_arr * y,
+    decay = SimpleNamespace(rhs=lambda t, y, coeffs=None, out=None: np.multiply(-lam_arr, y, out),
                             apply_constraints=lambda t, y: None)
-    p = _CYCLES[schedule.scheme](decay, schedule, 0.0, np.ones_like(lam_arr))
+    y = np.ones_like(lam_arr)
+    p = _CYCLES[schedule.scheme](decay, schedule, 0.0, y, None, _cycle_work(schedule.scheme, y.shape))
     return float(p[0]) if np.ndim(lam) == 0 else p
 
 
@@ -192,6 +204,8 @@ class _Monitor:
         self.observe = observe
         self.observe_every = max(1, int(observe_every))
         self.box_violations = 0
+        self.extremes = np.empty((2, 2))
+        self.minima, self.maxima = self.extremes    # of the rows u and v
         if self.box is None:
             self.limits = (-_OVERFLOW_GUARD, _OVERFLOW_GUARD) * 2
             self.limits_text = f"magnitude above {_OVERFLOW_GUARD:g}"
@@ -206,8 +220,9 @@ class _Monitor:
             self.observe(t, y[0], y[1])
 
     def check(self, step_index, t, y, final=False):
-        umin, vmin = np.minimum.reduce(y, axis=1).tolist()
-        umax, vmax = np.maximum.reduce(y, axis=1).tolist()
+        np.minimum.reduce(y, 1, None, self.minima)
+        np.maximum.reduce(y, 1, None, self.maxima)
+        (umin, vmin), (umax, vmax) = self.extremes.tolist()
         u_lo, u_hi, v_lo, v_hi = self.limits
         # written so that NaN fails the test
         if not (u_lo <= umin and umax <= u_hi and v_lo <= vmin and vmax <= v_hi):
@@ -233,6 +248,20 @@ def node_count(dt: float, tau: float) -> int:
     return int(math.floor(tau / dt * (1.0 + 1e-12))) + 1
 
 
+class _Scalars:
+    """The 0-d arrays of ``make(h)`` at step size h, made again only when h
+    changes.  numpy takes a 0-d array operand faster than a Python float,
+    with the same float64 arithmetic."""
+
+    def __init__(self, make):
+        self.make, self.h, self.values = make, None, None
+
+    def __call__(self, h):
+        if h != self.h:
+            self.h, self.values = h, [np.array(x) for x in self.make(h)]
+        return self.values
+
+
 class _EulerStep:
     """Forward Euler: one RHS evaluation and an axpy per step."""
 
@@ -242,13 +271,15 @@ class _EulerStep:
     def __init__(self, op, dt, dt_exp=None):
         self.op, self.dt, self.dt_exp = op, dt, dt_exp
         self.flags = {}
+        self.dy = np.empty((2, op.n))       # the RHS output
+        self.euler_h = _Scalars(lambda h: (h,))
 
     def refresh(self, t, y):
         return False
 
     def step(self, t, h, t_new, y):
-        dy = self.op.rhs(t, y)
-        y += np.multiply(dy, h, out=dy)
+        dy = self.op.rhs(t, y, None, self.dy)
+        y += np.multiply(dy, self.euler_h(h)[0], dy)
         self.op.apply_constraints(t_new, y)
         return y
 
@@ -260,24 +291,26 @@ class _RK4Step(_EulerStep):
     t, t+h/2, t+h/2 and t+h, each stage state constrained at its time."""
 
     scheme = "rk4"
-    y_s = None          # the stage state, allocated on the first step
+
+    def __init__(self, op, dt):
+        super().__init__(op, dt)
+        self.y_s, self.k = np.empty((2, 2, op.n))     # the stage state, the RHS of stages 2-4
+        self.rk4_h = _Scalars(lambda h: (0.5 * h, 1.0 * h, 2.0, h / 6.0))
 
     def step(self, t, h, t_new, y):
-        op, t_mid = self.op, t + 0.5 * h
-        if self.y_s is None:
-            self.y_s = np.empty_like(y)
-        y_s = self.y_s
+        op, t_mid, y_s = self.op, t + 0.5 * h, self.y_s
+        half, whole, two, sixth = self.rk4_h(h)
         # k1 + 2 k2 + 2 k3 + k4, summed in that order in k1's array; a
         # stage's k is doubled in its own array once its stage state is made
-        k = total = op.rhs(t, y)
-        for c, t_s in ((0.5, t_mid), (0.5, t_mid), (1.0, t_new)):
-            np.add(y, np.multiply(k, c * h, out=y_s), out=y_s)
+        k = total = op.rhs(t, y, None, self.dy)
+        for c, t_s in ((half, t_mid), (half, t_mid), (whole, t_new)):
+            np.add(y, np.multiply(k, c, y_s), y_s)
             if k is not total:
-                total += np.multiply(k, 2.0, out=k)
+                total += np.multiply(k, two, k)
             op.apply_constraints(t_s, y_s)
-            k = op.rhs(t_s, y_s)
+            k = op.rhs(t_s, y_s, None, self.k)
         total += k
-        y += np.multiply(total, h / 6.0, out=total)
+        y += np.multiply(total, sixth, total)
         op.apply_constraints(t_new, y)
         return y
 
@@ -297,6 +330,7 @@ class _DufortFrankelStep(_EulerStep):
         # dt b, 1 +- dt b of uu and vv, det(1 + dt B), the update's r and work
         self.dt_b, self.det = np.empty((4, op.n)), np.empty(op.n)
         self.plus, self.minus, self.r, self.work = np.empty((4, 2, op.n))
+        self.df_dt = _Scalars(lambda dt: (dt, dt * dt, 2.0 * dt, 1.0))
 
     def step(self, t, dt, t_new, y):
         if self.prev is None:
@@ -305,27 +339,29 @@ class _DufortFrankelStep(_EulerStep):
         op = self.op
         coeffs = op._coefficients(y[1])     # one pass for the blocks and the RHS
         dt_b, plus, minus, det, r, work = self.dt_b, self.plus, self.minus, self.det, self.r, self.work
+        dt0, dt_sq, two_dt, one = self.df_dt(dt)
         if self.blocks is None or self.refresh_blocks:
             b = self.blocks = op.jacobian_node_blocks(t, y, coeffs)
-            np.multiply(b, dt, out=dt_b)
-            np.add(1.0, dt_b[::3], out=plus)
-            np.subtract(1.0, dt_b[::3], out=minus)
-            np.multiply(plus[0], plus[1], out=det)
-            det -= np.multiply(np.multiply(b[1], dt * dt, out=work[0]), b[2], out=work[0])
+            np.multiply(b, dt0, dt_b)
+            np.add(one, dt_b[::3], plus)
+            np.subtract(one, dt_b[::3], minus)
+            np.multiply(plus[0], plus[1], det)
+            det -= np.multiply(np.multiply(b[1], dt_sq, work[0]), b[2], work[0])
         b, prev, (u, v) = self.blocks, self.prev, y
         # Both rows at once, each element by the operations of
         # r_u = (1 - dt b_uu) u_prev - dt b_uv v_prev + 2 dt (du + b_uu u + b_uv v) and
         # r_v = -dt b_vu u_prev + (1 - dt b_vv) v_prev + 2 dt (dv + b_vu u + b_vv v) in their order.
-        dy = op.rhs(max(0.0, t - dt), y, coeffs)    # forcing at the base level
-        dy += np.multiply(b[0::2], u, out=work)     # b_uu u, b_vu u
-        dy += np.multiply(b[1::2], v, out=work)     # b_uv v, b_vv v
-        dy *= 2.0 * dt
-        np.multiply(minus, prev, out=r)
-        r -= np.multiply(dt_b[1:3], prev[::-1], out=work)
+        dy = op.rhs(max(0.0, t - dt), y, coeffs, self.dy)     # forcing at the base level
+        dy += np.multiply(b[0::2], u, work)     # b_uu u, b_vu u
+        dy += np.multiply(b[1::2], v, work)     # b_uv v, b_vv v
+        dy *= two_dt
+        np.multiply(minus, prev, r)
+        r -= np.multiply(dt_b[1:3], prev[::-1], work)
         r += dy
-        # (1 + dt B)^-1 r per node: ((1 + dt b_vv) r_u - dt b_uv r_v) / det, and for v likewise
-        y_new = np.multiply(plus[::-1], r, out=np.empty_like(y))
-        y_new -= np.multiply(dt_b[1:3], r[::-1], out=work)
+        # (1 + dt B)^-1 r per node: ((1 + dt b_vv) r_u - dt b_uv r_v) / det, and for v
+        # likewise, written over the level one back, which r has used up
+        y_new = np.multiply(plus[::-1], r, prev)
+        y_new -= np.multiply(dt_b[1:3], r[::-1], work)
         y_new /= det
         self.prev = y
         op.apply_constraints(t_new, y_new)
@@ -446,38 +482,40 @@ def dufort_frankel_run(
     return _march(op, state0, _DufortFrankelStep(op, dt), tau, observe, observe_every)
 
 
-def _stamps(schedule, t0):
-    """Constraint times of the n_s stages: the cycle start, and its end on
-    the last stage."""
-    return [t0] * (schedule.n_s - 1) + [t0 + schedule.dt_super]
+def _cycle_work(scheme, shape):
+    """Scratch arrays of a cycle on states of ``shape``: the RHS output, and
+    for rkl a second state and the mu Y_p product."""
+    return list(np.empty((1 if scheme == "rkc" else 3, *shape)))
 
 
-# Every stage reads boundary data at the cycle start t0.  Stages update in
-# place, with stage coefficients as Python floats; ``coeffs`` is a
-# coefficient pass already made on ``y``.
-def _rkc_cycle(op, schedule, t0, y, coeffs=None):
-    for k, (tau, t_k) in enumerate(zip(schedule.stage_steps.tolist(), _stamps(schedule, t0))):
-        dy = op.rhs(t0, y, None if k else coeffs)
-        y += np.multiply(dy, tau, out=dy)
-        op.apply_constraints(t_k, y)
+# Every stage reads boundary data at the cycle start t0; the last imposes
+# Dirichlet values at the cycle end.  Stages update in place, with the
+# schedule's 0-d stage coefficients, in the scratch arrays ``work`` of
+# _cycle_work; ``coeffs`` is a coefficient pass already made on ``y``.
+def _rkc_cycle(op, schedule, t0, y, coeffs, work):
+    dy, = work
+    t_end, last = t0 + schedule.dt_super, schedule.n_s - 1
+    for k, tau in enumerate(schedule.stage_scalars):
+        op.rhs(t0, y, None if k else coeffs, dy)
+        y += np.multiply(dy, tau, dy)
+        op.apply_constraints(t0 if k < last else t_end, y)
     return y
 
 
-def _rkl_cycle(op, schedule, t0, y, coeffs=None):
-    stamps = _stamps(schedule, t0)
-    mu, nu, mu_t = schedule.rkl_mu.tolist(), schedule.rkl_nu.tolist(), schedule.rkl_mu_tilde.tolist()
-    dt_s = schedule.dt_super
-    dy = op.rhs(t0, y, coeffs)
-    y_pp, y_p = y, np.add(y, np.multiply(dy, mu_t[0] * dt_s, out=dy), out=dy)    # Y_0, Y_1
-    op.apply_constraints(stamps[0], y_p)
-    mu_y = np.empty_like(y)
-    for j in range(2, schedule.n_s + 1):
-        dy = op.rhs(t0, y_p)
-        y_pp *= nu[j - 1]               # Y_j = (mu Y_p + nu Y_pp) + mu_t dt_s dY, over Y_pp
-        y_pp += np.multiply(mu[j - 1], y_p, out=mu_y)
-        y_pp += np.multiply(dy, mu_t[j - 1] * dt_s, out=dy)
+def _rkl_cycle(op, schedule, t0, y, coeffs, work):
+    y_p, dy, mu_y = work
+    stages, t_end, n_s = schedule.stage_scalars, t0 + schedule.dt_super, schedule.n_s
+    op.rhs(t0, y, coeffs, y_p)
+    y_pp, y_p = y, np.add(y, np.multiply(y_p, stages[0][2], y_p), y_p)     # Y_0, Y_1
+    op.apply_constraints(t0 if n_s > 1 else t_end, y_p)
+    for j, (nu, mu, mu_t_dt) in enumerate(stages[1:], start=2):
+        op.rhs(t0, y_p, None, dy)
+        y_pp *= nu                      # Y_j = (mu Y_p + nu Y_pp) + mu_t dt_s dY, over Y_pp
+        y_pp += np.multiply(mu, y_p, mu_y)
+        y_pp += np.multiply(dy, mu_t_dt, dy)
         y_pp, y_p = y_p, y_pp
-        op.apply_constraints(stamps[j - 1], y_p)
+        op.apply_constraints(t0 if j < n_s else t_end, y_p)
+    work[0] = y_pp      # the state not returned is the next cycle's second state
     return y_p
 
 
@@ -495,6 +533,7 @@ class _SuperStep:
         self.refresh_lambda = not op.is_linear
         self.flags = {"schedule_rebuilds": 0}
         self.coeffs = None      # the refresh's coefficient pass, for the next stage 1
+        self.work = _cycle_work(schedule.scheme, (2, op.n))
 
     @property
     def dt(self):
@@ -516,7 +555,7 @@ class _SuperStep:
 
     def step(self, t, h, t_new, y, schedule=None):
         coeffs, self.coeffs = self.coeffs, None
-        return self.cycle(self.op, schedule or self.active, t, y, coeffs)
+        return self.cycle(self.op, schedule or self.active, t, y, coeffs, self.work)
 
     def land(self, t, h, t_end, y):
         return self.step(t, h, t_end, y, self.active.scaled(h / self.active.dt_super))

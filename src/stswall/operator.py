@@ -44,7 +44,7 @@ def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _horner(rows: list, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write at ``v`` into ``out`` the polynomials of v**d terms ``rows``, highest d first."""
-    np.multiply(rows[0], v, out=out)
+    np.multiply(rows[0], v, out)
     out += rows[1]
     for row in rows[2:]:
         out *= v
@@ -126,7 +126,7 @@ class SemiDiscreteOperator:
         # Frozen matrix A: face scale of each block (uu, uv, vu, vv), interior row factors.
         self._scale = np.array([[1.0], [groups.delta], [groups.fo_m * groups.gamma], [groups.fo_m]])
         cm = 1.0 / (self.dx * self.dx)
-        self._row, self._fo_t_cm = np.full((4, self.n - 2), cm), groups.fo_t * cm
+        self._row, self._fo_t_cm = np.full((4, self.n - 2), cm), np.array(groups.fo_t * cm)
 
         # Face arrays, (6, n): face j sits in column j and the last column is
         # unused (zero).  Rows [delta k_tm, k_t, k_tm, d_t, d_theta, gamma d_t]:
@@ -185,6 +185,7 @@ class SemiDiscreteOperator:
         self._dirichlet = [(j, side) for j, side, _ in sides if not side.robin]
         fixed = [j % n for j, _ in self._dirichlet]     # their columns, as one slice
         self._fixed = slice(fixed[0], fixed[-1] + 1, max(n - 1, 1)) if fixed else None
+        self._fixed_t, self._fixed_values = None, np.empty((2, len(fixed)))
 
     # -- classification ------------------------------------------------------------
 
@@ -210,43 +211,45 @@ class SemiDiscreteOperator:
             vals = _horner(self._table, v, self._vals)
             if self._harm is not None:
                 left, right, num, total, num_faces, total_faces, out, tiny = self._harm
-                np.add(left, right, out=total)          # 2 a b / (a + b + 1e-300)
+                np.add(left, right, total)          # 2 a b / (a + b + 1e-300)
                 total += tiny
-                np.add(left, left, out=num)             # 2 a, exactly
+                np.add(left, left, num)             # 2 a, exactly
                 num *= right
-                np.divide(num_faces, total_faces, out=out)
+                np.divide(num_faces, total_faces, out)
                 if self._scaled:
-                    np.multiply(self._faces[1:3], self._face_scale, out=self._scaled_faces)
+                    np.multiply(self._faces[1:3], self._face_scale, self._scaled_faces)
             if self._storage is not None:
                 left, right, c, den, half, dx = self._storage
-                np.add(left, right, out=c)
+                np.add(left, right, c)
                 c *= half
-                np.multiply(c, dx, out=den)
+                np.multiply(c, dx, den)
             self._pass = (self._faces, self._c)
         return self._pass
 
     # -- right-hand side ------------------------------------------------------------
 
-    def rhs(self, t: float, y: np.ndarray, coeffs=None) -> np.ndarray:
+    def rhs(self, t: float, y: np.ndarray, coeffs=None, out=None) -> np.ndarray:
         """Time derivatives of the stacked state ``y`` (row 0 u, row 1 v) at time t.
 
-        Returns a new (2, n) array, so ``du, dv = op.rhs(t, y)`` unpacks.
-        A caller that holds ``_coefficients(y[1])`` passes it as ``coeffs``;
-        a pass that is no longer the operator's latest is made again.
+        Returns ``out``, a C-contiguous (2, n) array apart from ``y`` that it
+        writes in full, or a new one, so ``du, dv = op.rhs(t, y)`` unpacks.  A caller that holds
+        ``_coefficients(y[1])`` passes it as ``coeffs``; a pass that is no
+        longer the operator's latest is made again.
         """
         self.rhs_evals += 1
-        if coeffs is None or coeffs is not self._pass:
+        if self._varies and (coeffs is None or coeffs is not self._pass):
             self._coefficients(y[1])
         grad_flat, grad, grad_u, grad_v, flux, cross, flux_hi, flux_lo, fo, den, dx = self._work
         y_flat = y.ravel()
-        np.subtract(y_flat[1:], y_flat[:-1], out=grad_flat)
+        np.subtract(y_flat[1:], y_flat[:-1], grad_flat)
         grad /= dx
-        np.multiply(self._cu, grad_u, out=flux)
-        np.multiply(self._cv, grad_v, out=cross)
+        np.multiply(self._cu, grad_u, flux)
+        np.multiply(self._cv, grad_v, cross)
         flux += cross
-        out = np.empty((2, self.n))     # the divergence, closure and Dirichlet zero write it all
+        if out is None:
+            out = np.empty((2, self.n))     # the divergence, closure and Dirichlet zero write it all
         mid = out.ravel()[1:-1]
-        np.subtract(flux_hi, flux_lo, out=mid)
+        np.subtract(flux_hi, flux_lo, mid)
         if fo is not None:
             mid *= fo
         mid /= den
@@ -270,20 +273,30 @@ class SemiDiscreteOperator:
         return out
 
     def apply_constraints(self, t: float, y: np.ndarray) -> None:
-        """Overwrite the Dirichlet nodes of the stacked state with the imposed values at t."""
-        for j, side in self._dirichlet:
-            y[0, j], y[1, j] = side.ambient(t)[:2]
+        """Overwrite the Dirichlet nodes of the stacked state with the imposed values at t.
+
+        One slice assignment from a (2, k) array of the k Dirichlet sides'
+        (u, v), made again only when ``t`` changes."""
+        if self._fixed is None:
+            return
+        values = self._fixed_values
+        if t != self._fixed_t:
+            for i, (_, side) in enumerate(self._dirichlet):
+                values[0, i], values[1, i] = side.ambient(t)[:2]
+            self._fixed_t = t
+        y[:, self._fixed] = values
 
     # -- frozen-coefficient matrix ----------------------------------------------------
 
-    def _stencil(self, t: float, state=None, coeffs=None) -> np.ndarray:
+    def _stencil(self, t: float, state=None, coeffs=None, diagonal=False) -> np.ndarray:
         """Entries of the frozen matrix A (see :meth:`frozen_matrix`) per node.
 
         Returns one (3, 4, n) array, unpacking as ``lower, diag, upper``.
         Row k of each holds one 2x2 block of A in the order uu, uv, vu, vv:
         equation row j of that block has ``lower[k, j]`` in column j-1,
         ``diag[k, j]`` in column j and ``upper[k, j]`` in column j+1.
-        Dirichlet rows are zero.  Coefficients are frozen at ``state``
+        Dirichlet rows are zero.  With ``diagonal`` only ``diag`` is made
+        and returned, (4, n).  Coefficients are frozen at ``state``
         (stacked (2, n), StateField, or None for all ones) from one
         coefficient pass, none when ``coeffs`` is the operator's latest.
         The only code that writes A's entries.
@@ -295,14 +308,17 @@ class SemiDiscreteOperator:
             coeffs = self._coefficients(v)
         faces, c = coeffs
         row = self._row     # per-node row factors: fo_t cm / c in u rows, cm in v rows
-        row[:2] = self._fo_t_cm / c[1:-1]
-        weights = np.zeros((3, 4, self.n))
-        lower, diag, upper = weights
+        np.divide(self._fo_t_cm, c[1:-1], row[:2])
         # Interior rows: flux divergence, (scale * face) * row per block.
-        neg_scaled = -self._scale * faces
-        np.multiply(neg_scaled[:, :-1], row, out=lower[:, 1:-1])
-        np.multiply(neg_scaled[:, 1:], row, out=upper[:, 1:-1])
-        mid = np.add(faces[:, :-1], faces[:, 1:], out=diag[:, 1:-1])
+        if diagonal:
+            weights = diag = np.zeros((4, self.n))
+        else:
+            weights = np.zeros((3, 4, self.n))
+            lower, diag, upper = weights
+            neg_scaled = -self._scale * faces
+            np.multiply(neg_scaled[:, :-1], row, lower[:, 1:-1])
+            np.multiply(neg_scaled[:, 1:], row, upper[:, 1:-1])
+        mid = np.add(faces[:, :-1], faces[:, 1:], diag[:, 1:-1])
         mid *= self._scale
         mid *= row
         # Robin half-cells: half-cell flux plus exchange Jacobian dE_T/du, dE_T/dv, dE_M/du, dE_M/dv
@@ -316,7 +332,8 @@ class SemiDiscreteOperator:
             w = np.array([g.fo_t * 2.0 / (dx * c[b])] * 2 + [g.fo_m * 2.0 / dx] * 2)
             factor = np.array([1.0, g.delta, g.gamma, 1.0])
             diag[:, b] = w * (factor * faces[:, b] / dx + jac)
-            (upper if b == 0 else lower)[:, b] = -w * factor * faces[:, b] / dx
+            if not diagonal:
+                (upper if b == 0 else lower)[:, b] = -w * factor * faces[:, b] / dx
         return weights
 
     def frozen_matrix(self, t: float = 0.0, state: Optional[StateField] = None) -> np.ndarray:
@@ -342,9 +359,9 @@ class SemiDiscreteOperator:
         Returns a new (4, node_count) array with rows b_uu, b_uv, b_vu, b_vv.
         These are the terms a three-level scheme must treat implicitly to stay
         stable under two-way cross coupling.  O(n): the stencil's diagonal,
-        from one coefficient pass (none when ``coeffs`` is given).
+        made alone, from one coefficient pass (none when ``coeffs`` is given).
         """
-        return self._stencil(t, state, coeffs)[1]
+        return self._stencil(t, state, coeffs, diagonal=True)
 
     def gershgorin_lambda_max(self, t: float = 0.0, state=None, coeffs=None) -> float:
         """Infinity-norm row-sum bound; never below the true spectral radius.

@@ -77,28 +77,34 @@ def ingest_boundary_series(path) -> BoundarySeries:
 
     The first column is time; remaining columns are named quantities.
     Lines starting with '#' are comments.  Raises
-    :class:`~stswall.errors.IngestionError` with a 1-based line number for
-    non-numeric or non-finite cells, ragged rows, or non-monotone time.
+    :class:`~stswall.errors.IngestionError` naming the path for a missing or
+    unreadable file, and with a 1-based line number for non-numeric or
+    non-finite cells, ragged rows, or non-monotone time.
     """
     rows = []
     header = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(csv.reader(fh), start=1):
-            if not raw or (raw[0].lstrip().startswith("#")):
-                continue
-            if header is None:
-                header = [c.strip() for c in raw]
-                if len(header) < 2:
-                    raise IngestionError(f"{path}: line {lineno}: need a time column plus data columns")
-                continue
-            if len(raw) != len(header):
-                raise IngestionError(
-                    f"{path}: line {lineno}: expected {len(header)} cells, got {len(raw)}"
-                )
-            try:
-                rows.append((lineno, [float(c) for c in raw]))
-            except ValueError as exc:
-                raise IngestionError(f"{path}: line {lineno}: non-numeric cell ({exc})") from None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = list(csv.reader(fh))
+    except (OSError, UnicodeError, csv.Error) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise IngestionError(f"cannot read series file {str(path)!r}: {reason}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw or (raw[0].lstrip().startswith("#")):
+            continue
+        if header is None:
+            header = [c.strip() for c in raw]
+            if len(header) < 2:
+                raise IngestionError(f"{path}: line {lineno}: need a time column plus data columns")
+            continue
+        if len(raw) != len(header):
+            raise IngestionError(
+                f"{path}: line {lineno}: expected {len(header)} cells, got {len(raw)}"
+            )
+        try:
+            rows.append((lineno, [float(c) for c in raw]))
+        except ValueError as exc:
+            raise IngestionError(f"{path}: line {lineno}: non-numeric cell ({exc})") from None
     if header is None:
         raise IngestionError(f"{path}: no header row found")
     if len(rows) < 2:

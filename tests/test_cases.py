@@ -640,6 +640,30 @@ class TestCli:
             assert manifest["runs"][scheme]["flags"]["box_violations"] == 0
         assert "policy @365d rkl" in capsys.readouterr().out
 
+    def test_climate_is_read_next_to_the_case_file(self, tmp_path, monkeypatch):
+        clim = tmp_path / "clim"
+        clim.mkdir()
+        write_synthetic_climate(clim / "clim.csv", days=1.0)
+        (clim / "case.ini").write_text(textwrap.dedent(self.PHYSICAL_INI.format(configurations="re"))
+                                       + "climate = clim.csv\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["physical", "--config", "clim/case.ini", "--out", "out"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["climate"] == {"path": "clim.csv", "synthetic": False}
+
+    @pytest.mark.parametrize("kind", ["climate", "series"])
+    def test_missing_series_file_exits_one(self, tmp_path, capsys, kind):
+        ini = tmp_path / "case.ini"
+        if kind == "climate":
+            text = textwrap.dedent(self.PHYSICAL_INI.format(configurations="re")) + "climate = gone.csv\n"
+        else:
+            text = textwrap.dedent(self.VERIFICATION_INI) + "series = gone.csv\n"
+        ini.write_text(text)
+        command = "physical" if kind == "climate" else "verify"
+        assert main([command, "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read series file") and str(tmp_path / "gone.csv") in err
+
     def test_unknown_physical_configuration_exits_one(self, tmp_path, capsys):
         ini = self.write_physical_ini(tmp_path, "re, brick")
         assert main(["physical", "--config", ini, "--out", str(tmp_path / "out")]) == 1

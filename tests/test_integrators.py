@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stswall.errors import ConfigError, DivergenceError, StaleScheduleError
 from stswall.integrators import (
-    _EulerStep, _march, amplification_eval, build_schedule, dufort_frankel_run, euler_run,
-    rk4_run, sts_run,
+    _EulerStep, _march, _Monitor, _RK4Step, _SuperStep, amplification_eval, build_schedule,
+    dufort_frankel_run, euler_run, rk4_run, sts_run,
 )
 from stswall.model import (
     BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups, Grid1D, SideForcing,
@@ -265,7 +266,7 @@ class TestRK4:
         op = diffusion_operator(robin=False)
         rhs_times, constraint_times = [], []
         rhs, apply_constraints = op.rhs, op.apply_constraints
-        op.rhs = lambda t, y: rhs_times.append(t) or rhs(t, y)
+        op.rhs = lambda t, y, *args: rhs_times.append(t) or rhs(t, y, *args)
         op.apply_constraints = lambda t, y: constraint_times.append(t) or apply_constraints(t, y)
         rk4_run(op, ones_state(9), dt=0.25, tau=0.5)
         assert rhs_times == [0.0, 0.125, 0.125, 0.25, 0.25, 0.375, 0.375, 0.5]
@@ -606,3 +607,181 @@ class TestCoefficientPasses:
         assert len(seen) == len(want)
         for got, ref in zip(seen, want):
             assert np.array_equal(got, ref)
+
+
+# Transcriptions of the steps with Python-float coefficients, a new RHS
+# array per call and per-side Dirichlet writes; the steppers must give
+# their bytes.
+
+def float_euler_step(op, t, h, t_new, y):
+    dy = op.rhs(t, y)
+    y += np.multiply(dy, h, out=dy)
+    op.apply_constraints(t_new, y)
+    return y
+
+
+def float_rk4_step(op, t, h, t_new, y):
+    t_mid = t + 0.5 * h
+    y_s = np.empty_like(y)
+    k = total = op.rhs(t, y)
+    for c, t_s in ((0.5, t_mid), (0.5, t_mid), (1.0, t_new)):
+        np.add(y, np.multiply(k, c * h, out=y_s), out=y_s)
+        if k is not total:
+            total += np.multiply(k, 2.0, out=k)
+        op.apply_constraints(t_s, y_s)
+        k = op.rhs(t_s, y_s)
+    total += k
+    y += np.multiply(total, h / 6.0, out=total)
+    op.apply_constraints(t_new, y)
+    return y
+
+
+def float_stamps(schedule, t0):
+    return [t0] * (schedule.n_s - 1) + [t0 + schedule.dt_super]
+
+
+def float_rkc_cycle(op, schedule, t0, y):
+    for tau, t_k in zip(schedule.stage_steps.tolist(), float_stamps(schedule, t0)):
+        dy = op.rhs(t0, y)
+        y += np.multiply(dy, tau, out=dy)
+        op.apply_constraints(t_k, y)
+    return y
+
+
+def float_rkl_cycle(op, schedule, t0, y):
+    stamps = float_stamps(schedule, t0)
+    mu, nu, mu_t = schedule.rkl_mu.tolist(), schedule.rkl_nu.tolist(), schedule.rkl_mu_tilde.tolist()
+    dt_s = schedule.dt_super
+    dy = op.rhs(t0, y)
+    y_pp, y_p = y, np.add(y, np.multiply(dy, mu_t[0] * dt_s, out=dy), out=dy)
+    op.apply_constraints(stamps[0], y_p)
+    mu_y = np.empty_like(y)
+    for j in range(2, schedule.n_s + 1):
+        dy = op.rhs(t0, y_p)
+        y_pp *= nu[j - 1]
+        y_pp += np.multiply(mu[j - 1], y_p, out=mu_y)
+        y_pp += np.multiply(dy, mu_t[j - 1] * dt_s, out=dy)
+        y_pp, y_p = y_p, y_pp
+        op.apply_constraints(stamps[j - 1], y_p)
+    return y_p
+
+
+def float_check(mon, step_index, t, y):
+    """The monitor's check by two reductions, each with its own tolist()."""
+    umin, vmin = np.minimum.reduce(y, axis=1).tolist()
+    umax, vmax = np.maximum.reduce(y, axis=1).tolist()
+    u_lo, u_hi, v_lo, v_hi = mon.limits
+    if not (u_lo <= umin and umax <= u_hi and v_lo <= vmin and vmax <= v_hi):
+        extremes = (umin, umax, vmin, vmax)
+        cause = ("non-finite state" if not all(map(math.isfinite, extremes)) else
+                 "u in [%.4g, %.4g], v in [%.4g, %.4g]: " % extremes + mon.limits_text)
+        raise DivergenceError(mon.scheme, step_index, t, cause)
+    if mon.box is not None:
+        u_lo, u_hi, v_lo, v_hi = mon.box
+        if umin < u_lo or umax > u_hi or vmin < v_lo or vmax > v_hi:
+            mon.box_violations += 1
+
+
+def forced_operator(kind):
+    """A two-material wall with time-dependent forcing: Robin on both sides,
+    Dirichlet on both, or Robin left and Dirichlet right; or the nonlinear
+    ins_re wall."""
+    if kind == "nonlinear":
+        return nonlinear_operator()
+    robin = SideForcing.robin(lambda t: 1.0 + 0.3 * math.sin(3.0 * t), lambda t: 0.5 + 0.2 * math.cos(2.0 * t))
+    dirichlet = SideForcing.dirichlet(lambda t: 1.2 + 0.1 * math.sin(t), lambda t: 0.4 + 0.1 * math.cos(t))
+    left, right = {"robin": (robin, robin), "dirichlet": (dirichlet, dirichlet),
+                   "mixed": (robin, dirichlet)}[kind]
+    biot = BiotSet(m_theta=2.0, t_t=3.0, t_theta=0.5)
+    groups = DimensionlessGroups(fo_m=0.09, fo_t=0.07, gamma=0.3, delta=0.2, biot_left=biot, biot_right=biot)
+    wall = WallAssembly([(builtin_material("table1_mat1"), 0.6), (builtin_material("table1_mat2"), 0.4)])
+    return SemiDiscreteOperator(wall, Grid1D.uniform(1.0, 21), groups, BoundaryForcing(left, right))
+
+
+@st.composite
+def step_cases(draw):
+    """(operator, state, t, step): a random state of a forced operator and a
+    step a random fraction of its explicit limit."""
+    kind = draw(st.sampled_from(["robin", "dirichlet", "mixed", "nonlinear"]))
+    op = forced_operator(kind)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "nonlinear":     # the drying study's start, perturbed
+        state = nonlinear_state()
+        y = np.stack([state.u, state.v]) + rng.random((2, op.n)) * [[2.0], [0.01]]
+    else:
+        y = 0.5 + rng.random((2, op.n))
+    h = draw(st.floats(0.05, 0.95)) * 2.0 / op.gershgorin_lambda_max(0.0, y)
+    return op, y, draw(st.floats(0.0, 5.0)), h
+
+
+step_settings = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+class TestFloatTranscriptions:
+    """Steps with cached 0-d coefficients, positional outputs and owned RHS
+    buffers give the bytes of the Python-float steps."""
+
+    @step_settings
+    @given(step_cases())
+    def test_euler_steps(self, case):
+        op, y, t, h = case
+        stepper, got, want = _EulerStep(op, h), y.copy(), y.copy()
+        for t0, step in ((t, h), (t + h, h), (t + 2 * h, 0.3 * h)):     # a regular step again, a landing
+            got = stepper.step(t0, step, t0 + step, got)
+            want = float_euler_step(op, t0, step, t0 + step, want)
+            assert got.tobytes() == want.tobytes()
+
+    @step_settings
+    @given(step_cases())
+    def test_rk4_steps(self, case):
+        op, y, t, h = case
+        stepper, got, want = _RK4Step(op, h), y.copy(), y.copy()
+        for t0, step in ((t, h), (t + h, h), (t + 2 * h, 0.3 * h)):
+            got = stepper.step(t0, step, t0 + step, got)
+            want = float_rk4_step(op, t0, step, t0 + step, want)
+            assert got.tobytes() == want.tobytes()
+
+    @step_settings
+    @given(step_cases(), st.sampled_from([("rkc", 0.0), ("rkc", 0.05), ("rkl", None)]),
+           st.integers(1, 12), st.floats(0.1, 0.99))
+    def test_cycles_and_scaled_landing(self, case, scheme, n_s, fraction):
+        op, y, t, h = case
+        name, damping = scheme
+        sch = build_schedule(name, n_s, h, damping)
+        cycle = float_rkc_cycle if name == "rkc" else float_rkl_cycle
+        stepper, got, want = _SuperStep(op, sch), y.copy(), y.copy()
+        t1, t2 = t + sch.dt_super, t + 2 * sch.dt_super
+        for t0, t_new in ((t, t1), (t1, t2)):
+            got = stepper.step(t0, sch.dt_super, t_new, got)
+            want = cycle(op, sch, t0, want)
+            assert got.tobytes() == want.tobytes()
+        landing = fraction * sch.dt_super
+        got = stepper.land(t2, landing, t2 + landing, got)
+        want = cycle(op, sch.scaled(landing / sch.dt_super), t2, want)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestMonitor:
+    """The check into a preallocated (2, 2) buffer agrees with two separate
+    reductions: the same box violations, the same divergence message."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.booleans(), st.integers(0, 2**32 - 1),
+           st.sampled_from([None, math.nan, math.inf, -math.inf, 5.0, -3.0, 1e151, -1e151]),
+           st.integers(0, 1), st.integers(0, 7))
+    def test_matches_two_reductions(self, boxed, seed, special, row, col):
+        op = diffusion_operator(n=8)
+        op.admissible_box = (0.0, 2.0, 0.0, 1.0) if boxed else None
+        y = np.random.default_rng(seed).uniform(-0.5, 2.5, (2, 8))
+        if special is not None:
+            y[row, col] = special
+        mon, ref = _Monitor(op, "rkl", None, 1), _Monitor(op, "rkl", None, 1)
+        try:
+            float_check(ref, 4, 0.25, y)
+        except DivergenceError as exc:
+            with pytest.raises(DivergenceError) as err:
+                mon.check(4, 0.25, y)
+            assert str(err.value) == str(exc)
+        else:
+            mon.check(4, 0.25, y)
+        assert mon.box_violations == ref.box_violations

@@ -595,6 +595,10 @@ class TestStackedState:
         first = op.rhs(0.0, y)
         second = op.rhs(0.0, y)
         assert first is not second and np.array_equal(first, second)
+        out = np.empty_like(y)
+        assert op.rhs(0.0, y, out=out) is out
+        third = op.rhs(0.0, y)
+        assert third is not out and third is not first and third is not second
         assert np.array_equal(y, before)
 
 
@@ -648,6 +652,38 @@ def polynomial_walls(draw):
 wall_cases = settings(derandomize=True, max_examples=40, deadline=None)
 
 
+def in_box_y(n, seed):
+    state = in_box_state(n, seed)
+    return np.stack([state.u, state.v])
+
+
+def mixed_op():
+    """The ins_re wall with a saturating Robin left side and a Dirichlet right side."""
+    robin = physical_op(INS_RE, "robin")
+    return SemiDiscreteOperator(robin.wall, robin.grid, robin.groups,
+                                BoundaryForcing(robin.forcing.left, dirichlet_forcing(293.0, 0.4)))
+
+
+class TestOutputBuffer:
+    """``rhs(t, y, out=buf)`` writes the default call's bytes into ``buf``."""
+
+    @pytest.mark.parametrize("make,states", [
+        (lambda: verification_op(verification_forcing()),
+         lambda n, seed: 1.0 + 0.3 * np.random.default_rng(seed).random((2, n))),
+        (lambda: physical_op(INS_RE, "robin"), in_box_y),
+        (lambda: physical_op(INS_RE, "dirichlet"), in_box_y),
+        (mixed_op, in_box_y),
+    ], ids=["verify-robin", "ins_re-robin", "ins_re-dirichlet", "mixed"])
+    def test_buffer_is_byte_equal_to_new_array(self, make, states):
+        op = make()
+        buf = np.full((2, op.n), np.nan)
+        for seed, t in ((1, 0.0), (2, 0.37), (3, 1.25)):
+            y = states(op.n, seed)
+            want = op.rhs(t, y)
+            assert op.rhs(t, y, None, buf) is buf
+            assert buf.tobytes() == want.tobytes()
+
+
 class TestCoefficientPass:
     """The row-sum bound, the node blocks and the dense matrix read one
     stencil from one coefficient pass; the readers must agree with each
@@ -688,6 +724,23 @@ class TestCoefficientPass:
         want = (a[j, j], a[j, j + op.n], a[j + op.n, j], a[j + op.n, j + op.n])
         for got, dense in zip(op.jacobian_node_blocks(0.3, y), want):
             assert np.array_equal(got, dense)
+
+    @pytest.mark.parametrize("make", [lambda: verification_op(verification_forcing()),
+                                      lambda: physical_op(INS_RE, "robin"),
+                                      lambda: physical_op_n(INS_RE, "dirichlet", 1001)],
+                             ids=["verify", "ins_re", "fine-grid"])
+    def test_node_blocks_are_the_stencil_diagonal(self, make):
+        op = make()
+        for seed in (1, 2):
+            state = in_box_state(op.n, seed)
+            y = np.stack([state.u, state.v])
+            assert op.jacobian_node_blocks(0.3, y).tobytes() == op._stencil(0.3, y)[1].tobytes()
+
+    @wall_cases
+    @given(polynomial_walls())
+    def test_node_blocks_are_the_stencil_diagonal_on_random_walls(self, case):
+        op, y = case
+        assert op.jacobian_node_blocks(0.3, y).tobytes() == op._stencil(0.3, y)[1].tobytes()
 
     @wall_cases
     @given(polynomial_walls())
@@ -824,7 +877,11 @@ class TestStateDependentRows:
                 for kwargs in ({}, sources):
                     other = SemiDiscreteOperator(op.wall, op.grid, groups,
                                                  BoundaryForcing(sides[left], sides[right]), **kwargs)
-                    assert np.array_equal(poisoned_rhs(other, 0.3, y), full_table_rhs(other, 0.3, y))
+                    want = full_table_rhs(other, 0.3, y)
+                    assert np.array_equal(poisoned_rhs(other, 0.3, y), want)
+                    out = np.full((2, other.n), np.nan)     # a caller's buffer, NaN-poisoned
+                    assert other.rhs(0.3, y, out=out) is out and np.array_equal(out, want)
+                    assert out.tobytes() == other.rhs(0.3, y).tobytes()
 
     @pytest.mark.parametrize("layout", [INS_RE, RE_INS], ids=["ins_re", "re_ins"])
     def test_table3_walls_fix_k_tm_and_d_t(self, layout):

@@ -32,6 +32,17 @@ class TestIngestion:
         series = ingest_boundary_series(path)
         assert series.interpolator("val")(0.5) == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_file_names_its_path(self, tmp_path, kind):
+        path = tmp_path / "series.csv"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"t,val\n0,\xff\n1,2\n")
+        with pytest.raises(IngestionError, match="cannot read series file") as err:
+            ingest_boundary_series(path)
+        assert str(path) in str(err.value)
+
     def test_single_row_rejected(self, tmp_path):
         path = self.write(tmp_path, """\
             t,val
