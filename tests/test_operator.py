@@ -732,8 +732,7 @@ class TestCoefficientPass:
     def test_node_blocks_are_the_stencil_diagonal(self, make):
         op = make()
         for seed in (1, 2):
-            state = in_box_state(op.n, seed)
-            y = np.stack([state.u, state.v])
+            y = in_box_y(op.n, seed)
             assert op.jacobian_node_blocks(0.3, y).tobytes() == op._stencil(0.3, y)[1].tobytes()
 
     @wall_cases
