@@ -2,8 +2,7 @@
 super-time-stepping (Chebyshev/Legendre), Euler, and Du Fort-Frankel."""
 
 from .errors import (
-    AssemblyError, ClosureSingularityError, ConfigError, DivergenceError, IngestionError,
-    SaturationDomainError, StaleScheduleError, StswallError,
+    AssemblyError, ConfigError, DivergenceError, IngestionError, StaleScheduleError, StswallError,
 )
 from .integrators import (
     RunReport, SuperStepSchedule, amplification_eval, build_schedule,
@@ -14,7 +13,7 @@ from .metrics import (
 )
 from .model import (
     BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups, Grid1D, SideForcing,
-    StateField, WallAssembly, builtin_material, evaluate_coefficients, saturation_pressure,
+    StateField, WallAssembly, builtin_material, evaluate_coefficients,
 )
 from .operator import SemiDiscreteOperator, apply_robin_closure
 from .series import BoundarySeries, ingest_boundary_series, write_synthetic_climate

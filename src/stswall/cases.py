@@ -74,10 +74,8 @@ def verification_preset() -> CaseConfig:
         dt_exp_base=VERIFICATION_DT_EULER,
         groups=DimensionlessGroups(
             fo_m=9e-2, fo_t=7e-2, gamma=7e-2, delta=5e-2, alpha=0.0,
-            biot_left=BiotSet(m_sat=0.0, m_theta=25.5, t_t=50.5,
-                              t_sat=0.0, t_theta=4.96e-1, t_g=0.0),
-            biot_right=BiotSet(m_sat=0.0, m_theta=51.8, t_t=19.8,
-                               t_sat=0.0, t_theta=6.73e-1, t_g=0.0),
+            biot_left=BiotSet(m_theta=25.5, t_t=50.5, t_theta=4.96e-1, t_g=0.0),
+            biot_right=BiotSet(m_theta=51.8, t_t=19.8, t_theta=6.73e-1, t_g=0.0),
         ),
         materials={"mat1": builtin_material("table1_mat1"),
                    "mat2": builtin_material("table1_mat2")},
@@ -107,10 +105,8 @@ def check_verification_preset(cfg: CaseConfig) -> None:
         if got[key] != val:
             raise ConfigError(f"verification preset drift: {key}={got[key]}, expected {val}")
     expected_biot = {
-        "biot_left": {"m_theta": 25.5, "t_t": 50.5, "t_theta": 0.496,
-                      "m_sat": 0.0, "t_sat": 0.0, "t_g": 0.0},
-        "biot_right": {"m_theta": 51.8, "t_t": 19.8, "t_theta": 0.673,
-                       "m_sat": 0.0, "t_sat": 0.0, "t_g": 0.0},
+        "biot_left": {"m_theta": 25.5, "t_t": 50.5, "t_theta": 0.496, "t_g": 0.0},
+        "biot_right": {"m_theta": 51.8, "t_t": 19.8, "t_theta": 0.673, "t_g": 0.0},
     }
     for side, table in expected_biot.items():
         for key, val in table.items():

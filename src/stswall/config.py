@@ -157,7 +157,7 @@ _VERIFICATION, _PHYSICAL = ("verification",), ("physical",)
 _KINDS = _VERIFICATION + _PHYSICAL
 _TIME = {"verification": _number, "physical": parse_duration}
 _BOX = ("u_min", "u_max", "v_min", "v_max")
-_ROBIN_TERMS = ("psat_inf", "g_inf", "flux_m", "flux_t")
+_ROBIN_TERMS = ("g_inf", "flux_m", "flux_t")
 _SIDES = ("left", "right")
 
 # What each case kind reads: (section, key) -> (CaseConfig field, {kind:
@@ -190,7 +190,7 @@ _READS = {
         ("case", "kind", _KINDS), ("schemes", "ns_rkc ns_rkl", _KINDS), ("constants", "rho2 c2", _KINDS),
         ("materials", "*", _KINDS), ("wall", "layers", _KINDS), ("box", " ".join(_BOX), _KINDS),
         ("groups", "fo_m fo_t gamma delta alpha", _VERIFICATION),
-        *((f"biot.{side}", "m_sat m_theta t_t t_sat t_theta t_g", _VERIFICATION) for side in _SIDES),
+        *((f"biot.{side}", "m_theta t_t t_theta t_g", _VERIFICATION) for side in _SIDES),
         *((f"forcing.{side}", " ".join(("kind series u v",) + _ROBIN_TERMS), _VERIFICATION)
           for side in _SIDES),
     ) for key in keys.split()},
@@ -244,12 +244,16 @@ class CaseConfig:
     def validate(self) -> None:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown case kind {self.kind!r}")
-        for name in ("tau", "dx", "dt_euler", "dt_df", "dt_exp_base"):
+        for name in ("tau", "dx", "dt_euler", "dt_df", "dt_exp_base", "damping_rkc"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.tau < 0:
-            raise ConfigError("tau must be >= 0")
+        for name in ("tau", "damping_rkc"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        box = self.admissible_box
+        if box is not None and not all(-math.inf < lo < hi < math.inf for lo, hi in (box[:2], box[2:])):
+            raise ConfigError(f"[box] needs finite u_min < u_max and v_min < v_max, got {box}")
         if self.kind == "physical" and self.tau == 0:
             raise ConfigError("physical cases need tau > 0")
         if self.dx <= 0:

@@ -13,14 +13,6 @@ class AssemblyError(StswallError):
     """Operator cannot be assembled on the given grid/wall combination."""
 
 
-class ClosureSingularityError(StswallError, ZeroDivisionError):
-    """Robin saturation term evaluated at a surface or ambient u <= 0."""
-
-
-class SaturationDomainError(StswallError, ValueError):
-    """Saturation pressure asked for at or below the law's 159.5 K pole."""
-
-
 class IngestionError(StswallError):
     """Boundary time-series file failed validation."""
 

@@ -114,8 +114,8 @@ def build_schedule(
     if scheme == "rkc":
         if damping is None:
             damping = 0.05
-        if damping < 0:
-            raise ConfigError(f"damping must be >= 0, got {damping}")
+        if not 0 <= damping < math.inf:
+            raise ConfigError(f"damping must be finite and >= 0, got {damping}")
         lam = 2.0 / dt_exp
         w0 = 1.0 + damping / n_s**2
         w1 = (w0 + 1.0) / lam

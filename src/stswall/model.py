@@ -1,48 +1,23 @@
 """Physical model building blocks.
 
 Uniform 1D grids, per-material coefficient models, multilayer wall
-assemblies, nodal state fields, the saturation-pressure law, and the
-boundary-forcing description consumed by the spatial operator.
+assemblies, nodal state fields, and the boundary-forcing description
+consumed by the spatial operator.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, SaturationDomainError
-
-# Saturation-pressure law P_sat(T) = 997.3 ((T - 159.5)/120.6)^8.275 [Pa],
-# valid for T above the 159.5 K pole.
-SATURATION_T_MIN_K = 159.5
-_SATURATION_SCALE_PA = 997.3
-_SATURATION_T_DIV_K = 120.6
-_SATURATION_EXPONENT = 8.275
+from .errors import ConfigError
 
 # Liquid-water constants used by the built-in dimensional materials.
 RHO_WATER = 1000.0  # kg/m^3
 C_WATER = 4180.0    # J/(kg K)
-
-
-def saturation_pressure(temperature):
-    """Saturation vapor pressure in Pa for a temperature in K.
-
-    Accepts a scalar or an array; strictly increasing in temperature.
-    Raises :class:`SaturationDomainError` (a ``ValueError``) for any
-    temperature at or below 159.5 K, where the power law leaves its domain.
-    """
-    t = np.asarray(temperature, dtype=float)
-    if np.any(t <= SATURATION_T_MIN_K):
-        raise SaturationDomainError(
-            f"saturation_pressure requires T > {SATURATION_T_MIN_K} K, got {temperature!r}"
-        )
-    p = _SATURATION_SCALE_PA * ((t - SATURATION_T_MIN_K) / _SATURATION_T_DIV_K) ** _SATURATION_EXPONENT
-    if np.isscalar(temperature) or np.ndim(temperature) == 0:
-        return float(p)
-    return p
 
 
 CoefficientFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -275,10 +250,8 @@ class StateField:
 class BiotSet:
     """Surface-exchange coefficients for one boundary."""
 
-    m_sat: float = 0.0
     m_theta: float = 0.0
     t_t: float = 0.0
-    t_sat: float = 0.0
     t_theta: float = 0.0
     t_g: float = 0.0
 
@@ -288,10 +261,7 @@ class BiotSet:
                 raise ConfigError(f"Biot coefficient {name} must be finite and >= 0, got {val}")
 
     def as_dict(self) -> dict:
-        return {
-            "m_sat": self.m_sat, "m_theta": self.m_theta, "t_t": self.t_t,
-            "t_sat": self.t_sat, "t_theta": self.t_theta, "t_g": self.t_g,
-        }
+        return {"m_theta": self.m_theta, "t_t": self.t_t, "t_theta": self.t_theta, "t_g": self.t_g}
 
 
 @dataclass(frozen=True)
@@ -333,20 +303,20 @@ class SideForcing:
     """Ambient data and closure kind for one boundary side.
 
     For ``kind='dirichlet'`` only ``u_inf``/``v_inf`` are used (the imposed
-    surface values).  For ``kind='robin'`` the ambient functions feed the
-    exchange terms; ``psat_star`` maps the surface u to the saturation
-    ratio used by the sat-terms and may stay ``None`` while those terms
-    have zero coefficient.
+    surface values).  For ``kind='robin'`` they feed the linear exchange
+    terms, ``g_inf`` the absorbed radiation and ``flux_m``/``flux_t`` the
+    additional fluxes.  Nothing reads ``psat_inf``: the benchmark tracer
+    still rebuilds every side with that field, so it stays until the
+    tracer drops it.
     """
 
     kind: str
     u_inf: TimeFn
     v_inf: TimeFn
-    psat_inf: TimeFn = _zero
+    psat_inf: TimeFn = _zero   # unread; see the class docstring
     g_inf: TimeFn = _zero
     flux_m: TimeFn = _zero   # additional moisture flux term
     flux_t: TimeFn = _zero   # additional heat flux term
-    psat_star: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if self.kind not in ("robin", "dirichlet"):

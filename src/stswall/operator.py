@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AssemblyError, ClosureSingularityError, ConfigError
+from .errors import AssemblyError, ConfigError
 from .model import (
     COEFFICIENT_NAMES, BoundaryForcing, DimensionlessGroups, Grid1D, SideForcing, StateField,
     WallAssembly, _zero,
@@ -179,8 +179,8 @@ class SemiDiscreteOperator:
         self._ends = (self._flux[:, 0:n - 1:max(n - 2, 1)], self._den[0, ::n - 1])
 
         # Boundary sides as (node, side, orientation of the face flux).
-        sides = ((0, _BoundarySide("left", forcing.left, groups.biot_left, groups.alpha), 1.0),
-                 (-1, _BoundarySide("right", forcing.right, groups.biot_right, groups.alpha), -1.0))
+        sides = ((0, _BoundarySide(forcing.left, groups.biot_left, groups.alpha), 1.0),
+                 (-1, _BoundarySide(forcing.right, groups.biot_right, groups.alpha), -1.0))
         self._robin = [entry for entry in sides if entry[1].robin]
         self._dirichlet = [(j, side) for j, side, _ in sides if not side.robin]
         fixed = [j % n for j, _ in self._dirichlet]     # their columns, as one slice
@@ -191,8 +191,9 @@ class SemiDiscreteOperator:
 
     @property
     def is_linear(self) -> bool:
-        """True when the state Jacobian is constant (coefficients and exchange)."""
-        return not self._varies and not any(side.sat for _, side, _ in self._robin)
+        """True when the state Jacobian is constant: the exchange terms are
+        linear, so only the coefficients can vary."""
+        return not self._varies
 
     # -- coefficients ---------------------------------------------------------------
 
@@ -303,7 +304,7 @@ class SemiDiscreteOperator:
         """
         if isinstance(state, StateField):
             state = (state.u, state.v)
-        u, v = np.ones((2, self.n)) if state is None else state
+        v = np.ones(self.n) if state is None else state[1]
         if coeffs is None or coeffs is not self._pass:
             coeffs = self._coefficients(v)
         faces, c = coeffs
@@ -324,11 +325,8 @@ class SemiDiscreteOperator:
         # Robin half-cells: half-cell flux plus exchange Jacobian dE_T/du, dE_T/dv, dE_M/du, dE_M/dv
         g, dx = self.groups, self.dx
         for b, side, _ in self._robin:
-            biot, dsat = side.biot, 0.0
-            if side.sat:
-                h = 1e-6 * max(abs(u[b]), 1.0)
-                dsat = (side.sat_excess(t, u[b] + h) - side.sat_excess(t, u[b] - h)) / (2 * h)
-            jac = [biot.t_t + biot.t_sat * dsat, biot.t_theta, biot.m_sat * dsat, biot.m_theta]
+            biot = side.biot
+            jac = [biot.t_t, biot.t_theta, 0.0, biot.m_theta]
             w = np.array([g.fo_t * 2.0 / (dx * c[b])] * 2 + [g.fo_m * 2.0 / dx] * 2)
             factor = np.array([1.0, g.delta, g.gamma, 1.0])
             diag[:, b] = w * (factor * faces[:, b] / dx + jac)
@@ -387,18 +385,15 @@ class SemiDiscreteOperator:
 class _BoundarySide:
     """One side's boundary data, resolved at assembly into its live terms.
 
-    The one transcription of the Robin closure.  Never evaluated: the saturation
-    terms unless ``m_sat`` or ``t_sat`` > 0; ``flux_m``, ``flux_t``, ``g_inf`` when
-    they are the model's zero function; radiation when ``alpha * t_g`` is 0; on
-    Dirichlet sides, all but ``u_inf``/``v_inf``.  Ambient values are kept for
-    the last time asked for: a frozen super-step cycle evaluates them once."""
+    The one transcription of the Robin closure, linear in the surface values.
+    Never evaluated: ``flux_m``, ``flux_t``, ``g_inf`` when they are the model's
+    zero function; radiation when ``alpha * t_g`` is 0; on Dirichlet sides, all
+    but ``u_inf``/``v_inf``.  Ambient values are kept for the last time asked
+    for: a frozen super-step cycle evaluates them once."""
 
-    def __init__(self, name: str, sf: SideForcing, biot, alpha: float):
+    def __init__(self, sf: SideForcing, biot, alpha: float):
         self.sf, self.biot = sf, biot
         self.robin = sf.kind == "robin"
-        self.sat = self.robin and (biot.m_sat > 0 or biot.t_sat > 0)
-        if self.sat and sf.psat_star is None:
-            raise ConfigError(f"{name} side uses saturation exchange terms but has no psat_star function")
         self.rad = alpha * biot.t_g
         live = [fn if self.robin and fn is not _zero else None for fn in (sf.flux_m, sf.flux_t)]
         self.flux_m, self.flux_t = live
@@ -406,38 +401,23 @@ class _BoundarySide:
         self._t = self._values = None
 
     def ambient(self, t: float) -> tuple:
-        """(u_inf, v_inf, s_m, s_t, psat_inf / u_inf) at time t."""
+        """(u_inf, v_inf, s_m, s_t) at time t."""
         if t == self._t:
             return self._values
         sf = self.sf
         u_inf, v_inf = sf.u_inf(t), sf.v_inf(t)
-        sat_inf = 0.0
-        if self.sat:
-            if u_inf <= 0.0:
-                raise ClosureSingularityError("ambient u_inf <= 0 in saturation term")
-            sat_inf = sf.psat_inf(t) / u_inf
         s_m = 0.0 if self.flux_m is None else self.flux_m(t)
         s_t = ((0.0 if self.flux_t is None else self.flux_t(t))
                + (0.0 if self.g_inf is None else self.rad * self.g_inf(t)))
-        self._t, self._values = t, (u_inf, v_inf, s_m, s_t, sat_inf)
+        self._t, self._values = t, (u_inf, v_inf, s_m, s_t)
         return self._values
-
-    def sat_excess(self, t: float, u_b: float) -> float:
-        """Saturation-ratio excess (surface minus ambient); 0 when inactive."""
-        if not self.sat:
-            return 0.0
-        if u_b <= 0.0:
-            raise ClosureSingularityError("saturation term is singular at boundary u <= 0")
-        return self.sf.psat_star(u_b) / u_b - self.ambient(t)[4]
 
     def terms(self, t: float, u_b: float, v_b: float) -> tuple:
         """(s_m, s_t, e_m, e_t) at surface values (u_b, v_b) and time t."""
         b = self.biot
-        sat = self.sat_excess(t, u_b)
-        u_inf, v_inf, s_m, s_t, _ = self.ambient(t)
+        u_inf, v_inf, s_m, s_t = self.ambient(t)
         dv = v_b - v_inf
-        return (s_m, s_t, b.m_sat * sat + b.m_theta * dv,
-                b.t_t * (u_b - u_inf) + b.t_sat * sat + b.t_theta * dv)
+        return s_m, s_t, b.m_theta * dv, b.t_t * (u_b - u_inf) + b.t_theta * dv
 
 
 def apply_robin_closure(
@@ -459,7 +439,7 @@ def apply_robin_closure(
         raise ConfigError(f"{side} side is not a Robin boundary")
     biot = groups.biot_left if side == "left" else groups.biot_right
     b = 0 if side == "left" else state.u.size - 1
-    s_m, s_t, e_m, e_t = _BoundarySide(side, sf, biot, groups.alpha).terms(
+    s_m, s_t, e_m, e_t = _BoundarySide(sf, biot, groups.alpha).terms(
         t, float(state.u[b]), float(state.v[b]))
     return s_m + e_m, s_t + e_t
 

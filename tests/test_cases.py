@@ -568,6 +568,19 @@ class TestCli:
         (["verify", "--config", "{verification}"], ("m1 = table1_mat1", "m1 = table1_mat1\nm1.c_t = 0.3"), "m1.c_t"),
         (["verify", "--config", "{verification}"], ("[case]", "[DEFAULT]\ndx = 0.2\n[case]"), "[case] dx"),
         (["verify", "--config", "{verification}"], ("dx = 0.1", "dx = 0.1\ndx = 0.2"), "'dx'"),
+        # the saturation exchange keys are gone; psat_inf was parsed and never evaluated
+        (["verify", "--config", "{verification}"], ("[materials]", "[biot.left]\nm_sat = 0\n[materials]"),
+         "[biot.left] m_sat"),
+        (["verify", "--config", "{verification}"], ("[forcing.left]\nu = 1", "[forcing.left]\nu = 1\npsat_inf = 1/(t-t)"),
+         "[forcing.left] psat_inf"),
+        # a NaN damping passed the sign test and ended in a ValueError traceback
+        *(([command, "--config", "{verification}"],
+           ("[forcing.left]", f"[forcing.right]\nu = 1\n[schemes]\ndamping_rkc = {value}\n[forcing.left]"),
+           "damping") for command in ("verify", "sweep") for value in ("nan", "inf")),
+        # a box no state fits was reported as a divergence (exit 2)
+        *((["verify", "--config", "{verification}"],
+           ("[forcing.left]", f"[forcing.right]\nu = 1\n[box]\n{box}\n[forcing.left]"), "[box]")
+          for box in ("u_min = 2\nu_max = 1\nv_min = 0\nv_max = 2", "u_min = nan\nu_max = 2.5\nv_min = 0\nv_max = 2")),
     ], ids=["verify-tau-abc", "physical-dt-abc", "sweep-ns-x", "ini-tau-abc", "ini-dx-abc",
             "verify-tau-nan", "verify-dx-nan", "verify-tau-1e400", "physical-tau-inf",
             "verify-dx-abc", "physical-tau-0d", "verify-ns-three", "verify-ns-empty",
@@ -579,7 +592,9 @@ class TestCli:
             "ini-verification-latent-heat", "ini-biot-key", "ini-physical-key", "ini-time-key",
             "ini-section", "ini-material-coefficient", "ini-output-key", "ini-dirichlet-flux",
             "ini-verification-duration", "ini-physical-empty-output", "ini-physical-output-false",
-            "ini-forcing-kind", "ini-builtin-coefficient", "ini-default-key", "ini-duplicate-key"])
+            "ini-forcing-kind", "ini-builtin-coefficient", "ini-default-key", "ini-duplicate-key",
+            "ini-biot-m-sat", "ini-forcing-psat-inf", "verify-damping-nan", "verify-damping-inf",
+            "sweep-damping-nan", "sweep-damping-inf", "ini-inverted-box", "ini-nan-box"])
     def test_malformed_or_non_finite_number_exits_one(self, tmp_path, capsys, argv, ini_edit, named):
         if "--config" in argv:
             template = self.VERIFICATION_INI if "{verification}" in argv else self.PHYSICAL_INI.format(
@@ -591,6 +606,16 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    def test_benchmark_file_with_an_inverted_box_exits_one(self, tmp_path, capsys):
+        # u_min above u_max printed "FAILED rkl" (exit 2)
+        text = (Path(__file__).resolve().parent.parent / "perfbench" / "fine_grid.ini").read_text()
+        ini = tmp_path / "fine_grid.ini"
+        ini.write_text(text.replace("u_min = 240", "u_min = 400"))
+        argv = ["physical", "--config", str(ini), "--tau", "60s", "--scheme", "rkl"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[box]" in err
 
     def test_percent_is_the_forcing_remainder(self, tmp_path):
         # configparser's interpolation read % as a reference and raised its own error

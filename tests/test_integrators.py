@@ -111,6 +111,9 @@ class TestSchedules:
             build_schedule("rkc", 0, 1.0)
         with pytest.raises(ConfigError):
             build_schedule("rkc", 5, 1.0, damping=-0.1)
+        for damping in (math.nan, math.inf):     # NaN passed the sign test and ran on
+            with pytest.raises(ConfigError, match="damping"):
+                build_schedule("rkc", 5, 1.0, damping=damping)
         with pytest.raises(ConfigError):
             build_schedule("rkl", 5, 1.0, damping=0.05)
         with pytest.raises(ConfigError):

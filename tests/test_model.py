@@ -4,43 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stswall.errors import ConfigError, StswallError
+from stswall.errors import ConfigError
 from stswall.model import (
     BiotSet, CoefficientModel, Grid1D, SideForcing, StateField,
-    WallAssembly, builtin_material, evaluate_coefficients, saturation_pressure,
+    WallAssembly, builtin_material, evaluate_coefficients,
 )
-
-
-class TestSaturationPressure:
-    def test_base_equals_one(self):
-        # 159.5 + 120.6 puts the power-law base at exactly one
-        assert saturation_pressure(280.1) == pytest.approx(997.3, rel=1e-12)
-
-    def test_room_temperature_against_high_precision_value(self):
-        # frozen from a 40-digit evaluation of the closed form
-        assert saturation_pressure(293.15) == pytest.approx(2333.8342905438366, rel=1e-13)
-
-    def test_domain_error_at_and_below_pole(self):
-        with pytest.raises(ValueError):
-            saturation_pressure(159.5)
-        with pytest.raises(ValueError):
-            saturation_pressure(100.0)
-
-    def test_domain_error_is_a_package_error(self):
-        # a ValueError for callers that catch it, a StswallError for the CLI
-        with pytest.raises(StswallError) as err:
-            saturation_pressure(np.array([300.0, 150.0]))
-        assert isinstance(err.value, ValueError)
-
-    def test_vectorized(self):
-        out = saturation_pressure(np.array([280.1, 293.15]))
-        assert out.shape == (2,)
-        assert out[0] < out[1]
-
-    @given(st.floats(min_value=200.0, max_value=400.0),
-           st.floats(min_value=1e-6, max_value=50.0))
-    def test_strictly_increasing(self, t, dt):
-        assert saturation_pressure(t) < saturation_pressure(t + dt)
 
 
 class TestMaterials:

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from stswall import operator as operator_module
 from stswall.config import parse_time_function
-from stswall.errors import AssemblyError, ConfigError, StswallError
+from stswall.errors import AssemblyError, ConfigError
 from stswall.model import (
     COEFFICIENT_NAMES, BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups,
-    Grid1D, SideForcing, StateField, WallAssembly, builtin_material, saturation_pressure,
+    Grid1D, SideForcing, StateField, WallAssembly, builtin_material,
 )
 from stswall.operator import SemiDiscreteOperator, _harmonic, apply_robin_closure
 
@@ -30,8 +30,8 @@ def dirichlet_forcing(u=1.0, v=1.0):
 def physical_op(layout, sides="dirichlet"):
     """Nonlinear dimensional operator on a named layer layout at dx = 5 mm.
 
-    ``sides="robin"`` gives both sides exchange terms with saturation
-    parts (``m_sat``, ``t_sat`` > 0) on the physical saturation law.
+    ``sides="robin"`` gives both sides the linear exchange terms; the
+    walls' polynomial materials keep the operator nonlinear.
     """
     names = {"re": "table3_re", "ins": "table3_ins"}
     wall = WallAssembly([(builtin_material(names[m]), th) for m, th in layout])
@@ -40,10 +40,9 @@ def physical_op(layout, sides="dirichlet"):
         forcing = BoundaryForcing(dirichlet_forcing(285.0, 0.3), dirichlet_forcing(293.0, 0.4))
         biot = BiotSet()
     else:
-        side = SideForcing.robin(lambda t: 285.0 + t, lambda t: 0.3,
-                                 psat_inf=lambda t: 1200.0, psat_star=saturation_pressure)
+        side = SideForcing.robin(lambda t: 285.0 + t, lambda t: 0.3)
         forcing = BoundaryForcing(side, side)
-        biot = BiotSet(m_sat=1e-9, m_theta=1e-6, t_t=5.0, t_sat=2e-3, t_theta=2.0)
+        biot = BiotSet(m_theta=1e-6, t_t=5.0, t_theta=2.0)
     groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6,
                                  biot_left=biot, biot_right=biot)
     return SemiDiscreteOperator(wall, grid, groups, forcing)
@@ -91,15 +90,6 @@ class TestAssembly:
         with pytest.raises(AssemblyError):
             SemiDiscreteOperator(wall, grid, DimensionlessGroups(**TABLE1_GROUPS),
                                  BoundaryForcing(dirichlet_forcing(), dirichlet_forcing()))
-
-    def test_sat_terms_need_psat_function(self):
-        wall = WallAssembly([(builtin_material("table1_mat1"), 1.0)])
-        grid = Grid1D.uniform(1.0, 5)
-        groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0,
-                                     biot_left=BiotSet(m_sat=1.0), biot_right=BiotSet())
-        forcing = BoundaryForcing(constant_forcing(), dirichlet_forcing())
-        with pytest.raises(ConfigError):
-            SemiDiscreteOperator(wall, grid, groups, forcing)
 
 
 class TestInteriorStencil:
@@ -241,26 +231,6 @@ class TestRobinClosure:
         du, dv = op.rhs(0.0, np.ones((2, 6)))
         assert du[0] > 0 and du[-1] > 0
 
-    def test_singular_below_zero_boundary_temperature(self):
-        groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0,
-                                     biot_left=BiotSet(m_sat=1.0))
-        side = SideForcing.robin(lambda t: 1.0, lambda t: 1.0,
-                                 psat_inf=lambda t: 1.0, psat_star=lambda u: u ** 2)
-        forcing = BoundaryForcing(side, constant_forcing())
-        state = StateField(np.full(4, -0.5), np.ones(4))
-        with pytest.raises(ZeroDivisionError):
-            apply_robin_closure("left", state, 0.0, groups, forcing)
-
-    def test_singular_closure_is_a_package_error(self):
-        groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0, biot_left=BiotSet(t_sat=1.0))
-        side = SideForcing.robin(lambda t: -1.0, lambda t: 1.0,
-                                 psat_inf=lambda t: 1.0, psat_star=lambda u: u ** 2)
-        forcing = BoundaryForcing(side, constant_forcing())
-        with pytest.raises(StswallError) as err:
-            apply_robin_closure("left", StateField(np.ones(4), np.ones(4)), 0.0, groups, forcing)
-        assert isinstance(err.value, ZeroDivisionError)
-        assert "ambient" in str(err.value)
-
     def test_closure_requires_robin_side(self):
         groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0)
         forcing = BoundaryForcing(dirichlet_forcing(), constant_forcing())
@@ -297,7 +267,7 @@ class TestStabilityEstimate:
         dense = float(np.max(np.sum(np.abs(op.frozen_matrix()), axis=1)))
         assert op.gershgorin_lambda_max() == pytest.approx(dense, rel=1e-14)
         # nonlinear cases at an off-reference state: the two-layer wall with
-        # Dirichlet sides, and a three-layer wall with saturation exchange
+        # Dirichlet sides, and a three-layer wall with Robin sides
         multi = [("ins", 0.125), ("re", 0.5), ("ins", 0.125)]
         for op in (physical_op(INS_RE), physical_op(multi, "robin")):
             state = in_box_state(op.n, 3)
@@ -471,6 +441,17 @@ class TestFaceTables:
             assert c[j] == 0.5 * (left + right)
 
 
+def robin_inflow(op, side, t, u_b, v_b):
+    """Independent transcription of the linear Robin closure on ``side``:
+    the inflow-oriented (moisture, heat) terms at surface values (u_b, v_b)."""
+    g, sf = op.groups, op.forcing.side(side)
+    biot = g.biot_left if side == "left" else g.biot_right
+    d_v = v_b - sf.v_inf(t)
+    e_m = biot.m_theta * d_v
+    e_t = biot.t_t * (u_b - sf.u_inf(t)) + biot.t_theta * d_v
+    return sf.flux_m(t) - e_m, sf.flux_t(t) + g.alpha * biot.t_g * sf.g_inf(t) - e_t
+
+
 def per_row_rhs(op, t, u, v):
     """Independent per-row transcription of the semi-discrete RHS: the
     separate u/v fluxes and the Robin closure written out term by term."""
@@ -487,19 +468,9 @@ def per_row_rhs(op, t, u, v):
     dv[1:-1] = g.fo_m * (q_m[1:] - q_m[:-1]) / dx
     du[1:-1] = g.fo_t * (q_t[1:] - q_t[:-1]) / (dx * c[1:-1])
     for side, j in (("left", 0), ("right", -1)):
-        sf = op.forcing.side(side)
-        if sf.kind != "robin":
+        if op.forcing.side(side).kind != "robin":
             continue
-        biot = g.biot_left if side == "left" else g.biot_right
-        u_b, v_b = u[j], v[j]
-        sat = 0.0
-        if biot.m_sat > 0 or biot.t_sat > 0:
-            sat = sf.psat_star(u_b) / u_b - sf.psat_inf(t) / sf.u_inf(t)
-        d_v = v_b - sf.v_inf(t)
-        e_m = biot.m_sat * sat + biot.m_theta * d_v
-        e_t = biot.t_t * (u_b - sf.u_inf(t)) + biot.t_sat * sat + biot.t_theta * d_v
-        phi_m = sf.flux_m(t) - e_m
-        phi_t = sf.flux_t(t) + g.alpha * biot.t_g * sf.g_inf(t) - e_t
+        phi_m, phi_t = robin_inflow(op, side, t, u[j], v[j])
         if side == "left":
             dv[j] = g.fo_m * (q_m[j] + phi_m) * 2.0 / dx
             du[j] = g.fo_t * (q_t[j] + phi_t) * 2.0 / (dx * c[j])
@@ -559,7 +530,7 @@ class TestStackedState:
             for row, want in zip(got, per_row_rhs(op, t, u, v)):
                 assert np.array_equal(row, want)
 
-    @pytest.mark.parametrize("case", ["verification", "saturating_robin"])
+    @pytest.mark.parametrize("case", ["verification", "physical_robin"])
     def test_wrapped_forcing_gives_identical_rhs(self, case):
         # Wrapped as the benchmark tracer wraps them: pass-through callables
         # in place of every field, the model's zero function among them.
@@ -608,8 +579,8 @@ positive = st.floats(0.1, 2.0)
 @st.composite
 def polynomial_walls(draw):
     """(operator, stacked state): a random 1-3-layer wall of polynomial
-    materials on a grid with its interfaces on nodes, Robin (with or without
-    saturation terms) or Dirichlet sides, and a random in-box state.
+    materials on a grid with its interfaces on nodes, Robin or Dirichlet
+    sides, and a random in-box state.
 
     The wall is all constant, all varying or mixed.  A varying coefficient
     has degree 1 or 2 in the first layer and in some others; a constant
@@ -634,11 +605,8 @@ def polynomial_walls(draw):
     biots, sides = [], []
     for _ in range(2):
         if draw(st.booleans()):
-            sat = draw(positive) if draw(st.booleans()) else 0.0
-            biots.append(BiotSet(m_sat=sat, m_theta=draw(positive), t_t=draw(positive),
-                                 t_sat=sat, t_theta=draw(positive)))
-            sides.append(SideForcing.robin(lambda t: 1.0 + 0.1 * t, lambda t: 0.5,
-                                           psat_inf=lambda t: 1.2, psat_star=lambda u: 1.0 + u * u))
+            biots.append(BiotSet(m_theta=draw(positive), t_t=draw(positive), t_theta=draw(positive)))
+            sides.append(SideForcing.robin(lambda t: 1.0 + 0.1 * t, lambda t: 0.5))
         else:
             biots.append(BiotSet())
             sides.append(dirichlet_forcing(1.0, 0.5))
@@ -658,7 +626,7 @@ def in_box_y(n, seed):
 
 
 def mixed_op():
-    """The ins_re wall with a saturating Robin left side and a Dirichlet right side."""
+    """The ins_re wall with a Robin left side and a Dirichlet right side."""
     robin = physical_op(INS_RE, "robin")
     return SemiDiscreteOperator(robin.wall, robin.grid, robin.groups,
                                 BoundaryForcing(robin.forcing.left, dirichlet_forcing(293.0, 0.4)))
@@ -698,6 +666,23 @@ class TestCoefficientPass:
         want = -(a @ flat).reshape(2, op.n)[:, 1:-1]
         scale = (np.abs(a) @ np.abs(flat)).reshape(2, op.n)[:, 1:-1]
         assert np.all(np.abs(op.rhs(0.3, y)[:, 1:-1] - want) <= 1e-14 * scale)
+
+    @wall_cases
+    @given(polynomial_walls())
+    def test_constant_materials_make_a_linear_operator(self, case):
+        # The exchange terms are linear, so whatever the sides, only a varying
+        # coefficient makes the operator nonlinear; a linear one is -A y + b(t)
+        # with A the same at every state.
+        op, y = case
+        constant = not any(any(p[1:]) for model, _ in op.wall.layers for p in model.poly)
+        assert op.is_linear == constant
+        if constant:
+            a = op.frozen_matrix(0.3, StateField(y[0], y[1]))
+            assert np.array_equal(a, op.frozen_matrix(0.3))
+            b = op.rhs(0.3, np.zeros_like(y))
+            want = -(a @ y.ravel()).reshape(2, op.n) + b
+            scale = (np.abs(a) @ np.abs(y.ravel())).reshape(2, op.n) + np.abs(b)
+            assert np.all(np.abs(op.rhs(0.3, y) - want) <= 1e-13 * scale)
 
     @wall_cases
     @given(polynomial_walls())
@@ -783,8 +768,8 @@ def full_table_pass(op, v):
 
 def full_table_rhs(op, t, y):
     """The RHS from :func:`full_table_pass`: flux factors scaled from the
-    faces, the stacked flux divergence and the operator's own boundary
-    closure, in the order of operations of the operator's RHS."""
+    faces, the stacked flux divergence and the closure of :func:`robin_inflow`,
+    in the order of operations of the operator's RHS."""
     g, n, dx = op.groups, op.n, op.dx
     faces, c = full_table_pass(op, y[1])
     cu, cv, grad = np.zeros((3, 2, n))
@@ -799,11 +784,11 @@ def full_table_rhs(op, t, y):
     out = np.zeros((2, n))
     fo = np.repeat([g.fo_t, g.fo_m], n)
     out.ravel()[1:-1] = (flux.ravel()[1:-1] - flux.ravel()[:-2]) * fo[1:-1] / den.ravel()[1:-1]
-    for j, side, sign in op._robin:
-        s_m, s_t, e_m, e_t = side.terms(t, float(y[0, j]), float(y[1, j]))
+    for j, _, sign in op._robin:
+        phi_m, phi_t = robin_inflow(op, "left" if j == 0 else "right", t, float(y[0, j]), float(y[1, j]))
         face = 0 if j == 0 else n - 2
-        out[0, j] = g.fo_t * ((s_t - e_t) + sign * float(flux[0, face])) * 2.0 / float(den[0, j])
-        out[1, j] = g.fo_m * ((s_m - e_m) + sign * float(flux[1, face])) * 2.0 / dx
+        out[0, j] = g.fo_t * (phi_t + sign * float(flux[0, face])) * 2.0 / float(den[0, j])
+        out[1, j] = g.fo_m * (phi_m + sign * float(flux[1, face])) * 2.0 / dx
     if op.source_u is not None:
         out[0] += op.source_u(op.grid.node_positions, t)
     if op.source_v is not None:
@@ -864,9 +849,8 @@ class TestStateDependentRows:
         # Robin or Dirichlet on each side, drawn or unit Fourier numbers,
         # with and without sources: no entry of the output keeps its NaN.
         op, y = case
-        biot = BiotSet(m_sat=0.3, m_theta=0.5, t_t=0.7, t_sat=0.3, t_theta=0.2)
-        sides = {"robin": SideForcing.robin(lambda t: 1.0 + 0.1 * t, lambda t: 0.5,
-                                            psat_inf=lambda t: 1.2, psat_star=lambda u: 1.0 + u * u),
+        biot = BiotSet(m_theta=0.5, t_t=0.7, t_theta=0.2)
+        sides = {"robin": SideForcing.robin(lambda t: 1.0 + 0.1 * t, lambda t: 0.5),
                  "dirichlet": dirichlet_forcing(1.0, 0.5)}
         sources = {"source_u": lambda x, t: np.sin(x) + t, "source_v": lambda x, t: x * x - t}
         g = op.groups

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import textwrap
 
 import numpy as np
@@ -388,7 +389,7 @@ class TestConfigFile:
         """))
         cfg = load_config(cfg_path)
         left, right = cfg.forcing_left, cfg.forcing_right
-        for key in ("psat_inf", "g_inf", "flux_m", "flux_t"):
+        for key in ("g_inf", "flux_m", "flux_t"):
             assert getattr(left, key) is _zero
         assert right.flux_t is not _zero and right.flux_m is _zero
         dom = cases._build_domain(cfg, BoundaryForcing(left, right), cfg.groups)
@@ -401,7 +402,7 @@ class TestConfigFile:
         # The parser used to fill every absent key with the expression "0".
         def spelled_out(sf):
             return dataclasses.replace(sf, **{key: parse_time_function("0") for key in
-                                              ("psat_inf", "g_inf", "flux_m", "flux_t")
+                                              ("g_inf", "flux_m", "flux_t")
                                               if getattr(sf, key) is _zero})
 
         before = SemiDiscreteOperator(wall, grid, cfg.groups,
@@ -473,6 +474,22 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("change,named", [
+        ({"admissible_box": (2.0, 1.0, 0.0, 2.0)}, "[box]"),
+        ({"admissible_box": (0.5, 2.5, 2.0, 2.0)}, "[box]"),
+        ({"admissible_box": (math.nan, 2.5, 0.0, 2.0)}, "[box]"),
+        ({"admissible_box": (0.5, math.inf, 0.0, 2.0)}, "[box]"),
+        ({"damping_rkc": math.nan}, "damping_rkc"),
+        ({"damping_rkc": math.inf}, "damping_rkc"),
+        ({"damping_rkc": -0.1}, "damping_rkc"),
+    ], ids=["box-inverted", "box-empty", "box-nan", "box-inf", "damping-nan", "damping-inf", "damping-negative"])
+    def test_validate_rejects_bad_box_and_damping_in_presets(self, change, named):
+        # a box no state fits was reported as a divergence, a NaN damping as a ValueError
+        for preset in (cases.verification_preset, cases.physical_preset):
+            cfg = dataclasses.replace(preset(), **change)
+            with pytest.raises(ConfigError, match=re.escape(named)):
+                cfg.validate()
+
 
 # Every section and key that some case kind reads, with a valid value for
 # each kind that reads it; "*" stands for the keys of [materials].
@@ -488,10 +505,10 @@ TABLE_FILES = {
         "wall": {"layers": "m1:0.6, m2:0.4"},
         "box": {"u_min": "0.5", "u_max": "2.5", "v_min": "0", "v_max": "2"},
         "groups": {"fo_m": "0.09", "fo_t": "0.07", "gamma": "0.07", "delta": "0.05", "alpha": "0.3"},
-        **{f"biot.{side}": {"m_sat": "0.1", "m_theta": "25.5", "t_t": "50.5", "t_sat": "0.1",
-                            "t_theta": "0.496", "t_g": "2"} for side in ("left", "right")},
+        **{f"biot.{side}": {"m_theta": "25.5", "t_t": "50.5", "t_theta": "0.496", "t_g": "2"}
+           for side in ("left", "right")},
         **{f"forcing.{side}": {"kind": "robin", "series": "bc.csv", "u": "T_amb", "v": "1",
-                               "psat_inf": "1", "g_inf": "0.1", "flux_m": "0", "flux_t": "0.1*t"}
+                               "g_inf": "0.1", "flux_m": "0", "flux_t": "0.1*t"}
            for side in ("left", "right")},
         "initial": {"u": "1", "v": "1, 0.8"},
         "output": {"dump_matrix": "false"},
@@ -559,6 +576,12 @@ class TestCaseFileTable:
             self.load(tmp_path, {**sections, "tme": {"tau": "1"}})
         with pytest.raises(ConfigError, match=r"^\[tme\] does not apply"):
             self.load(tmp_path, {**sections, "tme": {}})
+        # the saturation exchange keys are gone; psat_inf was read and never evaluated
+        for side in ("left", "right"):
+            for section, key in ((f"biot.{side}", "m_sat"), (f"biot.{side}", "t_sat"),
+                                 (f"forcing.{side}", "psat_inf")):
+                with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} is not a case-file key"):
+                    self.load(tmp_path, {**sections, section: {**sections.get(section, {}), key: "0"}})
         # a [DEFAULT] key is a key of every section
         with pytest.raises(ConfigError, match=r"^\[grid\] title is not a case-file key"):
             self.load(tmp_path, sections, head="[DEFAULT]\ntitle = x")
