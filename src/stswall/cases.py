@@ -58,6 +58,8 @@ VERIFICATION_DT_DF = 1.0e-3
 # are the schedule gains applied to the same base.
 PHYSICAL_DT_EULER_S = 3.4e-2 * 60.0
 
+MAX_NODES = 10_001     # ten times fine-grid's 1001; the oracle's ~1000 (2, n) samples take 160 MB
+
 
 def verification_preset() -> CaseConfig:
     """Dimensionless two-material verification case, all four schemes."""
@@ -190,6 +192,9 @@ def _build_domain(cfg: CaseConfig, forcing, groups) -> _Domain:
     wall = WallAssembly([(cfg.materials[name], th) for name, th in cfg.layers])
     length = wall.total_length
     n_float = length / cfg.dx
+    if n_float > MAX_NODES - 0.5:       # checked before round(inf) or a huge linspace
+        raise ConfigError(f"dx={cfg.dx} on the wall length {length} makes {n_float + 1:.4g} nodes, "
+                          f"more than {MAX_NODES}")
     n_steps = round(n_float)
     if abs(n_steps - n_float) > 1e-9 * max(1.0, n_float):
         raise ConfigError(f"dx={cfg.dx} does not divide the wall length {length}")
@@ -205,7 +210,7 @@ def _build_domain(cfg: CaseConfig, forcing, groups) -> _Domain:
         if not np.all(c > 0):
             raise ConfigError(f"material {model.name!r}: c_t must be positive at the initial state, "
                               f"got {np.min(c)}")
-    return _Domain(cfg, wall, grid, forcing, groups, StateField(u0, v0, 0.0))
+    return _Domain(cfg, wall, grid, forcing, groups, StateField(u0, v0))
 
 
 def _dimensionless_domain(cfg: CaseConfig) -> _Domain:
@@ -461,7 +466,7 @@ def _oracle(dom, check=False):
     cfg, op, state0 = dom.cfg, dom.operator(), dom.state0
     if cfg.dt_euler is None:
         raise ConfigError("the RK4 reference needs an explicit dt_euler")
-    lam = op.gershgorin_lambda_max(0.0, state0)
+    lam = op.gershgorin_lambda_max(state0.v)
     h = 2.0 * cfg.dt_euler if 2.0 * cfg.dt_euler * lam <= 2.5 else cfg.dt_euler
     times, states = [], []
 
@@ -520,7 +525,7 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
     })
     emit_outputs(out_dir, manifest, records=records, tables=profiles)
     if cfg.dump_matrix:
-        dom.operator().dump_matrix(os.path.join(out_dir, "operator_matrix.txt"), 0.0, dom.state0)
+        dom.operator().dump_matrix(os.path.join(out_dir, "operator_matrix.txt"), dom.state0.v)
     return VerificationResult(records=records, reports=reports, reference=ref_report.final_state,
                               grid=grid, manifest=manifest, failures=failures)
 
@@ -750,7 +755,7 @@ def _layout_config(cfg: CaseConfig, layer_list, forcing, groups) -> _Domain:
     sub.initial_v = [cfg.initial_v[name] for name, _ in layer_list]
     dom = _build_domain(sub, forcing, groups)
     if sub.dt_euler is None or sub.dt_exp_base is None:
-        lam = dom.operator().gershgorin_lambda_max(0.0, dom.state0)
+        lam = dom.operator().gershgorin_lambda_max(dom.state0.v)
         if not lam > 0:
             raise ConfigError("operator has zero stiffness; set dt_euler or dt_exp explicitly")
         dt_exp = 2.0 / lam

@@ -341,7 +341,7 @@ class _DufortFrankelStep(_EulerStep):
         dt_b, plus, minus, det, r, work = self.dt_b, self.plus, self.minus, self.det, self.r, self.work
         dt0, dt_sq, two_dt, one = self.df_dt(dt)
         if self.blocks is None or self.refresh_blocks:
-            b = self.blocks = op.jacobian_node_blocks(t, y, coeffs)
+            b = self.blocks = op.jacobian_node_blocks(y[1], coeffs)
             np.multiply(b, dt0, dt_b)
             np.add(one, dt_b[::3], plus)
             np.subtract(one, dt_b[::3], minus)
@@ -369,7 +369,7 @@ class _DufortFrankelStep(_EulerStep):
 
     def land(self, t, remainder, t_end, y):
         # Stable Euler sub-steps below the explicit limit.
-        lam = self.op.gershgorin_lambda_max(t, y)
+        lam = self.op.gershgorin_lambda_max(y[1])
         dt_safe = remainder if lam == 0 else min(remainder, 1.8 / lam)
         m = max(1, int(math.ceil(remainder / dt_safe)))
         h = remainder / m
@@ -425,7 +425,7 @@ def _march(op, state0, stepper, tau, observe, observe_every) -> RunReport:
     return RunReport(
         scheme=stepper.scheme, dt=dt0, tau=tau, n_steps=step, n_t=n_t,
         rhs_evals=op.rhs_evals - evals0, cpu_s=cpu,
-        final_state=StateField(y[0], y[1], tau),
+        final_state=StateField(y[0], y[1]),
         flags={**stepper.flags, "box_violations": mon.box_violations},
         n_s=stepper.n_s, dt_exp=stepper.dt_exp,
     )
@@ -444,7 +444,7 @@ def euler_run(
     Refuses dt at or above the explicit limit of the operator (estimated
     at the initial state).
     """
-    lam = op.gershgorin_lambda_max(0.0, state0)
+    lam = op.gershgorin_lambda_max(state0.v)
     stepper = _EulerStep(op, dt, math.inf if lam == 0 else 2.0 / lam)
     if dt >= stepper.dt_exp:
         raise ConfigError(f"Euler step {dt:g} exceeds the explicit limit {stepper.dt_exp:g}")
@@ -543,7 +543,7 @@ class _SuperStep:
         if not self.refresh_lambda:
             return False
         self.coeffs = self.op._coefficients(y[1])
-        lam = self.op.gershgorin_lambda_max(t, y, coeffs=self.coeffs)
+        lam = self.op.gershgorin_lambda_max(y[1], self.coeffs)
         if lam <= self.active.design_lambda:
             return False
         self.active = build_schedule(
@@ -580,7 +580,7 @@ def sts_run(
     data at the cycle start; the last stage imposes Dirichlet values at
     the cycle end.
     """
-    lam0 = op.gershgorin_lambda_max(0.0, state0)
+    lam0 = op.gershgorin_lambda_max(state0.v)
     if lam0 > schedule.design_lambda * (1.0 + 1e-9):
         raise StaleScheduleError(
             f"schedule was built for lambda_max <= {schedule.design_lambda:g} "

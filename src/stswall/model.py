@@ -235,7 +235,6 @@ class StateField:
 
     u: np.ndarray
     v: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)

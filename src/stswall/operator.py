@@ -289,7 +289,7 @@ class SemiDiscreteOperator:
 
     # -- frozen-coefficient matrix ----------------------------------------------------
 
-    def _stencil(self, t: float, state=None, coeffs=None, diagonal=False) -> np.ndarray:
+    def _stencil(self, v=None, coeffs=None, diagonal=False) -> np.ndarray:
         """Entries of the frozen matrix A (see :meth:`frozen_matrix`) per node.
 
         Returns one (3, 4, n) array, unpacking as ``lower, diag, upper``.
@@ -297,16 +297,12 @@ class SemiDiscreteOperator:
         equation row j of that block has ``lower[k, j]`` in column j-1,
         ``diag[k, j]`` in column j and ``upper[k, j]`` in column j+1.
         Dirichlet rows are zero.  With ``diagonal`` only ``diag`` is made
-        and returned, (4, n).  Coefficients are frozen at ``state``
-        (stacked (2, n), StateField, or None for all ones) from one
-        coefficient pass, none when ``coeffs`` is the operator's latest.
-        The only code that writes A's entries.
+        and returned, (4, n).  Coefficients are frozen at the (n,) moisture
+        row ``v`` (None: all ones) from one coefficient pass, none when
+        ``coeffs`` is the operator's latest.  The only code that writes A.
         """
-        if isinstance(state, StateField):
-            state = (state.u, state.v)
-        v = np.ones(self.n) if state is None else state[1]
         if coeffs is None or coeffs is not self._pass:
-            coeffs = self._coefficients(v)
+            coeffs = self._coefficients(np.ones(self.n) if v is None else v)
         faces, c = coeffs
         row = self._row     # per-node row factors: fo_t cm / c in u rows, cm in v rows
         np.divide(self._fo_t_cm, c[1:-1], row[:2])
@@ -334,15 +330,16 @@ class SemiDiscreteOperator:
                 (upper if b == 0 else lower)[:, b] = -w * factor * faces[:, b] / dx
         return weights
 
-    def frozen_matrix(self, t: float = 0.0, state: Optional[StateField] = None) -> np.ndarray:
-        """Dense matrix A with rhs ~= -A y + b(t), coefficients frozen at ``state``.
+    def frozen_matrix(self, v=None) -> np.ndarray:
+        """Dense matrix A with rhs ~= -A y + b(t), coefficients frozen at moisture ``v``.
 
-        Row/column order is [u_0..u_{N-1}, v_0..v_{N-1}]; exact for linear
-        operators.  It costs O(n^2) memory, so the marching code never
-        builds it; it serves :meth:`dump_matrix` and the tests' dense checks.
+        A reads no time, and of the state only the (n,) moisture row ``v``
+        (None: all ones).  Row/column order is [u_0..u_{N-1}, v_0..v_{N-1}];
+        exact for linear operators.  It costs O(n^2) memory, so the marching
+        code never builds it; it serves :meth:`dump_matrix` and the tests.
         """
         n = self.n
-        lower, diag, upper = self._stencil(t, state)
+        lower, diag, upper = self._stencil(v)
         a = np.zeros((2 * n, 2 * n))
         j = np.arange(n)
         for k, (r, col) in enumerate(((0, 0), (0, n), (n, 0), (n, n))):
@@ -351,35 +348,34 @@ class SemiDiscreteOperator:
             a[r + j[:-1], col + j[1:]] = upper[k, :-1]
         return a
 
-    def jacobian_node_blocks(self, t: float = 0.0, state=None, coeffs=None):
-        """Per-node 2x2 blocks of A coupling (u_j, v_j) to itself.
+    def jacobian_node_blocks(self, v=None, coeffs=None):
+        """Per-node 2x2 blocks of A coupling (u_j, v_j) to itself, at moisture ``v``.
 
         Returns a new (4, node_count) array with rows b_uu, b_uv, b_vu, b_vv.
         These are the terms a three-level scheme must treat implicitly to stay
         stable under two-way cross coupling.  O(n): the stencil's diagonal,
         made alone, from one coefficient pass (none when ``coeffs`` is given).
         """
-        return self._stencil(t, state, coeffs, diagonal=True)
+        return self._stencil(v, coeffs, diagonal=True)
 
-    def gershgorin_lambda_max(self, t: float = 0.0, state=None, coeffs=None) -> float:
-        """Infinity-norm row-sum bound; never below the true spectral radius.
+    def gershgorin_lambda_max(self, v=None, coeffs=None) -> float:
+        """Infinity-norm row-sum bound of A at moisture ``v``; never below its spectral radius.
 
         The largest absolute row sum of :meth:`frozen_matrix`, read off the
         stencil in the matrix row's order: |lower| + |diag| + |upper| of uu
         then uv in u rows, of vu then vv in v rows.  O(n), from one
         coefficient pass (none when ``coeffs`` is given).
         """
-        w = np.abs(self._stencil(t, state, coeffs))
+        w = np.abs(self._stencil(v, coeffs))
         return float(w.reshape(3, 2, 2, self.n).sum(axis=(0, 2)).max())
 
-    def dump_matrix(self, path, t: float = 0.0, state: Optional[StateField] = None) -> None:
-        """Write the frozen matrix in coordinate format: 'row col value' lines."""
-        a = self.frozen_matrix(t, state)
+    def dump_matrix(self, path, v=None) -> None:
+        """Write the frozen matrix at moisture ``v`` in coordinate format: 'row col value' lines."""
+        a = self.frozen_matrix(v)
         rows, cols = np.nonzero(a)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"% {a.shape[0]} {a.shape[1]} {rows.size}\n")
-            for i, j in zip(rows, cols):
-                fh.write(f"{i} {j} {a[i, j]:.17g}\n")
+            fh.writelines(f"{i} {j} {a[i, j]:.17g}\n" for i, j in zip(rows, cols))
 
 
 class _BoundarySide:

@@ -21,7 +21,7 @@ from stswall.config import load_config
 from stswall.errors import ConfigError, DivergenceError
 from stswall.metrics import ComparisonRecord
 from stswall.model import (
-    BoundaryForcing, DimensionlessGroups, Grid1D, SideForcing, StateField, WallAssembly,
+    BoundaryForcing, DimensionlessGroups, Grid1D, SideForcing, WallAssembly,
     builtin_material,
 )
 from stswall.operator import SemiDiscreteOperator
@@ -125,6 +125,19 @@ class TestVerificationRun:
         run_verification_case(cfg, tmp_path)
         assert (tmp_path / "operator_matrix.txt").exists()
 
+    @pytest.mark.parametrize("preset,run,length", [
+        (verification_preset, run_verification_case, "1.0"),
+        (physical_preset, run_physical_case, "0.625")], ids=["verify", "physical"])
+    @pytest.mark.parametrize("dx", [1e-300, 1e-320])
+    def test_tiny_dx_is_refused_before_any_grid_is_made(self, tmp_path, preset, run, length, dx):
+        # np.linspace raised "Maximum allowed size exceeded" at 1e-300 and
+        # round(inf) an OverflowError at 1e-320
+        cfg = preset()
+        cfg.dx = dx
+        with pytest.raises(ConfigError, match=rf"dx={dx!r} on the wall length {length} makes .* nodes, "
+                                              rf"more than {cases.MAX_NODES}"):
+            run(cfg, tmp_path)
+
     def test_ratios_without_euler_are_taken_against_the_first_scheme(self, tmp_path):
         cfg = short_verification()
         cfg.schemes = ["df", "rkl"]
@@ -193,7 +206,7 @@ class TestOracle:
         dom = cases._build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right),
                                   cfg.groups)
         # 2 dt lambda = 3 is outside RK4's margin of 2.5; dt lambda = 1.5 is a stable Euler step
-        cfg.dt_euler = 1.5 / dom.operator().gershgorin_lambda_max(0.0, dom.state0)
+        cfg.dt_euler = 1.5 / dom.operator().gershgorin_lambda_max(dom.state0.v)
         res = run_verification_case(cfg, tmp_path)
         assert res.manifest["reference"]["dt"] == cfg.dt_euler
         assert res.reports["euler"].dt == cfg.dt_euler
@@ -581,6 +594,10 @@ class TestCli:
         *((["verify", "--config", "{verification}"],
            ("[forcing.left]", f"[forcing.right]\nu = 1\n[box]\n{box}\n[forcing.left]"), "[box]")
           for box in ("u_min = 2\nu_max = 1\nv_min = 0\nv_max = 2", "u_min = nan\nu_max = 2.5\nv_min = 0\nv_max = 2")),
+        # np.linspace raised "Maximum allowed size exceeded" at 1e-300, round(inf) an OverflowError at 1e-320
+        (["verify", "--dx", "1e-300"], None, "dx=1e-300 on the wall length 1.0 makes 1e+300 nodes"),
+        (["verify", "--dx", "1e-320"], None, "dx=1e-320 on the wall length 1.0 makes inf nodes"),
+        (["physical", "--dx", "1e-300"], None, "dx=1e-300 on the wall length 0.625"),
     ], ids=["verify-tau-abc", "physical-dt-abc", "sweep-ns-x", "ini-tau-abc", "ini-dx-abc",
             "verify-tau-nan", "verify-dx-nan", "verify-tau-1e400", "physical-tau-inf",
             "verify-dx-abc", "physical-tau-0d", "verify-ns-three", "verify-ns-empty",
@@ -594,7 +611,8 @@ class TestCli:
             "ini-verification-duration", "ini-physical-empty-output", "ini-physical-output-false",
             "ini-forcing-kind", "ini-builtin-coefficient", "ini-default-key", "ini-duplicate-key",
             "ini-biot-m-sat", "ini-forcing-psat-inf", "verify-damping-nan", "verify-damping-inf",
-            "sweep-damping-nan", "sweep-damping-inf", "ini-inverted-box", "ini-nan-box"])
+            "sweep-damping-nan", "sweep-damping-inf", "ini-inverted-box", "ini-nan-box",
+            "verify-dx-1e-300", "verify-dx-1e-320", "physical-dx-1e-300"])
     def test_malformed_or_non_finite_number_exits_one(self, tmp_path, capsys, argv, ini_edit, named):
         if "--config" in argv:
             template = self.VERIFICATION_INI if "{verification}" in argv else self.PHYSICAL_INI.format(
@@ -659,7 +677,7 @@ class TestCli:
         op = SemiDiscreteOperator(wall, Grid1D.uniform(0.5, 101),
                                   DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6),
                                   BoundaryForcing(side, side))
-        lam = op.gershgorin_lambda_max(0.0, StateField(np.full(101, 291.3), np.full(101, 0.53)))
+        lam = op.gershgorin_lambda_max(np.full(101, 0.53))
         for scheme in ("rkc", "rkl"):
             assert manifest["runs"][scheme]["dt_exp"] == pytest.approx(2.0 / lam / 1.1, rel=1e-12)
             assert manifest["runs"][scheme]["flags"]["box_violations"] == 0
@@ -872,7 +890,7 @@ class TestCli:
         dom = cases._dimensionless_domain(load_config(ini))
         op = dom.operator()
         assert not op.is_linear
-        want = op.frozen_matrix(0.0, dom.state0)
+        want = op.frozen_matrix(dom.state0.v)
         header, *lines = (out / "operator_matrix.txt").read_text().splitlines()
         assert header == f"% {2 * op.n} {2 * op.n} {np.count_nonzero(want)}"
         got = np.zeros_like(want)

@@ -1,7 +1,8 @@
 """Golden outputs: reruns reproduce the recorded CSV numbers and manifests.
 
 Each case runs through its public runner and is reduced to a snapshot: every
-CSV it writes, parsed to numbers, plus ``manifest.json``.  Timing-derived
+CSV it writes, parsed to numbers, plus ``manifest.json`` and, for the
+verification case, the dumped frozen matrix ``operator_matrix.txt``.  Timing-derived
 data are left out (the ``cpu`` columns and fields, and ``created_at``).
 Floats are compared at 1e-12 relative; integers (``n_steps``,
 ``rhs_evals``, ``schedule_rebuilds``, ``box_violations``, ``N_t``) and
@@ -34,9 +35,11 @@ SKIPPED_FILES = {"synthetic_climate.csv"}   # an input, regenerated by the run
 
 
 def _verify_case(out_dir):
-    """Verification preset, all four schemes, shortened to tau = 0.005."""
+    """Verification preset, all four schemes, shortened to tau = 0.005, with
+    the frozen matrix dumped."""
     cfg = verification_preset()
     cfg.tau = 0.005
+    cfg.dump_matrix = True
     run_verification_case(cfg, out_dir)
 
 
@@ -110,6 +113,9 @@ def snapshot(name):
                     snap[fname] = _scrub(json.load(fh))
             elif fname.endswith(".csv") and fname not in SKIPPED_FILES:
                 snap[fname] = _read_csv(path)
+            elif fname == "operator_matrix.txt":
+                with open(path, encoding="utf-8") as fh:
+                    snap[fname] = [[_cell(tok) for tok in line.split()] for line in fh]
     return snap
 
 

@@ -354,7 +354,7 @@ class TestDufortFrankel:
         for k in range(2, 9):
             t = (k - 1) * dt
             if not linear or k == 2:
-                b_uu, b_uv, b_vu, b_vv = op.jacobian_node_blocks(t, y)
+                b_uu, b_uv, b_vu, b_vv = op.jacobian_node_blocks(y[1])
                 det = (1.0 + dt * b_uu) * (1.0 + dt * b_vv) - dt * dt * b_uv * b_vu
             (u_prev, v_prev), (u, v) = y_prev, y
             du, dv = op.rhs(max(0.0, t - dt), y)
@@ -551,7 +551,7 @@ SCHEMES = [("rkc", 10), ("rkl", 20)]
 
 
 def nonlinear_schedule(scheme, n_s, margin):
-    lam = nonlinear_operator().gershgorin_lambda_max(0.0, nonlinear_state())
+    lam = nonlinear_operator().gershgorin_lambda_max(nonlinear_state().v)
     return build_schedule(scheme, n_s, 2.0 / (margin * lam), 0.0 if scheme == "rkc" else None)
 
 
@@ -713,7 +713,7 @@ def step_cases(draw):
         y = np.stack([state.u, state.v]) + rng.random((2, op.n)) * [[2.0], [0.01]]
     else:
         y = 0.5 + rng.random((2, op.n))
-    h = draw(st.floats(0.05, 0.95)) * 2.0 / op.gershgorin_lambda_max(0.0, y)
+    h = draw(st.floats(0.05, 0.95)) * 2.0 / op.gershgorin_lambda_max(y[1])
     return op, y, draw(st.floats(0.0, 5.0)), h
 
 

@@ -271,8 +271,8 @@ class TestStabilityEstimate:
         multi = [("ins", 0.125), ("re", 0.5), ("ins", 0.125)]
         for op in (physical_op(INS_RE), physical_op(multi, "robin")):
             state = in_box_state(op.n, 3)
-            dense = float(np.max(np.sum(np.abs(op.frozen_matrix(0.0, state)), axis=1)))
-            assert op.gershgorin_lambda_max(0.0, state) == pytest.approx(dense, rel=1e-14)
+            dense = float(np.max(np.sum(np.abs(op.frozen_matrix(state.v)), axis=1)))
+            assert op.gershgorin_lambda_max(state.v) == pytest.approx(dense, rel=1e-14)
 
     def test_verification_operator_admits_published_step(self):
         wall = WallAssembly([(builtin_material("table1_mat1"), 0.6),
@@ -413,10 +413,10 @@ class TestFaceTables:
     def test_node_blocks_equal_dense_diagonal_blocks(self, layout, sides):
         op = physical_op(layout, sides)
         state = in_box_state(op.n, 17)
-        a = op.frozen_matrix(0.4, state)
+        a = op.frozen_matrix(state.v)
         j = np.arange(op.n)
         want = (a[j, j], a[j, j + op.n], a[j + op.n, j], a[j + op.n, j + op.n])
-        for got, dense in zip(op.jacobian_node_blocks(0.4, state), want):
+        for got, dense in zip(op.jacobian_node_blocks(state.v), want):
             assert np.array_equal(got, dense)
 
     @pytest.mark.parametrize("layout", [INS_RE, RE_INS], ids=["ins_re", "re_ins"])
@@ -661,7 +661,7 @@ class TestCoefficientPass:
     @given(polynomial_walls())
     def test_interior_rhs_equals_frozen_matrix_product(self, case):
         op, y = case
-        a = op.frozen_matrix(0.3, StateField(y[0], y[1]))
+        a = op.frozen_matrix(y[1])
         flat = y.ravel()
         want = -(a @ flat).reshape(2, op.n)[:, 1:-1]
         scale = (np.abs(a) @ np.abs(flat)).reshape(2, op.n)[:, 1:-1]
@@ -677,8 +677,8 @@ class TestCoefficientPass:
         constant = not any(any(p[1:]) for model, _ in op.wall.layers for p in model.poly)
         assert op.is_linear == constant
         if constant:
-            a = op.frozen_matrix(0.3, StateField(y[0], y[1]))
-            assert np.array_equal(a, op.frozen_matrix(0.3))
+            a = op.frozen_matrix(y[1])
+            assert np.array_equal(a, op.frozen_matrix())
             b = op.rhs(0.3, np.zeros_like(y))
             want = -(a @ y.ravel()).reshape(2, op.n) + b
             scale = (np.abs(a) @ np.abs(y.ravel())).reshape(2, op.n) + np.abs(b)
@@ -688,26 +688,24 @@ class TestCoefficientPass:
     @given(polynomial_walls())
     def test_bound_equals_dense_row_sum(self, case):
         op, y = case
-        state = StateField(y[0], y[1])
-        dense = float(np.max(np.sum(np.abs(op.frozen_matrix(0.3, state)), axis=1)))
-        assert op.gershgorin_lambda_max(0.3, y) == pytest.approx(dense, rel=1e-14)
-        assert op.gershgorin_lambda_max(0.3, y) == op.gershgorin_lambda_max(0.3, state)
+        dense = float(np.max(np.sum(np.abs(op.frozen_matrix(y[1])), axis=1)))
+        assert op.gershgorin_lambda_max(y[1]) == pytest.approx(dense, rel=1e-14)
 
     @wall_cases
     @given(polynomial_walls())
     def test_bound_dominates_dense_spectral_radius(self, case):
         op, y = case
-        rho = np.max(np.abs(np.linalg.eigvals(op.frozen_matrix(0.3, StateField(y[0], y[1])))))
-        assert op.gershgorin_lambda_max(0.3, y) >= rho * (1 - 1e-12)
+        rho = np.max(np.abs(np.linalg.eigvals(op.frozen_matrix(y[1]))))
+        assert op.gershgorin_lambda_max(y[1]) >= rho * (1 - 1e-12)
 
     @wall_cases
     @given(polynomial_walls())
     def test_node_blocks_equal_dense_diagonal_blocks(self, case):
         op, y = case
-        a = op.frozen_matrix(0.3, StateField(y[0], y[1]))
+        a = op.frozen_matrix(y[1])
         j = np.arange(op.n)
         want = (a[j, j], a[j, j + op.n], a[j + op.n, j], a[j + op.n, j + op.n])
-        for got, dense in zip(op.jacobian_node_blocks(0.3, y), want):
+        for got, dense in zip(op.jacobian_node_blocks(y[1]), want):
             assert np.array_equal(got, dense)
 
     @pytest.mark.parametrize("make", [lambda: verification_op(verification_forcing()),
@@ -718,13 +716,13 @@ class TestCoefficientPass:
         op = make()
         for seed in (1, 2):
             y = in_box_y(op.n, seed)
-            assert op.jacobian_node_blocks(0.3, y).tobytes() == op._stencil(0.3, y)[1].tobytes()
+            assert op.jacobian_node_blocks(y[1]).tobytes() == op._stencil(y[1])[1].tobytes()
 
     @wall_cases
     @given(polynomial_walls())
     def test_node_blocks_are_the_stencil_diagonal_on_random_walls(self, case):
         op, y = case
-        assert op.jacobian_node_blocks(0.3, y).tobytes() == op._stencil(0.3, y)[1].tobytes()
+        assert op.jacobian_node_blocks(y[1]).tobytes() == op._stencil(y[1])[1].tobytes()
 
     @wall_cases
     @given(polynomial_walls())
@@ -732,8 +730,8 @@ class TestCoefficientPass:
         op, y = case
         coeffs = op._coefficients(y[1])
         assert np.array_equal(op.rhs(0.3, y, coeffs=coeffs), op.rhs(0.3, y))
-        assert op.gershgorin_lambda_max(0.3, y, coeffs=coeffs) == op.gershgorin_lambda_max(0.3, y)
-        for got, want in zip(op.jacobian_node_blocks(0.3, y, coeffs), op.jacobian_node_blocks(0.3, y)):
+        assert op.gershgorin_lambda_max(y[1], coeffs=coeffs) == op.gershgorin_lambda_max(y[1])
+        for got, want in zip(op.jacobian_node_blocks(y[1], coeffs), op.jacobian_node_blocks(y[1])):
             assert np.array_equal(got, want)
 
 
@@ -826,8 +824,8 @@ class TestStateDependentRows:
         for want, got in zip(full_table_pass(op, y[1]), op._coefficients(y[1])):
             assert np.array_equal(got, want)
         assert np.array_equal(op.rhs(0.3, y), full_table_rhs(op, 0.3, y))
-        assert op.gershgorin_lambda_max(0.3, y) == full.gershgorin_lambda_max(0.3, y)
-        for got, want in zip(op.jacobian_node_blocks(0.3, y), full.jacobian_node_blocks(0.3, y)):
+        assert op.gershgorin_lambda_max(y[1]) == full.gershgorin_lambda_max(y[1])
+        for got, want in zip(op.jacobian_node_blocks(y[1]), full.jacobian_node_blocks(y[1])):
             assert np.array_equal(got, want)
 
     @wall_cases
@@ -840,8 +838,8 @@ class TestStateDependentRows:
         assert np.array_equal(op.rhs(0.3, a, coeffs=pass_a), op.rhs(0.3, a))
         assert np.array_equal(op.rhs(0.3, a, coeffs=pass_a), full_table_rhs(op, 0.3, a))
         pass_a = op._coefficients(a[1])
-        op.jacobian_node_blocks(0.3, b)
-        assert op.gershgorin_lambda_max(0.3, a, coeffs=pass_a) == op.gershgorin_lambda_max(0.3, a)
+        op.jacobian_node_blocks(b[1])
+        assert op.gershgorin_lambda_max(a[1], coeffs=pass_a) == op.gershgorin_lambda_max(a[1])
 
     @wall_cases
     @given(polynomial_walls())
@@ -887,8 +885,8 @@ class TestStateDependentRows:
         first = const.rhs(0.0, y)
         for _ in range(5):
             assert np.array_equal(const.rhs(0.0, y), first)
-        const.gershgorin_lambda_max(0.0, y)
-        const.jacobian_node_blocks(0.0, y)
+        const.gershgorin_lambda_max(y[1])
+        const.jacobian_node_blocks(y[1])
         assert calls == []
         physical = physical_op(INS_RE)
         state = in_box_state(physical.n, 2)
