@@ -13,7 +13,7 @@ from .metrics import (
 )
 from .model import (
     BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups, Grid1D, SideForcing,
-    StateField, WallAssembly, builtin_material, evaluate_coefficients,
+    StateField, WallAssembly, builtin_material,
 )
 from .operator import SemiDiscreteOperator, apply_robin_closure
 from .series import BoundarySeries, ingest_boundary_series, write_synthetic_climate

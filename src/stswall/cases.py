@@ -180,6 +180,7 @@ class _Domain:
     forcing: BoundaryForcing
     groups: DimensionlessGroups
     state0: StateField
+    spans: list             # each layer's inclusive (first, last) node, WallAssembly.node_spans
 
     def operator(self) -> SemiDiscreteOperator:
         """A fresh operator (marches must not share one)."""
@@ -199,18 +200,16 @@ def _build_domain(cfg: CaseConfig, forcing, groups) -> _Domain:
     if abs(n_steps - n_float) > 1e-9 * max(1.0, n_float):
         raise ConfigError(f"dx={cfg.dx} does not divide the wall length {length}")
     grid = Grid1D.uniform(length, n_steps + 1)
-    node_layers = wall.node_layer_indices(grid)
-    u0 = _initial_field(cfg.initial_u, node_layers, len(cfg.layers))
-    v0 = _initial_field(cfg.initial_v, node_layers, len(cfg.layers))
+    spans = wall.node_spans(grid)
+    u0 = _initial_field(cfg.initial_u, spans)
+    v0 = _initial_field(cfg.initial_v, spans)
     # the RHS divides by the storage: each layer's c_t must be positive at every node it touches
-    x, tol, edges = grid.node_positions, 1e-9 * grid.spacing, np.r_[0.0, wall.interface_positions, length]
-    for k, (model, _) in enumerate(wall.layers):
-        on = (x >= edges[k] - tol) & (x <= edges[k + 1] + tol)
-        c = model.c_t(u0[on], v0[on])
+    for (model, _), (a, b) in zip(wall.layers, spans):
+        c = model.c_t(u0[a:b + 1], v0[a:b + 1])
         if not np.all(c > 0):
             raise ConfigError(f"material {model.name!r}: c_t must be positive at the initial state, "
                               f"got {np.min(c)}")
-    return _Domain(cfg, wall, grid, forcing, groups, StateField(u0, v0))
+    return _Domain(cfg, wall, grid, forcing, groups, StateField(u0, v0), spans)
 
 
 def _dimensionless_domain(cfg: CaseConfig) -> _Domain:
@@ -225,13 +224,16 @@ def _dimensionless_domain(cfg: CaseConfig) -> _Domain:
     return _build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right), cfg.groups)
 
 
-def _initial_field(value, node_layers, n_layers) -> np.ndarray:
-    if np.ndim(value) == 0:
-        return np.full(node_layers.size, float(value))
-    vals = [float(x) for x in value]
-    if len(vals) != n_layers:
-        raise ConfigError(f"per-layer initial values need {n_layers} entries, got {len(vals)}")
-    return np.array([vals[k] for k in node_layers], dtype=float)
+def _initial_field(value, spans) -> np.ndarray:
+    """A scalar everywhere, or one value per layer filled right to left, so
+    that an interface node keeps the left layer's value."""
+    vals = [float(value)] * len(spans) if np.ndim(value) == 0 else [float(x) for x in value]
+    if len(vals) != len(spans):
+        raise ConfigError(f"per-layer initial values need {len(spans)} entries, got {len(vals)}")
+    out = np.empty(spans[-1][1] + 1)
+    for val, (a, b) in zip(vals[::-1], spans[::-1]):
+        out[a:b + 1] = val
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -629,17 +631,6 @@ def physical_step_counts(cfg: CaseConfig) -> dict:
     return out
 
 
-def _re_node_range(grid, layer_list):
-    """Inclusive node range of the rammed-earth layer."""
-    names = [name for name, _ in layer_list]
-    idx = names.index("re")
-    x0 = sum(th for _, th in layer_list[:idx])
-    x1 = x0 + layer_list[idx][1]
-    a = int(round(x0 / grid.spacing))
-    b = int(round(x1 / grid.spacing))
-    return a, b
-
-
 def _physical_forcing(series: BoundarySeries) -> BoundaryForcing:
     return BoundaryForcing(
         left=SideForcing.dirichlet(series.interpolator("T_out"), series.interpolator("theta_out")),
@@ -697,7 +688,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
 
     for name, layer_list in layouts.items():
         dom = domains[name] = _layout_config(cfg, layer_list, forcing, groups)
-        observer = _MoistureObserver(dom.grid, _re_node_range(dom.grid, layer_list))
+        observer = _MoistureObserver(dom.grid, dom.spans[[m for m, _ in layer_list].index("re")])
         stride = max(1, int(cfg.tau / _scheme_step(cfg.drying_scheme, dom.cfg)[0] / 1500))
         try:
             report = _run_one_scheme(cfg.drying_scheme, dom, observe=observer, observe_every=stride,

@@ -251,6 +251,9 @@ class CaseConfig:
         for name in ("tau", "damping_rkc"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for key, step in (("dt_euler", self.dt_euler), ("dt_df", self.dt_df), ("dt_exp", self.dt_exp_base)):
+            if step is not None and not (step > 0 and math.isfinite(self.tau / step)):
+                raise ConfigError(f"{key} must be > 0 with a finite tau/{key}, got {step}")
         box = self.admissible_box
         if box is not None and not all(-math.inf < lo < hi < math.inf for lo, hi in (box[:2], box[2:])):
             raise ConfigError(f"[box] needs finite u_min < u_max and v_min < v_max, got {box}")

@@ -43,6 +43,8 @@ SAFETY_INFLATION = 1.1
 
 _OVERFLOW_GUARD = 1e150
 
+MAX_STAGES = 10_000     # stages per super-step cycle; no case runs more than a hundred
+
 
 @dataclass(frozen=True)
 class SuperStepSchedule:
@@ -108,6 +110,8 @@ def build_schedule(
         raise ConfigError(f"unknown super-step scheme {scheme!r}")
     if n_s < 1:
         raise ConfigError(f"n_s must be a positive integer, got {n_s}")
+    if n_s > MAX_STAGES:
+        raise ConfigError(f"n_s={n_s} is more than the ceiling of {MAX_STAGES} stages per cycle")
     if not (dt_exp > 0 and math.isfinite(dt_exp)):
         raise ConfigError(f"dt_exp must be positive and finite, got {dt_exp}")
 

@@ -6,14 +6,13 @@ consumed by the spatial operator.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import AssemblyError, ConfigError
 
 # Liquid-water constants used by the built-in dimensional materials.
 RHO_WATER = 1000.0  # kg/m^3
@@ -183,8 +182,7 @@ class WallAssembly:
     """Ordered material layers with their thicknesses.
 
     ``interface_positions`` are the cumulative sums of the thicknesses of
-    all but the last layer; a coordinate x belongs to the left layer when
-    x <= x_int.
+    all but the last layer; :meth:`node_spans` places the layers on a grid.
     """
 
     layers: tuple
@@ -205,28 +203,23 @@ class WallAssembly:
         object.__setattr__(self, "interface_positions", cum[:-1])
         object.__setattr__(self, "total_length", float(cum[-1]))
 
-    def layer_index(self, x: float, tol: float = 0.0) -> int:
-        """Index of the layer owning coordinate x (x <= x_int maps left)."""
-        if x < -tol or x > self.total_length + tol:
-            raise ConfigError(f"x={x} outside the wall [0, {self.total_length}]")
-        return bisect.bisect_left(self.interface_positions, x - tol)
+    def node_spans(self, grid: Grid1D) -> list:
+        """Inclusive ``(first, last)`` node of each layer on ``grid``.
 
-    def node_layer_indices(self, grid: Grid1D) -> np.ndarray:
-        tol = 1e-9 * grid.spacing
-        return np.array([self.layer_index(x, tol) for x in grid.node_positions])
-
-    def face_layer_indices(self, grid: Grid1D) -> np.ndarray:
-        """Layer owning each open face interval (x_j, x_{j+1})."""
-        x = grid.node_positions
-        mids = 0.5 * (x[:-1] + x[1:])
-        tol = 1e-9 * grid.spacing
-        return np.array([self.layer_index(m, tol) for m in mids])
-
-
-def evaluate_coefficients(wall: WallAssembly, x: float, u, v):
-    """Coefficients (d_theta, d_t, c_t, k_t, k_tm) of the layer owning x."""
-    model, _ = wall.layers[wall.layer_index(float(x))]
-    return model.evaluate(u, v)
+        Each interface must sit on an interior node, which closes the layer on
+        its left and opens the one on its right; where a node holds a single
+        value (an initial field), it takes the left layer's (x <= x_int).
+        """
+        n, dx, length = grid.node_count, grid.spacing, self.total_length
+        if abs(length - grid.length) > 1e-9 * length:
+            raise AssemblyError(f"grid length {grid.length} does not cover the wall length {length}")
+        bounds = [0]
+        for x_int in self.interface_positions.tolist():
+            j = int(round(x_int / dx))
+            if j <= 0 or j >= n - 1 or abs(grid.node_positions[j] - x_int) > 1e-9 * dx:
+                raise AssemblyError(f"interface at x={x_int} does not coincide with an interior grid node")
+            bounds.append(j)
+        return list(zip(bounds, bounds[1:] + [n - 1]))
 
 
 @dataclass

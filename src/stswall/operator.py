@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AssemblyError, ConfigError
+from .errors import ConfigError
 from .model import (
     COEFFICIENT_NAMES, BoundaryForcing, DimensionlessGroups, Grid1D, SideForcing, StateField,
     WallAssembly, _zero,
@@ -80,26 +80,15 @@ class SemiDiscreteOperator:
         self.admissible_box = admissible_box
         self.rhs_evals = 0
 
-        x = grid.node_positions
         self.n = grid.node_count
         self.dx = grid.spacing
-        if abs(wall.total_length - grid.length) > 1e-9 * wall.total_length:
-            raise AssemblyError(
-                f"grid length {grid.length} does not cover the wall length {wall.total_length}"
-            )
-        tol = 1e-9 * self.dx
-        for x_int in wall.interface_positions:
-            j = int(round(x_int / self.dx))
-            if j <= 0 or j >= self.n - 1 or abs(x[j] - x_int) > tol:
-                raise AssemblyError(
-                    f"interface at x={x_int} does not coincide with an interior grid node"
-                )
+        spans = wall.node_spans(grid)       # raises unless the grid fits the wall's layers
 
         # Horner table of the wall: full[d, s, k, j] is the v**d coefficient of
         # coefficient k (in _TABLE_ORDER) of the layer on side s of node j
         # (0: its left face, 1: its right face; the end nodes reuse their
         # one face).  The two sides differ only at interface nodes.
-        face_layer = wall.face_layer_indices(grid)
+        face_layer = np.repeat(np.arange(len(spans)), [b - a for a, b in spans])
         sides = np.stack([np.r_[face_layer[0], face_layer], np.r_[face_layer, face_layer[-1]]])
         terms = max(len(p) for model, _ in wall.layers for p in model.poly)
         layer_tables = np.zeros((len(wall.layers), terms, len(_TABLE_ORDER)))

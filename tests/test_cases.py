@@ -460,6 +460,23 @@ class TestCli:
         assert main(["verify", "--help"]) == 0
         assert "--config" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--dt", "1e-320"], "dt_euler must be > 0 with a finite tau/dt_euler, got 1e-320"),
+        (["--scheme", "rkc", "--ns", "1000000000000"], "n_s=1000000000000 is more than the ceiling"),
+    ], ids=["subnormal-step", "stage-ceiling"])
+    def test_step_and_stage_limits_exit_one(self, tmp_path, capsys, argv, message):
+        assert main(["verify", "--tau", "0.005", *argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("field,key", [("dt_euler", "dt_euler"), ("dt_df", "dt_df"),
+                                           ("dt_exp_base", "dt_exp")])
+    def test_each_step_must_be_positive_with_finite_count(self, field, key):
+        for step in (1e-320, 0.0, -1e-3):
+            cfg = short_verification()
+            setattr(cfg, field, step)
+            with pytest.raises(ConfigError, match=f"^{key} must be > 0 with a finite tau/{key}"):
+                cfg.validate()
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         # the kinds are verification and physical; any other, custom too, is an error
         bad = tmp_path / "bad.ini"

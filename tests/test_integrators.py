@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stswall.errors import ConfigError, DivergenceError, StaleScheduleError
 from stswall.integrators import (
-    _EulerStep, _march, _Monitor, _RK4Step, _SuperStep, amplification_eval, build_schedule,
+    MAX_STAGES, _EulerStep, _march, _Monitor, _RK4Step, _SuperStep, amplification_eval, build_schedule,
     dufort_frankel_run, euler_run, rk4_run, sts_run,
 )
 from stswall.model import (
@@ -120,6 +120,13 @@ class TestSchedules:
             build_schedule("rk4", 5, 1.0)
         with pytest.raises(ConfigError):
             build_schedule("rkc", 5, 0.0)
+
+    def test_stage_ceiling(self):
+        assert build_schedule("rkl", MAX_STAGES, 1.0).n_s == MAX_STAGES
+        for n_s in (MAX_STAGES + 1, 10**12):        # checked before the n_s-entry arrays
+            for scheme in ("rkc", "rkl"):
+                with pytest.raises(ConfigError, match=f"n_s={n_s} is more than the ceiling of {MAX_STAGES}"):
+                    build_schedule(scheme, n_s, 1.0)
 
     def test_stage_interleaving(self):
         sch = build_schedule("rkc", 6, dt_exp=1.0, damping=0.0)

@@ -1,14 +1,18 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from stswall.errors import ConfigError
+from stswall import cli
+from stswall.cases import _dimensionless_domain, verification_preset
+from stswall.errors import AssemblyError, ConfigError
 from stswall.model import (
-    BiotSet, CoefficientModel, Grid1D, SideForcing, StateField,
-    WallAssembly, builtin_material, evaluate_coefficients,
+    BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups, Grid1D, SideForcing,
+    StateField, WallAssembly, builtin_material,
 )
+from stswall.operator import SemiDiscreteOperator
 
 
 class TestMaterials:
@@ -91,44 +95,132 @@ class TestWall:
     def test_interface_ownership_is_left_closed(self):
         wall = WallAssembly([(builtin_material("table1_mat1"), 0.6),
                              (builtin_material("table1_mat2"), 0.4)])
-        assert wall.layer_index(0.6) == 0
-        assert wall.layer_index(0.6 + 1e-12) == 1
+        spans = wall.node_spans(Grid1D.uniform(1.0, 101))
+        assert spans == [(0, 60), (60, 100)]     # node 60 (x = 0.6) closes layer 0 and opens layer 1
+        cfg = verification_preset()
+        cfg.initial_v = [0.2, 0.7]
+        v0 = _dimensionless_domain(cfg).state0.v
+        assert v0[60] == 0.2 and v0[61] == 0.7
+
+
+def layers_at(wall, x, tol=0.0):
+    """Layer owning each coordinate of ``x`` (x <= x_int maps left): a
+    bisection over the interface positions, written apart from
+    ``WallAssembly.node_spans``."""
+    return np.array([bisect.bisect_left(wall.interface_positions, xi - tol) for xi in x])
 
 
 class TestEvaluateCoefficients:
+    """Every node and face is evaluated with the coefficients of the layer
+    that ``WallAssembly.node_spans`` gives it."""
+
     @pytest.fixture
     def wall(self):
         return WallAssembly([(builtin_material("table1_mat1"), 0.6),
                              (builtin_material("table1_mat2"), 0.4)])
 
+    @staticmethod
+    def coefficients(wall, n=101, v=1.0):
+        """(faces, storage) of the operator on ``wall`` at the uniform moisture ``v``."""
+        grid = Grid1D.uniform(wall.total_length, n)
+        side = SideForcing.dirichlet(lambda t: 1.0, lambda t: 1.0)
+        op = SemiDiscreteOperator(wall, grid, DimensionlessGroups(fo_m=1.0, fo_t=1.0),
+                                  BoundaryForcing(side, side))
+        return op._coefficients(np.full(n, v))
+
     def test_left_layer(self, wall):
-        assert evaluate_coefficients(wall, 0.3, 1.0, 1.0) == pytest.approx(
-            (0.3, 2.1, 0.1, 0.5, 0.4))
+        faces, c = self.coefficients(wall)
+        mat1 = [[0.5], [0.4], [2.1], [0.3]]        # k_t, k_tm, d_t, d_theta
+        assert np.allclose(faces[:, :60], mat1, rtol=1e-15, atol=0.0)
+        assert np.all(c[:60] == 0.1)
 
     def test_right_layer(self, wall):
-        assert evaluate_coefficients(wall, 0.9, 1.0, 1.0) == pytest.approx(
-            (0.1, 3.2, 0.3, 0.2, 0.1))
+        faces, c = self.coefficients(wall)
+        assert np.allclose(faces[:, 60:], [[0.2], [0.1], [3.2], [0.1]], rtol=1e-15, atol=0.0)
+        assert np.all(c[61:] == 0.3)
 
     def test_out_of_domain(self, wall):
-        with pytest.raises(ConfigError):
-            evaluate_coefficients(wall, 1.5, 1.0, 1.0)
-        with pytest.raises(ConfigError):
-            evaluate_coefficients(wall, -0.1, 1.0, 1.0)
+        for length in (1.5, 0.5):
+            with pytest.raises(AssemblyError, match="does not cover the wall length"):
+                wall.node_spans(Grid1D.uniform(length, 11))
 
-    @given(st.floats(min_value=0.0, max_value=0.6), st.floats(min_value=0.0, max_value=0.6))
-    def test_piecewise_constant_in_x(self, x1, x2, ):
-        wall = WallAssembly([(builtin_material("table1_mat1"), 0.6),
-                             (builtin_material("table1_mat2"), 0.4)])
-        a = evaluate_coefficients(wall, x1, 1.2, 0.8)
-        b = evaluate_coefficients(wall, x2, 1.2, 0.8)
-        assert a == b  # bit-identical within one layer
+    @given(st.integers(0, 99), st.integers(0, 99))
+    def test_piecewise_constant_in_x(self, j1, j2):
+        wall = WallAssembly([(builtin_material("table3_re"), 0.5),
+                             (builtin_material("table3_ins"), 0.125)])
+        faces, c = self.coefficients(wall, n=126, v=0.08)
+        assert c[j1] == c[j2]        # bit-identical within one layer
+        assert np.array_equal(faces[:, j1], faces[:, j2])
 
     def test_round_trips_layer_membership_on_grid(self, wall):
-        grid = Grid1D.uniform(1.0, 101)
-        layers = wall.node_layer_indices(grid)
-        for x, idx in zip(grid.node_positions, layers):
-            model, _ = wall.layers[idx]
-            assert evaluate_coefficients(wall, x, 1.0, 1.0) == model.evaluate(1.0, 1.0)
+        _, c = self.coefficients(wall)
+        for j, layers in enumerate(node_layer_sets(wall.node_spans(Grid1D.uniform(1.0, 101)))):
+            c_t = [wall.layers[k][0].c_t(1.0, 1.0) for k in layers]
+            assert c[j] == pytest.approx(sum(c_t) / len(c_t), rel=1e-15)
+
+
+def node_layer_sets(spans):
+    """The layers whose span holds each node: one, or two at an interface."""
+    sets = [[] for _ in range(spans[-1][1] + 1)]
+    for k, (a, b) in enumerate(spans):
+        for j in range(a, b + 1):
+            sets[j].append(k)
+    return sets
+
+
+@st.composite
+def layered_cases(draw):
+    """(verification config, faces per layer): 1-4 constant layers, each a
+    whole number of faces of a drawn spacing, with per-layer initial values."""
+    dx = draw(st.sampled_from([0.1, 0.05, 0.02, 0.3]))
+    counts = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    cfg = verification_preset()
+    cfg.dx = dx
+    cfg.materials = {f"m{i}": CoefficientModel.constants(f"m{i}", 0.1 + i, 1.0, 0.5 + i, 1.0, 0.0)
+                     for i in range(len(counts))}
+    cfg.layers = [(f"m{i}", k * dx) for i, k in enumerate(counts)]
+    cfg.initial_u = [1.0 + i for i in range(len(counts))]
+    cfg.initial_v = [0.1 * (i + 1) for i in range(len(counts))]
+    return cfg, counts
+
+
+class TestNodeSpans:
+    """``WallAssembly.node_spans`` is the one map from layers to grid nodes:
+    the operator's faces, the initial fields and the storage check read it."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(layered_cases())
+    def test_spans_tile_the_grid(self, case):
+        cfg, counts = case
+        dom = _dimensionless_domain(cfg)
+        spans, n = dom.spans, dom.grid.node_count
+        assert spans == dom.wall.node_spans(dom.grid)
+        assert spans[0][0] == 0 and spans[-1][1] == n - 1
+        assert [b - a for a, b in spans] == counts
+        assert all(left[1] == right[0] for left, right in zip(spans, spans[1:]))  # shared interfaces
+        # each face of the operator takes the layer a bisection at its midpoint
+        # gives: m_i's d_theta is 0.1 + i
+        x = dom.grid.node_positions
+        faces, _ = dom.operator()._coefficients(dom.state0.v)
+        mids = layers_at(dom.wall, 0.5 * (x[:-1] + x[1:]))
+        assert np.allclose(faces[3], 0.1 + mids, rtol=1e-15, atol=0.0)
+        # per-layer initial fields: an interface node keeps the left layer's value
+        nodes = layers_at(dom.wall, x, 1e-9 * dom.grid.spacing)
+        assert np.array_equal(dom.state0.u, np.asarray(cfg.initial_u)[nodes])
+        assert np.array_equal(dom.state0.v, np.asarray(cfg.initial_v)[nodes])
+        for k, (_, b) in enumerate(spans[:-1]):
+            assert dom.state0.v[b] == cfg.initial_v[k]
+        # half a face moved across the first interface puts it off every node
+        if len(counts) > 1:
+            (m0, th0), (m1, th1) = cfg.layers[:2]
+            cfg.layers[:2] = [(m0, th0 + 0.5 * cfg.dx), (m1, th1 - 0.5 * cfg.dx)]
+            with pytest.raises(AssemblyError, match="does not coincide with an interior grid node"):
+                _dimensionless_domain(cfg)
+
+    def test_off_node_interface_exits_1(self, tmp_path, capsys):
+        assert cli.main(["verify", "--dx", "0.25", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: interface at x=0.6 does not coincide with an interior grid node")
 
 
 class TestStateAndForcing:

@@ -1,3 +1,4 @@
+import bisect
 import copy
 import dataclasses
 import itertools
@@ -46,6 +47,19 @@ def physical_op(layout, sides="dirichlet"):
     groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6,
                                  biot_left=biot, biot_right=biot)
     return SemiDiscreteOperator(wall, grid, groups, forcing)
+
+
+def layers_at(wall, x, tol=0.0):
+    """Layer owning each coordinate of ``x`` (x <= x_int maps left): a
+    bisection over the interface positions, written apart from
+    ``WallAssembly.node_spans``."""
+    return np.array([bisect.bisect_left(wall.interface_positions, xi - tol) for xi in x])
+
+
+def face_layers(op):
+    """Layer owning each face, by its midpoint."""
+    x = op.grid.node_positions
+    return layers_at(op.wall, 0.5 * (x[:-1] + x[1:]))
 
 
 def in_box_state(n, seed):
@@ -425,8 +439,8 @@ class TestFaceTables:
         state = in_box_state(op.n, 23)
         u, v = state.u, state.v
         faces, c = op._coefficients(v)
-        face_layer = op.wall.face_layer_indices(op.grid)
-        node_layer = op.wall.node_layer_indices(op.grid)
+        face_layer = face_layers(op)
+        node_layer = layers_at(op.wall, op.grid.node_positions, 1e-9 * op.dx)
         for f in range(op.n - 1):
             model = op.wall.layers[face_layer[f]][0]
             pair = [model.evaluate(u[i], v[i]) for i in (f, f + 1)]
@@ -740,7 +754,7 @@ def full_table(op):
     the v**d term of k_t, k_tm, d_t, d_theta and c_t of the layer on each
     side (0 left, 1 right) of every node."""
     order = ("k_t", "k_tm", "d_t", "d_theta", "c_t")
-    face_layer = op.wall.face_layer_indices(op.grid)
+    face_layer = face_layers(op)
     sides = np.stack([np.r_[face_layer[0], face_layer], np.r_[face_layer, face_layer[-1]]])
     terms = max(len(p) for model, _ in op.wall.layers for p in model.poly)
     layer_tables = np.zeros((len(op.wall.layers), terms, 5))
