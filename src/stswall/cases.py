@@ -27,7 +27,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -102,7 +102,7 @@ def verification_preset() -> CaseConfig:
 def check_verification_preset(cfg: CaseConfig) -> None:
     """Startup self-check: the preset constants match the published setup."""
     expected_groups = {"fo_t": 7e-2, "fo_m": 9e-2, "gamma": 7e-2, "delta": 5e-2}
-    got = cfg.groups.as_dict()
+    got = asdict(cfg.groups)
     for key, val in expected_groups.items():
         if got[key] != val:
             raise ConfigError(f"verification preset drift: {key}={got[key]}, expected {val}")
@@ -199,7 +199,7 @@ def _build_domain(cfg: CaseConfig, forcing, groups) -> _Domain:
     n_steps = round(n_float)
     if abs(n_steps - n_float) > 1e-9 * max(1.0, n_float):
         raise ConfigError(f"dx={cfg.dx} does not divide the wall length {length}")
-    grid = Grid1D.uniform(length, n_steps + 1)
+    grid = Grid1D(length, n_steps + 1)
     spans = wall.node_spans(grid)
     u0 = _initial_field(cfg.initial_u, spans)
     v0 = _initial_field(cfg.initial_v, spans)
@@ -243,7 +243,8 @@ def _initial_field(value, spans) -> np.ndarray:
 def emit_outputs(out_dir, manifest: dict, records=None, tables=None) -> list:
     """Write the manifest, the comparison table of ``records`` and one CSV per
     entry of ``tables`` (name -> (header, rows)); returns the file list.
-    All CSVs use '.' decimals and newline-terminated rows.
+    Every CSV uses '.' decimals; table rows end in LF, and comparison.csv
+    (csv.writer) rows in CRLF.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -286,7 +287,7 @@ def _manifest_stub(cfg: CaseConfig, extra: Optional[dict] = None) -> dict:
     if cfg.kind != "physical":      # a physical run marches the layouts of "configurations"
         manifest["parameters"]["layers"] = [[name, th] for name, th in cfg.layers]
     if cfg.groups is not None:
-        manifest["groups"] = cfg.groups.as_dict()
+        manifest["groups"] = asdict(cfg.groups)
     if extra:
         manifest.update(extra)
     return manifest
@@ -549,7 +550,8 @@ def run_ns_sweep(cfg: CaseConfig, out_dir=None) -> SweepResult:
 
     One row per (scheme, n_s), with ratios against the Euler baseline (or
     the first run that ran); the log-log slope of the uniform error versus
-    n_s is reported per scheme and field.
+    n_s is reported per scheme and field, fitted on the ok rows whose two
+    errors are positive (a scheme with fewer than two such rows has none).
     """
     dom = _dimensionless_domain(cfg)
     ns_values = [int(n) for n in cfg.sweep_ns]
@@ -573,9 +575,9 @@ def run_ns_sweep(cfg: CaseConfig, out_dir=None) -> SweepResult:
 
     slopes = {}
     for scheme in cfg.sweep_schemes:
-        ok = [row for row in rows if row[0] == scheme and row[-1] == "ok"]
-        if len(ok) >= 2:
-            ns, eu, ev = (np.array([row[k] for row in ok], dtype=float) for k in (1, 5, 6))
+        fit = [row for row in rows if row[0] == scheme and row[-1] == "ok" and row[5] > 0 and row[6] > 0]
+        if len(fit) >= 2:
+            ns, eu, ev = (np.array([row[k] for row in fit], dtype=float) for k in (1, 5, 6))
             ln, pair = np.log(ns), np.maximum(eu, ev)
             slopes[scheme] = {
                 "u": float(np.polyfit(ln, np.log(eu), 1)[0]),

@@ -7,7 +7,7 @@ consumed by the spatial operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -92,16 +92,6 @@ class CoefficientModel:
     # the name for all-scalar models; perfbench/tracing.py wraps each name
     constants = polynomials
 
-    def evaluate(self, u, v):
-        """Return (d_theta, d_t, c_t, k_t, k_tm) at the given state."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = (self.d_theta(u, v), self.d_t(u, v), self.c_t(u, v),
-               self.k_t(u, v), self.k_tm(u, v))
-        if u.ndim == 0:
-            return tuple(float(x) for x in out)
-        return out
-
 
 def builtin_material(name: str, rho2: float = RHO_WATER, c2: float = C_WATER) -> CoefficientModel:
     """Return one of the named built-in materials.
@@ -139,42 +129,20 @@ def builtin_material(name: str, rho2: float = RHO_WATER, c2: float = C_WATER) ->
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform node set spanning [0, length]."""
+    """Uniform grid of ``node_count`` nodes spanning [0, length]."""
 
-    node_positions: np.ndarray
+    length: float
+    node_count: int
+    node_positions: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        x = np.asarray(self.node_positions, dtype=float)
-        object.__setattr__(self, "node_positions", x)
-        if x.ndim != 1 or x.size < 2:
-            raise ConfigError("grid needs at least two nodes")
-        dx = np.diff(x)
-        if np.any(dx <= 0):
-            raise ConfigError("grid nodes must be strictly increasing")
-        h = dx[0]
-        if np.max(np.abs(dx - h)) > 1e-12 * max(abs(h), 1e-300):
-            raise ConfigError("grid must be uniform to 1e-12 relative tolerance")
-        length = x[-1] - x[0]
-        if abs(h * (x.size - 1) - length) > 1e-12 * length:
-            raise ConfigError("spacing * (node_count - 1) must equal the domain length")
-
-    @classmethod
-    def uniform(cls, length: float, node_count: int) -> "Grid1D":
-        if node_count < 2 or length <= 0:
-            raise ConfigError("uniform grid needs length > 0 and at least two nodes")
-        return cls(np.linspace(0.0, float(length), int(node_count)))
-
-    @property
-    def node_count(self) -> int:
-        return int(self.node_positions.size)
+        if not (self.node_count >= 2 and 0 < self.length < math.inf):
+            raise ConfigError("grid needs a finite length > 0 and at least two nodes")
+        object.__setattr__(self, "node_positions", np.linspace(0.0, self.length, self.node_count))
 
     @property
     def spacing(self) -> float:
-        return float(self.node_positions[1] - self.node_positions[0])
-
-    @property
-    def length(self) -> float:
-        return float(self.node_positions[-1] - self.node_positions[0])
+        return self.length / (self.node_count - 1)
 
 
 @dataclass(frozen=True)
@@ -248,12 +216,9 @@ class BiotSet:
     t_g: float = 0.0
 
     def __post_init__(self):
-        for name, val in self.as_dict().items():
+        for name, val in asdict(self).items():
             if not math.isfinite(val) or val < 0:
                 raise ConfigError(f"Biot coefficient {name} must be finite and >= 0, got {val}")
-
-    def as_dict(self) -> dict:
-        return {"m_theta": self.m_theta, "t_t": self.t_t, "t_theta": self.t_theta, "t_g": self.t_g}
 
 
 @dataclass(frozen=True)
@@ -273,14 +238,6 @@ class DimensionlessGroups:
             val = getattr(self, name)
             if not math.isfinite(val) or val < 0:
                 raise ConfigError(f"group {name} must be finite and >= 0, got {val}")
-
-    def as_dict(self) -> dict:
-        return {
-            "fo_m": self.fo_m, "fo_t": self.fo_t,
-            "gamma": self.gamma, "delta": self.delta, "alpha": self.alpha,
-            "biot_left": self.biot_left.as_dict(),
-            "biot_right": self.biot_right.as_dict(),
-        }
 
 
 TimeFn = Callable[[float], float]

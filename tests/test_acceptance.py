@@ -74,7 +74,7 @@ def _zero_forcing_linear_operator(n):
         (CoefficientModel.constants("a", 0.3, 2.1, 0.1, 0.5, 0.4), 0.5),
         (CoefficientModel.constants("b", 0.1, 3.2, 0.3, 0.2, 0.1), 0.5),
     ])
-    grid = Grid1D.uniform(1.0, n)
+    grid = Grid1D(1.0, n)
     groups = DimensionlessGroups(fo_m=9e-2, fo_t=7e-2, gamma=7e-2, delta=5e-2,
                                  biot_left=BiotSet(m_theta=25.5, t_t=50.5, t_theta=0.496),
                                  biot_right=BiotSet(m_theta=51.8, t_t=19.8, t_theta=0.673))
@@ -194,7 +194,7 @@ def _mms_setup(n):
     fo_m, fo_t, gam, dlt = 9e-2, 7e-2, 7e-2, 5e-2
     mat = CoefficientModel.constants("mms", d_th, d_t, c_t, k_t, k_tm)
     wall = WallAssembly([(mat, 1.0)])
-    grid = Grid1D.uniform(1.0, n)
+    grid = Grid1D(1.0, n)
     groups = DimensionlessGroups(fo_m=fo_m, fo_t=fo_t, gamma=gam, delta=dlt)
 
     def u_exact(x, t):
@@ -276,7 +276,7 @@ def test_criterion_10_discretization_verification():
     # zero-flux moisture conservation over 1000 explicit steps
     mat = CoefficientModel.constants("cons", 0.3, 0.0, 1.0, 0.2, 0.0)
     wall = WallAssembly([(mat, 1.0)])
-    grid = Grid1D.uniform(1.0, 41)
+    grid = Grid1D(1.0, 41)
     groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0)
     still = SideForcing.robin(lambda t: 1.0, lambda t: 1.0)
     op = SemiDiscreteOperator(wall, grid, groups, BoundaryForcing(still, still))

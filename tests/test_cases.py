@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from stswall.cases import (
     run_ns_sweep, run_physical_case, run_verification_case, verification_preset,
 )
 from stswall.cli import main
-from stswall.config import load_config
+from stswall.config import MAX_STEPS, load_config
 from stswall.errors import ConfigError, DivergenceError
 from stswall.metrics import ComparisonRecord
 from stswall.model import (
@@ -175,6 +176,20 @@ class TestSweep:
         assert set(res.slopes) == {"rkc", "rkl"}
         for slope in res.slopes.values():
             assert "u" in slope and "v" in slope
+
+    def test_zero_errors_fit_no_slope(self, tmp_path):
+        # tau = 0: every row is ok with zero errors, which have no logarithm
+        cfg = short_verification(tau=0.0)
+        cfg.sweep_ns = [4, 8]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_ns_sweep(cfg, out_dir=tmp_path)
+        assert all(row[-1] == "ok" and row[5] == row[6] == 0.0 for row in res.rows)
+        assert res.slopes == {}
+
+        def reject(constant):
+            raise ValueError(f"manifest holds {constant}")
+        assert json.loads((tmp_path / "manifest.json").read_text(), parse_constant=reject)["slopes"] == {}
 
 
 def _perfbench_reference():
@@ -461,9 +476,10 @@ class TestCli:
         assert "--config" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv,message", [
-        (["--dt", "1e-320"], "dt_euler must be > 0 with a finite tau/dt_euler, got 1e-320"),
+        (["--dt", "1e-320"], "dt_euler must be > 0 with tau/dt_euler <= 1000000000, got 1e-320"),
+        (["--dt", "1e-300"], "dt_euler must be > 0 with tau/dt_euler <= 1000000000, got 1e-300"),
         (["--scheme", "rkc", "--ns", "1000000000000"], "n_s=1000000000000 is more than the ceiling"),
-    ], ids=["subnormal-step", "stage-ceiling"])
+    ], ids=["subnormal-step", "step-ceiling", "stage-ceiling"])
     def test_step_and_stage_limits_exit_one(self, tmp_path, capsys, argv, message):
         assert main(["verify", "--tau", "0.005", *argv, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
@@ -471,10 +487,10 @@ class TestCli:
     @pytest.mark.parametrize("field,key", [("dt_euler", "dt_euler"), ("dt_df", "dt_df"),
                                            ("dt_exp_base", "dt_exp")])
     def test_each_step_must_be_positive_with_finite_count(self, field, key):
-        for step in (1e-320, 0.0, -1e-3):
+        for step in (1e-320, 1e-300, 0.0, -1e-3):
             cfg = short_verification()
             setattr(cfg, field, step)
-            with pytest.raises(ConfigError, match=f"^{key} must be > 0 with a finite tau/{key}"):
+            with pytest.raises(ConfigError, match=f"^{key} must be > 0 with tau/{key} <= {MAX_STEPS}, "):
                 cfg.validate()
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
@@ -691,7 +707,7 @@ class TestCli:
         # the base is the first layout's explicit limit with a 10% margin
         wall = WallAssembly([(builtin_material("table3_re"), 0.5)])
         side = SideForcing.dirichlet(lambda t: 291.3, lambda t: 0.53)
-        op = SemiDiscreteOperator(wall, Grid1D.uniform(0.5, 101),
+        op = SemiDiscreteOperator(wall, Grid1D(0.5, 101),
                                   DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6),
                                   BoundaryForcing(side, side))
         lam = op.gershgorin_lambda_max(np.full(101, 0.53))

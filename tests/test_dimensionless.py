@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from stswall import DimensionlessGroups
@@ -7,7 +9,7 @@ from stswall.errors import ConfigError
 class TestGroups:
     def test_serialization_round_trip(self):
         g = DimensionlessGroups(fo_m=9e-2, fo_t=7e-2, gamma=7e-2, delta=5e-2)
-        d = g.as_dict()
+        d = dataclasses.asdict(g)
         assert d["fo_m"] == 9e-2
         assert set(d["biot_left"]) == {"m_theta", "t_t", "t_theta", "t_g"}
 

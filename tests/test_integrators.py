@@ -20,7 +20,7 @@ def decay_operator(rate=1.0, n=2):
     """Every node decays toward zero at the given rate (no diffusion)."""
     mat = CoefficientModel.constants("still", 0.0, 0.0, 1.0, 0.0, 0.0)
     wall = WallAssembly([(mat, 1.0)])
-    grid = Grid1D.uniform(1.0, n)
+    grid = Grid1D(1.0, n)
     bi = rate * grid.spacing / 2.0
     groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0,
                                  biot_left=BiotSet(m_theta=bi, t_t=bi),
@@ -32,7 +32,7 @@ def decay_operator(rate=1.0, n=2):
 def diffusion_operator(n=9, robin=True, d=1.0, k=1.0):
     mat = CoefficientModel.constants("mat", d, 0.0, 1.0, k, 0.0)
     wall = WallAssembly([(mat, 1.0)])
-    grid = Grid1D.uniform(1.0, n)
+    grid = Grid1D(1.0, n)
     groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0,
                                  biot_left=BiotSet(m_theta=2.0, t_t=3.0),
                                  biot_right=BiotSet(m_theta=1.0, t_t=2.0))
@@ -53,7 +53,7 @@ def nonlinear_operator():
     wall = WallAssembly([(builtin_material("table3_ins"), 0.125),
                          (builtin_material("table3_re"), 0.5)])
     side = SideForcing.dirichlet(lambda t: 285.0, lambda t: 0.3)
-    return SemiDiscreteOperator(wall, Grid1D.uniform(0.625, 126),
+    return SemiDiscreteOperator(wall, Grid1D(0.625, 126),
                                 DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=2.5e6),
                                 BoundaryForcing(side, side), admissible_box=(240.0, 320.0, 0.0, 0.6))
 
@@ -290,7 +290,7 @@ class TestRK4:
         groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0,
                                      biot_left=BiotSet(m_theta=2.0, t_t=3.0),
                                      biot_right=BiotSet(m_theta=1.0, t_t=2.0))
-        op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D.uniform(1.0, 5), groups,
+        op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D(1.0, 5), groups,
                                   BoundaryForcing(side, side))
         assert 0.005 * op.gershgorin_lambda_max() < 0.5
         final = {h: rk4_run(op, ones_state(5), dt=h, tau=1.0).final_state
@@ -345,7 +345,7 @@ class TestDufortFrankel:
                                          biot_left=BiotSet(m_theta=2.0, t_t=3.0),
                                          biot_right=BiotSet(m_theta=1.0, t_t=2.0))
             x = np.linspace(0.0, 1.0, 9)
-            op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D.uniform(1.0, 9), groups,
+            op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D(1.0, 9), groups,
                                       BoundaryForcing(side, side))
             return op, StateField(1.0 + 0.5 * np.sin(3 * x), np.cos(2 * x)), 0.05
 
@@ -498,7 +498,7 @@ def test_frozen_cycle_reads_dirichlet_data_once_per_time():
     side = SideForcing.dirichlet(counting("u", 0.5), counting("v", 0.25))
     other = SideForcing.dirichlet(lambda t: 1.0, lambda t: 1.0)
     mat = CoefficientModel.constants("mat", 1.0, 0.0, 1.0, 1.0, 0.0)
-    op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D.uniform(1.0, 9),
+    op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D(1.0, 9),
                               DimensionlessGroups(fo_m=1.0, fo_t=1.0), BoundaryForcing(side, other))
     imposed = []
     apply_constraints = op.apply_constraints
@@ -705,7 +705,7 @@ def forced_operator(kind):
     biot = BiotSet(m_theta=2.0, t_t=3.0, t_theta=0.5)
     groups = DimensionlessGroups(fo_m=0.09, fo_t=0.07, gamma=0.3, delta=0.2, biot_left=biot, biot_right=biot)
     wall = WallAssembly([(builtin_material("table1_mat1"), 0.6), (builtin_material("table1_mat2"), 0.4)])
-    return SemiDiscreteOperator(wall, Grid1D.uniform(1.0, 21), groups, BoundaryForcing(left, right))
+    return SemiDiscreteOperator(wall, Grid1D(1.0, 21), groups, BoundaryForcing(left, right))
 
 
 @st.composite

@@ -128,21 +128,21 @@ class TestComparisonCsv:
 
 class TestTotalMoisture:
     def test_constant_field(self):
-        grid = Grid1D.uniform(0.3, 61)
+        grid = Grid1D(0.3, 61)
         assert total_moisture(np.full(61, 0.5), grid, (0, 60)) == pytest.approx(0.15)
 
     def test_zero_field(self):
-        grid = Grid1D.uniform(0.3, 61)
+        grid = Grid1D(0.3, 61)
         assert total_moisture(np.zeros(61), grid, (0, 60)) == 0.0
 
     def test_linear_ramp(self):
-        grid = Grid1D.uniform(1.0, 41)
+        grid = Grid1D(1.0, 41)
         v = grid.node_positions.copy()
         # trapezoid is exact for a linear integrand
         assert total_moisture(v, grid, (0, 40)) == pytest.approx(0.5, rel=1e-12)
 
     def test_additivity_over_partition(self):
-        grid = Grid1D.uniform(1.0, 41)
+        grid = Grid1D(1.0, 41)
         rng = np.random.default_rng(1)
         v = rng.random(41)
         whole = total_moisture(v, grid, (0, 40))
@@ -150,7 +150,7 @@ class TestTotalMoisture:
         assert whole == pytest.approx(split, rel=1e-12)
 
     def test_empty_domain_rejected(self):
-        grid = Grid1D.uniform(1.0, 11)
+        grid = Grid1D(1.0, 11)
         with pytest.raises(ConfigError):
             total_moisture(np.ones(11), grid, (4, 4))
         with pytest.raises(ConfigError):

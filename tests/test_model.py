@@ -6,26 +6,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stswall import cli
-from stswall.cases import _dimensionless_domain, verification_preset
+from stswall.cases import MAX_NODES, _dimensionless_domain, verification_preset
 from stswall.errors import AssemblyError, ConfigError
 from stswall.model import (
-    BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups, Grid1D, SideForcing,
+    COEFFICIENT_NAMES, BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups, Grid1D, SideForcing,
     StateField, WallAssembly, builtin_material,
 )
 from stswall.operator import SemiDiscreteOperator
 
 
+def coefficients_at(model, u, v):
+    """The five coefficients of ``model`` at one state, in COEFFICIENT_NAMES order,
+    from its callables."""
+    return tuple(float(getattr(model, name)(u, v)) for name in COEFFICIENT_NAMES)
+
+
 class TestMaterials:
     def test_table1_constants(self):
         m1 = builtin_material("table1_mat1")
-        assert m1.evaluate(1.0, 1.0) == pytest.approx((0.3, 2.1, 0.1, 0.5, 0.4))
+        assert coefficients_at(m1, 1.0, 1.0) == pytest.approx((0.3, 2.1, 0.1, 0.5, 0.4))
         m2 = builtin_material("table1_mat2")
-        assert m2.evaluate(1.3, 0.7) == pytest.approx((0.1, 3.2, 0.3, 0.2, 0.1))
+        assert coefficients_at(m2, 1.3, 0.7) == pytest.approx((0.1, 3.2, 0.3, 0.2, 0.1))
         assert m1.constant and m2.constant
 
     def test_rammed_earth_moisture_dependence(self):
         re = builtin_material("table3_re")
-        d_th, d_t, c_t, k_t, k_tm = re.evaluate(291.3, 0.1)
+        d_th, d_t, c_t, k_t, k_tm = coefficients_at(re, 291.3, 0.1)
         # the moisture correction vanishes at v = 0.1
         assert d_th == pytest.approx(1e-7, rel=1e-12)
         assert d_t == pytest.approx(1e-10)
@@ -35,7 +41,7 @@ class TestMaterials:
 
     def test_insulation(self):
         ins = builtin_material("table3_ins")
-        d_th, d_t, c_t, k_t, _ = ins.evaluate(291.3, 0.053)
+        d_th, d_t, c_t, k_t, _ = coefficients_at(ins, 291.3, 0.053)
         assert d_th == pytest.approx(1e-20)
         assert d_t == 0.0
         assert c_t == pytest.approx(146 * 840 + 1000 * 4180 * 0.053)
@@ -54,18 +60,22 @@ class TestMaterials:
 
 class TestGrid:
     def test_uniform(self):
-        g = Grid1D.uniform(1.0, 101)
+        g = Grid1D(1.0, 101)
         assert g.node_count == 101
         assert g.spacing == pytest.approx(1e-2, rel=1e-14)
         assert g.length == pytest.approx(1.0)
 
-    def test_rejects_non_uniform(self):
-        with pytest.raises(ConfigError):
-            Grid1D(np.array([0.0, 0.1, 0.3]))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.floats(0.0, 10.0, exclude_min=True), st.integers(2, MAX_NODES))
+    def test_spacing_and_end_equal_linspace(self, length, n):
+        x = np.linspace(0.0, length, n)
+        g = Grid1D(length, n)
+        assert g.spacing == x[1] - x[0] and g.node_positions[-1] == x[-1] == length
 
-    def test_rejects_non_monotone(self):
-        with pytest.raises(ConfigError):
-            Grid1D(np.array([0.0, 0.2, 0.1]))
+    @pytest.mark.parametrize("length,n", [(0.0, 11), (-1.0, 11), (math.inf, 11), (math.nan, 11), (1.0, 1)])
+    def test_rejects_empty_or_infinite(self, length, n):
+        with pytest.raises(ConfigError, match="grid needs a finite length > 0 and at least two nodes"):
+            Grid1D(length, n)
 
 
 class TestWall:
@@ -95,7 +105,7 @@ class TestWall:
     def test_interface_ownership_is_left_closed(self):
         wall = WallAssembly([(builtin_material("table1_mat1"), 0.6),
                              (builtin_material("table1_mat2"), 0.4)])
-        spans = wall.node_spans(Grid1D.uniform(1.0, 101))
+        spans = wall.node_spans(Grid1D(1.0, 101))
         assert spans == [(0, 60), (60, 100)]     # node 60 (x = 0.6) closes layer 0 and opens layer 1
         cfg = verification_preset()
         cfg.initial_v = [0.2, 0.7]
@@ -122,7 +132,7 @@ class TestEvaluateCoefficients:
     @staticmethod
     def coefficients(wall, n=101, v=1.0):
         """(faces, storage) of the operator on ``wall`` at the uniform moisture ``v``."""
-        grid = Grid1D.uniform(wall.total_length, n)
+        grid = Grid1D(wall.total_length, n)
         side = SideForcing.dirichlet(lambda t: 1.0, lambda t: 1.0)
         op = SemiDiscreteOperator(wall, grid, DimensionlessGroups(fo_m=1.0, fo_t=1.0),
                                   BoundaryForcing(side, side))
@@ -142,7 +152,7 @@ class TestEvaluateCoefficients:
     def test_out_of_domain(self, wall):
         for length in (1.5, 0.5):
             with pytest.raises(AssemblyError, match="does not cover the wall length"):
-                wall.node_spans(Grid1D.uniform(length, 11))
+                wall.node_spans(Grid1D(length, 11))
 
     @given(st.integers(0, 99), st.integers(0, 99))
     def test_piecewise_constant_in_x(self, j1, j2):
@@ -154,7 +164,7 @@ class TestEvaluateCoefficients:
 
     def test_round_trips_layer_membership_on_grid(self, wall):
         _, c = self.coefficients(wall)
-        for j, layers in enumerate(node_layer_sets(wall.node_spans(Grid1D.uniform(1.0, 101)))):
+        for j, layers in enumerate(node_layer_sets(wall.node_spans(Grid1D(1.0, 101)))):
             c_t = [wall.layers[k][0].c_t(1.0, 1.0) for k in layers]
             assert c[j] == pytest.approx(sum(c_t) / len(c_t), rel=1e-15)
 

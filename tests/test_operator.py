@@ -36,7 +36,7 @@ def physical_op(layout, sides="dirichlet"):
     """
     names = {"re": "table3_re", "ins": "table3_ins"}
     wall = WallAssembly([(builtin_material(names[m]), th) for m, th in layout])
-    grid = Grid1D.uniform(wall.total_length, int(round(wall.total_length / 5e-3)) + 1)
+    grid = Grid1D(wall.total_length, int(round(wall.total_length / 5e-3)) + 1)
     if sides == "dirichlet":
         forcing = BoundaryForcing(dirichlet_forcing(285.0, 0.3), dirichlet_forcing(293.0, 0.4))
         biot = BiotSet()
@@ -80,7 +80,7 @@ def single_layer_op(n=11, d_theta=1.0, k_t=1.0, c_t=1.0, gamma=0.0, delta=0.0,
                     fo_m=1.0, fo_t=1.0, kind="dirichlet", biot=None, length=1.0):
     mat = CoefficientModel.constants("mat", d_theta, 1.0 if gamma else 0.0, c_t, k_t, 0.0)
     wall = WallAssembly([(mat, length)])
-    grid = Grid1D.uniform(length, n)
+    grid = Grid1D(length, n)
     groups = DimensionlessGroups(fo_m=fo_m, fo_t=fo_t, gamma=gamma, delta=delta,
                                  biot_left=biot or BiotSet(), biot_right=biot or BiotSet())
     side = dirichlet_forcing() if kind == "dirichlet" else constant_forcing()
@@ -92,7 +92,7 @@ class TestAssembly:
     def test_interface_must_sit_on_a_node(self):
         wall = WallAssembly([(builtin_material("table1_mat1"), 0.55),
                              (builtin_material("table1_mat2"), 0.45)])
-        grid = Grid1D.uniform(1.0, 11)  # nodes at multiples of 0.1; 0.55 is not one
+        grid = Grid1D(1.0, 11)  # nodes at multiples of 0.1; 0.55 is not one
         groups = DimensionlessGroups(**TABLE1_GROUPS)
         forcing = BoundaryForcing(dirichlet_forcing(), dirichlet_forcing())
         with pytest.raises(AssemblyError):
@@ -100,7 +100,7 @@ class TestAssembly:
 
     def test_grid_must_cover_wall(self):
         wall = table1_wall()
-        grid = Grid1D.uniform(0.9, 10)
+        grid = Grid1D(0.9, 10)
         with pytest.raises(AssemblyError):
             SemiDiscreteOperator(wall, grid, DimensionlessGroups(**TABLE1_GROUPS),
                                  BoundaryForcing(dirichlet_forcing(), dirichlet_forcing()))
@@ -132,7 +132,7 @@ class TestInteriorStencil:
         # Independent brute-force assembly of the 5-node instance: Dirichlet
         # ends, interface at the middle node, Table-1 coefficients.
         wall = table1_wall()
-        grid = Grid1D.uniform(1.0, 5)
+        grid = Grid1D(1.0, 5)
         groups = DimensionlessGroups(**TABLE1_GROUPS)
         forcing = BoundaryForcing(dirichlet_forcing(), dirichlet_forcing())
         op = SemiDiscreteOperator(wall, grid, groups, forcing)
@@ -225,7 +225,7 @@ class TestRobinClosure:
                                      biot_left=BiotSet(m_theta=2.0, t_t=2.0))
         forcing = BoundaryForcing(constant_forcing(u=1.0, v=1.0), dirichlet_forcing())
         mat = CoefficientModel.constants("m", 0.1, 0.0, 1.0, 0.1, 0.0)
-        op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D.uniform(1.0, 6),
+        op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D(1.0, 6),
                                   groups, forcing)
         u = np.ones(6)
         v = np.ones(6)
@@ -240,7 +240,7 @@ class TestRobinClosure:
                                      biot_left=BiotSet(t_g=2.0), biot_right=BiotSet(t_g=2.0))
         sun = SideForcing.robin(lambda t: 1.0, lambda t: 1.0, g_inf=lambda t: 1.0)
         mat = CoefficientModel.constants("m", 0.1, 0.0, 1.0, 0.1, 0.0)
-        op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D.uniform(1.0, 6),
+        op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D(1.0, 6),
                                   groups, BoundaryForcing(sun, sun))
         du, dv = op.rhs(0.0, np.ones((2, 6)))
         assert du[0] > 0 and du[-1] > 0
@@ -291,7 +291,7 @@ class TestStabilityEstimate:
     def test_verification_operator_admits_published_step(self):
         wall = WallAssembly([(builtin_material("table1_mat1"), 0.6),
                              (builtin_material("table1_mat2"), 0.4)])
-        grid = Grid1D.uniform(1.0, 101)
+        grid = Grid1D(1.0, 101)
         groups = DimensionlessGroups(
             **TABLE1_GROUPS,
             biot_left=BiotSet(m_theta=25.5, t_t=50.5, t_theta=0.496),
@@ -318,7 +318,7 @@ class TestLinearForm:
             SideForcing.robin(lambda t: 1.0, lambda t: 1 + 0.3 * math.cos(t)),
         )
         wall = table1_wall()
-        grid = Grid1D.uniform(1.0, 21)
+        grid = Grid1D(1.0, 21)
         return SemiDiscreteOperator(wall, grid, groups, forcing)
 
     def test_rhs_matches_matrix_form_on_random_states(self):
@@ -354,7 +354,7 @@ class TestConservation:
         # (trapezoid over the finite-volume cells) is invariant
         mat = CoefficientModel.constants("m", 0.3, 0.0, 1.0, 0.2, 0.0)
         wall = WallAssembly([(mat, 1.0)])
-        grid = Grid1D.uniform(1.0, 41)
+        grid = Grid1D(1.0, 41)
         groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0)
         forcing = BoundaryForcing(constant_forcing(), constant_forcing())
         op = SemiDiscreteOperator(wall, grid, groups, forcing)
@@ -378,7 +378,7 @@ class TestConservation:
         # gamma = delta = 0, Dirichlet ends; solve the discrete steady state
         # and compare one-sided fluxes from each layer at the interface
         wall = table1_wall()
-        grid = Grid1D.uniform(1.0, 21)
+        grid = Grid1D(1.0, 21)
         groups = DimensionlessGroups(fo_m=0.09, fo_t=0.07)
         forcing = BoundaryForcing(dirichlet_forcing(u=1.0, v=1.0),
                                   dirichlet_forcing(u=2.0, v=2.0))
@@ -405,7 +405,7 @@ class TestSources:
         op_plain = single_layer_op(n=6, kind="robin")
         mat = CoefficientModel.constants("mat", 1.0, 0.0, 1.0, 1.0, 0.0)
         wall = WallAssembly([(mat, 1.0)])
-        grid = Grid1D.uniform(1.0, 6)
+        grid = Grid1D(1.0, 6)
         groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0)
         forcing = BoundaryForcing(constant_forcing(), constant_forcing())
         op_src = SemiDiscreteOperator(
@@ -443,10 +443,9 @@ class TestFaceTables:
         node_layer = layers_at(op.wall, op.grid.node_positions, 1e-9 * op.dx)
         for f in range(op.n - 1):
             model = op.wall.layers[face_layer[f]][0]
-            pair = [model.evaluate(u[i], v[i]) for i in (f, f + 1)]
             for row, name in enumerate(("k_t", "k_tm", "d_t", "d_theta")):
-                k = COEFFICIENT_NAMES.index(name)
-                assert faces[row, f] == _harmonic(pair[0][k], pair[1][k])
+                left, right = (float(getattr(model, name)(u[i], v[i])) for i in (f, f + 1))
+                assert faces[row, f] == _harmonic(left, right)
         for j in range(op.n):
             left = op.wall.layers[face_layer[max(j - 1, 0)]][0].c_t(u[j], v[j])
             right = op.wall.layers[face_layer[min(j, op.n - 2)]][0].c_t(u[j], v[j])
@@ -511,13 +510,13 @@ def verification_op(forcing):
     )
     wall = WallAssembly([(builtin_material("table1_mat1"), 0.6),
                          (builtin_material("table1_mat2"), 0.4)])
-    return SemiDiscreteOperator(wall, Grid1D.uniform(1.0, 101), groups, forcing)
+    return SemiDiscreteOperator(wall, Grid1D(1.0, 101), groups, forcing)
 
 
 def physical_op_n(layout, sides, n):
     """:func:`physical_op` on ``n`` nodes instead of dx = 5 mm."""
     op = physical_op(layout, sides)
-    return SemiDiscreteOperator(op.wall, Grid1D.uniform(op.wall.total_length, n),
+    return SemiDiscreteOperator(op.wall, Grid1D(op.wall.total_length, n),
                                 op.groups, op.forcing)
 
 
@@ -626,7 +625,7 @@ def polynomial_walls(draw):
             sides.append(dirichlet_forcing(1.0, 0.5))
     groups = DimensionlessGroups(fo_m=draw(positive), fo_t=draw(positive), gamma=draw(positive),
                                  delta=draw(positive), biot_left=biots[0], biot_right=biots[1])
-    op = SemiDiscreteOperator(wall, Grid1D.uniform(wall.total_length, n), groups, BoundaryForcing(*sides))
+    op = SemiDiscreteOperator(wall, Grid1D(wall.total_length, n), groups, BoundaryForcing(*sides))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return op, np.stack([0.5 + rng.random(n), 0.05 + 0.9 * rng.random(n)])
 
@@ -892,7 +891,7 @@ class TestStateDependentRows:
         horner = operator_module._horner
         monkeypatch.setattr(operator_module, "_horner",
                             lambda *args: calls.append(1) or horner(*args))
-        const = SemiDiscreteOperator(table1_wall(), Grid1D.uniform(1.0, 101),
+        const = SemiDiscreteOperator(table1_wall(), Grid1D(1.0, 101),
                                      DimensionlessGroups(**TABLE1_GROUPS),
                                      BoundaryForcing(constant_forcing(), constant_forcing(0.5, 2.0)))
         y = np.stack([np.linspace(1.0, 2.0, 101), np.linspace(0.5, 1.5, 101)])
