@@ -80,9 +80,13 @@ def main(argv=None) -> int:
                 print(f"policy @365d {scheme}: dt={info['dt_s']:g} s, N_t={info['n_t']}")
         else:
             result = run_ns_sweep(cfg, out_dir=args.out)
-            for scheme, slope in result.slopes.items():
-                print(f"{scheme}: error slope vs N_S  solution={slope['solution']:.3f}  "
-                      f"u={slope['u']:.3f}  v={slope['v']:.3f}")
+            for scheme in cfg.sweep_schemes:
+                slope = result.slopes.get(scheme)
+                if slope is None:
+                    print(f"{scheme}: no error slope vs N_S (fewer than two ok rows with positive errors)")
+                else:
+                    print(f"{scheme}: error slope vs N_S  solution={slope['solution']:.3f}  "
+                          f"u={slope['u']:.3f}  v={slope['v']:.3f}")
     except StswallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, DivergenceError) else 1

@@ -210,10 +210,35 @@ class TestOracle:
         assert np.max(np.abs(res.reference.v - v)) <= 1e-9
 
     def test_step_doubling_gap_on_preset(self, tmp_path):
-        cfg = verification_preset()
-        cfg.tau = 0.005
-        gap = run_verification_case(cfg, tmp_path).manifest["reference"]["richardson_gap"]
-        assert math.isfinite(gap) and gap < 1e-9
+        # the companion takes the coarsest step of the reference's h lambda <= 2.5 rule,
+        # and its estimate reads within [1, 3]x the error against an RK4 run at h/8
+        cfg = short_verification(tau=0.005)
+        res = run_verification_case(cfg, tmp_path)
+        check = res.manifest["reference"]
+        dom = cases._dimensionless_domain(cfg)
+        lam = dom.operator().gershgorin_lambda_max(dom.state0.v)
+        assert check["richardson_dt"] == cfg.tau / math.ceil(cfg.tau * lam / 2.5) >= 1.25 * check["dt"]
+        fine = cases.rk4_run(dom.operator(), dom.state0, check["dt"] / 8.0, cfg.tau).final_state
+        true_error = np.max(np.abs([fine.u - res.reference.u, fine.v - res.reference.v]))
+        assert 1.0 <= check["richardson_gap"] / true_error <= 3.0
+        assert check["richardson_gap"] < 1e-9
+
+    def test_half_step_companion_when_the_coarse_step_is_close_to_h(self):
+        cfg = short_verification(tau=0.005)
+        dom = cases._dimensionless_domain(cfg)
+        # 2 dt lambda = 2.2: h = 2 dt, and the coarsest stable step is below 1.25 h
+        cfg.dt_euler = 1.1 / dom.operator().gershgorin_lambda_max(dom.state0.v)
+        _, report, check = cases._oracle(dom, check=True)
+        assert report.dt == 2.0 * cfg.dt_euler and check["richardson_dt"] == report.dt / 2.0
+        half = cases.rk4_run(dom.operator(), dom.state0, report.dt / 2.0, cfg.tau).final_state
+        ref = report.final_state
+        want = 16.0 / 15.0 * np.max(np.abs([half.u - ref.u, half.v - ref.v]))
+        assert want > 0 and math.isclose(check["richardson_gap"], want, rel_tol=1e-15)
+
+    def test_zero_horizon_has_zero_gap(self):
+        cfg = short_verification(tau=0.0)
+        _, report, check = cases._oracle(cases._dimensionless_domain(cfg), check=True)
+        assert check == {"richardson_gap": 0.0, "richardson_dt": report.dt / 2.0}
 
     def test_falls_back_to_euler_step_outside_rk4_margin(self, tmp_path):
         cfg = short_verification(tau=0.005)
@@ -470,6 +495,13 @@ class TestCli:
         # 2 is the divergence code, so argparse's usage errors exit 1
         assert main(argv) == 1
         assert "usage: stswall" in capsys.readouterr().err
+
+    def test_sweep_without_slopes_says_so(self, tmp_path, capsys):
+        # tau = 0 gives zero errors, so no scheme gets a slope; each still gets a line
+        assert main(["sweep", "--tau", "0", "--ns", "4,8", "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{scheme}: no error slope vs N_S (fewer than two ok rows with positive errors)"
+            for scheme in ("rkc", "rkl")]
 
     def test_help_exits_zero(self, capsys):
         assert main(["verify", "--help"]) == 0
@@ -951,11 +983,11 @@ def test_traced_benchmark_counts(tmp_path):
          "--seed", "1", "--trace", "--out", str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=600, check=True)
     layers = json.loads(proc.stdout.strip().splitlines()[-1])["layers"]
-    # RHS calls: 1730 by the table schemes, 2800 + 5600 by the RK4 reference
-    # and its step-doubling check.  Steps count only the marches the tracer
-    # wraps (euler_run, dufort_frankel_run, sts_run), not rk4_run.
-    assert layers["operator.rhs.calls"] == 10130
-    assert layers["operator.apply_constraints.calls"] == 10130
+    # RHS calls: 1730 by the table schemes, 2800 + 1736 by the RK4 reference
+    # and its step-doubling check (434 coarse steps).  Steps count only the
+    # marches the tracer wraps (euler_run, dufort_frankel_run, sts_run), not rk4_run.
+    assert layers["operator.rhs.calls"] == 6266
+    assert layers["operator.apply_constraints.calls"] == 6266
     assert layers["integrators.steps"] == 1471
     assert layers["integrators.observe.calls"] == 1475
     # one stacked norm call per block of up to 64 samples: 22 for Euler's

@@ -9,15 +9,17 @@ Every pair runs one round of each tree on the benchmark's workload config
 (``build_config`` of ``perfbench/worker.py``, used read-only), the tree that
 goes first alternating from pair to pair, after one untimed warm-up round
 each.  A round's march time is the summed ``cpu_s`` of the runner's reports,
-the sum the benchmark's ``march_s`` takes before its host-speed scaling.
+the sum the benchmark's ``march_s`` takes before its host-speed scaling; its
+wall time is the runner call's, which also holds the work outside the table
+marches (the verify reference and its self-check, the output writing).
 
 Separate benchmark runs see the host's speed change between them; pairs of
 rounds taken back to back see nearly the same speed, so their ratios can
 resolve a change of a few percent.  For each workload it prints the median
-and quartiles of the new/base march-time ratios, the pairs the new tree won
-and whether every final state (and the verify reference, the physical
-moisture totals and drying rates) is byte-equal between the trees.  Exits 1
-when some state differs.
+and quartiles of the new/base march-time and wall-time ratios, the pairs the
+new tree won on each and whether every final state (and the verify
+reference, the physical moisture totals and drying rates) is byte-equal
+between the trees.  Exits 1 when some state differs.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import os
 import statistics
 import sys
 import tempfile
+import time
 
 # Single-threaded numpy, as in the benchmark (set before numpy loads).
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -56,12 +59,14 @@ def load_tree(src: str, alias: str):
 
 
 def run_round(tree, workload: str, seed: int):
-    """(march seconds, final arrays) of one round of ``workload``."""
+    """(march seconds, wall seconds, final arrays) of one round of ``workload``."""
     cases, config = tree
     cfg = worker.build_config(workload, seed, cases, config.load_config)
     runner = cases.run_verification_case if workload == "verify" else cases.run_physical_case
     with tempfile.TemporaryDirectory() as out:
+        start = time.perf_counter()
         result = runner(cfg, out)
+        wall = time.perf_counter() - start
     arrays = {}
     for scheme, report in result.reports.items():
         arrays[f"{scheme}.u"], arrays[f"{scheme}.v"] = report.final_state.u, report.final_state.v
@@ -72,7 +77,7 @@ def run_round(tree, workload: str, seed: int):
             arrays[f"totals.{name}"] = result.totals[name]
             arrays[f"rates.{name}"] = result.rates[name]
     march = sum(report.cpu_s for report in result.reports.values())
-    return march, {key: _as_bytes(value) for key, value in arrays.items()}
+    return march, wall, {key: _as_bytes(value) for key, value in arrays.items()}
 
 
 def _as_bytes(value) -> bytes:
@@ -81,23 +86,29 @@ def _as_bytes(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
 
+def _ratios(label: str, base: list, new: list) -> str:
+    """Medians of both trees' times and the new/base ratio summary of ``label``."""
+    ratios = [n / b for b, n in zip(base, new)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    won = sum(r < 1.0 for r in ratios)
+    return (f"{label} median base {statistics.median(base):.4f} s, new {statistics.median(new):.4f} s; "
+            f"new/base median {median:.3f} [quartiles {q1:.3f}, {q3:.3f}], "
+            f"new faster in {won}/{len(ratios)} pairs")
+
+
 def compare(trees, workload: str, pairs: int, seed: int) -> bool:
     for tree in trees:
         run_round(tree, workload, seed)       # warm-up
-    ratios, marches, equal = [], ([], []), True
+    marches, walls, equal = ([], []), ([], []), True
     for k in range(pairs):
         order = (0, 1) if k % 2 == 0 else (1, 0)
-        times, states = [0.0, 0.0], [None, None]
+        states = [None, None]
         for i in order:
-            times[i], states[i] = run_round(trees[i], workload, seed)
-            marches[i].append(times[i])
+            march, wall, states[i] = run_round(trees[i], workload, seed)
+            marches[i].append(march)
+            walls[i].append(wall)
         equal = equal and states[0] == states[1]
-        ratios.append(times[1] / times[0])
-    q1, median, q3 = statistics.quantiles(ratios, n=4) if pairs > 1 else ratios * 3
-    won = sum(r < 1.0 for r in ratios)
-    base, new = (statistics.median(m) for m in marches)
-    print(f"{workload}: march median base {base:.4f} s, new {new:.4f} s; new/base median {median:.3f} "
-          f"[quartiles {q1:.3f}, {q3:.3f}], new faster in {won}/{pairs} pairs, "
+    print(f"{workload}: {_ratios('march', *marches)}; {_ratios('wall', *walls)}; "
           f"final states byte-equal: {'yes' if equal else 'NO'}", flush=True)
     return equal
 
