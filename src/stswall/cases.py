@@ -470,8 +470,10 @@ def _oracle(dom, check=False):
     and ``check`` is ``{"richardson_gap": gap, "richardson_dt": H}`` (else None).
     H is the coarsest step of the same 2.5 rule, ``tau / ceil(tau lambda / 2.5)``,
     or h/2 (the classical ``(16/15) max|y_h - y_{h/2}|``) when that is below
-    1.25 h, as at tau = 0 and tau < h.  On the verification preset the coarse
-    companion reads about 1.67x the reference's true error (h/2: 1.02x)."""
+    1.25 h, as at tau = 0.  When 0 < tau < h the reference is one landing step
+    of tau, and the companion takes two of tau/2 (``r = 1/2`` against tau).
+    On the verification preset the coarse companion reads about 1.67x the
+    reference's true error (h/2: 1.02x)."""
     cfg, op, state0 = dom.cfg, dom.operator(), dom.state0
     if cfg.dt_euler is None:
         raise ConfigError("the RK4 reference needs an explicit dt_euler")
@@ -481,7 +483,7 @@ def _oracle(dom, check=False):
 
     def record(t, u, v):
         times.append(t)
-        states.append(np.stack([u, v]))
+        states.append(np.array((u, v)))
 
     report = rk4_run(op, state0, h, cfg.tau, observe=record,
                      observe_every=_sample_stride(h, cfg.tau))
@@ -489,9 +491,10 @@ def _oracle(dom, check=False):
     if not check:
         return reference, report, None
     coarse = cfg.tau / max(1, math.ceil(cfg.tau * lam / 2.5))
-    companion = rk4_run(dom.operator(), state0, coarse if coarse >= 1.25 * h else h / 2.0, cfg.tau)
+    step = min(h, cfg.tau) or h         # the reference's step: its one landing when tau < h
+    companion = rk4_run(dom.operator(), state0, coarse if coarse >= 1.25 * step else step / 2.0, cfg.tau)
     ref, other = report.final_state, companion.final_state
-    gap = float(np.max(np.abs([other.u - ref.u, other.v - ref.v]))) / abs((companion.dt / h) ** 4 - 1.0)
+    gap = float(np.max(np.abs([other.u - ref.u, other.v - ref.v]))) / abs((companion.dt / step) ** 4 - 1.0)
     if gap > 1e-5:
         logger.warning("reference self-check: Richardson gap %.3e exceeds 1e-5", gap)
     return reference, report, {"richardson_gap": gap, "richardson_dt": companion.dt}

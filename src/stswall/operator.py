@@ -165,13 +165,25 @@ class SemiDiscreteOperator:
         fo = None if groups.fo_t == groups.fo_m == 1.0 else np.repeat([groups.fo_t, groups.fo_m], n)[1:-1]
         self._work = (self._grad.ravel()[:-1], self._grad, self._grad[0], self._grad[1],
                       self._flux, self._cross, flux[1:-1], flux[:-2], fo, den[1:-1], dx)
-        self._ends = (self._flux[:, 0:n - 1:max(n - 2, 1)], self._den[0, ::n - 1])
+        # The closure's reads: the end-face fluxes and the end nodes' columns.
+        self._end_flux = self._flux[:, 0:n - 1:max(n - 2, 1)]
+        self._end_nodes = (slice(None), slice(None, None, n - 1))
 
         # Boundary sides as (node, side, orientation of the face flux).
         sides = ((0, _BoundarySide(forcing.left, groups.biot_left, groups.alpha), 1.0),
                  (-1, _BoundarySide(forcing.right, groups.biot_right, groups.alpha), -1.0))
         self._robin = [entry for entry in sides if entry[1].robin]
         self._dirichlet = [(j, side) for j, side, _ in sides if not side.robin]
+        # The Robin rows' constants, per side: its ambient values, its column
+        # in the two-column reads of the state and the end fluxes, its u and v
+        # entries of the flat output, the orientation, the exchange
+        # coefficients, the Fourier numbers and the v and u rows' denominators
+        # dx and dx c (None when the storage varies: read on each call).
+        self._closure = [
+            (side.ambient, j, j % n, n + j % n, sign, side.biot.m_theta, side.biot.t_t,
+             side.biot.t_theta, groups.fo_t, groups.fo_m, self.dx,
+             None if varies[4] else self._den.item(j % n))
+            for j, side, sign in self._robin]
         fixed = [j % n for j, _ in self._dirichlet]     # their columns, as one slice
         self._fixed = slice(fixed[0], fixed[-1] + 1, max(n - 1, 1)) if fixed else None
         self._fixed_t, self._fixed_values = None, np.empty((2, len(fixed)))
@@ -238,22 +250,27 @@ class SemiDiscreteOperator:
         flux += cross
         if out is None:
             out = np.empty((2, self.n))     # the divergence, closure and Dirichlet zero write it all
-        mid = out.ravel()[1:-1]
+        flat = out.ravel()
+        mid = flat[1:-1]
         np.subtract(flux_hi, flux_lo, mid)
         if fo is not None:
             mid *= fo
         mid /= den
 
-        # Robin half-cells: the face flux plus the inflow-oriented closure.
-        if self._robin:
-            g = self.groups
-            u_b, v_b = y[:, ::self.n - 1].tolist()
-            q_t, q_m = self._ends[0].tolist()
-            den_t = self._ends[1].tolist()
-            for j, side, sign in self._robin:
-                s_m, s_t, e_m, e_t = side.terms(t, u_b[j], v_b[j])
-                out[0, j] = g.fo_t * ((s_t - e_t) + sign * q_t[j]) * 2.0 / den_t[j]
-                out[1, j] = g.fo_m * ((s_m - e_m) + sign * q_m[j]) * 2.0 / self.dx
+        # Robin half-cells: the face flux plus the inflow-oriented closure
+        # fo ((s - e) + sign q) 2 / den, with the flux terms and radiation s
+        # and the surface excess e = (m_theta dv, t_t du + t_theta dv).
+        if self._closure:
+            u_b, v_b = y[self._end_nodes].tolist()
+            q_t, q_m = self._end_flux.tolist()
+            for ambient, j, ju, jv, sign, m_theta, t_t, t_theta, fo_t, fo_m, den_v, den_t in self._closure:
+                u_inf, v_inf, s_m, s_t = ambient(t)
+                dv = v_b[j] - v_inf
+                if den_t is None:
+                    den_t = self._den.item(ju)
+                e_t = t_t * (u_b[j] - u_inf) + t_theta * dv
+                flat[ju] = fo_t * ((s_t - e_t) + sign * q_t[j]) * 2.0 / den_t
+                flat[jv] = fo_m * ((s_m - m_theta * dv) + sign * q_m[j]) * 2.0 / den_v
         if self.source_u is not None:
             out[0] += self.source_u(self.grid.node_positions, t)
         if self.source_v is not None:
@@ -370,10 +387,12 @@ class SemiDiscreteOperator:
 class _BoundarySide:
     """One side's boundary data, resolved at assembly into its live terms.
 
-    The one transcription of the Robin closure, linear in the surface values.
-    Never evaluated: ``flux_m``, ``flux_t``, ``g_inf`` when they are the model's
-    zero function; radiation when ``alpha * t_g`` is 0; on Dirichlet sides, all
-    but ``u_inf``/``v_inf``.  Ambient values are kept for the last time asked
+    It gives the ambient values the closure reads; the operator's RHS writes
+    the Robin rows from them with constants it binds at assembly, and
+    :func:`apply_robin_closure` writes the published form.  Never evaluated:
+    ``flux_m``, ``flux_t``, ``g_inf`` when they are the model's zero function;
+    radiation when ``alpha * t_g`` is 0; on Dirichlet sides, all but
+    ``u_inf``/``v_inf``.  Ambient values are kept for the last time asked
     for: a frozen super-step cycle evaluates them once."""
 
     def __init__(self, sf: SideForcing, biot, alpha: float):
@@ -397,13 +416,6 @@ class _BoundarySide:
         self._t, self._values = t, (u_inf, v_inf, s_m, s_t)
         return self._values
 
-    def terms(self, t: float, u_b: float, v_b: float) -> tuple:
-        """(s_m, s_t, e_m, e_t) at surface values (u_b, v_b) and time t."""
-        b = self.biot
-        u_inf, v_inf, s_m, s_t = self.ambient(t)
-        dv = v_b - v_inf
-        return s_m, s_t, b.m_theta * dv, b.t_t * (u_b - u_inf) + b.t_theta * dv
-
 
 def apply_robin_closure(
     side: str,
@@ -424,7 +436,7 @@ def apply_robin_closure(
         raise ConfigError(f"{side} side is not a Robin boundary")
     biot = groups.biot_left if side == "left" else groups.biot_right
     b = 0 if side == "left" else state.u.size - 1
-    s_m, s_t, e_m, e_t = _BoundarySide(sf, biot, groups.alpha).terms(
-        t, float(state.u[b]), float(state.v[b]))
-    return s_m + e_m, s_t + e_t
+    u_inf, v_inf, s_m, s_t = _BoundarySide(sf, biot, groups.alpha).ambient(t)
+    dv = float(state.v[b]) - v_inf
+    return s_m + biot.m_theta * dv, s_t + (biot.t_t * (float(state.u[b]) - u_inf) + biot.t_theta * dv)
 

@@ -235,6 +235,36 @@ class TestOracle:
         want = 16.0 / 15.0 * np.max(np.abs([half.u - ref.u, half.v - ref.v]))
         assert want > 0 and math.isclose(check["richardson_gap"], want, rel_tol=1e-15)
 
+    def test_landing_step_is_checked_against_two_half_steps(self):
+        # tau < h: the reference is one landing step of tau and the companion two of tau/2
+        cfg = short_verification(tau=1e-5)
+        dom = cases._dimensionless_domain(cfg)
+        _, report, check = cases._oracle(dom, check=True)
+        assert report.n_steps == 1 and cfg.tau < report.dt
+        assert check["richardson_dt"] == cfg.tau / 2.0
+        half = cases.rk4_run(dom.operator(), dom.state0, cfg.tau / 2.0, cfg.tau)
+        assert half.n_steps == 2
+        ref, other = report.final_state, half.final_state
+        want = 16.0 / 15.0 * np.max(np.abs([other.u - ref.u, other.v - ref.v]))
+        assert want > 0 and math.isclose(check["richardson_gap"], want, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-5, 0.005])
+    def test_reference_states_are_the_observed_rows(self, monkeypatch, tau):
+        seen = []
+        rk4_run = cases.rk4_run
+
+        def observing(op, state0, dt, tau, observe=None, observe_every=1):
+            def both(t, u, v):
+                seen.append((t, np.stack([u, v])))
+                observe(t, u, v)
+            return rk4_run(op, state0, dt, tau, both, observe_every)
+
+        monkeypatch.setattr(cases, "rk4_run", observing)
+        reference = cases._oracle(cases._dimensionless_domain(short_verification(tau=tau)))[0]
+        want = np.stack([state for _, state in seen])
+        assert reference.times == [t for t, _ in seen]
+        assert reference.y.shape == want.shape and reference.y.tobytes() == want.tobytes()
+
     def test_zero_horizon_has_zero_gap(self):
         cfg = short_verification(tau=0.0)
         _, report, check = cases._oracle(cases._dimensionless_domain(cfg), check=True)

@@ -13,7 +13,7 @@ from stswall.config import parse_time_function
 from stswall.errors import AssemblyError, ConfigError
 from stswall.model import (
     COEFFICIENT_NAMES, BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups,
-    Grid1D, SideForcing, StateField, WallAssembly, builtin_material,
+    Grid1D, SideForcing, StateField, WallAssembly, _zero, builtin_material,
 )
 from stswall.operator import SemiDiscreteOperator, _harmonic, apply_robin_closure
 
@@ -663,6 +663,98 @@ class TestOutputBuffer:
             want = op.rhs(t, y)
             assert op.rhs(t, y, None, buf) is buf
             assert buf.tobytes() == want.tobytes()
+
+
+@st.composite
+def robin_walls(draw):
+    """(operator, [(t, y), ...]): a one- or two-layer wall whose materials
+    are all constant, vary only in storage or vary only in transport; a
+    Robin side on the left, the right or both, any other side Dirichlet;
+    each Robin side with or without flux terms and with or without
+    radiation; random states at random times, the first time twice."""
+    kind = draw(st.sampled_from(["constant", "storage", "transport"]))
+    dx = 0.05
+    layers = []
+    for i in range(draw(st.integers(1, 2))):
+        spec = {}
+        for name in COEFFICIENT_NAMES:
+            varies = kind == ("storage" if name == "c_t" else "transport")
+            spec[name] = draw(st.lists(positive, min_size=1 + varies, max_size=1 + 2 * varies))
+        layers.append((CoefficientModel.polynomials(f"m{i}", **spec), draw(st.integers(2, 8)) * dx))
+    wall = WallAssembly(layers)
+    n = int(round(wall.total_length / dx)) + 1
+    biots, sides = [], []
+    for robin in draw(st.sampled_from([(True, True), (True, False), (False, True)])):
+        if not robin:
+            biots.append(BiotSet())
+            sides.append(dirichlet_forcing(1.0, 0.5))
+            continue
+        a = draw(st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5))
+        extra, t_g = {}, 0.0
+        if draw(st.booleans()):
+            extra.update(flux_m=lambda t, a=a: a[2] * math.cos(t),
+                         flux_t=lambda t, a=a: a[3] * math.sin(2.0 * t))
+        if draw(st.booleans()):
+            t_g = draw(positive)
+            extra["g_inf"] = lambda t, a=a: 1.0 + a[4] * math.sin(3.0 * t)
+        biots.append(BiotSet(m_theta=draw(positive), t_t=draw(positive),
+                             t_theta=draw(positive), t_g=t_g))
+        sides.append(SideForcing.robin(lambda t, a=a: 1.0 + a[0] * math.sin(t),
+                                       lambda t, a=a: 0.5 + a[1] * math.cos(t), **extra))
+    groups = DimensionlessGroups(fo_m=draw(positive), fo_t=draw(positive), gamma=draw(positive),
+                                 delta=draw(positive), alpha=draw(positive),
+                                 biot_left=biots[0], biot_right=biots[1])
+    op = SemiDiscreteOperator(wall, Grid1D(wall.total_length, n), groups, BoundaryForcing(*sides))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3))
+    return op, [(t, np.stack([0.5 + rng.random(n), 0.05 + 0.9 * rng.random(n)]))
+                for t in times[:1] + times]
+
+
+def robin_rows(op, t, y):
+    """{side: (u entry, v entry)} of each Robin side, each written as
+    ``fo ((s - e) + sign q) 2 / den`` with the end-face flux q, the half-cell
+    denominator den (dx c for u, dx for v) and sign +1 on the left, -1 on
+    the right.  The flux terms and radiation s and the surface excess e come
+    from :func:`apply_robin_closure` one at a time: with the surface on its
+    ambient values e is zero, and with the flux terms and radiation taken
+    away s is."""
+    g, dx = op.groups, op.dx
+    faces, c = op._coefficients(y[1])
+    k_t, k_tm, d_t, d_th = faces
+    grad_u, grad_v = (y[:, 1:] - y[:, :-1]) / dx
+    q_t = k_t * grad_u + g.delta * k_tm * grad_v
+    q_m = d_th * grad_v + g.gamma * d_t * grad_u
+    rows = {}
+    for side, j, sign in (("left", 0, 1.0), ("right", -1, -1.0)):
+        sf = op.forcing.side(side)
+        if sf.kind != "robin":
+            continue
+        at_ambient = y.copy()
+        at_ambient[:, j] = sf.u_inf(t), sf.v_inf(t)
+        s_m, s_t = apply_robin_closure(side, StateField(*at_ambient), t, g, op.forcing)
+        bare = dataclasses.replace(sf, g_inf=_zero, flux_m=_zero, flux_t=_zero)
+        e_m, e_t = apply_robin_closure(side, StateField(*y), t, g, BoundaryForcing(bare, bare))
+        rows[side] = (g.fo_t * ((s_t - e_t) + sign * q_t[j]) * 2.0 / (dx * c[j]),
+                      g.fo_m * ((s_m - e_m) + sign * q_m[j]) * 2.0 / dx)
+    return rows
+
+
+class TestRobinRows:
+    """The RHS writes each Robin side's two entries from constants bound at
+    assembly; they must equal the closure's own terms bit for bit."""
+
+    @wall_cases
+    @given(robin_walls())
+    def test_boundary_rows_equal_closure_transcription(self, case):
+        op, samples = case
+        for t, y in samples:
+            got = op.rhs(t, y).copy()
+            rows = robin_rows(op, t, y)
+            assert rows
+            for side, j in (("left", 0), ("right", -1)):
+                want = rows.get(side, (0.0, 0.0))     # a Dirichlet side's rows are zero
+                assert np.array([got[0, j], got[1, j]]).tobytes() == np.array(want).tobytes()
 
 
 class TestCoefficientPass:
