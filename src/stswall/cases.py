@@ -179,7 +179,7 @@ class _Domain:
     grid: Grid1D
     forcing: BoundaryForcing
     groups: DimensionlessGroups
-    state0: StateField
+    state0: np.ndarray      # (2, n) initial state: row 0 u, row 1 v
     spans: list             # each layer's inclusive (first, last) node, WallAssembly.node_spans
 
     def operator(self) -> SemiDiscreteOperator:
@@ -201,15 +201,15 @@ def _build_domain(cfg: CaseConfig, forcing, groups) -> _Domain:
         raise ConfigError(f"dx={cfg.dx} does not divide the wall length {length}")
     grid = Grid1D(length, n_steps + 1)
     spans = wall.node_spans(grid)
-    u0 = _initial_field(cfg.initial_u, spans)
-    v0 = _initial_field(cfg.initial_v, spans)
+    u0 = _initial_field("u", cfg.initial_u, spans)
+    v0 = _initial_field("v", cfg.initial_v, spans)
     # the RHS divides by the storage: each layer's c_t must be positive at every node it touches
     for (model, _), (a, b) in zip(wall.layers, spans):
         c = model.c_t(u0[a:b + 1], v0[a:b + 1])
         if not np.all(c > 0):
             raise ConfigError(f"material {model.name!r}: c_t must be positive at the initial state, "
                               f"got {np.min(c)}")
-    return _Domain(cfg, wall, grid, forcing, groups, StateField(u0, v0), spans)
+    return _Domain(cfg, wall, grid, forcing, groups, np.array([u0, v0]), spans)
 
 
 def _dimensionless_domain(cfg: CaseConfig) -> _Domain:
@@ -224,12 +224,15 @@ def _dimensionless_domain(cfg: CaseConfig) -> _Domain:
     return _build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right), cfg.groups)
 
 
-def _initial_field(value, spans) -> np.ndarray:
-    """A scalar everywhere, or one value per layer filled right to left, so
-    that an interface node keeps the left layer's value."""
+def _initial_field(name, value, spans) -> np.ndarray:
+    """Initial field ``name``: a scalar everywhere, or one finite value per
+    layer filled right to left, so that an interface node keeps the left
+    layer's value."""
     vals = [float(value)] * len(spans) if np.ndim(value) == 0 else [float(x) for x in value]
     if len(vals) != len(spans):
         raise ConfigError(f"per-layer initial values need {len(spans)} entries, got {len(vals)}")
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"initial field {name} must be finite, got {value}")
     out = np.empty(spans[-1][1] + 1)
     for val, (a, b) in zip(vals[::-1], spans[::-1]):
         out[a:b + 1] = val
@@ -422,10 +425,9 @@ class _ErrorTracker:
         # rows eps2, epsinf, reference norm; columns u, v
         self.sup = np.zeros((3, 2))
 
-    def __call__(self, t, u, v):
+    def __call__(self, t, y):
         i = len(self.times)
-        self.block[i, 0] = u
-        self.block[i, 1] = v
+        self.block[i] = y
         self.times.append(t)
         if i + 1 == self.BLOCK or t >= self.t_final:
             self.flush()
@@ -477,13 +479,13 @@ def _oracle(dom, check=False):
     cfg, op, state0 = dom.cfg, dom.operator(), dom.state0
     if cfg.dt_euler is None:
         raise ConfigError("the RK4 reference needs an explicit dt_euler")
-    lam = op.gershgorin_lambda_max(state0.v)
+    lam = op.gershgorin_lambda_max(state0[1])
     h = 2.0 * cfg.dt_euler if 2.0 * cfg.dt_euler * lam <= 2.5 else cfg.dt_euler
     times, states = [], []
 
-    def record(t, u, v):
+    def record(t, y):
         times.append(t)
-        states.append(np.array((u, v)))
+        states.append(y.copy())
 
     report = rk4_run(op, state0, h, cfg.tau, observe=record,
                      observe_every=_sample_stride(h, cfg.tau))
@@ -493,8 +495,8 @@ def _oracle(dom, check=False):
     coarse = cfg.tau / max(1, math.ceil(cfg.tau * lam / 2.5))
     step = min(h, cfg.tau) or h         # the reference's step: its one landing when tau < h
     companion = rk4_run(dom.operator(), state0, coarse if coarse >= 1.25 * step else step / 2.0, cfg.tau)
-    ref, other = report.final_state, companion.final_state
-    gap = float(np.max(np.abs([other.u - ref.u, other.v - ref.v]))) / abs((companion.dt / step) ** 4 - 1.0)
+    gap = float(np.max(np.abs(np.subtract(companion.final_state, report.final_state))))
+    gap /= abs((companion.dt / step) ** 4 - 1.0)
     if gap > 1e-5:
         logger.warning("reference self-check: Richardson gap %.3e exceeds 1e-5", gap)
     return reference, report, {"richardson_gap": gap, "richardson_dt": companion.dt}
@@ -538,7 +540,7 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
     })
     emit_outputs(out_dir, manifest, records=records, tables=profiles)
     if cfg.dump_matrix:
-        dom.operator().dump_matrix(os.path.join(out_dir, "operator_matrix.txt"), dom.state0.v)
+        dom.operator().dump_matrix(os.path.join(out_dir, "operator_matrix.txt"), dom.state0[1])
     return VerificationResult(records=records, reports=reports, reference=ref_report.final_state,
                               grid=grid, manifest=manifest, failures=failures)
 
@@ -659,9 +661,9 @@ class _MoistureObserver:
         self.times = []
         self.totals = []
 
-    def __call__(self, t, u, v):
+    def __call__(self, t, y):
         self.times.append(t)
-        self.totals.append(total_moisture(v, self.grid, self.domain))
+        self.totals.append(total_moisture(y[1], self.grid, self.domain))
 
 
 def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
@@ -758,7 +760,7 @@ def _layout_config(cfg: CaseConfig, layer_list, forcing, groups) -> _Domain:
     sub.initial_v = [cfg.initial_v[name] for name, _ in layer_list]
     dom = _build_domain(sub, forcing, groups)
     if sub.dt_euler is None or sub.dt_exp_base is None:
-        lam = dom.operator().gershgorin_lambda_max(dom.state0.v)
+        lam = dom.operator().gershgorin_lambda_max(dom.state0[1])
         if not lam > 0:
             raise ConfigError("operator has zero stiffness; set dt_euler or dt_exp explicitly")
         dt_exp = 2.0 / lam

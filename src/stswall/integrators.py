@@ -35,7 +35,7 @@ from .errors import ConfigError, DivergenceError, StaleScheduleError
 from .model import StateField
 from .operator import SemiDiscreteOperator
 
-ObserveFn = Callable[[float, np.ndarray, np.ndarray], None]
+ObserveFn = Callable[[float, np.ndarray], None]     # observe(t, y) on the march's (2, n) state
 
 # Nonlinear super-step runs rebuild their schedule against 1.1x the fresh
 # stiffness estimate once the estimate outgrows the schedule's design value.
@@ -194,7 +194,8 @@ class RunReport:
 
 
 class _Monitor:
-    """Per-outer-step health checks and the observer calls.
+    """Per-outer-step health checks and the observer calls, from the
+    initial state (step 0) on.
 
     A march diverges when its state turns non-finite or leaves the
     divergence limits: one box width beyond each side of the operator's
@@ -219,11 +220,10 @@ class _Monitor:
             self.limits = (u_lo - wu, u_hi + wu, v_lo - wv, v_hi + wv)
             self.limits_text = f"more than one box width outside the admissible box {tuple(self.box)}"
 
-    def start(self, t, y):
-        if self.observe is not None:
-            self.observe(t, y[0], y[1])
-
     def check(self, step_index, t, y, final=False):
+        """Check and observe outer step ``step_index``; step 0 is the initial
+        state, which the limits refuse as input (a ConfigError) and which
+        never counts as a box violation."""
         np.minimum.reduce(y, 1, None, self.minima)
         np.maximum.reduce(y, 1, None, self.maxima)
         (umin, vmin), (umax, vmax) = self.extremes.tolist()
@@ -233,13 +233,15 @@ class _Monitor:
             extremes = (umin, umax, vmin, vmax)
             cause = ("non-finite state" if not all(map(math.isfinite, extremes)) else
                      "u in [%.4g, %.4g], v in [%.4g, %.4g]: " % extremes + self.limits_text)
+            if not step_index:
+                raise ConfigError(f"initial state has {cause}")
             raise DivergenceError(self.scheme, step_index, t, cause)
-        if self.box is not None:
+        if self.box is not None and step_index:
             u_lo, u_hi, v_lo, v_hi = self.box
             if umin < u_lo or umax > u_hi or vmin < v_lo or vmax > v_hi:
                 self.box_violations += 1
         if self.observe is not None and (final or step_index % self.observe_every == 0):
-            self.observe(t, y[0], y[1])
+            self.observe(t, y)
 
 
 def node_count(dt: float, tau: float) -> int:
@@ -384,10 +386,22 @@ class _DufortFrankelStep(_EulerStep):
         return y
 
 
-def _march(op, state0, stepper, tau, observe, observe_every) -> RunReport:
-    """March ``stepper`` from ``state0`` to ``tau`` and report the run.
+def _initial_state(op, y0) -> np.ndarray:
+    """A C-ordered float copy of ``y0``, refused unless it is a finite (2, op.n) array."""
+    y = np.array(y0, dtype=float, order="C")
+    if y.shape != (2, op.n):
+        raise ConfigError(f"initial state must be a finite (2, {op.n}) array, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise ConfigError(f"initial state must be a finite (2, {op.n}) array, got a non-finite value")
+    return y
 
-    The state is one (2, n) array ``y`` (row 0 u, row 1 v).  The
+
+def _march(op, y0, stepper, tau, observe, observe_every) -> RunReport:
+    """March ``stepper`` from ``y0`` to ``tau`` and report the run.
+
+    The state is one (2, n) array ``y`` (row 0 u, row 1 v), a copy of
+    ``y0``; a ``y0`` that is not a finite (2, op.n) array, or that lies
+    outside the monitor's divergence limits, is a ConfigError.  The
     stepper's ``step(t, h, t_new, y)`` advances from ``t`` by its regular
     step ``h = dt`` and ``land(t, h, tau, y)`` by the shorter step ``h``
     left before tau; both may update ``y`` in place and return the new
@@ -397,14 +411,15 @@ def _march(op, state0, stepper, tau, observe, observe_every) -> RunReport:
     while it fits in the time left (to a 1e-9 relative slack), else one
     landing step ends exactly on tau.  Every outer step is checked by the
     monitor, and the step that reaches tau is always observed.  Observers
-    are the only way states leave a march.
+    get ``(t, y)``, the march's own array, and copy what they keep; the
+    report's ``final_state`` holds the rows of the last ``y``.
     """
     dt0 = stepper.dt
     n_t = node_count(dt0, tau)
     tol = 1e-9 * dt0
-    y = np.stack([state0.u, state0.v])
+    y = _initial_state(op, y0)
     mon = _Monitor(op, stepper.scheme, observe, observe_every)
-    mon.start(0.0, y)
+    mon.check(0, 0.0, y)
     evals0 = op.rhs_evals
 
     t_start = time.perf_counter()
@@ -429,47 +444,40 @@ def _march(op, state0, stepper, tau, observe, observe_every) -> RunReport:
     return RunReport(
         scheme=stepper.scheme, dt=dt0, tau=tau, n_steps=step, n_t=n_t,
         rhs_evals=op.rhs_evals - evals0, cpu_s=cpu,
-        final_state=StateField(y[0], y[1]),
+        final_state=StateField(*y),
         flags={**stepper.flags, "box_violations": mon.box_violations},
         n_s=stepper.n_s, dt_exp=stepper.dt_exp,
     )
 
 
-def euler_run(
-    op: SemiDiscreteOperator,
-    state0: StateField,
-    dt: float,
-    tau: float,
-    observe: Optional[ObserveFn] = None,
-    observe_every: int = 1,
-) -> RunReport:
+# The runners euler_run, rk4_run, dufort_frankel_run and sts_run each march
+# a copy of ``y0``, the (2, n) initial state (row 0 u, row 1 v), to ``tau``
+# and call ``observe(t, y)`` every ``observe_every`` outer steps and at tau;
+# see _march.
+
+def euler_run(op: SemiDiscreteOperator, y0: np.ndarray, dt: float, tau: float,
+              observe: Optional[ObserveFn] = None, observe_every: int = 1) -> RunReport:
     """March with forward Euler steps ``y <- y + dt f(t, y)``.
 
     Refuses dt at or above the explicit limit of the operator (estimated
     at the initial state).
     """
-    lam = op.gershgorin_lambda_max(state0.v)
+    lam = op.gershgorin_lambda_max(_initial_state(op, y0)[1])
     stepper = _EulerStep(op, dt, math.inf if lam == 0 else 2.0 / lam)
     if dt >= stepper.dt_exp:
         raise ConfigError(f"Euler step {dt:g} exceeds the explicit limit {stepper.dt_exp:g}")
-    return _march(op, state0, stepper, tau, observe, observe_every)
+    return _march(op, y0, stepper, tau, observe, observe_every)
 
 
-def rk4_run(op: SemiDiscreteOperator, state0: StateField, dt: float, tau: float,
+def rk4_run(op: SemiDiscreteOperator, y0: np.ndarray, dt: float, tau: float,
             observe: Optional[ObserveFn] = None, observe_every: int = 1) -> RunReport:
     """March with classical RK4 steps; the caller keeps ``dt * lambda_max``
     inside its real-axis stability limit of 2.785."""
-    return _march(op, state0, _RK4Step(op, dt), tau, observe, observe_every)
+    return _march(op, y0, _RK4Step(op, dt), tau, observe, observe_every)
 
 
-def dufort_frankel_run(
-    op: SemiDiscreteOperator,
-    state0: StateField,
-    dt: float,
-    tau: float,
-    observe: Optional[ObserveFn] = None,
-    observe_every: int = 1,
-) -> RunReport:
+def dufort_frankel_run(op: SemiDiscreteOperator, y0: np.ndarray, dt: float, tau: float,
+                       observe: Optional[ObserveFn] = None, observe_every: int = 1) -> RunReport:
     """Three-level leapfrog march with the self-coupling taken implicitly.
 
     Splitting the frozen Jacobian as A = B + O, where B holds each node's
@@ -483,7 +491,7 @@ def dufort_frankel_run(
     below the stability limit.  Time-dependent boundary data of the double
     step from t_{n-1} to t_{n+1} are read at the base level t_{n-1}.
     """
-    return _march(op, state0, _DufortFrankelStep(op, dt), tau, observe, observe_every)
+    return _march(op, y0, _DufortFrankelStep(op, dt), tau, observe, observe_every)
 
 
 def _cycle_work(scheme, shape):
@@ -565,14 +573,8 @@ class _SuperStep:
         return self.step(t, h, t_end, y, self.active.scaled(h / self.active.dt_super))
 
 
-def sts_run(
-    op: SemiDiscreteOperator,
-    state0: StateField,
-    schedule: SuperStepSchedule,
-    tau: float,
-    observe: Optional[ObserveFn] = None,
-    observe_every: int = 1,
-) -> RunReport:
+def sts_run(op: SemiDiscreteOperator, y0: np.ndarray, schedule: SuperStepSchedule, tau: float,
+            observe: Optional[ObserveFn] = None, observe_every: int = 1) -> RunReport:
     """March with super-step cycles defined by ``schedule``.
 
     The schedule must cover the operator's current stiffness (else a
@@ -584,10 +586,10 @@ def sts_run(
     data at the cycle start; the last stage imposes Dirichlet values at
     the cycle end.
     """
-    lam0 = op.gershgorin_lambda_max(state0.v)
+    lam0 = op.gershgorin_lambda_max(_initial_state(op, y0)[1])
     if lam0 > schedule.design_lambda * (1.0 + 1e-9):
         raise StaleScheduleError(
             f"schedule was built for lambda_max <= {schedule.design_lambda:g} "
             f"but the operator currently has a bound of {lam0:g}"
         )
-    return _march(op, state0, _SuperStep(op, schedule), tau, observe, observe_every)
+    return _march(op, y0, _SuperStep(op, schedule), tau, observe, observe_every)

@@ -1,14 +1,15 @@
 """Physical model building blocks.
 
 Uniform 1D grids, per-material coefficient models, multilayer wall
-assemblies, nodal state fields, and the boundary-forcing description
-consumed by the spatial operator.
+assemblies, the (u, v) pair a march reports its final state in, and the
+boundary-forcing description consumed by the spatial operator.  A state
+is otherwise one (2, n) array, row 0 u and row 1 v.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -190,20 +191,11 @@ class WallAssembly:
         return list(zip(bounds, bounds[1:] + [n - 1]))
 
 
-@dataclass
-class StateField:
-    """Nodal values of the two fields at one time level."""
+class StateField(NamedTuple):
+    """A march's final u and v rows; ``np.asarray`` stacks them back into the (2, n) state."""
 
     u: np.ndarray
     v: np.ndarray
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.u.shape != self.v.shape or self.u.ndim != 1:
-            raise ConfigError("u and v must be 1D arrays of equal length")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
-            raise ConfigError("state fields must be finite")
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .model import (
-    COEFFICIENT_NAMES, BoundaryForcing, DimensionlessGroups, Grid1D, SideForcing, StateField,
-    WallAssembly, _zero,
-)
+from .model import (COEFFICIENT_NAMES, BoundaryForcing, DimensionlessGroups, Grid1D, SideForcing,
+                    WallAssembly, _zero)
 
 SourceFn = Callable[[np.ndarray, float], np.ndarray]
 
@@ -417,14 +415,9 @@ class _BoundarySide:
         return self._values
 
 
-def apply_robin_closure(
-    side: str,
-    state: StateField,
-    t: float,
-    groups: DimensionlessGroups,
-    forcing: BoundaryForcing,
-) -> tuple:
-    """Published Robin closure values (moisture, heat) for one side.
+def apply_robin_closure(side: str, y: np.ndarray, t: float, groups: DimensionlessGroups,
+                        forcing: BoundaryForcing) -> tuple:
+    """Published Robin closure values (moisture, heat) for one side of the (2, n) state ``y``.
 
     Returns the surface-excess form: additional flux terms plus exchange
     terms ordered surface-minus-ambient plus the absorbed radiation.  The
@@ -435,8 +428,8 @@ def apply_robin_closure(
     if sf.kind != "robin":
         raise ConfigError(f"{side} side is not a Robin boundary")
     biot = groups.biot_left if side == "left" else groups.biot_right
-    b = 0 if side == "left" else state.u.size - 1
+    u, v = y[:, 0 if side == "left" else -1].tolist()
     u_inf, v_inf, s_m, s_t = _BoundarySide(sf, biot, groups.alpha).ambient(t)
-    dv = float(state.v[b]) - v_inf
-    return s_m + biot.m_theta * dv, s_t + (biot.t_t * (float(state.u[b]) - u_inf) + biot.t_theta * dv)
+    dv = v - v_inf
+    return s_m + biot.m_theta * dv, s_t + (biot.t_t * (u - u_inf) + biot.t_theta * dv)
 

@@ -8,8 +8,7 @@ import pytest
 from stswall.cases import physical_step_counts
 from stswall.integrators import amplification_eval, build_schedule, euler_run, sts_run
 from stswall.model import (
-    BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups, Grid1D, SideForcing,
-    StateField, WallAssembly,
+    BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups, Grid1D, SideForcing, WallAssembly,
 )
 from stswall.operator import SemiDiscreteOperator
 
@@ -91,8 +90,7 @@ def test_criterion_4_linear_sts_equivalence():
         sch = build_schedule(scheme, n_s, 2.0 / op.gershgorin_lambda_max(),
                              0.0 if scheme == "rkc" else None)
         y0 = 0.5 + rng.random(2 * n_x)
-        state = StateField(y0[:n_x].copy(), y0[n_x:].copy())
-        run = sts_run(op, state, sch, tau=sch.dt_super)
+        run = sts_run(op, y0.reshape(2, n_x), sch, tau=sch.dt_super)
         got = np.concatenate([run.final_state.u, run.final_state.v])
         eye = np.eye(2 * n_x)
         if scheme == "rkc":
@@ -229,7 +227,7 @@ def _mms_setup(n):
 def _mms_error(n, tau=0.5, dt_factor=0.4, dt=None):
     op, grid, u_exact, v_exact = _mms_setup(n)
     x = grid.node_positions
-    state0 = StateField(u_exact(x, 0.0), v_exact(x, 0.0))
+    state0 = np.array([u_exact(x, 0.0), v_exact(x, 0.0)])
     if dt is None:
         dt = dt_factor * 2.0 / op.gershgorin_lambda_max()
     run = euler_run(op, state0, dt, tau)
@@ -260,7 +258,7 @@ def test_criterion_10_discretization_verification():
     # Euler time order on a fixed grid against a fine-step run
     op, grid, u_exact, v_exact = _mms_setup(51)
     x = grid.node_positions
-    state0 = StateField(u_exact(x, 0.0), v_exact(x, 0.0))
+    state0 = np.array([u_exact(x, 0.0), v_exact(x, 0.0)])
     dt0 = 0.8 * 2.0 / op.gershgorin_lambda_max()
     fine = euler_run(op, state0, dt0 / 32.0, 0.5).final_state
     errs = []

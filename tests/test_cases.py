@@ -216,7 +216,7 @@ class TestOracle:
         res = run_verification_case(cfg, tmp_path)
         check = res.manifest["reference"]
         dom = cases._dimensionless_domain(cfg)
-        lam = dom.operator().gershgorin_lambda_max(dom.state0.v)
+        lam = dom.operator().gershgorin_lambda_max(dom.state0[1])
         assert check["richardson_dt"] == cfg.tau / math.ceil(cfg.tau * lam / 2.5) >= 1.25 * check["dt"]
         fine = cases.rk4_run(dom.operator(), dom.state0, check["dt"] / 8.0, cfg.tau).final_state
         true_error = np.max(np.abs([fine.u - res.reference.u, fine.v - res.reference.v]))
@@ -227,7 +227,7 @@ class TestOracle:
         cfg = short_verification(tau=0.005)
         dom = cases._dimensionless_domain(cfg)
         # 2 dt lambda = 2.2: h = 2 dt, and the coarsest stable step is below 1.25 h
-        cfg.dt_euler = 1.1 / dom.operator().gershgorin_lambda_max(dom.state0.v)
+        cfg.dt_euler = 1.1 / dom.operator().gershgorin_lambda_max(dom.state0[1])
         _, report, check = cases._oracle(dom, check=True)
         assert report.dt == 2.0 * cfg.dt_euler and check["richardson_dt"] == report.dt / 2.0
         half = cases.rk4_run(dom.operator(), dom.state0, report.dt / 2.0, cfg.tau).final_state
@@ -253,11 +253,11 @@ class TestOracle:
         seen = []
         rk4_run = cases.rk4_run
 
-        def observing(op, state0, dt, tau, observe=None, observe_every=1):
-            def both(t, u, v):
-                seen.append((t, np.stack([u, v])))
-                observe(t, u, v)
-            return rk4_run(op, state0, dt, tau, both, observe_every)
+        def observing(op, y0, dt, tau, observe=None, observe_every=1):
+            def both(t, y):
+                seen.append((t, y.copy()))
+                observe(t, y)
+            return rk4_run(op, y0, dt, tau, both, observe_every)
 
         monkeypatch.setattr(cases, "rk4_run", observing)
         reference = cases._oracle(cases._dimensionless_domain(short_verification(tau=tau)))[0]
@@ -276,7 +276,7 @@ class TestOracle:
         dom = cases._build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right),
                                   cfg.groups)
         # 2 dt lambda = 3 is outside RK4's margin of 2.5; dt lambda = 1.5 is a stable Euler step
-        cfg.dt_euler = 1.5 / dom.operator().gershgorin_lambda_max(dom.state0.v)
+        cfg.dt_euler = 1.5 / dom.operator().gershgorin_lambda_max(dom.state0[1])
         res = run_verification_case(cfg, tmp_path)
         assert res.manifest["reference"]["dt"] == cfg.dt_euler
         assert res.reports["euler"].dt == cfg.dt_euler
@@ -360,12 +360,13 @@ class TestErrorSampling:
                   -h, -0.25 * h,                                        # before the first
                   float(times[-1]) + 0.5 * h, 1e3]                      # after the last
         for t in probes:
-            u, v = 3.0 * rng.standard_normal((2, n))
+            y = 3.0 * rng.standard_normal((2, n))
+            u, v = y
             # one sample alone, then the running maxima over all of them
             single = cases._ErrorTracker(tracker.reference, dx)
-            single(t, u, v)
+            single(t, y)
             single.flush()
-            tracker(t, u, v)
+            tracker(t, y)
             tracker.flush()
             _per_field_sample(times, states, expected, t, u, v, dx)
             alone = _per_field_sample(times, states, [[0.0, 0.0] for _ in range(3)], t, u, v, dx)
@@ -392,9 +393,9 @@ class TestErrorSampling:
         probes = [kinds[i % 3]() for i in range(count - 1)] + [float(times[-1]) + h]
         expected = [[0.0, 0.0] for _ in range(3)]
         for i, t in enumerate(probes):
-            u, v = 3.0 * rng.standard_normal((2, n))
-            tracker(t, u, v)
-            _per_field_sample(times, states, expected, t, u, v, dx)
+            y = 3.0 * rng.standard_normal((2, n))
+            tracker(t, y)
+            _per_field_sample(times, states, expected, t, *y, dx)
             assert len(tracker.times) == (0 if t > times[-1] else (i + 1) % tracker.BLOCK)
         assert tracker.sup.tolist() == expected
         tracker.flush()                   # nothing pending: flushing again changes nothing
@@ -411,9 +412,9 @@ class TestErrorSampling:
         tracker = cases._ErrorTracker(ref, dom.grid.spacing)
         expected = [[0.0, 0.0] for _ in range(3)]
 
-        def observe(t, u, v):
-            tracker(t, u, v)
-            _per_field_sample(np.array(ref.times), ref.y, expected, t, u, v, dom.grid.spacing)
+        def observe(t, y):
+            tracker(t, y)
+            _per_field_sample(np.array(ref.times), ref.y, expected, t, *y, dom.grid.spacing)
 
         report = cases._run_one_scheme(scheme, dom, observe=observe)
         assert tracker.times == []
@@ -748,6 +749,47 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "material 'm2': c_t must be positive" in err
 
+    POLYNOMIAL_M1 = "m1.d_theta = 0.3\nm1.d_t = 2.1\nm1.c_t = 0.1, 0.2\nm1.k_t = 0.5\nm1.k_tm = 0.4"
+
+    @pytest.mark.parametrize("material,initial,message", [
+        (None, "u = nan", "initial field u must be finite, got nan"),
+        (None, "v = -inf", "initial field v must be finite, got -inf"),
+        # the storage check read the NaN first: "material 'm1': c_t must be positive ..., got nan"
+        (POLYNOMIAL_M1, "v = nan", "initial field v must be finite, got nan"),
+        # overflowed in the reference's first RK4 step and exited 2 as a divergence
+        (None, "u = 1e308", "initial state has u in [1e+308, 1e+308], v in [1, 1]: magnitude above 1e+150"),
+        (None, "u = 4.6\n[box]\nu_min = 0.5\nu_max = 2.5\nv_min = 0\nv_max = 2",
+         "initial state has u in [4.6, 4.6], v in [1, 1]: more than one box width outside the "
+         "admissible box (0.5, 2.5, 0.0, 2.0)"),
+    ], ids=["u-nan", "v-minus-inf", "polynomial-v-nan", "u-1e308", "u-beyond-box"])
+    def test_initial_state_that_is_not_finite_or_inside_the_limits_exits_one(self, tmp_path, capsys,
+                                                                              material, initial, message):
+        text = textwrap.dedent(self.VERIFICATION_INI).replace(
+            "[forcing.left]", f"[forcing.right]\nu = 1\n[initial]\n{initial}\n[forcing.left]")
+        if material:
+            text = text.replace("m1 = table1_mat1", material)
+        ini = tmp_path / "case.ini"
+        ini.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_initial_state_inside_one_box_width_runs(self, tmp_path):
+        # outside the box but inside the limits: each step counts as a box
+        # violation, and the initial state does not
+        text = textwrap.dedent(self.VERIFICATION_INI).replace("[forcing.left]", (
+            "[forcing.right]\nu = 1\n[initial]\nu = 2.6\n[box]\nu_min = 0.5\nu_max = 2.5\n"
+            "v_min = 0\nv_max = 2\n[forcing.left]"))
+        ini = tmp_path / "case.ini"
+        ini.write_text(text)
+        argv = ["verify", "--config", str(ini), "--scheme", "euler,rkl", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        runs = json.loads((tmp_path / "out" / "manifest.json").read_text())["runs"]
+        assert sorted(runs) == ["euler", "rkl"]
+        assert all(run["flags"]["box_violations"] == run["n_steps"] > 0 for run in runs.values())
+
     @pytest.mark.parametrize("c_t", ["0", "-0.3"])
     def test_non_positive_storage_exits_one(self, tmp_path, capsys, c_t):
         # A polynomial material's storage must start positive, as a constant
@@ -985,7 +1027,7 @@ class TestCli:
         dom = cases._dimensionless_domain(load_config(ini))
         op = dom.operator()
         assert not op.is_linear
-        want = op.frozen_matrix(dom.state0.v)
+        want = op.frozen_matrix(dom.state0[1])
         header, *lines = (out / "operator_matrix.txt").read_text().splitlines()
         assert header == f"% {2 * op.n} {2 * op.n} {np.count_nonzero(want)}"
         got = np.zeros_like(want)

@@ -11,7 +11,7 @@ from stswall.integrators import (
 )
 from stswall.model import (
     BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups, Grid1D, SideForcing,
-    StateField, WallAssembly, builtin_material,
+    WallAssembly, builtin_material,
 )
 from stswall.operator import SemiDiscreteOperator
 
@@ -44,7 +44,7 @@ def diffusion_operator(n=9, robin=True, d=1.0, k=1.0):
 
 
 def ones_state(n):
-    return StateField(np.ones(n), np.ones(n))
+    return np.ones((2, n))
 
 
 def nonlinear_operator():
@@ -59,7 +59,7 @@ def nonlinear_operator():
 
 
 def nonlinear_state():
-    return StateField(np.full(126, 291.3), np.r_[np.full(25, 0.053), np.full(101, 0.53)])
+    return np.array([np.full(126, 291.3), np.r_[np.full(25, 0.053), np.full(101, 0.53)]])
 
 
 class TestSchedules:
@@ -304,7 +304,7 @@ class TestRK4:
 class TestDufortFrankel:
     def test_fixed_point_stays_put(self):
         op = diffusion_operator(robin=False)
-        state = StateField(np.zeros(9), np.zeros(9))
+        state = np.zeros((2, 9))
         report = dufort_frankel_run(op, state, dt=0.05, tau=5.0)
         assert np.max(np.abs(report.final_state.u)) < 1e-13
         assert report.rhs_evals == report.n_steps == 100
@@ -322,7 +322,7 @@ class TestDufortFrankel:
 
     def test_large_step_remains_bounded(self):
         op = diffusion_operator(robin=True)   # lambda_max ~ 4/dx^2
-        state = StateField(1 + 0.5 * np.sin(np.linspace(0, 3, 9)), np.ones(9))
+        state = np.array([1 + 0.5 * np.sin(np.linspace(0, 3, 9)), np.ones(9)])
         report = dufort_frankel_run(op, state, dt=0.05, tau=20.0)  # dt >> dt_exp
         assert np.max(np.abs(report.final_state.u)) < 2.0
         assert report.flags["box_violations"] == 0
@@ -347,14 +347,13 @@ class TestDufortFrankel:
             x = np.linspace(0.0, 1.0, 9)
             op = SemiDiscreteOperator(WallAssembly([(mat, 1.0)]), Grid1D(1.0, 9), groups,
                                       BoundaryForcing(side, side))
-            return op, StateField(1.0 + 0.5 * np.sin(3 * x), np.cos(2 * x)), 0.05
+            return op, np.array([1.0 + 0.5 * np.sin(3 * x), np.cos(2 * x)]), 0.05
 
         op, state, dt = case()
         seen = []
-        dufort_frankel_run(op, state, dt=dt, tau=8 * dt,
-                           observe=lambda t, u, v: seen.append(np.stack([u, v])))
+        dufort_frankel_run(op, state, dt=dt, tau=8 * dt, observe=lambda t, y: seen.append(y.copy()))
         op = case()[0]
-        y_prev = np.stack([state.u, state.v])
+        y_prev = state.copy()
         y = y_prev + op.rhs(0.0, y_prev) * dt
         op.apply_constraints(dt, y)
         want = [y_prev, y]
@@ -433,8 +432,7 @@ class TestStsRun:
                              0.05 if scheme == "rkc" else None)
         rng = np.random.default_rng(5)
         y0 = 0.5 + rng.random(2 * op.n)
-        state = StateField(y0[:op.n].copy(), y0[op.n:].copy())
-        report = sts_run(op, state, sch, tau=sch.dt_super)
+        report = sts_run(op, y0.reshape(2, op.n), sch, tau=sch.dt_super)
         got = np.concatenate([report.final_state.u, report.final_state.v])
 
         eye = np.eye(2 * op.n)
@@ -471,16 +469,78 @@ def test_step_reaching_tau_is_always_observed():
     # without a shortened step, and is still observed
     seen, states = [], []
 
-    def observe(t, u, v):
+    def observe(t, y):
         seen.append(t)
-        states.append(np.stack([u, v]))
+        states.append(y.copy())
 
     report = euler_run(decay_operator(rate=1.0), ones_state(2), dt=0.25, tau=1.0,
                        observe=observe, observe_every=3)
     assert report.n_steps == 4
     assert seen == [0.0, 0.75, 1.0]
-    assert len(states) == 3 and np.array_equal(states[-1], [report.final_state.u, report.final_state.v])
+    assert len(states) == 3 and np.array_equal(states[-1], np.asarray(report.final_state))
     assert np.array_equal(states[1], np.full((2, 2), 0.75**3))
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4", "df", "rkc", "rkl"])
+def test_observers_receive_the_march_state(scheme):
+    # every observation is the march's own (2, n) array; the one at tau
+    # holds the rows of the report's final state
+    op = diffusion_operator()
+    dt = 0.4 / op.gershgorin_lambda_max()
+    seen = []
+
+    def observe(t, y):
+        seen.append((t, y, y.copy()))
+
+    y0 = np.array([1 + 0.5 * np.sin(np.linspace(0, 3, 9)), np.ones(9)])
+    if scheme in ("rkc", "rkl"):
+        sch = build_schedule(scheme, 4, 2.0 / op.gershgorin_lambda_max())
+        report = sts_run(op, y0, sch, 2.5 * sch.dt_super, observe=observe)
+    else:
+        run = {"euler": euler_run, "rk4": rk4_run, "df": dufort_frankel_run}[scheme]
+        report = run(op, y0, dt, 7.5 * dt, observe=observe)
+    assert [t for t, _, _ in seen][0] == 0.0 and seen[-1][0] == report.tau
+    assert len(seen) == report.n_steps + 1
+    assert all(type(y) is np.ndarray and y.shape == (2, 9) for _, y, _ in seen)
+    assert np.array_equal(seen[0][2], y0) and not np.shares_memory(seen[0][1], y0)
+    t, y, kept = seen[-1]
+    assert np.array_equal(kept, np.asarray(report.final_state))
+    assert np.shares_memory(y, report.final_state.u) and np.shares_memory(y, report.final_state.v)
+
+
+class TestInitialState:
+    """The march refuses an initial state outside the monitor's divergence
+    limits as input; one inside them runs, and only its steps count as box
+    violations."""
+
+    def test_outside_the_box_limits_is_a_config_error(self):
+        op = decay_operator(rate=1.0)
+        op.admissible_box = (0.0, 2.0, 0.0, 2.0)       # limits [-2, 4] on both rows
+        for y0, extremes in (([[1.0, 4.5], [1.0, 1.0]], "u in [1, 4.5], v in [1, 1]"),
+                             ([[1.0, 1.0], [-2.5, 1.0]], "u in [1, 1], v in [-2.5, 1]")):
+            for run in (euler_run, rk4_run, dufort_frankel_run):
+                with pytest.raises(ConfigError) as err:
+                    run(op, np.array(y0), 0.1, 1.0)
+                assert str(err.value) == (f"initial state has {extremes}: more than one box width "
+                                          "outside the admissible box (0.0, 2.0, 0.0, 2.0)")
+
+    def test_above_the_magnitude_limit_is_a_config_error(self):
+        op = diffusion_operator()
+        sch = build_schedule("rkl", 4, 2.0 / op.gershgorin_lambda_max())
+        y0 = np.ones((2, 9))
+        y0[0, 4] = 1e308
+        with pytest.raises(ConfigError, match=r"^initial state has u in \[1, 1e\+308\], v in \[1, 1\]: "
+                                              r"magnitude above 1e\+150$"):
+            sts_run(op, y0, sch, 1.0)
+
+    def test_inside_one_box_width_counts_only_steps(self):
+        op = decay_operator(rate=1.0)
+        op.admissible_box = (0.0, 2.0, 0.0, 2.0)
+        # 3.9 decays by 0.9 a step: 3.51, 3.159, 2.8431, all above the box
+        report = euler_run(op, np.array([[3.9, 3.9], [1.0, 1.0]]), dt=0.1, tau=0.3)
+        assert report.n_steps == 3 and report.flags["box_violations"] == 3
+        report = euler_run(op, np.array([[3.9, 3.9], [1.0, 1.0]]), dt=0.1, tau=0.0)
+        assert report.n_steps == 0 and report.flags["box_violations"] == 0
 
 
 def test_frozen_cycle_reads_dirichlet_data_once_per_time():
@@ -558,7 +618,7 @@ SCHEMES = [("rkc", 10), ("rkl", 20)]
 
 
 def nonlinear_schedule(scheme, n_s, margin):
-    lam = nonlinear_operator().gershgorin_lambda_max(nonlinear_state().v)
+    lam = nonlinear_operator().gershgorin_lambda_max(nonlinear_state()[1])
     return build_schedule(scheme, n_s, 2.0 / (margin * lam), 0.0 if scheme == "rkc" else None)
 
 
@@ -604,13 +664,13 @@ class TestCoefficientPasses:
     def test_in_place_stages_match_out_of_place_cycles(self, scheme, n_s):
         sch = nonlinear_schedule(scheme, n_s, 1.5)
         state = nonlinear_state()
-        u0, v0 = state.u.copy(), state.v.copy()
+        y = state.copy()
         seen = []
         report = sts_run(nonlinear_operator(), state, sch, tau=3 * sch.dt_super,
-                         observe=lambda t, u, v: seen.append(np.stack([u, v])))
-        assert np.array_equal(state.u, u0) and np.array_equal(state.v, v0)
+                         observe=lambda t, y: seen.append(y.copy()))
+        assert np.array_equal(state, y)
         assert report.n_steps == 3 and report.flags["schedule_rebuilds"] == 0
-        op, y = nonlinear_operator(), np.stack([u0, v0])
+        op = nonlinear_operator()
         want = [y]
         for k in range(3):
             want.append(out_of_place_cycle(op, sch, k * sch.dt_super, want[-1]))
@@ -716,8 +776,7 @@ def step_cases(draw):
     op = forced_operator(kind)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "nonlinear":     # the drying study's start, perturbed
-        state = nonlinear_state()
-        y = np.stack([state.u, state.v]) + rng.random((2, op.n)) * [[2.0], [0.01]]
+        y = nonlinear_state() + rng.random((2, op.n)) * [[2.0], [0.01]]
     else:
         y = 0.5 + rng.random((2, op.n))
     h = draw(st.floats(0.05, 0.95)) * 2.0 / op.gershgorin_lambda_max(y[1])

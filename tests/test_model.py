@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stswall import cli
-from stswall.cases import MAX_NODES, _dimensionless_domain, verification_preset
+from stswall.cases import MAX_NODES, VERIFICATION_DT_EULER, _dimensionless_domain, verification_preset
 from stswall.errors import AssemblyError, ConfigError
+from stswall.integrators import build_schedule, dufort_frankel_run, euler_run, rk4_run, sts_run
 from stswall.model import (
     COEFFICIENT_NAMES, BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups, Grid1D, SideForcing,
-    StateField, WallAssembly, builtin_material,
+    WallAssembly, builtin_material,
 )
 from stswall.operator import SemiDiscreteOperator
 
@@ -109,7 +110,7 @@ class TestWall:
         assert spans == [(0, 60), (60, 100)]     # node 60 (x = 0.6) closes layer 0 and opens layer 1
         cfg = verification_preset()
         cfg.initial_v = [0.2, 0.7]
-        v0 = _dimensionless_domain(cfg).state0.v
+        v0 = _dimensionless_domain(cfg).state0[1]
         assert v0[60] == 0.2 and v0[61] == 0.7
 
 
@@ -211,15 +212,16 @@ class TestNodeSpans:
         # each face of the operator takes the layer a bisection at its midpoint
         # gives: m_i's d_theta is 0.1 + i
         x = dom.grid.node_positions
-        faces, _ = dom.operator()._coefficients(dom.state0.v)
+        faces, _ = dom.operator()._coefficients(dom.state0[1])
         mids = layers_at(dom.wall, 0.5 * (x[:-1] + x[1:]))
         assert np.allclose(faces[3], 0.1 + mids, rtol=1e-15, atol=0.0)
         # per-layer initial fields: an interface node keeps the left layer's value
         nodes = layers_at(dom.wall, x, 1e-9 * dom.grid.spacing)
-        assert np.array_equal(dom.state0.u, np.asarray(cfg.initial_u)[nodes])
-        assert np.array_equal(dom.state0.v, np.asarray(cfg.initial_v)[nodes])
+        u0, v0 = dom.state0
+        assert np.array_equal(u0, np.asarray(cfg.initial_u)[nodes])
+        assert np.array_equal(v0, np.asarray(cfg.initial_v)[nodes])
         for k, (_, b) in enumerate(spans[:-1]):
-            assert dom.state0.v[b] == cfg.initial_v[k]
+            assert v0[b] == cfg.initial_v[k]
         # half a face moved across the first interface puts it off every node
         if len(counts) > 1:
             (m0, th0), (m1, th1) = cfg.layers[:2]
@@ -235,10 +237,30 @@ class TestNodeSpans:
 
 class TestStateAndForcing:
     def test_state_validation(self):
-        with pytest.raises(ConfigError):
-            StateField(np.array([1.0, np.nan]), np.array([1.0, 1.0]))
-        with pytest.raises(ConfigError):
-            StateField(np.ones(3), np.ones(4))
+        # Each runner marches a copy of a finite (2, n) initial state and
+        # refuses any other before it steps; a case's initial fields are
+        # refused where they are read.
+        dom = _dimensionless_domain(verification_preset())
+        y0 = dom.state0
+        schedule = build_schedule("rkl", 4, VERIFICATION_DT_EULER)
+        runners = [lambda op, y: euler_run(op, y, 1e-5, 1e-4), lambda op, y: rk4_run(op, y, 1e-5, 1e-4),
+                   lambda op, y: dufort_frankel_run(op, y, 1e-4, 2e-4),
+                   lambda op, y: sts_run(op, y, schedule, 1e-4)]
+        non_finite = [y0.copy() for _ in range(3)]
+        for y, value in zip(non_finite, (np.nan, np.inf, -np.inf)):
+            y[1, 7] = value
+        for run in runners:
+            for y in [y0[:, :-1], y0[0], y0[None], np.vstack([y0, y0[:1]]), y0.T, *non_finite]:
+                with pytest.raises(ConfigError, match=r"^initial state must be a finite \(2, 101\) array"):
+                    run(dom.operator(), y)
+            report = run(dom.operator(), y0)
+            assert np.array_equal(y0, np.ones((2, 101))) and not np.shares_memory(report.final_state.u, y0)
+        for key in ("initial_u", "initial_v"):
+            for value in (math.nan, math.inf, [1.0, -math.inf]):
+                cfg = verification_preset()
+                setattr(cfg, key, value)
+                with pytest.raises(ConfigError, match=f"^initial field {key[-1]} must be finite"):
+                    _dimensionless_domain(cfg)
 
     def test_biot_validation(self):
         with pytest.raises(ConfigError):

@@ -13,7 +13,7 @@ from stswall.config import parse_time_function
 from stswall.errors import AssemblyError, ConfigError
 from stswall.model import (
     COEFFICIENT_NAMES, BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups,
-    Grid1D, SideForcing, StateField, WallAssembly, _zero, builtin_material,
+    Grid1D, SideForcing, WallAssembly, _zero, builtin_material,
 )
 from stswall.operator import SemiDiscreteOperator, _harmonic, apply_robin_closure
 
@@ -64,7 +64,7 @@ def face_layers(op):
 
 def in_box_state(n, seed):
     rng = np.random.default_rng(seed)
-    return StateField(285 + 10 * rng.random(n), 0.05 + 0.4 * rng.random(n))
+    return np.array([285 + 10 * rng.random(n), 0.05 + 0.4 * rng.random(n)])
 
 
 INS_RE = [("ins", 0.125), ("re", 0.5)]
@@ -191,8 +191,8 @@ class TestRobinClosure:
 
     def test_equilibrium_gives_zero_flux(self):
         groups, forcing = self.verification_setup()
-        state = StateField(np.full(5, forcing.left.u_inf(0.0)),
-                           np.full(5, forcing.left.v_inf(0.0)))
+        state = np.array([np.full(5, forcing.left.u_inf(0.0)),
+                          np.full(5, forcing.left.v_inf(0.0))])
         r_m, r_t = apply_robin_closure("left", state, 0.0, groups, forcing)
         assert r_m == pytest.approx(0.0, abs=1e-14)
         assert r_t == pytest.approx(0.0, abs=1e-14)
@@ -201,7 +201,7 @@ class TestRobinClosure:
         groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0,
                                      biot_left=BiotSet(m_theta=25.5))
         forcing = BoundaryForcing(constant_forcing(u=1.0, v=1.0), constant_forcing())
-        state = StateField(np.ones(4), np.full(4, 1.1))   # v - v_inf = 0.1
+        state = np.array([np.ones(4), np.full(4, 1.1)])   # v - v_inf = 0.1
         r_m, r_t = apply_robin_closure("left", state, 0.0, groups, forcing)
         assert r_m == pytest.approx(2.55, rel=1e-14)
         assert r_t == pytest.approx(0.0, abs=1e-15)
@@ -209,7 +209,7 @@ class TestRobinClosure:
     def test_peak_forcing_against_hand_transcription(self):
         # t = 1.25 puts the left temperature forcing at its peak
         groups, forcing = self.verification_setup()
-        state = StateField(np.full(3, 1.2), np.full(3, 1.05))
+        state = np.array([np.full(3, 1.2), np.full(3, 1.05)])
         r_m, r_t = apply_robin_closure("left", state, 1.25, groups, forcing)
         u_inf = 1 + 0.6 * math.sin(2 * math.pi * 1.25 / 5) ** 2   # = 1.6 at the peak
         v_inf = 1 + 0.2 * math.sin(2 * math.pi * 1.25 / 2) ** 2
@@ -249,8 +249,7 @@ class TestRobinClosure:
         groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0)
         forcing = BoundaryForcing(dirichlet_forcing(), constant_forcing())
         with pytest.raises(ConfigError):
-            apply_robin_closure("left", StateField(np.ones(3), np.ones(3)), 0.0,
-                                groups, forcing)
+            apply_robin_closure("left", np.ones((2, 3)), 0.0, groups, forcing)
 
 
 class TestStabilityEstimate:
@@ -285,8 +284,8 @@ class TestStabilityEstimate:
         multi = [("ins", 0.125), ("re", 0.5), ("ins", 0.125)]
         for op in (physical_op(INS_RE), physical_op(multi, "robin")):
             state = in_box_state(op.n, 3)
-            dense = float(np.max(np.sum(np.abs(op.frozen_matrix(state.v)), axis=1)))
-            assert op.gershgorin_lambda_max(state.v) == pytest.approx(dense, rel=1e-14)
+            dense = float(np.max(np.sum(np.abs(op.frozen_matrix(state[1])), axis=1)))
+            assert op.gershgorin_lambda_max(state[1]) == pytest.approx(dense, rel=1e-14)
 
     def test_verification_operator_admits_published_step(self):
         wall = WallAssembly([(builtin_material("table1_mat1"), 0.6),
@@ -427,17 +426,17 @@ class TestFaceTables:
     def test_node_blocks_equal_dense_diagonal_blocks(self, layout, sides):
         op = physical_op(layout, sides)
         state = in_box_state(op.n, 17)
-        a = op.frozen_matrix(state.v)
+        a = op.frozen_matrix(state[1])
         j = np.arange(op.n)
         want = (a[j, j], a[j, j + op.n], a[j + op.n, j], a[j + op.n, j + op.n])
-        for got, dense in zip(op.jacobian_node_blocks(state.v), want):
+        for got, dense in zip(op.jacobian_node_blocks(state[1]), want):
             assert np.array_equal(got, dense)
 
     @pytest.mark.parametrize("layout", [INS_RE, RE_INS], ids=["ins_re", "re_ins"])
     def test_table_coefficients_equal_layer_callables(self, layout):
         op = physical_op(layout)
         state = in_box_state(op.n, 23)
-        u, v = state.u, state.v
+        u, v = state
         faces, c = op._coefficients(v)
         face_layer = face_layers(op)
         node_layer = layers_at(op.wall, op.grid.node_positions, 1e-9 * op.dx)
@@ -529,9 +528,9 @@ class TestStackedState:
         op = physical_op_n(layout, sides, n)
         for seed, t in ((3, 0.0), (4, 2.5)):
             state = in_box_state(n, seed)
-            got = op.rhs(t, np.stack([state.u, state.v]))
+            got = op.rhs(t, state)
             assert got.shape == (2, n)
-            for row, want in zip(got, per_row_rhs(op, t, state.u, state.v)):
+            for row, want in zip(got, per_row_rhs(op, t, *state)):
                 assert np.array_equal(row, want)
 
     def test_linear_rhs_equals_per_row_transcription(self):
@@ -565,7 +564,7 @@ class TestStackedState:
             traced = SemiDiscreteOperator(
                 plain.wall, plain.grid, plain.groups,
                 BoundaryForcing(wrapped(plain.forcing.left), wrapped(plain.forcing.right)))
-            ys = [np.stack([s.u, s.v]) for s in (in_box_state(plain.n, k) for k in range(3))]
+            ys = [in_box_state(plain.n, k) for k in range(3)]
         assert any(f is not None for _, side, _ in traced._robin
                    for f in (side.flux_m, side.flux_t))
         for t, y in zip((0.0, 0.4, 1.25), ys):
@@ -573,8 +572,7 @@ class TestStackedState:
 
     def test_rhs_leaves_state_alone_and_returns_new_array(self):
         op = physical_op(INS_RE, "robin")
-        state = in_box_state(op.n, 8)
-        y = np.stack([state.u, state.v])
+        y = in_box_state(op.n, 8)
         before = y.copy()
         first = op.rhs(0.0, y)
         second = op.rhs(0.0, y)
@@ -633,11 +631,6 @@ def polynomial_walls(draw):
 wall_cases = settings(derandomize=True, max_examples=40, deadline=None)
 
 
-def in_box_y(n, seed):
-    state = in_box_state(n, seed)
-    return np.stack([state.u, state.v])
-
-
 def mixed_op():
     """The ins_re wall with a Robin left side and a Dirichlet right side."""
     robin = physical_op(INS_RE, "robin")
@@ -651,9 +644,9 @@ class TestOutputBuffer:
     @pytest.mark.parametrize("make,states", [
         (lambda: verification_op(verification_forcing()),
          lambda n, seed: 1.0 + 0.3 * np.random.default_rng(seed).random((2, n))),
-        (lambda: physical_op(INS_RE, "robin"), in_box_y),
-        (lambda: physical_op(INS_RE, "dirichlet"), in_box_y),
-        (mixed_op, in_box_y),
+        (lambda: physical_op(INS_RE, "robin"), in_box_state),
+        (lambda: physical_op(INS_RE, "dirichlet"), in_box_state),
+        (mixed_op, in_box_state),
     ], ids=["verify-robin", "ins_re-robin", "ins_re-dirichlet", "mixed"])
     def test_buffer_is_byte_equal_to_new_array(self, make, states):
         op = make()
@@ -732,9 +725,9 @@ def robin_rows(op, t, y):
             continue
         at_ambient = y.copy()
         at_ambient[:, j] = sf.u_inf(t), sf.v_inf(t)
-        s_m, s_t = apply_robin_closure(side, StateField(*at_ambient), t, g, op.forcing)
+        s_m, s_t = apply_robin_closure(side, at_ambient, t, g, op.forcing)
         bare = dataclasses.replace(sf, g_inf=_zero, flux_m=_zero, flux_t=_zero)
-        e_m, e_t = apply_robin_closure(side, StateField(*y), t, g, BoundaryForcing(bare, bare))
+        e_m, e_t = apply_robin_closure(side, y, t, g, BoundaryForcing(bare, bare))
         rows[side] = (g.fo_t * ((s_t - e_t) + sign * q_t[j]) * 2.0 / (dx * c[j]),
                       g.fo_m * ((s_m - e_m) + sign * q_m[j]) * 2.0 / dx)
     return rows
@@ -820,7 +813,7 @@ class TestCoefficientPass:
     def test_node_blocks_are_the_stencil_diagonal(self, make):
         op = make()
         for seed in (1, 2):
-            y = in_box_y(op.n, seed)
+            y = in_box_state(op.n, seed)
             assert op.jacobian_node_blocks(y[1]).tobytes() == op._stencil(y[1])[1].tobytes()
 
     @wall_cases
@@ -972,9 +965,9 @@ class TestStateDependentRows:
     @pytest.mark.parametrize("layout", [INS_RE, RE_INS], ids=["ins_re", "re_ins"])
     def test_table3_walls_fix_k_tm_and_d_t(self, layout):
         op = physical_op(layout)
-        faces, _ = op._coefficients(in_box_state(op.n, 5).v)
+        faces, _ = op._coefficients(in_box_state(op.n, 5)[1])
         fixed = faces[1:3].copy()
-        op._coefficients(in_box_state(op.n, 6).v)
+        op._coefficients(in_box_state(op.n, 6)[1])
         assert np.array_equal(faces[1:3], fixed)
         assert np.array_equal(op._table[::-1], full_table(op)[:, :, [0, 3, 4]])    # k_t, d_theta, c_t
 
@@ -996,6 +989,6 @@ class TestStateDependentRows:
         physical = physical_op(INS_RE)
         state = in_box_state(physical.n, 2)
         for _ in range(3):
-            physical.rhs(0.0, np.stack([state.u, state.v]))
+            physical.rhs(0.0, state)
         assert len(calls) == 3
 
