@@ -6,7 +6,7 @@ first and the last, ``physical`` for the second):
 
 * :func:`run_verification_case` -- the schemes on a dimensionless case
   (the preset: a constant-coefficient two-layer wall under periodic Robin
-  forcing) against a classical RK4 reference on the same grid.
+  forcing) against a reference solution on the same grid.
 * :func:`run_physical_case` -- dimensional rammed-earth drying over a year
   for three layer configurations under Dirichlet climate data.
 * :func:`run_ns_sweep` -- super-step count sweep on the verification setup.
@@ -35,7 +35,8 @@ import numpy as np
 
 from .config import PHYSICAL_LAYOUTS, CaseConfig, parse_time_function
 from .errors import ConfigError, DivergenceError
-from .integrators import build_schedule, dufort_frankel_run, euler_run, node_count, rk4_run, sts_run
+from .integrators import (_march, _Monitor, build_schedule, dufort_frankel_run, euler_run, node_count,
+                          rk4_run, sts_run)
 from .metrics import (
     ComparisonRecord, drying_rate, error_norms, failure_record, ratios,
     scd_value, total_moisture, write_comparison_csv,
@@ -203,13 +204,16 @@ def _build_domain(cfg: CaseConfig, forcing, groups) -> _Domain:
     spans = wall.node_spans(grid)
     u0 = _initial_field("u", cfg.initial_u, spans)
     v0 = _initial_field("v", cfg.initial_v, spans)
+    state0 = np.array([u0, v0])
+    # the march's divergence limits, checked before any coefficient is evaluated at the state
+    _Monitor(cfg.admissible_box, None, None, 1).check(0, 0.0, state0)
     # the RHS divides by the storage: each layer's c_t must be positive at every node it touches
     for (model, _), (a, b) in zip(wall.layers, spans):
         c = model.c_t(u0[a:b + 1], v0[a:b + 1])
         if not np.all(c > 0):
             raise ConfigError(f"material {model.name!r}: c_t must be positive at the initial state, "
                               f"got {np.min(c)}")
-    return _Domain(cfg, wall, grid, forcing, groups, np.array([u0, v0]), spans)
+    return _Domain(cfg, wall, grid, forcing, groups, state0, spans)
 
 
 def _dimensionless_domain(cfg: CaseConfig) -> _Domain:
@@ -462,44 +466,156 @@ def _sample_stride(dt: float, tau: float) -> int:
     return max(1, round(tau / _REFERENCE_SAMPLES / dt))
 
 
+# Largest 2n of the exact reference: past it the RK4 reference is cheaper (at
+# 700 steps the exact one took 0.65x RK4's time at 2n = 262, 0.96x at 282 and
+# 1.23x at 302; its dense step costs O(n^2) against RK4's O(n) RHS).
+EXPM_MAX_SIZE = 282
+
+
+def _matmul(a, b, out):
+    """``a @ b`` into ``out`` by 2 x 2 blocks: OpenBLAS packs the operand
+    blocks into buffers that stay resident, and half-size blocks halve them."""
+    h = len(a) // 2
+    for i in (slice(None, h), slice(h, None)):
+        for j in (slice(None, h), slice(h, None)):
+            np.matmul(a[i, :h], b[:h, j], out[i, j])
+            out[i, j] += a[i, h:] @ b[h:, j]
+
+
+def _expm(x):
+    """exp(x), overwriting ``x``: scaling and squaring a degree-8 Taylor polynomial."""
+    s = max(0, math.ceil(math.log2(16.0 * np.abs(x).sum(axis=1).max() + 1e-300)))
+    x /= 2.0 ** s           # infinity norm at most 1/16: the remainder is below 1e-16
+    e, work = np.eye(len(x)), np.empty_like(x)
+    for k in [*range(8, 0, -1)] + [0] * s:      # e <- I + x e / k, then s squarings
+        _matmul(e if k == 0 else x, e, work)
+        if k:
+            work /= k
+            work.ravel()[::len(x) + 1] += 1.0
+        e, work = work, e
+    return e
+
+
+def _lagrange(at, nodes) -> np.ndarray:
+    """Samples at ``nodes`` -> their interpolating polynomial at each of ``at``."""
+    return np.array([[math.prod((a - x) / (xj - x) for x in nodes if x != xj) for xj in nodes] for a in at])
+
+
+class _ExactStep:
+    """Exact steps y <- P y + G s of rhs(t, y) = -A y + E b(t), E the four end
+    rows of a linear wall with two Robin sides, b the line through its values
+    s at the step's two Gauss nodes: P = exp(-A h) and G (h [phi1(-A h) E,
+    phi2(-A h) E] times the line's fit) come from one exponential of
+    [[-A h, h E, 0], [0, 0, I], [0, 0, 0]] (Al-Mohy and Higham 2011).  Row 1
+    of ``yz`` (row 0 is y) is the step-doubling companion: with tau >= 2h it
+    takes each pair of regular steps as one of 2h, b the line through the
+    cubic of their four samples at its own Gauss nodes; else the first step in
+    two halves, with four new samples.  Any other step it takes as y does."""
+
+    scheme, n_s, dt_exp = "expm", None, None
+
+    def __init__(self, op, dt, y0, tau):
+        g = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)      # Gauss nodes on [0, 1]
+        self.op, self.dt, self.gauss, self.flags, self.count, self.pairs = op, dt, g, {}, 0, tau >= 2.0 * dt
+        self.zero, self.b, self.taken = np.zeros((2, op.n)), np.empty((2, 2, op.n)), np.empty((2, 2, 2, 2))
+        self.yz, self.richardson_dt = np.array([y0.ravel()] * 2), (2.0 if self.pairs else 0.5) * dt
+        self.fit = np.kron([[g[1], -g[0]], [-1.0, 1.0]], math.sqrt(3.0) * np.eye(4))    # samples -> (c0, c1)
+        self.pt, self.g = self.propagator(dt)
+        # a pair's four samples -> its line at each of its steps' Gauss nodes, less that step's own samples
+        cubic = _lagrange(g, [s / 2.0 for s in g] + [(1.0 + s) / 2.0 for s in g])
+        first, second = (np.kron(_lagrange([(k + s) / 2.0 for s in g], g) @ cubic - np.eye(4)[2 * k:2 * k + 2],
+                                 np.eye(4)) for k in (0, 1))
+        self.pair = self.pt.T @ (self.g @ first) + self.g @ second
+
+    def propagator(self, h):
+        """(P^T, G) of a step h."""
+        m = 2 * self.op.n
+        x = np.zeros((m + 8, m + 8))
+        np.multiply(self.op.frozen_matrix(), -h, x[:m, :m])
+        x[[0, m // 2 - 1, m // 2, m - 1], range(m, m + 4)] = h       # u and v at both ends
+        x[range(m, m + 4), range(m + 4, m + 8)] = 1.0
+        e = _expm(x)
+        return e[:m, :m].T, e[:m, m:] @ self.fit
+
+    def samples(self, t, h, out):
+        """b = rhs(t, 0) in the end rows at the Gauss nodes of [t, t + h], into ``out``."""
+        for b, s in zip(self.b, self.gauss):
+            self.op.rhs(t + s * h, self.zero, None, b)
+        out[...] = self.b[:, :, ::self.op.n - 1]
+        return out.ravel()
+
+    def refresh(self, t, y):
+        return False
+
+    def step(self, t, h, t_new, y):
+        pt, g = (self.pt, self.g) if h == self.dt else self.propagator(h)      # a landing: once
+        s = self.samples(t, h, self.taken[self.count % 2])
+        yz = self.yz @ pt       # y, the march's state, is row 0 of yz
+        yz += g @ s
+        if not (self.pairs or self.count):
+            pt, g = self.propagator(h / 2.0)
+            yz[1], self.richardson_dt = self.yz[1], h / 2.0
+            for k in (0, 1):
+                yz[1] = yz[1] @ pt + g @ self.samples(t + k * h / 2.0, h / 2.0, np.empty((2, 2, 2)))
+        elif self.pairs and self.count % 2 and h == self.dt:
+            yz[1] += self.pair @ self.taken.ravel()
+        self.count += 1
+        self.yz = yz
+        return yz[0].reshape(y.shape)
+
+    land = step
+
+
 def _oracle(dom, check=False):
-    """(reference, report, check) of the RK4 reference, whose observer copies
-    its states for trajectory-wide errors.  Its step h is twice the Euler step
-    while ``h * lambda_max`` stays within 2.5 (RK4 is stable to 2.785), else the
-    Euler step.  With ``check``, a companion RK4 run over the whole horizon at
-    a second uniform step H = r h gives the step-doubling (Richardson) estimate
-    of the reference's final-state error, ``gap = max|y_H - y_h| / |r^4 - 1|``,
-    and ``check`` is ``{"richardson_gap": gap, "richardson_dt": H}`` (else None).
-    H is the coarsest step of the same 2.5 rule, ``tau / ceil(tau lambda / 2.5)``,
-    or h/2 (the classical ``(16/15) max|y_h - y_{h/2}|``) when that is below
-    1.25 h, as at tau = 0.  When 0 < tau < h the reference is one landing step
-    of tau, and the companion takes two of tau/2 (``r = 1/2`` against tau).
-    On the verification preset the coarse companion reads about 1.67x the
-    reference's true error (h/2: 1.02x)."""
+    """(reference, report, check) of the reference, its states sampled into one
+    array every ``_sample_stride(h, tau)`` steps h and at tau; h is twice the
+    Euler step while ``h * lambda_max`` stays within 2.5 (RK4 is stable to
+    2.785), else the Euler step.  A linear wall with two Robin sides, no source
+    terms and 2n at most EXPM_MAX_SIZE takes :class:`_ExactStep` ("expm"),
+    exact in time but for the forcing's quadrature; any other, RK4 steps.
+    With ``check``, ``{"richardson_gap": gap, "richardson_dt": H}`` (else None)
+    estimates the final-state error by step doubling, ``gap = max|y_H - y_h|
+    / |r^4 - 1|`` for a companion at H = r h: the exact reference's own (r = 2,
+    or 1/2 when tau < 2h), or an RK4 run over the whole horizon at the coarsest
+    step of the 2.5 rule, ``tau / ceil(tau lambda / 2.5)``, or at h/2 when that
+    is below 1.25 h (as at tau = 0; when 0 < tau < h the reference is one
+    landing step of tau and the companion two of tau/2, r = 1/2 against tau).
+    On the verification preset the gap reads about 0.9x the exact reference's
+    true error and 1.67x the RK4 one's (h/2: 1.02x)."""
     cfg, op, state0 = dom.cfg, dom.operator(), dom.state0
     if cfg.dt_euler is None:
-        raise ConfigError("the RK4 reference needs an explicit dt_euler")
+        raise ConfigError("the reference needs an explicit dt_euler")
     lam = op.gershgorin_lambda_max(state0[1])
     h = 2.0 * cfg.dt_euler if 2.0 * cfg.dt_euler * lam <= 2.5 else cfg.dt_euler
-    times, states = [], []
+    stride = _sample_stride(h, cfg.tau)
+    states, times = np.empty((int(cfg.tau / (h * stride) * (1.0 + 1e-8)) + 2, 2, op.n)), []
 
     def record(t, y):
+        states[len(times)] = y
         times.append(t)
-        states.append(y.copy())
 
-    report = rk4_run(op, state0, h, cfg.tau, observe=record,
-                     observe_every=_sample_stride(h, cfg.tau))
-    reference = _ReferenceTrajectory(times, np.stack(states))
+    exact = (op.is_linear and op.source_u is op.source_v is None and 2 * op.n <= EXPM_MAX_SIZE
+             and dom.forcing.left.kind == dom.forcing.right.kind == "robin")
+    if exact:
+        stepper = _ExactStep(op, h, state0, cfg.tau)
+        report = _march(op, state0, stepper, cfg.tau, record, stride)
+    else:
+        report = rk4_run(op, state0, h, cfg.tau, observe=record, observe_every=stride)
+    reference = _ReferenceTrajectory(times, states[:len(times)])
     if not check:
         return reference, report, None
-    coarse = cfg.tau / max(1, math.ceil(cfg.tau * lam / 2.5))
-    step = min(h, cfg.tau) or h         # the reference's step: its one landing when tau < h
-    companion = rk4_run(dom.operator(), state0, coarse if coarse >= 1.25 * step else step / 2.0, cfg.tau)
-    gap = float(np.max(np.abs(np.subtract(companion.final_state, report.final_state))))
-    gap /= abs((companion.dt / step) ** 4 - 1.0)
+    if exact:
+        other, r, richardson_dt = stepper.yz[1], (2.0 if stepper.pairs else 0.5), stepper.richardson_dt
+    else:
+        coarse = cfg.tau / max(1, math.ceil(cfg.tau * lam / 2.5))
+        step = min(h, cfg.tau) or h         # the reference's step: its one landing when tau < h
+        companion = rk4_run(dom.operator(), state0, coarse if coarse >= 1.25 * step else step / 2.0, cfg.tau)
+        other, r, richardson_dt = companion.final_state, companion.dt / step, companion.dt
+    gap = float(np.max(np.abs(np.subtract(np.ravel(other), np.ravel(report.final_state)))))
+    gap /= abs(r ** 4 - 1.0)
     if gap > 1e-5:
         logger.warning("reference self-check: Richardson gap %.3e exceeds 1e-5", gap)
-    return reference, report, {"richardson_gap": gap, "richardson_dt": companion.dt}
+    return reference, report, {"richardson_gap": gap, "richardson_dt": richardson_dt}
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +633,10 @@ class VerificationResult:
 
 
 def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
-    """Run the scheme comparison against the RK4 reference of :func:`_oracle`,
-    self-checked by step doubling."""
+    """Run the scheme comparison against the reference of :func:`_oracle`,
+    self-checked by step doubling: exact in time on a linear wall with two
+    Robin sides (as the preset's), RK4 otherwise.  The manifest's
+    ``reference`` gives its ``method`` ("expm" or "rk4"), step and check."""
     dom = _dimensionless_domain(cfg)
     grid = dom.grid
 
@@ -534,7 +652,7 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
 
     manifest = _manifest_stub(cfg, {
         "schedules": schedules,
-        "reference": {"dt": ref_report.dt, **richardson},
+        "reference": {"method": ref_report.scheme, "dt": ref_report.dt, **richardson},
         "runs": {name: rep.describe() for name, rep in reports.items()},
         "failures": failures,
     })

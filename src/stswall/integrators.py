@@ -198,13 +198,13 @@ class _Monitor:
     initial state (step 0) on.
 
     A march diverges when its state turns non-finite or leaves the
-    divergence limits: one box width beyond each side of the operator's
-    admissible box (a runaway march may stay finite for a long time), or
-    a fixed magnitude when there is no box.
+    divergence limits: one box width beyond each side of the admissible
+    ``box`` (the operator's; a runaway march may stay finite for a long
+    time), or a fixed magnitude when there is no box.
     """
 
-    def __init__(self, op, scheme, observe, observe_every):
-        self.box = op.admissible_box
+    def __init__(self, box, scheme, observe, observe_every):
+        self.box = box
         self.scheme = scheme
         self.observe = observe
         self.observe_every = max(1, int(observe_every))
@@ -418,7 +418,7 @@ def _march(op, y0, stepper, tau, observe, observe_every) -> RunReport:
     n_t = node_count(dt0, tau)
     tol = 1e-9 * dt0
     y = _initial_state(op, y0)
-    mon = _Monitor(op, stepper.scheme, observe, observe_every)
+    mon = _Monitor(op.admissible_box, stepper.scheme, observe, observe_every)
     mon.check(0, 0.0, y)
     evals0 = op.rhs_evals
 

@@ -14,15 +14,15 @@ import pytest
 
 from stswall import cases
 from stswall.cases import (
-    check_verification_preset, emit_outputs, physical_preset, physical_step_counts,
-    run_ns_sweep, run_physical_case, run_verification_case, verification_preset,
+    VERIFICATION_DT_EULER, check_verification_preset, emit_outputs, physical_preset,
+    physical_step_counts, run_ns_sweep, run_physical_case, run_verification_case, verification_preset,
 )
 from stswall.cli import main
 from stswall.config import MAX_STEPS, load_config
 from stswall.errors import ConfigError, DivergenceError
 from stswall.metrics import ComparisonRecord
 from stswall.model import (
-    BoundaryForcing, DimensionlessGroups, Grid1D, SideForcing, WallAssembly,
+    BoundaryForcing, CoefficientModel, DimensionlessGroups, Grid1D, SideForcing, WallAssembly,
     builtin_material,
 )
 from stswall.operator import SemiDiscreteOperator
@@ -46,6 +46,12 @@ def scrub(obj):
     if isinstance(obj, list):
         return [scrub(v) for v in obj]
     return obj
+
+
+@pytest.fixture
+def rk4_reference(monkeypatch):
+    """Every case takes the RK4 reference: no operator fits the exact one."""
+    monkeypatch.setattr(cases, "EXPM_MAX_SIZE", 0)
 
 
 class TestVerificationPreset:
@@ -201,20 +207,41 @@ def _perfbench_reference():
     return module
 
 
+def observed_reference_rows(monkeypatch, runner, tau):
+    """Wrap ``cases.<runner>`` so that it copies every state the reference
+    observes, and check that the reference keeps exactly those rows."""
+    seen = []
+    run = getattr(cases, runner)
+
+    def observing(op, y0, step, tau, observe=None, observe_every=1):
+        def both(t, y):
+            seen.append((t, y.copy()))
+            observe(t, y)
+        return run(op, y0, step, tau, both, observe_every)
+
+    monkeypatch.setattr(cases, runner, observing)
+    reference = cases._oracle(cases._dimensionless_domain(short_verification(tau=tau)))[0]
+    want = np.stack([state for _, state in seen])
+    assert reference.times == [t for t, _ in seen]
+    assert reference.y.shape == want.shape and reference.y.tobytes() == want.tobytes()
+
+
 class TestOracle:
     def test_matches_independent_radau_solution(self, tmp_path):
         cfg = short_verification(tau=0.005)
         res = run_verification_case(cfg, tmp_path)
+        assert res.manifest["reference"]["method"] == "expm"
         _, u, v = _perfbench_reference().verify_reference(cfg.initial_u, cfg.initial_v, cfg.tau)
         assert np.max(np.abs(res.reference.u - u)) <= 1e-9
         assert np.max(np.abs(res.reference.v - v)) <= 1e-9
 
-    def test_step_doubling_gap_on_preset(self, tmp_path):
+    def test_step_doubling_gap_on_preset(self, tmp_path, rk4_reference):
         # the companion takes the coarsest step of the reference's h lambda <= 2.5 rule,
         # and its estimate reads within [1, 3]x the error against an RK4 run at h/8
         cfg = short_verification(tau=0.005)
         res = run_verification_case(cfg, tmp_path)
         check = res.manifest["reference"]
+        assert check["method"] == "rk4"
         dom = cases._dimensionless_domain(cfg)
         lam = dom.operator().gershgorin_lambda_max(dom.state0[1])
         assert check["richardson_dt"] == cfg.tau / math.ceil(cfg.tau * lam / 2.5) >= 1.25 * check["dt"]
@@ -223,24 +250,25 @@ class TestOracle:
         assert 1.0 <= check["richardson_gap"] / true_error <= 3.0
         assert check["richardson_gap"] < 1e-9
 
-    def test_half_step_companion_when_the_coarse_step_is_close_to_h(self):
+    def test_half_step_companion_when_the_coarse_step_is_close_to_h(self, rk4_reference):
         cfg = short_verification(tau=0.005)
         dom = cases._dimensionless_domain(cfg)
         # 2 dt lambda = 2.2: h = 2 dt, and the coarsest stable step is below 1.25 h
         cfg.dt_euler = 1.1 / dom.operator().gershgorin_lambda_max(dom.state0[1])
         _, report, check = cases._oracle(dom, check=True)
-        assert report.dt == 2.0 * cfg.dt_euler and check["richardson_dt"] == report.dt / 2.0
+        assert report.scheme == "rk4" and report.dt == 2.0 * cfg.dt_euler
+        assert check["richardson_dt"] == report.dt / 2.0
         half = cases.rk4_run(dom.operator(), dom.state0, report.dt / 2.0, cfg.tau).final_state
         ref = report.final_state
         want = 16.0 / 15.0 * np.max(np.abs([half.u - ref.u, half.v - ref.v]))
         assert want > 0 and math.isclose(check["richardson_gap"], want, rel_tol=1e-15)
 
-    def test_landing_step_is_checked_against_two_half_steps(self):
+    def test_landing_step_is_checked_against_two_half_steps(self, rk4_reference):
         # tau < h: the reference is one landing step of tau and the companion two of tau/2
         cfg = short_verification(tau=1e-5)
         dom = cases._dimensionless_domain(cfg)
         _, report, check = cases._oracle(dom, check=True)
-        assert report.n_steps == 1 and cfg.tau < report.dt
+        assert report.scheme == "rk4" and report.n_steps == 1 and cfg.tau < report.dt
         assert check["richardson_dt"] == cfg.tau / 2.0
         half = cases.rk4_run(dom.operator(), dom.state0, cfg.tau / 2.0, cfg.tau)
         assert half.n_steps == 2
@@ -249,28 +277,34 @@ class TestOracle:
         assert want > 0 and math.isclose(check["richardson_gap"], want, rel_tol=1e-15)
 
     @pytest.mark.parametrize("tau", [0.0, 1e-5, 0.005])
-    def test_reference_states_are_the_observed_rows(self, monkeypatch, tau):
-        seen = []
-        rk4_run = cases.rk4_run
+    def test_reference_states_are_the_observed_rows(self, monkeypatch, tau, rk4_reference):
+        observed_reference_rows(monkeypatch, "rk4_run", tau)
 
-        def observing(op, y0, dt, tau, observe=None, observe_every=1):
-            def both(t, y):
-                seen.append((t, y.copy()))
-                observe(t, y)
-            return rk4_run(op, y0, dt, tau, both, observe_every)
-
-        monkeypatch.setattr(cases, "rk4_run", observing)
-        reference = cases._oracle(cases._dimensionless_domain(short_verification(tau=tau)))[0]
-        want = np.stack([state for _, state in seen])
-        assert reference.times == [t for t, _ in seen]
-        assert reference.y.shape == want.shape and reference.y.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("tau", [0.0, 1e-5, 0.005, 0.2])
+    def test_exact_reference_states_are_the_observed_rows(self, monkeypatch, tau):
+        # at tau = 0.2 the stride is 3: every third state of the march and the last
+        observed_reference_rows(monkeypatch, "_march", tau)
 
     def test_zero_horizon_has_zero_gap(self):
         cfg = short_verification(tau=0.0)
         _, report, check = cases._oracle(cases._dimensionless_domain(cfg), check=True)
+        assert report.scheme == "expm" and report.dt == 2.0 * cfg.dt_euler
         assert check == {"richardson_gap": 0.0, "richardson_dt": report.dt / 2.0}
 
-    def test_falls_back_to_euler_step_outside_rk4_margin(self, tmp_path):
+    def test_zero_horizon_has_zero_rk4_gap(self, rk4_reference):
+        cfg = short_verification(tau=0.0)
+        _, report, check = cases._oracle(cases._dimensionless_domain(cfg), check=True)
+        assert report.scheme == "rk4" and report.dt == 2.0 * cfg.dt_euler
+        assert check == {"richardson_gap": 0.0, "richardson_dt": report.dt / 2.0}
+
+    def test_falls_back_to_euler_step_outside_rk4_margin(self, tmp_path, rk4_reference):
+        self.check_euler_step_fallback(tmp_path, "rk4")
+
+    def test_exact_reference_falls_back_to_euler_step_too(self, tmp_path):
+        self.check_euler_step_fallback(tmp_path, "expm")
+
+    @staticmethod
+    def check_euler_step_fallback(tmp_path, method):
         cfg = short_verification(tau=0.005)
         cfg.schemes = ["euler"]
         dom = cases._build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right),
@@ -278,18 +312,91 @@ class TestOracle:
         # 2 dt lambda = 3 is outside RK4's margin of 2.5; dt lambda = 1.5 is a stable Euler step
         cfg.dt_euler = 1.5 / dom.operator().gershgorin_lambda_max(dom.state0[1])
         res = run_verification_case(cfg, tmp_path)
+        assert res.manifest["reference"]["method"] == method
         assert res.manifest["reference"]["dt"] == cfg.dt_euler
         assert res.reports["euler"].dt == cfg.dt_euler
 
 
+class TestExactReference:
+    """The exact reference of a linear case with two Robin sides, and its
+    step-doubling self-check."""
+
+    def test_gap_reads_the_true_error(self):
+        # Against an RK4 run at h/8 (itself about 2e-14 off) the exact reference
+        # is 6.8e-12 off, a thirteenth of the RK4 reference's 9e-11, and its gap
+        # reads 0.91x that.
+        cfg = short_verification(tau=0.005)
+        dom = cases._dimensionless_domain(cfg)
+        _, report, check = cases._oracle(dom, check=True)
+        assert report.scheme == "expm" and report.n_steps == 70
+        assert check["richardson_dt"] == 2.0 * report.dt == 4.0 * cfg.dt_euler
+        fine = cases.rk4_run(dom.operator(), dom.state0, report.dt / 8.0, cfg.tau).final_state
+        true_error = float(np.max(np.abs(np.subtract(fine, report.final_state))))
+        assert true_error < 2e-11
+        assert 0.5 <= check["richardson_gap"] / true_error <= 2.0
+
+    def test_landing_below_one_step_is_checked_against_two_halves(self):
+        # tau < h: the reference is one landing step of tau, and the companion
+        # takes it in two halves with four RHS calls of its own
+        cfg = short_verification(tau=1e-5)
+        _, report, check = cases._oracle(cases._dimensionless_domain(cfg), check=True)
+        assert report.scheme == "expm" and report.n_steps == 1 and report.rhs_evals == 2 + 4
+        assert check["richardson_dt"] == 5e-6 and 0.0 < check["richardson_gap"] < 1e-13
+
+    @pytest.mark.parametrize("steps,landing", [(1, 0.5), (5, 0.0), (4, 0.5)],
+                             ids=["one-step-and-landing", "odd-count", "landing"])
+    def test_gap_is_above_zero(self, steps, landing):
+        # one regular step: its two halves; five: two pairs, and the fifth as the
+        # reference takes it; four and a landing: two pairs, and the landing as the
+        # reference takes it.  Each gap is far above round-off.
+        cfg = short_verification(tau=(steps + landing) * 2.0 * VERIFICATION_DT_EULER)
+        _, report, check = cases._oracle(cases._dimensionless_domain(cfg), check=True)
+        assert report.scheme == "expm" and report.n_steps == steps + (landing > 0)
+        assert check["richardson_dt"] == (0.5 if steps < 2 else 2.0) * report.dt
+        assert 1e-13 < check["richardson_gap"] < 1e-10
+
+    def test_largest_operator_it_takes(self):
+        cfg = short_verification(tau=0.0)
+        cfg.dx = 1.0 / (cases.EXPM_MAX_SIZE // 2 - 1)
+        dom = cases._dimensionless_domain(cfg)
+        assert 2 * dom.grid.node_count == cases.EXPM_MAX_SIZE
+        assert cases._oracle(dom)[1].scheme == "expm"
+
+    @pytest.mark.parametrize("case", ["dirichlet", "nonlinear", "sourced", "oversized"])
+    def test_other_cases_take_the_rk4_reference(self, monkeypatch, case):
+        cfg = short_verification(tau=0.0)
+        if case == "dirichlet":
+            cfg.forcing_right = SideForcing.dirichlet(lambda t: 1.0, lambda t: 1.0)
+        if case == "nonlinear":
+            cfg.materials["mat1"] = CoefficientModel.polynomials(
+                "m", d_theta=0.3, d_t=[0.1, 0.05], c_t=1.0, k_t=0.5, k_tm=0.4)
+        if case == "oversized":
+            cfg.dx = 1.0 / (cases.EXPM_MAX_SIZE // 2 + 4)      # 2n = EXPM_MAX_SIZE + 10
+        dom = cases._dimensionless_domain(cfg)
+        if case == "sourced":
+            build = dom.operator
+
+            def sourced():
+                op = build()
+                op.source_u = lambda x, t: np.zeros_like(x)
+                return op
+            monkeypatch.setattr(dom, "operator", sourced)
+        op = dom.operator()
+        assert op.is_linear == (case != "nonlinear")
+        assert 2 * op.n == (cases.EXPM_MAX_SIZE + 10 if case == "oversized" else 202)
+        assert cases._oracle(dom)[1].scheme == "rk4"
+
+
 def test_marches_go_through_integrator_hooks(monkeypatch, tmp_path):
     """Every march the runners make calls the integrators by their names in
-    ``cases``, which is where the benchmark's tracer hooks in."""
+    ``cases``, which is where the benchmark's tracer hooks in; the exact
+    reference marches through ``cases._march``."""
     calls = []
-    for name in ("euler_run", "dufort_frankel_run", "sts_run", "rk4_run"):
+    for name in ("euler_run", "dufort_frankel_run", "sts_run", "rk4_run", "_march"):
         def counting(*args, _fn=getattr(cases, name), _name=name, **kwargs):
             report = _fn(*args, **kwargs)
-            calls.append((_name, kwargs.get("observe") is not None, report))
+            observe = kwargs.get("observe", args[4] if len(args) > 4 else None)
+            calls.append((_name, observe is not None, report))
             return report
         monkeypatch.setattr(cases, name, counting)
     rhs_calls = [0]
@@ -305,15 +412,21 @@ def test_marches_go_through_integrator_hooks(monkeypatch, tmp_path):
     table = {id(report) for report in verify.reports.values()}
     assert sorted((name, observed) for name, observed, r in calls if id(r) in table) == [
         ("dufort_frankel_run", True), ("euler_run", True), ("sts_run", True), ("sts_run", True)]
-    # the RK4 reference and its step-doubling check
-    assert [name for name, _, r in calls if id(r) not in table] == ["rk4_run"] * 2
+    # the exact reference, which marches its step-doubling check along
+    assert [(name, observed) for name, observed, r in calls if id(r) not in table] == [("_march", True)]
     n_verify = len(calls)
     sweep = short_verification(tau=0.005)
     sweep.sweep_ns = [4, 8]
     run_ns_sweep(sweep, out_dir=tmp_path / "sweep")
     # the reference keeps its samples through an observer
     assert sorted((name, observed) for name, observed, _ in calls[n_verify:]) == (
-        [("euler_run", True), ("rk4_run", True)] + [("sts_run", True)] * 4)
+        [("_march", True), ("euler_run", True)] + [("sts_run", True)] * 4)
+    n_sweep = len(calls)
+    monkeypatch.setattr(cases, "EXPM_MAX_SIZE", 0)
+    verify = run_verification_case(short_verification(tau=0.005), tmp_path / "rk4")
+    table = {id(report) for report in verify.reports.values()}
+    # the RK4 reference and its step-doubling check
+    assert [name for name, _, r in calls[n_sweep:] if id(r) not in table] == ["rk4_run"] * 2
     # no march ran outside the hooks: their reports account for every RHS call
     assert rhs_calls[0] == sum(report.rhs_evals for _, _, report in calls)
 
@@ -761,7 +874,11 @@ class TestCli:
         (None, "u = 4.6\n[box]\nu_min = 0.5\nu_max = 2.5\nv_min = 0\nv_max = 2",
          "initial state has u in [4.6, 4.6], v in [1, 1]: more than one box width outside the "
          "admissible box (0.5, 2.5, 0.0, 2.0)"),
-    ], ids=["u-nan", "v-minus-inf", "polynomial-v-nan", "u-1e308", "u-beyond-box"])
+        # the storage check and the reference's row-sum bound evaluated c_t at v = 1e200
+        # first, which printed numpy's overflow warnings
+        (POLYNOMIAL_M1.replace("c_t = 0.1, 0.2", "c_t = 0.1, 0.2, 0.3"), "v = 1e200",
+         "initial state has u in [1, 1], v in [1e+200, 1e+200]: magnitude above 1e+150"),
+    ], ids=["u-nan", "v-minus-inf", "polynomial-v-nan", "u-1e308", "u-beyond-box", "polynomial-v-1e200"])
     def test_initial_state_that_is_not_finite_or_inside_the_limits_exits_one(self, tmp_path, capsys,
                                                                               material, initial, message):
         text = textwrap.dedent(self.VERIFICATION_INI).replace(
@@ -774,7 +891,7 @@ class TestCli:
             warnings.simplefilter("always")
             assert main(["verify", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
-        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert [str(w.message) for w in caught] == []
 
     def test_initial_state_inside_one_box_width_runs(self, tmp_path):
         # outside the box but inside the limits: each step counts as a box
@@ -872,7 +989,7 @@ class TestCli:
         rows = (out / "comparison.csv").read_text().splitlines()
         assert rows[1].startswith("df,1800.0,13,")    # the failed row keeps dt and N_t
 
-    # the left side drives u to 3, outside the [0.9, 1.1] box, so the RK4 reference runs away
+    # the left side drives u to 3, outside the [0.9, 1.1] box, so the reference runs away
     DIVERGING_REFERENCE_INI = """
         [case]
         kind = verification
@@ -905,12 +1022,21 @@ class TestCli:
         """
 
     @pytest.mark.parametrize("command", ["sweep", "verify"])
-    def test_diverged_reference_exits_two(self, tmp_path, capsys, command):
+    def test_diverged_reference_exits_two(self, tmp_path, capsys, command, rk4_reference):
         ini = tmp_path / "case.ini"
         ini.write_text(textwrap.dedent(self.DIVERGING_REFERENCE_INI))
         out = tmp_path / "out"
         assert main([command, "--config", str(ini), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: rk4 run diverged")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_diverged_exact_reference_exits_two(self, tmp_path, capsys, command):
+        ini = tmp_path / "case.ini"
+        ini.write_text(textwrap.dedent(self.DIVERGING_REFERENCE_INI))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(ini), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: expm run diverged")
         assert not out.exists()
 
     def test_sweep_with_diverged_euler_baseline_exits_two(self, tmp_path, capsys, monkeypatch):
@@ -1055,11 +1181,13 @@ def test_traced_benchmark_counts(tmp_path):
          "--seed", "1", "--trace", "--out", str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=600, check=True)
     layers = json.loads(proc.stdout.strip().splitlines()[-1])["layers"]
-    # RHS calls: 1730 by the table schemes, 2800 + 1736 by the RK4 reference
-    # and its step-doubling check (434 coarse steps).  Steps count only the
-    # marches the tracer wraps (euler_run, dufort_frankel_run, sts_run), not rk4_run.
-    assert layers["operator.rhs.calls"] == 6266
-    assert layers["operator.apply_constraints.calls"] == 6266
+    # RHS calls: 1730 by the table schemes, and 1400 by the exact reference, the
+    # forcing at two Gauss nodes in each of its 700 steps; its step-doubling
+    # check makes none.  Only the table schemes apply constraints, once per RHS
+    # call.  Steps count only the marches the tracer wraps (euler_run,
+    # dufort_frankel_run, sts_run), not the reference.
+    assert layers["operator.rhs.calls"] == 3130
+    assert layers["operator.apply_constraints.calls"] == 1730
     assert layers["integrators.steps"] == 1471
     assert layers["integrators.observe.calls"] == 1475
     # one stacked norm call per block of up to 64 samples: 22 for Euler's

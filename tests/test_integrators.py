@@ -844,7 +844,7 @@ class TestMonitor:
         y = np.random.default_rng(seed).uniform(-0.5, 2.5, (2, 8))
         if special is not None:
             y[row, col] = special
-        mon, ref = _Monitor(op, "rkl", None, 1), _Monitor(op, "rkl", None, 1)
+        mon, ref = _Monitor(op.admissible_box, "rkl", None, 1), _Monitor(op.admissible_box, "rkl", None, 1)
         try:
             float_check(ref, 4, 0.25, y)
         except DivergenceError as exc:

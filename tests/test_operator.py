@@ -659,13 +659,15 @@ class TestOutputBuffer:
 
 
 @st.composite
-def robin_walls(draw):
+def robin_walls(draw, kinds=("constant", "storage", "transport"),
+                robin_sides=((True, True), (True, False), (False, True))):
     """(operator, [(t, y), ...]): a one- or two-layer wall whose materials
     are all constant, vary only in storage or vary only in transport; a
     Robin side on the left, the right or both, any other side Dirichlet;
     each Robin side with or without flux terms and with or without
-    radiation; random states at random times, the first time twice."""
-    kind = draw(st.sampled_from(["constant", "storage", "transport"]))
+    radiation; random states at random times, the first time twice.
+    ``kinds`` and ``robin_sides`` narrow the first two choices."""
+    kind = draw(st.sampled_from(kinds))
     dx = 0.05
     layers = []
     for i in range(draw(st.integers(1, 2))):
@@ -677,7 +679,7 @@ def robin_walls(draw):
     wall = WallAssembly(layers)
     n = int(round(wall.total_length / dx)) + 1
     biots, sides = [], []
-    for robin in draw(st.sampled_from([(True, True), (True, False), (False, True)])):
+    for robin in draw(st.sampled_from(robin_sides)):
         if not robin:
             biots.append(BiotSet())
             sides.append(dirichlet_forcing(1.0, 0.5))
@@ -748,6 +750,24 @@ class TestRobinRows:
             for side, j in (("left", 0), ("right", -1)):
                 want = rows.get(side, (0.0, 0.0))     # a Dirichlet side's rows are zero
                 assert np.array([got[0, j], got[1, j]]).tobytes() == np.array(want).tobytes()
+
+
+class TestLinearRobinForm:
+    """The exact verify reference steps rhs(t, y) = -A y + b(t), with A the
+    frozen matrix and b = rhs(t, 0) zero but in the four end rows."""
+
+    @wall_cases
+    @given(robin_walls(kinds=["constant"], robin_sides=[(True, True)]))
+    def test_rhs_is_frozen_matrix_plus_forcing(self, case):
+        op, samples = case
+        assert op.is_linear
+        a = op.frozen_matrix()
+        for t, y in samples:
+            b = op.rhs(t, np.zeros_like(y))
+            assert not b[:, 1:-1].any()
+            linear = -(a @ y.ravel()).reshape(y.shape)
+            scale = max(np.max(np.abs(linear)), np.max(np.abs(b)))
+            assert np.max(np.abs(op.rhs(t, y) - (linear + b))) <= 1e-12 * scale
 
 
 class TestCoefficientPass:
