@@ -467,9 +467,9 @@ def _sample_stride(dt: float, tau: float) -> int:
 
 
 # Largest 2n of the exact reference: past it the RK4 reference is cheaper (at
-# 700 steps the exact one took 0.65x RK4's time at 2n = 262, 0.96x at 282 and
-# 1.23x at 302; its dense step costs O(n^2) against RK4's O(n) RHS).
-EXPM_MAX_SIZE = 282
+# 700 steps the exact one took 0.55x RK4's time at 2n = 262, 0.76-0.80x at 302
+# and 1.01-1.10x at 322; its dense step costs O(n^2) against RK4's O(n) RHS).
+EXPM_MAX_SIZE = 302
 
 
 def _matmul(a, b, out):
@@ -517,7 +517,7 @@ class _ExactStep:
     def __init__(self, op, dt, y0, tau):
         g = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)      # Gauss nodes on [0, 1]
         self.op, self.dt, self.gauss, self.flags, self.count, self.pairs = op, dt, g, {}, 0, tau >= 2.0 * dt
-        self.zero, self.b, self.taken = np.zeros((2, op.n)), np.empty((2, 2, op.n)), np.empty((2, 2, 2, 2))
+        self.b, self.taken = np.empty((2, 2, op.n)), np.empty((2, 2, 2, 2))
         self.yz, self.richardson_dt = np.array([y0.ravel()] * 2), (2.0 if self.pairs else 0.5) * dt
         self.fit = np.kron([[g[1], -g[0]], [-1.0, 1.0]], math.sqrt(3.0) * np.eye(4))    # samples -> (c0, c1)
         self.pt, self.g = self.propagator(dt)
@@ -540,7 +540,7 @@ class _ExactStep:
     def samples(self, t, h, out):
         """b = rhs(t, 0) in the end rows at the Gauss nodes of [t, t + h], into ``out``."""
         for b, s in zip(self.b, self.gauss):
-            self.op.rhs(t + s * h, self.zero, None, b)
+            self.op.boundary_forcing(t + s * h, b.ravel())
         out[...] = self.b[:, :, ::self.op.n - 1]
         return out.ravel()
 

@@ -255,26 +255,37 @@ class SemiDiscreteOperator:
             mid *= fo
         mid /= den
 
-        # Robin half-cells: the face flux plus the inflow-oriented closure
-        # fo ((s - e) + sign q) 2 / den, with the flux terms and radiation s
-        # and the surface excess e = (m_theta dv, t_t du + t_theta dv).
         if self._closure:
-            u_b, v_b = y[self._end_nodes].tolist()
-            q_t, q_m = self._end_flux.tolist()
-            for ambient, j, ju, jv, sign, m_theta, t_t, t_theta, fo_t, fo_m, den_v, den_t in self._closure:
-                u_inf, v_inf, s_m, s_t = ambient(t)
-                dv = v_b[j] - v_inf
-                if den_t is None:
-                    den_t = self._den.item(ju)
-                e_t = t_t * (u_b[j] - u_inf) + t_theta * dv
-                flat[ju] = fo_t * ((s_t - e_t) + sign * q_t[j]) * 2.0 / den_t
-                flat[jv] = fo_m * ((s_m - m_theta * dv) + sign * q_m[j]) * 2.0 / den_v
+            self._robin_rows(t, *y[self._end_nodes].tolist(), *self._end_flux.tolist(), flat)
         if self.source_u is not None:
             out[0] += self.source_u(self.grid.node_positions, t)
         if self.source_v is not None:
             out[1] += self.source_v(self.grid.node_positions, t)
         if self._fixed is not None:
             out[:, self._fixed] = 0.0
+        return out
+
+    def _robin_rows(self, t, u_b, v_b, q_t, q_m, flat):
+        """Write the Robin half-cells' rows of the flat RHS ``flat``: the face
+        flux plus the inflow-oriented closure fo ((s - e) + sign q) 2 / den,
+        with the flux terms and radiation s and the surface excess
+        e = (m_theta dv, t_t du + t_theta dv), from the end nodes' values
+        ``u_b``, ``v_b`` and end-face fluxes ``q_t``, ``q_m`` (left, right)."""
+        for ambient, j, ju, jv, sign, m_theta, t_t, t_theta, fo_t, fo_m, den_v, den_t in self._closure:
+            u_inf, v_inf, s_m, s_t = ambient(t)
+            dv = v_b[j] - v_inf
+            if den_t is None:
+                den_t = self._den.item(ju)
+            e_t = t_t * (u_b[j] - u_inf) + t_theta * dv
+            flat[ju] = fo_t * ((s_t - e_t) + sign * q_t[j]) * 2.0 / den_t
+            flat[jv] = fo_m * ((s_m - m_theta * dv) + sign * q_m[j]) * 2.0 / den_v
+
+    def boundary_forcing(self, t: float, out: np.ndarray) -> np.ndarray:
+        """The Robin rows of rhs(t, 0) of a linear operator, bit for bit, into
+        ``out``, a flat (2 n,) array whose other entries it leaves alone.  With
+        two Robin sides and no sources, rhs(t, 0) is zero in every other row."""
+        zero = [0.0, 0.0]
+        self._robin_rows(t, zero, zero, zero, zero, out)
         return out
 
     def apply_constraints(self, t: float, y: np.ndarray) -> None:

@@ -335,12 +335,21 @@ class TestExactReference:
         assert true_error < 2e-11
         assert 0.5 <= check["richardson_gap"] / true_error <= 2.0
 
-    def test_landing_below_one_step_is_checked_against_two_halves(self):
-        # tau < h: the reference is one landing step of tau, and the companion
-        # takes it in two halves with four RHS calls of its own
+    def test_landing_below_one_step_is_checked_against_two_halves(self, monkeypatch):
+        # tau < h: the reference is one landing step of tau, sampling the forcing
+        # twice, and the companion takes it in two halves with four samples of its own
+        times = []
+        forcing = SemiDiscreteOperator.boundary_forcing
+
+        def counting(self, t, out):
+            times.append(t)
+            return forcing(self, t, out)
+
+        monkeypatch.setattr(SemiDiscreteOperator, "boundary_forcing", counting)
         cfg = short_verification(tau=1e-5)
         _, report, check = cases._oracle(cases._dimensionless_domain(cfg), check=True)
-        assert report.scheme == "expm" and report.n_steps == 1 and report.rhs_evals == 2 + 4
+        assert report.scheme == "expm" and report.n_steps == 1 and report.rhs_evals == 0
+        assert len(times) == 2 + 4 and len(set(times)) == 6 and 0.0 < min(times) < max(times) < cfg.tau
         assert check["richardson_dt"] == 5e-6 and 0.0 < check["richardson_gap"] < 1e-13
 
     @pytest.mark.parametrize("steps,landing", [(1, 0.5), (5, 0.0), (4, 0.5)],
@@ -1181,12 +1190,12 @@ def test_traced_benchmark_counts(tmp_path):
          "--seed", "1", "--trace", "--out", str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=600, check=True)
     layers = json.loads(proc.stdout.strip().splitlines()[-1])["layers"]
-    # RHS calls: 1730 by the table schemes, and 1400 by the exact reference, the
-    # forcing at two Gauss nodes in each of its 700 steps; its step-doubling
-    # check makes none.  Only the table schemes apply constraints, once per RHS
-    # call.  Steps count only the marches the tracer wraps (euler_run,
+    # RHS calls: 1730, all by the table schemes, which apply constraints once
+    # per RHS call; the exact reference and its step-doubling check make none
+    # (the forcing is the Robin rows of rhs(t, 0), from boundary_forcing).
+    # Steps count only the marches the tracer wraps (euler_run,
     # dufort_frankel_run, sts_run), not the reference.
-    assert layers["operator.rhs.calls"] == 3130
+    assert layers["operator.rhs.calls"] == 1730
     assert layers["operator.apply_constraints.calls"] == 1730
     assert layers["integrators.steps"] == 1471
     assert layers["integrators.observe.calls"] == 1475

@@ -754,7 +754,8 @@ class TestRobinRows:
 
 class TestLinearRobinForm:
     """The exact verify reference steps rhs(t, y) = -A y + b(t), with A the
-    frozen matrix and b = rhs(t, 0) zero but in the four end rows."""
+    frozen matrix and b = rhs(t, 0) zero but in the four end rows, which
+    ``boundary_forcing`` writes bit for bit."""
 
     @wall_cases
     @given(robin_walls(kinds=["constant"], robin_sides=[(True, True)]))
@@ -765,6 +766,7 @@ class TestLinearRobinForm:
         for t, y in samples:
             b = op.rhs(t, np.zeros_like(y))
             assert not b[:, 1:-1].any()
+            assert op.boundary_forcing(t, np.zeros(2 * op.n)).tobytes() == b.tobytes()
             linear = -(a @ y.ravel()).reshape(y.shape)
             scale = max(np.max(np.abs(linear)), np.max(np.abs(b)))
             assert np.max(np.abs(op.rhs(t, y) - (linear + b))) <= 1e-12 * scale
