@@ -525,7 +525,7 @@ class _ExactStep:
         cubic = _lagrange(g, [s / 2.0 for s in g] + [(1.0 + s) / 2.0 for s in g])
         first, second = (np.kron(_lagrange([(k + s) / 2.0 for s in g], g) @ cubic - np.eye(4)[2 * k:2 * k + 2],
                                  np.eye(4)) for k in (0, 1))
-        self.pair = self.pt.T @ (self.g @ first) + self.g @ second
+        self.pair_forcing = self.pt.T @ (self.g @ first) + self.g @ second
 
     def propagator(self, h):
         """(P^T, G) of a step h."""
@@ -552,13 +552,13 @@ class _ExactStep:
         s = self.samples(t, h, self.taken[self.count % 2])
         yz = self.yz @ pt       # y, the march's state, is row 0 of yz
         yz += g @ s
-        if not (self.pairs or self.count):
+        if not (self.pairs or self.count):        # the companion's two halves of the first step
             pt, g = self.propagator(h / 2.0)
             yz[1], self.richardson_dt = self.yz[1], h / 2.0
             for k in (0, 1):
                 yz[1] = yz[1] @ pt + g @ self.samples(t + k * h / 2.0, h / 2.0, np.empty((2, 2, 2)))
-        elif self.pairs and self.count % 2 and h == self.dt:
-            yz[1] += self.pair @ self.taken.ravel()
+        elif self.pairs and self.count % 2 and h == self.dt:      # a pair's second step
+            yz[1] += self.pair_forcing @ self.taken.ravel()
         self.count += 1
         self.yz = yz
         return yz[0].reshape(y.shape)
