@@ -1,6 +1,7 @@
 """Time marching: explicit Euler, Du Fort-Frankel, the two
 super-time-stepping schemes built on Chebyshev and Legendre recursions, and
-classical RK4 for the reference solutions.
+for the reference solutions classical RK4 and the exact step of a linear
+wall with two Robin sides (matrix exponential).
 
 A super-step cycle runs ``n_s`` cheap inner stages whose envelope is
 stable only at the cycle end, which lets the outer step exceed the
@@ -384,6 +385,100 @@ class _DufortFrankelStep(_EulerStep):
             t += h
         self.flags["remainder_substeps"] = m
         return y
+
+
+def _matmul(a, b, out):
+    """``a @ b`` into ``out`` by 2 x 2 blocks: OpenBLAS packs the operand
+    blocks into buffers that stay resident, and half-size blocks halve them."""
+    h = len(a) // 2
+    for i in (slice(None, h), slice(h, None)):
+        for j in (slice(None, h), slice(h, None)):
+            np.matmul(a[i, :h], b[:h, j], out[i, j])
+            out[i, j] += a[i, h:] @ b[h:, j]
+
+
+def _expm(x):
+    """exp(x), overwriting ``x``: scaling and squaring a degree-8 Taylor polynomial."""
+    s = max(0, math.ceil(math.log2(16.0 * np.abs(x).sum(axis=1).max() + 1e-300)))
+    x /= 2.0 ** s           # infinity norm at most 1/16: the remainder is below 1e-16
+    e, work = np.eye(len(x)), np.empty_like(x)
+    for k in [*range(8, 0, -1)] + [0] * s:      # e <- I + x e / k, then s squarings
+        _matmul(e if k == 0 else x, e, work)
+        if k:
+            work /= k
+            work.ravel()[::len(x) + 1] += 1.0
+        e, work = work, e
+    return e
+
+
+def _lagrange(at, nodes) -> np.ndarray:
+    """Samples at ``nodes`` -> their interpolating polynomial at each of ``at``."""
+    return np.array([[math.prod((a - x) / (xj - x) for x in nodes if x != xj) for xj in nodes] for a in at])
+
+
+class _ExactStep:
+    """Exact steps y <- P y + G s of rhs(t, y) = -A y + E b(t), E the four end
+    rows of a linear wall with two Robin sides, b the line through its values
+    s at the step's two Gauss nodes: P = exp(-A h) and G (h [phi1(-A h) E,
+    phi2(-A h) E] times the line's fit) come from one exponential of
+    [[-A h, h E, 0], [0, 0, I], [0, 0, 0]] (Al-Mohy and Higham 2011).  Row 1
+    of ``yz`` (row 0 is y) is the step-doubling companion: with tau >= 2h it
+    takes each pair of regular steps as one of 2h, b the line through the
+    cubic of their four samples at its own Gauss nodes; else the first step in
+    two halves, with four new samples.  Any other step it takes as y does."""
+
+    scheme, n_s, dt_exp = "expm", None, None
+
+    def __init__(self, op, dt, y0, tau):
+        g = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)      # Gauss nodes on [0, 1]
+        self.op, self.dt, self.gauss, self.flags, self.count, self.pairs = op, dt, g, {}, 0, tau >= 2.0 * dt
+        self.b, self.taken = np.empty((2, 2, op.n)), np.empty((2, 2, 2, 2))
+        self.yz, self.richardson_dt = np.array([y0.ravel()] * 2), (2.0 if self.pairs else 0.5) * dt
+        self.fit = np.kron([[g[1], -g[0]], [-1.0, 1.0]], math.sqrt(3.0) * np.eye(4))    # samples -> (c0, c1)
+        self.pt, self.g = self.propagator(dt)
+        # a pair's four samples -> its line at each of its steps' Gauss nodes, less that step's own samples
+        cubic = _lagrange(g, [s / 2.0 for s in g] + [(1.0 + s) / 2.0 for s in g])
+        first, second = (np.kron(_lagrange([(k + s) / 2.0 for s in g], g) @ cubic - np.eye(4)[2 * k:2 * k + 2],
+                                 np.eye(4)) for k in (0, 1))
+        self.pair_forcing = self.pt.T @ (self.g @ first) + self.g @ second
+
+    def propagator(self, h):
+        """(P^T, G) of a step h."""
+        m = 2 * self.op.n
+        x = np.zeros((m + 8, m + 8))
+        np.multiply(self.op.frozen_matrix(), -h, x[:m, :m])
+        x[[0, m // 2 - 1, m // 2, m - 1], range(m, m + 4)] = h       # u and v at both ends
+        x[range(m, m + 4), range(m + 4, m + 8)] = 1.0
+        e = _expm(x)
+        return e[:m, :m].T, e[:m, m:] @ self.fit
+
+    def samples(self, t, h, out):
+        """b = rhs(t, 0) in the end rows at the Gauss nodes of [t, t + h], into ``out``."""
+        for b, s in zip(self.b, self.gauss):
+            self.op.boundary_forcing(t + s * h, b.ravel())
+        out[...] = self.b[:, :, ::self.op.n - 1]
+        return out.ravel()
+
+    def refresh(self, t, y):
+        return False
+
+    def step(self, t, h, t_new, y):
+        pt, g = (self.pt, self.g) if h == self.dt else self.propagator(h)      # a landing: once
+        s = self.samples(t, h, self.taken[self.count % 2])
+        yz = self.yz @ pt       # y, the march's state, is row 0 of yz
+        yz += g @ s
+        if not (self.pairs or self.count):        # the companion's two halves of the first step
+            pt, g = self.propagator(h / 2.0)
+            yz[1], self.richardson_dt = self.yz[1], h / 2.0
+            for k in (0, 1):
+                yz[1] = yz[1] @ pt + g @ self.samples(t + k * h / 2.0, h / 2.0, np.empty((2, 2, 2)))
+        elif self.pairs and self.count % 2 and h == self.dt:      # a pair's second step
+            yz[1] += self.pair_forcing @ self.taken.ravel()
+        self.count += 1
+        self.yz = yz
+        return yz[0].reshape(y.shape)
+
+    land = step
 
 
 def _initial_state(op, y0) -> np.ndarray:
