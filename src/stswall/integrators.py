@@ -445,12 +445,14 @@ class _ExactStep:
     def propagator(self, h):
         """(P^T, G) of a step h."""
         m = 2 * self.op.n
+        p = np.empty((m, m))        # made before the temporaries, so that freeing them can shrink the heap
         x = np.zeros((m + 8, m + 8))
         np.multiply(self.op.frozen_matrix(), -h, x[:m, :m])
         x[[0, m // 2 - 1, m // 2, m - 1], range(m, m + 4)] = h       # u and v at both ends
         x[range(m, m + 4), range(m + 4, m + 8)] = 1.0
         e = _expm(x)
-        return e[:m, :m].T, e[:m, m:] @ self.fit
+        p[...] = e[:m, :m]
+        return p.T, e[:m, m:] @ self.fit
 
     def samples(self, t, h, out):
         """b = rhs(t, 0) in the end rows at the Gauss nodes of [t, t + h], into ``out``."""
