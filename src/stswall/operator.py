@@ -256,7 +256,9 @@ class SemiDiscreteOperator:
         mid /= den
 
         if self._closure:
-            self._robin_rows(t, *y[self._end_nodes].tolist(), *self._end_flux.tolist(), flat)
+            u_b, v_b = y[self._end_nodes].tolist()
+            q_t, q_m = self._end_flux.tolist()
+            self._robin_rows(t, u_b, v_b, q_t, q_m, flat)
         if self.source_u is not None:
             out[0] += self.source_u(self.grid.node_positions, t)
         if self.source_v is not None:
