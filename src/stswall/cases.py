@@ -467,8 +467,9 @@ def _sample_stride(dt: float, tau: float) -> int:
 
 
 # Largest 2n of the exact reference: past it the RK4 reference is cheaper (at
-# 700 steps the exact one took 0.55x RK4's time at 2n = 262, 0.76-0.80x at 302
-# and 1.01-1.10x at 322; its dense step costs O(n^2) against RK4's O(n) RHS).
+# 700 steps on a 2-core host with single-threaded numpy the exact one took
+# 0.55x RK4's time at 2n = 262, 0.76-0.80x at 302 and 1.01-1.10x at 322; its
+# dense step costs O(n^2) against RK4's O(n) RHS).
 EXPM_MAX_SIZE = 302
 
 
