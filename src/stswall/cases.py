@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .config import PHYSICAL_LAYOUTS, CaseConfig, parse_time_function
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, StswallError
 from .integrators import (_ExactStep, _march, _Monitor, build_schedule, dufort_frankel_run, euler_run,
                           node_count, rk4_run, sts_run)
 from .metrics import (
@@ -182,11 +182,12 @@ class _Domain:
     groups: DimensionlessGroups
     state0: np.ndarray      # (2, n) initial state: row 0 u, row 1 v
     spans: list             # each layer's inclusive (first, last) node, WallAssembly.node_spans
+    seams: tuple = ()       # walls side by side: the operator's seams (see _composite_drying)
 
     def operator(self) -> SemiDiscreteOperator:
         """A fresh operator (marches must not share one)."""
         return SemiDiscreteOperator(self.wall, self.grid, self.groups, self.forcing,
-                                    admissible_box=self.cfg.admissible_box)
+                                    admissible_box=self.cfg.admissible_box, seams=self.seams)
 
 
 def _build_domain(cfg: CaseConfig, forcing, groups) -> _Domain:
@@ -335,7 +336,9 @@ def _run_one_scheme(scheme, dom, observe=None, observe_every=None, schedules=Non
         return dufort_frankel_run(op, state0, dt, cfg.tau, observe=observe, observe_every=observe_every)
     if schedules is not None:
         schedules[scheme] = schedule.describe()
-    return sts_run(op, state0, schedule, cfg.tau, observe=observe, observe_every=observe_every)
+    # walls side by side would rebuild at the largest of their bounds, not each at its own
+    return sts_run(op, state0, schedule, cfg.tau, observe=observe, observe_every=observe_every,
+                   rebuild=not dom.seams)
 
 
 def _compare(dom, runs, trackers=None, reports=None, schedules=None):
@@ -678,17 +681,18 @@ def _physical_forcing(series: BoundarySeries) -> BoundaryForcing:
 
 
 class _MoistureObserver:
-    """Collects (t, total moisture over the material domain) samples."""
+    """Collects samples of t and of the total moisture over each span of
+    ``spans`` (inclusive node ranges, one per wall of the march)."""
 
-    def __init__(self, grid, domain):
+    def __init__(self, grid, spans):
         self.grid = grid
-        self.domain = domain
+        self.spans = spans
         self.times = []
         self.totals = []
 
     def __call__(self, t, y):
         self.times.append(t)
-        self.totals.append(total_moisture(y[1], self.grid, self.domain))
+        self.totals.append([total_moisture(y[1], self.grid, span) for span in self.spans])
 
 
 def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
@@ -725,21 +729,44 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     domains = {}
     schedules = {}
 
-    for name, layer_list in layouts.items():
-        dom = domains[name] = _layout_config(cfg, layer_list, forcing, groups)
-        observer = _MoistureObserver(dom.grid, dom.spans[[m for m, _ in layer_list].index("re")])
+    def march(dom, names, spans):
+        """The drying march of ``dom``, holding the layouts ``names`` whose re
+        layers span ``spans``; their curves go into ``totals`` and ``rates``."""
+        observer = _MoistureObserver(dom.grid, spans)
         stride = max(1, int(cfg.tau / _scheme_step(cfg.drying_scheme, dom.cfg)[0] / 1500))
+        report = _run_one_scheme(cfg.drying_scheme, dom, observe=observer, observe_every=stride,
+                                 schedules=schedules if names == [first_name] else None)
+        t_days = np.asarray(observer.times) / DAY_S
+        for name, theta in zip(names, map(np.array, zip(*observer.totals))):
+            totals[name] = (t_days, theta)
+            rates[name] = (t_days, drying_rate(t_days, theta))
+        return report
+
+    def march_alone(name):
+        dom = domains[name]
         try:
-            report = _run_one_scheme(cfg.drying_scheme, dom, observe=observer, observe_every=stride,
-                                     schedules=schedules if name == first_name else None)
+            drying_reports[name] = march(dom, [name], [dom.spans[_re_layer(dom)]])
         except DivergenceError as exc:
             failures[f"drying-{name}"] = str(exc)
-            continue
-        drying_reports[name] = report
-        t_days = np.asarray(observer.times) / DAY_S
-        theta = np.asarray(observer.totals)
-        totals[name] = (t_days, theta)
-        rates[name] = (t_days, drying_rate(t_days, theta))
+
+    # The first layout's march is the table's drying_scheme row: it is built
+    # and marched first, alone.  The others march as one composite wall where
+    # that is exact (see _composite_drying), else one by one.
+    domains[first_name] = _layout_config(cfg, layouts[first_name], forcing, groups)
+    march_alone(first_name)
+    rest = [name for name in layouts if name != first_name]
+    for name in rest:
+        domains[name] = _layout_config(cfg, layouts[name], forcing, groups)
+    composite = None
+    try:
+        composite = _composite_drying(cfg.drying_scheme, [domains[name] for name in rest])
+        if composite is not None:
+            march(composite[0], rest, composite[1])
+    except StswallError:        # the walls march one by one: their own failures and messages
+        composite = None
+    if composite is None:
+        for name in rest:
+            march_alone(name)
 
     # Scheme comparison on the first configuration; the drying run already
     # covers its own scheme there.
@@ -769,6 +796,51 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     emit_outputs(out_dir, manifest, records=records, tables=curves)
     return PhysicalResult(records=records, reports=reports, totals=totals, rates=rates,
                           policy_counts=policy_counts, manifest=manifest, failures=failures)
+
+
+def _re_layer(dom) -> int:
+    """Index of a physical layout's rammed-earth layer, whose moisture total is its drying curve."""
+    return [name for name, _ in dom.cfg.layers].index("re")
+
+
+def _composite_drying(scheme, doms):
+    """(domain, re spans) of the walls of ``doms`` laid side by side for one
+    drying march of ``scheme``, or None where that march would not be theirs
+    bit for bit.
+
+    Consecutive walls are joined by one seam cell, which the first layer of
+    the wall after it spans too, so each wall's nodes, state and layer tables
+    are its own at an offset, and every real node makes the float operations
+    of the wall's own march.  That takes two or more walls marched by euler,
+    rkc or rkl (Du Fort-Frankel's landing reads the Gershgorin bound, on the
+    composite the largest of its walls'), the same steps (steps left to each
+    layout's own estimate seldom agree) and a grid length whose spacing is
+    theirs bit for bit.  The caller marches the walls one by one where this
+    march fails or would rebuild its schedule, as each wall would at its own
+    bound."""
+    if (len(doms) < 2 or scheme not in ("euler", "rkc", "rkl")
+            or len({(dom.cfg.dt_euler, dom.cfg.dt_exp_base, dom.grid.spacing) for dom in doms}) > 1):
+        return None
+    dx, counts = doms[0].grid.spacing, [dom.grid.node_count for dom in doms]
+    n = sum(counts)
+    length = dx * (n - 1)
+    for _ in range(4):      # the rounded product is at most a few ulps from a length of spacing dx
+        if length / (n - 1) == dx:
+            break
+        length = math.nextafter(length, math.inf if length / (n - 1) < dx else -math.inf)
+    else:
+        return None
+    layers, spans, offset = [], [], 0
+    for k, dom in enumerate(doms):
+        (model, th), *rest = dom.wall.layers
+        layers += [(model, th + dx if k else th), *rest]
+        spans.append(tuple(j + offset for j in dom.spans[_re_layer(dom)]))
+        offset += dom.grid.node_count
+    wall, grid = WallAssembly(layers), Grid1D(length, n)
+    seams = tuple((np.cumsum(counts[:-1]) - 1).tolist())
+    state0 = np.concatenate([dom.state0 for dom in doms], axis=1)
+    return _Domain(doms[0].cfg, wall, grid, doms[0].forcing, doms[0].groups, state0,
+                   wall.node_spans(grid), seams), spans
 
 
 def _layout_config(cfg: CaseConfig, layer_list, forcing, groups) -> _Domain:

@@ -424,14 +424,19 @@ class _ExactStep:
     [[-A h, h E, 0], [0, 0, I], [0, 0, 0]] (Al-Mohy and Higham 2011).  Row 1
     of ``yz`` (row 0 is y) is the step-doubling companion: with tau >= 2h it
     takes each pair of regular steps as one of 2h, b the line through the
-    cubic of their four samples at its own Gauss nodes; else the first step in
-    two halves, with four new samples.  Any other step it takes as y does."""
+    cubic of their four samples at its own Gauss nodes.  Every other step (a
+    last regular step with no partner, the landing, and all steps when tau <
+    2h) it takes in two halves, with four new samples.  Its gap from y, over
+    r^4 - 1 for the pairs' r = 2 (else r = 1/2), estimates y's error: a halved
+    step enters it with the weight (2^4 - 1) / (2^-4 - 1) = -16 against the
+    pairs, so each step's error counts once, whatever its companion's ratio."""
 
     scheme, n_s, dt_exp = "expm", None, None
 
     def __init__(self, op, dt, y0, tau):
         g = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)      # Gauss nodes on [0, 1]
         self.op, self.dt, self.gauss, self.flags, self.count, self.pairs = op, dt, g, {}, 0, tau >= 2.0 * dt
+        self.tau = tau
         self.b, self.taken = np.empty((2, 2, op.n)), np.empty((2, 2, 2, 2))
         self.yz, self.richardson_dt = np.array([y0.ravel()] * 2), (2.0 if self.pairs else 0.5) * dt
         self.fit = np.kron([[g[1], -g[0]], [-1.0, 1.0]], math.sqrt(3.0) * np.eye(4))    # samples -> (c0, c1)
@@ -467,15 +472,22 @@ class _ExactStep:
     def step(self, t, h, t_new, y):
         pt, g = (self.pt, self.g) if h == self.dt else self.propagator(h)      # a landing: once
         s = self.samples(t, h, self.taken[self.count % 2])
+        z = self.yz[1]
         yz = self.yz @ pt       # y, the march's state, is row 0 of yz
         yz += g @ s
-        if not (self.pairs or self.count):        # the companion's two halves of the first step
+        # another full step follows when _march's test for one passes at t_new
+        partner = self.count % 2 or (t_new < self.tau - 1e-9 * self.dt
+                                     and self.dt <= (self.tau - t_new) * (1.0 + 1e-9))
+        if self.pairs and h == self.dt and partner:
+            if self.count % 2:      # a pair's second step
+                yz[1] += self.pair_forcing @ self.taken.ravel()
+        else:                       # the companion's two halves of an unpaired step
             pt, g = self.propagator(h / 2.0)
-            yz[1], self.richardson_dt = self.yz[1], h / 2.0
             for k in (0, 1):
-                yz[1] = yz[1] @ pt + g @ self.samples(t + k * h / 2.0, h / 2.0, np.empty((2, 2, 2)))
-        elif self.pairs and self.count % 2 and h == self.dt:      # a pair's second step
-            yz[1] += self.pair_forcing @ self.taken.ravel()
+                z = z @ pt + g @ self.samples(t + k * h / 2.0, h / 2.0, np.empty((2, 2, 2)))
+            yz[1] = yz[1] - 16.0 * (z - yz[1]) if self.pairs else z
+            if not (self.pairs or self.count):
+                self.richardson_dt = h / 2.0
         self.count += 1
         self.yz = yz
         return yz[0].reshape(y.shape)
@@ -635,8 +647,8 @@ class _SuperStep:
     """A super-step cycle; on nonlinear operators the stiffness estimate is
     refreshed before each cycle and the schedule rebuilt when outgrown."""
 
-    def __init__(self, op, schedule):
-        self.op, self.active = op, schedule
+    def __init__(self, op, schedule, rebuild=True):
+        self.op, self.active, self.rebuild = op, schedule, rebuild
         self.scheme, self.n_s, self.dt_exp = schedule.scheme, schedule.n_s, schedule.dt_exp
         self.cycle = _CYCLES[schedule.scheme]
         self.refresh_lambda = not op.is_linear
@@ -655,6 +667,9 @@ class _SuperStep:
         lam = self.op.gershgorin_lambda_max(y[1], self.coeffs)
         if lam <= self.active.design_lambda:
             return False
+        if not self.rebuild:
+            raise StaleScheduleError(f"the bound {lam:g} at t={t:g} outgrew the schedule's "
+                                     f"{self.active.design_lambda:g}")
         self.active = build_schedule(
             self.scheme, self.n_s, 2.0 / (SAFETY_INFLATION * lam),
             self.active.damping if self.scheme == "rkc" else None,
@@ -671,13 +686,14 @@ class _SuperStep:
 
 
 def sts_run(op: SemiDiscreteOperator, y0: np.ndarray, schedule: SuperStepSchedule, tau: float,
-            observe: Optional[ObserveFn] = None, observe_every: int = 1) -> RunReport:
+            observe: Optional[ObserveFn] = None, observe_every: int = 1, rebuild: bool = True) -> RunReport:
     """March with super-step cycles defined by ``schedule``.
 
     The schedule must cover the operator's current stiffness (else a
     :class:`StaleScheduleError` is raised).  For nonlinear operators the
     stiffness estimate is refreshed once per cycle and the schedule is
-    rebuilt with a safety margin when the estimate outgrows it.  If tau is
+    rebuilt with a safety margin when the estimate outgrows it (without
+    ``rebuild``, that cycle raises a StaleScheduleError instead).  If tau is
     not a whole number of super steps, a final scaled-down cycle lands
     exactly on tau.  Every stage of a cycle reads time-dependent boundary
     data at the cycle start; the last stage imposes Dirichlet values at
@@ -689,4 +705,4 @@ def sts_run(op: SemiDiscreteOperator, y0: np.ndarray, schedule: SuperStepSchedul
             f"schedule was built for lambda_max <= {schedule.design_lambda:g} "
             f"but the operator currently has a bound of {lam0:g}"
         )
-    return _march(op, y0, _SuperStep(op, schedule), tau, observe, observe_every)
+    return _march(op, y0, _SuperStep(op, schedule, rebuild), tau, observe, observe_every)

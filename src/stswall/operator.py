@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import AssemblyError, ConfigError
 from .model import (COEFFICIENT_NAMES, BoundaryForcing, DimensionlessGroups, Grid1D, SideForcing,
                     WallAssembly, _zero)
 
@@ -68,7 +68,13 @@ class SemiDiscreteOperator:
         source_u: Optional[SourceFn] = None,
         source_v: Optional[SourceFn] = None,
         admissible_box: Optional[tuple] = None,
+        seams: tuple = (),
     ):
+        """``seams`` lays walls side by side on one grid: each j in it joins
+        the wall ending at node j to the one starting at node j + 1 by one
+        seam cell.  Every wall's two end nodes are then Dirichlet, with the
+        left side's values at its first node and the right side's at its
+        last, and their rows are zero in :meth:`rhs` and :meth:`_stencil`."""
         self.wall = wall
         self.grid = grid
         self.groups = groups
@@ -185,6 +191,21 @@ class SemiDiscreteOperator:
         fixed = [j % n for j, _ in self._dirichlet]     # their columns, as one slice
         self._fixed = slice(fixed[0], fixed[-1] + 1, max(n - 1, 1)) if fixed else None
         self._fixed_t, self._fixed_values = None, np.empty((2, len(fixed)))
+        # Walls side by side: the Dirichlet columns between the two ends, and
+        # every Dirichlet entry's index in the state's flat view with the
+        # values' flat view (a flat write costs a fifth of a (2, k) one).
+        self._seams = self._fixed_flat = None
+        if seams:
+            walls = np.diff([-1, *seams, n - 1])
+            if self._robin or source_u or source_v or min(walls) < 2:
+                raise AssemblyError(f"walls side by side need Dirichlet sides, no sources and at least "
+                                    f"two nodes each; got seams {list(seams)} on {n} nodes")
+            (_, left), (_, right) = self._dirichlet
+            self._seams = [k for j in seams for k in (j, j + 1)]
+            cols = [0, *self._seams, n - 1]
+            self._dirichlet = [(j, (left, right)[i % 2]) for i, j in enumerate(cols)]
+            self._fixed, self._fixed_values = None, np.empty((2, len(cols)))
+            self._fixed_flat = (np.array(cols + [j + n for j in cols]), self._fixed_values.reshape(-1))
 
     # -- classification ------------------------------------------------------------
 
@@ -265,6 +286,8 @@ class SemiDiscreteOperator:
             out[1] += self.source_v(self.grid.node_positions, t)
         if self._fixed is not None:
             out[:, self._fixed] = 0.0
+        elif self._seams:
+            flat[self._fixed_flat[0]] = 0.0
         return out
 
     def _robin_rows(self, t, u_b, v_b, q_t, q_m, flat):
@@ -295,14 +318,18 @@ class SemiDiscreteOperator:
 
         One slice assignment from a (2, k) array of the k Dirichlet sides'
         (u, v), made again only when ``t`` changes."""
-        if self._fixed is None:
+        if not self._dirichlet:
             return
         values = self._fixed_values
         if t != self._fixed_t:
             for i, (_, side) in enumerate(self._dirichlet):
                 values[0, i], values[1, i] = side.ambient(t)[:2]
             self._fixed_t = t
-        y[:, self._fixed] = values
+        if self._fixed is not None:
+            y[:, self._fixed] = values
+        else:
+            index, flat = self._fixed_flat
+            y.ravel()[index] = flat
 
     # -- frozen-coefficient matrix ----------------------------------------------------
 
@@ -345,6 +372,8 @@ class SemiDiscreteOperator:
             diag[:, b] = w * (factor * faces[:, b] / dx + jac)
             if not diagonal:
                 (upper if b == 0 else lower)[:, b] = -w * factor * faces[:, b] / dx
+        if self._seams:
+            weights[..., self._seams] = 0.0
         return weights
 
     def frozen_matrix(self, v=None) -> np.ndarray:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stswall import cases
+from stswall import cases, integrators
 from stswall.cases import (
     VERIFICATION_DT_EULER, check_verification_preset, emit_outputs, physical_preset,
     physical_step_counts, run_ns_sweep, run_physical_case, run_verification_case, verification_preset,
@@ -355,14 +355,44 @@ class TestExactReference:
     @pytest.mark.parametrize("steps,landing", [(1, 0.5), (5, 0.0), (4, 0.5)],
                              ids=["one-step-and-landing", "odd-count", "landing"])
     def test_gap_is_above_zero(self, steps, landing):
-        # one regular step: its two halves; five: two pairs, and the fifth as the
-        # reference takes it; four and a landing: two pairs, and the landing as the
-        # reference takes it.  Each gap is far above round-off.
+        # one regular step and a landing: the halves of each; five: two pairs, and
+        # the fifth in halves; four and a landing: two pairs, and the landing in
+        # halves.  Each gap is far above round-off.
         cfg = short_verification(tau=(steps + landing) * 2.0 * VERIFICATION_DT_EULER)
         _, report, check = cases._oracle(cases._dimensionless_domain(cfg), check=True)
         assert report.scheme == "expm" and report.n_steps == steps + (landing > 0)
         assert check["richardson_dt"] == (0.5 if steps < 2 else 2.0) * report.dt
         assert 1e-13 < check["richardson_gap"] < 1e-10
+
+    @pytest.mark.parametrize("tau", [2.2e-4, 3 * 2.0 * VERIFICATION_DT_EULER],
+                             ids=["three-steps-and-landing", "odd-count"])
+    def test_gap_counts_unpaired_steps_and_the_landing(self, tau):
+        # the companion takes the lone third step and the landing in halves, so
+        # their error is in the gap too (taken as the reference takes them, the
+        # gap read 0.27x the error at tau = 2.2e-4)
+        cfg = short_verification(tau=tau)
+        dom = cases._dimensionless_domain(cfg)
+        _, report, check = cases._oracle(dom, check=True)
+        assert report.scheme == "expm" and report.n_steps == 3 + (tau == 2.2e-4)
+        fine = cases.rk4_run(dom.operator(), dom.state0, report.dt / 8.0, cfg.tau).final_state
+        true_error = float(np.max(np.abs(np.subtract(fine, report.final_state))))
+        assert 0.5 <= check["richardson_gap"] / true_error <= 2.0
+
+    @pytest.mark.parametrize("tau,exponentials", [(0.005, 1), (0.0, 1), (2.2e-4, 4),
+                                                  (3 * 2.0 * VERIFICATION_DT_EULER, 2)])
+    def test_exponentials_per_reference(self, monkeypatch, tau, exponentials):
+        # one for the regular step; none more when tau is a whole even number of
+        # steps; one for a lone last step's halves; two for a landing and its halves
+        calls = []
+        propagator = integrators._ExactStep.propagator
+
+        def counting(self, h):
+            calls.append(h)
+            return propagator(self, h)
+
+        monkeypatch.setattr(integrators._ExactStep, "propagator", counting)
+        cases._oracle(cases._dimensionless_domain(short_verification(tau=tau)), check=True)
+        assert len(calls) == exponentials
 
     def test_largest_operator_it_takes(self):
         cfg = short_verification(tau=0.0)
