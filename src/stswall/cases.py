@@ -336,9 +336,7 @@ def _run_one_scheme(scheme, dom, observe=None, observe_every=None, schedules=Non
         return dufort_frankel_run(op, state0, dt, cfg.tau, observe=observe, observe_every=observe_every)
     if schedules is not None:
         schedules[scheme] = schedule.describe()
-    # walls side by side would rebuild at the largest of their bounds, not each at its own
-    return sts_run(op, state0, schedule, cfg.tau, observe=observe, observe_every=observe_every,
-                   rebuild=not dom.seams)
+    return sts_run(op, state0, schedule, cfg.tau, observe=observe, observe_every=observe_every)
 
 
 def _compare(dom, runs, trackers=None, reports=None, schedules=None):
@@ -731,11 +729,15 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
 
     def march(dom, names, spans):
         """The drying march of ``dom``, holding the layouts ``names`` whose re
-        layers span ``spans``; their curves go into ``totals`` and ``rates``."""
+        layers span ``spans``; their curves go into ``totals`` and ``rates``.
+        Walls side by side that rebuilt their schedule (at the largest of
+        their bounds, not each at its own) keep nothing and return None."""
         observer = _MoistureObserver(dom.grid, spans)
         stride = max(1, int(cfg.tau / _scheme_step(cfg.drying_scheme, dom.cfg)[0] / 1500))
         report = _run_one_scheme(cfg.drying_scheme, dom, observe=observer, observe_every=stride,
                                  schedules=schedules if names == [first_name] else None)
+        if dom.seams and report.flags.get("schedule_rebuilds"):
+            return None
         t_days = np.asarray(observer.times) / DAY_S
         for name, theta in zip(names, map(np.array, zip(*observer.totals))):
             totals[name] = (t_days, theta)
@@ -757,14 +759,12 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     rest = [name for name in layouts if name != first_name]
     for name in rest:
         domains[name] = _layout_config(cfg, layouts[name], forcing, groups)
-    composite = None
     try:
         composite = _composite_drying(cfg.drying_scheme, [domains[name] for name in rest])
-        if composite is not None:
-            march(composite[0], rest, composite[1])
+        marched = composite is not None and march(composite[0], rest, composite[1]) is not None
     except StswallError:        # the walls march one by one: their own failures and messages
-        composite = None
-    if composite is None:
+        marched = False
+    if not marched:
         for name in rest:
             march_alone(name)
 
@@ -816,8 +816,8 @@ def _composite_drying(scheme, doms):
     composite the largest of its walls'), the same steps (steps left to each
     layout's own estimate seldom agree) and a grid length whose spacing is
     theirs bit for bit.  The caller marches the walls one by one where this
-    march fails or would rebuild its schedule, as each wall would at its own
-    bound."""
+    march fails or rebuilds its schedule, which each wall would do at its
+    own bound."""
     if (len(doms) < 2 or scheme not in ("euler", "rkc", "rkl")
             or len({(dom.cfg.dt_euler, dom.cfg.dt_exp_base, dom.grid.spacing) for dom in doms}) > 1):
         return None

@@ -475,9 +475,7 @@ class _ExactStep:
         z = self.yz[1]
         yz = self.yz @ pt       # y, the march's state, is row 0 of yz
         yz += g @ s
-        # another full step follows when _march's test for one passes at t_new
-        partner = self.count % 2 or (t_new < self.tau - 1e-9 * self.dt
-                                     and self.dt <= (self.tau - t_new) * (1.0 + 1e-9))
+        partner = self.count % 2 or _full_step_fits(t_new, self.dt, self.tau)
         if self.pairs and h == self.dt and partner:
             if self.count % 2:      # a pair's second step
                 yz[1] += self.pair_forcing @ self.taken.ravel()
@@ -503,6 +501,13 @@ def _initial_state(op, y0) -> np.ndarray:
     if not np.isfinite(y).all():
         raise ConfigError(f"initial state must be a finite (2, {op.n}) array, got a non-finite value")
     return y
+
+
+def _full_step_fits(t, dt, tau, tol=None) -> bool:
+    """True when _march, at ``t`` short of ``tau`` (by more than ``tol``,
+    1e-9 dt unless given), takes a full step of ``dt`` rather than the
+    landing: the step fits in the time left to a 1e-9 relative slack."""
+    return t < tau - (1e-9 * dt if tol is None else tol) and dt <= (tau - t) * (1.0 + 1e-9)
 
 
 def _march(op, y0, stepper, tau, observe, observe_every) -> RunReport:
@@ -538,7 +543,7 @@ def _march(op, y0, stepper, tau, observe, observe_every) -> RunReport:
     while t < tau - tol:
         if step and stepper.refresh(t, y):
             dt, base, k = stepper.dt, t, 0
-        if dt <= (tau - t) * (1.0 + 1e-9):
+        if _full_step_fits(t, dt, tau, tol):
             k += 1
             t_new = base + k * dt
             y = stepper.step(t, dt, t_new, y)
@@ -647,8 +652,8 @@ class _SuperStep:
     """A super-step cycle; on nonlinear operators the stiffness estimate is
     refreshed before each cycle and the schedule rebuilt when outgrown."""
 
-    def __init__(self, op, schedule, rebuild=True):
-        self.op, self.active, self.rebuild = op, schedule, rebuild
+    def __init__(self, op, schedule):
+        self.op, self.active = op, schedule
         self.scheme, self.n_s, self.dt_exp = schedule.scheme, schedule.n_s, schedule.dt_exp
         self.cycle = _CYCLES[schedule.scheme]
         self.refresh_lambda = not op.is_linear
@@ -667,9 +672,6 @@ class _SuperStep:
         lam = self.op.gershgorin_lambda_max(y[1], self.coeffs)
         if lam <= self.active.design_lambda:
             return False
-        if not self.rebuild:
-            raise StaleScheduleError(f"the bound {lam:g} at t={t:g} outgrew the schedule's "
-                                     f"{self.active.design_lambda:g}")
         self.active = build_schedule(
             self.scheme, self.n_s, 2.0 / (SAFETY_INFLATION * lam),
             self.active.damping if self.scheme == "rkc" else None,
@@ -686,14 +688,13 @@ class _SuperStep:
 
 
 def sts_run(op: SemiDiscreteOperator, y0: np.ndarray, schedule: SuperStepSchedule, tau: float,
-            observe: Optional[ObserveFn] = None, observe_every: int = 1, rebuild: bool = True) -> RunReport:
+            observe: Optional[ObserveFn] = None, observe_every: int = 1) -> RunReport:
     """March with super-step cycles defined by ``schedule``.
 
     The schedule must cover the operator's current stiffness (else a
     :class:`StaleScheduleError` is raised).  For nonlinear operators the
     stiffness estimate is refreshed once per cycle and the schedule is
-    rebuilt with a safety margin when the estimate outgrows it (without
-    ``rebuild``, that cycle raises a StaleScheduleError instead).  If tau is
+    rebuilt with a safety margin when the estimate outgrows it.  If tau is
     not a whole number of super steps, a final scaled-down cycle lands
     exactly on tau.  Every stage of a cycle reads time-dependent boundary
     data at the cycle start; the last stage imposes Dirichlet values at
@@ -705,4 +706,4 @@ def sts_run(op: SemiDiscreteOperator, y0: np.ndarray, schedule: SuperStepSchedul
             f"schedule was built for lambda_max <= {schedule.design_lambda:g} "
             f"but the operator currently has a bound of {lam0:g}"
         )
-    return _march(op, y0, _SuperStep(op, schedule, rebuild), tau, observe, observe_every)
+    return _march(op, y0, _SuperStep(op, schedule), tau, observe, observe_every)

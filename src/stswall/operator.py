@@ -188,13 +188,9 @@ class SemiDiscreteOperator:
              side.biot.t_theta, groups.fo_t, groups.fo_m, self.dx,
              None if varies[4] else self._den.item(j % n))
             for j, side, sign in self._robin]
-        fixed = [j % n for j, _ in self._dirichlet]     # their columns, as one slice
-        self._fixed = slice(fixed[0], fixed[-1] + 1, max(n - 1, 1)) if fixed else None
-        self._fixed_t, self._fixed_values = None, np.empty((2, len(fixed)))
-        # Walls side by side: the Dirichlet columns between the two ends, and
-        # every Dirichlet entry's index in the state's flat view with the
-        # values' flat view (a flat write costs a fifth of a (2, k) one).
-        self._seams = self._fixed_flat = None
+        # Walls side by side: every wall's two end nodes are Dirichlet, the
+        # left side's values at its first node and the right side's at its last.
+        self._seams = None
         if seams:
             walls = np.diff([-1, *seams, n - 1])
             if self._robin or source_u or source_v or min(walls) < 2:
@@ -202,10 +198,14 @@ class SemiDiscreteOperator:
                                     f"two nodes each; got seams {list(seams)} on {n} nodes")
             (_, left), (_, right) = self._dirichlet
             self._seams = [k for j in seams for k in (j, j + 1)]
-            cols = [0, *self._seams, n - 1]
-            self._dirichlet = [(j, (left, right)[i % 2]) for i, j in enumerate(cols)]
-            self._fixed, self._fixed_values = None, np.empty((2, len(cols)))
-            self._fixed_flat = (np.array(cols + [j + n for j in cols]), self._fixed_values.reshape(-1))
+            self._dirichlet = [(j, (left, right)[i % 2]) for i, j in enumerate([0, *self._seams, n - 1])]
+        # Every Dirichlet entry's index in the state's flat view, and the
+        # flat view of their (2, k) values (a flat write costs about half a
+        # slice one).
+        fixed = [j % n for j, _ in self._dirichlet]
+        self._fixed_t, self._fixed_values = None, np.empty((2, len(fixed)))
+        self._fixed = np.array(fixed + [j + n for j in fixed], dtype=np.intp)
+        self._fixed_flat = self._fixed_values.reshape(-1)
 
     # -- classification ------------------------------------------------------------
 
@@ -284,10 +284,8 @@ class SemiDiscreteOperator:
             out[0] += self.source_u(self.grid.node_positions, t)
         if self.source_v is not None:
             out[1] += self.source_v(self.grid.node_positions, t)
-        if self._fixed is not None:
-            out[:, self._fixed] = 0.0
-        elif self._seams:
-            flat[self._fixed_flat[0]] = 0.0
+        if self._dirichlet:
+            flat[self._fixed] = 0.0
         return out
 
     def _robin_rows(self, t, u_b, v_b, q_t, q_m, flat):
@@ -316,8 +314,9 @@ class SemiDiscreteOperator:
     def apply_constraints(self, t: float, y: np.ndarray) -> None:
         """Overwrite the Dirichlet nodes of the stacked state with the imposed values at t.
 
-        One slice assignment from a (2, k) array of the k Dirichlet sides'
-        (u, v), made again only when ``t`` changes."""
+        One write through the flat view of ``y``, a C-contiguous (2, n)
+        array, from the k Dirichlet nodes' (u, v), looked up again only when
+        ``t`` changes."""
         if not self._dirichlet:
             return
         values = self._fixed_values
@@ -325,11 +324,7 @@ class SemiDiscreteOperator:
             for i, (_, side) in enumerate(self._dirichlet):
                 values[0, i], values[1, i] = side.ambient(t)[:2]
             self._fixed_t = t
-        if self._fixed is not None:
-            y[:, self._fixed] = values
-        else:
-            index, flat = self._fixed_flat
-            y.ravel()[index] = flat
+        y.ravel()[self._fixed] = self._fixed_flat
 
     # -- frozen-coefficient matrix ----------------------------------------------------
 

@@ -101,15 +101,19 @@ def test_seams_need_dirichlet_sides_and_two_nodes_a_wall(climate):
     assert y[:, fixed].tolist() == [[u_left, u_right] * 3, [v_left, v_right] * 3]
 
 
-def drying_run(tmp_path, name, composite=True, **changes):
+def drying_run(tmp_path, name, composite=True, rebuilds=None, **changes):
     """(result, output files, march log) of a drying run; ``composite=False``
-    marches every layout alone, as the per-wall path does."""
+    marches every layout alone, as the per-wall path does.  Each march's
+    schedule rebuild count goes into the list ``rebuilds`` if given."""
     log = []
     with pytest.MonkeyPatch.context() as mp:
         for runner in ("sts_run", "euler_run", "dufort_frankel_run"):
             def logged(op, *args, _run=getattr(cases, runner), **kwargs):
                 log.append((op.n, bool(op._seams)))
-                return _run(op, *args, **kwargs)
+                report = _run(op, *args, **kwargs)
+                if rebuilds is not None:
+                    rebuilds.append(report.flags.get("schedule_rebuilds", 0))
+                return report
             mp.setattr(cases, runner, logged)
         if not composite:
             mp.setattr(cases, "_composite_drying", lambda scheme, doms: None)
@@ -166,15 +170,18 @@ class TestSelection:
 
     def test_a_composite_that_rebuilds_its_schedule_marches_its_walls_alone(self, tmp_path, monkeypatch):
         # the composite's refreshes read a bound above the schedule's design value
+        # (about 4.3x the walls' bound), so it rebuilds once and marches on
         bound = SemiDiscreteOperator.gershgorin_lambda_max
 
         def inflated(self, v=None, coeffs=None):
             lam = bound(self, v, coeffs)
-            return 1e3 * lam if self._seams and coeffs is not None else lam
+            return 5.0 * lam if self._seams and coeffs is not None else lam
 
         monkeypatch.setattr(SemiDiscreteOperator, "gershgorin_lambda_max", inflated)
-        res, files, log = drying_run(tmp_path, "composite")
+        rebuilds = []
+        res, files, log = drying_run(tmp_path, "composite", rebuilds=rebuilds)
         assert log == [(126, False), (227, True), (126, False), (101, False)]
+        assert rebuilds == [0, 1, 0, 0]     # the composite finished, and was set aside
         alone, alone_files, _ = drying_run(tmp_path, "alone", composite=False)
         assert without_cpu(files) == without_cpu(alone_files) and not res.failures
 
