@@ -16,6 +16,12 @@ recovers the n_s^2 step gain to machine accuracy and the default
 ``damping = 0.05`` trades a few percent of step size for an interior
 stability margin.
 
+On a nonlinear operator a cycle first refreshes the Gershgorin bound and
+rebuilds its schedule when the bound outgrows it, unless the state lies
+inside the admissible box and the operator's bound over the whole box is
+within the schedule's design value: that cycle skips the refresh, which
+could only have kept the schedule.
+
 Step-count conventions used in every report: ``n_steps`` is the number of
 outer steps actually executed, including a possible shortened final step;
 ``n_t`` is the regular temporal node count floor(tau/dt) + 1.  Work and
@@ -34,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, StaleScheduleError
 from .model import StateField
-from .operator import SemiDiscreteOperator
+from .operator import SemiDiscreteOperator, aligned
 
 ObserveFn = Callable[[float, np.ndarray], None]     # observe(t, y) on the march's (2, n) state
 
@@ -201,7 +207,9 @@ class _Monitor:
     A march diverges when its state turns non-finite or leaves the
     divergence limits: one box width beyond each side of the admissible
     ``box`` (the operator's; a runaway march may stay finite for a long
-    time), or a fixed magnitude when there is no box.
+    time), or a fixed magnitude when there is no box.  ``inside`` says
+    whether the last step checked lay inside the box (never the initial
+    state); a super-step cycle that starts there may skip its refresh.
     """
 
     def __init__(self, box, scheme, observe, observe_every):
@@ -210,6 +218,7 @@ class _Monitor:
         self.observe = observe
         self.observe_every = max(1, int(observe_every))
         self.box_violations = 0
+        self.inside = False
         self.extremes = np.empty((2, 2))
         self.minima, self.maxima = self.extremes    # of the rows u and v
         if self.box is None:
@@ -239,7 +248,8 @@ class _Monitor:
             raise DivergenceError(self.scheme, step_index, t, cause)
         if self.box is not None and step_index:
             u_lo, u_hi, v_lo, v_hi = self.box
-            if umin < u_lo or umax > u_hi or vmin < v_lo or vmax > v_hi:
+            self.inside = u_lo <= umin and umax <= u_hi and v_lo <= vmin and vmax <= v_hi
+            if not self.inside:
                 self.box_violations += 1
         if self.observe is not None and (final or step_index % self.observe_every == 0):
             self.observe(t, y)
@@ -278,10 +288,10 @@ class _EulerStep:
     def __init__(self, op, dt, dt_exp=None):
         self.op, self.dt, self.dt_exp = op, dt, dt_exp
         self.flags = {}
-        self.dy = np.empty((2, op.n))       # the RHS output
+        self.dy = aligned((2, op.n))        # the RHS output
         self.euler_h = _Scalars(lambda h: (h,))
 
-    def refresh(self, t, y):
+    def refresh(self, t, y, inside):
         return False
 
     def step(self, t, h, t_new, y):
@@ -301,7 +311,7 @@ class _RK4Step(_EulerStep):
 
     def __init__(self, op, dt):
         super().__init__(op, dt)
-        self.y_s, self.k = np.empty((2, 2, op.n))     # the stage state, the RHS of stages 2-4
+        self.y_s, self.k = aligned((2, 2, op.n))     # the stage state, the RHS of stages 2-4
         self.rk4_h = _Scalars(lambda h: (0.5 * h, 1.0 * h, 2.0, h / 6.0))
 
     def step(self, t, h, t_new, y):
@@ -335,13 +345,13 @@ class _DufortFrankelStep(_EulerStep):
         self.blocks = None                  # (4, n): b_uu, b_uv, b_vu, b_vv
         self.refresh_blocks = not op.is_linear
         # dt b, 1 +- dt b of uu and vv, det(1 + dt B), the update's r and work
-        self.dt_b, self.det = np.empty((4, op.n)), np.empty(op.n)
-        self.plus, self.minus, self.r, self.work = np.empty((4, 2, op.n))
+        self.dt_b, self.det = aligned((4, op.n)), aligned((op.n,))
+        self.plus, self.minus, self.r, self.work = aligned((4, 2, op.n))
         self.df_dt = _Scalars(lambda dt: (dt, dt * dt, 2.0 * dt, 1.0))
 
     def step(self, t, dt, t_new, y):
         if self.prev is None:
-            self.prev = y.copy()
+            self.prev = aligned(y.shape, y)
             return super().step(t, dt, t_new, y)
         op = self.op
         coeffs = op._coefficients(y[1])     # one pass for the blocks and the RHS
@@ -466,7 +476,7 @@ class _ExactStep:
         out[...] = self.b[:, :, ::self.op.n - 1]
         return out.ravel()
 
-    def refresh(self, t, y):
+    def refresh(self, t, y, inside):
         return False
 
     def step(self, t, h, t_new, y):
@@ -494,13 +504,14 @@ class _ExactStep:
 
 
 def _initial_state(op, y0) -> np.ndarray:
-    """A C-ordered float copy of ``y0``, refused unless it is a finite (2, op.n) array."""
-    y = np.array(y0, dtype=float, order="C")
+    """A C-ordered, 64-byte aligned float copy of ``y0``, refused unless it is
+    a finite (2, op.n) array."""
+    y = np.asarray(y0, dtype=float)
     if y.shape != (2, op.n):
         raise ConfigError(f"initial state must be a finite (2, {op.n}) array, got shape {y.shape}")
     if not np.isfinite(y).all():
         raise ConfigError(f"initial state must be a finite (2, {op.n}) array, got a non-finite value")
-    return y
+    return aligned(y.shape, y)
 
 
 def _full_step_fits(t, dt, tau, tol=None) -> bool:
@@ -519,8 +530,9 @@ def _march(op, y0, stepper, tau, observe, observe_every) -> RunReport:
     stepper's ``step(t, h, t_new, y)`` advances from ``t`` by its regular
     step ``h = dt`` and ``land(t, h, tau, y)`` by the shorter step ``h``
     left before tau; both may update ``y`` in place and return the new
-    state.  Its ``refresh(t, y)`` runs before every step
-    but the first and returns True when it changed ``dt``.  Outer times
+    state.  Its ``refresh(t, y, inside)`` runs before every step but the
+    first, ``inside`` the monitor's finding that ``y`` lies inside the
+    admissible box, and returns True when it changed ``dt``.  Outer times
     are ``base + k*dt``, rebased at such a change.  A full step is taken
     while it fits in the time left (to a 1e-9 relative slack), else one
     landing step ends exactly on tau.  Every outer step is checked by the
@@ -541,7 +553,7 @@ def _march(op, y0, stepper, tau, observe, observe_every) -> RunReport:
     dt = dt0
     k = step = 0
     while t < tau - tol:
-        if step and stepper.refresh(t, y):
+        if step and stepper.refresh(t, y, mon.inside):
             dt, base, k = stepper.dt, t, 0
         if _full_step_fits(t, dt, tau, tol):
             k += 1
@@ -611,7 +623,7 @@ def dufort_frankel_run(op: SemiDiscreteOperator, y0: np.ndarray, dt: float, tau:
 def _cycle_work(scheme, shape):
     """Scratch arrays of a cycle on states of ``shape``: the RHS output, and
     for rkl a second state and the mu Y_p product."""
-    return list(np.empty((1 if scheme == "rkc" else 3, *shape)))
+    return list(aligned((1 if scheme == "rkc" else 3, *shape)))
 
 
 # Every stage reads boundary data at the cycle start t0; the last imposes
@@ -650,13 +662,19 @@ _CYCLES = {"rkc": _rkc_cycle, "rkl": _rkl_cycle}
 
 class _SuperStep:
     """A super-step cycle; on nonlinear operators the stiffness estimate is
-    refreshed before each cycle and the schedule rebuilt when outgrown."""
+    refreshed before each cycle and the schedule rebuilt when outgrown.  A
+    cycle skips the refresh when the monitor found its state inside the
+    admissible box and the operator's bound over that box
+    (:meth:`~SemiDiscreteOperator.gershgorin_box_bound`, taken once, with
+    the box as it stands here) is within the active schedule's design
+    value: the refresh could then only return False."""
 
     def __init__(self, op, schedule):
         self.op, self.active = op, schedule
         self.scheme, self.n_s, self.dt_exp = schedule.scheme, schedule.n_s, schedule.dt_exp
         self.cycle = _CYCLES[schedule.scheme]
         self.refresh_lambda = not op.is_linear
+        self.box_lambda = op.gershgorin_box_bound() if self.refresh_lambda else math.inf
         self.flags = {"schedule_rebuilds": 0}
         self.coeffs = None      # the refresh's coefficient pass, for the next stage 1
         self.work = _cycle_work(schedule.scheme, (2, op.n))
@@ -665,8 +683,8 @@ class _SuperStep:
     def dt(self):
         return self.active.dt_super
 
-    def refresh(self, t, y):
-        if not self.refresh_lambda:
+    def refresh(self, t, y, inside):
+        if not self.refresh_lambda or inside and self.box_lambda <= self.active.design_lambda:
             return False
         self.coeffs = self.op._coefficients(y[1])
         lam = self.op.gershgorin_lambda_max(y[1], self.coeffs)
@@ -694,7 +712,10 @@ def sts_run(op: SemiDiscreteOperator, y0: np.ndarray, schedule: SuperStepSchedul
     The schedule must cover the operator's current stiffness (else a
     :class:`StaleScheduleError` is raised).  For nonlinear operators the
     stiffness estimate is refreshed once per cycle and the schedule is
-    rebuilt with a safety margin when the estimate outgrows it.  If tau is
+    rebuilt with a safety margin when the estimate outgrows it; a cycle
+    skips the refresh when its state lies inside the operator's admissible
+    box and the operator's bound over that box is within the schedule's
+    design value (see :class:`_SuperStep`).  If tau is
     not a whole number of super steps, a final scaled-down cycle lands
     exactly on tau.  Every stage of a cycle reads time-dependent boundary
     data at the cycle start; the last stage imposes Dirichlet values at

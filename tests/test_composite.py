@@ -168,16 +168,36 @@ class TestSelection:
         assert list(res.totals) == ["re"]
         assert without_cpu(files) == without_cpu(alone_files)
 
+    def test_a_days_drying_computes_the_bound_only_for_the_entry_checks(self, tmp_path, monkeypatch):
+        # every cycle's state stays inside the box, whose bound is within the
+        # schedule's design value, so no cycle refreshes the bound
+        calls = []
+        bound = SemiDiscreteOperator.gershgorin_lambda_max
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.n)
+            return bound(self, *args, **kwargs)
+
+        monkeypatch.setattr(SemiDiscreteOperator, "gershgorin_lambda_max", counted)
+        res, _, log = drying_run(tmp_path, "day", tau=DAY_S)
+        assert log == [(126, False), (227, True)] and calls == [126, 227]     # sts_run's checks
+        assert res.reports["rkl"].n_steps > 200 and not res.failures
+
     def test_a_composite_that_rebuilds_its_schedule_marches_its_walls_alone(self, tmp_path, monkeypatch):
         # the composite's refreshes read a bound above the schedule's design value
-        # (about 4.3x the walls' bound), so it rebuilds once and marches on
-        bound = SemiDiscreteOperator.gershgorin_lambda_max
+        # (about 4.3x the walls' bound), so it rebuilds once and marches on; its
+        # box bound is inflated as much, so that no cycle skips its refresh
+        bound, box_bound = SemiDiscreteOperator.gershgorin_lambda_max, SemiDiscreteOperator.gershgorin_box_bound
 
         def inflated(self, v=None, coeffs=None):
             lam = bound(self, v, coeffs)
             return 5.0 * lam if self._seams and coeffs is not None else lam
 
+        def inflated_box(self):
+            return 5.0 * box_bound(self) if self._seams else box_bound(self)
+
         monkeypatch.setattr(SemiDiscreteOperator, "gershgorin_lambda_max", inflated)
+        monkeypatch.setattr(SemiDiscreteOperator, "gershgorin_box_bound", inflated_box)
         rebuilds = []
         res, files, log = drying_run(tmp_path, "composite", rebuilds=rebuilds)
         assert log == [(126, False), (227, True), (126, False), (101, False)]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stswall.errors import ConfigError, DivergenceError, StaleScheduleError
 from stswall.integrators import (
-    MAX_STAGES, _EulerStep, _march, _Monitor, _RK4Step, _SuperStep, amplification_eval, build_schedule,
+    MAX_STAGES, SAFETY_INFLATION, _EulerStep, _march, _Monitor, _RK4Step, _SuperStep, amplification_eval, build_schedule,
     dufort_frankel_run, euler_run, rk4_run, sts_run,
 )
 from stswall.model import (
@@ -679,6 +679,76 @@ class TestCoefficientPasses:
             assert np.array_equal(got, ref)
 
 
+def counted_bounds(monkeypatch, inflate=1.0, exact=False):
+    """List with one entry per Gershgorin bound the march computes; every
+    bound but sts_run's own check reads ``inflate`` times its value, and
+    with ``exact`` no cycle may skip its refresh (the box bound is inf)."""
+    calls = []
+    bound = SemiDiscreteOperator.gershgorin_lambda_max
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return bound(self, *args, **kwargs) * (inflate if len(calls) > 1 else 1.0)
+
+    monkeypatch.setattr(SemiDiscreteOperator, "gershgorin_lambda_max", counted)
+    if exact:
+        monkeypatch.setattr(SemiDiscreteOperator, "gershgorin_box_bound", lambda self: math.inf)
+    return calls
+
+
+class TestRefreshSkip:
+    """A cycle whose state the monitor found inside the admissible box
+    skips the refresh when the operator's bound over the box is within the
+    schedule's design value; every other cycle refreshes exactly.  Either
+    way the march is the one that refreshes every cycle, bit for bit."""
+
+    def march(self, monkeypatch, scheme, n_s, schedule, box=None, inflate=1.0, exact=False):
+        op = nonlinear_operator()
+        if box is not None:
+            op.admissible_box = box
+        with monkeypatch.context() as mp:
+            calls = counted_bounds(mp, inflate, exact)
+            passes = count_passes(mp)
+            report = sts_run(op, nonlinear_state(), schedule, tau=6.5 * schedule.dt_super)
+        return report, len(calls), len(passes)
+
+    def assert_same_march(self, got, want):
+        (report, _, passes), (ref, _, ref_passes) = got, want
+        assert np.asarray(report.final_state).tobytes() == np.asarray(ref.final_state).tobytes()
+        assert (report.n_steps, report.rhs_evals, report.flags, passes) == (
+            ref.n_steps, ref.rhs_evals, ref.flags, ref_passes)
+
+    @pytest.mark.parametrize("scheme,n_s", SCHEMES)
+    def test_cycles_inside_the_box_skip_the_refresh(self, monkeypatch, scheme, n_s):
+        # the drying preset's schedule: 0.649x of its design value bounds every in-box state
+        sch = build_schedule(scheme, n_s, 2.04, 0.0 if scheme == "rkc" else None)
+        assert nonlinear_operator().gershgorin_box_bound() <= 0.65 * sch.design_lambda
+        got = self.march(monkeypatch, scheme, n_s, sch)
+        want = self.march(monkeypatch, scheme, n_s, sch, exact=True)
+        assert got[0].n_steps == 7 and got[0].flags["box_violations"] == 0
+        assert got[1] == 1 and want[1] == 7      # sts_run's check, then one refresh a cycle but the first
+        self.assert_same_march(got, want)
+
+    @pytest.mark.parametrize("scheme,n_s", SCHEMES)
+    @pytest.mark.parametrize("case", ["outside the box", "design below the box bound"])
+    def test_other_cycles_refresh_exactly(self, monkeypatch, scheme, n_s, case):
+        # every refresh reads an inflated bound above the design value, so the
+        # schedule is rebuilt (below the box bound in the second case)
+        if case == "outside the box":   # rammed earth's v = 0.53 stays above v_max
+            sch, box, inflate = (build_schedule(scheme, n_s, 2.04, 0.0 if scheme == "rkc" else None),
+                                 (240.0, 320.0, 0.0, 0.5), 5.0)
+        else:
+            sch, box, inflate = nonlinear_schedule(scheme, n_s, 1.5), None, 2.0
+            # its rebuilt design value, about 1.1 * 2 / 1.5 of the old one, stays below the box bound too
+            assert nonlinear_operator().gershgorin_box_bound() > SAFETY_INFLATION * inflate / 1.5 * sch.design_lambda
+        got = self.march(monkeypatch, scheme, n_s, sch, box, inflate)
+        want = self.march(monkeypatch, scheme, n_s, sch, box, inflate, exact=True)
+        assert got[0].flags["schedule_rebuilds"] >= 1
+        assert got[0].flags["box_violations"] == (got[0].n_steps if box else 0)
+        assert got[1] == want[1] == got[0].n_steps
+        self.assert_same_march(got, want)
+
+
 # Transcriptions of the steps with Python-float coefficients, a new RHS
 # array per call and per-side Dirichlet writes; the steppers must give
 # their bytes.
@@ -853,4 +923,5 @@ class TestMonitor:
             assert str(err.value) == str(exc)
         else:
             mon.check(4, 0.25, y)
+            assert mon.inside == (boxed and not ref.box_violations)
         assert mon.box_violations == ref.box_violations

@@ -1014,3 +1014,85 @@ class TestStateDependentRows:
             physical.rhs(0.0, state)
         assert len(calls) == 3
 
+
+
+@st.composite
+def boxed_walls(draw):
+    """(operator, v_min, v_max, shifted, rng): a random nonlinear 1-3-layer
+    wall whose coefficients are polynomials of degree 0-3 that stay
+    non-negative over [v_min, v_max] of its admissible box (the storage
+    positive), between Robin or Dirichlet sides, or a composite of walls
+    side by side with seams between Dirichlet sides.  ``shifted``
+    polynomials have non-negative terms in (v - v_min)**d, which cancel in
+    the operator's power basis; the others have non-negative power terms."""
+    v_min = draw(st.floats(0.0, 0.5))
+    v_max = v_min + draw(st.floats(0.05, 1.0))
+    shifted = draw(st.booleans())
+
+    def polynomial(least):
+        terms = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4))
+        terms[0] += least
+        if shifted:     # raised where needed to the v**0 term a material needs, which only adds
+            terms = np.polynomial.Polynomial(terms)(np.polynomial.Polynomial([-v_min, 1.0])).coef.tolist()
+            terms[0] = max(terms[0], least)
+        return terms
+
+    dx = 0.05
+    layers = [(CoefficientModel.polynomials(f"m{i}", *[polynomial(0.1 if name == "c_t" else 0.0)
+                                                      for name in COEFFICIENT_NAMES]),
+               draw(st.integers(2, 12)) * dx)
+              for i in range(draw(st.integers(1, 3)))]
+    wall = WallAssembly(layers)
+    n = int(round(wall.total_length / dx)) + 1
+    robin = [draw(st.booleans()) for _ in range(2)]
+    biots = [BiotSet(m_theta=draw(positive), t_t=draw(positive), t_theta=draw(positive)) if r else BiotSet()
+             for r in robin]
+    sides = [SideForcing.robin(lambda t: 1.0, lambda t: 0.5) if r else dirichlet_forcing(1.0, 0.5) for r in robin]
+    seams = ()
+    if not any(robin) and n >= 8:      # walls of at least two nodes each
+        seams = tuple(sorted(draw(st.sets(st.integers(1, n - 4), max_size=2))))
+        if len(seams) == 2 and seams[1] - seams[0] < 2:
+            seams = seams[:1]
+    groups = DimensionlessGroups(fo_m=draw(positive), fo_t=draw(positive), gamma=draw(positive),
+                                 delta=draw(positive), biot_left=biots[0], biot_right=biots[1])
+    op = SemiDiscreteOperator(wall, Grid1D(wall.total_length, n), groups, BoundaryForcing(*sides),
+                              seams=seams)
+    op.admissible_box = (0.0, 2.0, v_min, v_max)        # set after assembly, as the tests of marches do
+    return op, v_min, v_max, shifted, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+class TestBoxBound:
+    """gershgorin_box_bound bounds the Gershgorin bound of every state whose
+    v lies in the admissible box, and is inf where it could not."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(boxed_walls())
+    def test_bounds_every_state_in_the_box(self, case):
+        op, v_min, v_max, shifted, rng = case
+        bound = op.gershgorin_box_bound()
+        assert shifted or math.isfinite(bound)      # interval Horner is exact on non-negative power terms
+        ends = np.array([v_min, v_max])
+        for v in [rng.uniform(v_min, v_max, op.n), rng.choice(ends, op.n), np.full(op.n, v_min),
+                  np.full(op.n, v_max), np.where(np.arange(op.n) % 2, v_min, v_max)]:
+            assert op.gershgorin_lambda_max(v) <= bound
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(boxed_walls(), st.sampled_from(COEFFICIENT_NAMES), st.floats(0.05, 0.95))
+    def test_coefficient_not_positive_in_the_box_gives_inf(self, case, name, where):
+        # the coefficient falls linearly through 0 (c_t: to 0) at a v inside the box
+        op, v_min, v_max, _, _ = case
+        root = v_min + where * (v_max - v_min)
+        model, thickness = op.wall.layers[-1]
+        spec = dict(zip(COEFFICIENT_NAMES, model.poly))
+        spec[name] = [root, -1.0]
+        layers = (*op.wall.layers[:-1], (CoefficientModel.polynomials("falling", **spec), thickness))
+        other = SemiDiscreteOperator(WallAssembly(layers), op.grid, op.groups, op.forcing,
+                                     admissible_box=op.admissible_box, seams=tuple(op._seams or ())[::2])
+        assert other.gershgorin_box_bound() == math.inf
+
+    def test_no_box_gives_inf_and_the_preset_walls_a_finite_bound(self):
+        for layout in (INS_RE, RE_INS, [("re", 0.5)]):
+            op = physical_op(layout)
+            assert op.gershgorin_box_bound() == math.inf
+            op.admissible_box = (240.0, 320.0, 0.0, 0.6)
+            assert 0.0 < op.gershgorin_box_bound() < math.inf
