@@ -20,7 +20,6 @@ latent heat as the heat-equation cross factor.
 """
 from __future__ import annotations
 
-import bisect
 import copy
 import dataclasses
 import json
@@ -381,8 +380,7 @@ class _ReferenceTrajectory:
     interpolable in time."""
 
     def __init__(self, times, states):
-        # a float list: bisect on it is cheaper per call than np.searchsorted
-        self.times, self.y = list(map(float, times)), states
+        self.times, self.y = np.array(times, dtype=float), states
 
     def states_at(self, times) -> np.ndarray:
         """The (m, 2, n) reference states at ``times``.
@@ -391,20 +389,12 @@ class _ReferenceTrajectory:
         time, or outside the sampled span, it is the stored state (weights
         1 and 0 on one sample, which reproduce it exactly).
         """
-        ts, last = self.times, len(self.times) - 1
-        lo, hi, w = [], [], []
-        for t in times:
-            k = bisect.bisect_left(ts, t)
-            if 0 < k <= last and t != ts[k]:
-                lo.append(k - 1)
-                w.append((t - ts[k - 1]) / (ts[k] - ts[k - 1]))
-            else:
-                k = min(k, last)
-                lo.append(k)
-                w.append(0.0)
-            hi.append(k)
-        w = np.array(w)[:, None, None]
-        return (1.0 - w) * self.y[lo] + w * self.y[hi]
+        ts, t = self.times, np.asarray(times, dtype=float)
+        hi = np.minimum(np.searchsorted(ts, t), len(ts) - 1)
+        lo = np.maximum(hi - 1, 0)
+        between = (ts[lo] < t) & (t < ts[hi])
+        w = np.divide(t - ts[lo], ts[hi] - ts[lo], out=np.zeros_like(t), where=between)[:, None, None]
+        return (1.0 - w) * self.y[np.where(between, lo, hi)] + w * self.y[hi]
 
 
 class _ErrorTracker:
@@ -476,25 +466,30 @@ EXPM_MAX_SIZE = 302
 
 def _oracle(dom, check=False):
     """(reference, report, check) of the reference, its states sampled into one
-    array every ``_sample_stride(h, tau)`` steps h and at tau; h is twice the
-    Euler step while ``h * lambda_max`` stays within 2.5 (RK4 is stable to
-    2.785), else the Euler step.  A linear wall with two Robin sides, no source
-    terms and 2n at most EXPM_MAX_SIZE takes :class:`_ExactStep` ("expm"),
-    exact in time but for the forcing's quadrature; any other, RK4 steps.
-    With ``check``, ``{"richardson_gap": gap, "richardson_dt": H}`` (else None)
-    estimates the final-state error by step doubling, ``gap = max|y_H - y_h|
-    / |r^4 - 1|`` for a companion at H = r h: the exact reference's own (r = 2,
-    or 1/2 when tau < 2h), or an RK4 run over the whole horizon at the coarsest
-    step of the 2.5 rule, ``tau / ceil(tau lambda / 2.5)``, or at h/2 when that
-    is below 1.25 h (as at tau = 0; when 0 < tau < h the reference is one
-    landing step of tau and the companion two of tau/2, r = 1/2 against tau).
-    On the verification preset the gap reads about 0.9x the exact reference's
+    array every ``_sample_stride(h, tau)`` steps h and at tau.  h divides tau
+    into whole steps, an even count of them for :class:`_ExactStep`, no longer
+    than h0: twice the Euler step while ``h0 * lambda_max`` stays within 2.5
+    (RK4 is stable to 2.785), else the Euler step (h = h0 at tau = 0).  A
+    linear wall with two Robin sides, no source terms and 2n at most
+    EXPM_MAX_SIZE takes :class:`_ExactStep` ("expm"), exact in time but for the
+    forcing's quadrature; any other, RK4 steps.  With ``check``,
+    ``{"richardson_gap": gap, "richardson_dt": H}`` (else None) estimates the
+    final-state error by step doubling, ``gap = max|y_H - y_h| / |r^4 - 1|``
+    for a companion at H = r h: the exact reference's own pairs (r = 2), or an
+    RK4 run over the whole horizon at the coarsest step of the 2.5 rule,
+    ``tau / ceil(tau lambda / 2.5)``, or at h/2 when that is below 1.25 h.  On
+    the verification preset the gap reads about 0.9x the exact reference's
     true error and 1.67x the RK4 one's (h/2: 1.02x)."""
     cfg, op, state0 = dom.cfg, dom.operator(), dom.state0
     if cfg.dt_euler is None:
         raise ConfigError("the reference needs an explicit dt_euler")
     lam = op.gershgorin_lambda_max(state0[1])
     h = 2.0 * cfg.dt_euler if 2.0 * cfg.dt_euler * lam <= 2.5 else cfg.dt_euler
+    exact = (op.is_linear and op.source_u is op.source_v is None and 2 * op.n <= EXPM_MAX_SIZE
+             and dom.forcing.left.kind == dom.forcing.right.kind == "robin")
+    pair = 2 if exact else 1        # the exact reference's companion takes its steps in pairs
+    steps = pair * math.ceil(cfg.tau / (pair * h) * (1.0 - 1e-12))
+    h = cfg.tau / steps if steps else h
     stride = _sample_stride(h, cfg.tau)
     states, times = np.empty((int(cfg.tau / (h * stride) * (1.0 + 1e-8)) + 2, 2, op.n)), []
 
@@ -502,10 +497,8 @@ def _oracle(dom, check=False):
         states[len(times)] = y
         times.append(t)
 
-    exact = (op.is_linear and op.source_u is op.source_v is None and 2 * op.n <= EXPM_MAX_SIZE
-             and dom.forcing.left.kind == dom.forcing.right.kind == "robin")
     if exact:
-        stepper = _ExactStep(op, h, state0, cfg.tau)
+        stepper = _ExactStep(op, h, state0)
         report = _march(op, state0, stepper, cfg.tau, record, stride)
     else:
         report = rk4_run(op, state0, h, cfg.tau, observe=record, observe_every=stride)
@@ -513,14 +506,13 @@ def _oracle(dom, check=False):
     if not check:
         return reference, report, None
     if exact:
-        other, r, richardson_dt = stepper.yz[1], (2.0 if stepper.pairs else 0.5), stepper.richardson_dt
+        other, richardson_dt = stepper.yz[1], 2.0 * h
     else:
         coarse = cfg.tau / max(1, math.ceil(cfg.tau * lam / 2.5))
-        step = min(h, cfg.tau) or h         # the reference's step: its one landing when tau < h
-        companion = rk4_run(dom.operator(), state0, coarse if coarse >= 1.25 * step else step / 2.0, cfg.tau)
-        other, r, richardson_dt = companion.final_state, companion.dt / step, companion.dt
+        richardson_dt = coarse if coarse >= 1.25 * h else h / 2.0
+        other = rk4_run(dom.operator(), state0, richardson_dt, cfg.tau).final_state
     gap = float(np.max(np.abs(np.subtract(np.ravel(other), np.ravel(report.final_state)))))
-    gap /= abs(r ** 4 - 1.0)
+    gap /= abs((richardson_dt / h) ** 4 - 1.0)
     if gap > 1e-5:
         logger.warning("reference self-check: Richardson gap %.3e exceeds 1e-5", gap)
     return reference, report, {"richardson_gap": gap, "richardson_dt": richardson_dt}

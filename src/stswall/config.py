@@ -160,6 +160,7 @@ _KINDS = _VERIFICATION + _PHYSICAL
 _TIME = {"verification": _number, "physical": parse_duration}
 _BOX = ("u_min", "u_max", "v_min", "v_max")
 _ROBIN_TERMS = ("g_inf", "flux_m", "flux_t")
+_DX = {"verification": 0.01, "physical": 5e-3}     # without [grid] dx: the kind's preset spacing
 _SIDES = ("left", "right")
 
 # What each case kind reads: (section, key) -> (CaseConfig field, {kind:
@@ -336,9 +337,10 @@ def load_config(path) -> CaseConfig:
         raise ConfigError(f"cannot read config file {path!r}")
     if not cp.has_section("case"):
         raise ConfigError("config needs a [case] section")
-    cfg = CaseConfig(kind=cp["case"].get("kind", "verification").strip().lower())
-    if cfg.kind not in _KINDS:
-        raise ConfigError(f"unknown case kind {cfg.kind!r}")
+    kind = cp["case"].get("kind", "verification").strip().lower()
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown case kind {kind!r}")
+    cfg = CaseConfig(kind=kind, dx=_DX[kind])
     sections = {section: dict(cp[section]) for section in cp.sections()}
     for section, values in sections.items():
         for key, text in values.items():

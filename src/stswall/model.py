@@ -68,11 +68,6 @@ class CoefficientModel:
     k_tm: CoefficientFn
     poly: tuple
 
-    @property
-    def constant(self) -> bool:
-        """True for state-independent models (every polynomial of degree 0)."""
-        return all(len(p) == 1 for p in self.poly)
-
     @classmethod
     def polynomials(cls, name, d_theta, d_t, c_t, k_t, k_tm) -> "CoefficientModel":
         """Build a model whose coefficients are polynomials in v.

@@ -54,6 +54,20 @@ def rk4_reference(monkeypatch):
     monkeypatch.setattr(cases, "EXPM_MAX_SIZE", 0)
 
 
+@pytest.fixture
+def propagator_calls(monkeypatch):
+    """The step of each exponential the exact reference makes, in order."""
+    calls = []
+    propagator = integrators._ExactStep.propagator
+
+    def counting(self, h):
+        calls.append(h)
+        return propagator(self, h)
+
+    monkeypatch.setattr(integrators._ExactStep, "propagator", counting)
+    return calls
+
+
 class TestVerificationPreset:
     def test_self_check_passes(self):
         check_verification_preset(verification_preset())
@@ -222,7 +236,7 @@ def observed_reference_rows(monkeypatch, runner, tau):
     monkeypatch.setattr(cases, runner, observing)
     reference = cases._oracle(cases._dimensionless_domain(short_verification(tau=tau)))[0]
     want = np.stack([state for _, state in seen])
-    assert reference.times == [t for t, _ in seen]
+    assert reference.times.tolist() == [t for t, _ in seen]
     assert reference.y.shape == want.shape and reference.y.tobytes() == want.tobytes()
 
 
@@ -253,27 +267,32 @@ class TestOracle:
     def test_half_step_companion_when_the_coarse_step_is_close_to_h(self, rk4_reference):
         cfg = short_verification(tau=0.005)
         dom = cases._dimensionless_domain(cfg)
-        # 2 dt lambda = 2.2: h = 2 dt, and the coarsest stable step is below 1.25 h
+        # 2 dt lambda = 2.2: h is 2 dt made whole in tau (50 steps), and the coarsest
+        # stable step is below 1.25 h
         cfg.dt_euler = 1.1 / dom.operator().gershgorin_lambda_max(dom.state0[1])
         _, report, check = cases._oracle(dom, check=True)
-        assert report.scheme == "rk4" and report.dt == 2.0 * cfg.dt_euler
+        assert report.scheme == "rk4" and report.dt == cfg.tau / 50 < 2.0 * cfg.dt_euler
         assert check["richardson_dt"] == report.dt / 2.0
         half = cases.rk4_run(dom.operator(), dom.state0, report.dt / 2.0, cfg.tau).final_state
         ref = report.final_state
         want = 16.0 / 15.0 * np.max(np.abs([half.u - ref.u, half.v - ref.v]))
         assert want > 0 and math.isclose(check["richardson_gap"], want, rel_tol=1e-15)
 
-    def test_landing_step_is_checked_against_two_half_steps(self, rk4_reference):
-        # tau < h: the reference is one landing step of tau and the companion two of tau/2
-        cfg = short_verification(tau=1e-5)
+    @pytest.mark.parametrize("tau", [1e-5, 2.2e-4, 0.0123, 0.005], ids=["1e-5", "2.2e-4", "0.0123", "0.005"])
+    def test_rk4_reference_takes_whole_steps(self, tau, rk4_reference):
+        # h divides tau into the fewest whole steps no longer than 2 dt; the companion
+        # takes the coarsest step of the 2.5 rule, or h/2 when that is below 1.25 h
+        # (at 1e-5 and 2.2e-4)
+        cfg = short_verification(tau=tau)
         dom = cases._dimensionless_domain(cfg)
         _, report, check = cases._oracle(dom, check=True)
-        assert report.scheme == "rk4" and report.n_steps == 1 and cfg.tau < report.dt
-        assert check["richardson_dt"] == cfg.tau / 2.0
-        half = cases.rk4_run(dom.operator(), dom.state0, cfg.tau / 2.0, cfg.tau)
-        assert half.n_steps == 2
-        ref, other = report.final_state, half.final_state
-        want = 16.0 / 15.0 * np.max(np.abs([other.u - ref.u, other.v - ref.v]))
+        h = report.dt
+        assert report.scheme == "rk4" and (report.n_steps - 1) * 2.0 * cfg.dt_euler < tau
+        assert math.isclose(h * report.n_steps, tau, rel_tol=1e-12) and report.rhs_evals == 4 * report.n_steps
+        coarse = tau / math.ceil(tau * dom.operator().gershgorin_lambda_max(dom.state0[1]) / 2.5)
+        assert check["richardson_dt"] == (coarse if coarse >= 1.25 * h else h / 2.0)
+        other = cases.rk4_run(dom.operator(), dom.state0, check["richardson_dt"], tau).final_state
+        want = np.max(np.abs(np.subtract(other, report.final_state))) / abs((check["richardson_dt"] / h) ** 4 - 1)
         assert want > 0 and math.isclose(check["richardson_gap"], want, rel_tol=1e-15)
 
     @pytest.mark.parametrize("tau", [0.0, 1e-5, 0.005])
@@ -289,7 +308,7 @@ class TestOracle:
         cfg = short_verification(tau=0.0)
         _, report, check = cases._oracle(cases._dimensionless_domain(cfg), check=True)
         assert report.scheme == "expm" and report.dt == 2.0 * cfg.dt_euler
-        assert check == {"richardson_gap": 0.0, "richardson_dt": report.dt / 2.0}
+        assert check == {"richardson_gap": 0.0, "richardson_dt": 2.0 * report.dt}
 
     def test_zero_horizon_has_zero_rk4_gap(self, rk4_reference):
         cfg = short_verification(tau=0.0)
@@ -309,11 +328,13 @@ class TestOracle:
         cfg.schemes = ["euler"]
         dom = cases._build_domain(cfg, BoundaryForcing(cfg.forcing_left, cfg.forcing_right),
                                   cfg.groups)
-        # 2 dt lambda = 3 is outside RK4's margin of 2.5; dt lambda = 1.5 is a stable Euler step
+        # 2 dt lambda = 3 is outside RK4's margin of 2.5; dt lambda = 1.5 is a stable Euler
+        # step, which h makes whole in tau (an even count of steps for the exact reference)
         cfg.dt_euler = 1.5 / dom.operator().gershgorin_lambda_max(dom.state0[1])
         res = run_verification_case(cfg, tmp_path)
         assert res.manifest["reference"]["method"] == method
-        assert res.manifest["reference"]["dt"] == cfg.dt_euler
+        count = 2 if method == "expm" else 1
+        assert res.manifest["reference"]["dt"] == cfg.tau / (count * math.ceil(cfg.tau / (count * cfg.dt_euler)))
         assert res.reports["euler"].dt == cfg.dt_euler
 
 
@@ -335,64 +356,64 @@ class TestExactReference:
         assert true_error < 2e-11
         assert 0.5 <= check["richardson_gap"] / true_error <= 2.0
 
-    def test_landing_below_one_step_is_checked_against_two_halves(self, monkeypatch):
-        # tau < h: the reference is one landing step of tau, sampling the forcing
-        # twice, and the companion takes it in two halves with four samples of its own
-        times = []
-        forcing = SemiDiscreteOperator.boundary_forcing
-
-        def counting(self, t, out):
-            times.append(t)
-            return forcing(self, t, out)
-
-        monkeypatch.setattr(SemiDiscreteOperator, "boundary_forcing", counting)
-        cfg = short_verification(tau=1e-5)
-        _, report, check = cases._oracle(cases._dimensionless_domain(cfg), check=True)
-        assert report.scheme == "expm" and report.n_steps == 1 and report.rhs_evals == 0
-        assert len(times) == 2 + 4 and len(set(times)) == 6 and 0.0 < min(times) < max(times) < cfg.tau
-        assert check["richardson_dt"] == 5e-6 and 0.0 < check["richardson_gap"] < 1e-13
-
-    @pytest.mark.parametrize("steps,landing", [(1, 0.5), (5, 0.0), (4, 0.5)],
-                             ids=["one-step-and-landing", "odd-count", "landing"])
-    def test_gap_is_above_zero(self, steps, landing):
-        # one regular step and a landing: the halves of each; five: two pairs, and
-        # the fifth in halves; four and a landing: two pairs, and the landing in
-        # halves.  Each gap is far above round-off.
-        cfg = short_verification(tau=(steps + landing) * 2.0 * VERIFICATION_DT_EULER)
-        _, report, check = cases._oracle(cases._dimensionless_domain(cfg), check=True)
-        assert report.scheme == "expm" and report.n_steps == steps + (landing > 0)
-        assert check["richardson_dt"] == (0.5 if steps < 2 else 2.0) * report.dt
-        assert 1e-13 < check["richardson_gap"] < 1e-10
-
-    @pytest.mark.parametrize("tau", [2.2e-4, 3 * 2.0 * VERIFICATION_DT_EULER],
-                             ids=["three-steps-and-landing", "odd-count"])
-    def test_gap_counts_unpaired_steps_and_the_landing(self, tau):
-        # the companion takes the lone third step and the landing in halves, so
-        # their error is in the gap too (taken as the reference takes them, the
-        # gap read 0.27x the error at tau = 2.2e-4)
+    @pytest.mark.parametrize("tau", [1e-5, *(k * VERIFICATION_DT_EULER for k in (3, 6, 9, 10)), 2.2e-4, 0.0123, 0.005],
+                             ids=["1e-5", "3dt", "6dt", "9dt", "10dt", "2.2e-4", "0.0123", "0.005"])
+    def test_paired_whole_steps(self, propagator_calls, tau):
+        # h divides tau into the fewest even count of whole steps no longer than 2 dt,
+        # all paired, from one exponential and no RHS call, and the gap reads the error
+        # against RK4 at h/8 (at 1e-5 both are round-off: a gap of 3e-17)
         cfg = short_verification(tau=tau)
         dom = cases._dimensionless_domain(cfg)
         _, report, check = cases._oracle(dom, check=True)
-        assert report.scheme == "expm" and report.n_steps == 3 + (tau == 2.2e-4)
+        assert report.scheme == "expm" and report.n_steps % 2 == 0
+        assert (report.n_steps - 2) * 2.0 * cfg.dt_euler < cfg.tau
+        assert math.isclose(report.dt * report.n_steps, cfg.tau, rel_tol=1e-12)
+        assert report.rhs_evals == 0 and propagator_calls == [report.dt]
+        assert check["richardson_dt"] == 2.0 * report.dt
         fine = cases.rk4_run(dom.operator(), dom.state0, report.dt / 8.0, cfg.tau).final_state
         true_error = float(np.max(np.abs(np.subtract(fine, report.final_state))))
-        assert 0.5 <= check["richardson_gap"] / true_error <= 2.0
+        if true_error > 1e-13:
+            assert 0.5 <= check["richardson_gap"] / true_error <= 2.0
+        else:
+            assert 0.0 < check["richardson_gap"] < 1e-13
 
-    @pytest.mark.parametrize("tau,exponentials", [(0.005, 1), (0.0, 1), (2.2e-4, 4),
-                                                  (3 * 2.0 * VERIFICATION_DT_EULER, 2)])
-    def test_exponentials_per_reference(self, monkeypatch, tau, exponentials):
-        # one for the regular step; none more when tau is a whole even number of
-        # steps; one for a lone last step's halves; two for a landing and its halves
-        calls = []
-        propagator = integrators._ExactStep.propagator
+    def test_a_landing_is_the_last_whole_step(self, monkeypatch, propagator_calls):
+        # past about 10^6 steps the last whole step can round short of fitting in
+        # _march's slack, which then lands it: forced here, it is the same step, with
+        # the same propagator
+        want = cases._oracle(cases._dimensionless_domain(short_verification(tau=0.005)), check=True)
+        fits, landings = integrators._full_step_fits, []
 
-        def counting(self, h):
-            calls.append(h)
-            return propagator(self, h)
+        def short_of_the_last(t, dt, tau, tol=None):
+            if tau - t < 1.5 * dt:
+                landings.append(t)
+                return False
+            return fits(t, dt, tau, tol)
 
-        monkeypatch.setattr(integrators._ExactStep, "propagator", counting)
+        monkeypatch.setattr(integrators, "_full_step_fits", short_of_the_last)
+        got = cases._oracle(cases._dimensionless_domain(short_verification(tau=0.005)), check=True)
+        assert len(landings) == 1 and got[1].n_steps == want[1].n_steps == 70
+        assert propagator_calls == [want[1].dt] * 2         # one for each reference
+        assert np.asarray(got[1].final_state).tobytes() == np.asarray(want[1].final_state).tobytes()
+        assert got[2] == want[2]
+
+    def test_a_sliver_past_the_last_pair_is_dropped(self):
+        # past about 10^7 steps m h can round short of tau by more than _march's
+        # slack, which then lands the sliver left; here the sliver is 1e-8 h
+        dom = cases._dimensionless_domain(short_verification(tau=0.0))
+        op, h = dom.operator(), 2.0 * VERIFICATION_DT_EULER
+        whole, stepper = (integrators._ExactStep(op, h, dom.state0) for _ in range(2))
+        want = integrators._march(op, dom.state0, whole, 2.0 * h, None, 1)
+        got = integrators._march(op, dom.state0, stepper, 2.0 * h * (1.0 + 1e-8), None, 1)
+        assert (want.n_steps, got.n_steps, stepper.count) == (2, 3, 2)
+        assert np.asarray(got.final_state).tobytes() == np.asarray(want.final_state).tobytes()
+        assert stepper.yz.tobytes() == whole.yz.tobytes()
+
+    @pytest.mark.parametrize("tau,exponentials", [(0.005, 1), (0.0, 1)])
+    def test_exponentials_per_reference(self, propagator_calls, tau, exponentials):
+        # one, for the regular step, at the presets' horizons and at tau = 0
         cases._oracle(cases._dimensionless_domain(short_verification(tau=tau)), check=True)
-        assert len(calls) == exponentials
+        assert len(propagator_calls) == exponentials
 
     def test_largest_operator_it_takes(self):
         cfg = short_verification(tau=0.0)
@@ -552,6 +573,20 @@ class TestErrorSampling:
         assert tracker.sup.tolist() == expected
         tracker.flush()                   # nothing pending: flushing again changes nothing
         assert tracker.sup.tolist() == expected
+
+    def test_knots_and_times_outside_the_span_raise_no_warning(self):
+        # a knot or a time outside the span takes one stored state whole; one
+        # sample alone (the reference at tau = 0) is its state at every time
+        h = 2.0 / 28000.0
+        times = h * np.arange(5)
+        states = np.random.default_rng(5).standard_normal((times.size, 2, 7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cases._ReferenceTrajectory(times, states).states_at([times[3], -h, times[-1] + h, 1.5 * h])
+            alone = cases._ReferenceTrajectory(times[:1], states[:1]).states_at([0.0, -h, h])
+        assert got[:3].tobytes() == states[[3, 0, -1]].tobytes()
+        assert got[3].tobytes() == (0.5 * states[1] + 0.5 * states[2]).tobytes()
+        assert alone.tobytes() == states[[0, 0, 0]].tobytes()
 
     @pytest.mark.parametrize("scheme", ["euler", "rkl"])
     def test_march_leaves_no_sample_pending(self, scheme):
@@ -986,6 +1021,14 @@ class TestCli:
         assert main(["physical", "--config", "clim/case.ini", "--out", "out"]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["climate"] == {"path": "clim.csv", "synthetic": False}
+
+    def test_physical_file_without_dx_takes_the_preset_spacing(self, tmp_path, capsys):
+        # the verification default, 0.01, grids none of the 0.625 m layouts: such a file exited 1
+        ini = tmp_path / "case.ini"
+        ini.write_text(textwrap.dedent(self.PHYSICAL_INI.format(configurations="ins_re")).replace("dx = 5e-3\n", ""))
+        assert load_config(ini).dx == physical_preset().dx
+        assert main(["physical", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
+        assert "error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["climate", "series"])
     def test_missing_series_file_exits_one(self, tmp_path, capsys, kind):

@@ -28,7 +28,6 @@ class TestMaterials:
         assert coefficients_at(m1, 1.0, 1.0) == pytest.approx((0.3, 2.1, 0.1, 0.5, 0.4))
         m2 = builtin_material("table1_mat2")
         assert coefficients_at(m2, 1.3, 0.7) == pytest.approx((0.1, 3.2, 0.3, 0.2, 0.1))
-        assert m1.constant and m2.constant
 
     def test_rammed_earth_moisture_dependence(self):
         re = builtin_material("table3_re")
