@@ -38,7 +38,7 @@ from .integrators import (_ExactStep, _march, _Monitor, build_schedule, dufort_f
                           node_count, rk4_run, sts_run)
 from .metrics import (
     ComparisonRecord, drying_rate, error_norms, failure_record, ratios,
-    scd_value, total_moisture, write_comparison_csv,
+    scd_value, write_comparison_csv,
 )
 from .model import (BiotSet, BoundaryForcing, DimensionlessGroups, Grid1D, SideForcing, StateField,
                     WallAssembly, builtin_material)
@@ -95,43 +95,7 @@ def verification_preset() -> CaseConfig:
         admissible_box=(0.5, 2.5, 0.0, 2.0),
     )
     cfg.description = {"preset": "verification", "title": cfg.title}
-    check_verification_preset(cfg)
     return cfg
-
-
-def check_verification_preset(cfg: CaseConfig) -> None:
-    """Startup self-check: the preset constants match the published setup."""
-    expected_groups = {"fo_t": 7e-2, "fo_m": 9e-2, "gamma": 7e-2, "delta": 5e-2}
-    got = asdict(cfg.groups)
-    for key, val in expected_groups.items():
-        if got[key] != val:
-            raise ConfigError(f"verification preset drift: {key}={got[key]}, expected {val}")
-    expected_biot = {
-        "biot_left": {"m_theta": 25.5, "t_t": 50.5, "t_theta": 0.496, "t_g": 0.0},
-        "biot_right": {"m_theta": 51.8, "t_t": 19.8, "t_theta": 0.673, "t_g": 0.0},
-    }
-    for side, table in expected_biot.items():
-        for key, val in table.items():
-            if got[side][key] != val:
-                raise ConfigError(f"verification preset drift: {side}.{key}={got[side][key]}, expected {val}")
-    if (cfg.dx, cfg.tau) != (1e-2, 1.0):
-        raise ConfigError("verification preset drift: dx/tau")
-    if [th for _, th in cfg.layers] != [0.6, 0.4]:
-        raise ConfigError("verification preset drift: layer thicknesses")
-    # Forcing amplitudes/periods: sample each function against an
-    # independent transcription.
-    probes = {
-        ("left", "u"): lambda t: 1 + 0.6 * math.sin(2 * math.pi * t / 5) ** 2,
-        ("left", "v"): lambda t: 1 + 0.2 * math.sin(2 * math.pi * t / 2) ** 2,
-        ("right", "u"): lambda t: 1 + 0.5 * math.sin(2 * math.pi * t / 3) ** 2,
-        ("right", "v"): lambda t: 1 + 0.9 * math.sin(2 * math.pi * t / 6) ** 2,
-    }
-    for (side, var), probe in probes.items():
-        sf = cfg.forcing_left if side == "left" else cfg.forcing_right
-        fn = sf.u_inf if var == "u" else sf.v_inf
-        for t in (0.0, 0.33, 1.25, 2.4, 0.97):
-            if abs(fn(t) - probe(t)) > 1e-12:
-                raise ConfigError(f"verification preset drift: forcing {side}/{var} at t={t}")
 
 
 def physical_preset() -> CaseConfig:
@@ -209,7 +173,9 @@ def _build_domain(cfg: CaseConfig, forcing, groups) -> _Domain:
     _Monitor(cfg.admissible_box, None, None, 1).check(0, 0.0, state0)
     # the RHS divides by the storage: each layer's c_t must be positive at every node it touches
     for (model, _), (a, b) in zip(wall.layers, spans):
-        c = model.c_t(u0[a:b + 1], v0[a:b + 1])
+        c = 0.0
+        for ck in model.poly[2][::-1]:      # c_t, by Horner's rule as the model's callable
+            c = c * v0[a:b + 1] + ck
         if not np.all(c > 0):
             raise ConfigError(f"material {model.name!r}: c_t must be positive at the initial state, "
                               f"got {np.min(c)}")
@@ -322,7 +288,12 @@ def _scheme_step(scheme, cfg, n_s=None):
     return schedule.dt_super, schedule
 
 
-def _run_one_scheme(scheme, dom, observe=None, observe_every=None, schedules=None, n_s=None):
+def _schedules(schemes, cfg) -> dict:
+    """The description of each rkc or rkl schedule among ``schemes`` on ``cfg``."""
+    return {s: _scheme_step(s, cfg)[1].describe() for s in schemes if s in ("rkc", "rkl")}
+
+
+def _run_one_scheme(scheme, dom, observe=None, observe_every=None, n_s=None):
     """Run one scheme to ``dom.cfg.tau`` on a fresh operator and return its
     report; ``observe_every`` defaults to about _REFERENCE_SAMPLES samples."""
     cfg, op, state0 = dom.cfg, dom.operator(), dom.state0
@@ -333,12 +304,10 @@ def _run_one_scheme(scheme, dom, observe=None, observe_every=None, schedules=Non
         return euler_run(op, state0, dt, cfg.tau, observe=observe, observe_every=observe_every)
     if scheme == "df":
         return dufort_frankel_run(op, state0, dt, cfg.tau, observe=observe, observe_every=observe_every)
-    if schedules is not None:
-        schedules[scheme] = schedule.describe()
     return sts_run(op, state0, schedule, cfg.tau, observe=observe, observe_every=observe_every)
 
 
-def _compare(dom, runs, trackers=None, reports=None, schedules=None):
+def _compare(dom, runs, trackers=None, reports=None):
     """(records, reports, failures, baseline) of a scheme-comparison table.
 
     ``runs`` lists (name, scheme, n_s) entries.  Each that ``reports`` does
@@ -354,7 +323,7 @@ def _compare(dom, runs, trackers=None, reports=None, schedules=None):
             continue
         try:
             reports[name] = _run_one_scheme(scheme, dom, observe=trackers[name] if trackers else None,
-                                            schedules=schedules, n_s=n_s)
+                                            n_s=n_s)
         except DivergenceError as exc:
             failures[name] = str(exc)
             logger.warning("scheme %s diverged: %s", name, exc)
@@ -542,16 +511,14 @@ def run_verification_case(cfg: CaseConfig, out_dir) -> VerificationResult:
 
     ref_traj, ref_report, richardson = _oracle(dom, check=True)
     trackers = {scheme: _ErrorTracker(ref_traj, grid.spacing) for scheme in cfg.schemes}
-    schedules = {}
-    records, reports, failures, _ = _compare(dom, [(s, s, None) for s in cfg.schemes],
-                                             trackers=trackers, schedules=schedules)
+    records, reports, failures, _ = _compare(dom, [(s, s, None) for s in cfg.schemes], trackers=trackers)
 
     profiles = {f"{scheme}_{f}": (f"x,{f}", zip(grid.node_positions.tolist(),
                                                 getattr(report.final_state, f).tolist()))
                 for scheme, report in reports.items() for f in "uv"}
 
     manifest = _manifest_stub(cfg, {
-        "schedules": schedules,
+        "schedules": _schedules(cfg.schemes, cfg),
         "reference": {"method": ref_report.scheme, "dt": ref_report.dt, **richardson},
         "runs": {name: rep.describe() for name, rep in reports.items()},
         "failures": failures,
@@ -672,13 +639,10 @@ def _physical_forcing(series: BoundarySeries) -> BoundaryForcing:
 
 class _MoistureObserver:
     """Collects samples of t and of the total moisture over each span of
-    ``spans`` (inclusive node ranges, one per wall of the march): each
-    total is :func:`total_moisture`'s, bit for bit, with its span checked
-    once, here."""
+    ``spans`` (inclusive node ranges of :meth:`WallAssembly.node_spans`, one
+    per wall of the march): each total is :func:`total_moisture`'s, bit for bit."""
 
     def __init__(self, grid, spans):
-        for span in spans:
-            total_moisture(grid.node_positions, grid, span)     # refuses a bad span
         self.dx = grid.spacing
         self.spans = [(a, slice(a, b + 1), b) for a, b in spans]
         self.times = []
@@ -722,7 +686,6 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     failures = {}
     drying_reports = {}
     domains = {}
-    schedules = {}
 
     def march(dom, names, spans):
         """The drying march of ``dom``, holding the layouts ``names`` whose re
@@ -731,8 +694,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
         their bounds, not each at its own) keep nothing and return None."""
         observer = _MoistureObserver(dom.grid, spans)
         stride = max(1, int(cfg.tau / _scheme_step(cfg.drying_scheme, dom.cfg)[0] / 1500))
-        report = _run_one_scheme(cfg.drying_scheme, dom, observe=observer, observe_every=stride,
-                                 schedules=schedules if names == [first_name] else None)
+        report = _run_one_scheme(cfg.drying_scheme, dom, observe=observer, observe_every=stride)
         if dom.seams and report.flags.get("schedule_rebuilds"):
             return None
         t_days = np.asarray(observer.times) / DAY_S
@@ -770,7 +732,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     dom = domains[first_name]
     done = {cfg.drying_scheme: drying_reports[first_name]} if first_name in drying_reports else None
     records, reports, table_failures, baseline = _compare(
-        dom, [(s, s, None) for s in cfg.schemes], reports=done, schedules=schedules)
+        dom, [(s, s, None) for s in cfg.schemes], reports=done)
     failures.update(table_failures)
 
     policy_counts = physical_step_counts(dom.cfg)
@@ -785,7 +747,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
                     "synthetic": cfg.climate_path is None},
         "configurations": {name: layout for name, layout in layouts.items()},
         "policy_counts_365d": policy_counts,
-        "schedules": schedules,
+        "schedules": _schedules([*cfg.schemes, cfg.drying_scheme], dom.cfg),
         "runs": {name: rep.describe() for name, rep in reports.items()},
         "failures": failures,
         "ratio_baseline": getattr(baseline, "scheme", None),
@@ -821,11 +783,7 @@ def _composite_drying(scheme, doms):
     dx, counts = doms[0].grid.spacing, [dom.grid.node_count for dom in doms]
     n = sum(counts)
     length = dx * (n - 1)
-    for _ in range(4):      # the rounded product is at most a few ulps from a length of spacing dx
-        if length / (n - 1) == dx:
-            break
-        length = math.nextafter(length, math.inf if length / (n - 1) < dx else -math.inf)
-    else:
+    if length / (n - 1) != dx:      # the float nearest m dx; no other length's spacing is dx either
         return None
     layers, spans, offset = [], [], 0
     for k, dom in enumerate(doms):

@@ -442,15 +442,16 @@ class SemiDiscreteOperator:
         be negative or the storage not positive.
 
         Each layer polynomial's range over [v_min, v_max] comes from interval
-        Horner (exact at degree <= 1), widened by 1e-12 of the sum of its
-        terms' magnitudes at the box's largest |v|, which bounds the rounding
-        of this evaluation and of a pass's.  A face's harmonic mean never
-        exceeds its layer's largest value, a node's storage (the mean of its
-        half-cells' at one v) is at least the mean of their least values, and
-        the stencil's row sums grow with the faces and shrink with the
-        storage, rounded operation by operation; so the row sums of those
-        extremes bound every state's.  Reads the layer polynomials, not a
-        coefficient pass.
+        Horner (exact at degree <= 1); its transport signs are read before it
+        is widened (a least value of exactly 0 passes) by 1e-12 of the sum of
+        its terms' magnitudes at the box's largest |v|, which bounds the
+        rounding of this evaluation and of a pass's.  A face's harmonic mean
+        never exceeds its layer's largest value, a node's storage (the mean
+        of its half-cells' at one v) is at least the mean of their least
+        values, and the stencil's row sums grow with the faces and shrink
+        with the storage, rounded operation by operation; so the row sums of
+        those extremes bound every state's.  Reads the layer polynomials,
+        not a coefficient pass.
         """
         if self.admissible_box is None:
             return math.inf
@@ -461,9 +462,10 @@ class SemiDiscreteOperator:
             for a in self._layer_tables.transpose(1, 0, 2)[::-1]:     # the v**d terms, highest d first
                 ends = np.array([lo * v_min, lo * v_max, hi * v_min, hi * v_max])
                 lo, hi, size = ends.min(0) + a, ends.max(0) + a, size * big + abs(a)
+            signs = (lo[:, :4] >= 0).all()
             slack = 1e-12 * size
             lo, hi = lo - slack, hi + slack
-        if not (np.isfinite(hi).all() and (lo[:, :4] >= 0).all() and (lo[:, 4] > 0).all()):
+        if not (signs and np.isfinite(hi).all() and (lo[:, 4] > 0).all()):
             return math.inf
         faces = hi[self._sides[1, :-1], :4].T       # face j lies in the layer right of node j
         left, right = lo[self._sides, 4]            # a pass averages a node's half-cells as (l + r) 0.5

@@ -14,7 +14,7 @@ import pytest
 
 from stswall import cases, integrators
 from stswall.cases import (
-    VERIFICATION_DT_EULER, check_verification_preset, emit_outputs, physical_preset,
+    VERIFICATION_DT_EULER, emit_outputs, physical_preset,
     physical_step_counts, run_ns_sweep, run_physical_case, run_verification_case, verification_preset,
 )
 from stswall.cli import main
@@ -69,15 +69,23 @@ def propagator_calls(monkeypatch):
 
 
 class TestVerificationPreset:
-    def test_self_check_passes(self):
-        check_verification_preset(verification_preset())
-
-    def test_self_check_catches_drift(self):
-        import dataclasses
+    def test_constants_match_the_published_setup(self):
+        # an independent transcription of the published groups, Biot numbers,
+        # grid, horizon, thicknesses and forcing amplitudes and periods
         cfg = verification_preset()
-        cfg.groups = dataclasses.replace(cfg.groups, fo_t=0.08)
-        with pytest.raises(ConfigError):
-            check_verification_preset(cfg)
+        groups = cfg.groups
+        assert (groups.fo_t, groups.fo_m, groups.gamma, groups.delta) == (7e-2, 9e-2, 7e-2, 5e-2)
+        for biot, want in ((groups.biot_left, (25.5, 50.5, 0.496, 0.0)),
+                           (groups.biot_right, (51.8, 19.8, 0.673, 0.0))):
+            assert (biot.m_theta, biot.t_t, biot.t_theta, biot.t_g) == want
+        assert (cfg.dx, cfg.tau) == (1e-2, 1.0)
+        assert [th for _, th in cfg.layers] == [0.6, 0.4]
+        left, right = cfg.forcing_left, cfg.forcing_right
+        probes = [(left.u_inf, 0.6, 5), (left.v_inf, 0.2, 2), (right.u_inf, 0.5, 3), (right.v_inf, 0.9, 6)]
+        for fn, amplitude, period in probes:
+            for t in (0.0, 0.33, 1.25, 2.4, 0.97):
+                want = 1 + amplitude * math.sin(2 * math.pi * t / period) ** 2
+                assert fn(t) == pytest.approx(want, abs=1e-12)
 
     def test_published_step_sizes(self):
         cfg = verification_preset()
@@ -196,6 +204,29 @@ class TestSweep:
         assert set(res.slopes) == {"rkc", "rkl"}
         for slope in res.slopes.values():
             assert "u" in slope and "v" in slope
+
+    def test_diverged_row_is_empty_and_left_out_of_the_fit(self, tmp_path, capsys, monkeypatch):
+        run = cases.sts_run
+
+        def diverging_rkc_8(op, state0, schedule, tau, **kwargs):
+            if (schedule.scheme, schedule.n_s) == ("rkc", 8):
+                raise DivergenceError("rkc", 2, 2 * schedule.dt_super)
+            return run(op, state0, schedule, tau, **kwargs)
+
+        monkeypatch.setattr(cases, "sts_run", diverging_rkc_8)
+        out = tmp_path / "out"
+        assert main(["sweep", "--tau", "0.005", "--ns", "4,8,16", "--out", str(out)]) == 2
+        assert "FAILED rkc-8: rkc run diverged" in capsys.readouterr().err
+        rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [(row[0], row[1], row[-1]) for row in rows] == [
+            ("rkc", "4", "ok"), ("rkc", "8", "diverged"), ("rkc", "16", "ok"),
+            ("rkl", "4", "ok"), ("rkl", "8", "ok"), ("rkl", "16", "ok")]
+        assert float(rows[1][2]) > 0 and rows[1][3:-1] == [""] * 5
+        # the rkc slope is the line through the two ok rows
+        ns, eu, ev = (np.array([float(rows[k][j]) for k in (0, 2)]) for j in (1, 5, 6))
+        slopes = json.loads((out / "manifest.json").read_text())["slopes"]
+        assert slopes["rkc"]["u"] == pytest.approx(np.diff(np.log(eu))[0] / np.diff(np.log(ns))[0], rel=1e-9)
+        assert slopes["rkc"]["v"] == pytest.approx(np.diff(np.log(ev))[0] / np.diff(np.log(ns))[0], rel=1e-9)
 
     def test_zero_errors_fit_no_slope(self, tmp_path):
         # tau = 0: every row is ok with zero errors, which have no logarithm
@@ -907,6 +938,47 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    ZERO_STIFFNESS_RE = "names = re\nre.d_theta = 0\nre.d_t = 0\nre.c_t = 1e6\nre.k_t = 0\nre.k_tm = 0"
+
+    @pytest.mark.parametrize("argv,ini_edit,series,message", [
+        (["verify", "--dx", "0.03"], None, None, "dx=0.03 does not divide the wall length 1.0"),
+        (["verify", "--config", "{verification}"], ("[forcing.left]", "[initial]\nu = 1, 2\n[forcing.left]"),
+         None, "per-layer initial values need 1 entries, got 2"),
+        (["verify", "--config", "{verification}"], ("[forcing.left]", "[schemes]\nrun = df\n[forcing.left]"),
+         None, "scheme 'df' needs dt_df in the configuration"),
+        (["verify", "--ns", "1.5"], None, None, "expected whole numbers, got '1.5'"),
+        (["verify", "--config", "{verification}"], ("m1:1.0", "m1"), None,
+         "layer token 'm1' must look like name:thickness"),
+        (["verify", "--config", "{gone}"], None, None, "cannot read config file"),
+        (["physical", "--config", "{physical}"], ("configurations = re", "configurations ="), None,
+         "physical configurations must name at least one layout"),
+        (["verify", "--config", "{verification}"], ("[wall]\nlayers = m1:1.0\n", ""), None,
+         "wall needs at least one layer"),
+        (["verify", "--config", "{verification}"], ("[forcing.left]\n", "[forcing.left]\nseries = s.csv\n"),
+         "t\n0\n1\n", "line 1: need a time column plus data columns"),
+        (["verify", "--config", "{verification}"], ("[forcing.left]\n", "[forcing.left]\nseries = s.csv\n"),
+         "# comments only\n", "no header row found"),
+        (["sweep", "--ns", "0"], None, None, "sweep needs positive super-step counts"),
+        (["physical", "--config", "{physical}"], ("re = table3_re\nins = table3_ins", ZERO_STIFFNESS_RE), None,
+         "operator has zero stiffness; set dt_euler or dt_exp explicitly"),
+    ], ids=["dx-not-dividing", "initial-count", "df-without-dt-df", "ns-not-whole", "layer-token",
+            "missing-config", "empty-configurations", "no-wall", "series-without-data",
+            "series-without-header", "sweep-ns-zero", "auto-step-zero-stiffness"])
+    def test_input_error_exits_one(self, tmp_path, capsys, argv, ini_edit, series, message):
+        templates = {"{verification}": textwrap.dedent(self.VERIFICATION_INI) + "[forcing.right]\nu = 1\n",
+                     "{physical}": textwrap.dedent(self.PHYSICAL_INI.format(configurations="re"))}
+        ini = tmp_path / "case.ini"
+        for arg in argv:
+            if arg in templates:
+                ini.write_text(templates[arg].replace(*ini_edit) if ini_edit else templates[arg])
+        if series is not None:
+            (tmp_path / "s.csv").write_text(series)
+        argv = [str(tmp_path / "gone.ini") if arg == "{gone}" else str(ini) if arg in templates else arg
+                for arg in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_benchmark_file_with_an_inverted_box_exits_one(self, tmp_path, capsys):
         # u_min above u_max printed "FAILED rkl" (exit 2)

@@ -1090,6 +1090,22 @@ class TestBoxBound:
                                      admissible_box=op.admissible_box, seams=tuple(op._seams or ())[::2])
         assert other.gershgorin_box_bound() == math.inf
 
+    def test_coefficient_whose_least_value_is_zero_gets_a_finite_bound(self):
+        # d_theta = 0.5 v is exactly 0 at v_min = 0: valid, and the bound's
+        # rounding slack must not read it as negative
+        model = CoefficientModel.polynomials("rising", d_theta=[0.0, 0.5], d_t=0.0, c_t=1.0, k_t=0.1, k_tm=0.0)
+        op = SemiDiscreteOperator(WallAssembly([(model, 1.0)]), Grid1D(1.0, 11),
+                                  DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=1.0),
+                                  BoundaryForcing(dirichlet_forcing(1.0, 0.5), dirichlet_forcing(1.0, 0.5)),
+                                  admissible_box=(0.0, 2.0, 0.0, 1.0))
+        bound = op.gershgorin_box_bound()
+        assert op.gershgorin_lambda_max(np.ones(op.n)) == pytest.approx(200.0, rel=1e-15)
+        assert bound == pytest.approx(200.0, rel=1e-11)
+        rng = np.random.default_rng(0)
+        for v in [np.zeros(op.n), np.ones(op.n), np.where(np.arange(op.n) % 2, 0.0, 1.0),
+                  *rng.uniform(0.0, 1.0, (20, op.n))]:
+            assert op.gershgorin_lambda_max(v) <= bound
+
     def test_no_box_gives_inf_and_the_preset_walls_a_finite_bound(self):
         for layout in (INS_RE, RE_INS, [("re", 0.5)]):
             op = physical_op(layout)

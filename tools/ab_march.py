@@ -17,15 +17,18 @@ Separate benchmark runs see the host's speed change between them; pairs of
 rounds taken back to back see nearly the same speed, so their ratios can
 resolve a change of a few percent.  For each workload it prints the median
 and quartiles of the new/base march-time and wall-time ratios, the pairs the
-new tree won on each and whether every final state (and the verify
-reference, the physical moisture totals and drying rates) is byte-equal
-between the trees.  Exits 1 when some state differs.
+new tree won on each, whether every final state (and the verify reference,
+the physical moisture totals and drying rates) is byte-equal between the
+trees, and whether every file the runner wrote is: ``manifest.json`` without
+``created_at`` and its cpu keys, each CSV without its cpu columns.  Exits 1
+when some state or file differs.
 """
 from __future__ import annotations
 
 import argparse
 import importlib
 import importlib.util
+import json
 import os
 import statistics
 import sys
@@ -59,7 +62,7 @@ def load_tree(src: str, alias: str):
 
 
 def run_round(tree, workload: str, seed: int):
-    """(march seconds, wall seconds, final arrays) of one round of ``workload``."""
+    """(march seconds, wall seconds, final arrays, output files) of one round of ``workload``."""
     cases, config = tree
     cfg = worker.build_config(workload, seed, cases, config.load_config)
     runner = cases.run_verification_case if workload == "verify" else cases.run_physical_case
@@ -67,6 +70,7 @@ def run_round(tree, workload: str, seed: int):
         start = time.perf_counter()
         result = runner(cfg, out)
         wall = time.perf_counter() - start
+        files = {name: _output(os.path.join(out, name)) for name in sorted(os.listdir(out))}
     arrays = {}
     for scheme, report in result.reports.items():
         arrays[f"{scheme}.u"], arrays[f"{scheme}.v"] = report.final_state.u, report.final_state.v
@@ -77,7 +81,33 @@ def run_round(tree, workload: str, seed: int):
             arrays[f"totals.{name}"] = result.totals[name]
             arrays[f"rates.{name}"] = result.rates[name]
     march = sum(report.cpu_s for report in result.reports.values())
-    return march, wall, {key: _as_bytes(value) for key, value in arrays.items()}
+    return march, wall, {key: _as_bytes(value) for key, value in arrays.items()}, files
+
+
+def _output(path) -> bytes:
+    """The bytes of an output file without its timings: a manifest without
+    ``created_at`` and its cpu keys, a CSV without its cpu columns."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if path.endswith("manifest.json"):
+        return json.dumps(_untimed(json.loads(data)), sort_keys=True).encode()
+    if not path.endswith(".csv"):
+        return data
+    lines = data.decode().splitlines(keepends=True)
+    cpu = {k for k, name in enumerate(lines[0].rstrip("\r\n").split(",")) if "cpu" in name}
+    out = []
+    for line in lines:
+        cells = line.rstrip("\r\n")
+        out.append(",".join(c for k, c in enumerate(cells.split(",")) if k not in cpu) + line[len(cells):])
+    return "".join(out).encode()
+
+
+def _untimed(obj):
+    if isinstance(obj, dict):
+        return {k: _untimed(v) for k, v in obj.items() if k != "created_at" and "cpu" not in k}
+    if isinstance(obj, list):
+        return [_untimed(v) for v in obj]
+    return obj
 
 
 def _as_bytes(value) -> bytes:
@@ -99,18 +129,20 @@ def _ratios(label: str, base: list, new: list) -> str:
 def compare(trees, workload: str, pairs: int, seed: int) -> bool:
     for tree in trees:
         run_round(tree, workload, seed)       # warm-up
-    marches, walls, equal = ([], []), ([], []), True
+    marches, walls, equal, same_files = ([], []), ([], []), True, True
     for k in range(pairs):
         order = (0, 1) if k % 2 == 0 else (1, 0)
-        states = [None, None]
+        states, files = [None, None], [None, None]
         for i in order:
-            march, wall, states[i] = run_round(trees[i], workload, seed)
+            march, wall, states[i], files[i] = run_round(trees[i], workload, seed)
             marches[i].append(march)
             walls[i].append(wall)
         equal = equal and states[0] == states[1]
+        same_files = same_files and files[0] == files[1]
     print(f"{workload}: {_ratios('march', *marches)}; {_ratios('wall', *walls)}; "
-          f"final states byte-equal: {'yes' if equal else 'NO'}", flush=True)
-    return equal
+          f"final states byte-equal: {'yes' if equal else 'NO'}; "
+          f"outputs byte-equal: {'yes' if same_files else 'NO'}", flush=True)
+    return equal and same_files
 
 
 def main(argv=None) -> int:
