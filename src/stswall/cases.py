@@ -767,16 +767,16 @@ def _composite_drying(scheme, doms):
     drying march of ``scheme``, or None where that march would not be theirs
     bit for bit.
 
-    Consecutive walls are joined by one seam cell, which the first layer of
-    the wall after it spans too, so each wall's nodes, state and layer tables
-    are its own at an offset, and every real node makes the float operations
-    of the wall's own march.  That takes two or more walls marched by euler,
-    rkc or rkl (Du Fort-Frankel's landing reads the Gershgorin bound, on the
+    Consecutive walls are joined by one seam cell, which the last layer of
+    the wall before it spans too, so each wall's nodes, state and layer tables
+    are its own at an offset, every real node makes the float operations of
+    the wall's own march, and the seam's interface, a Dirichlet node, needs
+    no coefficient fix-up.  That takes two or more walls marched by euler, rkc
+    or rkl (Du Fort-Frankel's landing reads the Gershgorin bound, on the
     composite the largest of its walls'), the same steps (steps left to each
     layout's own estimate seldom agree) and a grid length whose spacing is
     theirs bit for bit.  The caller marches the walls one by one where this
-    march fails or rebuilds its schedule, which each wall would do at its
-    own bound."""
+    march fails or rebuilds its schedule, which each wall would do at its own bound."""
     if (len(doms) < 2 or scheme not in ("euler", "rkc", "rkl")
             or len({(dom.cfg.dt_euler, dom.cfg.dt_exp_base, dom.grid.spacing) for dom in doms}) > 1):
         return None
@@ -787,8 +787,8 @@ def _composite_drying(scheme, doms):
         return None
     layers, spans, offset = [], [], 0
     for k, dom in enumerate(doms):
-        (model, th), *rest = dom.wall.layers
-        layers += [(model, th + dx if k else th), *rest]
+        *rest, (model, th) = dom.wall.layers
+        layers += [*rest, (model, th + dx if k < len(doms) - 1 else th)]
         spans.append(tuple(j + offset for j in dom.spans[_re_layer(dom)]))
         offset += dom.grid.node_count
     wall, grid = WallAssembly(layers), Grid1D(length, n)

@@ -103,10 +103,10 @@ class SemiDiscreteOperator:
         self.dx = grid.spacing
         spans = wall.node_spans(grid)       # raises unless the grid fits the wall's layers
 
-        # Horner table of the wall: full[d, s, k, j] is the v**d coefficient of
-        # coefficient k (in _TABLE_ORDER) of the layer on side s of node j
-        # (0: its left face, 1: its right face; the end nodes reuse their
-        # one face).  The two sides differ only at interface nodes.
+        # layer_tables[i, d, k] is the v**d coefficient of coefficient k (in
+        # _TABLE_ORDER) of layer i, and sides[s, j] the layer on side s of node
+        # j (0: its left face, 1: its right face; the end nodes reuse their one
+        # face).  The two sides differ only at interface nodes.
         face_layer = np.repeat(np.arange(len(spans)), [b - a for a, b in spans])
         sides = np.stack([np.r_[face_layer[0], face_layer], np.r_[face_layer, face_layer[-1]]])
         terms = max(len(p) for model, _ in wall.layers for p in model.poly)
@@ -115,7 +115,6 @@ class SemiDiscreteOperator:
             for k, name in enumerate(_TABLE_ORDER):
                 p = model.poly[COEFFICIENT_NAMES.index(name)]
                 layer_tables[i, :len(p), k] = p
-        full = layer_tables[sides].transpose(2, 0, 3, 1)
         self._layer_tables, self._sides = layer_tables, sides      # for gershgorin_box_bound
         # A row varies with the state when some layer gives it a nonzero term
         # of degree >= 1.  The pass evaluates the face rows of the one slice
@@ -137,6 +136,19 @@ class SemiDiscreteOperator:
         cm = 1.0 / (self.dx * self.dx)
         self._row, self._fo_t_cm = np.full((4, self.n - 2), cm), np.array(groups.fo_t * cm)
 
+        # Pass work arrays: Horner terms, highest degree first, of the evaluated
+        # rows of each node's side-1 layer, their values, (rows, n), the last a
+        # varying storage, and the harmonic mean's numerator and denominator.
+        # The mean runs on flat views: face j of row r is element r n + j, the
+        # element across a row seam lands in the unused last column, and the
+        # last step writes the slice's faces.  Scalars are 0-d arrays, which
+        # numpy takes faster than Python floats.
+        n = self.n
+        table = layer_tables[sides[1]][:, ::-1, rows].transpose(1, 2, 0)
+        self._table = list(aligned(table.shape, table))
+        vals = aligned(table.shape[1:], 0.0)
+        m = len(rows) - varies[4]
+
         # Face arrays, (6, n): face j sits in column j and the last column is
         # unused (zero).  Rows [delta k_tm, k_t, k_tm, d_t, d_theta, gamma d_t]:
         # rows 1-4 are the faces in block order, rows 1 and 5 (cu) turn the u
@@ -144,37 +156,23 @@ class SemiDiscreteOperator:
         # and moisture (row 1) face fluxes, whose divergence is divided by
         # den = [dx c, dx].  Every row starts at its constant value; a pass
         # overwrites the varying ones.
-        n = self.n
         fac = aligned((6, n), 0.0)
         self._faces, self._cu, self._cv = fac[1:5, :-1], fac[1::4], fac[0::4]
         self._scaled_faces, self._face_scale = fac[0::5, :-1], np.array([[groups.delta], [groups.gamma]])
-        const = full[0]
+        const = layer_tables[sides, 0].transpose(0, 2, 1)        # (side, coefficient, n)
         self._faces[:] = _harmonic(const[1, :4, :-1], const[0, :4, 1:])
-        self._c = aligned((n,), 0.5 * (const[0, 4] + const[1, 4]))
+        self._c = vals[-1] if varies[4] else aligned((n,), 0.5 * (const[0, 4] + const[1, 4]))
         self._den = aligned((2, n), self.dx)
         np.multiply(self._faces[1:3], self._face_scale, out=self._scaled_faces)
         np.multiply(self._c, self.dx, out=self._den[0])
         self._pass = None if self._varies else (self._faces, self._c)
 
-        # Pass work arrays: the evaluated rows' Horner terms, highest degree
-        # first, and values, (side, rows, n), and the harmonic mean's numerator
-        # and denominator.  The mean runs on flat views: face j of row r is
-        # element r n + j, the element across a row seam lands in the unused
-        # last column, and the last step writes the slice's faces.  Scalars
-        # are 0-d arrays, which numpy takes faster than Python floats.
-        table = full[::-1, :, rows]
-        self._table = list(aligned(table.shape, table))
-        vals = aligned(table.shape[1:])
-        m = len(rows) - varies[4]
         self._vals, self._harm, dx = vals, None, np.array(self.dx)
         if m:
-            work = aligned((2, m, n))
-            flat = work.reshape(2, -1)[:, :-1]
-            self._harm = (vals[1, :m].ravel()[:-1], vals[0, :m].ravel()[1:], flat[0], flat[1],
-                          work[0, :, :-1], work[1, :, :-1], self._faces[span], np.array(1e-300))
-        self._storage = None
-        if varies[4]:
-            self._storage = (vals[0, -1], vals[1, -1], self._c, self._den[0], np.array(0.5), dx)
+            num, total = aligned((m, n)), aligned((m, n))       # each on its own cache line
+            self._harm = (vals[:m].ravel()[:-1], vals[:m].ravel()[1:], num.ravel()[:-1], total.ravel()[:-1],
+                          num[:, :-1], total[:, :-1], self._faces[span], np.array(1e-300))
+        self._storage = (dx, self._den[0]) if varies[4] else None
 
         # RHS work arrays, (2, n) like the state; the last column of cu and
         # cv is zero.  Row-major, each row step of the state or the fluxes is
@@ -191,10 +189,10 @@ class SemiDiscreteOperator:
         self._end_nodes = (slice(None), slice(None, None, n - 1))
 
         # Boundary sides as (node, side, orientation of the face flux).
-        sides = ((0, _BoundarySide(forcing.left, groups.biot_left, groups.alpha), 1.0),
-                 (-1, _BoundarySide(forcing.right, groups.biot_right, groups.alpha), -1.0))
-        self._robin = [entry for entry in sides if entry[1].robin]
-        self._dirichlet = [(j, side) for j, side, _ in sides if not side.robin]
+        ends = ((0, _BoundarySide(forcing.left, groups.biot_left, groups.alpha), 1.0),
+                (-1, _BoundarySide(forcing.right, groups.biot_right, groups.alpha), -1.0))
+        self._robin = [entry for entry in ends if entry[1].robin]
+        self._dirichlet = [(j, side) for j, side, _ in ends if not side.robin]
         # The Robin rows' constants, per side: its ambient values, its column
         # in the two-column reads of the state and the end fluxes, its u and v
         # entries of the flat output, the orientation, the exchange
@@ -224,6 +222,22 @@ class SemiDiscreteOperator:
         self._fixed = np.array(fixed + [j + n for j in fixed], dtype=np.intp)
         self._fixed_flat = self._fixed_values.reshape(-1)
 
+        # Fix-ups at each interface node i: the face left of i in each
+        # evaluated row, and i's storage, but a seam cell's face or a Dirichlet
+        # node's storage, which no row reads.  Each is (the left layer's terms
+        # as first and rest, a constant precomputed; index of the value read;
+        # index written; face?) into flat memoryviews of vals and fac.
+        self._fixups = []
+        for i in np.flatnonzero(sides[0] != sides[1]).tolist() if self._varies else ():
+            left = [(p[-1], ()) if not any(p[:-1]) else (p[0], tuple(p[1:]))
+                    for p in layer_tables[sides[0, i], ::-1].T[rows].tolist()]
+            fixes = [] if i - 1 in seams else [
+                (left[r], r * n + i - 1, (1 + k) * n + i - 1, True) for r, k in enumerate(rows[:m])]
+            fixes += [(left[-1], m * n + i, m * n + i, False)] if varies[4] and i not in fixed else []
+            if fixes:
+                self._fixups.append((i, fixes))
+        self._fix_views = memoryview(vals.reshape(-1)), memoryview(fac.reshape(-1))
+
     # -- classification ------------------------------------------------------------
 
     @property
@@ -239,14 +253,16 @@ class SemiDiscreteOperator:
 
         Returns ``(faces, c)``: ``faces`` is a (4, n-1) array of the
         harmonic-mean face values of k_t, k_tm, d_t and d_theta, and ``c``
-        the nodal storage, averaged over the two half-cells (exact away
-        from interfaces, where both sides share one model).  Both are the
+        the nodal storage, averaged over the two half-cells.  Both are the
         operator's own arrays, valid until its next pass; the pass also
         sets the RHS's flux factors.  Only the rows that vary with the state
-        are evaluated, so a constant wall makes no work here.
+        are evaluated, for each node's right-face layer, also its left-face one
+        but at interfaces, whose left face and storage are made again in Python
+        floats by the same operations.  Elsewhere the storage is s where a
+        two-sided pass makes (s + s) * 0.5, equal for any s below 8.9e307.
         """
         if self._varies:
-            vals = _horner(self._table, v, self._vals)
+            _horner(self._table, v, self._vals)
             if self._harm is not None:
                 left, right, num, total, num_faces, total_faces, out, tiny = self._harm
                 np.add(left, right, total)          # 2 a b / (a + b + 1e-300)
@@ -254,13 +270,21 @@ class SemiDiscreteOperator:
                 np.add(left, left, num)             # 2 a, exactly
                 num *= right
                 np.divide(num_faces, total_faces, out)
-                if self._scaled:
-                    np.multiply(self._faces[1:3], self._face_scale, self._scaled_faces)
+            flat_vals, flat_faces = self._fix_views
+            for i, fixes in self._fixups:
+                x = v.item(i)
+                for (b, terms), a_at, at, face in fixes:
+                    for term in terms:
+                        b = b * x + term
+                    a = flat_vals[a_at]
+                    if face:
+                        flat_faces[at] = (a + a) * b / ((a + b) + 1e-300)
+                    else:
+                        flat_vals[at] = (b + a) * 0.5
+            if self._scaled:
+                np.multiply(self._faces[1:3], self._face_scale, self._scaled_faces)
             if self._storage is not None:
-                left, right, c, den, half, dx = self._storage
-                np.add(left, right, c)
-                c *= half
-                np.multiply(c, dx, den)
+                np.multiply(self._c, *self._storage)
             self._pass = (self._faces, self._c)
         return self._pass
 

@@ -1,6 +1,9 @@
 """The drying layouts outside the comparison table march as one composite
 wall: their grids side by side on one state, joined by seam cells that no
-real node reads.  Every result must be the walls' own, bit for bit, and
+real node reads.  A seam cell belongs to the last layer of the wall before
+it, so the interface it makes falls on the next wall's first node, a
+Dirichlet node whose storage no row reads, and the coefficient pass fixes
+up nothing there.  Every result must be the walls' own, bit for bit, and
 where it could not be, the walls march one by one."""
 import dataclasses
 import os

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stswall import operator as operator_module
-from stswall.config import parse_time_function
+from stswall import cases, operator as operator_module
+from stswall.cases import PHYSICAL_INITIAL_T, PHYSICAL_INITIAL_V, physical_preset
+from stswall.config import PHYSICAL_LAYOUTS, parse_time_function
 from stswall.errors import AssemblyError, ConfigError
 from stswall.model import (
     COEFFICIENT_NAMES, BiotSet, BoundaryForcing, CoefficientModel, DimensionlessGroups,
@@ -588,7 +589,7 @@ positive = st.floats(0.1, 2.0)
 
 
 @st.composite
-def polynomial_walls(draw):
+def polynomial_walls(draw, side_by_side=False):
     """(operator, stacked state): a random 1-3-layer wall of polynomial
     materials on a grid with its interfaces on nodes, Robin or Dirichlet
     sides, and a random in-box state.
@@ -596,7 +597,11 @@ def polynomial_walls(draw):
     The wall is all constant, all varying or mixed.  A varying coefficient
     has degree 1 or 2 in the first layer and in some others; a constant
     one has degree 0 in every layer, sometimes written with an explicit
-    zero v term, and may be zero (as glass wool's d_t is), except c_t."""
+    zero v term, and may be zero (as glass wool's d_t is), except c_t.
+    Layers are 1-12 cells thick, so interface nodes may be neighbours and
+    an interface may sit next to an end node.  With ``side_by_side`` the
+    grid is sometimes split into walls side by side by one or two seams,
+    between Dirichlet sides."""
     kind = draw(st.sampled_from(["constant", "varying", "mixed"]))
     varies = {name: kind == "varying" or (kind == "mixed" and draw(st.booleans()))
               for name in COEFFICIENT_NAMES}
@@ -610,12 +615,17 @@ def polynomial_walls(draw):
             else:
                 zero = name != "c_t" and draw(st.integers(0, 3)) == 0
                 spec[name] = [0.0 if zero else draw(positive)] + [0.0] * draw(st.integers(0, 1))
-        layers.append((CoefficientModel.polynomials(f"m{i}", **spec), draw(st.integers(2, 12)) * dx))
+        layers.append((CoefficientModel.polynomials(f"m{i}", **spec), draw(st.integers(1, 12)) * dx))
     wall = WallAssembly(layers)
     n = int(round(wall.total_length / dx)) + 1
+    seams = ()
+    if side_by_side and n >= 8 and draw(st.booleans()):       # walls of at least two nodes each
+        seams = tuple(sorted(draw(st.sets(st.integers(1, n - 4), min_size=1, max_size=2))))
+        if len(seams) == 2 and seams[1] - seams[0] < 2:
+            seams = seams[:1]
     biots, sides = [], []
     for _ in range(2):
-        if draw(st.booleans()):
+        if not seams and draw(st.booleans()):
             biots.append(BiotSet(m_theta=draw(positive), t_t=draw(positive), t_theta=draw(positive)))
             sides.append(SideForcing.robin(lambda t: 1.0 + 0.1 * t, lambda t: 0.5))
         else:
@@ -623,12 +633,24 @@ def polynomial_walls(draw):
             sides.append(dirichlet_forcing(1.0, 0.5))
     groups = DimensionlessGroups(fo_m=draw(positive), fo_t=draw(positive), gamma=draw(positive),
                                  delta=draw(positive), biot_left=biots[0], biot_right=biots[1])
-    op = SemiDiscreteOperator(wall, Grid1D(wall.total_length, n), groups, BoundaryForcing(*sides))
+    op = SemiDiscreteOperator(wall, Grid1D(wall.total_length, n), groups, BoundaryForcing(*sides),
+                              seams=seams)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return op, np.stack([0.5 + rng.random(n), 0.05 + 0.9 * rng.random(n)])
 
 
 wall_cases = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+def preset_composite_op():
+    """The operator of the preset's composite drying wall: re_ins (126
+    nodes) and re (101) side by side, joined by a seam cell."""
+    cfg = dataclasses.replace(physical_preset(), initial_u=PHYSICAL_INITIAL_T, initial_v=dict(PHYSICAL_INITIAL_V))
+    groups = DimensionlessGroups(fo_m=1.0, fo_t=1.0, gamma=1.0, delta=cfg.latent_heat)
+    forcing = physical_op(RE_INS).forcing
+    doms = [cases._layout_config(cfg, PHYSICAL_LAYOUTS[name], forcing, groups) for name in ("re_ins", "re")]
+    composite, _ = cases._composite_drying("rkl", doms)
+    return composite.operator()
 
 
 def mixed_op():
@@ -884,6 +906,16 @@ def full_table_pass(op, v):
     return 2.0 * a * b / (a + b + 1e-300), 0.5 * (vals[0, 4] + vals[1, 4])
 
 
+def read_by_rows(op):
+    """(faces, nodes): masks of the faces, (n-1,), and the storage values,
+    (n,), that some row of the RHS or the stencil reads.  A Dirichlet node's
+    row is zero, so a face between two of them (a seam cell) and a Dirichlet
+    node's storage are read by none."""
+    live = np.ones(op.n, dtype=bool)
+    live[[j for j, _ in op._dirichlet]] = False
+    return live[:-1] | live[1:], live
+
+
 def full_table_rhs(op, t, y):
     """The RHS from :func:`full_table_pass`: flux factors scaled from the
     faces, the stacked flux divergence and the closure of :func:`robin_inflow`,
@@ -935,14 +967,18 @@ class TestStateDependentRows:
     """The pass evaluates only the rows that vary with the state and fixes
     the rest at assembly; every result must equal the full-table pass's."""
 
-    @wall_cases
-    @given(polynomial_walls())
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(polynomial_walls(side_by_side=True))
     def test_results_equal_full_table_pass(self, case):
+        # one-cell layers put interface nodes side by side and next to the
+        # ends, and seams next to interfaces: every fix-up of the pass
         op, y = case
         full = copy.copy(op)        # the same operator fed by the full-table pass
         full._coefficients = lambda v: full_table_pass(op, v)
-        for want, got in zip(full_table_pass(op, y[1]), op._coefficients(y[1])):
-            assert np.array_equal(got, want)
+        (want_faces, want_c), (faces, c) = full_table_pass(op, y[1]), op._coefficients(y[1])
+        read_faces, read_c = read_by_rows(op)
+        assert np.array_equal(faces[:, read_faces], want_faces[:, read_faces])
+        assert np.array_equal(c[read_c], want_c[read_c])
         assert np.array_equal(op.rhs(0.3, y), full_table_rhs(op, 0.3, y))
         assert op.gershgorin_lambda_max(y[1]) == full.gershgorin_lambda_max(y[1])
         for got, want in zip(op.jacobian_node_blocks(y[1]), full.jacobian_node_blocks(y[1])):
@@ -984,14 +1020,27 @@ class TestStateDependentRows:
                     assert other.rhs(0.3, y, out=out) is out and np.array_equal(out, want)
                     assert out.tobytes() == other.rhs(0.3, y).tobytes()
 
-    @pytest.mark.parametrize("layout", [INS_RE, RE_INS], ids=["ins_re", "re_ins"])
-    def test_table3_walls_fix_k_tm_and_d_t(self, layout):
-        op = physical_op(layout)
+    @pytest.mark.parametrize("make, interface", [(lambda: physical_op(INS_RE), 25),
+                                                 (lambda: physical_op(RE_INS), 100),
+                                                 (preset_composite_op, 100)],
+                             ids=["ins_re", "re_ins", "composite"])
+    def test_table3_walls_fix_k_tm_and_d_t(self, make, interface):
+        op = make()
         faces, _ = op._coefficients(in_box_state(op.n, 5)[1])
         fixed = faces[1:3].copy()
         op._coefficients(in_box_state(op.n, 6)[1])
         assert np.array_equal(faces[1:3], fixed)
-        assert np.array_equal(op._table[::-1], full_table(op)[:, :, [0, 3, 4]])    # k_t, d_theta, c_t
+        # the table holds k_t, d_theta and c_t of each node's right-face layer
+        assert np.array_equal(op._table[::-1], full_table(op)[:, 1, [0, 3, 4]])
+        # one fix-up, at the interface re|ins or ins|re; on the composite none
+        # at the seam, whose interface (node 126) is a Dirichlet node
+        (i, fixes), = op._fixups
+        assert i == interface
+        polys = [poly for poly, _, _, _ in fixes]
+        assert [face for *_, face in fixes] == [True, True, False]     # k_t, d_theta, then c_t
+        assert polys[2][1]      # the left layer's c_t varies
+        if i == 25:     # ins_re: glass wool's k_t and d_theta are constants
+            assert polys[:2] == [(0.4875, ()), (1e-20, ())]
 
     def test_constant_wall_does_no_horner_work(self, monkeypatch):
         calls = []

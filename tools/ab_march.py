@@ -71,11 +71,9 @@ def run_round(tree, workload: str, seed: int):
         result = runner(cfg, out)
         wall = time.perf_counter() - start
         files = {name: _output(os.path.join(out, name)) for name in sorted(os.listdir(out))}
-    arrays = {}
-    for scheme, report in result.reports.items():
-        arrays[f"{scheme}.u"], arrays[f"{scheme}.v"] = report.final_state.u, report.final_state.v
+    arrays = {scheme: np.asarray(report.final_state) for scheme, report in result.reports.items()}
     if workload == "verify":
-        arrays["reference.u"], arrays["reference.v"] = result.reference.u, result.reference.v
+        arrays["reference"] = np.asarray(result.reference)
     else:
         for name in result.totals:
             arrays[f"totals.{name}"] = result.totals[name]
