@@ -43,11 +43,9 @@ from .metrics import (
 from .model import (BiotSet, BoundaryForcing, DimensionlessGroups, Grid1D, SideForcing, StateField,
                     WallAssembly, builtin_material)
 from .operator import SemiDiscreteOperator
-from .series import BoundarySeries, ingest_boundary_series, write_synthetic_climate
+from .series import DAY_S, YEAR_S, BoundarySeries, ingest_boundary_series, write_synthetic_climate
 
 logger = logging.getLogger(__name__)
-
-DAY_S = 86400.0
 
 # Verification preset constants (step sizes exactly reproduce the reported
 # temporal node counts; the Euler step is the reported CFL-limited value).
@@ -104,7 +102,7 @@ def physical_preset() -> CaseConfig:
         kind="physical",
         title="rammed-earth wall drying, three insulation layouts",
         dx=5e-3,
-        tau=365.0 * DAY_S,
+        tau=YEAR_S,
         schemes=["euler", "rkc", "rkl"],
         ns={"rkc": 10, "rkl": 20},
         damping_rkc=0.0,
@@ -174,7 +172,7 @@ def _build_domain(cfg: CaseConfig, forcing, groups) -> _Domain:
     # the RHS divides by the storage: each layer's c_t must be positive at every node it touches
     for (model, _), (a, b) in zip(wall.layers, spans):
         c = 0.0
-        for ck in model.poly[2][::-1]:      # c_t, by Horner's rule as the model's callable
+        for ck in model.poly[2][::-1]:      # c_t, by Horner's rule
             c = c * v0[a:b + 1] + ck
         if not np.all(c > 0):
             raise ConfigError(f"material {model.name!r}: c_t must be positive at the initial state, "
@@ -460,7 +458,7 @@ def _oracle(dom, check=False):
     steps = pair * math.ceil(cfg.tau / (pair * h) * (1.0 - 1e-12))
     h = cfg.tau / steps if steps else h
     stride = _sample_stride(h, cfg.tau)
-    states, times = np.empty((int(cfg.tau / (h * stride) * (1.0 + 1e-8)) + 2, 2, op.n)), []
+    states, times = np.empty((steps // stride + 2, 2, op.n)), []
 
     def record(t, y):
         states[len(times)] = y
@@ -617,17 +615,11 @@ def physical_step_counts(cfg: CaseConfig) -> dict:
     leaves them to the operator estimate gets them from
     :func:`_layout_config`, as :func:`run_physical_case` does.
     """
-    horizon = 365.0 * DAY_S
     if cfg.dt_euler is None and (cfg.dt_exp_base is None or "euler" in cfg.schemes):
         raise ConfigError("step counts need dt_euler or dt_exp; 'auto' steps come from "
                           "a layout's operator estimate")
-    out = {}
-    for scheme in cfg.schemes:
-        if scheme == "df" and cfg.dt_df is None:
-            continue
-        dt = _scheme_step(scheme, cfg)[0]
-        out[scheme] = {"dt_s": dt, "n_t": node_count(dt, horizon)}
-    return out
+    dts = {scheme: _scheme_step(scheme, cfg)[0] for scheme in cfg.schemes}
+    return {scheme: {"dt_s": dt, "n_t": node_count(dt, YEAR_S)} for scheme, dt in dts.items()}
 
 
 def _physical_forcing(series: BoundarySeries) -> BoundaryForcing:
@@ -696,6 +688,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
         stride = max(1, int(cfg.tau / _scheme_step(cfg.drying_scheme, dom.cfg)[0] / 1500))
         report = _run_one_scheme(cfg.drying_scheme, dom, observe=observer, observe_every=stride)
         if dom.seams and report.flags.get("schedule_rebuilds"):
+            logger.info("composite drying march of %s rebuilt its schedule: set aside", ", ".join(names))
             return None
         t_days = np.asarray(observer.times) / DAY_S
         for name, theta in zip(names, map(np.array, zip(*observer.totals))):
@@ -709,6 +702,7 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
             drying_reports[name] = march(dom, [name], [dom.spans[_re_layer(dom)]])
         except DivergenceError as exc:
             failures[f"drying-{name}"] = str(exc)
+            logger.warning("drying march of %s diverged: %s", name, exc)
 
     # The first layout's march is the table's drying_scheme row: it is built
     # and marched first, alone.  The others march as one composite wall where
@@ -721,7 +715,8 @@ def run_physical_case(cfg: CaseConfig, out_dir) -> PhysicalResult:
     try:
         composite = _composite_drying(cfg.drying_scheme, [domains[name] for name in rest])
         marched = composite is not None and march(composite[0], rest, composite[1]) is not None
-    except StswallError:        # the walls march one by one: their own failures and messages
+    except StswallError as exc:     # the walls march one by one: their own failures and messages
+        logger.info("composite drying march of %s failed: set aside (%s)", ", ".join(rest), exc)
         marched = False
     if not marched:
         for name in rest:

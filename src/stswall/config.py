@@ -98,9 +98,7 @@ def parse_time_function(expr: str):
     namespace = {"__builtins__": {"float": float}, **_EXPR_FUNCTIONS, "expr": expr,
                  "errors": (ArithmeticError, ValueError, TypeError), "ConfigError": ConfigError}
     exec(code, namespace)
-    fn = namespace["forcing"]
-    fn.expression = expr
-    return fn
+    return namespace["forcing"]
 
 
 def _number(text, kind=float, shown=None):
@@ -267,9 +265,9 @@ class CaseConfig:
         if not self.schemes:
             raise ConfigError("schemes must name at least one scheme")
         known = {"euler", "df", "rkc", "rkl"}
-        for s in self.schemes:
+        for key, s in [*(("schemes", s) for s in self.schemes), ("drying_scheme", self.drying_scheme)]:
             if s not in known:
-                raise ConfigError(f"unknown scheme {s!r}; choose from {sorted(known)}")
+                raise ConfigError(f"{key}: unknown scheme {s!r}; choose from {sorted(known)}")
         if not self.layers:
             raise ConfigError("wall needs at least one layer")
         for name, _ in self.layers:

@@ -187,16 +187,10 @@ class RunReport:
     dt_exp: Optional[float] = None
 
     def describe(self) -> dict:
-        out = {
-            "scheme": self.scheme, "dt": self.dt, "tau": self.tau,
-            "n_steps": self.n_steps, "n_t": self.n_t,
-            "rhs_evals": self.rhs_evals, "cpu_s": self.cpu_s,
-            "flags": dict(self.flags),
-        }
-        if self.n_s is not None:
-            out["n_s"] = self.n_s
-        if self.dt_exp is not None:
-            out["dt_exp"] = self.dt_exp
+        """Every field but ``final_state`` and the unset ones, with a copy of ``flags``."""
+        out = {key: value for key, value in vars(self).items()
+               if key != "final_state" and value is not None}
+        out["flags"] = dict(self.flags)
         return out
 
 
@@ -678,10 +672,7 @@ class _SuperStep:
         lam = self.op.gershgorin_lambda_max(y[1], self.coeffs)
         if lam <= self.active.design_lambda:
             return False
-        self.active = build_schedule(
-            self.scheme, self.n_s, 2.0 / (SAFETY_INFLATION * lam),
-            self.active.damping if self.scheme == "rkc" else None,
-        )
+        self.active = build_schedule(self.scheme, self.n_s, 2.0 / (SAFETY_INFLATION * lam), self.active.damping)
         self.flags["schedule_rebuilds"] += 1
         return True
 

@@ -20,31 +20,7 @@ RHO_WATER = 1000.0  # kg/m^3
 C_WATER = 4180.0    # J/(kg K)
 
 
-CoefficientFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 COEFFICIENT_NAMES = ("d_theta", "d_t", "c_t", "k_t", "k_tm")
-
-
-def _poly_fn(coeffs: tuple) -> CoefficientFn:
-    """Callable evaluating low-to-high polynomial ``coeffs`` in v (Horner's rule)."""
-    if len(coeffs) == 1:
-        value = coeffs[0]
-
-        def const(u, v):
-            return np.full_like(np.asarray(v, dtype=float), value)
-
-        return const
-    c = np.asarray(coeffs, dtype=float)
-
-    def fn(u, v):
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        for ck in c[::-1]:
-            out = out * v + ck
-        return out
-
-    return fn
 
 
 @dataclass(frozen=True)
@@ -52,20 +28,21 @@ class CoefficientModel:
     """Five transport/storage coefficients of one material, polynomials in v.
 
     ``u`` is the temperature-like variable and ``v`` the moisture-like
-    variable (dimensionless or physical depending on the case).  ``poly``
-    holds the low-to-high coefficients of each polynomial in the order of
-    :data:`COEFFICIENT_NAMES`; the operator evaluates these tables directly.
-    The five callables evaluate the same polynomials at (u, v) and
-    broadcast over numpy arrays.  Build models with :meth:`polynomials`
-    (also named :meth:`constants`), which fills both from one spec.
+    variable (dimensionless or physical depending on the case).  Each named
+    field holds the low-to-high coefficients of its polynomial in v, and
+    ``poly`` the same five tuples in the order of :data:`COEFFICIENT_NAMES`;
+    the operator evaluates ``poly`` directly.  ``poly`` stays a field while
+    ``perfbench/tracing.py`` rebuilds models with the five named fields
+    replaced.  Build models with :meth:`polynomials` (also named
+    :meth:`constants`).
     """
 
     name: str
-    d_theta: CoefficientFn
-    d_t: CoefficientFn
-    c_t: CoefficientFn
-    k_t: CoefficientFn
-    k_tm: CoefficientFn
+    d_theta: tuple
+    d_t: tuple
+    c_t: tuple
+    k_t: tuple
+    k_tm: tuple
     poly: tuple
 
     @classmethod
@@ -82,8 +59,7 @@ class CoefficientModel:
                 raise ConfigError(f"material {name!r}: c_t must be positive, got {p[0]}")
             if not p[0] >= 0:
                 raise ConfigError(f"material {name!r}: {key} must be non-negative, got {p[0]}")
-        fns = {key: _poly_fn(p) for key, p in zip(COEFFICIENT_NAMES, poly)}
-        return cls(name=name, poly=poly, **fns)
+        return cls(name, *poly, poly)
 
     # the name for all-scalar models; perfbench/tracing.py wraps each name
     constants = polynomials

@@ -31,6 +31,51 @@ from stswall.series import ingest_boundary_series, write_synthetic_climate
 DAY_S = 86400.0
 
 
+# a nonlinear wall whose middle and right-end layers are one cell thick (the
+# case file of CI's "Command-line exit codes" step)
+ONE_CELL_INI = """
+    [case]
+    kind = verification
+    [grid]
+    dx = 0.1
+    [time]
+    tau = 0.01
+    dt_euler = 1e-4
+    dt_df = 1e-3
+    [groups]
+    fo_m = 0.09
+    fo_t = 0.07
+    gamma = 0.07
+    delta = 0.05
+    [materials]
+    a.d_theta = 0.3, 0.1
+    a.d_t = 2.1
+    a.c_t = 0.1, 0.2
+    a.k_t = 0.5, 0.3
+    a.k_tm = 0.4
+    b.d_theta = 0.1
+    b.d_t = 3.2, 0.5
+    b.c_t = 0.3, 0.1
+    b.k_t = 0.2, 0.4
+    b.k_tm = 0.1
+    [wall]
+    layers = a:0.5, b:0.1, a:0.3, b:0.1
+    [initial]
+    u = 1.0, 1.5, 0.8, 1.2
+    v = 0.5, 0.9, 0.3, 0.7
+    [biot.left]
+    m_theta = 0.5
+    t_t = 0.7
+    [biot.right]
+    m_theta = 0.5
+    t_t = 0.7
+    [forcing.left]
+    u = 1.2
+    v = 0.4
+    [forcing.right]
+    """
+
+
 def short_verification(tau=0.02):
     """Preset shrunk to a fast horizon; step sizes keep their published values."""
     cfg = verification_preset()
@@ -346,6 +391,19 @@ class TestOracle:
         _, report, check = cases._oracle(cases._dimensionless_domain(cfg), check=True)
         assert report.scheme == "rk4" and report.dt == 2.0 * cfg.dt_euler
         assert check == {"richardson_gap": 0.0, "richardson_dt": report.dt / 2.0}
+
+    def test_self_check_warns_of_a_gap_above_1e_5(self, tmp_path, caplog):
+        # the nonlinear one-cell wall takes the RK4 reference at h = 2 dt = tau, one
+        # step, and its companion at h/2; they end 5.96e-4 apart after the r^4 - 1 scaling
+        ini = tmp_path / "one_cell.ini"
+        ini.write_text(textwrap.dedent(ONE_CELL_INI))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(ini), "--dt", "5e-3", "--scheme", "euler", "--out", str(out)]) == 0
+        reference = json.loads((out / "manifest.json").read_text())["reference"]
+        assert reference["method"] == "rk4" and reference["dt"] == 0.01 and reference["richardson_dt"] == 0.005
+        assert round(reference["richardson_gap"], 6) == 5.96e-4
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"reference self-check: Richardson gap {reference['richardson_gap']:.3e} exceeds 1e-5")]
 
     def test_falls_back_to_euler_step_outside_rk4_margin(self, tmp_path, rk4_reference):
         self.check_euler_step_fallback(tmp_path, "rk4")
@@ -979,6 +1037,25 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command,edit,message", [
+        ("verify", ("m1 = table1_mat1", "m1.d_theta = 0.3\nm1.d_t = 2.1\nm1.c_t = 0.1\nm1.k_t = 0.5"),
+         "material 'm1': k_tm has no coefficients"),
+        ("sweep", ("[forcing.left]", "[forcing.right]\nu = 1\n[sweep]\nschemes = euler\n[forcing.left]"),
+         "sweep schemes must be rkc or rkl, got ['euler']"),
+        # failed only after writing synthetic_climate.csv and building the first layout,
+        # with a message that did not name the key
+        ("physical", ("configurations = re", "configurations = re\ndrying_scheme = foo"),
+         "drying_scheme: unknown scheme 'foo'"),
+    ], ids=["material-without-k-tm", "sweep-schemes-euler", "drying-scheme-foo"])
+    def test_input_error_exits_one_before_any_output(self, tmp_path, capsys, command, edit, message):
+        template = self.PHYSICAL_INI.format(configurations="re") if command == "physical" else self.VERIFICATION_INI
+        ini, out = tmp_path / "case.ini", tmp_path / "out"
+        ini.write_text(textwrap.dedent(template).replace(*edit))
+        assert main([command, "--config", str(ini), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
     def test_benchmark_file_with_an_inverted_box_exits_one(self, tmp_path, capsys):
         # u_min above u_max printed "FAILED rkl" (exit 2)

@@ -6,6 +6,7 @@ Dirichlet node whose storage no row reads, and the coefficient pass fixes
 up nothing there.  Every result must be the walls' own, bit for bit, and
 where it could not be, the walls march one by one."""
 import dataclasses
+import logging
 import os
 
 import numpy as np
@@ -224,3 +225,43 @@ class TestSelection:
         _, _, log = drying_run(tmp_path, "auto", dt_euler=None, dt_exp_base=None, tau=3600.0)
         assert len(set(seen)) == 2      # each layout's own estimate
         assert log == [(126, False), (126, False), (101, False)]
+
+    def test_a_spacing_the_composite_length_cannot_keep_marches_each_wall_alone(self, tmp_path):
+        # at dx = 0.0125 re_ins (51 nodes) and re (41) side by side span 91 dx, and the
+        # float nearest 91 dx spaces its 92 nodes other than dx
+        assert 0.0125 * 91 / 91 != 0.0125
+        _, _, log = drying_run(tmp_path, "coarse", dx=0.0125)
+        assert log == [(51, False), (51, False), (41, False)]
+
+
+class TestLog:
+    """What a drying march that diverges, or a composite march set aside, logs."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_drying_marches_warn_and_the_composite_says_it_is_set_aside(self, tmp_path, caplog):
+        # the insulation of test_a_diverging_wall_marches_alone: ins_re and re_ins run away
+        materials = dict(physical_preset().materials)
+        materials["ins"] = CoefficientModel.polynomials("ins", d_theta=[1e-8, -2e-6], d_t=0.0,
+                                                        c_t=[146.0 * 840.0, 4.18e6], k_t=0.4875, k_tm=1e-17)
+        caplog.set_level(logging.INFO, logger="stswall.cases")
+        res, _, _ = drying_run(tmp_path, "composite", materials=materials, tau=DAY_S)
+        logged = [(r.levelname, r.getMessage()) for r in caplog.records]
+        assert [m for level, m in logged if level == "INFO"] == [
+            f"composite drying march of re_ins, re failed: set aside ({res.failures['drying-re_ins']})"]
+        assert [m for level, m in logged if level == "WARNING"] == [
+            f"drying march of ins_re diverged: {res.failures['drying-ins_re']}",
+            f"drying march of re_ins diverged: {res.failures['drying-re_ins']}",
+            f"scheme rkl diverged: {res.failures['rkl']}"]
+
+    def test_a_composite_that_rebuilds_its_schedule_says_it_is_set_aside(self, tmp_path, caplog, monkeypatch):
+        # the inflated bounds of test_a_composite_that_rebuilds_its_schedule_marches_its_walls_alone
+        bound, box_bound = SemiDiscreteOperator.gershgorin_lambda_max, SemiDiscreteOperator.gershgorin_box_bound
+        monkeypatch.setattr(SemiDiscreteOperator, "gershgorin_lambda_max", lambda self, v=None, coeffs=None: (
+            5.0 if self._seams and coeffs is not None else 1.0) * bound(self, v, coeffs))
+        monkeypatch.setattr(SemiDiscreteOperator, "gershgorin_box_bound",
+                            lambda self: (5.0 if self._seams else 1.0) * box_bound(self))
+        caplog.set_level(logging.INFO, logger="stswall.cases")
+        res, _, _ = drying_run(tmp_path, "composite")
+        assert not res.failures
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("INFO", "composite drying march of re_ins, re rebuilt its schedule: set aside")]

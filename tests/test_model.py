@@ -15,11 +15,13 @@ from stswall.model import (
 )
 from stswall.operator import SemiDiscreteOperator
 
+from polynomials import horner
+
 
 def coefficients_at(model, u, v):
     """The five coefficients of ``model`` at one state, in COEFFICIENT_NAMES order,
-    from its callables."""
-    return tuple(float(getattr(model, name)(u, v)) for name in COEFFICIENT_NAMES)
+    from its tuples (none depends on u)."""
+    return tuple(float(horner(getattr(model, name), v)) for name in COEFFICIENT_NAMES)
 
 
 class TestMaterials:
@@ -165,7 +167,7 @@ class TestEvaluateCoefficients:
     def test_round_trips_layer_membership_on_grid(self, wall):
         _, c = self.coefficients(wall)
         for j, layers in enumerate(node_layer_sets(wall.node_spans(Grid1D(1.0, 101)))):
-            c_t = [wall.layers[k][0].c_t(1.0, 1.0) for k in layers]
+            c_t = [horner(wall.layers[k][0].c_t, 1.0) for k in layers]
             assert c[j] == pytest.approx(sum(c_t) / len(c_t), rel=1e-15)
 
 

@@ -18,6 +18,8 @@ from stswall.model import (
 )
 from stswall.operator import SemiDiscreteOperator, _harmonic, apply_robin_closure
 
+from polynomials import horner
+
 TABLE1_GROUPS = dict(fo_m=9e-2, fo_t=7e-2, gamma=7e-2, delta=5e-2)
 
 
@@ -444,13 +446,13 @@ class TestFaceTables:
         for f in range(op.n - 1):
             model = op.wall.layers[face_layer[f]][0]
             for row, name in enumerate(("k_t", "k_tm", "d_t", "d_theta")):
-                left, right = (float(getattr(model, name)(u[i], v[i])) for i in (f, f + 1))
+                left, right = (float(horner(getattr(model, name), v[i])) for i in (f, f + 1))
                 assert faces[row, f] == _harmonic(left, right)
         for j in range(op.n):
-            left = op.wall.layers[face_layer[max(j - 1, 0)]][0].c_t(u[j], v[j])
-            right = op.wall.layers[face_layer[min(j, op.n - 2)]][0].c_t(u[j], v[j])
+            left = horner(op.wall.layers[face_layer[max(j - 1, 0)]][0].c_t, v[j])
+            right = horner(op.wall.layers[face_layer[min(j, op.n - 2)]][0].c_t, v[j])
             if left == right:
-                assert c[j] == op.wall.layers[node_layer[j]][0].c_t(u[j], v[j])
+                assert c[j] == horner(op.wall.layers[node_layer[j]][0].c_t, v[j])
             assert c[j] == 0.5 * (left + right)
 
 

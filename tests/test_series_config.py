@@ -336,8 +336,8 @@ class TestConfigFile:
         assert [name for name, _ in cfg.layers] == ["m1", "m2"]
         assert cfg.initial_v == [1.0, 0.8]
         # builtin and polynomial materials
-        assert cfg.materials["m1"].d_theta(1, 1) == pytest.approx(0.3)
-        assert cfg.materials["m2"].d_t(1.0, 0.5) == pytest.approx(1.0 + 0.5 * 0.5)
+        assert cfg.materials["m1"].d_theta == (0.3,)
+        assert cfg.materials["m2"].d_t == (1.0, 0.5)
         # closed-form and series-backed forcing
         assert cfg.forcing_left.u_inf(0.75) == pytest.approx(1.5)
         assert cfg.forcing_right.kind == "dirichlet"
