@@ -465,7 +465,7 @@ def _oracle(dom, check=False):
         times.append(t)
 
     if exact:
-        stepper = _ExactStep(op, h, state0)
+        stepper = _ExactStep(op, h, state0, steps)
         report = _march(op, state0, stepper, cfg.tau, record, stride)
     else:
         report = rk4_run(op, state0, h, cfg.tau, observe=record, observe_every=stride)

@@ -429,14 +429,18 @@ class _ExactStep:
     of ``yz`` (row 0 is y) is the step-doubling companion: it takes each pair
     of steps as one of 2h, b the line through the cubic of their four samples
     at its own Gauss nodes, so the march takes an even number of whole steps
-    h, and the gap of the rows over 2^4 - 1 estimates y's error."""
+    h, and the gap of the rows over 2^4 - 1 estimates y's error.  The samples
+    come a ``BLOCK`` of steps k h (_march's times) at a time, none past step
+    ``steps``, read as views; a step from another t samples anew from it, and
+    a time whose forcing raises ends the block, raised by the step that reaches it."""
 
     scheme, n_s, dt_exp = "expm", None, None
+    BLOCK = 256     # even, so that a pair never straddles two blocks
 
-    def __init__(self, op, dt, y0):
+    def __init__(self, op, dt, y0, steps):
         g = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)      # Gauss nodes on [0, 1]
         self.op, self.dt, self.gauss, self.flags, self.count = op, dt, g, {}, 0
-        self.b, self.taken = np.empty((2, 2, op.n)), np.empty((2, 2, 2, 2))
+        self.steps, self.at, self.times, self.block = steps, 0, [], np.empty((0, 8))
         self.yz = np.array([y0.ravel()] * 2)
         self.fit = np.kron([[g[1], -g[0]], [-1.0, 1.0]], math.sqrt(3.0) * np.eye(4))    # samples -> (c0, c1)
         self.pt, self.g = self.propagator(dt)
@@ -458,22 +462,26 @@ class _ExactStep:
         p[...] = e[:m, :m]
         return p.T, e[:m, m:] @ self.fit
 
-    def samples(self, t, h, out):
-        """b = rhs(t, 0) in the end rows at the Gauss nodes of [t, t + h], into ``out``."""
-        for b, s in zip(self.b, self.gauss):
-            self.op.boundary_forcing(t + s * h, b.ravel())
-        out[...] = self.b[:, :, ::self.op.n - 1]
-        return out.ravel()
+    def sample(self, t):
+        """The step's slot in a block sampled from it at ``t``, after its pair's first step's."""
+        first = self.count % 2
+        starts = (self.count + np.arange(max(1, min(self.BLOCK - first, self.steps - self.count)))) * self.dt
+        starts[0] = t
+        got = self.op.boundary_forcing_at(starts[:, None] + np.multiply(self.gauss, self.dt))
+        self.block = np.concatenate([self.block[self.at - first:self.at], got.reshape(len(got), 8)])
+        self.times = [None] * first + starts[:len(got)].tolist()
+        return first
 
     def refresh(self, t, y, inside):
         return False
 
     def step(self, t, h, t_new, y):
-        s = self.samples(t, self.dt, self.taken[self.count % 2])
+        i = self.at if self.at < len(self.times) and self.times[self.at] == t else self.sample(t)
+        self.at = i + 1
         yz = self.yz @ self.pt      # y, the march's state, is row 0 of yz
-        yz += self.g @ s
+        yz += self.g @ self.block[i]
         if self.count % 2:          # a pair's second step
-            yz[1] += self.pair_forcing @ self.taken.ravel()
+            yz[1] += self.pair_forcing @ self.block[i - 1:i + 1].ravel()
         self.count += 1
         self.yz = yz
         return yz[0].reshape(y.shape)

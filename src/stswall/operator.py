@@ -131,10 +131,11 @@ class SemiDiscreteOperator:
         self._varies = bool(rows)
         self._scaled = bool(set(rows) & {1, 2})     # k_tm or d_t: flux factors scaled
 
-        # Frozen matrix A: face scale of each block (uu, uv, vu, vv), interior row factors.
+        # Frozen matrix A: face scale of each block (uu, uv, vu, vv), row factors (0 in the end columns).
         self._scale = np.array([[1.0], [groups.delta], [groups.fo_m * groups.gamma], [groups.fo_m]])
         cm = 1.0 / (self.dx * self.dx)
-        self._row, self._fo_t_cm = np.full((4, self.n - 2), cm), np.array(groups.fo_t * cm)
+        self._row = np.pad(np.full((4, self.n - 2), cm), [(0, 0), (1, 1)])
+        self._fo_t_cm = np.array(groups.fo_t * cm)
 
         # Pass work arrays: Horner terms, highest degree first, of the evaluated
         # rows of each node's side-1 layer, their values, (rows, n), the last a
@@ -157,7 +158,7 @@ class SemiDiscreteOperator:
         # den = [dx c, dx].  Every row starts at its constant value; a pass
         # overwrites the varying ones.
         fac = aligned((6, n), 0.0)
-        self._faces, self._cu, self._cv = fac[1:5, :-1], fac[1::4], fac[0::4]
+        self._face_rows, self._faces, self._cu, self._cv = fac[1:5], fac[1:5, :-1], fac[1::4], fac[0::4]
         self._scaled_faces, self._face_scale = fac[0::5, :-1], np.array([[groups.delta], [groups.gamma]])
         const = layer_tables[sides, 0].transpose(0, 2, 1)        # (side, coefficient, n)
         self._faces[:] = _harmonic(const[1, :4, :-1], const[0, :4, 1:])
@@ -329,14 +330,15 @@ class SemiDiscreteOperator:
             flat[self._fixed] = 0.0
         return out
 
-    def _robin_rows(self, t, u_b, v_b, q_t, q_m, flat):
+    def _robin_rows(self, t, u_b, v_b, q_t, q_m, flat, values=None):
         """Write the Robin half-cells' rows of the flat RHS ``flat``: the face
         flux plus the inflow-oriented closure fo ((s - e) + sign q) 2 / den,
         with the flux terms and radiation s and the surface excess
         e = (m_theta dv, t_t du + t_theta dv), from the end nodes' values
-        ``u_b``, ``v_b`` and end-face fluxes ``q_t``, ``q_m`` (left, right)."""
+        ``u_b``, ``v_b`` and end-face fluxes ``q_t``, ``q_m`` (left, right).
+        A side's (u_inf, v_inf, s_m, s_t) is ``values[j]`` (arrays: rows of arrays), else its ambient at t."""
         for ambient, j, ju, jv, sign, m_theta, t_t, t_theta, fo_t, fo_m, den_v, den_t in self._closure:
-            u_inf, v_inf, s_m, s_t = ambient(t)
+            u_inf, v_inf, s_m, s_t = ambient(t) if values is None else values[j]
             dv = v_b[j] - v_inf
             if den_t is None:
                 den_t = self._den.item(ju)
@@ -351,6 +353,28 @@ class SemiDiscreteOperator:
         zero = [0.0, 0.0]
         self._robin_rows(t, zero, zero, zero, zero, out)
         return out
+
+    def boundary_forcing_at(self, times) -> np.ndarray:
+        """The four entries of :meth:`boundary_forcing` at each of the (k, g) ``times``,
+        bit for bit, as a (k', g, 2, 2) array [row, time, (u, v), (left, right)]: one
+        ambient call per side and time, in order, then array passes.  Rows stop before
+        one holding a time whose forcing raises (k' < k), but at row 0 it raises."""
+        ambients, got = [entry[0] for entry in self._closure], []
+        row = times.shape[1] * len(ambients) * 4
+        try:
+            for t in times.ravel().tolist():
+                for ambient in ambients:
+                    got += ambient(t)
+        except Exception:       # any forcing error: the step that reaches its time raises it again
+            if len(got) < row:
+                raise
+        # per side, its (u_inf, v_inf, s_m, s_t) at each time of the whole rows: (side, 4, k', g)
+        values = np.array(got[:len(got) // row * row]).reshape(-1, times.shape[1], len(ambients), 4)
+        values = values.transpose(2, 3, 0, 1)
+        rows, zero = {}, [0.0, 0.0]
+        with np.errstate(all="ignore"):     # a forcing of inf or nan makes the march diverge, not warn
+            self._robin_rows(None, zero, zero, zero, zero, rows, values)
+        return np.array([rows[k] for k in sorted(rows)]).transpose(1, 2, 0).reshape(*values.shape[2:], 2, 2)
 
     def apply_constraints(self, t: float, y: np.ndarray) -> None:
         """Overwrite the Dirichlet nodes of the stacked state with the imposed values at t.
@@ -388,21 +412,24 @@ class SemiDiscreteOperator:
     def _weights(self, faces, c, diagonal=False) -> np.ndarray:
         """The stencil of :meth:`_stencil` from face values ``faces``, (4, n-1),
         and nodal storage ``c``, (n,).  Each entry's magnitude grows with the
-        faces and shrinks with the storage, rounded operation by operation."""
+        faces and shrinks with the storage, rounded operation by operation, on
+        full-width rows whose end columns it zeroes; the faces' last column is 0."""
+        rows = self._face_rows if faces is self._faces else np.hstack([faces, np.zeros((4, 1))])
         row = self._row     # per-node row factors: fo_t cm / c in u rows, cm in v rows
-        np.divide(self._fo_t_cm, c[1:-1], row[:2])
+        np.divide(self._fo_t_cm, c[1:-1], row[:2, 1:-1])
         # Interior rows: flux divergence, (scale * face) * row per block.
-        if diagonal:
-            weights = diag = np.zeros((4, self.n))
-        else:
-            weights = np.zeros((3, 4, self.n))
-            lower, diag, upper = weights
-            neg_scaled = -self._scale * faces
-            np.multiply(neg_scaled[:, :-1], row, lower[:, 1:-1])
-            np.multiply(neg_scaled[:, 1:], row, upper[:, 1:-1])
-        mid = np.add(faces[:, :-1], faces[:, 1:], diag[:, 1:-1])
-        mid *= self._scale
-        mid *= row
+        weights = np.empty((4, self.n) if diagonal else (3, 4, self.n))
+        diag, flat = weights if diagonal else weights[1], rows.ravel()
+        diag.flat[0] = 0.0
+        np.add(flat[:-1], flat[1:], diag.ravel()[1:])
+        diag *= self._scale
+        diag *= row
+        if not diagonal:
+            lower, _, upper = weights
+            neg_scaled = -self._scale * rows
+            np.multiply(neg_scaled.ravel()[:-1], row.ravel()[1:], lower.ravel()[1:])
+            np.multiply(neg_scaled, row, upper)
+        weights[..., ::self.n - 1] = 0.0
         # Robin half-cells: half-cell flux plus exchange Jacobian dE_T/du, dE_T/dv, dE_M/du, dE_M/dv
         g, dx = self.groups, self.dx
         for b, side, _ in self._robin:
@@ -422,8 +449,8 @@ class SemiDiscreteOperator:
 
         A reads no time, and of the state only the (n,) moisture row ``v``
         (None: all ones).  Row/column order is [u_0..u_{N-1}, v_0..v_{N-1}];
-        exact for linear operators.  It costs O(n^2) memory, so the marching
-        code never builds it; it serves :meth:`dump_matrix` and the tests.
+        exact for linear operators.  It costs O(n^2) memory, so only the exact
+        reference's propagator builds it (once), with :meth:`dump_matrix` and the tests.
         """
         n = self.n
         lower, diag, upper = self._stencil(v)

@@ -491,12 +491,96 @@ class TestExactReference:
         # slack, which then lands the sliver left; here the sliver is 1e-8 h
         dom = cases._dimensionless_domain(short_verification(tau=0.0))
         op, h = dom.operator(), 2.0 * VERIFICATION_DT_EULER
-        whole, stepper = (integrators._ExactStep(op, h, dom.state0) for _ in range(2))
+        whole, stepper = (integrators._ExactStep(op, h, dom.state0, 2) for _ in range(2))
         want = integrators._march(op, dom.state0, whole, 2.0 * h, None, 1)
         got = integrators._march(op, dom.state0, stepper, 2.0 * h * (1.0 + 1e-8), None, 1)
         assert (want.n_steps, got.n_steps, stepper.count) == (2, 3, 2)
         assert np.asarray(got.final_state).tobytes() == np.asarray(want.final_state).tobytes()
         assert stepper.yz.tobytes() == whole.yz.tobytes()
+
+    @pytest.fixture
+    def forcing_rows(self, monkeypatch):
+        """The (k, 2) Gauss times of each block the exact reference samples, in order."""
+        rows, forcing_at = [], SemiDiscreteOperator.boundary_forcing_at
+
+        def recorded(op, times):
+            rows.append(times.copy())
+            return forcing_at(op, times)
+
+        monkeypatch.setattr(SemiDiscreteOperator, "boundary_forcing_at", recorded)
+        return rows
+
+    @pytest.mark.parametrize("block", [6, 7])
+    def test_blocks_that_do_not_divide_the_steps(self, monkeypatch, forcing_rows, block):
+        # 70 steps in blocks of 6, or of 7, whose pairs straddle blocks: each
+        # step's Gauss times are sampled once, none past tau, and the reference
+        # and its check are those of one block, bit for bit
+        want = cases._oracle(cases._dimensionless_domain(short_verification(tau=0.005)), check=True)
+        monkeypatch.setattr(integrators._ExactStep, "BLOCK", block)
+        del forcing_rows[:]
+        got = cases._oracle(cases._dimensionless_domain(short_verification(tau=0.005)), check=True)
+        h, gauss = got[1].dt, (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+        assert got[1].n_steps == 70 and max(map(len, forcing_rows)) == block
+        sampled = np.concatenate(forcing_rows)
+        assert sampled.tobytes() == ((np.arange(70) * h)[:, None] + np.multiply(gauss, h)).tobytes()
+        assert np.asarray(got[1].final_state).tobytes() == np.asarray(want[1].final_state).tobytes()
+        assert got[0].y.tobytes() == want[0].y.tobytes() and got[2] == want[2]
+
+    def test_tau_zero_samples_nothing(self, forcing_rows):
+        dom = cases._dimensionless_domain(short_verification(tau=0.0))
+        reference, report, check = cases._oracle(dom, check=True)
+        assert report.scheme == "expm" and report.n_steps == 0 and forcing_rows == []
+        assert np.asarray(report.final_state).tobytes() == dom.state0.tobytes()
+        assert check["richardson_gap"] == 0.0
+
+    LOG_INI = """\
+        [case]
+        kind = verification
+        [grid]
+        dx = 0.1
+        [time]
+        tau = 0.01
+        dt_euler = 1e-4
+        dt_df = 1e-3
+        [groups]
+        fo_m = 0.09
+        fo_t = 0.07
+        [materials]
+        m1 = table1_mat1
+        [wall]
+        layers = m1:1.0
+        [forcing.right]
+        [forcing.left]
+        u = {u}
+        """
+
+    def test_forcing_that_fails_before_tau_raises_at_the_step_that_reaches_it(
+            self, tmp_path, monkeypatch, forcing_rows):
+        # h = 2e-4: the step from 0.005 is the first to sample past the log's
+        # singularity, at its first Gauss node
+        ini = tmp_path / "log.ini"
+        ini.write_text(textwrap.dedent(self.LOG_INI.format(u="1 + log(0.005 - t)")))
+        started, step = [], integrators._ExactStep.step
+
+        def counted(stepper, t, h, t_new, y):
+            started.append(t)
+            return step(stepper, t, h, t_new, y)
+
+        monkeypatch.setattr(integrators._ExactStep, "step", counted)
+        with pytest.raises(ConfigError) as err:
+            run_verification_case(load_config(str(ini)), tmp_path / "out")
+        assert str(err.value) == ("forcing expression '1 + log(0.005 - t)' fails at "
+                                  "t=0.005042264973081038: math domain error")
+        assert len(started) == 26 and started[-1] == 25 * (0.01 / 50)
+        # asked for all 50 steps, the block keeps 25; the step from 0.005 asks again and raises
+        assert [len(rows) for rows in forcing_rows] == [50, 25] and forcing_rows[1][0, 0] == 0.005042264973081038
+
+    def test_forcing_that_fails_past_tau_is_not_sampled(self, tmp_path, forcing_rows):
+        ini = tmp_path / "log.ini"
+        ini.write_text(textwrap.dedent(self.LOG_INI.format(u="log(0.02 - t)")))
+        _, report, _ = cases._oracle(cases._dimensionless_domain(load_config(str(ini))), check=True)
+        assert report.scheme == "expm" and report.n_steps == 50
+        assert [len(rows) for rows in forcing_rows] == [50] and forcing_rows[0].max() < 0.01
 
     @pytest.mark.parametrize("tau,exponentials", [(0.005, 1), (0.0, 1)])
     def test_exponentials_per_reference(self, propagator_calls, tau, exponentials):

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stswall.model import (
 )
 from stswall.operator import SemiDiscreteOperator, _harmonic, apply_robin_closure
 
+from frozen_stencil import interior_weights
 from polynomials import horner
 
 TABLE1_GROUPS = dict(fo_m=9e-2, fo_t=7e-2, gamma=7e-2, delta=5e-2)
@@ -795,6 +797,29 @@ class TestLinearRobinForm:
             scale = max(np.max(np.abs(linear)), np.max(np.abs(b)))
             assert np.max(np.abs(op.rhs(t, y) - (linear + b))) <= 1e-12 * scale
 
+    @wall_cases
+    @given(robin_walls(kinds=["constant"], robin_sides=[(True, True)]))
+    def test_forcing_at_times_equals_stacked_forcing(self, case):
+        # flux terms and radiation included where the wall draws them
+        op, samples = case
+        times = np.array([[t, t + 0.25, 2.0 * t] for t, _ in samples])
+        want = np.array([[op.boundary_forcing(t, np.zeros(2 * op.n)).reshape(2, op.n)[:, ::op.n - 1]
+                          for t in row] for row in times.tolist()])
+        got = op.boundary_forcing_at(times)
+        assert got.shape == (len(times), 3, 2, 2) and got.tobytes() == want.tobytes()
+
+    def test_forcing_at_times_stops_before_a_row_that_raises(self):
+        # the right u is log(1 - t) + 1, undefined from t = 1 on; a row holding
+        # such a time ends the rows, and raises where it is the first
+        forcing = verification_forcing()
+        right = dataclasses.replace(forcing.right, u_inf=parse_time_function("1 + log(1 - t)"))
+        op = verification_op(BoundaryForcing(forcing.left, right))
+        times = np.array([[0.1, 0.2], [0.3, 0.4], [0.9, 1.5], [0.5, 0.6]])
+        assert op.boundary_forcing_at(times).tobytes() == op.boundary_forcing_at(times[:2]).tobytes()
+        assert op.boundary_forcing_at(times[:0]).shape == (0, 2, 2, 2)
+        with pytest.raises(ConfigError, match=r"fails at t=1\.5: math domain error"):
+            op.boundary_forcing_at(times[2:])
+
 
 class TestCoefficientPass:
     """The row-sum bound, the node blocks and the dense matrix read one
@@ -877,6 +902,41 @@ class TestCoefficientPass:
         assert op.gershgorin_lambda_max(y[1], coeffs=coeffs) == op.gershgorin_lambda_max(y[1])
         for got, want in zip(op.jacobian_node_blocks(y[1], coeffs), op.jacobian_node_blocks(y[1])):
             assert np.array_equal(got, want)
+
+
+class TestFullWidthStencil:
+    """The stencil made on full-width rows is byte-equal to the one made on
+    interior slices (tests/frozen_stencil.py) for every reader of it, and
+    raises no floating-point warning."""
+
+    @staticmethod
+    def readings(op, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return [op._stencil(v), op._stencil(v, diagonal=True), op.jacobian_node_blocks(v),
+                    op.jacobian_node_blocks(v, op._coefficients(v)), np.array(op.gershgorin_lambda_max(v)),
+                    np.array(op.gershgorin_box_bound()), op.frozen_matrix(v), op.frozen_matrix()]
+
+    def check(self, op, states):
+        op.admissible_box = (0.0, 2.0, 0.0, 1.0)
+        for y in states:
+            got = self.readings(op, y[1])
+            op._weights = lambda faces, c, diagonal=False: interior_weights(op, faces, c, diagonal)
+            want = self.readings(op, y[1])
+            del op._weights
+            assert np.isfinite(got[5]) and [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @wall_cases
+    @given(polynomial_walls(side_by_side=True))
+    def test_polynomial_walls(self, case):
+        op, y = case
+        self.check(op, [y, y[:, ::-1].copy()])
+
+    @wall_cases
+    @given(robin_walls())
+    def test_robin_walls(self, case):
+        op, samples = case
+        self.check(op, [y for _, y in samples])
 
 
 def full_table(op):
